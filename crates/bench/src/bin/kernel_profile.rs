@@ -5,6 +5,10 @@
 //! fair-share queue churn under a fresh profiler, then pools the retained
 //! span durations across repetitions with [`LogHistogram::merge`].
 //!
+//! Two fast-vs-reference records ride along: a 14-qubit QAOA evaluation on
+//! the ideal backend, and a 7-qubit noisy density run — the path every
+//! orchestrated job takes.
+//!
 //! Emits `BENCH_kernels.json` in the working directory (the repo root
 //! under `cargo run`) alongside the usual CSV + table; the binary
 //! self-checks the JSON's schema through [`qoncord_bench::require_keys`]
@@ -22,6 +26,7 @@ use qoncord_orchestrator::LogHistogram;
 use qoncord_prof::Profiler;
 use qoncord_sim::dist::ProbDist;
 use qoncord_sim::gates;
+use qoncord_sim::noisy::DensityProgram;
 use qoncord_sim::reference::ScopedReference;
 use qoncord_sim::statevector::StateVector;
 use qoncord_vqa::evaluator::{CostEvaluator, QaoaEvaluator};
@@ -167,6 +172,24 @@ fn median(mut v: Vec<f64>) -> f64 {
     v[v.len() / 2]
 }
 
+/// Median seconds of `run` on the default fast kernels and on the scalar
+/// reference kernels, timed in interleaved rounds so slow-machine drift
+/// hits both paths equally.
+fn interleaved_medians(rounds: usize, mut run: impl FnMut()) -> (f64, f64) {
+    let mut fast_t = Vec::with_capacity(rounds);
+    let mut ref_t = Vec::with_capacity(rounds);
+    for _ in 0..rounds {
+        let t0 = Instant::now();
+        run();
+        fast_t.push(t0.elapsed().as_secs_f64());
+        let _seed = ScopedReference::new();
+        let t0 = Instant::now();
+        run();
+        ref_t.push(t0.elapsed().as_secs_f64());
+    }
+    (median(fast_t), median(ref_t))
+}
+
 /// The fast-vs-reference axis (ROADMAP item 5): wall-clock of a complete
 /// 14-qubit QAOA evaluation — the transpiled-circuit statevector
 /// simulation plus Hamiltonian expectation behind
@@ -200,24 +223,69 @@ fn fast_vs_reference(evals: usize) -> (String, f64) {
         "fast and reference energies diverged by {max_abs_diff}"
     );
 
-    let mut fast_t = Vec::with_capacity(evals);
-    let mut ref_t = Vec::with_capacity(evals);
-    for _ in 0..evals {
-        let t0 = Instant::now();
+    let (fast_s, reference_s) = interleaved_medians(evals, || {
         eval.evaluate(&params);
-        fast_t.push(t0.elapsed().as_secs_f64());
-        let _seed = ScopedReference::new();
-        let t0 = Instant::now();
-        eval.evaluate(&params);
-        ref_t.push(t0.elapsed().as_secs_f64());
-    }
-    let fast_s = median(fast_t);
-    let reference_s = median(ref_t);
+    });
 
     let speedup = reference_s / fast_s.max(1e-12);
     let json = format!(
         "  \"fast_vs_reference\": {{\"qubits\": {QUBITS}, \"layers\": {LAYERS}, \
          \"evals\": {evals}, \"reference_ms\": {:.3}, \"fast_ms\": {:.3}, \
+         \"speedup\": {:.2}, \"max_abs_diff\": {:.3e}}}",
+        reference_s * 1e3,
+        fast_s * 1e3,
+        speedup,
+        max_abs_diff,
+    );
+    (json, speedup)
+}
+
+/// The same axis on the path every noisy job takes: one density-matrix run
+/// of the transpiled 7-qubit QAOA (p = 1) under `ibmq_toronto` noise, the
+/// fused density program ([`qoncord_sim::noisy`]) against the seed's
+/// op-at-a-time evolution on the scalar reference kernels. Timed and
+/// summarised like [`fast_vs_reference`]; the cross-check is the largest
+/// difference between the two outcome distributions.
+fn fast_vs_reference_density(runs: usize) -> (String, f64) {
+    const LAYERS: usize = 1;
+    let calibration = catalog::ibmq_toronto();
+    let circuit = qaoa::build_circuit(&Graph::paper_graph_7(), LAYERS);
+    let transpiled = transpile(&circuit, calibration.coupling());
+    let backend = SimulatedBackend::from_calibration(calibration);
+    let qubits = transpiled.circuit.n_qubits();
+    let params: Vec<f64> = (0..transpiled.circuit.n_params())
+        .map(|i| 0.35 + 0.1 * i as f64)
+        .collect();
+    let ops = transpiled.circuit.bind_ops(&params);
+    let gates = ops.len();
+    let noise = backend.noise();
+    let sweeps = DensityProgram::compile(qubits, ops, noise.dep_1q, noise.dep_2q).sweeps();
+
+    let fast = backend.run(&transpiled, &params, 0);
+    let reference = {
+        let _seed = ScopedReference::new();
+        backend.run(&transpiled, &params, 0)
+    };
+    let max_abs_diff = fast
+        .probabilities()
+        .iter()
+        .zip(reference.probabilities())
+        .map(|(a, b)| (a - b).abs())
+        .fold(0.0, f64::max);
+    assert!(
+        max_abs_diff <= 1e-12,
+        "fused and reference distributions diverged by {max_abs_diff}"
+    );
+
+    let (fast_s, reference_s) = interleaved_medians(runs, || {
+        std::hint::black_box(backend.run(&transpiled, &params, 0));
+    });
+
+    let speedup = reference_s / fast_s.max(1e-12);
+    let json = format!(
+        "  \"fast_vs_reference_density\": {{\"qubits\": {qubits}, \"layers\": {LAYERS}, \
+         \"device\": \"ibmq_toronto\", \"gates\": {gates}, \"sweeps\": {sweeps}, \
+         \"evals\": {runs}, \"reference_ms\": {:.3}, \"fast_ms\": {:.3}, \
          \"speedup\": {:.2}, \"max_abs_diff\": {:.3e}}}",
         reference_s * 1e3,
         fast_s * 1e3,
@@ -315,10 +383,12 @@ fn main() {
 
     let (fvr_json, speedup) = fast_vs_reference(args.scale(3, 9));
     println!("\n14-qubit QAOA evaluation, fast vs reference kernels: {speedup:.2}x");
+    let (fvr_density_json, speedup) = fast_vs_reference_density(args.scale(9, 51));
+    println!("7-qubit noisy QAOA density run, fused program vs reference kernels: {speedup:.2}x");
 
     let json = format!(
         "{{\n  \"experiment\": \"kernel_profile\",\n  \"mode\": \"{}\",\n  \
-         \"seed\": {},\n  \"repetitions\": {},\n{fvr_json},\n  \"sweep\": [\n{}\n  ]\n}}\n",
+         \"seed\": {},\n  \"repetitions\": {},\n{fvr_json},\n{fvr_density_json},\n  \"sweep\": [\n{}\n  ]\n}}\n",
         if args.paper { "paper" } else { "quick" },
         args.seed,
         reps,
@@ -332,6 +402,10 @@ fn main() {
             "seed",
             "repetitions",
             "fast_vs_reference",
+            "fast_vs_reference_density",
+            "device",
+            "gates",
+            "sweeps",
             "reference_ms",
             "fast_ms",
             "speedup",

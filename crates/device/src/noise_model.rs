@@ -8,6 +8,8 @@ use qoncord_sim::density::DensityMatrix;
 use qoncord_sim::dist::ProbDist;
 use qoncord_sim::fuse::FusedOp;
 use qoncord_sim::noise::{NoiseChannel, ReadoutError};
+use qoncord_sim::noisy::{self, DensityProgram};
+use qoncord_sim::reference;
 use qoncord_sim::statevector::StateVector;
 use qoncord_sim::trajectory::{apply_stochastic, TrajectoryAccumulator};
 use rand::rngs::StdRng;
@@ -169,7 +171,9 @@ impl SimulatedBackend {
     /// routing permutation undone).
     ///
     /// `seed` makes trajectory backends deterministic; density and ideal
-    /// backends ignore it.
+    /// backends ignore it. A density run executes as a fused
+    /// [`DensityProgram`], within 1e-12 of the seed's op-at-a-time
+    /// evolution, which a [`reference::forced`] run replays instead.
     ///
     /// # Panics
     ///
@@ -211,19 +215,18 @@ impl SimulatedBackend {
     }
 
     fn run_density(&self, transpiled: &TranspiledCircuit, params: &[f64]) -> ProbDist {
-        let mut rho = DensityMatrix::zero_state(transpiled.circuit.n_qubits());
-        // No fusion on the density path: the kernel-call sequence — and
-        // therefore every bit of the result — matches the seed evolution.
-        for op in transpiled.circuit.bind_ops(params) {
-            rho.apply_op(&op);
-            match op {
-                FusedOp::One(_, q) | FusedOp::Rz(_, q) => {
-                    rho.apply_depolarizing_1q(self.noise.dep_1q, q);
-                }
-                FusedOp::Two(_, a, b) | FusedOp::Cx(a, b) | FusedOp::Mono(_, _, a, b) => {
-                    rho.apply_depolarizing_2q(self.noise.dep_2q, a, b);
-                }
-            }
+        let n = transpiled.circuit.n_qubits();
+        let mut rho = DensityMatrix::zero_state(n);
+        let ops = transpiled.circuit.bind_ops(params);
+        let (dep_1q, dep_2q) = (self.noise.dep_1q, self.noise.dep_2q);
+        if reference::forced() {
+            // The seed path: one gate sweep and one channel sweep per op.
+            noisy::evolve_unfused(&mut rho, &ops, dep_1q, dep_2q);
+        } else {
+            // Depolarizing noise lets gates fuse across their channels
+            // (see `qoncord_sim::noisy`); the result matches the seed path
+            // to ≤ 1e-12, not bit-for-bit.
+            DensityProgram::compile(n, ops, dep_1q, dep_2q).run(&mut rho);
         }
         rho.probabilities()
     }

@@ -1,0 +1,119 @@
+//! The fused noisy density path against the seed's op-at-a-time path, on
+//! the circuits real jobs run: the transpiled 7-qubit QAOA and every H2
+//! measurement-group circuit, on both devices of the reference fleet.
+//!
+//! `ScopedReference` flips a process-global switch, so the tests serialize.
+
+use qoncord_circuit::transpile::{transpile, TranspiledCircuit};
+use qoncord_device::calibration::Calibration;
+use qoncord_device::catalog;
+use qoncord_device::noise_model::{BackendKind, NoiseModel, SimulatedBackend};
+use qoncord_sim::dist::ProbDist;
+use qoncord_sim::reference::ScopedReference;
+use qoncord_vqa::graph::Graph;
+use qoncord_vqa::{qaoa, uccsd, vqe};
+use std::sync::{Mutex, MutexGuard};
+
+static GLOBAL: Mutex<()> = Mutex::new(());
+
+fn exclusive() -> MutexGuard<'static, ()> {
+    GLOBAL.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// The QAOA circuit and the H2 ansatz extended by each measurement group's
+/// basis rotation, transpiled for `cal`.
+fn job_circuits(cal: &Calibration) -> Vec<TranspiledCircuit> {
+    let mut circuits = vec![qaoa::build_circuit(&Graph::paper_graph_7(), 1)];
+    let hamiltonian = vqe::h2_hamiltonian();
+    let ansatz = uccsd::uccsd_h2_ansatz(vqe::h2_hartree_fock_state());
+    for group in hamiltonian.qubit_wise_commuting_groups() {
+        let mut circuit = ansatz.clone();
+        circuit.extend(&hamiltonian.group_rotation(&group));
+        circuits.push(circuit);
+    }
+    assert!(circuits.len() > 2, "H2 has several measurement groups");
+    circuits
+        .iter()
+        .map(|c| transpile(c, cal.coupling()))
+        .collect()
+}
+
+fn params_for(t: &TranspiledCircuit) -> Vec<f64> {
+    (0..t.circuit.n_params())
+        .map(|i| 0.35 + 0.1 * i as f64)
+        .collect()
+}
+
+fn max_abs_diff(a: &ProbDist, b: &ProbDist) -> f64 {
+    a.probabilities()
+        .iter()
+        .zip(b.probabilities())
+        .map(|(x, y)| (x - y).abs())
+        .fold(0.0, f64::max)
+}
+
+/// Runs every job circuit on `backend`, fused and as the seed would.
+fn assert_fused_matches_seed(backend: &SimulatedBackend, what: &str) {
+    for (i, t) in job_circuits(backend.calibration()).iter().enumerate() {
+        let params = params_for(t);
+        let fused = backend.run(t, &params, 0);
+        let seed = {
+            let _guard = ScopedReference::new();
+            backend.run(t, &params, 0)
+        };
+        let d = max_abs_diff(&fused, &seed);
+        assert!(
+            d <= 1e-12,
+            "{what}, circuit {i}: fused vs seed differ by {d}"
+        );
+    }
+}
+
+#[test]
+fn fused_density_run_matches_the_seed_path_on_job_circuits() {
+    let _lock = exclusive();
+    for cal in [catalog::ibmq_toronto(), catalog::ibmq_kolkata()] {
+        let name = cal.name().to_owned();
+        let backend = SimulatedBackend::from_calibration(cal).with_kind(BackendKind::DensityMatrix);
+        assert_fused_matches_seed(&backend, &name);
+    }
+}
+
+/// `NoiseModel::scaled` clamps rates to 1: survival 0 must be an ordinary
+/// input, for either rate alone and for both.
+#[test]
+fn fully_depolarizing_and_zero_rates_match_the_seed_path() {
+    let _lock = exclusive();
+    let cal = catalog::ibmq_toronto();
+    let calibrated = NoiseModel::from_calibration(&cal);
+    let saturated = calibrated.scaled(1e9, 1.0);
+    assert_eq!((saturated.dep_1q, saturated.dep_2q), (1.0, 1.0));
+    for (dep_1q, dep_2q) in [(0.0, 1.0), (1.0, 0.0), (1.0, 1.0), (0.0, 0.0)] {
+        let noise = NoiseModel {
+            dep_1q,
+            dep_2q,
+            ..calibrated
+        };
+        let backend = SimulatedBackend::from_calibration(cal.clone())
+            .with_kind(BackendKind::DensityMatrix)
+            .with_noise(noise);
+        assert_fused_matches_seed(&backend, &format!("rates ({dep_1q}, {dep_2q})"));
+    }
+}
+
+#[test]
+fn density_backend_with_ideal_noise_equals_the_ideal_run() {
+    let _lock = exclusive();
+    let cal = catalog::ibmq_kolkata();
+    let ideal = SimulatedBackend::ideal(cal.clone());
+    let density = SimulatedBackend::ideal(cal).with_kind(BackendKind::DensityMatrix);
+    assert!(density.noise().is_ideal());
+    for (i, t) in job_circuits(ideal.calibration()).iter().enumerate() {
+        let params = params_for(t);
+        let d = max_abs_diff(&density.run(t, &params, 0), &ideal.run(t, &params, 0));
+        assert!(
+            d <= 1e-12,
+            "circuit {i}: density vs statevector differ by {d}"
+        );
+    }
+}

@@ -12,9 +12,11 @@
 //! (see [`crate::par`]). Every fast kernel keeps its per-entry arithmetic
 //! expression-identical to the retained scalar seed in [`crate::reference`],
 //! and workers own disjoint rows, so results are **bit-identical** to the
-//! reference kernels at any thread count. The density path never reorders
-//! ops (no fusion), so a density simulation is reproducible bit-for-bit
-//! against the seed.
+//! reference kernels at any thread count. These per-op kernels are the
+//! reference the fused noisy path ([`crate::noisy`]) is pinned against:
+//! a [`crate::noisy::DensityProgram`] regroups gates and depolarizing
+//! channels into far fewer sweeps and matches an op-at-a-time evolution
+//! through this module to ≤ 1e-12, not bit-for-bit.
 
 use crate::dist::ProbDist;
 use crate::fuse::{self, FusedOp};
@@ -47,6 +49,18 @@ pub struct DensityMatrix {
 }
 
 impl DensityMatrix {
+    /// An all-zero `2^n × 2^n` buffer, behind the register-size guard every
+    /// constructor shares.
+    fn zeroed(n_qubits: usize) -> Self {
+        assert!(n_qubits <= 13, "density matrix limited to 13 qubits");
+        let dim = 1usize << n_qubits;
+        DensityMatrix {
+            n_qubits,
+            dim,
+            data: vec![C64::ZERO; dim * dim],
+        }
+    }
+
     /// The pure state `|0…0⟩⟨0…0|`.
     ///
     /// # Panics
@@ -54,48 +68,42 @@ impl DensityMatrix {
     /// Panics if `n_qubits > 13` (4^13 entries ≈ 1 GiB; larger registers
     /// should use the trajectory backend).
     pub fn zero_state(n_qubits: usize) -> Self {
-        assert!(n_qubits <= 13, "density matrix limited to 13 qubits");
-        let dim = 1usize << n_qubits;
-        let mut data = vec![C64::ZERO; dim * dim];
-        data[0] = C64::ONE;
-        DensityMatrix {
-            n_qubits,
-            dim,
-            data,
-        }
+        let mut rho = Self::zeroed(n_qubits);
+        rho.data[0] = C64::ONE;
+        rho
     }
 
     /// Builds `|ψ⟩⟨ψ|` from a pure state.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the state has more than 13 qubits (see
+    /// [`DensityMatrix::zero_state`]).
     pub fn from_statevector(sv: &StateVector) -> Self {
-        let n_qubits = sv.n_qubits();
-        let dim = 1usize << n_qubits;
+        let mut rho = Self::zeroed(sv.n_qubits());
+        let dim = rho.dim;
         let amps = sv.amplitudes();
-        let mut data = vec![C64::ZERO; dim * dim];
         for r in 0..dim {
             for c in 0..dim {
-                data[r * dim + c] = amps[r] * amps[c].conj();
+                rho.data[r * dim + c] = amps[r] * amps[c].conj();
             }
         }
-        DensityMatrix {
-            n_qubits,
-            dim,
-            data,
-        }
+        rho
     }
 
     /// The maximally mixed state `I / 2^n`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n_qubits > 13` (see [`DensityMatrix::zero_state`]).
     pub fn maximally_mixed(n_qubits: usize) -> Self {
-        let dim = 1usize << n_qubits;
-        let mut data = vec![C64::ZERO; dim * dim];
+        let mut rho = Self::zeroed(n_qubits);
+        let dim = rho.dim;
         let w = 1.0 / dim as f64;
         for r in 0..dim {
-            data[r * dim + r] = C64::real(w);
+            rho.data[r * dim + r] = C64::real(w);
         }
-        DensityMatrix {
-            n_qubits,
-            dim,
-            data,
-        }
+        rho
     }
 
     /// Number of qubits.
@@ -245,9 +253,9 @@ impl DensityMatrix {
     }
 
     /// Applies one lowered simulator instruction (the [`crate::fuse`]
-    /// instruction set), routing each variant to its dedicated kernel. The
-    /// density path never fuses, so op order — and therefore every bit of
-    /// the result — matches the unfused reference evolution.
+    /// instruction set), routing each variant to its dedicated kernel: one
+    /// sweep per op, bit-identical to the reference kernels. Noisy circuits
+    /// run fused through [`crate::noisy::DensityProgram`] instead.
     ///
     /// # Panics
     ///
@@ -258,8 +266,8 @@ impl DensityMatrix {
             FusedOp::Two(u, a, b) => self.apply_2q(u, *a, *b),
             FusedOp::Cx(c, t) => self.apply_cx_fast(*c, *t),
             FusedOp::Rz(theta, q) => self.apply_rz_fast(*theta, *q),
-            // The density path never fuses, so monomial blocks only arrive
-            // from explicitly fused programs; expand to the dense matrix.
+            // Lowered circuits carry no monomial blocks; they only arrive
+            // from explicitly fused programs. Expand to the dense matrix.
             FusedOp::Mono(d, src, a, b) => self.apply_2q(&fuse::mono_to_mat4(d, src), *a, *b),
         }
     }
@@ -742,6 +750,24 @@ mod tests {
         let rho = DensityMatrix::zero_state(3);
         assert!((rho.trace() - 1.0).abs() < 1e-14);
         assert!((rho.purity() - 1.0).abs() < 1e-14);
+    }
+
+    #[test]
+    #[should_panic(expected = "limited to 13 qubits")]
+    fn zero_state_rejects_14_qubits() {
+        DensityMatrix::zero_state(14);
+    }
+
+    #[test]
+    #[should_panic(expected = "limited to 13 qubits")]
+    fn maximally_mixed_rejects_14_qubits() {
+        DensityMatrix::maximally_mixed(14);
+    }
+
+    #[test]
+    #[should_panic(expected = "limited to 13 qubits")]
+    fn from_statevector_rejects_14_qubits() {
+        DensityMatrix::from_statevector(&StateVector::zero_state(14));
     }
 
     #[test]

@@ -159,7 +159,7 @@ fn mat4_mul(a: &Mat4, b: &Mat4) -> Mat4 {
 
 /// Re-expresses a 2q matrix given for qubit order `(a, b)` in the order
 /// `(b, a)`: conjugation by the basis-bit swap (index bits 0 ↔ 1).
-fn mat4_swap_order(m: &Mat4) -> Mat4 {
+pub(crate) fn mat4_swap_order(m: &Mat4) -> Mat4 {
     const P: [usize; 4] = [0, 2, 1, 3];
     let mut out = [[C64::ZERO; 4]; 4];
     for r in 0..4 {

@@ -1,0 +1,889 @@
+//! Noise-aware fused density programs: gate fusion for the path where every
+//! gate is followed by a depolarizing channel.
+//!
+//! A noisy execution interleaves a channel after each gate, which pins the
+//! op order for generic Kraus noise. *Depolarizing* noise is special: the
+//! channel `D_K(ρ) = Kρ + (1−K)·(I/d ⊗ Tr ρ)` (survival `K = 1−p`) only
+//! distinguishes "the identity component on its wires" from "everything
+//! else", and conjugation by a unitary on those wires preserves both. Two
+//! exact identities follow, and [`DensityProgram::compile`] is the noisy
+//! analogue of [`crate::fuse::fuse`]'s wire-tracking scan built on them:
+//!
+//! - **Covariance.** `D_K(UρU†) = U·D_K(ρ)·U†` for a unitary `U` on the
+//!   channel's wire, and `D_K ∘ D_K' = D_{KK'}`. A single-qubit run
+//!   `D·U_k ⋯ D·U_1` on one wire therefore collapses to one [`Mat2`] and
+//!   one channel with survival `K^k`.
+//! - **Pair commutation.** The two-qubit channel on `(a, b)` commutes with
+//!   every unitary on `a`, `b` or the pair, and with the single-qubit
+//!   channels on `a` and `b` (those fix `I/4 ⊗ Tr_{ab} ρ`). All two-qubit
+//!   channels of a *pair block* — a maximal stretch of ops confined to one
+//!   pair — therefore merge into one trailing channel with survival `K₂^m`.
+//!
+//! Neither identity holds for non-unital or axis-dependent noise (amplitude
+//! or phase damping do not commute with the gates around them), so the
+//! program takes the two depolarizing rates rather than arbitrary channels.
+//! Single-qubit channels do *not* commute with a two-qubit gate on their
+//! wire, so inside a pair block the local op order is kept.
+//!
+//! A lone single-qubit run is folded into the pair block that next consumes
+//! its wire, and trailing runs fold back into the block before them, so a
+//! transpiled circuit becomes roughly one sweep per routed two-qubit
+//! interaction: the 7-qubit QAOA circuit's 107 gates + 107 channels run as
+//! 16 sweeps.
+//!
+//! # Strip kernel
+//!
+//! A pair block on `(q0, q1)` acts on ρ's `4 × 4` *tiles* — the entries
+//! whose row and column indices agree outside the pair — one tile at a
+//! time. Its sweep walks ρ one *strip* at a time (the four rows of one row
+//! anchor, i.e. a row of tiles; 8 KiB at 7 qubits, so it stays in L1) and
+//! takes each strip through the whole block in place before moving on:
+//!
+//! - `Cx` moves no data. It permutes the pair's four basis states, so the
+//!   compiler just tracks which tile offset holds which state, points the
+//!   ops that follow at those offsets, and emits the block's *net*
+//!   permutation as trailing swaps (`cx·rz·cx` nets to none, a routed SWAP
+//!   to one);
+//! - an RZ run multiplies the two coherences of each `2 × 2` sub-block by
+//!   `K·e^{∓iθ}` and mixes its diagonal in closed form;
+//! - any other run acts on a sub-block's Pauli coefficients `(x, y, z)` as
+//!   the real `3 × 3` Pauli-transfer matrix `K·R(U)` — 18 real multiplies
+//!   against 64 for `UρU†`, with the depolarizing factor folded in;
+//! - `Two`/`Mono` conjugate each tile densely;
+//! - the trailing two-qubit channel is the closed form
+//!   `K·tile + (1−K)·Tr(tile)·I/4`.
+//!
+//! Every pass is a read-modify-write of sub-blocks in place: on the hosts
+//! this was measured on, gathering a tile into a stack array and scattering
+//! it back costs as much as three such passes, more than a typical block
+//! holds once its CX gates are gone.
+//!
+//! No step divides by a survival factor, so fully depolarizing rates
+//! (`p = 1`, `K = 0`) are ordinary inputs.
+//!
+//! # Determinism
+//!
+//! Compilation multiplies gate matrices, so a program matches the unfused
+//! evolution ([`evolve_unfused`]) to ≤ 1e-12 max-norm, not bit-for-bit —
+//! the same tier as [`crate::fuse`]. Sweeps split row anchors across
+//! workers through [`crate::par`]; a strip's arithmetic does not depend on
+//! which worker owns it, so a program's result is bit-identical at every
+//! thread count.
+
+use crate::density::DensityMatrix;
+use crate::fuse::{self, FusedOp};
+use crate::gates::{self, mat2_adjoint, mat2_mul, Mat2, Mat4};
+use crate::math::C64;
+use crate::par::{self, expand, SharedAmps};
+
+/// The unfused noisy evolution the program is pinned against, and what a
+/// [`crate::reference::forced`] run replays: each op is one gate sweep
+/// followed by one depolarizing sweep at its arity's rate.
+///
+/// # Panics
+///
+/// Panics if an operand qubit is out of range or a rate is outside `[0, 1]`.
+pub fn evolve_unfused(rho: &mut DensityMatrix, ops: &[FusedOp], dep_1q: f64, dep_2q: f64) {
+    for op in ops {
+        rho.apply_op(op);
+        match *op {
+            FusedOp::One(_, q) | FusedOp::Rz(_, q) => rho.apply_depolarizing_1q(dep_1q, q),
+            FusedOp::Two(_, a, b) | FusedOp::Cx(a, b) | FusedOp::Mono(_, _, a, b) => {
+                rho.apply_depolarizing_2q(dep_2q, a, b)
+            }
+        }
+    }
+}
+
+/// A compiled noisy circuit: a short list of full-ρ sweeps equivalent to
+/// applying every op followed by its depolarizing channel.
+///
+/// Every `One`/`Two`/`Mono` matrix must be unitary — the identities the
+/// compiler relies on hold for unitaries only.
+///
+/// # Examples
+///
+/// ```
+/// use qoncord_sim::density::DensityMatrix;
+/// use qoncord_sim::fuse::FusedOp;
+/// use qoncord_sim::gates;
+/// use qoncord_sim::noisy::{evolve_unfused, DensityProgram};
+///
+/// let ops = [
+///     FusedOp::One(gates::h(), 0),
+///     FusedOp::Cx(0, 1),
+///     FusedOp::Rz(0.4, 1),
+///     FusedOp::Cx(0, 1),
+/// ];
+/// let program = DensityProgram::compile(2, ops, 0.01, 0.05);
+/// assert_eq!(program.sweeps(), 1); // 4 gates + 4 channels in one sweep
+///
+/// let mut fused = DensityMatrix::zero_state(2);
+/// program.run(&mut fused);
+/// let mut unfused = DensityMatrix::zero_state(2);
+/// evolve_unfused(&mut unfused, &ops, 0.01, 0.05);
+/// assert!(fused.entry(3, 0).approx_eq(unfused.entry(3, 0), 1e-12));
+/// ```
+#[derive(Debug, Clone)]
+pub struct DensityProgram {
+    n_qubits: usize,
+    steps: Vec<Step>,
+}
+
+/// One full-ρ sweep.
+#[derive(Debug, Clone)]
+enum Step {
+    /// A merged run on a wire no two-qubit op ever touches.
+    Wire { q: usize, run: WireOp },
+    /// A pair block: local ops in order, then the merged two-qubit channel
+    /// with survival `keep`, then the block's net CX permutation as swaps
+    /// of local basis states.
+    Pair {
+        q0: usize,
+        q1: usize,
+        ops: Vec<Local>,
+        keep: f64,
+        swaps: Vec<[usize; 2]>,
+    },
+}
+
+/// An op inside a pair block. Local basis states are named by their index
+/// offset within a tile (`0`, `1 << q0`, `1 << q1` or both), and a CX only
+/// renames them, so ops address the offsets the states currently sit at.
+#[derive(Debug, Clone, Copy)]
+enum Local {
+    /// A merged run on one wire of the pair: `pairs[v]` are the offsets
+    /// holding that wire's `|0⟩` and `|1⟩` while the other wire is `|v⟩`.
+    Wire { pairs: [[usize; 2]; 2], run: WireOp },
+    /// A dense two-qubit unitary with its basis permuted to the order the
+    /// states sit in (`0`, `1 << q0`, `1 << q1`, both).
+    Dense(Mat4),
+}
+
+/// What a merged run plus its merged channel does to a `2 × 2` sub-block
+/// `[[a, b], [c, d]]` of its wire.
+#[derive(Debug, Clone, Copy)]
+enum WireOp {
+    /// RZ run: `b ← upper·b`, `c ← lower·c` (phases carrying the survival
+    /// factor), diagonal `← keep·diag + half_loss·(a + d)`.
+    Phase {
+        upper: C64,
+        lower: C64,
+        keep: f64,
+        half_loss: f64,
+    },
+    /// General run: the sub-block's Pauli coefficients transform as
+    /// `(x, y, z) ← m·(x, y, z)` with `m = (K/2)·R(U)`; the identity
+    /// coefficient is untouched.
+    Ptm([[f64; 3]; 3]),
+}
+
+/// A run while it can still absorb gates: the merged gate and how many
+/// channels followed its factors.
+#[derive(Debug, Clone, Copy)]
+struct Run {
+    gate: RunGate,
+    channels: i32,
+}
+
+/// Pure-RZ runs stay symbolic (angles add exactly) so they keep the cheap
+/// phase kernel, as in [`crate::fuse`].
+#[derive(Debug, Clone, Copy)]
+enum RunGate {
+    Rz(f64),
+    Mat(Mat2),
+}
+
+impl Run {
+    fn new(gate: RunGate) -> Self {
+        Run { gate, channels: 1 }
+    }
+
+    /// Appends `gate` (a left matrix factor) and its channel.
+    fn push(&mut self, gate: RunGate) {
+        self.gate = match (self.gate, gate) {
+            (RunGate::Rz(a), RunGate::Rz(b)) => RunGate::Rz(a + b),
+            (prev, next) => RunGate::Mat(mat2_mul(&next.mat2(), &prev.mat2())),
+        };
+        self.channels += 1;
+    }
+
+    fn finish(self, keep_1q: f64) -> WireOp {
+        let keep = keep_1q.powi(self.channels);
+        match self.gate {
+            RunGate::Rz(theta) => WireOp::Phase {
+                upper: C64::cis(-theta).scale(keep),
+                lower: C64::cis(theta).scale(keep),
+                keep,
+                half_loss: 0.5 * (1.0 - keep),
+            },
+            RunGate::Mat(u) => WireOp::Ptm(pauli_transfer(&u, 0.5 * keep)),
+        }
+    }
+}
+
+impl RunGate {
+    fn mat2(self) -> Mat2 {
+        match self {
+            RunGate::Rz(theta) => gates::rz(theta),
+            RunGate::Mat(u) => u,
+        }
+    }
+}
+
+/// `scale · R(U)`, where `R_ij = ½·Tr(σ_i·U·σ_j·U†)` is the rotation `U`
+/// induces on the Pauli vector (real because `U·σ_j·U†` is Hermitian).
+fn pauli_transfer(u: &Mat2, scale: f64) -> [[f64; 3]; 3] {
+    let ud = mat2_adjoint(u);
+    let half = 0.5 * scale;
+    let mut m = [[0.0; 3]; 3];
+    for (j, sigma) in [gates::x(), gates::y(), gates::z()].iter().enumerate() {
+        let v = mat2_mul(&mat2_mul(u, sigma), &ud);
+        m[0][j] = half * (v[0][1].re + v[1][0].re);
+        m[1][j] = half * (v[1][0].im - v[0][1].im);
+        m[2][j] = half * (v[0][0].re - v[1][1].re);
+    }
+    m
+}
+
+impl WireOp {
+    /// Maps the sub-block `[a, b, c, d]` (row-major).
+    #[inline(always)]
+    fn apply(&self, [a, b, c, d]: [C64; 4]) -> [C64; 4] {
+        match *self {
+            WireOp::Phase {
+                upper,
+                lower,
+                keep,
+                half_loss,
+            } => {
+                let mixed = (a + d).scale(half_loss);
+                [
+                    a.scale(keep) + mixed,
+                    b * upper,
+                    c * lower,
+                    d.scale(keep) + mixed,
+                ]
+            }
+            WireOp::Ptm(m) => {
+                // ρ_sub = ½(s·I + x·X + y·Y + z·Z) with complex coefficients;
+                // the ½ lives in `m` and in `half_s`.
+                let half_s = (a + d).scale(0.5);
+                let x = b + c;
+                let w = b - c;
+                let y = C64::new(-w.im, w.re);
+                let z = a - d;
+                let x2 = x.scale(m[0][0]) + y.scale(m[0][1]) + z.scale(m[0][2]);
+                let y2 = x.scale(m[1][0]) + y.scale(m[1][1]) + z.scale(m[1][2]);
+                let z2 = x.scale(m[2][0]) + y.scale(m[2][1]) + z.scale(m[2][2]);
+                let iy = C64::new(-y2.im, y2.re);
+                [half_s + z2, x2 - iy, x2 + iy, half_s - z2]
+            }
+        }
+    }
+}
+
+/// A sweep under construction (the scan's slot, as in [`fuse::fuse`]).
+enum Slot {
+    Wire {
+        q: usize,
+        run: Run,
+    },
+    Pair {
+        q0: usize,
+        q1: usize,
+        ops: Vec<Draft>,
+        /// Per local wire, the index in `ops` of the run that can still
+        /// absorb gates: nothing after it touches its wire.
+        open: [Option<usize>; 2],
+        channels_2q: i32,
+    },
+}
+
+/// A pair block's local op while its runs can still grow.
+enum Draft {
+    Cx { control: usize },
+    Run(usize, Run),
+    Dense(Mat4),
+}
+
+impl DensityProgram {
+    /// Compiles `ops`, each followed by a depolarizing channel on its
+    /// operands with probability `dep_1q` (one-qubit ops) or `dep_2q`
+    /// (two-qubit ops), for an `n_qubits` register.
+    ///
+    /// A slot absorbs an op exactly when it is still the latest slot on
+    /// every wire the op touches; see the module docs for why the channels
+    /// may then be regrouped.
+    ///
+    /// # Panics
+    ///
+    /// Panics (fail-closed) if an op references an out-of-range qubit or
+    /// coinciding qubits, or a rate is outside `[0, 1]`.
+    pub fn compile(
+        n_qubits: usize,
+        ops: impl IntoIterator<Item = FusedOp>,
+        dep_1q: f64,
+        dep_2q: f64,
+    ) -> Self {
+        assert!(
+            (0.0..=1.0).contains(&dep_1q) && (0.0..=1.0).contains(&dep_2q),
+            "probability must be in [0,1]"
+        );
+        let _prof = qoncord_prof::span("sim::dm::plan");
+        // Absorbed lone runs leave a `None` tombstone behind.
+        let mut slots: Vec<Option<Slot>> = Vec::new();
+        // Latest live slot touching each wire.
+        let mut last: Vec<Option<usize>> = vec![None; n_qubits];
+        for op in ops {
+            op.validate(n_qubits);
+            match op {
+                FusedOp::One(u, q) => push_1q(&mut slots, &mut last, q, RunGate::Mat(u)),
+                FusedOp::Rz(theta, q) => push_1q(&mut slots, &mut last, q, RunGate::Rz(theta)),
+                FusedOp::Two(_, a, b) | FusedOp::Cx(a, b) | FusedOp::Mono(_, _, a, b) => {
+                    push_2q(&mut slots, &mut last, op, a, b)
+                }
+            }
+        }
+        let (keep_1q, keep_2q) = (1.0 - dep_1q, 1.0 - dep_2q);
+        let steps = slots
+            .into_iter()
+            .flatten()
+            .map(|slot| match slot {
+                Slot::Wire { q, run } => Step::Wire {
+                    q,
+                    run: run.finish(keep_1q),
+                },
+                Slot::Pair {
+                    q0,
+                    q1,
+                    ops,
+                    channels_2q,
+                    ..
+                } => finish_pair(q0, q1, ops, keep_1q, keep_2q.powi(channels_2q)),
+            })
+            .collect();
+        DensityProgram { n_qubits, steps }
+    }
+
+    /// Number of full-ρ sweeps [`DensityProgram::run`] performs.
+    pub fn sweeps(&self) -> usize {
+        self.steps.len()
+    }
+
+    /// Evolves `rho` through the program.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rho` is not over the register size the program was
+    /// compiled for.
+    pub fn run(&self, rho: &mut DensityMatrix) {
+        assert_eq!(
+            rho.n_qubits(),
+            self.n_qubits,
+            "program compiled for a different register size"
+        );
+        let dim = 1usize << self.n_qubits;
+        for step in &self.steps {
+            match step {
+                Step::Wire { q, run } => sweep_wire(rho.data_mut(), dim, *q, run),
+                Step::Pair {
+                    q0,
+                    q1,
+                    ops,
+                    keep,
+                    swaps,
+                } => sweep_pair(rho.data_mut(), dim, [*q0, *q1], ops, *keep, swaps),
+            }
+        }
+    }
+}
+
+/// Folds a one-qubit gate (and its channel) into the latest slot on its
+/// wire, or opens a lone run.
+fn push_1q(slots: &mut Vec<Option<Slot>>, last: &mut [Option<usize>], q: usize, gate: RunGate) {
+    let Some(j) = last[q] else {
+        last[q] = Some(slots.len());
+        slots.push(Some(Slot::Wire {
+            q,
+            run: Run::new(gate),
+        }));
+        return;
+    };
+    match slots[j].as_mut().expect("last[] points at a live slot") {
+        Slot::Wire { run, .. } => run.push(gate),
+        Slot::Pair { q0, ops, open, .. } => {
+            let w = usize::from(q != *q0);
+            match open[w] {
+                // Ops after the open run act on the other wire only, so the
+                // gate commutes back to it.
+                Some(i) => match &mut ops[i] {
+                    Draft::Run(_, run) => run.push(gate),
+                    _ => unreachable!("open[] points at a run"),
+                },
+                None => {
+                    open[w] = Some(ops.len());
+                    ops.push(Draft::Run(w, Run::new(gate)));
+                }
+            }
+        }
+    }
+}
+
+/// Folds a two-qubit op (and its channel) into the latest block on its
+/// pair, or opens a new block that absorbs the lone runs pending on its
+/// wires.
+fn push_2q(
+    slots: &mut Vec<Option<Slot>>,
+    last: &mut [Option<usize>],
+    op: FusedOp,
+    a: usize,
+    b: usize,
+) {
+    // One slot being the latest on both wires makes it a block on this pair.
+    if let (Some(j), true) = (last[a], last[a] == last[b]) {
+        if let Some(Slot::Pair {
+            q0,
+            ops,
+            open,
+            channels_2q,
+            ..
+        }) = slots[j].as_mut()
+        {
+            ops.push(draft_2q(op, *q0));
+            *open = [None; 2];
+            *channels_2q += 1;
+            return;
+        }
+    }
+    let mut ops = Vec::new();
+    for (w, q) in [a, b].into_iter().enumerate() {
+        // A lone run is the latest op on its wire, so it commutes forward
+        // to become the block's first op on that wire.
+        if let Some(k) = last[q] {
+            if let Some(Slot::Wire { run, .. }) = slots[k] {
+                ops.push(Draft::Run(w, run));
+                slots[k] = None;
+            }
+        }
+    }
+    ops.push(draft_2q(op, a));
+    last[a] = Some(slots.len());
+    last[b] = Some(slots.len());
+    slots.push(Some(Slot::Pair {
+        q0: a,
+        q1: b,
+        ops,
+        open: [None; 2],
+        channels_2q: 1,
+    }));
+}
+
+/// Closes a pair block: resolves every CX into a renaming of the pair's
+/// basis states, points the remaining ops at the tile offsets the states
+/// then sit at, and emits the swaps that put each state back at its own
+/// offset.
+fn finish_pair(q0: usize, q1: usize, drafts: Vec<Draft>, keep_1q: f64, keep: f64) -> Step {
+    let offsets = [0, 1 << q0, 1 << q1, 1 << q0 | 1 << q1];
+    // seat[k]: the index into `offsets` where local state k currently sits.
+    let mut seat = [0, 1, 2, 3];
+    let ops = drafts
+        .into_iter()
+        .filter_map(|draft| match draft {
+            // CX exchanges the two states with the control bit set:
+            // `control` alone and `3`.
+            Draft::Cx { control } => {
+                seat.swap(1 << control, 3);
+                None
+            }
+            Draft::Run(w, run) => {
+                let (bit, other) = (1 << w, 2 >> w);
+                let at = |k: usize| offsets[seat[k]];
+                Some(Local::Wire {
+                    pairs: [[at(0), at(bit)], [at(other), at(3)]],
+                    run: run.finish(keep_1q),
+                })
+            }
+            Draft::Dense(u) => {
+                let mut seated = u;
+                for k in 0..4 {
+                    for l in 0..4 {
+                        seated[seat[k]][seat[l]] = u[k][l];
+                    }
+                }
+                Some(Local::Dense(seated))
+            }
+        })
+        .collect();
+    // Settle state k at index k by swapping it with whatever sits there.
+    let mut swaps = Vec::new();
+    for k in 0..4 {
+        let from = seat[k];
+        if from != k {
+            swaps.push([offsets[k], offsets[from]]);
+            let evicted = seat
+                .iter()
+                .position(|&s| s == k)
+                .expect("seat is a permutation");
+            seat[evicted] = from;
+            seat[k] = k;
+        }
+    }
+    Step::Pair {
+        q0,
+        q1,
+        ops,
+        keep,
+        swaps,
+    }
+}
+
+/// Re-expresses a two-qubit op on the local wires of a block whose first
+/// qubit is `q0`.
+fn draft_2q(op: FusedOp, q0: usize) -> Draft {
+    let oriented = |u: Mat4, first: usize| {
+        Draft::Dense(if first == q0 {
+            u
+        } else {
+            fuse::mat4_swap_order(&u)
+        })
+    };
+    match op {
+        FusedOp::Cx(c, _) => Draft::Cx {
+            control: usize::from(c != q0),
+        },
+        FusedOp::Two(u, a, _) => oriented(u, a),
+        FusedOp::Mono(d, src, a, _) => oriented(fuse::mono_to_mat4(&d, &src), a),
+        FusedOp::One(..) | FusedOp::Rz(..) => unreachable!("draft_2q only receives 2q ops"),
+    }
+}
+
+/// Applies `run` in place to the sub-block at `rows × cols` (row offsets
+/// already multiplied by the row length).
+///
+/// # Safety
+///
+/// The four indices must be in bounds and owned by the calling worker.
+#[inline(always)]
+unsafe fn wire_at(ptr: SharedAmps, run: &WireOp, rows: [usize; 2], cols: [usize; 2]) {
+    let at = [
+        rows[0] + cols[0],
+        rows[0] + cols[1],
+        rows[1] + cols[0],
+        rows[1] + cols[1],
+    ];
+    let out = run.apply(at.map(|i| ptr.get(i)));
+    for (i, v) in at.into_iter().zip(out) {
+        ptr.set(i, v);
+    }
+}
+
+/// One lone run over every `2 × 2` sub-block of wire `q`.
+fn sweep_wire(data: &mut [C64], dim: usize, q: usize, run: &WireOp) {
+    let _prof = qoncord_prof::span("sim::dm::apply_wire");
+    let bit = 1usize << q;
+    let ptr = SharedAmps::new(data);
+    par::for_each_range(dim >> 1, |range| {
+        for ar in range {
+            let r = expand(ar, q);
+            let rows = [r * dim, (r | bit) * dim];
+            for ac in 0..dim >> 1 {
+                let c = expand(ac, q);
+                // SAFETY: both rows derive 1:1 from this worker's private
+                // anchor range and every index is below `dim * dim`.
+                unsafe { wire_at(ptr, run, rows, [c, c | bit]) };
+            }
+        }
+    });
+}
+
+/// One pair block on `(q0, q1)`: each strip goes through all of `ops`, the
+/// merged channel and the net permutation before the next strip starts.
+fn sweep_pair(
+    data: &mut [C64],
+    dim: usize,
+    [q0, q1]: [usize; 2],
+    ops: &[Local],
+    keep: f64,
+    swaps: &[[usize; 2]],
+) {
+    let _prof = qoncord_prof::span("sim::dm::apply_pair");
+    let (lo, hi) = if q0 < q1 { (q0, q1) } else { (q1, q0) };
+    let offsets = [0, 1 << q0, 1 << q1, 1 << q0 | 1 << q1];
+    let ptr = SharedAmps::new(data);
+    par::for_each_range(dim >> 2, |range| {
+        for ar in range {
+            let strip = Strip {
+                ptr,
+                dim,
+                lo,
+                hi,
+                offsets,
+                row: expand(expand(ar, lo), hi),
+            };
+            // SAFETY: the strip's four rows derive 1:1 from this worker's
+            // private anchor range, and the compiler only emits offsets
+            // drawn from `offsets`.
+            unsafe {
+                for op in ops {
+                    match op {
+                        Local::Wire { pairs, run } => strip.wire(pairs, run),
+                        Local::Dense(u) => strip.dense(u),
+                    }
+                }
+                if keep != 1.0 {
+                    strip.depolarize(keep);
+                }
+                for &[a, b] in swaps {
+                    strip.swap(a, b);
+                }
+            }
+        }
+    });
+}
+
+/// The four rows `row | offsets[k]` of ρ — one row anchor's tiles.
+#[derive(Clone, Copy)]
+struct Strip {
+    ptr: SharedAmps,
+    dim: usize,
+    lo: usize,
+    hi: usize,
+    /// Tile offsets of the pair's basis states: `0`, `q0`'s bit, `q1`'s
+    /// bit, both.
+    offsets: [usize; 4],
+    row: usize,
+}
+
+impl Strip {
+    /// The column of each tile's first entry.
+    #[inline(always)]
+    fn anchors(self) -> impl Iterator<Item = usize> {
+        (0..self.dim >> 2).map(move |a| expand(expand(a, self.lo), self.hi))
+    }
+
+    /// Start of the row holding the basis state at `offset`.
+    #[inline(always)]
+    fn row_at(self, offset: usize) -> usize {
+        (self.row | offset) * self.dim
+    }
+
+    /// Applies `run` to the four sub-blocks of every tile.
+    ///
+    /// # Safety
+    ///
+    /// The caller must own the strip's rows, `row` must be a row anchor
+    /// below `dim` and every offset in `pairs` one of `offsets`.
+    #[inline(always)]
+    unsafe fn wire(self, pairs: &[[usize; 2]; 2], run: &WireOp) {
+        let rows = pairs.map(|p| p.map(|o| self.row_at(o)));
+        for c in self.anchors() {
+            for rows in rows {
+                for cols in pairs {
+                    wire_at(self.ptr, run, rows, cols.map(|o| c | o));
+                }
+            }
+        }
+    }
+
+    /// `tile ← U·tile·U†` on every tile.
+    ///
+    /// # Safety
+    ///
+    /// As for [`Strip::wire`].
+    unsafe fn dense(self, u: &Mat4) {
+        let rows = self.offsets.map(|o| self.row_at(o));
+        for c in self.anchors() {
+            let cols = self.offsets.map(|o| c | o);
+            let t = rows.map(|row| cols.map(|col| self.ptr.get(row + col)));
+            let left: [[C64; 4]; 4] = std::array::from_fn(|k| {
+                std::array::from_fn(|c| {
+                    u[k][0] * t[0][c] + u[k][1] * t[1][c] + u[k][2] * t[2][c] + u[k][3] * t[3][c]
+                })
+            });
+            for (r, row) in rows.into_iter().enumerate() {
+                for (k, col) in cols.into_iter().enumerate() {
+                    let v = left[r][0] * u[k][0].conj()
+                        + left[r][1] * u[k][1].conj()
+                        + left[r][2] * u[k][2].conj()
+                        + left[r][3] * u[k][3].conj();
+                    self.ptr.set(row + col, v);
+                }
+            }
+        }
+    }
+
+    /// The two-qubit channel in closed form on every tile:
+    /// `tile ← keep·tile + (1 − keep)·Tr(tile)·I/4`.
+    ///
+    /// # Safety
+    ///
+    /// As for [`Strip::wire`].
+    unsafe fn depolarize(self, keep: f64) {
+        let mixed_scale = 0.25 * (1.0 - keep);
+        let rows = self.offsets.map(|o| self.row_at(o));
+        for c in self.anchors() {
+            let cols = self.offsets.map(|o| c | o);
+            let mut trace = C64::ZERO;
+            for k in 0..4 {
+                trace += self.ptr.get(rows[k] + cols[k]);
+            }
+            let mixed = trace.scale(mixed_scale);
+            for (k, row) in rows.into_iter().enumerate() {
+                for (l, col) in cols.into_iter().enumerate() {
+                    let v = self.ptr.get(row + col).scale(keep);
+                    self.ptr.set(row + col, if k == l { v + mixed } else { v });
+                }
+            }
+        }
+    }
+
+    /// Exchanges the basis states at offsets `a` and `b`: their two rows,
+    /// then their two columns in each of the strip's rows.
+    ///
+    /// # Safety
+    ///
+    /// As for [`Strip::wire`], with `a` and `b` among `offsets`.
+    unsafe fn swap(self, a: usize, b: usize) {
+        let (ra, rb) = (self.row_at(a), self.row_at(b));
+        for col in 0..self.dim {
+            self.ptr.swap(ra + col, rb + col);
+        }
+        for o in self.offsets {
+            let row = self.row_at(o);
+            for c in self.anchors() {
+                self.ptr.swap(row + (c | a), row + (c | b));
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn max_diff(a: &DensityMatrix, b: &DensityMatrix) -> f64 {
+        a.data()
+            .iter()
+            .zip(b.data())
+            .map(|(x, y)| (*x - *y).abs())
+            .fold(0.0, f64::max)
+    }
+
+    /// Program vs unfused evolution from a non-trivial product state.
+    fn assert_matches_unfused(n: usize, ops: &[FusedOp], dep_1q: f64, dep_2q: f64) {
+        let mut start = DensityMatrix::zero_state(n);
+        for q in 0..n {
+            start.apply_1q(&gates::ry(0.3 + q as f64), q);
+        }
+        let mut fused = start.clone();
+        DensityProgram::compile(n, ops.iter().copied(), dep_1q, dep_2q).run(&mut fused);
+        let mut unfused = start;
+        evolve_unfused(&mut unfused, ops, dep_1q, dep_2q);
+        let d = max_diff(&fused, &unfused);
+        assert!(
+            d <= 1e-12,
+            "max-norm diff {d} at rates ({dep_1q}, {dep_2q})"
+        );
+        assert!((fused.trace() - 1.0).abs() <= 1e-12);
+    }
+
+    /// Every local-op kind, both qubit orders, and a wire (3) that only
+    /// ever sees one-qubit gates.
+    fn mixed_program() -> Vec<FusedOp> {
+        let mono = FusedOp::Mono(
+            [C64::cis(0.3), C64::I, C64::cis(-1.1), C64::ONE],
+            [2, 0, 3, 1],
+            2,
+            0,
+        );
+        vec![
+            FusedOp::One(gates::h(), 0),
+            FusedOp::Rz(0.4, 1),
+            FusedOp::Rz(-0.9, 1),
+            FusedOp::One(gates::sx(), 3),
+            FusedOp::Cx(1, 0),
+            FusedOp::Rz(0.7, 0),
+            FusedOp::One(gates::rx(1.3), 1),
+            FusedOp::Cx(0, 1),
+            FusedOp::Two(gates::rzz(0.8), 2, 1),
+            FusedOp::One(gates::ry(-0.6), 2),
+            FusedOp::Cx(1, 2),
+            FusedOp::Two(gates::cx(), 1, 2),
+            FusedOp::One(gates::rx(0.5), 1),
+            FusedOp::Cx(2, 1),
+            mono,
+            FusedOp::Rz(2.1, 3),
+            FusedOp::One(gates::t(), 0),
+        ]
+    }
+
+    #[test]
+    fn zz_block_with_its_one_qubit_layers_is_one_sweep() {
+        let ops = [
+            FusedOp::One(gates::h(), 0),
+            FusedOp::One(gates::h(), 1),
+            FusedOp::Cx(0, 1),
+            FusedOp::Rz(0.7, 1),
+            FusedOp::Cx(0, 1),
+            FusedOp::One(gates::sx(), 0),
+            FusedOp::Rz(0.2, 0),
+        ];
+        assert_eq!(DensityProgram::compile(2, ops, 0.01, 0.02).sweeps(), 1);
+        assert_matches_unfused(2, &ops, 0.01, 0.02);
+    }
+
+    #[test]
+    fn blocks_split_where_the_pair_changes_and_lone_wires_stay_lone() {
+        // Pair (1,0), pair (2,1), pair (2,0), and wire 3's merged run.
+        let program = DensityProgram::compile(4, mixed_program(), 0.01, 0.02);
+        assert_eq!(program.sweeps(), 4);
+    }
+
+    #[test]
+    fn mixed_program_matches_unfused_at_calibrated_and_extreme_rates() {
+        for dep_1q in [0.0, 0.004, 1.0] {
+            for dep_2q in [0.0, 0.03, 1.0] {
+                assert_matches_unfused(4, &mixed_program(), dep_1q, dep_2q);
+            }
+        }
+    }
+
+    #[test]
+    fn fully_depolarizing_pair_channel_leaves_the_pair_maximally_mixed() {
+        let ops = [FusedOp::One(gates::h(), 0), FusedOp::Cx(0, 1)];
+        let mut rho = DensityMatrix::zero_state(2);
+        DensityProgram::compile(2, ops, 0.0, 1.0).run(&mut rho);
+        assert!(max_diff(&rho, &DensityMatrix::maximally_mixed(2)) <= 1e-15);
+    }
+
+    #[test]
+    fn single_qubit_register_runs_as_one_wire_sweep() {
+        let ops = [
+            FusedOp::One(gates::h(), 0),
+            FusedOp::Rz(0.3, 0),
+            FusedOp::One(gates::sx(), 0),
+        ];
+        assert_eq!(DensityProgram::compile(1, ops, 0.1, 0.0).sweeps(), 1);
+        assert_matches_unfused(1, &ops, 0.1, 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn out_of_range_qubit_fails_closed() {
+        DensityProgram::compile(2, [FusedOp::Rz(0.1, 2)], 0.0, 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "probability must be in [0,1]")]
+    fn rate_outside_unit_interval_fails_closed() {
+        DensityProgram::compile(2, [FusedOp::Cx(0, 1)], 0.0, 1.5);
+    }
+
+    #[test]
+    #[should_panic(expected = "different register size")]
+    fn register_size_mismatch_fails_closed() {
+        let mut rho = DensityMatrix::zero_state(3);
+        DensityProgram::compile(2, [FusedOp::Cx(0, 1)], 0.0, 0.0).run(&mut rho);
+    }
+}

@@ -160,6 +160,7 @@ pub(crate) fn expand(i: usize, bit: usize) -> usize {
 
 /// Shared mutable pointer into a complex buffer, handed to scoped workers
 /// that write provably disjoint index sets (see the kernel call sites).
+#[derive(Clone, Copy)]
 pub(crate) struct SharedAmps(*mut crate::math::C64);
 
 // SAFETY: workers access disjoint indices by construction (each kernel maps

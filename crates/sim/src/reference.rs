@@ -13,9 +13,10 @@
 //!   no global state, what the equivalence proptests do.
 //! - **Routed**: flip the process-global switch with [`force`] (or the RAII
 //!   [`ScopedReference`]) and every [`StateVector`]/[`DensityMatrix`] method
-//!   dispatches to the scalar kernels, and `circuit::simulate_ideal` skips
-//!   gate fusion — this is how an end-to-end run is replayed "as the seed
-//!   would have computed it".
+//!   dispatches to the scalar kernels, `circuit::simulate_ideal` skips gate
+//!   fusion and a noisy density run skips its fused program
+//!   ([`crate::noisy`]) — this is how an end-to-end run is replayed "as the
+//!   seed would have computed it".
 //!
 //! The switch is sound to flip between runs even with concurrent tests:
 //! for unfused op sequences the fast kernels are bit-identical to these

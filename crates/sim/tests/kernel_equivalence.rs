@@ -10,7 +10,9 @@
 //!   bit (`f64::to_bits` equality), at *any* thread count.
 //! * **Fused vs reference: ≤ 1e-12 max-norm.** Fusion reorders floating-point
 //!   operations (matrix products are pre-multiplied), so equality is only up
-//!   to rounding.
+//!   to rounding. Noisy density programs (`qoncord_sim::noisy`) are in this
+//!   tier too: against the op-at-a-time evolution on the full ρ, and
+//!   bit-identical to themselves at any thread count.
 //! * **Fail-closed:** out-of-range or coinciding qubit indices panic in every
 //!   build profile, not just debug.
 //!
@@ -23,6 +25,7 @@ use qoncord_sim::fuse::{self, FusedOp};
 use qoncord_sim::gates;
 use qoncord_sim::math::C64;
 use qoncord_sim::noise::NoiseChannel;
+use qoncord_sim::noisy::{evolve_unfused, DensityProgram};
 use qoncord_sim::par;
 use qoncord_sim::reference::ScopedReference;
 use qoncord_sim::statevector::StateVector;
@@ -71,6 +74,64 @@ fn to_fused(n: usize, ops: &[(u8, usize, usize, f64)]) -> Vec<FusedOp> {
                 _ => FusedOp::One(gates::ry(angle), a),
             }
         })
+        .collect()
+}
+
+/// Decodes an opcode program for the noisy suite: every `FusedOp` variant in
+/// either qubit order, CX-heavy like a transpiled circuit. On one qubit the
+/// two-qubit opcodes fall back to a rotation.
+fn to_noisy(n: usize, ops: &[(u8, usize, usize, f64)]) -> Vec<FusedOp> {
+    ops.iter()
+        .map(|&(op, a, b, angle)| {
+            let (a, b) = (a % n, b % n);
+            let b = if a == b { (a + 1) % n } else { b };
+            match op {
+                0 => FusedOp::One(gates::h(), a),
+                1 => FusedOp::One(gates::u3(angle, 0.4, -1.1), a),
+                2 | 3 => FusedOp::Rz(angle, a),
+                _ if n == 1 => FusedOp::One(gates::ry(angle), a),
+                4..=6 => FusedOp::Cx(a, b),
+                7 => FusedOp::Two(gates::crz(angle), a, b),
+                _ => FusedOp::Mono(
+                    [C64::cis(angle), C64::I, C64::cis(-angle), C64::ONE],
+                    [2, 0, 3, 1],
+                    a,
+                    b,
+                ),
+            }
+        })
+        .collect()
+}
+
+/// Opcode programs for [`to_noisy`].
+fn noisy_program() -> impl Strategy<Value = Vec<(u8, usize, usize, f64)>> {
+    proptest::collection::vec((0u8..9, 0..5usize, 0..5usize, -3.2..3.2f64), 1..40)
+}
+
+/// A depolarizing rate: exactly 0 or the fully depolarizing 1 in a third of
+/// the cases each.
+fn rate() -> impl Strategy<Value = f64> {
+    prop_oneof![Just(0.0), 0.0..0.2f64, Just(1.0)]
+}
+
+/// A mixed, correlated start state, so that no block acts on a product of
+/// basis states.
+fn scrambled(n: usize) -> DensityMatrix {
+    let mut rho = DensityMatrix::zero_state(n);
+    for q in 0..n {
+        rho.apply_1q(&gates::u3(0.7 + q as f64, 0.3, -0.5), q);
+        rho.apply_depolarizing_1q(0.05, q);
+    }
+    for q in 1..n {
+        rho.apply_cx_fast(q - 1, q);
+    }
+    rho
+}
+
+fn dm_entries(rho: &DensityMatrix) -> Vec<C64> {
+    let dim = 1 << rho.n_qubits();
+    (0..dim * dim)
+        .map(|i| rho.entry(i / dim, i % dim))
         .collect()
 }
 
@@ -211,6 +272,52 @@ proptest! {
                     "dm+noise 1 vs 4 threads at ({r},{c}): {x} vs {z}"
                 );
             }
+        }
+    }
+
+    /// A noisy density program matches the op-at-a-time evolution on every
+    /// entry of ρ and preserves the trace, at 1, 2, 3 and 5 qubits.
+    #[test]
+    fn dm_noisy_program_matches_unfused_evolution(
+        ops in noisy_program(),
+        dep_1q in rate(),
+        dep_2q in rate(),
+    ) {
+        let _lock = exclusive();
+        for n in [1usize, 2, 3, 5] {
+            let ops = to_noisy(n, &ops);
+            let mut fused = scrambled(n);
+            DensityProgram::compile(n, ops.iter().copied(), dep_1q, dep_2q).run(&mut fused);
+            let mut unfused = scrambled(n);
+            evolve_unfused(&mut unfused, &ops, dep_1q, dep_2q);
+            let d = max_norm_diff(&dm_entries(&fused), &dm_entries(&unfused));
+            prop_assert!(d <= 1e-12, "{n} qubits, rates ({dep_1q}, {dep_2q}): max-norm diff {d}");
+            let drift = (fused.trace() - 1.0).abs();
+            prop_assert!(drift <= 1e-12, "{n} qubits: trace drifted by {drift}");
+        }
+    }
+
+    /// The program path is bit-identical across thread counts.
+    #[test]
+    fn dm_noisy_program_thread_count_does_not_change_bits(
+        ops in noisy_program(),
+        dep_1q in rate(),
+        dep_2q in rate(),
+    ) {
+        let _lock = exclusive();
+        for n in [3usize, 5] {
+            let program = DensityProgram::compile(n, to_noisy(n, &ops), dep_1q, dep_2q);
+            let runs: Vec<Vec<C64>> = [1usize, 2, 4]
+                .iter()
+                .map(|&t| {
+                    let _cfg = Threads::set(t, 1);
+                    let mut rho = scrambled(n);
+                    program.run(&mut rho);
+                    dm_entries(&rho)
+                })
+                .collect();
+            assert_bits_eq(&runs[0], &runs[1], "noisy program 1 vs 2 threads");
+            assert_bits_eq(&runs[0], &runs[2], "noisy program 1 vs 4 threads");
         }
     }
 
