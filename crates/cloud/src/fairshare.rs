@@ -752,11 +752,6 @@ impl FairShareQueue {
         self.backlog.get(&device).copied().unwrap_or(0.0).max(0.0)
     }
 
-    /// The device a queued request is charged to (bound or held), if any.
-    pub fn device_of(&self, id: usize) -> Option<usize> {
-        self.entries.get(&id).and_then(|e| e.tag.device())
-    }
-
     /// Enqueues an untargeted request and bumps the user's in-flight count.
     ///
     /// # Errors
@@ -1722,7 +1717,8 @@ mod tests {
         q.push_hold(req(0, "a", 30.0, 0.0), 0).unwrap();
         q.push_for_device(req(1, "b", 10.0, 1.0), 0).unwrap();
         assert_eq!(q.device_backlog(0), 40.0);
-        assert_eq!(q.device_of(0), Some(0));
+        let pending: Vec<usize> = q.pending_for_device(0).map(|r| r.id).collect();
+        assert_eq!(pending, [1], "the hold is charged to the device, not bound");
         assert_eq!(
             q.pop_for_device(0).unwrap().id,
             1,

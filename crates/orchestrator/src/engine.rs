@@ -67,10 +67,7 @@ use crate::job::TenantJob;
 use crate::lease::{LeaseLedger, LeaseTerms, Urgency};
 use crate::shard::ShardTask;
 use crate::split::{self, JobRunner, SplitConfig};
-use crate::telemetry::{
-    DeviceTelemetry, FleetTelemetry, JobRecord, JobStatus, JobTelemetry, OrchestratorReport,
-    TenantUsage,
-};
+use crate::telemetry::{JobRecord, JobStatus, OrchestratorReport, TenantUsage};
 use crate::trace::{TraceEvent, TraceHandle, Tracer};
 use qoncord_cloud::device::CloudDevice;
 use qoncord_cloud::fairshare::{FairShareQueue, FairShareWeights, QueuedRequest};
@@ -301,17 +298,6 @@ impl Orchestrator {
     }
 }
 
-/// Runtime accounting of one fleet device. Queued-but-ungranted batch work
-/// is no longer tracked here: the fair-share queue's incrementally
-/// maintained [`FairShareQueue::device_backlog`] summary is the single
-/// source of that estimate.
-struct DeviceState {
-    busy_seconds: f64,
-    wasted_seconds: f64,
-    evictions: u64,
-    executions: u64,
-}
-
 enum Reservation {
     /// A granted-on-pop batch request of one job shard.
     Batch {
@@ -343,7 +329,6 @@ struct Sim<'a> {
     jobs: &'a [TenantJob],
     rng: StdRng,
     queue: FairShareQueue,
-    devices: Vec<DeviceState>,
     leases: LeaseLedger,
     events: EventQueue,
     drivers: Vec<Option<JobRunner>>,
@@ -362,7 +347,6 @@ struct Sim<'a> {
     /// Per job: the calibration key its admission used (None until
     /// admission, and for jobs rejected by the fidelity filter).
     margin_key: Vec<Option<MarginKey>>,
-    telemetry: Vec<JobTelemetry>,
     status: Vec<Option<JobStatus>>,
     /// Per job: the priority it actually runs at (0 after a downgrade).
     effective_priority: Vec<u32>,
@@ -383,10 +367,10 @@ struct Sim<'a> {
     holds: Vec<HashMap<usize, (usize, usize, f64)>>,
     reservations: HashMap<usize, Reservation>,
     next_reservation: usize,
-    makespan: f64,
     /// The flight recorder: stamps every decision with the virtual clock
-    /// and a run-wide sequence number, aggregates metrics, and forwards to
-    /// the configured sink.
+    /// and a run-wide sequence number, aggregates metrics, forwards to the
+    /// configured sink — and accounts the report: job and fleet telemetry
+    /// are a fold of the emitted events, written nowhere else.
     tracer: Tracer,
 }
 
@@ -442,15 +426,6 @@ impl<'a> Sim<'a> {
             jobs,
             rng: StdRng::seed_from_u64(config.seed),
             queue: FairShareQueue::with_weights(config.weights),
-            devices: fleet
-                .iter()
-                .map(|_| DeviceState {
-                    busy_seconds: 0.0,
-                    wasted_seconds: 0.0,
-                    evictions: 0,
-                    executions: 0,
-                })
-                .collect(),
             leases: LeaseLedger::new(fleet.len()),
             events,
             drivers: jobs.iter().map(|_| None).collect(),
@@ -459,10 +434,6 @@ impl<'a> Sim<'a> {
             margins: MarginModel::new(config.admission.safety_margin, config.calibration),
             device_tier,
             margin_key: jobs.iter().map(|_| None).collect(),
-            telemetry: jobs
-                .iter()
-                .map(|job| JobTelemetry::new(job.arrival, fleet.len()))
-                .collect(),
             status: jobs.iter().map(|_| None).collect(),
             effective_priority: jobs.iter().map(|job| job.priority).collect(),
             deadlines: jobs.iter().map(|_| None).collect(),
@@ -472,7 +443,6 @@ impl<'a> Sim<'a> {
             holds: jobs.iter().map(|_| HashMap::new()).collect(),
             reservations: HashMap::new(),
             next_reservation: 0,
-            makespan: 0.0,
             tracer,
         }
     }
@@ -677,7 +647,6 @@ impl<'a> Sim<'a> {
                 }
                 Ok(runner) => runner,
             };
-        self.telemetry[job].shards = runner.shard_count();
         self.tracer.emit(
             now,
             TraceEvent::ShardPlan {
@@ -725,8 +694,6 @@ impl<'a> Sim<'a> {
             AdmissionMode::Calibrated => self.margins.margin_for(key),
             _ => self.config.admission.safety_margin,
         };
-        self.telemetry[job].admission_estimate = Some(estimate);
-        self.telemetry[job].admission_margin = spec.deadline.is_some().then_some(margin);
         self.service_estimate[job] = estimate.service_seconds;
         let outcome = AdmissionController::new(self.config.admission).assess_with_margin(
             now,
@@ -759,14 +726,10 @@ impl<'a> Sim<'a> {
                 });
                 return;
             }
-            AdmissionDecision::Downgrade => {
-                self.effective_priority[job] = 0;
-                self.telemetry[job].downgraded = true;
-            }
+            AdmissionDecision::Downgrade => self.effective_priority[job] = 0,
             AdmissionDecision::Admit => {}
         }
         self.deadlines[job] = outcome.deadline;
-        self.telemetry[job].deadline = outcome.deadline;
 
         let priority = self.effective_priority[job];
         if priority > 0 {
@@ -1064,7 +1027,7 @@ impl<'a> Sim<'a> {
         let deadline_imminent = match self.deadlines[job] {
             None => false,
             Some(deadline) => {
-                let done: f64 = self.telemetry[job].device_seconds.iter().sum();
+                let done = self.tracer.job(job).busy_seconds();
                 let remaining = (self.service_estimate[job] - done).max(0.0);
                 now + remaining + self.config.preemption.imminence_margin >= deadline
             }
@@ -1102,7 +1065,7 @@ impl<'a> Sim<'a> {
         // evicted `cap` times holds its remaining leases with immunity, so
         // a stream of urgent arrivals cannot re-evict it without bound.
         if let Some(cap) = self.config.preemption.eviction_cap {
-            if self.telemetry[holder_job].evictions >= cap as usize {
+            if self.tracer.job(holder_job).evictions >= cap as usize {
                 return;
             }
         }
@@ -1123,11 +1086,6 @@ impl<'a> Sim<'a> {
         let evicted = self.leases.evict(device, now);
         let victim = evicted.lease.job;
         let shard = evicted.lease.shard();
-        self.devices[device].wasted_seconds += evicted.burned_seconds;
-        self.devices[device].evictions += 1;
-        self.telemetry[victim].evictions += 1;
-        self.telemetry[victim].wasted_seconds += evicted.burned_seconds;
-        self.telemetry[victim].record_shard_waste(shard, evicted.burned_seconds);
         self.eviction_credit[victim] += evicted.burned_seconds;
         self.tracer.emit(
             now,
@@ -1209,7 +1167,6 @@ impl<'a> Sim<'a> {
             (result.duration - lease.seconds).abs() < 1e-9,
             "estimated and actual batch durations must agree"
         );
-        self.makespan = self.makespan.max(now);
         self.tracer.emit(
             now,
             TraceEvent::LeaseComplete {
@@ -1223,17 +1180,6 @@ impl<'a> Sim<'a> {
                 finished: result.finished,
             },
         );
-        self.devices[device].busy_seconds += result.duration;
-        self.devices[device].executions += result.executions;
-        let telemetry = &mut self.telemetry[job];
-        // Time-to-first-service: the grant that actually delivered compute,
-        // not a grant preemption later revoked.
-        if telemetry.first_start.is_none() {
-            telemetry.first_start = Some(lease.granted_at);
-        }
-        telemetry.device_seconds[device] += result.duration;
-        telemetry.executions += result.executions;
-        telemetry.cost += result.duration * self.fleet[device].cost_per_second();
         self.queue
             .record_usage(&self.jobs[job].tenant, result.duration)
             .expect("batch durations are finite and non-negative");
@@ -1246,20 +1192,19 @@ impl<'a> Sim<'a> {
                 self.in_flight[job].is_empty(),
                 "a finished job has no shard in flight"
             );
-            self.telemetry[job].completion = Some(now);
             // Close the calibration loop: the realized completion against
             // the admission-time projection is one estimate-error sample
             // for the job's (tier, class) key — an SLA miss arrives here as
             // a large positive error.
-            if let (Some(key), Some(estimate)) =
-                (self.margin_key[job], self.telemetry[job].admission_estimate)
-            {
+            if let (Some(key), Some(estimate)) = (
+                self.margin_key[job],
+                self.tracer.job(job).admission_estimate,
+            ) {
                 let snapshot = *self
                     .margins
                     .record_completion(now, key, estimate.completion, now);
                 self.tracer
                     .emit(now, TraceEvent::CalibrationUpdate { job, snapshot });
-                self.telemetry[job].estimate_error = Some(now - estimate.completion);
             }
             let spec = &self.jobs[job];
             if self.priority_credit[job] > 0.0 {
@@ -1306,7 +1251,6 @@ impl<'a> Sim<'a> {
             self.reservations.remove(&id);
             let cancelled = self.queue.cancel_by_id(id);
             debug_assert!(cancelled.is_some(), "hold was queued exactly once");
-            let was_pruned = pruned.contains(&restart);
             self.tracer.emit(
                 now,
                 TraceEvent::HoldRelease {
@@ -1315,40 +1259,35 @@ impl<'a> Sim<'a> {
                     restart,
                     device,
                     seconds,
-                    pruned: was_pruned,
+                    pruned: pruned.contains(&restart),
                 },
             );
-            if was_pruned {
-                self.telemetry[job].released_reservations += 1;
-                self.telemetry[job].released_seconds += seconds;
-            }
         }
     }
 
     fn into_report(self) -> OrchestratorReport {
-        let devices = self
-            .fleet
-            .iter()
-            .zip(&self.devices)
-            .map(|(spec, state)| DeviceTelemetry {
-                name: spec.name().to_owned(),
-                busy_seconds: state.busy_seconds,
-                wasted_seconds: state.wasted_seconds,
-                evictions: state.evictions,
-                executions: state.executions,
-            })
-            .collect();
-        let jobs = self
+        let (trace, accounted) = self.tracer.finish();
+        debug_assert_eq!(
+            accounted.orphaned, 0,
+            "the engine declares every job and device before naming it"
+        );
+        assert_eq!(
+            accounted.jobs.len(),
+            self.jobs.len(),
+            "every job is admitted and resolved"
+        );
+        let calibration = self.margins.into_history();
+        debug_assert_eq!(accounted.calibration, calibration);
+        let jobs = accounted
             .jobs
-            .iter()
+            .into_iter()
             .zip(self.status)
-            .zip(self.telemetry)
-            .map(|((spec, status), telemetry)| JobRecord {
-                id: spec.id,
-                tenant: spec.tenant.clone(),
-                priority: spec.priority,
+            .map(|(job, status)| JobRecord {
+                id: job.id,
+                tenant: job.tenant,
+                priority: job.priority,
                 status: status.expect("every job is admitted and resolved"),
-                telemetry,
+                telemetry: job.telemetry,
             })
             .collect();
         let mut tenant_usage: Vec<TenantUsage> = self
@@ -1362,14 +1301,11 @@ impl<'a> Sim<'a> {
         tenant_usage.sort_by(|a, b| a.tenant.cmp(&b.tenant));
         OrchestratorReport {
             jobs,
-            fleet: FleetTelemetry {
-                devices,
-                makespan: self.makespan,
-            },
+            fleet: accounted.fleet,
             tenant_usage,
             queue_ops: self.queue.stats(),
-            calibration: self.margins.into_history(),
-            trace: self.tracer.into_summary(),
+            calibration,
+            trace,
             // Snapshot of whatever profiler the caller installed on this
             // thread; empty (and free) on unprofiled runs.
             perf: qoncord_prof::current_report(),

@@ -13,10 +13,12 @@
 //! lifecycle). Records carry the virtual clock and a per-run sequence
 //! number; within one run, `seq` is the total order of decisions.
 //!
-//! The stream is **complete and lossless**: [`reconstruct_report`] rebuilds
-//! the engine's per-job and fleet telemetry from the records alone, and the
-//! integration suite asserts the rebuild matches the engine's own
-//! [`OrchestratorReport`] bit-for-bit. It is also **deterministic**: the
+//! The stream is **complete and lossless** by construction: the engine
+//! keeps no telemetry accumulators of its own — the per-job and fleet
+//! telemetry on its [`OrchestratorReport`] is a fold of the events it
+//! emits, and [`reconstruct_report`] is that same fold over a captured
+//! slice (the integration suite pins the two bit-for-bit, whatever sink is
+//! attached). It is also **deterministic**: the
 //! same configuration and seed produce a byte-identical JSONL serialization
 //! (see [`JsonlSink`]).
 //!
@@ -774,11 +776,12 @@ impl PartialEq for TraceHandle {
 }
 
 /// The engine's internal emitter: stamps records with the decision
-/// sequence, feeds the always-on [`MetricsSink`], and forwards to the
-/// attached handle.
+/// sequence, feeds the always-on [`MetricsSink`] and the report's
+/// accounting fold, and forwards to the attached handle.
 pub(crate) struct Tracer {
     handle: TraceHandle,
     metrics: MetricsSink,
+    report: ReportFold,
     seq: u64,
 }
 
@@ -787,6 +790,7 @@ impl Tracer {
         Tracer {
             handle,
             metrics: MetricsSink::new(),
+            report: ReportFold::default(),
             seq: 0,
         }
     }
@@ -799,11 +803,26 @@ impl Tracer {
         };
         self.seq += 1;
         self.metrics.record(&record);
+        self.report.apply(&record);
         self.handle.emit(&record);
     }
 
-    pub(crate) fn into_summary(self) -> TraceSummary {
-        self.metrics.into_summary()
+    /// The telemetry accounted to `job` so far.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the job's `Arrival` has not been emitted.
+    pub(crate) fn job(&self, job: usize) -> &JobTelemetry {
+        &self
+            .report
+            .job(job)
+            .expect("the engine emits a job's arrival before anything else about it")
+            .telemetry
+    }
+
+    /// The stream's aggregates and the report accounted from it.
+    pub(crate) fn finish(self) -> (TraceSummary, ReconstructedReport) {
+        (self.metrics.into_summary(), self.report.finish())
     }
 }
 
@@ -2008,6 +2027,10 @@ pub struct ReconstructedReport {
     /// The calibration history, rebuilt from
     /// [`TraceEvent::CalibrationUpdate`] snapshots.
     pub calibration: Vec<MarginSnapshot>,
+    /// Events skipped because they name a job or device whose `Arrival` /
+    /// `DeviceDefined` the stream does not carry (0 for a complete capture;
+    /// such jobs are absent from [`jobs`](Self::jobs)).
+    pub orphaned: u64,
 }
 
 impl ReconstructedReport {
@@ -2088,37 +2111,62 @@ impl ReconstructedReport {
 }
 
 /// Rebuilds per-job and fleet telemetry from a captured event stream
-/// alone, replaying the engine's accounting in event order — the same
+/// alone: the engine's own accounting fold run over `records` — the same
 /// additions in the same order, so every rebuilt float is bit-identical to
 /// the engine's.
+///
+/// A capture that lost its head (the tail of a [`RingBufferSink`]) still
+/// replays: events naming a job or device whose `Arrival` /
+/// `DeviceDefined` is not in `records` are skipped and counted in
+/// [`ReconstructedReport::orphaned`].
 pub fn reconstruct_report(records: &[TraceRecord]) -> ReconstructedReport {
-    struct JobSlot {
-        id: usize,
-        tenant: String,
-        priority: u32,
-        outcome: Option<ReconstructedOutcome>,
-        telemetry: JobTelemetry,
-    }
-    let n_devices = records
-        .iter()
-        .filter_map(|r| match &r.event {
-            TraceEvent::DeviceDefined { device, .. } => Some(device + 1),
-            _ => None,
-        })
-        .max()
-        .unwrap_or(0);
-    let mut device_names = vec![String::new(); n_devices];
-    let mut device_cost = vec![0.0f64; n_devices];
-    let mut devices: Vec<DeviceTelemetry> = Vec::new();
-    let mut makespan = 0.0f64;
-    let mut jobs: Vec<JobSlot> = Vec::new();
-    let mut calibration = Vec::new();
-
-    fn slot(jobs: &mut [JobSlot], job: usize) -> &mut JobSlot {
-        &mut jobs[job]
-    }
-
+    let mut fold = ReportFold::default();
     for record in records {
+        fold.apply(record);
+    }
+    fold.finish()
+}
+
+/// The run's accounting as a fold over its event stream — the only writer
+/// of [`JobTelemetry`] and [`FleetTelemetry`]. The engine's [`Tracer`] feeds
+/// it every event as it is emitted, reads its decision inputs back from it
+/// and builds the report from it; [`reconstruct_report`] feeds it a
+/// captured slice.
+#[derive(Debug, Default)]
+struct ReportFold {
+    /// Per fleet index: the lease price, `None` until its `DeviceDefined`.
+    device_cost: Vec<Option<f64>>,
+    devices: Vec<DeviceTelemetry>,
+    makespan: f64,
+    /// Per submission index: `None` until its `Arrival`.
+    jobs: Vec<Option<ReconstructedJob>>,
+    calibration: Vec<MarginSnapshot>,
+    orphaned: u64,
+}
+
+impl ReportFold {
+    fn apply(&mut self, record: &TraceRecord) {
+        if self.account(record).is_none() {
+            self.orphaned += 1;
+        }
+    }
+
+    fn job(&self, job: usize) -> Option<&ReconstructedJob> {
+        self.jobs.get(job)?.as_ref()
+    }
+
+    fn job_mut(&mut self, job: usize) -> Option<&mut ReconstructedJob> {
+        self.jobs.get_mut(job)?.as_mut()
+    }
+
+    /// The lease price of a declared device.
+    fn cost_per_second(&self, device: usize) -> Option<f64> {
+        self.device_cost.get(device).copied().flatten()
+    }
+
+    /// Accounts one event; `None` (nothing touched) when it names a job or
+    /// device the stream has not declared.
+    fn account(&mut self, record: &TraceRecord) -> Option<()> {
         match &record.event {
             TraceEvent::DeviceDefined {
                 device,
@@ -2126,8 +2174,22 @@ pub fn reconstruct_report(records: &[TraceRecord]) -> ReconstructedReport {
                 cost_per_second,
                 ..
             } => {
-                device_names[*device] = name.clone();
-                device_cost[*device] = *cost_per_second;
+                if self.devices.len() <= *device {
+                    let n = device + 1;
+                    self.device_cost.resize(n, None);
+                    self.devices.resize_with(n, || DeviceTelemetry {
+                        name: String::new(),
+                        busy_seconds: 0.0,
+                        wasted_seconds: 0.0,
+                        evictions: 0,
+                        executions: 0,
+                    });
+                    for job in self.jobs.iter_mut().flatten() {
+                        job.telemetry.device_seconds.resize(n, 0.0);
+                    }
+                }
+                self.devices[*device].name = name.clone();
+                self.device_cost[*device] = Some(*cost_per_second);
             }
             TraceEvent::Arrival {
                 job,
@@ -2135,27 +2197,24 @@ pub fn reconstruct_report(records: &[TraceRecord]) -> ReconstructedReport {
                 tenant,
                 priority,
             } => {
-                while jobs.len() <= *job {
-                    jobs.push(JobSlot {
-                        id: 0,
-                        tenant: String::new(),
-                        priority: 0,
-                        outcome: None,
-                        telemetry: JobTelemetry::new(record.time, n_devices),
-                    });
+                if self.jobs.len() <= *job {
+                    self.jobs.resize(job + 1, None);
                 }
-                let s = slot(&mut jobs, *job);
-                s.id = *id;
-                s.tenant = tenant.clone();
-                s.priority = *priority;
-                s.telemetry = JobTelemetry::new(record.time, n_devices);
+                self.jobs[*job] = Some(ReconstructedJob {
+                    id: *id,
+                    tenant: tenant.clone(),
+                    priority: *priority,
+                    // What a job still running when the stream ends reads as.
+                    outcome: ReconstructedOutcome::Completed,
+                    telemetry: JobTelemetry::new(record.time, self.devices.len()),
+                });
             }
             TraceEvent::ShardPlan { job, shards, .. } => {
-                slot(&mut jobs, *job).telemetry.shards = *shards;
+                self.job_mut(*job)?.telemetry.shards = *shards;
             }
             TraceEvent::FilterRejected { job, devices } => {
-                slot(&mut jobs, *job).outcome =
-                    Some(ReconstructedOutcome::FilterRejected { devices: *devices });
+                self.job_mut(*job)?.outcome =
+                    ReconstructedOutcome::FilterRejected { devices: *devices };
             }
             TraceEvent::AdmissionVerdict {
                 job,
@@ -2165,15 +2224,15 @@ pub fn reconstruct_report(records: &[TraceRecord]) -> ReconstructedReport {
                 deadline,
                 assessed_deadline,
             } => {
-                let s = slot(&mut jobs, *job);
+                let s = self.job_mut(*job)?;
                 s.telemetry.admission_estimate = Some(*estimate);
                 s.telemetry.admission_margin = *margin;
                 match decision {
                     AdmissionDecision::Reject => {
-                        s.outcome = Some(ReconstructedOutcome::Denied {
+                        s.outcome = ReconstructedOutcome::Denied {
                             estimate: *estimate,
                             deadline: assessed_deadline.expect("only deadline jobs are denied"),
-                        });
+                        };
                     }
                     AdmissionDecision::Downgrade => {
                         s.telemetry.downgraded = true;
@@ -2190,41 +2249,33 @@ pub fn reconstruct_report(records: &[TraceRecord]) -> ReconstructedReport {
                 pruned,
                 ..
             } => {
+                let s = self.job_mut(*job)?;
                 if *pruned {
-                    let s = slot(&mut jobs, *job);
                     s.telemetry.released_reservations += 1;
                     s.telemetry.released_seconds += seconds;
                 }
             }
             TraceEvent::LeaseComplete {
                 job,
-                shard: _,
                 device,
                 granted_at,
                 seconds,
                 executions,
                 ..
             } => {
-                while devices.len() < n_devices {
-                    let index = devices.len();
-                    devices.push(DeviceTelemetry {
-                        name: device_names[index].clone(),
-                        busy_seconds: 0.0,
-                        wasted_seconds: 0.0,
-                        evictions: 0,
-                        executions: 0,
-                    });
-                }
-                makespan = makespan.max(record.time);
-                devices[*device].busy_seconds += seconds;
-                devices[*device].executions += executions;
-                let s = slot(&mut jobs, *job);
+                let cost_per_second = self.cost_per_second(*device)?;
+                let s = self.job_mut(*job)?;
+                // Time-to-first-service: the grant that actually delivered
+                // compute, not a grant preemption later revoked.
                 if s.telemetry.first_start.is_none() {
                     s.telemetry.first_start = Some(*granted_at);
                 }
                 s.telemetry.device_seconds[*device] += seconds;
                 s.telemetry.executions += executions;
-                s.telemetry.cost += seconds * device_cost[*device];
+                s.telemetry.cost += seconds * cost_per_second;
+                self.makespan = self.makespan.max(record.time);
+                self.devices[*device].busy_seconds += seconds;
+                self.devices[*device].executions += executions;
             }
             TraceEvent::Eviction {
                 job,
@@ -2233,33 +2284,26 @@ pub fn reconstruct_report(records: &[TraceRecord]) -> ReconstructedReport {
                 burned_seconds,
                 ..
             } => {
-                while devices.len() < n_devices {
-                    let index = devices.len();
-                    devices.push(DeviceTelemetry {
-                        name: device_names[index].clone(),
-                        busy_seconds: 0.0,
-                        wasted_seconds: 0.0,
-                        evictions: 0,
-                        executions: 0,
-                    });
-                }
-                devices[*device].wasted_seconds += burned_seconds;
-                devices[*device].evictions += 1;
-                let s = slot(&mut jobs, *job);
+                self.cost_per_second(*device)?;
+                let s = self.job_mut(*job)?;
                 s.telemetry.evictions += 1;
                 s.telemetry.wasted_seconds += burned_seconds;
                 s.telemetry.record_shard_waste(*shard, *burned_seconds);
+                self.devices[*device].wasted_seconds += burned_seconds;
+                self.devices[*device].evictions += 1;
             }
             TraceEvent::CalibrationUpdate { snapshot, .. } => {
-                calibration.push(*snapshot);
+                self.calibration.push(*snapshot);
             }
             TraceEvent::JobComplete { job } => {
-                let s = slot(&mut jobs, *job);
+                let s = self.job_mut(*job)?;
                 s.telemetry.completion = Some(record.time);
+                // The realized completion against the admission-time
+                // projection: an SLA miss reads as a large positive error.
                 if let Some(estimate) = s.telemetry.admission_estimate {
                     s.telemetry.estimate_error = Some(record.time - estimate.completion);
                 }
-                s.outcome = Some(ReconstructedOutcome::Completed);
+                s.outcome = ReconstructedOutcome::Completed;
             }
             TraceEvent::DecayEpoch { .. }
             | TraceEvent::PriorityCredit { .. }
@@ -2268,31 +2312,19 @@ pub fn reconstruct_report(records: &[TraceRecord]) -> ReconstructedReport {
             | TraceEvent::LeaseGrant { .. }
             | TraceEvent::StaleExpiry { .. } => {}
         }
+        Some(())
     }
-    // A fleet that never completed a lease still reports its devices.
-    while devices.len() < n_devices {
-        let index = devices.len();
-        devices.push(DeviceTelemetry {
-            name: device_names[index].clone(),
-            busy_seconds: 0.0,
-            wasted_seconds: 0.0,
-            evictions: 0,
-            executions: 0,
-        });
-    }
-    ReconstructedReport {
-        jobs: jobs
-            .into_iter()
-            .map(|s| ReconstructedJob {
-                id: s.id,
-                tenant: s.tenant,
-                priority: s.priority,
-                outcome: s.outcome.unwrap_or(ReconstructedOutcome::Completed),
-                telemetry: s.telemetry,
-            })
-            .collect(),
-        fleet: FleetTelemetry { devices, makespan },
-        calibration,
+
+    fn finish(self) -> ReconstructedReport {
+        ReconstructedReport {
+            jobs: self.jobs.into_iter().flatten().collect(),
+            fleet: FleetTelemetry {
+                devices: self.devices,
+                makespan: self.makespan,
+            },
+            calibration: self.calibration,
+            orphaned: self.orphaned,
+        }
     }
 }
 
@@ -2516,6 +2548,66 @@ mod tests {
         assert_eq!(summary.timelines[0].busy_seconds(), 4.0);
         assert_eq!(summary.timelines[0].wasted_seconds(), 0.0);
         assert_eq!(summary.timelines[0].idle_seconds(5.0), 1.0);
+    }
+
+    /// A capture cut mid-preamble: device 0 and job 0 lost their
+    /// declarations, device 1 and job 1 kept theirs.
+    #[test]
+    fn reconstruction_skips_and_counts_events_on_undeclared_jobs_and_devices() {
+        let complete = |job, device| TraceEvent::LeaseComplete {
+            lease: 0,
+            job,
+            shard: 0,
+            device,
+            granted_at: 1.0,
+            seconds: 4.0,
+            executions: 10,
+            finished: false,
+        };
+        let events = [
+            TraceEvent::DeviceDefined {
+                device: 1,
+                name: "kept".into(),
+                tier: 0,
+                speed: 1.0,
+                cost_per_second: 2.0,
+            },
+            TraceEvent::Arrival {
+                job: 1,
+                id: 41,
+                tenant: "t".into(),
+                priority: 0,
+            },
+            complete(1, 1),
+            complete(0, 1),
+            complete(1, 0),
+            TraceEvent::Eviction {
+                lease: 1,
+                job: 1,
+                shard: 0,
+                device: 5,
+                burned_seconds: 1.0,
+                credit: 1.0,
+            },
+            TraceEvent::JobComplete { job: 0 },
+        ];
+        let records: Vec<TraceRecord> = events
+            .into_iter()
+            .enumerate()
+            .map(|(i, event)| record(i as u64, 5.0, event))
+            .collect();
+        let rebuilt = reconstruct_report(&records);
+        assert_eq!(rebuilt.orphaned, 4);
+        assert_eq!(rebuilt.jobs.len(), 1, "undeclared jobs are absent");
+        let job = &rebuilt.jobs[0];
+        assert_eq!((job.id, job.telemetry.executions), (41, 10));
+        assert_eq!(job.telemetry.device_seconds, [0.0, 4.0]);
+        assert_eq!(job.telemetry.cost, 8.0);
+        assert_eq!(job.telemetry.evictions, 0);
+        assert_eq!(rebuilt.fleet.devices.len(), 2);
+        assert_eq!(rebuilt.fleet.devices[0].busy_seconds, 0.0);
+        assert_eq!(rebuilt.fleet.devices[1].busy_seconds, 4.0);
+        assert_eq!(rebuilt.fleet.makespan, 5.0);
     }
 
     #[test]

@@ -5,26 +5,21 @@
 //! the [`crate::trajectory`] backend. Gate and channel application follow the
 //! textbook forms `ρ ↦ UρU†` and `ρ ↦ Σᵢ KᵢρKᵢ†`.
 //!
-//! # Kernel layout and determinism
+//! # Kernels and determinism
 //!
-//! Gate application runs through cache-blocked fast kernels that enumerate
-//! sweep anchors branch-free and may split row ranges across worker threads
-//! (see [`crate::par`]). Every fast kernel keeps its per-entry arithmetic
-//! expression-identical to the retained scalar seed in [`crate::reference`],
-//! and workers own disjoint rows, so results are **bit-identical** to the
-//! reference kernels at any thread count. These per-op kernels are the
-//! reference the fused noisy path ([`crate::noisy`]) is pinned against:
-//! a [`crate::noisy::DensityProgram`] regroups gates and depolarizing
-//! channels into far fewer sweeps and matches an op-at-a-time evolution
-//! through this module to ≤ 1e-12, not bit-for-bit.
+//! Every per-op method here is a plain sequential loop over `ρ` — the seed's
+//! scalar kernels, one copy in the crate, untouched by thread configuration
+//! and by [`crate::reference::force`]. They are the per-op reference API:
+//! noisy jobs run compiled instead, as a [`crate::noisy::DensityProgram`]
+//! that regroups gates and depolarizing channels into far fewer sweeps and
+//! is pinned to an op-at-a-time evolution through this module
+//! ([`crate::noisy::evolve_unfused`]) to ≤ 1e-12, not bit-for-bit.
 
 use crate::dist::ProbDist;
 use crate::fuse::{self, FusedOp};
 use crate::gates::{Mat2, Mat4};
 use crate::math::C64;
 use crate::noise::NoiseChannel;
-use crate::par::{self, expand, SharedAmps};
-use crate::reference;
 use crate::statevector::StateVector;
 
 /// A density matrix `ρ` for an `n`-qubit register, stored row-major.
@@ -111,11 +106,6 @@ impl DensityMatrix {
         self.n_qubits
     }
 
-    /// Borrow of the row-major entry buffer for in-crate kernels.
-    pub(crate) fn data(&self) -> &[C64] {
-        &self.data
-    }
-
     /// Mutable borrow of the row-major entry buffer for in-crate kernels.
     pub(crate) fn data_mut(&mut self) -> &mut [C64] {
         &mut self.data
@@ -145,10 +135,33 @@ impl DensityMatrix {
         assert!(q < self.n_qubits, "qubit {q} out of range");
         let _prof = qoncord_prof::span("sim::dm::apply_1q");
         let dim = self.dim;
-        if reference::forced() {
-            reference::raw_dm_apply_1q(&mut self.data, dim, u, q);
-        } else {
-            fast_dm_apply_1q(&mut self.data, dim, u, q);
+        let data = &mut self.data;
+        let bit = 1usize << q;
+        // Left-multiply by U on the row index.
+        for r in 0..dim {
+            if r & bit != 0 {
+                continue;
+            }
+            let r1 = r | bit;
+            for c in 0..dim {
+                let a0 = data[r * dim + c];
+                let a1 = data[r1 * dim + c];
+                data[r * dim + c] = u[0][0] * a0 + u[0][1] * a1;
+                data[r1 * dim + c] = u[1][0] * a0 + u[1][1] * a1;
+            }
+        }
+        // Right-multiply by U† on the column index: ρ[r,c] ← Σₖ ρ[r,k]·conj(U[c,k]).
+        for row in data.chunks_exact_mut(dim) {
+            for c in 0..dim {
+                if c & bit != 0 {
+                    continue;
+                }
+                let c1 = c | bit;
+                let a0 = row[c];
+                let a1 = row[c1];
+                row[c] = a0 * u[0][0].conj() + a1 * u[0][1].conj();
+                row[c1] = a0 * u[1][0].conj() + a1 * u[1][1].conj();
+            }
         }
     }
 
@@ -165,10 +178,43 @@ impl DensityMatrix {
         );
         let _prof = qoncord_prof::span("sim::dm::apply_2q");
         let dim = self.dim;
-        if reference::forced() {
-            reference::raw_dm_apply_2q(&mut self.data, dim, u, q0, q1);
-        } else {
-            fast_dm_apply_2q(&mut self.data, dim, u, q0, q1);
+        let data = &mut self.data;
+        let b0 = 1usize << q0;
+        let b1 = 1usize << q1;
+        // Left-multiply by U.
+        for r in 0..dim {
+            if r & b0 != 0 || r & b1 != 0 {
+                continue;
+            }
+            let idx = [r, r | b0, r | b1, r | b0 | b1];
+            for c in 0..dim {
+                let a = [
+                    data[idx[0] * dim + c],
+                    data[idx[1] * dim + c],
+                    data[idx[2] * dim + c],
+                    data[idx[3] * dim + c],
+                ];
+                for (k, &ri) in idx.iter().enumerate() {
+                    data[ri * dim + c] =
+                        u[k][0] * a[0] + u[k][1] * a[1] + u[k][2] * a[2] + u[k][3] * a[3];
+                }
+            }
+        }
+        // Right-multiply by U†.
+        for row in data.chunks_exact_mut(dim) {
+            for c in 0..dim {
+                if c & b0 != 0 || c & b1 != 0 {
+                    continue;
+                }
+                let idx = [c, c | b0, c | b1, c | b0 | b1];
+                let a = [row[idx[0]], row[idx[1]], row[idx[2]], row[idx[3]]];
+                for (k, &ci) in idx.iter().enumerate() {
+                    row[ci] = a[0] * u[k][0].conj()
+                        + a[1] * u[k][1].conj()
+                        + a[2] * u[k][2].conj()
+                        + a[3] * u[k][3].conj();
+                }
+            }
         }
     }
 
@@ -190,14 +236,10 @@ impl DensityMatrix {
         for k in &kraus {
             let mut branch = self.clone();
             match qubits.len() {
-                1 => {
-                    let m = matrix_to_mat2(k);
-                    branch.apply_general_1q(&m, qubits[0]);
-                }
-                2 => {
-                    let m = matrix_to_mat4(k);
-                    branch.apply_general_2q(&m, qubits[0], qubits[1]);
-                }
+                // `apply_1q`/`apply_2q` never renormalize, so a non-unitary
+                // `K` gives `KρK†`.
+                1 => branch.apply_1q(&matrix_to_mat2(k), qubits[0]),
+                2 => branch.apply_2q(&matrix_to_mat4(k), qubits[0], qubits[1]),
                 n => panic!("channels on {n} qubits are not supported"),
             }
             for (a, b) in acc.iter_mut().zip(&branch.data) {
@@ -205,16 +247,6 @@ impl DensityMatrix {
             }
         }
         self.data = acc;
-    }
-
-    /// Like [`DensityMatrix::apply_1q`] but for non-unitary `K`: `ρ ↦ KρK†`
-    /// (no renormalization).
-    fn apply_general_1q(&mut self, k: &Mat2, q: usize) {
-        self.apply_1q(k, q);
-    }
-
-    fn apply_general_2q(&mut self, k: &Mat4, q0: usize, q1: usize) {
-        self.apply_2q(k, q0, q1);
     }
 
     /// Fast path for CNOT (control `c`, target `t`): a basis permutation, so
@@ -228,10 +260,21 @@ impl DensityMatrix {
         assert!(c < self.n_qubits && t < self.n_qubits, "qubit out of range");
         let _prof = qoncord_prof::span("sim::dm::apply_cx");
         let dim = self.dim;
-        if reference::forced() {
-            reference::raw_dm_apply_cx(&mut self.data, dim, c, t);
-        } else {
-            fast_dm_apply_cx(&mut self.data, dim, c, t);
+        let cb = 1usize << c;
+        let tb = 1usize << t;
+        let perm = |i: usize| if i & cb != 0 { i ^ tb } else { i };
+        // The permutation is an involution: swap each (r,c) with (π(r),π(c))
+        // exactly once by visiting only representatives with index < image.
+        for r in 0..dim {
+            let pr = perm(r);
+            for col in 0..dim {
+                let pc = perm(col);
+                let src = r * dim + col;
+                let dst = pr * dim + pc;
+                if src < dst {
+                    self.data.swap(src, dst);
+                }
+            }
         }
     }
 
@@ -244,18 +287,28 @@ impl DensityMatrix {
     pub fn apply_rz_fast(&mut self, theta: f64, q: usize) {
         assert!(q < self.n_qubits, "qubit {q} out of range");
         let _prof = qoncord_prof::span("sim::dm::apply_rz");
-        let dim = self.dim;
-        if reference::forced() {
-            reference::raw_dm_apply_rz(&mut self.data, dim, theta, q);
-        } else {
-            fast_dm_apply_rz(&mut self.data, dim, theta, q);
+        let bit = 1usize << q;
+        // rz = diag(e^{-iθ/2}, e^{+iθ/2}); ρ[r,c] picks up phase(r)·conj(phase(c)),
+        // which is e^{+iθ} when (r has bit, c clear), e^{-iθ} mirrored, 1 otherwise.
+        let plus = C64::cis(theta);
+        let minus = C64::cis(-theta);
+        for (r, row) in self.data.chunks_exact_mut(self.dim).enumerate() {
+            let rbit = r & bit != 0;
+            for (col, v) in row.iter_mut().enumerate() {
+                let cbit = col & bit != 0;
+                if rbit && !cbit {
+                    *v *= plus;
+                } else if !rbit && cbit {
+                    *v *= minus;
+                }
+            }
         }
     }
 
     /// Applies one lowered simulator instruction (the [`crate::fuse`]
     /// instruction set), routing each variant to its dedicated kernel: one
-    /// sweep per op, bit-identical to the reference kernels. Noisy circuits
-    /// run fused through [`crate::noisy::DensityProgram`] instead.
+    /// sweep per op. Noisy circuits run fused through
+    /// [`crate::noisy::DensityProgram`] instead.
     ///
     /// # Panics
     ///
@@ -290,10 +343,27 @@ impl DensityMatrix {
         }
         let _prof = qoncord_prof::span("sim::dm::depolarizing");
         let dim = self.dim;
-        if reference::forced() {
-            reference::raw_dm_depolarizing_1q(&mut self.data, dim, p, q);
-        } else {
-            fast_dm_depolarizing_1q(&mut self.data, dim, p, q);
+        let data = &mut self.data;
+        let bit = 1usize << q;
+        let keep = 1.0 - p;
+        for r in 0..dim {
+            if r & bit != 0 {
+                continue;
+            }
+            let r1 = r | bit;
+            for c in 0..dim {
+                if c & bit != 0 {
+                    continue;
+                }
+                let c1 = c | bit;
+                let d00 = data[r * dim + c];
+                let d11 = data[r1 * dim + c1];
+                let mixed = (d00 + d11).scale(0.5 * p);
+                data[r * dim + c] = d00.scale(keep) + mixed;
+                data[r1 * dim + c1] = d11.scale(keep) + mixed;
+                data[r * dim + c1] = data[r * dim + c1].scale(keep);
+                data[r1 * dim + c] = data[r1 * dim + c].scale(keep);
+            }
         }
     }
 
@@ -316,10 +386,32 @@ impl DensityMatrix {
         }
         let _prof = qoncord_prof::span("sim::dm::depolarizing");
         let dim = self.dim;
-        if reference::forced() {
-            reference::raw_dm_depolarizing_2q(&mut self.data, dim, p, q0, q1);
-        } else {
-            fast_dm_depolarizing_2q(&mut self.data, dim, p, q0, q1);
+        let data = &mut self.data;
+        let b0 = 1usize << q0;
+        let b1 = 1usize << q1;
+        let keep = 1.0 - p;
+        for r in 0..dim {
+            if r & b0 != 0 || r & b1 != 0 {
+                continue;
+            }
+            let ridx = [r, r | b0, r | b1, r | b0 | b1];
+            for c in 0..dim {
+                if c & b0 != 0 || c & b1 != 0 {
+                    continue;
+                }
+                let cidx = [c, c | b0, c | b1, c | b0 | b1];
+                let mut diag_sum = C64::ZERO;
+                for k in 0..4 {
+                    diag_sum += data[ridx[k] * dim + cidx[k]];
+                }
+                let mixed = diag_sum.scale(0.25 * p);
+                for (ri, &rr) in ridx.iter().enumerate() {
+                    for (ci, &cc) in cidx.iter().enumerate() {
+                        let v = data[rr * dim + cc].scale(keep);
+                        data[rr * dim + cc] = if ri == ci { v + mixed } else { v };
+                    }
+                }
+            }
         }
     }
 
@@ -357,13 +449,13 @@ impl DensityMatrix {
     }
 }
 
-pub(crate) fn matrix_to_mat2(m: &crate::linalg::Matrix) -> Mat2 {
+fn matrix_to_mat2(m: &crate::linalg::Matrix) -> Mat2 {
     assert_eq!(m.rows(), 2);
     let s = m.as_slice();
     [[s[0], s[1]], [s[2], s[3]]]
 }
 
-pub(crate) fn matrix_to_mat4(m: &crate::linalg::Matrix) -> Mat4 {
+fn matrix_to_mat4(m: &crate::linalg::Matrix) -> Mat4 {
     assert_eq!(m.rows(), 4);
     let s = m.as_slice();
     let mut out = [[C64::ZERO; 4]; 4];
@@ -373,371 +465,6 @@ pub(crate) fn matrix_to_mat4(m: &crate::linalg::Matrix) -> Mat4 {
         }
     }
     out
-}
-
-// ---------------------------------------------------------------------------
-// Fast kernels: branch-free anchor enumeration, rows split across workers.
-// Per-entry arithmetic is expression-identical to `crate::reference`, and
-// workers own disjoint rows, so results are bit-identical to the scalar seed
-// at any thread count. Sequential sweeps (the planner's single-worker case)
-// take a plain slice-indexed path that LLVM can vectorize — same expressions,
-// same bits as the shared-pointer loops, just provably non-aliasing.
-// ---------------------------------------------------------------------------
-
-/// `ρ ↦ UρU†` in two passes: row pairs (left multiply), then per-row column
-/// pairs (right multiply). Parallel over anchor rows / rows.
-fn fast_dm_apply_1q(data: &mut [C64], dim: usize, u: &Mat2, q: usize) {
-    let bit = 1usize << q;
-    if par::plan(dim >> 1) <= 1 {
-        for a in 0..dim >> 1 {
-            let r = expand(a, q);
-            let r1 = r | bit;
-            for c in 0..dim {
-                let a0 = data[r * dim + c];
-                let a1 = data[r1 * dim + c];
-                data[r * dim + c] = u[0][0] * a0 + u[0][1] * a1;
-                data[r1 * dim + c] = u[1][0] * a0 + u[1][1] * a1;
-            }
-        }
-        for r in 0..dim {
-            let base = r * dim;
-            for a in 0..dim >> 1 {
-                let c = expand(a, q);
-                let c1 = c | bit;
-                let a0 = data[base + c];
-                let a1 = data[base + c1];
-                data[base + c] = a0 * u[0][0].conj() + a1 * u[0][1].conj();
-                data[base + c1] = a0 * u[1][0].conj() + a1 * u[1][1].conj();
-            }
-        }
-        return;
-    }
-    let u = *u;
-    let ptr = SharedAmps::new(data);
-    // Left-multiply by U: anchor a maps to the row pair (r, r | bit).
-    par::for_each_range(dim >> 1, |range| {
-        for a in range {
-            let r = expand(a, q);
-            let r1 = r | bit;
-            for c in 0..dim {
-                // SAFETY: rows r and r1 derive 1:1 from this worker's private
-                // anchor range, so no other worker touches them.
-                unsafe {
-                    let a0 = ptr.get(r * dim + c);
-                    let a1 = ptr.get(r1 * dim + c);
-                    ptr.set(r * dim + c, u[0][0] * a0 + u[0][1] * a1);
-                    ptr.set(r1 * dim + c, u[1][0] * a0 + u[1][1] * a1);
-                }
-            }
-        }
-    });
-    // Right-multiply by U† on the column index: ρ[r,c] ← Σₖ ρ[r,k]·conj(U[c,k]).
-    par::for_each_range(dim, |range| {
-        for r in range {
-            let base = r * dim;
-            for a in 0..dim >> 1 {
-                let c = expand(a, q);
-                let c1 = c | bit;
-                // SAFETY: row r belongs to this worker's private range.
-                unsafe {
-                    let a0 = ptr.get(base + c);
-                    let a1 = ptr.get(base + c1);
-                    ptr.set(base + c, a0 * u[0][0].conj() + a1 * u[0][1].conj());
-                    ptr.set(base + c1, a0 * u[1][0].conj() + a1 * u[1][1].conj());
-                }
-            }
-        }
-    });
-}
-
-/// Two-qubit `ρ ↦ UρU†` (basis `|q1 q0⟩`): row quartets then per-row column
-/// quartets, anchors enumerated branch-free.
-fn fast_dm_apply_2q(data: &mut [C64], dim: usize, u: &Mat4, q0: usize, q1: usize) {
-    let b0 = 1usize << q0;
-    let b1 = 1usize << q1;
-    let (lo, hi) = if q0 < q1 { (q0, q1) } else { (q1, q0) };
-    if par::plan(dim >> 2) <= 1 {
-        for anchor in 0..dim >> 2 {
-            let r = expand(expand(anchor, lo), hi);
-            let idx = [r, r | b0, r | b1, r | b0 | b1];
-            for c in 0..dim {
-                let a = [
-                    data[idx[0] * dim + c],
-                    data[idx[1] * dim + c],
-                    data[idx[2] * dim + c],
-                    data[idx[3] * dim + c],
-                ];
-                for (k, &ri) in idx.iter().enumerate() {
-                    data[ri * dim + c] =
-                        u[k][0] * a[0] + u[k][1] * a[1] + u[k][2] * a[2] + u[k][3] * a[3];
-                }
-            }
-        }
-        for r in 0..dim {
-            let base = r * dim;
-            for anchor in 0..dim >> 2 {
-                let c = expand(expand(anchor, lo), hi);
-                let idx = [c, c | b0, c | b1, c | b0 | b1];
-                let a = [
-                    data[base + idx[0]],
-                    data[base + idx[1]],
-                    data[base + idx[2]],
-                    data[base + idx[3]],
-                ];
-                for (k, &ci) in idx.iter().enumerate() {
-                    data[base + ci] = a[0] * u[k][0].conj()
-                        + a[1] * u[k][1].conj()
-                        + a[2] * u[k][2].conj()
-                        + a[3] * u[k][3].conj();
-                }
-            }
-        }
-        return;
-    }
-    let u = *u;
-    let ptr = SharedAmps::new(data);
-    // Left-multiply by U.
-    par::for_each_range(dim >> 2, |range| {
-        for anchor in range {
-            let r = expand(expand(anchor, lo), hi);
-            let idx = [r, r | b0, r | b1, r | b0 | b1];
-            for c in 0..dim {
-                // SAFETY: the four rows derive 1:1 from this worker's private
-                // anchor range.
-                unsafe {
-                    let a = [
-                        ptr.get(idx[0] * dim + c),
-                        ptr.get(idx[1] * dim + c),
-                        ptr.get(idx[2] * dim + c),
-                        ptr.get(idx[3] * dim + c),
-                    ];
-                    for (k, &ri) in idx.iter().enumerate() {
-                        ptr.set(
-                            ri * dim + c,
-                            u[k][0] * a[0] + u[k][1] * a[1] + u[k][2] * a[2] + u[k][3] * a[3],
-                        );
-                    }
-                }
-            }
-        }
-    });
-    // Right-multiply by U†.
-    par::for_each_range(dim, |range| {
-        for r in range {
-            let base = r * dim;
-            for anchor in 0..dim >> 2 {
-                let c = expand(expand(anchor, lo), hi);
-                let idx = [c, c | b0, c | b1, c | b0 | b1];
-                // SAFETY: row r belongs to this worker's private range.
-                unsafe {
-                    let a = [
-                        ptr.get(base + idx[0]),
-                        ptr.get(base + idx[1]),
-                        ptr.get(base + idx[2]),
-                        ptr.get(base + idx[3]),
-                    ];
-                    for (k, &ci) in idx.iter().enumerate() {
-                        ptr.set(
-                            base + ci,
-                            a[0] * u[k][0].conj()
-                                + a[1] * u[k][1].conj()
-                                + a[2] * u[k][2].conj()
-                                + a[3] * u[k][3].conj(),
-                        );
-                    }
-                }
-            }
-        }
-    });
-}
-
-/// CNOT on `ρ` as two permutation passes: whole-row swaps for rows with the
-/// control bit set, then per-row column swaps. Pure data movement — the
-/// composition equals the reference's single-pass involution bit-for-bit.
-fn fast_dm_apply_cx(data: &mut [C64], dim: usize, c: usize, t: usize) {
-    let cb = 1usize << c;
-    let tb = 1usize << t;
-    let (lo, hi) = if c < t { (c, t) } else { (t, c) };
-    if par::plan(dim >> 2) <= 1 {
-        for anchor in 0..dim >> 2 {
-            let r = expand(expand(anchor, lo), hi) | cb;
-            let r1 = r | tb;
-            for k in 0..dim {
-                data.swap(r * dim + k, r1 * dim + k);
-            }
-        }
-        for r in 0..dim {
-            let base = r * dim;
-            for anchor in 0..dim >> 2 {
-                let col = expand(expand(anchor, lo), hi) | cb;
-                data.swap(base + col, base + (col | tb));
-            }
-        }
-        return;
-    }
-    let ptr = SharedAmps::new(data);
-    // Pass 1: σ[r][·] = ρ[π(r)][·] — swap row pairs {r, r|tb} where r has
-    // the control bit set and the target bit clear.
-    par::for_each_range(dim >> 2, |range| {
-        for anchor in range {
-            let r = expand(expand(anchor, lo), hi) | cb;
-            let r1 = r | tb;
-            for k in 0..dim {
-                // SAFETY: rows r and r1 derive 1:1 from this worker's
-                // private anchor range.
-                unsafe { ptr.swap(r * dim + k, r1 * dim + k) };
-            }
-        }
-    });
-    // Pass 2: σ'[r][col] = σ[r][π(col)] — per-row column swaps.
-    par::for_each_range(dim, |range| {
-        for r in range {
-            let base = r * dim;
-            for anchor in 0..dim >> 2 {
-                let col = expand(expand(anchor, lo), hi) | cb;
-                // SAFETY: row r belongs to this worker's private range.
-                unsafe { ptr.swap(base + col, base + (col | tb)) };
-            }
-        }
-    });
-}
-
-/// RZ(θ) on `ρ`: conditional diagonal phase per entry, parallel over rows.
-fn fast_dm_apply_rz(data: &mut [C64], dim: usize, theta: f64, q: usize) {
-    let bit = 1usize << q;
-    // rz = diag(e^{-iθ/2}, e^{+iθ/2}); ρ[r,c] picks up phase(r)·conj(phase(c)),
-    // which is e^{+iθ} when (r has bit, c clear), e^{-iθ} mirrored, 1 otherwise.
-    let plus = C64::cis(theta);
-    let minus = C64::cis(-theta);
-    if par::plan(dim) <= 1 {
-        for r in 0..dim {
-            let rbit = r & bit != 0;
-            let f = if rbit { plus } else { minus };
-            let base = r * dim;
-            for a in 0..dim >> 1 {
-                let col = expand(a, q) | if rbit { 0 } else { bit };
-                data[base + col] *= f;
-            }
-        }
-        return;
-    }
-    let ptr = SharedAmps::new(data);
-    par::for_each_range(dim, |range| {
-        for r in range {
-            let rbit = r & bit != 0;
-            let f = if rbit { plus } else { minus };
-            let base = r * dim;
-            for a in 0..dim >> 1 {
-                // Only entries whose row/column bits differ on q change; the
-                // changing column half-space is the one opposite to rbit.
-                let col = expand(a, q) | if rbit { 0 } else { bit };
-                // SAFETY: row r belongs to this worker's private range.
-                unsafe { ptr.set(base + col, ptr.get(base + col) * f) };
-            }
-        }
-    });
-}
-
-/// Closed-form single-qubit depolarizing sweep, parallel over anchor rows.
-fn fast_dm_depolarizing_1q(data: &mut [C64], dim: usize, p: f64, q: usize) {
-    let bit = 1usize << q;
-    let keep = 1.0 - p;
-    if par::plan(dim >> 1) <= 1 {
-        for ar in 0..dim >> 1 {
-            let r = expand(ar, q);
-            let r1 = r | bit;
-            for ac in 0..dim >> 1 {
-                let c = expand(ac, q);
-                let c1 = c | bit;
-                let d00 = data[r * dim + c];
-                let d11 = data[r1 * dim + c1];
-                let mixed = (d00 + d11).scale(0.5 * p);
-                data[r * dim + c] = d00.scale(keep) + mixed;
-                data[r1 * dim + c1] = d11.scale(keep) + mixed;
-                data[r * dim + c1] = data[r * dim + c1].scale(keep);
-                data[r1 * dim + c] = data[r1 * dim + c].scale(keep);
-            }
-        }
-        return;
-    }
-    let ptr = SharedAmps::new(data);
-    par::for_each_range(dim >> 1, |range| {
-        for ar in range {
-            let r = expand(ar, q);
-            let r1 = r | bit;
-            for ac in 0..dim >> 1 {
-                let c = expand(ac, q);
-                let c1 = c | bit;
-                // SAFETY: rows r and r1 derive 1:1 from this worker's
-                // private anchor range.
-                unsafe {
-                    let d00 = ptr.get(r * dim + c);
-                    let d11 = ptr.get(r1 * dim + c1);
-                    let mixed = (d00 + d11).scale(0.5 * p);
-                    ptr.set(r * dim + c, d00.scale(keep) + mixed);
-                    ptr.set(r1 * dim + c1, d11.scale(keep) + mixed);
-                    ptr.set(r * dim + c1, ptr.get(r * dim + c1).scale(keep));
-                    ptr.set(r1 * dim + c, ptr.get(r1 * dim + c).scale(keep));
-                }
-            }
-        }
-    });
-}
-
-/// Closed-form two-qubit depolarizing sweep, parallel over anchor rows.
-fn fast_dm_depolarizing_2q(data: &mut [C64], dim: usize, p: f64, q0: usize, q1: usize) {
-    let b0 = 1usize << q0;
-    let b1 = 1usize << q1;
-    let (lo, hi) = if q0 < q1 { (q0, q1) } else { (q1, q0) };
-    let keep = 1.0 - p;
-    if par::plan(dim >> 2) <= 1 {
-        for ar in 0..dim >> 2 {
-            let r = expand(expand(ar, lo), hi);
-            let ridx = [r, r | b0, r | b1, r | b0 | b1];
-            for ac in 0..dim >> 2 {
-                let c = expand(expand(ac, lo), hi);
-                let cidx = [c, c | b0, c | b1, c | b0 | b1];
-                let mut diag_sum = C64::ZERO;
-                for k in 0..4 {
-                    diag_sum += data[ridx[k] * dim + cidx[k]];
-                }
-                let mixed = diag_sum.scale(0.25 * p);
-                for (ri, &rr) in ridx.iter().enumerate() {
-                    for (ci, &cc) in cidx.iter().enumerate() {
-                        let v = data[rr * dim + cc].scale(keep);
-                        data[rr * dim + cc] = if ri == ci { v + mixed } else { v };
-                    }
-                }
-            }
-        }
-        return;
-    }
-    let ptr = SharedAmps::new(data);
-    par::for_each_range(dim >> 2, |range| {
-        for ar in range {
-            let r = expand(expand(ar, lo), hi);
-            let ridx = [r, r | b0, r | b1, r | b0 | b1];
-            for ac in 0..dim >> 2 {
-                let c = expand(expand(ac, lo), hi);
-                let cidx = [c, c | b0, c | b1, c | b0 | b1];
-                // SAFETY: the four rows derive 1:1 from this worker's
-                // private anchor range.
-                unsafe {
-                    let mut diag_sum = C64::ZERO;
-                    for k in 0..4 {
-                        diag_sum += ptr.get(ridx[k] * dim + cidx[k]);
-                    }
-                    let mixed = diag_sum.scale(0.25 * p);
-                    for (ri, &rr) in ridx.iter().enumerate() {
-                        for (ci, &cc) in cidx.iter().enumerate() {
-                            let v = ptr.get(rr * dim + cc).scale(keep);
-                            ptr.set(rr * dim + cc, if ri == ci { v + mixed } else { v });
-                        }
-                    }
-                }
-            }
-        }
-    });
 }
 
 #[cfg(test)]

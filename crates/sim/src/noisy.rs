@@ -763,10 +763,9 @@ mod tests {
     use super::*;
 
     fn max_diff(a: &DensityMatrix, b: &DensityMatrix) -> f64 {
-        a.data()
-            .iter()
-            .zip(b.data())
-            .map(|(x, y)| (*x - *y).abs())
+        let dim = 1usize << a.n_qubits();
+        (0..dim * dim)
+            .map(|i| (a.entry(i / dim, i % dim) - b.entry(i / dim, i % dim)).abs())
             .fold(0.0, f64::max)
     }
 

@@ -1,22 +1,23 @@
-//! The retained scalar reference kernels and the reference-mode switch.
+//! The retained scalar statevector kernels and the reference-mode switch.
 //!
-//! This module pins the seed implementations of every gate/channel kernel
-//! exactly as they shipped before the fast paths landed: plain sequential
-//! loops, one amplitude sweep per op, no fusion, no threading. They are the
-//! ground truth the differential kernel-equivalence suite
+//! This module pins the seed implementations of the statevector gate
+//! kernels exactly as they shipped before the fast paths landed: plain
+//! sequential loops, one amplitude sweep per op, no fusion, no threading.
+//! They are the ground truth the differential kernel-equivalence suite
 //! (`crates/sim/tests/kernel_equivalence.rs`) compares the fast paths
-//! against, and the "before" axis of the `kernel_profile` benchmark.
+//! against, and the "before" axis of the `kernel_profile` benchmark. The
+//! density matrix has no second copy to pin: its per-op methods
+//! ([`crate::density`]) *are* the seed loops.
 //!
 //! Two ways to use them:
 //!
 //! - **Directly**: call [`sv_apply_1q`] and friends on a state — explicit,
-//!   no global state, what the equivalence proptests do.
+//!   no global state.
 //! - **Routed**: flip the process-global switch with [`force`] (or the RAII
-//!   [`ScopedReference`]) and every [`StateVector`]/[`DensityMatrix`] method
-//!   dispatches to the scalar kernels, `circuit::simulate_ideal` skips gate
-//!   fusion and a noisy density run skips its fused program
-//!   ([`crate::noisy`]) — this is how an end-to-end run is replayed "as the
-//!   seed would have computed it".
+//!   [`ScopedReference`]) and every [`StateVector`] method dispatches to the
+//!   scalar kernels, `circuit::simulate_ideal` skips gate fusion and a noisy
+//!   density run skips its fused program ([`crate::noisy`]) — this is how an
+//!   end-to-end run is replayed "as the seed would have computed it".
 //!
 //! The switch is sound to flip between runs even with concurrent tests:
 //! for unfused op sequences the fast kernels are bit-identical to these
@@ -24,10 +25,8 @@
 //! changes *speed* except where fusion deliberately reorders floating-point
 //! ops behind an explicitly tolerance-checked boundary.
 
-use crate::density::DensityMatrix;
 use crate::gates::{Mat2, Mat4};
 use crate::math::C64;
-use crate::noise::NoiseChannel;
 use crate::statevector::StateVector;
 use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -179,294 +178,5 @@ pub(crate) fn raw_sv_apply_rz(amps: &mut [C64], theta: f64, q: usize) {
     let hi = C64::cis(theta / 2.0);
     for (i, a) in amps.iter_mut().enumerate() {
         *a *= if i & bit == 0 { lo } else { hi };
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Density-matrix reference kernels (verbatim seed loop structure).
-// ---------------------------------------------------------------------------
-
-/// Seed scalar `ρ ↦ (U_q) ρ (U_q)†`.
-///
-/// # Panics
-///
-/// Panics if `q` is out of range.
-pub fn dm_apply_1q(rho: &mut DensityMatrix, u: &Mat2, q: usize) {
-    assert!(q < rho.n_qubits(), "qubit {q} out of range");
-    let dim = 1usize << rho.n_qubits();
-    raw_dm_apply_1q(rho.data_mut(), dim, u, q);
-}
-
-pub(crate) fn raw_dm_apply_1q(data: &mut [C64], dim: usize, u: &Mat2, q: usize) {
-    let bit = 1usize << q;
-    // Left-multiply by U on the row index.
-    for r in 0..dim {
-        if r & bit != 0 {
-            continue;
-        }
-        let r1 = r | bit;
-        for c in 0..dim {
-            let a0 = data[r * dim + c];
-            let a1 = data[r1 * dim + c];
-            data[r * dim + c] = u[0][0] * a0 + u[0][1] * a1;
-            data[r1 * dim + c] = u[1][0] * a0 + u[1][1] * a1;
-        }
-    }
-    // Right-multiply by U† on the column index: ρ[r,c] ← Σₖ ρ[r,k]·conj(U[c,k]).
-    for r in 0..dim {
-        let row = &mut data[r * dim..(r + 1) * dim];
-        for c in 0..dim {
-            if c & bit != 0 {
-                continue;
-            }
-            let c1 = c | bit;
-            let a0 = row[c];
-            let a1 = row[c1];
-            row[c] = a0 * u[0][0].conj() + a1 * u[0][1].conj();
-            row[c1] = a0 * u[1][0].conj() + a1 * u[1][1].conj();
-        }
-    }
-}
-
-/// Seed scalar two-qubit `ρ ↦ UρU†` (basis `|q1 q0⟩`).
-///
-/// # Panics
-///
-/// Panics if the qubits coincide or are out of range.
-pub fn dm_apply_2q(rho: &mut DensityMatrix, u: &Mat4, q0: usize, q1: usize) {
-    assert!(q0 != q1, "two-qubit gate needs distinct qubits");
-    assert!(
-        q0 < rho.n_qubits() && q1 < rho.n_qubits(),
-        "qubit out of range"
-    );
-    let dim = 1usize << rho.n_qubits();
-    raw_dm_apply_2q(rho.data_mut(), dim, u, q0, q1);
-}
-
-pub(crate) fn raw_dm_apply_2q(data: &mut [C64], dim: usize, u: &Mat4, q0: usize, q1: usize) {
-    let b0 = 1usize << q0;
-    let b1 = 1usize << q1;
-    // Left-multiply by U.
-    for r in 0..dim {
-        if r & b0 != 0 || r & b1 != 0 {
-            continue;
-        }
-        let idx = [r, r | b0, r | b1, r | b0 | b1];
-        for c in 0..dim {
-            let a = [
-                data[idx[0] * dim + c],
-                data[idx[1] * dim + c],
-                data[idx[2] * dim + c],
-                data[idx[3] * dim + c],
-            ];
-            for (k, &ri) in idx.iter().enumerate() {
-                data[ri * dim + c] =
-                    u[k][0] * a[0] + u[k][1] * a[1] + u[k][2] * a[2] + u[k][3] * a[3];
-            }
-        }
-    }
-    // Right-multiply by U†.
-    for r in 0..dim {
-        let row = &mut data[r * dim..(r + 1) * dim];
-        for c in 0..dim {
-            if c & b0 != 0 || c & b1 != 0 {
-                continue;
-            }
-            let idx = [c, c | b0, c | b1, c | b0 | b1];
-            let a = [row[idx[0]], row[idx[1]], row[idx[2]], row[idx[3]]];
-            for (k, &ci) in idx.iter().enumerate() {
-                row[ci] = a[0] * u[k][0].conj()
-                    + a[1] * u[k][1].conj()
-                    + a[2] * u[k][2].conj()
-                    + a[3] * u[k][3].conj();
-            }
-        }
-    }
-}
-
-/// Seed scalar CNOT on `ρ`: the single-pass involution swap.
-///
-/// # Panics
-///
-/// Panics if the qubits coincide or are out of range.
-pub fn dm_apply_cx(rho: &mut DensityMatrix, c: usize, t: usize) {
-    assert!(c != t, "CNOT needs distinct qubits");
-    assert!(
-        c < rho.n_qubits() && t < rho.n_qubits(),
-        "qubit out of range"
-    );
-    let dim = 1usize << rho.n_qubits();
-    raw_dm_apply_cx(rho.data_mut(), dim, c, t);
-}
-
-pub(crate) fn raw_dm_apply_cx(data: &mut [C64], dim: usize, c: usize, t: usize) {
-    let cb = 1usize << c;
-    let tb = 1usize << t;
-    let perm = |i: usize| if i & cb != 0 { i ^ tb } else { i };
-    // The permutation is an involution: swap each (r,c) with (π(r),π(c))
-    // exactly once by visiting only representatives with index < image.
-    for r in 0..dim {
-        let pr = perm(r);
-        for col in 0..dim {
-            let pc = perm(col);
-            let src = r * dim + col;
-            let dst = pr * dim + pc;
-            if src < dst {
-                data.swap(src, dst);
-            }
-        }
-    }
-}
-
-/// Seed scalar RZ on `ρ`: conditional phase per entry.
-///
-/// # Panics
-///
-/// Panics if `q` is out of range.
-pub fn dm_apply_rz(rho: &mut DensityMatrix, theta: f64, q: usize) {
-    assert!(q < rho.n_qubits(), "qubit {q} out of range");
-    let dim = 1usize << rho.n_qubits();
-    raw_dm_apply_rz(rho.data_mut(), dim, theta, q);
-}
-
-pub(crate) fn raw_dm_apply_rz(data: &mut [C64], dim: usize, theta: f64, q: usize) {
-    let bit = 1usize << q;
-    // rz = diag(e^{-iθ/2}, e^{+iθ/2}); ρ[r,c] picks up phase(r)·conj(phase(c)),
-    // which is e^{+iθ} when (r has bit, c clear), e^{-iθ} mirrored, 1 otherwise.
-    let plus = C64::cis(theta);
-    let minus = C64::cis(-theta);
-    for r in 0..dim {
-        let rbit = r & bit != 0;
-        let row = &mut data[r * dim..(r + 1) * dim];
-        for (col, v) in row.iter_mut().enumerate() {
-            let cbit = col & bit != 0;
-            if rbit && !cbit {
-                *v *= plus;
-            } else if !rbit && cbit {
-                *v *= minus;
-            }
-        }
-    }
-}
-
-/// Seed Kraus-channel application: one full `ρ` clone per Kraus branch,
-/// each branch evolved with the scalar reference kernels, summed in branch
-/// order.
-///
-/// # Panics
-///
-/// Panics if the channel arity does not match `qubits.len()`.
-pub fn dm_apply_channel(rho: &mut DensityMatrix, channel: &NoiseChannel, qubits: &[usize]) {
-    assert_eq!(
-        channel.n_qubits(),
-        qubits.len(),
-        "channel arity does not match qubit list"
-    );
-    let kraus = channel.kraus_operators();
-    let mut acc = vec![C64::ZERO; rho.data().len()];
-    for k in &kraus {
-        let mut branch = rho.clone();
-        match qubits.len() {
-            1 => dm_apply_1q(&mut branch, &crate::density::matrix_to_mat2(k), qubits[0]),
-            2 => dm_apply_2q(
-                &mut branch,
-                &crate::density::matrix_to_mat4(k),
-                qubits[0],
-                qubits[1],
-            ),
-            n => panic!("channels on {n} qubits are not supported"),
-        }
-        for (a, b) in acc.iter_mut().zip(branch.data()) {
-            *a += *b;
-        }
-    }
-    rho.data_mut().copy_from_slice(&acc);
-}
-
-/// Seed closed-form single-qubit depolarizing sweep.
-///
-/// # Panics
-///
-/// Panics if `q` is out of range or `p` is outside `[0, 1]`.
-pub fn dm_apply_depolarizing_1q(rho: &mut DensityMatrix, p: f64, q: usize) {
-    assert!(q < rho.n_qubits(), "qubit {q} out of range");
-    assert!((0.0..=1.0).contains(&p), "probability must be in [0,1]");
-    if p == 0.0 {
-        return;
-    }
-    let dim = 1usize << rho.n_qubits();
-    raw_dm_depolarizing_1q(rho.data_mut(), dim, p, q);
-}
-
-pub(crate) fn raw_dm_depolarizing_1q(data: &mut [C64], dim: usize, p: f64, q: usize) {
-    let bit = 1usize << q;
-    let keep = 1.0 - p;
-    for r in 0..dim {
-        if r & bit != 0 {
-            continue;
-        }
-        let r1 = r | bit;
-        for c in 0..dim {
-            if c & bit != 0 {
-                continue;
-            }
-            let c1 = c | bit;
-            let d00 = data[r * dim + c];
-            let d11 = data[r1 * dim + c1];
-            let mixed = (d00 + d11).scale(0.5 * p);
-            data[r * dim + c] = d00.scale(keep) + mixed;
-            data[r1 * dim + c1] = d11.scale(keep) + mixed;
-            data[r * dim + c1] = data[r * dim + c1].scale(keep);
-            data[r1 * dim + c] = data[r1 * dim + c].scale(keep);
-        }
-    }
-}
-
-/// Seed closed-form two-qubit depolarizing sweep.
-///
-/// # Panics
-///
-/// Panics if the qubits coincide, are out of range, or `p` is outside
-/// `[0, 1]`.
-pub fn dm_apply_depolarizing_2q(rho: &mut DensityMatrix, p: f64, q0: usize, q1: usize) {
-    assert!(q0 != q1, "two-qubit channel needs distinct qubits");
-    assert!(
-        q0 < rho.n_qubits() && q1 < rho.n_qubits(),
-        "qubit out of range"
-    );
-    assert!((0.0..=1.0).contains(&p), "probability must be in [0,1]");
-    if p == 0.0 {
-        return;
-    }
-    let dim = 1usize << rho.n_qubits();
-    raw_dm_depolarizing_2q(rho.data_mut(), dim, p, q0, q1);
-}
-
-pub(crate) fn raw_dm_depolarizing_2q(data: &mut [C64], dim: usize, p: f64, q0: usize, q1: usize) {
-    let b0 = 1usize << q0;
-    let b1 = 1usize << q1;
-    let keep = 1.0 - p;
-    for r in 0..dim {
-        if r & b0 != 0 || r & b1 != 0 {
-            continue;
-        }
-        let ridx = [r, r | b0, r | b1, r | b0 | b1];
-        for c in 0..dim {
-            if c & b0 != 0 || c & b1 != 0 {
-                continue;
-            }
-            let cidx = [c, c | b0, c | b1, c | b0 | b1];
-            let mut diag_sum = C64::ZERO;
-            for k in 0..4 {
-                diag_sum += data[ridx[k] * dim + cidx[k]];
-            }
-            let mixed = diag_sum.scale(0.25 * p);
-            for (ri, &rr) in ridx.iter().enumerate() {
-                for (ci, &cc) in cidx.iter().enumerate() {
-                    let v = data[rr * dim + cc].scale(keep);
-                    data[rr * dim + cc] = if ri == ci { v + mixed } else { v };
-                }
-            }
-        }
     }
 }

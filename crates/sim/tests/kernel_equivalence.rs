@@ -4,10 +4,16 @@
 //!
 //! Contract under test (see `docs/ARCHITECTURE.md`):
 //!
-//! * **Unfused fast vs reference: bit-identical.** The fast kernels keep the
-//!   per-amplitude arithmetic expression-identical to the seed loops, so with
-//!   the op sequence unchanged every output amplitude matches to the last
-//!   bit (`f64::to_bits` equality), at *any* thread count.
+//! * **Unfused fast vs reference: bit-identical.** The fast statevector
+//!   kernels keep the per-amplitude arithmetic expression-identical to the
+//!   seed loops, so with the op sequence unchanged every output amplitude
+//!   matches to the last bit (`f64::to_bits` equality), at *any* thread
+//!   count.
+//! * **Per-op density kernels vs independent oracles: ≤ 1e-12.** The density
+//!   matrix has one per-op implementation (the seed loops), so it is checked
+//!   against other code: pure states evolved by the reference statevector
+//!   kernels and lifted to `|ψ⟩⟨ψ|`, and the Kraus form of each closed-form
+//!   depolarizing sweep.
 //! * **Fused vs reference: ≤ 1e-12 max-norm.** Fusion reorders floating-point
 //!   operations (matrix products are pre-multiplied), so equality is only up
 //!   to rounding. Noisy density programs (`qoncord_sim::noisy`) are in this
@@ -27,7 +33,7 @@ use qoncord_sim::math::C64;
 use qoncord_sim::noise::NoiseChannel;
 use qoncord_sim::noisy::{evolve_unfused, DensityProgram};
 use qoncord_sim::par;
-use qoncord_sim::reference::ScopedReference;
+use qoncord_sim::reference::{self, ScopedReference};
 use qoncord_sim::statevector::StateVector;
 use std::sync::{Mutex, MutexGuard};
 
@@ -60,17 +66,21 @@ fn program(n: usize, len: usize) -> impl Strategy<Value = Vec<(u8, usize, usize,
     proptest::collection::vec((0u8..6, 0..n, 0..n, -3.2..3.2f64), 1..len)
 }
 
-/// Decodes an opcode program into `FusedOp`s (requires `n ≥ 2`).
+/// Decodes an opcode program into `FusedOp`s (requires `n ≥ 2`; qubit
+/// operands wrap modulo `n`).
 fn to_fused(n: usize, ops: &[(u8, usize, usize, f64)]) -> Vec<FusedOp> {
     ops.iter()
         .map(|&(op, a, b, angle)| {
+            let (a, b) = (a % n, b % n);
             let b = if a == b { (a + 1) % n } else { b };
             match op {
                 0 => FusedOp::One(gates::h(), a),
                 1 => FusedOp::One(gates::rx(angle), a),
                 2 => FusedOp::Rz(angle, a),
                 3 => FusedOp::Cx(a, b),
-                4 => FusedOp::Two(gates::rzz(angle), a, b),
+                // Alternate a symmetric and an order-sensitive matrix.
+                4 if a < b => FusedOp::Two(gates::rzz(angle), a, b),
+                4 => FusedOp::Two(gates::crz(angle), a, b),
                 _ => FusedOp::One(gates::ry(angle), a),
             }
         })
@@ -149,6 +159,25 @@ fn run_dm(n: usize, ops: &[FusedOp]) -> DensityMatrix {
     rho
 }
 
+/// `|ψ⟩⟨ψ|` of the pure state the *reference statevector kernels* evolve
+/// from `|0…0⟩` — an oracle for the density kernels that shares no code
+/// with them.
+fn lifted_reference(n: usize, ops: &[FusedOp]) -> DensityMatrix {
+    let mut sv = StateVector::zero_state(n);
+    for op in ops {
+        match op {
+            FusedOp::One(u, q) => reference::sv_apply_1q(&mut sv, u, *q),
+            FusedOp::Two(u, a, b) => reference::sv_apply_2q(&mut sv, u, *a, *b),
+            FusedOp::Cx(c, t) => reference::sv_apply_cx(&mut sv, *c, *t),
+            FusedOp::Rz(theta, q) => reference::sv_apply_rz(&mut sv, *theta, *q),
+            FusedOp::Mono(d, src, a, b) => {
+                reference::sv_apply_2q(&mut sv, &fuse::mono_to_mat4(d, src), *a, *b)
+            }
+        }
+    }
+    DensityMatrix::from_statevector(&sv)
+}
+
 fn assert_bits_eq(a: &[C64], b: &[C64], what: &str) {
     for (i, (x, y)) in a.iter().zip(b).enumerate() {
         assert!(
@@ -213,66 +242,46 @@ proptest! {
         assert_bits_eq(runs[0].amplitudes(), runs[2].amplitudes(), "sv 1 vs 4 threads");
     }
 
-    /// Density-matrix fast kernels are bit-identical to the seed loops.
+    /// The per-op density kernels evolve a pure state to the lift of what
+    /// the reference statevector kernels compute, at 2, 3 and 4 qubits.
     #[test]
-    fn dm_fast_matches_reference_bitwise(ops in program(4, 16)) {
+    fn dm_ops_match_lifted_reference_statevector(ops in program(4, 16)) {
         let _lock = exclusive();
-        let ops = to_fused(4, &ops);
-        let fast = run_dm(4, &ops);
-        let reference = {
-            let _guard = ScopedReference::new();
-            run_dm(4, &ops)
-        };
-        for r in 0..1 << 4 {
-            for c in 0..1 << 4 {
-                let (x, y) = (fast.entry(r, c), reference.entry(r, c));
-                prop_assert!(
-                    x.re.to_bits() == y.re.to_bits() && x.im.to_bits() == y.im.to_bits(),
-                    "dm entry ({r},{c}): {x} vs {y}"
-                );
-            }
+        for n in [2usize, 3, 4] {
+            let ops = to_fused(n, &ops);
+            let d = max_norm_diff(
+                &dm_entries(&run_dm(n, &ops)),
+                &dm_entries(&lifted_reference(n, &ops)),
+            );
+            prop_assert!(d <= 1e-12, "{n} qubits: max-norm diff {d}");
         }
     }
 
-    /// Density-matrix evolution with noise channels interleaved is
-    /// bit-identical across thread counts and matches the reference.
+    /// Each closed-form depolarizing sweep equals the Kraus sum of its
+    /// channel, on mixed states and in both qubit orders.
     #[test]
-    fn dm_channels_match_reference_and_threads(
+    fn dm_depolarizing_sweeps_match_kraus_form(
         ops in program(3, 10),
-        p in 0.0..0.3f64,
-        q in 0..3usize,
+        p in prop_oneof![0.0..0.3f64, Just(1.0)],
+        q0 in 0..3usize,
+        step in 1..3usize,
     ) {
         let _lock = exclusive();
-        let ops = to_fused(3, &ops);
-        let build = || {
-            let mut rho = run_dm(3, &ops);
-            rho.apply_channel(&NoiseChannel::depolarizing_1q(p), &[q]);
-            rho.apply_depolarizing_1q(p, q);
-            rho.apply_depolarizing_2q(p, 0, 2);
-            rho
-        };
-        let fast = build();
-        let reference = {
-            let _guard = ScopedReference::new();
-            build()
-        };
-        let threaded = {
-            let _cfg = Threads::set(4, 8);
-            build()
-        };
-        for r in 0..1 << 3 {
-            for c in 0..1 << 3 {
-                let (x, y, z) = (fast.entry(r, c), reference.entry(r, c), threaded.entry(r, c));
-                prop_assert!(
-                    x.re.to_bits() == y.re.to_bits() && x.im.to_bits() == y.im.to_bits(),
-                    "dm+noise fast vs reference at ({r},{c}): {x} vs {y}"
-                );
-                prop_assert!(
-                    x.re.to_bits() == z.re.to_bits() && x.im.to_bits() == z.im.to_bits(),
-                    "dm+noise 1 vs 4 threads at ({r},{c}): {x} vs {z}"
-                );
-            }
-        }
+        let q1 = (q0 + step) % 3;
+        let mut start = run_dm(3, &to_fused(3, &ops));
+        start.apply_depolarizing_1q(0.1, q1);
+
+        let mut sweep = start.clone();
+        sweep.apply_depolarizing_1q(p, q0);
+        let mut kraus = start.clone();
+        kraus.apply_channel(&NoiseChannel::depolarizing_1q(p), &[q0]);
+        let d = max_norm_diff(&dm_entries(&sweep), &dm_entries(&kraus));
+        prop_assert!(d <= 1e-12, "1q sweep on {q0}, p = {p}: max-norm diff {d}");
+
+        sweep.apply_depolarizing_2q(p, q0, q1);
+        kraus.apply_channel(&NoiseChannel::depolarizing_2q(p), &[q0, q1]);
+        let d = max_norm_diff(&dm_entries(&sweep), &dm_entries(&kraus));
+        prop_assert!(d <= 1e-12, "2q sweep on ({q0},{q1}), p = {p}: max-norm diff {d}");
     }
 
     /// A noisy density program matches the op-at-a-time evolution on every
@@ -374,33 +383,27 @@ fn sv_apply_2q_descending_qubit_order_matches_reference() {
     }
 }
 
+/// `DensityMatrix::apply_2q` in either argument order agrees with the
+/// reference statevector kernel's reading of `(q0, q1)` — checked with
+/// matrices that are not symmetric under swapping their qubits.
 #[test]
 fn dm_apply_2q_descending_qubit_order_matches_reference() {
     let _lock = exclusive();
-    let prep = [
-        FusedOp::One(gates::h(), 1),
-        FusedOp::Cx(1, 2),
-        FusedOp::Rz(0.4, 0),
-    ];
-    for (q0, q1) in [(2usize, 0usize), (1, 0), (2, 1)] {
-        let fast = {
-            let mut rho = run_dm(3, &prep);
-            rho.apply_2q(&gates::rzz(1.3), q0, q1);
-            rho
-        };
-        let reference = {
-            let _guard = ScopedReference::new();
-            let mut rho = run_dm(3, &prep);
-            rho.apply_2q(&gates::rzz(1.3), q0, q1);
-            rho
-        };
-        for r in 0..1 << 3 {
-            for c in 0..1 << 3 {
-                let (x, y) = (fast.entry(r, c), reference.entry(r, c));
-                assert!(
-                    x.re.to_bits() == y.re.to_bits() && x.im.to_bits() == y.im.to_bits(),
-                    "dm apply_2q({q0},{q1}) at ({r},{c}): {x} vs {y}"
+    for n in [2usize, 3, 4] {
+        let prep: Vec<FusedOp> = (0..n)
+            .map(|q| FusedOp::One(gates::u3(0.7 + q as f64, 0.3, -0.5), q))
+            .chain((1..n).map(|q| FusedOp::Cx(q - 1, q)))
+            .collect();
+        for q0 in 0..n {
+            for q1 in (0..n).filter(|&q1| q1 != q0) {
+                let mut ops = prep.clone();
+                ops.push(FusedOp::Two(gates::crz(1.3), q0, q1));
+                ops.push(FusedOp::Two(gates::cx(), q0, q1));
+                let d = max_norm_diff(
+                    &dm_entries(&run_dm(n, &ops)),
+                    &dm_entries(&lifted_reference(n, &ops)),
                 );
+                assert!(d <= 1e-12, "{n} qubits, apply_2q({q0},{q1}): {d}");
             }
         }
     }

@@ -1,0 +1,171 @@
+//! The report is a fold of the engine's own event stream: it must not
+//! depend on which sink (if any) is attached, the captured stream must
+//! replay into it bit-for-bit at every shard count, and a capture that
+//! lost its head must still replay — skipping, and counting, what it can
+//! no longer attribute.
+
+use qoncord::cloud::policy::Policy;
+use qoncord::core::executor::QaoaFactory;
+use qoncord::core::scheduler::QoncordConfig;
+use qoncord::core::SelectionPolicy;
+use qoncord::orchestrator::trace::{self, MemorySink, RingBufferSink, TraceHandle, TraceRecord};
+use qoncord::orchestrator::{
+    two_lf_one_hf_fleet, two_lf_two_hf_fleet, DeadlineClass, Orchestrator, OrchestratorConfig,
+    OrchestratorReport, PreemptionConfig, SplitConfig, TenantJob,
+};
+use qoncord::vqa::{graph::Graph, maxcut::MaxCut};
+use std::cell::RefCell;
+use std::rc::Rc;
+
+fn factory() -> QaoaFactory {
+    QaoaFactory {
+        problem: MaxCut::new(Graph::paper_graph_7()),
+        layers: 1,
+    }
+}
+
+/// The `orchestrator_preemption` trace: seven batch tenants at t=0 plus an
+/// urgent interactive arrival at t=1, preemption on, 2-LF/1-HF fleet.
+fn run_preemption(shards: usize, trace: TraceHandle) -> OrchestratorReport {
+    let jobs: Vec<TenantJob> = (0..8)
+        .map(|i| {
+            let cfg = QoncordConfig {
+                exploration_max_iterations: 8,
+                finetune_max_iterations: 10,
+                seed: 0xBEE5 + i as u64,
+                ..QoncordConfig::default()
+            };
+            let job = TenantJob::new(i, format!("tenant-{i}"), 0.0, Box::new(factory()))
+                .with_restarts(3)
+                .with_config(cfg);
+            if i == 7 {
+                let mut job = job
+                    .with_priority(4)
+                    .with_deadline_class(DeadlineClass::Interactive);
+                job.arrival = 1.0;
+                job
+            } else {
+                job
+            }
+        })
+        .collect();
+    let config = OrchestratorConfig {
+        policy: Policy::Qoncord,
+        preemption: PreemptionConfig::enabled(),
+        shards,
+        trace,
+        ..OrchestratorConfig::default()
+    };
+    Orchestrator::new(config, two_lf_one_hf_fleet()).run(&jobs)
+}
+
+/// The `orchestrator_split` trace: eight restart-heavy jobs 20 s apart,
+/// splitting on, twin 2-LF/2-HF fleet.
+fn run_split(shards: usize, trace: TraceHandle) -> OrchestratorReport {
+    let jobs: Vec<TenantJob> = (0..8)
+        .map(|i| {
+            let cfg = QoncordConfig {
+                exploration_max_iterations: 8,
+                finetune_max_iterations: 6,
+                selection: SelectionPolicy::TopK(2),
+                seed: 100 + i as u64,
+                ..QoncordConfig::default()
+            };
+            TenantJob::new(
+                i,
+                format!("tenant-{i}"),
+                i as f64 * 20.0,
+                Box::new(factory()),
+            )
+            .with_restarts(6)
+            .with_config(cfg)
+        })
+        .collect();
+    let config = OrchestratorConfig {
+        split: SplitConfig::enabled(),
+        shards,
+        trace,
+        ..OrchestratorConfig::default()
+    };
+    Orchestrator::new(config, two_lf_two_hf_fleet()).run(&jobs)
+}
+
+/// The whole report except `perf` (wall-clock). `Debug` for `f64` prints
+/// the shortest round-trip representation, so equal strings mean equal bits.
+fn fingerprint(report: &OrchestratorReport) -> String {
+    format!(
+        "jobs:{:?}\nfleet:{:?}\ntenants:{:?}\nqueue:{:?}\ncalibration:{:?}\nsummary:{:?}",
+        report.jobs,
+        report.fleet,
+        report.tenant_usage,
+        report.queue_ops,
+        report.calibration,
+        report.trace
+    )
+}
+
+fn captured(run: fn(usize, TraceHandle) -> OrchestratorReport) -> Vec<TraceRecord> {
+    let sink = Rc::new(RefCell::new(MemorySink::new()));
+    run(1, TraceHandle::to(sink.clone()));
+    let records = sink.borrow().records().to_vec();
+    records
+}
+
+#[test]
+fn report_does_not_depend_on_the_attached_sink() {
+    for run in [run_preemption, run_split] {
+        let detached = run(1, TraceHandle::none());
+        assert_eq!(detached.completed(), 8);
+        let memory = Rc::new(RefCell::new(MemorySink::new()));
+        let ring = Rc::new(RefCell::new(RingBufferSink::with_capacity(64)));
+        let on_memory = run(1, TraceHandle::to(memory.clone()));
+        let on_ring = run(1, TraceHandle::to(ring.clone()));
+        assert!(
+            ring.borrow().dropped() > 0,
+            "the ring must be smaller than the stream"
+        );
+        assert_eq!(fingerprint(&detached), fingerprint(&on_memory));
+        assert_eq!(fingerprint(&detached), fingerprint(&on_ring));
+    }
+}
+
+#[test]
+fn captured_stream_replays_into_the_report_at_every_shard_count() {
+    for run in [run_preemption, run_split] {
+        for shards in [1, 2, 4] {
+            let sink = Rc::new(RefCell::new(MemorySink::new()));
+            let report = run(shards, TraceHandle::to(sink.clone()));
+            let rebuilt = trace::reconstruct_report(sink.borrow().records());
+            assert_eq!(rebuilt.orphaned, 0);
+            let diff = rebuilt.diff(&report);
+            assert!(diff.is_empty(), "shards {shards}:\n{}", diff.join("\n"));
+        }
+    }
+}
+
+/// The tail `ring_buffer_capture_equals_the_tail_of_the_full_capture`
+/// (`tests/orchestrator_trace.rs`) pins: the last 64 records of the
+/// preemption trace, long after the `DeviceDefined` / `Arrival` preamble.
+#[test]
+fn ring_buffer_tail_replays_with_its_unattributable_events_counted() {
+    let full = captured(run_preemption);
+    let tail = &full[full.len() - 64..];
+    assert!(
+        !tail.iter().any(|r| matches!(
+            r.event,
+            trace::TraceEvent::DeviceDefined { .. } | trace::TraceEvent::Arrival { .. }
+        )),
+        "the tail must have lost the preamble"
+    );
+    let completions = tail
+        .iter()
+        .filter(|r| matches!(r.event, trace::TraceEvent::LeaseComplete { .. }))
+        .count() as u64;
+    assert!(completions > 0);
+
+    let rebuilt = trace::reconstruct_report(tail);
+    assert!(rebuilt.orphaned >= completions);
+    assert!(rebuilt.jobs.is_empty() && rebuilt.fleet.devices.is_empty());
+    assert_eq!(rebuilt.fleet.makespan, 0.0);
+    assert_eq!(trace::reconstruct_report(&full).orphaned, 0);
+}
