@@ -127,9 +127,44 @@ impl fmt::Display for RejectedDevice {
     }
 }
 
-/// Builds the device ladder for a workload: instantiates an evaluator per
-/// viable device, estimates P_correct from that device's own transpiled
-/// footprint, filters by `min_fidelity`, and sorts ascending by fidelity
+/// Binds the workload to one device: instantiates its evaluator there,
+/// estimates P_correct from the device's own transpiled footprint, and
+/// applies the `min_fidelity` filter — one rung of [`build_lanes`], also
+/// what binds a same-tier twin of an existing rung.
+///
+/// # Errors
+///
+/// Returns the rejection when the device is too small to transpile onto or
+/// its estimate falls below `min_fidelity`.
+pub fn build_lane(
+    cal: &Calibration,
+    factory: &dyn EvaluatorFactory,
+    min_fidelity: f64,
+    seed: u64,
+) -> Result<DeviceLane, RejectedDevice> {
+    let reject = |reason| RejectedDevice {
+        device: cal.name().to_owned(),
+        reason,
+    };
+    let backend = SimulatedBackend::from_calibration(cal.clone());
+    // Evaluator construction panics on a device too small to transpile
+    // onto; that is a rejection, not an abort.
+    let evaluator =
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| factory.make(backend, seed)))
+            .map_err(|_| reject(RejectionReason::TooSmall))?;
+    let estimate = fidelity::p_correct(cal, &evaluator.circuit_stats());
+    if estimate < min_fidelity {
+        return Err(reject(RejectionReason::BelowMinFidelity { estimate }));
+    }
+    Ok(DeviceLane {
+        calibration: cal.clone(),
+        evaluator,
+        p_correct: estimate,
+    })
+}
+
+/// Builds the device ladder for a workload: one [`build_lane`] per device
+/// (device `i` seeded `seed + 1009 i`), sorted ascending by fidelity
 /// (exploration first, fine-tuning last).
 ///
 /// Returns the ladder plus the rejected devices.
@@ -142,35 +177,15 @@ pub fn build_lanes(
     let mut lanes = Vec::new();
     let mut rejected = Vec::new();
     for (i, cal) in devices.iter().enumerate() {
-        let backend = SimulatedBackend::from_calibration(cal.clone());
-        // Probe the workload size cheaply via a trial evaluator on the
-        // largest device; skip devices that are too small to transpile onto.
-        let evaluator = match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            factory.make(backend, seed.wrapping_add(i as u64 * 1009))
-        })) {
-            Ok(e) => e,
-            Err(_) => {
-                rejected.push(RejectedDevice {
-                    device: cal.name().to_owned(),
-                    reason: RejectionReason::TooSmall,
-                });
-                continue;
-            }
-        };
-        let stats = evaluator.circuit_stats();
-        let estimate = fidelity::p_correct(cal, &stats);
-        if estimate < min_fidelity {
-            rejected.push(RejectedDevice {
-                device: cal.name().to_owned(),
-                reason: RejectionReason::BelowMinFidelity { estimate },
-            });
-            continue;
+        match build_lane(
+            cal,
+            factory,
+            min_fidelity,
+            seed.wrapping_add(i as u64 * 1009),
+        ) {
+            Ok(lane) => lanes.push(lane),
+            Err(rejection) => rejected.push(rejection),
         }
-        lanes.push(DeviceLane {
-            calibration: cal.clone(),
-            evaluator,
-            p_correct: estimate,
-        });
     }
     lanes.sort_by(|a, b| {
         a.p_correct

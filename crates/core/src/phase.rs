@@ -94,7 +94,8 @@ impl PhaseCheckpoint {
 /// lease was serving. This is the saved state every sub-lease carries.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardCheckpoint {
-    /// Shard of the job the lease was serving (0 for unsplit jobs).
+    /// Shard of the job the lease was serving: the index of the worker in
+    /// the job's runner (always 0 for unsplit jobs, on every ladder rung).
     pub shard: usize,
     /// Restart index the checkpointed phase belongs to.
     pub restart: usize,

@@ -2,24 +2,50 @@
 //! (`qoncord_core::scheduler::QoncordScheduler::run`) one device batch at a
 //! time, so the engine can interleave many tenants on a shared fleet.
 //!
-//! Every classical decision — triage, entropy-gate skips, lane transitions —
+//! Every classical decision — triage, entropy-gate skips, rung transitions —
 //! happens between batches and costs zero virtual time; every quantum batch
 //! (one SPSA iteration, or one entropy-gate probe evaluation) is surfaced to
-//! the engine as a device reservation. Because the per-lane evaluator call
-//! order is identical to the closed loop's, a job's numeric results match
-//! the sequential scheduler bit for bit.
+//! the engine as a device reservation.
+//!
+//! One [`Runner`] serves every job; jobs differ only in the data it holds.
+//! `lanes` bind ladder rungs to fleet devices, and each lane belongs to one
+//! `worker` — a *shard* of the job, the unit the engine leases devices to:
+//!
+//! ```text
+//!            unsplit (L rungs)           split (2 rungs, k0 + k1 twins)
+//!            rung 0  rung 1 … rung L-1   rung 0     rung 1
+//! worker 0   lane 0  lane 1 … lane L-1   lane 0     —
+//! worker 1                               lane 1     —
+//! worker k0                              —          lane k0
+//! worker k0+1                            —          lane k0+1
+//! ```
+//!
+//! A rung's restarts are dealt over the workers holding a lane on it; when
+//! the rung drains, the tier barrier slots the results by restart index,
+//! runs triage after rung 0, and deals the survivors over the next rung's
+//! workers. With one worker per rung that is the closed loop's sequential
+//! order, and the per-lane evaluator call order is the closed loop's — so an
+//! unsplit job's results match it bit for bit. A split job does too when
+//! the devices of a rung share a calibration model (the twin fleets of
+//! [`crate::fleet`]): every per-restart quantity is derived from job-level
+//! seeds addressed by restart index, never from worker-local state.
 
-use qoncord_core::executor::{build_lanes, DeviceLane, EvaluatorFactory, RejectedDevice};
-use qoncord_core::phase::{PhaseCheckpoint, PhaseRunner};
+use crate::fleet::FleetDevice;
+use qoncord_cloud::policy::merge_shard_results;
+use qoncord_core::executor::{
+    build_lane, build_lanes, DeviceLane, EvaluatorFactory, RejectedDevice,
+};
+use qoncord_core::phase::{PhaseCheckpoint, PhaseRunner, ShardCheckpoint};
 use qoncord_core::scheduler::{
     exploration_seed, finetune_seed, DeviceUsage, QoncordConfig, QoncordReport, RestartReport,
 };
 use qoncord_core::select_restarts;
 use qoncord_device::calibration::Calibration;
+use qoncord_vqa::evaluator::CostEvaluator;
 use qoncord_vqa::restart::{
     executions_for_iterations, random_initial_points, SPSA_EXECUTIONS_PER_ITERATION,
 };
-use std::collections::HashMap;
+use std::collections::VecDeque;
 
 /// A-priori estimate of the circuit executions one batch consumes (SPSA's
 /// fixed per-iteration cost); used to size reservations before they run.
@@ -36,48 +62,67 @@ pub(crate) struct SelectedDevice {
     pub speed: f64,
 }
 
-/// One rung of the job's ladder bound to a fleet device.
-struct DriverLane {
-    lane: DeviceLane,
-    fleet_index: usize,
-    /// Wall-clock seconds one circuit execution occupies on the device.
-    secs_per_execution: f64,
-}
+/// One rung's shard plan: `(fleet device, restart indices)` per shard.
+pub(crate) type TierPlan = Vec<(usize, Vec<usize>)>;
 
-/// A ladder rung decomposed for reuse as a split shard lane: the bound
-/// evaluator plus everything the split driver prices and reports by.
-pub(crate) struct LadderLane {
+/// A ladder rung bound to a fleet device, run by one worker.
+pub(crate) struct Lane {
+    /// Ladder rung (0 = exploration, last = final fine-tuning).
+    tier: usize,
+    /// The worker (job shard) whose batches on this rung run here.
+    worker: usize,
     /// Index of the device in the engine's fleet.
     pub fleet_index: usize,
     /// The device name (report attribution).
-    pub device_name: String,
+    device_name: String,
     /// The workload evaluator bound to this device.
-    pub evaluator: Box<dyn qoncord_vqa::evaluator::CostEvaluator>,
+    evaluator: Box<dyn CostEvaluator>,
     /// Estimated execution fidelity (Eq. 1).
-    pub p_correct: f64,
+    p_correct: f64,
     /// Wall-clock seconds one circuit execution occupies on the device.
     pub secs_per_execution: f64,
 }
 
-enum Stage {
-    /// The entropy-gate probe evaluation before a fine-tuning phase.
-    Probe,
-    /// The fine-tuning phase itself (boxed: a runner carries the full
-    /// optimizer/trace state and dwarfs the probe variant).
-    Train(Box<PhaseRunner>),
+impl Lane {
+    fn bind(
+        lane: DeviceLane,
+        tier: usize,
+        worker: usize,
+        fleet_index: usize,
+        speed: f64,
+        shots: u64,
+    ) -> Self {
+        let stats = lane.evaluator.circuit_stats();
+        Lane {
+            tier,
+            worker,
+            fleet_index,
+            device_name: lane.calibration.name().to_owned(),
+            secs_per_execution: lane.calibration.execution_time_s(&stats, shots) / speed,
+            evaluator: lane.evaluator,
+            p_correct: lane.p_correct,
+        }
+    }
 }
 
-enum DriverState {
-    Exploring {
-        restart: usize,
-        runner: PhaseRunner,
-    },
-    FineTuning {
-        lane: usize,
-        pos: usize,
-        stage: Stage,
-    },
-    Done,
+/// What a worker's pending batch is.
+// Nearly every pending batch is a `Train`; boxing it would buy an allocation
+// per phase to shrink a variant that is almost never the live one.
+#[allow(clippy::large_enum_variant)]
+enum Stage {
+    /// The entropy-gate probe evaluation before a middle rung's phase.
+    Probe,
+    /// One optimizer iteration of the phase itself.
+    Train(PhaseRunner),
+}
+
+/// One schedulable shard of a job.
+struct Worker {
+    /// Restart indices dealt to this worker on the current rung and not
+    /// yet started, front first.
+    queue: VecDeque<usize>,
+    /// The restart whose batch is pending: `(restart, lane, stage)`.
+    active: Option<(usize, usize, Stage)>,
 }
 
 /// What one granted batch did, as the engine sees it.
@@ -96,20 +141,29 @@ pub(crate) struct BatchResult {
     pub finished: bool,
 }
 
-pub(crate) struct JobDriver {
+/// A job's resumable execution state (see the module docs).
+pub(crate) struct Runner {
     cfg: QoncordConfig,
-    lanes: Vec<DriverLane>,
-    reports: Vec<RestartReport>,
+    /// Rung-major; within a rung, shard order.
+    pub lanes: Vec<Lane>,
+    workers: Vec<Worker>,
+    n_tiers: usize,
+    /// The rung being drained (`n_tiers` once the job is done).
+    tier: usize,
+    /// Per restart: its initial point, moved into its report once explored.
     initials: Vec<Vec<f64>>,
+    /// Exploration results in completion order, until the rung-0 barrier.
+    explored: Vec<(usize, RestartReport)>,
+    /// Index-ordered reports, populated at the rung-0 barrier.
+    reports: Vec<RestartReport>,
     rejected: Vec<RejectedDevice>,
     ground_energy: f64,
-    multi_device: bool,
-    state: DriverState,
 }
 
-impl JobDriver {
-    /// Builds the job's device ladder over `selected` fleet devices and
-    /// positions the state machine at the first exploration batch.
+impl Runner {
+    /// Builds the job's device ladder over `selected` fleet devices as one
+    /// worker with a lane on every rung, positioned at the first
+    /// exploration batch.
     ///
     /// Returns the rejected-device list if no device survives the fidelity
     /// filter.
@@ -131,63 +185,148 @@ impl JobDriver {
             "exploration budget must be positive"
         );
         let cals: Vec<Calibration> = selected.iter().map(|s| s.calibration.clone()).collect();
-        let (lanes, rejected) = build_lanes(&cals, factory, cfg.min_fidelity, cfg.seed);
-        if lanes.is_empty() {
+        let (ladder, rejected) = build_lanes(&cals, factory, cfg.min_fidelity, cfg.seed);
+        if ladder.is_empty() {
             return Err(rejected);
         }
-        let by_name: HashMap<&str, (usize, f64)> = selected
-            .iter()
-            .map(|s| (s.calibration.name(), (s.fleet_index, s.speed)))
-            .collect();
-        let lanes: Vec<DriverLane> = lanes
+        let lanes: Vec<Lane> = ladder
             .into_iter()
-            .map(|lane| {
-                let stats = lane.evaluator.circuit_stats();
-                let (fleet_index, speed) = by_name[lane.calibration.name()];
-                let secs_per_execution = lane.calibration.execution_time_s(&stats, shots) / speed;
-                DriverLane {
-                    lane,
-                    fleet_index,
-                    secs_per_execution,
-                }
+            .enumerate()
+            .map(|(tier, lane)| {
+                let device = selected
+                    .iter()
+                    .find(|s| s.calibration.name() == lane.calibration.name())
+                    .expect("every ladder lane was built from a selected device");
+                Lane::bind(lane, tier, 0, device.fleet_index, device.speed, shots)
             })
             .collect();
-        let multi_device = lanes.len() > 1;
         assert!(
-            !multi_device || cfg.finetune_max_iterations > 0,
+            lanes.len() == 1 || cfg.finetune_max_iterations > 0,
             "fine-tuning budget must be positive on a multi-device ladder"
         );
-        let n_params = lanes[0].lane.evaluator.n_params();
-        let ground_energy = lanes[0].lane.evaluator.ground_energy();
-        let initials = random_initial_points(n_params, n_restarts, cfg.seed);
-        let mut driver = JobDriver {
+        let evaluator = &lanes[0].evaluator;
+        let mut runner = Runner {
+            initials: random_initial_points(evaluator.n_params(), n_restarts, cfg.seed),
+            ground_energy: evaluator.ground_energy(),
             cfg,
+            n_tiers: lanes.len(),
             lanes,
-            reports: Vec::with_capacity(n_restarts),
-            initials,
+            workers: vec![Worker {
+                queue: (0..n_restarts).collect(),
+                active: None,
+            }],
+            tier: 0,
+            explored: Vec::with_capacity(n_restarts),
+            reports: Vec::new(),
             rejected,
-            ground_energy,
-            multi_device,
-            state: DriverState::Done,
         };
-        driver.state = DriverState::Exploring {
-            restart: 0,
-            runner: driver.exploration_phase(0),
-        };
-        Ok(driver)
+        runner.start_next_restart(0);
+        Ok(runner)
+    }
+
+    /// Re-shapes a fresh two-rung runner into one worker per planned shard:
+    /// `plans[t]` lists rung `t`'s `(fleet device, restarts)` shards. The
+    /// rung's already-built lane serves the shard planned on its device;
+    /// every other shard gets a fresh lane, seeded like the rung it twins.
+    /// Fine-tuning shards start empty — the rung-0 barrier deals them the
+    /// survivors.
+    ///
+    /// Returns the runner untouched when any planned twin fails the
+    /// fidelity filter or cannot host the workload: a shard plan must be
+    /// honored in full or not at all, because silently dropping a shard
+    /// would orphan the restarts it owns.
+    pub(crate) fn fan_out(
+        mut self: Box<Self>,
+        plans: [&TierPlan; 2],
+        factory: &dyn EvaluatorFactory,
+        fleet: &[FleetDevice],
+        shots: u64,
+    ) -> Result<Box<Self>, Box<Self>> {
+        debug_assert_eq!(self.n_tiers, 2, "splitting plans two-rung ladders");
+        // Build every twin first, so a failure hands the runner back intact.
+        let mut twins = Vec::new();
+        for (plan, primary) in plans.iter().zip(&self.lanes) {
+            let seed = self.cfg.seed.wrapping_add(primary.tier as u64 * 1009);
+            for &(device, _) in plan.iter().filter(|(d, _)| *d != primary.fleet_index) {
+                let calibration = fleet[device].calibration();
+                match build_lane(calibration, factory, self.cfg.min_fidelity, seed) {
+                    Ok(lane) => twins.push(lane),
+                    Err(_) => return Err(self),
+                }
+            }
+        }
+        let mut twins = twins.into_iter();
+        self.workers.clear();
+        for (plan, primary) in plans.iter().zip(std::mem::take(&mut self.lanes)) {
+            let tier = primary.tier;
+            let mut primary = Some(primary);
+            for (device, restarts) in plan.iter() {
+                let worker = self.workers.len();
+                let lane = match primary.take_if(|p| p.fleet_index == *device) {
+                    Some(primary) => Lane { worker, ..primary },
+                    None => Lane::bind(
+                        twins.next().expect("one twin built per non-primary shard"),
+                        tier,
+                        worker,
+                        *device,
+                        fleet[*device].speed(),
+                        shots,
+                    ),
+                };
+                self.lanes.push(lane);
+                self.workers.push(Worker {
+                    queue: if tier == 0 {
+                        restarts.iter().copied().collect()
+                    } else {
+                        VecDeque::new()
+                    },
+                    active: None,
+                });
+            }
+        }
+        for worker in 0..plans[0].len() {
+            self.start_next_restart(worker);
+        }
+        Ok(self)
     }
 
     pub(crate) fn is_multi_device(&self) -> bool {
-        self.multi_device
+        self.n_tiers > 1
     }
 
-    /// Fleet device and estimated seconds of one restart's full fine-tuning
-    /// block on the final rung (the size of a provisional reservation).
-    pub(crate) fn finetune_hold_estimate(&self) -> (usize, f64) {
-        let last = self.lanes.last().expect("non-empty ladder");
-        let secs = executions_for_iterations(self.cfg.finetune_max_iterations) as f64
-            * last.secs_per_execution;
-        (last.fleet_index, secs)
+    /// Total number of shards the job runs as (1 for unsplit jobs). While
+    /// it is 1, at most one batch of the job is in the system.
+    pub(crate) fn shard_count(&self) -> usize {
+        self.workers.len()
+    }
+
+    /// The ladder's entry device (where the first batch runs).
+    pub(crate) fn entry_device(&self) -> usize {
+        self.lanes[0].fleet_index
+    }
+
+    /// Every shard's first fleet device, indexed by shard — the shard-plan
+    /// layout the flight recorder emits at admission.
+    pub(crate) fn shard_devices(&self) -> Vec<usize> {
+        (0..self.workers.len())
+            .map(|worker| {
+                let lane = self.lanes.iter().find(|l| l.worker == worker);
+                lane.expect("every worker holds a lane").fleet_index
+            })
+            .collect()
+    }
+
+    /// Per-shard `(fleet device, estimated seconds)` of one restart's full
+    /// fine-tuning block on the final rung — the provisional hold targets;
+    /// restart `r`'s hold is booked on target `r % len`, mirroring how the
+    /// tier barrier deals survivors across the rung's shards.
+    pub(crate) fn finetune_hold_targets(&self) -> Vec<(usize, f64)> {
+        let executions = executions_for_iterations(self.cfg.finetune_max_iterations) as f64;
+        self.lanes
+            .iter()
+            .filter(|l| l.tier == self.n_tiers - 1)
+            .map(|l| (l.fleet_index, executions * l.secs_per_execution))
+            .collect()
     }
 
     /// Wall-clock seconds one circuit execution takes per fleet device (0.0
@@ -201,205 +340,147 @@ impl JobDriver {
         secs
     }
 
-    /// The optimizer state the job would resume from if its pending batch
+    /// Shards that currently have a pending batch to schedule.
+    pub(crate) fn ready_shards(&self) -> Vec<usize> {
+        (0..self.workers.len())
+            .filter(|&w| self.workers[w].active.is_some())
+            .collect()
+    }
+
+    /// `shard`'s pending batch: `(restart, lane, stage)`.
+    fn pending(&self, shard: usize) -> (usize, &Lane, &Stage) {
+        let (restart, lane, stage) = self.workers[shard]
+            .active
+            .as_ref()
+            .expect("shard has a pending batch");
+        (*restart, &self.lanes[*lane], stage)
+    }
+
+    /// Fleet device `shard`'s pending batch needs.
+    pub(crate) fn shard_device(&self, shard: usize) -> usize {
+        self.pending(shard).1.fleet_index
+    }
+
+    /// Estimated device-seconds of `shard`'s pending batch (for fair-share
+    /// scoring): a probe is one execution, a training batch SPSA's fixed
+    /// per-iteration cost.
+    pub(crate) fn estimated_next_seconds(&self, shard: usize) -> f64 {
+        let (_, lane, stage) = self.pending(shard);
+        match stage {
+            Stage::Probe => lane.secs_per_execution,
+            Stage::Train(_) => EXECUTIONS_PER_BATCH_ESTIMATE * lane.secs_per_execution,
+        }
+    }
+
+    /// The optimizer state `shard` would resume from if its pending batch
     /// were granted and then recalled: the active phase's checkpoint, or a
     /// parameter-only snapshot around an entropy-gate probe (probes carry no
     /// phase state of their own).
-    pub(crate) fn checkpoint(&self) -> PhaseCheckpoint {
-        match &self.state {
-            DriverState::Exploring { runner, .. } => runner.checkpoint(),
-            DriverState::FineTuning {
-                stage: Stage::Train(runner),
-                ..
-            } => runner.checkpoint(),
-            DriverState::FineTuning {
-                stage: Stage::Probe,
-                pos,
-                ..
-            } => PhaseCheckpoint {
-                params: self.reports[*pos].final_params.clone(),
-                iteration: 0,
-                executions: 0,
-            },
-            DriverState::Done => PhaseCheckpoint {
-                params: Vec::new(),
-                iteration: 0,
-                executions: 0,
+    pub(crate) fn shard_checkpoint(&self, shard: usize) -> ShardCheckpoint {
+        let (restart, _, stage) = self.pending(shard);
+        ShardCheckpoint {
+            shard,
+            restart,
+            phase: match stage {
+                Stage::Train(phase) => phase.checkpoint(),
+                Stage::Probe => PhaseCheckpoint {
+                    params: self.reports[restart].final_params.clone(),
+                    iteration: 0,
+                    executions: 0,
+                },
             },
         }
     }
 
-    /// Fleet device the next batch needs, or `None` when the job is done.
-    pub(crate) fn current_device(&self) -> Option<usize> {
-        match &self.state {
-            DriverState::Exploring { .. } => Some(self.lanes[0].fleet_index),
-            DriverState::FineTuning { lane, .. } => Some(self.lanes[*lane].fleet_index),
-            DriverState::Done => None,
-        }
-    }
-
-    /// Restart index the pending batch belongs to (0 when the job is done).
-    pub(crate) fn current_restart(&self) -> usize {
-        match &self.state {
-            DriverState::Exploring { restart, .. } => *restart,
-            DriverState::FineTuning { pos, .. } => *pos,
-            DriverState::Done => 0,
-        }
-    }
-
-    /// Fleet device of each ladder rung, ascending fidelity (exploration
-    /// rung first, final fine-tuning rung last).
-    pub(crate) fn ladder_fleet_indices(&self) -> Vec<usize> {
-        self.lanes.iter().map(|l| l.fleet_index).collect()
-    }
-
-    /// Decomposes a fresh driver into its ladder lanes (ladder order) and
-    /// the rejected-device list, so the split driver can reuse the
-    /// already-built evaluators as the primary shard of each tier instead
-    /// of constructing them twice.
-    pub(crate) fn into_shard_parts(self) -> (Vec<LadderLane>, Vec<RejectedDevice>) {
-        let lanes = self
-            .lanes
-            .into_iter()
-            .map(|l| LadderLane {
-                fleet_index: l.fleet_index,
-                device_name: l.lane.calibration.name().to_owned(),
-                evaluator: l.lane.evaluator,
-                p_correct: l.lane.p_correct,
-                secs_per_execution: l.secs_per_execution,
-            })
-            .collect();
-        (lanes, self.rejected)
-    }
-
-    /// Estimated device-seconds of the next batch (for fair-share scoring).
-    pub(crate) fn estimated_next_seconds(&self) -> f64 {
-        match &self.state {
-            DriverState::Exploring { .. } => {
-                EXECUTIONS_PER_BATCH_ESTIMATE * self.lanes[0].secs_per_execution
-            }
-            DriverState::FineTuning {
-                lane,
-                stage: Stage::Probe,
-                ..
-            } => self.lanes[*lane].secs_per_execution,
-            DriverState::FineTuning {
-                lane,
-                stage: Stage::Train(_),
-                ..
-            } => EXECUTIONS_PER_BATCH_ESTIMATE * self.lanes[*lane].secs_per_execution,
-            DriverState::Done => 0.0,
-        }
-    }
-
-    /// Runs the pending batch and advances through any classical epilogue
-    /// (phase completion, triage, lane transitions) to the next batch.
+    /// Runs `shard`'s pending batch and advances through any classical
+    /// epilogue (phase completion, the shard's next restart, the tier
+    /// barrier) to the next batch.
     ///
     /// # Panics
     ///
-    /// Panics if the job is already done.
-    pub(crate) fn execute_batch(&mut self) -> BatchResult {
-        let state = std::mem::replace(&mut self.state, DriverState::Done);
-        match state {
-            DriverState::Done => panic!("job has no pending batch"),
-            DriverState::Exploring {
-                restart,
-                mut runner,
-            } => {
-                let out = runner.step(self.lanes[0].lane.evaluator.as_mut());
-                let mut pruned = None;
-                if out.finished {
-                    let device = self.lanes[0].lane.calibration.name().to_owned();
-                    let (params, phase) = runner.finish(device);
-                    let exploration_expectation =
-                        phase.trace.final_expectation().unwrap_or(f64::INFINITY);
-                    self.reports.push(RestartReport {
-                        index: restart,
-                        initial_params: self.initials[restart].clone(),
-                        final_params: params,
-                        phases: vec![phase],
-                        survived: true,
-                        exploration_expectation,
-                        final_expectation: exploration_expectation,
-                    });
-                    if restart + 1 < self.initials.len() {
-                        self.state = DriverState::Exploring {
-                            restart: restart + 1,
-                            runner: self.exploration_phase(restart + 1),
-                        };
-                    } else if self.multi_device {
-                        pruned = Some(self.triage());
-                        self.advance_finetune(1, None);
-                    } else {
-                        self.state = DriverState::Done;
-                    }
-                } else {
-                    self.state = DriverState::Exploring { restart, runner };
-                }
-                self.batch_result(0, out.executions, pruned)
-            }
-            DriverState::FineTuning {
-                lane,
-                pos,
-                stage: Stage::Probe,
-            } => {
+    /// Panics if the shard has no pending batch.
+    pub(crate) fn execute_batch(&mut self, shard: usize) -> BatchResult {
+        let (restart, lane_idx, stage) = self.workers[shard]
+            .active
+            .take()
+            .expect("shard has a pending batch");
+        let lane = &mut self.lanes[lane_idx];
+        let evaluator = lane.evaluator.as_mut();
+        let (executions, next) = match stage {
+            Stage::Probe => {
                 // Entropy gate (Sec. IV-F): one probe evaluation at the
                 // current iterate on the candidate rung; skip the rung if it
                 // looks noisier than where the restart left off.
-                let evaluator = self.lanes[lane].lane.evaluator.as_mut();
+                let report = &self.reports[restart];
                 let before = evaluator.executions();
-                let probe = evaluator.evaluate(&self.reports[pos].final_params);
+                let probe = evaluator.evaluate(&report.final_params);
                 let executions = evaluator.executions() - before;
-                let prev_entropy = self.reports[pos]
+                let prev_entropy = report
                     .phases
                     .last()
                     .and_then(|p| p.trace.records.last())
                     .map(|r| r.entropy);
                 let skip = matches!(prev_entropy, Some(prev)
                     if probe.entropy > prev + self.cfg.entropy_gate_slack);
-                if skip {
-                    self.advance_finetune(lane, Some(pos));
-                } else {
-                    let runner =
-                        self.finetune_phase(lane, pos, self.reports[pos].final_params.clone());
-                    self.state = DriverState::FineTuning {
-                        lane,
-                        pos,
-                        stage: Stage::Train(Box::new(runner)),
-                    };
-                }
-                self.batch_result(lane, executions, None)
+                let tier = lane.tier;
+                (
+                    executions,
+                    (!skip).then(|| Stage::Train(self.phase(tier, restart))),
+                )
             }
-            DriverState::FineTuning {
-                lane,
-                pos,
-                stage: Stage::Train(mut runner),
-            } => {
-                let out = runner.step(self.lanes[lane].lane.evaluator.as_mut());
-                if out.finished {
-                    let device = self.lanes[lane].lane.calibration.name().to_owned();
-                    let (params, phase) = (*runner).finish(device);
-                    let report = &mut self.reports[pos];
-                    report.final_params = params;
-                    if let Some(e) = phase.trace.final_expectation() {
-                        report.final_expectation = e;
+            Stage::Train(mut phase) => {
+                let out = phase.step(evaluator);
+                if !out.finished {
+                    (out.executions, Some(Stage::Train(phase)))
+                } else {
+                    let (params, phase) = phase.finish(lane.device_name.clone());
+                    if lane.tier == 0 {
+                        let exploration_expectation =
+                            phase.trace.final_expectation().unwrap_or(f64::INFINITY);
+                        self.explored.push((
+                            restart,
+                            RestartReport {
+                                index: restart,
+                                initial_params: std::mem::take(&mut self.initials[restart]),
+                                final_params: params,
+                                phases: vec![phase],
+                                survived: true,
+                                exploration_expectation,
+                                final_expectation: exploration_expectation,
+                            },
+                        ));
+                    } else {
+                        let report = &mut self.reports[restart];
+                        report.final_params = params;
+                        if let Some(e) = phase.trace.final_expectation() {
+                            report.final_expectation = e;
+                        }
+                        report.phases.push(phase);
                     }
-                    report.phases.push(phase);
-                    self.advance_finetune(lane, Some(pos));
-                } else {
-                    self.state = DriverState::FineTuning {
-                        lane,
-                        pos,
-                        stage: Stage::Train(runner),
-                    };
+                    (out.executions, None)
                 }
-                self.batch_result(lane, out.executions, None)
             }
+        };
+        let mut pruned = None;
+        match next {
+            Some(stage) => self.workers[shard].active = Some((restart, lane_idx, stage)),
+            None => {
+                self.start_next_restart(shard);
+                pruned = self.tier_barrier();
+            }
+        }
+        let lane = &self.lanes[lane_idx];
+        BatchResult {
+            fleet_index: lane.fleet_index,
+            duration: executions as f64 * lane.secs_per_execution,
+            executions,
+            pruned,
+            finished: self.tier == self.n_tiers,
         }
     }
 
-    /// Consumes the driver into the same report the closed-loop scheduler
-    /// produces.
+    /// Consumes the runner into the same report the closed-loop scheduler
+    /// produces (devices in lane order).
     pub(crate) fn into_report(self) -> QoncordReport {
         QoncordReport {
             restarts: self.reports,
@@ -407,9 +488,9 @@ impl JobDriver {
                 .lanes
                 .iter()
                 .map(|l| DeviceUsage {
-                    device: l.lane.calibration.name().to_owned(),
-                    p_correct: l.lane.p_correct,
-                    executions: l.lane.evaluator.executions(),
+                    device: l.device_name.clone(),
+                    p_correct: l.p_correct,
+                    executions: l.evaluator.executions(),
                 })
                 .collect(),
             rejected: self.rejected,
@@ -417,142 +498,104 @@ impl JobDriver {
         }
     }
 
-    fn batch_result(
-        &self,
-        lane: usize,
-        executions: u64,
-        pruned: Option<Vec<usize>>,
-    ) -> BatchResult {
-        BatchResult {
-            fleet_index: self.lanes[lane].fleet_index,
-            duration: executions as f64 * self.lanes[lane].secs_per_execution,
-            executions,
-            pruned,
-            finished: matches!(self.state, DriverState::Done),
-        }
+    /// The phase of `restart` on rung `tier` — checker tier, budget, and
+    /// seeding exactly as the closed loop picks them: the final rung checks
+    /// strictly, a one-rung ladder explores with the combined budget.
+    fn phase(&self, tier: usize, restart: usize) -> PhaseRunner {
+        let cfg = &self.cfg;
+        let checker = if tier == self.n_tiers - 1 {
+            cfg.strict
+        } else {
+            cfg.relaxed
+        };
+        let (params, budget, seed) = if tier > 0 {
+            (
+                &self.reports[restart].final_params,
+                cfg.finetune_max_iterations,
+                finetune_seed(cfg.seed, restart, tier),
+            )
+        } else {
+            let budget = if self.n_tiers > 1 {
+                cfg.exploration_max_iterations
+            } else {
+                cfg.exploration_max_iterations + cfg.finetune_max_iterations
+            };
+            (
+                &self.initials[restart],
+                budget,
+                exploration_seed(cfg.seed, restart),
+            )
+        };
+        PhaseRunner::new(params.clone(), checker, budget, seed)
     }
 
-    fn exploration_phase(&self, restart: usize) -> PhaseRunner {
-        exploration_runner(
-            &self.cfg,
-            self.initials[restart].clone(),
-            self.multi_device,
-            restart,
-        )
+    /// Pops `worker`'s next queued restart into a pending batch on its lane
+    /// of the current rung; middle rungs open with the entropy-gate probe.
+    fn start_next_restart(&mut self, worker: usize) {
+        let Some(restart) = self.workers[worker].queue.pop_front() else {
+            return;
+        };
+        let tier = self.tier;
+        let lane = self
+            .lanes
+            .iter()
+            .position(|l| l.worker == worker && l.tier == tier)
+            .expect("restarts are dealt only to workers with a lane on the rung");
+        let stage = if self.cfg.entropy_gate && 0 < tier && tier < self.n_tiers - 1 {
+            Stage::Probe
+        } else {
+            Stage::Train(self.phase(tier, restart))
+        };
+        self.workers[worker].active = Some((restart, lane, stage));
     }
 
-    fn finetune_phase(&self, lane: usize, restart: usize, params: Vec<f64>) -> PhaseRunner {
-        finetune_runner(&self.cfg, params, lane, self.lanes.len(), restart)
-    }
-
-    fn triage(&mut self) -> Vec<usize> {
-        triage_reports(&mut self.reports, self.cfg.selection)
-    }
-
-    /// Moves the cursor to the next survivor on `lane` after `after` (or the
-    /// first survivor when `after` is `None`), rolling over to the next lane
-    /// and to `Done` past the last one.
-    fn advance_finetune(&mut self, mut lane: usize, after: Option<usize>) {
-        let mut from = after.map_or(0, |i| i + 1);
-        loop {
-            if lane >= self.lanes.len() {
-                self.state = DriverState::Done;
-                return;
-            }
-            if let Some(pos) = (from..self.reports.len()).find(|&i| self.reports[i].survived) {
-                let is_final = lane == self.lanes.len() - 1;
-                self.state = if self.cfg.entropy_gate && !is_final {
-                    DriverState::FineTuning {
-                        lane,
-                        pos,
-                        stage: Stage::Probe,
+    /// The tier barrier: once the current rung has drained, slot rung 0's
+    /// results by restart index and (on a multi-rung ladder) triage them,
+    /// then deal the survivors round-robin over the next rung's workers.
+    /// Returns the pruned restart indices when triage ran.
+    fn tier_barrier(&mut self) -> Option<Vec<usize>> {
+        let mut pruned = None;
+        while self.workers.iter().all(|w| w.active.is_none()) {
+            if self.tier == 0 {
+                let explored = std::mem::take(&mut self.explored);
+                self.reports = merge_shard_results(explored, self.initials.len())
+                    .expect("every restart explored exactly once across the shards");
+                if self.n_tiers > 1 {
+                    let intermediates: Vec<f64> = self
+                        .reports
+                        .iter()
+                        .map(|r| r.exploration_expectation)
+                        .collect();
+                    let keep = select_restarts(&intermediates, self.cfg.selection);
+                    for report in &mut self.reports {
+                        report.survived = keep.contains(&report.index);
                     }
-                } else {
-                    let runner =
-                        self.finetune_phase(lane, pos, self.reports[pos].final_params.clone());
-                    DriverState::FineTuning {
-                        lane,
-                        pos,
-                        stage: Stage::Train(Box::new(runner)),
-                    }
-                };
-                return;
+                    let pruned_reports = self.reports.iter().filter(|r| !r.survived);
+                    pruned = Some(pruned_reports.map(|r| r.index).collect());
+                }
             }
-            lane += 1;
-            from = 0;
+            self.tier += 1;
+            if self.tier == self.n_tiers {
+                break;
+            }
+            let workers: Vec<usize> = self
+                .lanes
+                .iter()
+                .filter(|l| l.tier == self.tier)
+                .map(|l| l.worker)
+                .collect();
+            let survivors = self.reports.iter().filter(|r| r.survived);
+            for (pos, report) in survivors.enumerate() {
+                self.workers[workers[pos % workers.len()]]
+                    .queue
+                    .push_back(report.index);
+            }
+            for worker in workers {
+                self.start_next_restart(worker);
+            }
         }
+        pruned
     }
-}
-
-/// The exploration phase runner of `restart` — checker tier, budget, and
-/// seeding in one place, shared by the unsplit driver and the split
-/// driver's exploration shards so the two execution paths cannot drift
-/// (the split==unsplit bit-identity contract rests on this).
-pub(crate) fn exploration_runner(
-    cfg: &QoncordConfig,
-    initial: Vec<f64>,
-    multi_device: bool,
-    restart: usize,
-) -> PhaseRunner {
-    // Same tiering as the closed loop: single-device jobs get the strict
-    // checker and the combined budget.
-    let checker = if multi_device {
-        cfg.relaxed
-    } else {
-        cfg.strict
-    };
-    let budget = if multi_device {
-        cfg.exploration_max_iterations
-    } else {
-        cfg.exploration_max_iterations + cfg.finetune_max_iterations
-    };
-    PhaseRunner::new(
-        initial,
-        checker,
-        budget,
-        exploration_seed(cfg.seed, restart),
-    )
-}
-
-/// The fine-tuning phase runner of `restart` on ladder rung `lane` of
-/// `n_lanes` — shared by both drivers (see [`exploration_runner`]).
-pub(crate) fn finetune_runner(
-    cfg: &QoncordConfig,
-    params: Vec<f64>,
-    lane: usize,
-    n_lanes: usize,
-    restart: usize,
-) -> PhaseRunner {
-    let checker = if lane == n_lanes - 1 {
-        cfg.strict
-    } else {
-        cfg.relaxed
-    };
-    PhaseRunner::new(
-        params,
-        checker,
-        cfg.finetune_max_iterations,
-        finetune_seed(cfg.seed, restart, lane),
-    )
-}
-
-/// Restart triage at the exploration/fine-tuning boundary, shared by both
-/// drivers: marks survivors per `selection` over the exploration
-/// expectations and returns the pruned restart indices.
-pub(crate) fn triage_reports(
-    reports: &mut [RestartReport],
-    selection: qoncord_core::SelectionPolicy,
-) -> Vec<usize> {
-    let intermediates: Vec<f64> = reports.iter().map(|r| r.exploration_expectation).collect();
-    let keep = select_restarts(&intermediates, selection);
-    let mut pruned = Vec::new();
-    for (i, report) in reports.iter_mut().enumerate() {
-        report.survived = keep.contains(&i);
-        if !report.survived {
-            pruned.push(i);
-        }
-    }
-    pruned
 }
 
 #[cfg(test)]
@@ -596,10 +639,14 @@ mod tests {
     }
 
     /// Drives the job to completion in one go and returns its report.
-    fn drain(mut driver: JobDriver) -> QoncordReport {
+    fn drain(mut driver: Runner) -> QoncordReport {
         let mut batches = 0;
-        while driver.current_device().is_some() {
-            let result = driver.execute_batch();
+        while !driver.ready_shards().is_empty() {
+            // What a lease on this batch would carry and be sized by.
+            assert!(!driver.shard_checkpoint(0).phase.params.is_empty());
+            let estimate = driver.estimated_next_seconds(0);
+            let result = driver.execute_batch(0);
+            assert!((result.duration - estimate).abs() < 1e-9);
             assert!(result.duration > 0.0);
             assert!(result.executions > 0);
             batches += 1;
@@ -616,8 +663,9 @@ mod tests {
             .run(&devices, &factory(), 5)
             .unwrap();
 
-        let driver = JobDriver::new(cfg, 5, &factory(), &selected(), 1000).unwrap();
+        let driver = Runner::new(cfg, 5, &factory(), &selected(), 1000).unwrap();
         assert!(driver.is_multi_device());
+        assert_eq!(driver.shard_count(), 1, "an unsplit job is one shard");
         let batched = drain(driver);
 
         assert_eq!(batched.restarts.len(), closed.restarts.len());
@@ -636,6 +684,61 @@ mod tests {
     }
 
     #[test]
+    fn three_rung_ladder_with_entropy_probes_matches_closed_loop() {
+        // Probes run only on middle rungs, so only a ≥ 3-rung ladder reaches
+        // them. The negative slack demands a visibly cleaner middle rung; on
+        // this seed restart 0's probe skips it and the other two train there.
+        let cfg = QoncordConfig {
+            exploration_max_iterations: 6,
+            finetune_max_iterations: 5,
+            selection: qoncord_core::SelectionPolicy::All,
+            entropy_gate: true,
+            entropy_gate_slack: -0.05,
+            seed: 23,
+            ..QoncordConfig::default()
+        };
+        let devices = [
+            catalog::ibmq_toronto(),
+            catalog::ibmq_mumbai(),
+            catalog::ibmq_kolkata(),
+        ];
+        let closed = QoncordScheduler::new(cfg.clone())
+            .run(&devices, &factory(), 3)
+            .unwrap();
+        let selected: Vec<SelectedDevice> = devices
+            .iter()
+            .enumerate()
+            .map(|(i, calibration)| SelectedDevice {
+                fleet_index: i,
+                calibration: calibration.clone(),
+                speed: 1.0,
+            })
+            .collect();
+        let driver = Runner::new(cfg, 3, &factory(), &selected, 1000).unwrap();
+        assert_eq!(driver.shard_count(), 1);
+        let batched = drain(driver);
+
+        let phase_counts: Vec<usize> = closed.restarts.iter().map(|r| r.phases.len()).collect();
+        assert!(
+            phase_counts.contains(&3),
+            "a probe must fire: {phase_counts:?}"
+        );
+        assert!(
+            phase_counts.contains(&2),
+            "a probe must skip: {phase_counts:?}"
+        );
+        assert_eq!(batched.restarts.len(), closed.restarts.len());
+        for (a, b) in batched.restarts.iter().zip(&closed.restarts) {
+            assert_eq!(a.survived, b.survived);
+            assert_eq!(a.final_params, b.final_params);
+            assert_eq!(a.final_expectation, b.final_expectation);
+            assert_eq!(a.phases.len(), b.phases.len());
+        }
+        // Per-device executions include the probes, which no phase counts.
+        assert_eq!(batched.devices, closed.devices);
+    }
+
+    #[test]
     fn single_device_job_matches_closed_loop() {
         let cfg = small_config();
         let closed = QoncordScheduler::new(cfg.clone())
@@ -646,7 +749,7 @@ mod tests {
             calibration: catalog::ibmq_kolkata(),
             speed: 1.0,
         }];
-        let driver = JobDriver::new(cfg, 3, &factory(), &one, 1000).unwrap();
+        let driver = Runner::new(cfg, 3, &factory(), &one, 1000).unwrap();
         assert!(!driver.is_multi_device());
         let batched = drain(driver);
         assert_eq!(batched.best_expectation(), closed.best_expectation());
@@ -659,11 +762,11 @@ mod tests {
             selection: qoncord_core::SelectionPolicy::TopK(2),
             ..small_config()
         };
-        let mut driver = JobDriver::new(cfg, 6, &factory(), &selected(), 1000).unwrap();
+        let mut driver = Runner::new(cfg, 6, &factory(), &selected(), 1000).unwrap();
         let mut triages = 0;
         let mut pruned_total = 0;
-        while driver.current_device().is_some() {
-            if let Some(pruned) = driver.execute_batch().pruned {
+        while !driver.ready_shards().is_empty() {
+            if let Some(pruned) = driver.execute_batch(0).pruned {
                 triages += 1;
                 pruned_total = pruned.len();
             }
@@ -674,10 +777,10 @@ mod tests {
 
     #[test]
     fn checkpoint_advances_with_batches() {
-        let mut driver = JobDriver::new(small_config(), 2, &factory(), &selected(), 1000).unwrap();
-        assert_eq!(driver.checkpoint().iteration, 0);
-        driver.execute_batch();
-        let ckpt = driver.checkpoint();
+        let mut driver = Runner::new(small_config(), 2, &factory(), &selected(), 1000).unwrap();
+        assert_eq!(driver.shard_checkpoint(0).phase.iteration, 0);
+        driver.execute_batch(0);
+        let ckpt = driver.shard_checkpoint(0).phase;
         assert_eq!(ckpt.iteration, 1);
         assert_eq!(ckpt.executions, SPSA_EXECUTIONS_PER_ITERATION);
         assert!(!ckpt.params.is_empty());
@@ -685,7 +788,7 @@ mod tests {
 
     #[test]
     fn per_fleet_execution_times_follow_the_ladder() {
-        let driver = JobDriver::new(small_config(), 2, &factory(), &selected(), 1000).unwrap();
+        let driver = Runner::new(small_config(), 2, &factory(), &selected(), 1000).unwrap();
         let secs = driver.seconds_per_execution_by_fleet(12);
         assert!(secs[4] > 0.0, "exploration device priced");
         assert!(secs[9] > 0.0, "fine-tune device priced");
@@ -698,7 +801,7 @@ mod tests {
             min_fidelity: 0.999,
             ..small_config()
         };
-        let err = match JobDriver::new(cfg, 2, &factory(), &selected(), 1000) {
+        let err = match Runner::new(cfg, 2, &factory(), &selected(), 1000) {
             Err(rejected) => rejected,
             Ok(_) => panic!("expected every device to be rejected"),
         };
@@ -710,10 +813,10 @@ mod tests {
         let cfg = small_config();
         let mut fast = selected();
         fast[0].speed = 2.0;
-        let mut a = JobDriver::new(cfg.clone(), 2, &factory(), &selected(), 1000).unwrap();
-        let mut b = JobDriver::new(cfg, 2, &factory(), &fast, 1000).unwrap();
-        let da = a.execute_batch().duration;
-        let db = b.execute_batch().duration;
+        let mut a = Runner::new(cfg.clone(), 2, &factory(), &selected(), 1000).unwrap();
+        let mut b = Runner::new(cfg, 2, &factory(), &fast, 1000).unwrap();
+        let da = a.execute_batch(0).duration;
+        let db = b.execute_batch(0).duration;
         assert!((da / db - 2.0).abs() < 1e-9, "2x speed halves duration");
     }
 }

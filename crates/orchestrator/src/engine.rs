@@ -59,14 +59,14 @@
 
 use crate::admission::{AdmissionConfig, AdmissionController, AdmissionDecision, AdmissionMode};
 use crate::calibration::{CalibrationConfig, MarginKey, MarginModel, ServiceClass};
-use crate::driver::{BatchResult, SelectedDevice};
+use crate::driver::{BatchResult, Runner, SelectedDevice, EXECUTIONS_PER_BATCH_ESTIMATE};
 use crate::events::{Event, EventQueue};
 use crate::exec::ShardedExecutor;
 use crate::fleet::FleetDevice;
 use crate::job::TenantJob;
 use crate::lease::{LeaseLedger, LeaseTerms, Urgency};
 use crate::shard::ShardTask;
-use crate::split::{self, JobRunner, SplitConfig};
+use crate::split::{self, SplitConfig};
 use crate::telemetry::{JobRecord, JobStatus, OrchestratorReport, TenantUsage};
 use crate::trace::{TraceEvent, TraceHandle, Tracer};
 use qoncord_cloud::device::CloudDevice;
@@ -331,7 +331,7 @@ struct Sim<'a> {
     queue: FairShareQueue,
     leases: LeaseLedger,
     events: EventQueue,
-    drivers: Vec<Option<JobRunner>>,
+    drivers: Vec<Option<Box<Runner>>>,
     /// Per job: shards with a queued batch request or active lease (a shard
     /// never has more than one pending batch in the system).
     in_flight: Vec<HashSet<usize>>,
@@ -479,8 +479,8 @@ impl<'a> Sim<'a> {
     /// position (`None` = not hoisted, stage B computes inline).
     ///
     /// An expiry is hoist-safe iff its lease is still the device's active
-    /// lease *and* the job runs as [`JobRunner::Single`]. Why that is
-    /// exactly the sequential result:
+    /// lease *and* the job runs as a single shard (`shard_count() == 1`).
+    /// Why that is exactly the sequential result:
     ///
     /// - **Its own staleness cannot change inside the barrier.** A lease
     ///   completes only through its unique `LeaseDone` event, and
@@ -488,18 +488,19 @@ impl<'a> Sim<'a> {
     ///   (`try_preempt` refuses when no occupancy remains to save), so a
     ///   lease live at the barrier's start is live when its event replays
     ///   — and a stale one stays stale.
-    /// - **No earlier batch event can touch a `Single` runner.** A
-    ///   `Single` job keeps exactly one batch in the system — while this
-    ///   lease is active it has no queued request to grant (no checkpoint
-    ///   read) and no other expiry to execute, and triage hold releases
-    ///   only follow its *own* `execute_batch`. So the runner's state when
-    ///   its event replays equals its state at the barrier's start, and
-    ///   the hoisted compute is bit-identical to the inline call.
+    /// - **No earlier batch event can touch a one-shard runner.** A shard
+    ///   never has more than one batch in the system, so a one-shard job
+    ///   has at most one — while this lease is active it has no queued
+    ///   request to grant (no checkpoint read) and no other expiry to
+    ///   execute, and triage hold releases only follow its *own*
+    ///   `execute_batch`. So the runner's state when its event replays
+    ///   equals its state at the barrier's start, and the hoisted compute
+    ///   is bit-identical to the inline call.
     ///
-    /// `Split` runners share optimizer state (triage barriers, merge
-    /// reports) across their sub-leases, whose same-instant events *do*
-    /// interleave with grants reading shard checkpoints — their compute
-    /// stays inline in stage B, at its exact sequential position.
+    /// The shards of a split job share optimizer state (the tier barrier's
+    /// merged reports) across their sub-leases, whose same-instant events
+    /// *do* interleave with grants reading shard checkpoints — their
+    /// compute stays inline in stage B, at its exact sequential position.
     fn hoist_batch(
         &mut self,
         batch: &[Event],
@@ -523,10 +524,9 @@ impl<'a> Sim<'a> {
             }
             let (job, job_shard) = (active.job, active.shard());
             debug_assert!(active.remaining(now) <= 0.0, "expiry event at lease end");
-            if !matches!(self.drivers[job], Some(JobRunner::Single(_))) {
+            let Some(runner) = self.drivers[job].take_if(|r| r.shard_count() == 1) else {
                 continue;
-            }
-            let runner = self.drivers[job].take().expect("matched above");
+            };
             tasks.push(ShardTask {
                 pos,
                 job,
@@ -663,9 +663,7 @@ impl<'a> Sim<'a> {
         // the ladder's entry rung, so reprice them there rather than at
         // zero (which would let unkeepable SLAs through).
         let secs = runner.seconds_per_execution_by_fleet(self.fleet.len());
-        let ladder_entry = runner
-            .entry_device()
-            .expect("a fresh runner has a pending batch");
+        let ladder_entry = runner.entry_device();
         let priced: Vec<Placement> = placements
             .iter()
             .map(|p| {
@@ -817,7 +815,7 @@ impl<'a> Sim<'a> {
         let probe = QueuedRequest {
             id: usize::MAX,
             user: self.jobs[job].tenant.clone(),
-            requested_seconds: crate::driver::EXECUTIONS_PER_BATCH_ESTIMATE * secs[ladder_entry],
+            requested_seconds: EXECUTIONS_PER_BATCH_ESTIMATE * secs[ladder_entry],
             submitted_at: now,
         };
         // If the job is admitted, its priority enters fair-share as usage

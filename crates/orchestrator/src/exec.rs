@@ -18,16 +18,16 @@
 //! With a single shard (the default) no threads are ever spawned and
 //! `run_barrier` degenerates to the inline sequential path.
 
+use crate::driver::Runner;
 use crate::shard::{CompletedTask, DeviceShard, ShardTask};
-use crate::split::JobRunner;
 use std::sync::mpsc;
 use std::thread::JoinHandle;
 
-// Compile-time proof that job runners may travel to shard workers; holds
-// because every evaluator behind a runner is `CostEvaluator: Send`.
+// Compile-time proof that a job's runner may travel to shard workers; holds
+// because every evaluator behind its lanes is `CostEvaluator: Send`.
 const _: () = {
     const fn assert_send<T: Send>() {}
-    assert_send::<JobRunner>()
+    assert_send::<Runner>()
 };
 
 /// Environment variable overriding `OrchestratorConfig::shards`: CI runs

@@ -11,10 +11,10 @@
 //! the trace stream, telemetry, and calibration history byte-identical to
 //! the sequential engine. Note the two meanings of "shard" in this crate:
 //! a [`DeviceShard`] is a *device group* of the engine's executor, while a
-//! [`crate::split`] shard is one device-resident slice of a split job.
+//! job's shard is one worker of its runner (one for an unsplit job, one per
+//! same-tier device for a [`crate::split`] job).
 
-use crate::driver::BatchResult;
-use crate::split::JobRunner;
+use crate::driver::{BatchResult, Runner};
 
 /// A batch of deferred lease compute hoisted out of one barrier event: the
 /// job's runner travels to the shard's worker, runs its pending batch for
@@ -32,7 +32,7 @@ pub(crate) struct ShardTask {
     pub device: usize,
     /// The runner, taken from the engine's driver table for the duration
     /// of the barrier.
-    pub runner: JobRunner,
+    pub runner: Box<Runner>,
 }
 
 /// A [`ShardTask`] after its shard executed the pending batch.
@@ -42,8 +42,8 @@ pub(crate) struct CompletedTask {
     /// Engine job index, for restoring the runner.
     pub job: usize,
     /// The advanced runner, returned to the engine's driver table.
-    pub runner: JobRunner,
-    /// What [`JobRunner::execute_batch`] produced — spliced into the
+    pub runner: Box<Runner>,
+    /// What [`Runner::execute_batch`] produced — spliced into the
     /// engine's lease-completion bookkeeping in place of the inline call.
     pub result: BatchResult,
 }

@@ -1,21 +1,20 @@
 //! QuSplit-style restart splitting: one job's restarts fanned out across
 //! several fleet devices of the same quality tier.
 //!
-//! The plain per-job ladder driver (the private `driver` module) pins
-//! every batch of a job to one
-//! device per ladder rung, so a 50-restart exploration serializes on a
-//! single low-fidelity machine even when its twin sits idle next to it.
-//! This module shards a job's restarts into per-device **sub-leases**: a
-//! `SplitDriver` owns one shard per same-tier device (fan-out width
-//! chosen from live load by [`qoncord_cloud::policy::split_restarts`]),
-//! runs each shard's SPSA batches independently — the engine grants each
-//! shard its own preemptible lease — and merges shard results back into
+//! An unsplit job pins every batch to one device per ladder rung, so a
+//! 50-restart exploration serializes on a single low-fidelity machine even
+//! when its twin sits idle next to it. Splitting gives the job's runner
+//! (the private `driver` module) one shard per same-tier device instead
+//! (fan-out width chosen from live load by
+//! [`qoncord_cloud::policy::split_restarts`]): each shard's SPSA batches
+//! run independently — the engine grants each shard its own preemptible
+//! lease — and the runner's tier barrier merges shard results back into
 //! restart order with [`qoncord_cloud::policy::merge_shard_results`].
 //!
 //! # Bit-identical merges
 //!
 //! Every per-restart quantity is derived from job-level seeds addressed by
-//! restart index ([`qoncord_vqa::restart::initial_point`],
+//! restart index ([`qoncord_vqa::restart::random_initial_points`],
 //! [`qoncord_core::scheduler::exploration_seed`],
 //! [`qoncord_core::scheduler::finetune_seed`]), never from shard-local
 //! state, and restart triage
@@ -28,21 +27,14 @@
 //! for throughput, which is the QuSplit knob; widen
 //! [`SplitConfig::tier_tolerance`] to opt into that.
 
-use crate::driver::{
-    exploration_runner, finetune_runner, triage_reports, BatchResult, JobDriver,
-    LadderLane as ShardLane, SelectedDevice, EXECUTIONS_PER_BATCH_ESTIMATE,
-};
+use crate::driver::{Runner, SelectedDevice, TierPlan};
 use crate::engine::OrchestratorConfig;
 use crate::fleet::FleetDevice;
 use crate::job::TenantJob;
 use qoncord_cloud::device::CloudDevice;
-use qoncord_cloud::policy::{merge_shard_results, split_restarts};
-use qoncord_core::executor::{EvaluatorFactory, RejectedDevice, RejectionReason};
-use qoncord_core::phase::{PhaseCheckpoint, PhaseRunner, ShardCheckpoint};
-use qoncord_core::scheduler::{DeviceUsage, QoncordConfig, QoncordReport, RestartReport};
-use qoncord_device::fidelity;
-use qoncord_device::noise_model::SimulatedBackend;
-use qoncord_vqa::restart::{executions_for_iterations, initial_point};
+use qoncord_cloud::policy::split_restarts;
+use qoncord_core::executor::RejectedDevice;
+use qoncord_vqa::restart::executions_for_iterations;
 
 /// Tuning of QuSplit-style restart splitting.
 ///
@@ -60,8 +52,8 @@ use qoncord_vqa::restart::{executions_for_iterations, initial_point};
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SplitConfig {
     /// Whether multi-device jobs may fan their restarts across same-tier
-    /// devices at all. Disabled, every job runs the one-lease-per-phase
-    /// ladder of the plain driver.
+    /// devices at all. Disabled, every job runs as a single shard, one
+    /// lease at a time.
     pub enabled: bool,
     /// Upper bound on the per-tier fan-out width (the live-load planner may
     /// choose less).
@@ -93,140 +85,13 @@ impl SplitConfig {
     }
 }
 
-/// The per-job execution state machine as the engine sees it: either the
-/// plain one-batch-at-a-time ladder driver, or a split driver holding one
-/// concurrently schedulable shard per same-tier device.
-pub(crate) enum JobRunner {
-    /// Unsplit execution (single pending batch, shard id always 0).
-    Single(Box<JobDriver>),
-    /// Split execution (one pending batch per active shard).
-    Split(Box<SplitDriver>),
-}
-
-impl JobRunner {
-    pub(crate) fn is_multi_device(&self) -> bool {
-        match self {
-            JobRunner::Single(d) => d.is_multi_device(),
-            JobRunner::Split(_) => true,
-        }
-    }
-
-    /// Per-shard `(fleet device, estimated seconds)` targets for the
-    /// provisional fine-tuning holds; restart `r`'s hold is booked on
-    /// target `r % len`, mirroring how the triage barrier deals survivors
-    /// across the fine-tuning shards.
-    pub(crate) fn finetune_hold_targets(&self) -> Vec<(usize, f64)> {
-        match self {
-            JobRunner::Single(d) => vec![d.finetune_hold_estimate()],
-            JobRunner::Split(d) => d.finetune_hold_targets(),
-        }
-    }
-
-    /// Per-fleet-device seconds of one circuit execution (0.0 off-ladder).
-    pub(crate) fn seconds_per_execution_by_fleet(&self, n_devices: usize) -> Vec<f64> {
-        match self {
-            JobRunner::Single(d) => d.seconds_per_execution_by_fleet(n_devices),
-            JobRunner::Split(d) => d.seconds_per_execution_by_fleet(n_devices),
-        }
-    }
-
-    /// The ladder's entry device (where the first batch runs).
-    pub(crate) fn entry_device(&self) -> Option<usize> {
-        match self {
-            JobRunner::Single(d) => d.current_device(),
-            JobRunner::Split(d) => d.entry_device(),
-        }
-    }
-
-    /// Shards that currently have a pending batch to schedule.
-    pub(crate) fn ready_shards(&self) -> Vec<usize> {
-        match self {
-            JobRunner::Single(d) => {
-                if d.current_device().is_some() {
-                    vec![0]
-                } else {
-                    Vec::new()
-                }
-            }
-            JobRunner::Split(d) => d.ready_shards(),
-        }
-    }
-
-    /// Fleet device `shard`'s pending batch needs.
-    pub(crate) fn shard_device(&self, shard: usize) -> usize {
-        match self {
-            JobRunner::Single(d) => {
-                debug_assert_eq!(shard, 0, "unsplit jobs have a single shard");
-                d.current_device().expect("pending batch")
-            }
-            JobRunner::Split(d) => d.shard_device(shard),
-        }
-    }
-
-    /// Estimated device-seconds of `shard`'s pending batch.
-    pub(crate) fn estimated_next_seconds(&self, shard: usize) -> f64 {
-        match self {
-            JobRunner::Single(d) => d.estimated_next_seconds(),
-            JobRunner::Split(d) => d.estimated_next_seconds(shard),
-        }
-    }
-
-    /// The optimizer state `shard` would resume from if its pending batch
-    /// were granted and recalled.
-    pub(crate) fn shard_checkpoint(&self, shard: usize) -> ShardCheckpoint {
-        match self {
-            JobRunner::Single(d) => ShardCheckpoint {
-                shard: 0,
-                restart: d.current_restart(),
-                phase: d.checkpoint(),
-            },
-            JobRunner::Split(d) => d.shard_checkpoint(shard),
-        }
-    }
-
-    /// Runs `shard`'s pending batch and advances its classical epilogue.
-    pub(crate) fn execute_batch(&mut self, shard: usize) -> BatchResult {
-        match self {
-            JobRunner::Single(d) => d.execute_batch(),
-            JobRunner::Split(d) => d.execute_batch(shard),
-        }
-    }
-
-    /// Total number of shards the job runs as (1 for unsplit jobs).
-    pub(crate) fn shard_count(&self) -> usize {
-        match self {
-            JobRunner::Single(_) => 1,
-            JobRunner::Split(d) => d.shard_count(),
-        }
-    }
-
-    /// Every shard's current fleet device, indexed by shard — the
-    /// shard-plan layout the flight recorder emits at admission.
-    pub(crate) fn shard_devices(&self) -> Vec<usize> {
-        (0..self.shard_count())
-            .map(|shard| self.shard_device(shard))
-            .collect()
-    }
-
-    /// Consumes the runner into the job's training report.
-    pub(crate) fn into_report(self) -> QoncordReport {
-        match self {
-            JobRunner::Single(d) => d.into_report(),
-            JobRunner::Split(d) => d.into_report(),
-        }
-    }
-}
-
-/// One tier's shard plan: `(fleet device, restart indices)` per shard.
-type TierPlan = Vec<(usize, Vec<usize>)>;
-
-/// Builds the execution state machine for an admitted job: the plain
-/// ladder driver, upgraded to a [`SplitDriver`] when splitting is enabled
-/// and the live-load plan fans at least one tier wider than a single
-/// device.
+/// Builds the execution state machine for an admitted job: the unsplit
+/// ladder runner, fanned out into one shard per planned device when
+/// splitting is enabled and the live-load plan fans at least one tier wider
+/// than a single device.
 ///
 /// Returns the rejected-device list when no device survives the fidelity
-/// filter (same contract as [`JobDriver::new`]).
+/// filter (same contract as [`Runner::new`]).
 pub(crate) fn build_runner(
     spec: &TenantJob,
     selected: &[SelectedDevice],
@@ -234,33 +99,28 @@ pub(crate) fn build_runner(
     views: &[CloudDevice],
     config: &OrchestratorConfig,
     now: f64,
-) -> Result<JobRunner, Vec<RejectedDevice>> {
-    let driver = JobDriver::new(
+) -> Result<Box<Runner>, Vec<RejectedDevice>> {
+    let runner = Box::new(Runner::new(
         spec.config.clone(),
         spec.n_restarts,
         spec.factory.as_ref(),
         selected,
         config.shots,
-    )?;
+    )?);
     let split = &config.split;
-    if !split.enabled || !driver.is_multi_device() || spec.n_restarts < 2 {
-        return Ok(JobRunner::Single(Box::new(driver)));
+    // Deeper ladders stay unsplit; splitting models the paper's two-tier
+    // exploration/fine-tuning pipeline.
+    if !split.enabled || runner.lanes.len() != 2 || spec.n_restarts < 2 {
+        return Ok(runner);
     }
-    let ladder = driver.ladder_fleet_indices();
-    if ladder.len() != 2 {
-        // Deeper ladders keep the rung-by-rung driver; splitting models the
-        // paper's two-tier exploration/fine-tuning pipeline.
-        return Ok(JobRunner::Single(Box::new(driver)));
-    }
-    let secs = driver.seconds_per_execution_by_fleet(fleet.len());
-    let (explore_primary, finetune_primary) = (ladder[0], ladder[1]);
+    let (explore, finetune) = (&runner.lanes[0], &runner.lanes[1]);
     let explore_plan = plan_tier(
         fleet,
         views,
-        explore_primary,
+        explore.fleet_index,
         spec.n_restarts,
         executions_for_iterations(spec.config.exploration_max_iterations) as f64
-            * secs[explore_primary],
+            * explore.secs_per_execution,
         split,
         now,
     );
@@ -272,34 +132,28 @@ pub(crate) fn build_runner(
     let finetune_plan = plan_tier(
         fleet,
         views,
-        finetune_primary,
+        finetune.fleet_index,
         max_survivors,
         executions_for_iterations(spec.config.finetune_max_iterations) as f64
-            * secs[finetune_primary],
+            * finetune.secs_per_execution,
         split,
         now,
     );
     if explore_plan.len() < 2 && finetune_plan.len() < 2 {
-        return Ok(JobRunner::Single(Box::new(driver)));
+        return Ok(runner);
     }
-    match SplitDriver::new(
-        spec,
-        &explore_plan,
-        &finetune_plan,
-        fleet,
-        config.shots,
-        driver,
-    ) {
-        Ok(split_driver) => Ok(JobRunner::Split(Box::new(split_driver))),
-        Err(driver) => Ok(JobRunner::Single(driver)),
-    }
+    let plans = [&explore_plan, &finetune_plan];
+    Ok(runner
+        .fan_out(plans, spec.factory.as_ref(), fleet, config.shots)
+        .unwrap_or_else(|unsplit| unsplit))
 }
 
 /// Plans one tier's shard devices from live load: candidates are the fleet
 /// devices whose advertised fidelity sits within the configured tolerance
 /// of the tier's primary device, and
 /// [`qoncord_cloud::policy::split_restarts`] deals the restarts across the
-/// least-loaded of them. Returns `(fleet device, restart indices)` pairs.
+/// least-loaded of them. Returns `(fleet device, restart indices)` pairs —
+/// never empty, because the primary sits inside its own band.
 fn plan_tier(
     fleet: &[FleetDevice],
     views: &[CloudDevice],
@@ -320,442 +174,25 @@ fn plan_tier(
         .iter()
         .map(|d| d.fidelity())
         .fold(f64::INFINITY, f64::min);
-    let plan = split_restarts(
+    split_restarts(
         &candidates,
         tier_floor,
         n_restarts,
         seconds_per_restart,
         split.max_fanout,
         now,
-    );
-    if plan.is_empty() {
-        // The planner found no eligible device (cannot happen while the
-        // primary is in its own band, but fall back defensively).
-        return vec![(primary, (0..n_restarts).collect())];
-    }
-    plan.into_iter().map(|p| (p.device, p.restarts)).collect()
-}
-
-enum SplitStage {
-    /// Exploration shards are draining their restart queues.
-    Exploring,
-    /// Post-triage: fine-tuning shards are draining the survivors.
-    FineTuning,
-    /// No shard has pending work.
-    Done,
-}
-
-/// Which phase of the ladder a shard serves.
-#[derive(Clone, Copy, PartialEq)]
-enum Tier {
-    Explore,
-    FineTune,
-}
-
-/// One schedulable shard of a split job.
-struct Shard {
-    lane: ShardLane,
-    tier: Tier,
-    /// Restart indices not yet started, front first.
-    queue: Vec<usize>,
-    /// The restart currently training on this shard, if any.
-    active: Option<(usize, PhaseRunner)>,
-}
-
-/// A split job's execution state machine: per-shard exploration queues, a
-/// triage barrier once every exploration shard drains, then per-shard
-/// fine-tuning of the survivors. See the module docs for the bit-identity
-/// argument.
-pub(crate) struct SplitDriver {
-    cfg: QoncordConfig,
-    n_restarts: usize,
-    n_params: usize,
-    shards: Vec<Shard>,
-    /// Per exploration shard: locally finished restart reports, merged (in
-    /// restart order) at the triage barrier.
-    pending_reports: Vec<(usize, RestartReport)>,
-    /// Index-ordered reports, populated at the triage barrier.
-    reports: Vec<RestartReport>,
-    rejected: Vec<RejectedDevice>,
-    ground_energy: f64,
-    stage: SplitStage,
-}
-
-impl SplitDriver {
-    /// Builds the shard lanes of both tiers — reusing `driver`'s
-    /// already-built ladder evaluators as each tier's primary shard, and
-    /// constructing fresh lanes only for the additional twins — then
-    /// positions every exploration shard at its first batch.
-    ///
-    /// Returns the driver untouched when any planned twin fails the
-    /// fidelity filter or cannot host the workload: a shard plan must be
-    /// honored in full or not at all, because silently dropping a shard
-    /// would orphan the restarts it owns.
-    fn new(
-        spec: &TenantJob,
-        explore_plan: &[(usize, Vec<usize>)],
-        finetune_plan: &[(usize, Vec<usize>)],
-        fleet: &[FleetDevice],
-        shots: u64,
-        driver: JobDriver,
-    ) -> Result<Self, Box<JobDriver>> {
-        let cfg = spec.config.clone();
-        let ladder = driver.ladder_fleet_indices();
-        debug_assert_eq!(ladder.len(), 2, "splitting plans two-rung ladders");
-        let primaries = [ladder[0], ladder[1]];
-        // Build every non-primary twin lane first, so a failure can still
-        // hand the untouched driver back for unsplit execution.
-        let tiers = [
-            (Tier::Explore, explore_plan, 0u64),
-            (Tier::FineTune, finetune_plan, 1009),
-        ];
-        let mut fresh: Vec<Vec<Option<ShardLane>>> = Vec::new();
-        for (tier_idx, (_, plan, salt)) in tiers.iter().enumerate() {
-            let mut lanes = Vec::new();
-            for (device, _) in *plan {
-                if *device == primaries[tier_idx] {
-                    lanes.push(None);
-                    continue;
-                }
-                match build_shard_lane(
-                    spec.factory.as_ref(),
-                    &fleet[*device],
-                    *device,
-                    cfg.seed.wrapping_add(*salt),
-                    shots,
-                    cfg.min_fidelity,
-                ) {
-                    Ok(lane) => lanes.push(Some(lane)),
-                    Err(_) => return Err(Box::new(driver)),
-                }
-            }
-            fresh.push(lanes);
-        }
-        let (mut primary_lanes, rejected) = driver.into_shard_parts();
-        let mut finetune_primary_lane = primary_lanes.pop();
-        let mut explore_primary_lane = primary_lanes.pop();
-        let mut shards = Vec::new();
-        for (tier_idx, (tier, plan, _)) in tiers.iter().enumerate() {
-            for ((device, restarts), fresh_lane) in plan.iter().zip(&mut fresh[tier_idx]) {
-                let lane = match fresh_lane.take() {
-                    Some(lane) => lane,
-                    None => {
-                        let slot = if *tier == Tier::Explore {
-                            &mut explore_primary_lane
-                        } else {
-                            &mut finetune_primary_lane
-                        };
-                        slot.take().expect("each tier reuses its primary once")
-                    }
-                };
-                debug_assert_eq!(lane.fleet_index, *device);
-                shards.push(Shard {
-                    lane,
-                    tier: *tier,
-                    queue: if *tier == Tier::Explore {
-                        restarts.clone()
-                    } else {
-                        // Fine-tuning queues are dealt at the triage
-                        // barrier, once the survivors are known.
-                        Vec::new()
-                    },
-                    active: None,
-                });
-            }
-        }
-        let (n_params, ground_energy) = {
-            let first = shards.first().expect("both tiers are non-empty");
-            (
-                first.lane.evaluator.n_params(),
-                first.lane.evaluator.ground_energy(),
-            )
-        };
-        let mut driver = SplitDriver {
-            cfg,
-            n_restarts: spec.n_restarts,
-            n_params,
-            shards,
-            pending_reports: Vec::new(),
-            reports: Vec::new(),
-            rejected,
-            ground_energy,
-            stage: SplitStage::Exploring,
-        };
-        for shard in 0..driver.shard_count() {
-            driver.start_next_restart(shard);
-        }
-        Ok(driver)
-    }
-
-    pub(crate) fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    pub(crate) fn entry_device(&self) -> Option<usize> {
-        self.shards
-            .iter()
-            .find(|s| s.tier == Tier::Explore)
-            .map(|s| s.lane.fleet_index)
-    }
-
-    pub(crate) fn ready_shards(&self) -> Vec<usize> {
-        self.shards
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.active.is_some())
-            .map(|(i, _)| i)
-            .collect()
-    }
-
-    pub(crate) fn shard_device(&self, shard: usize) -> usize {
-        self.shards[shard].lane.fleet_index
-    }
-
-    pub(crate) fn estimated_next_seconds(&self, shard: usize) -> f64 {
-        debug_assert!(self.shards[shard].active.is_some(), "shard has a batch");
-        EXECUTIONS_PER_BATCH_ESTIMATE * self.shards[shard].lane.secs_per_execution
-    }
-
-    pub(crate) fn shard_checkpoint(&self, shard: usize) -> ShardCheckpoint {
-        match &self.shards[shard].active {
-            Some((restart, runner)) => ShardCheckpoint {
-                shard,
-                restart: *restart,
-                phase: runner.checkpoint(),
-            },
-            None => ShardCheckpoint {
-                shard,
-                restart: 0,
-                phase: PhaseCheckpoint {
-                    params: Vec::new(),
-                    iteration: 0,
-                    executions: 0,
-                },
-            },
-        }
-    }
-
-    /// One `(fleet device, estimated seconds)` hold target per fine-tuning
-    /// shard, so the engine spreads a split job's provisional holds across
-    /// the whole tier instead of piling them onto one twin's load view.
-    pub(crate) fn finetune_hold_targets(&self) -> Vec<(usize, f64)> {
-        self.shards
-            .iter()
-            .filter(|s| s.tier == Tier::FineTune)
-            .map(|s| {
-                (
-                    s.lane.fleet_index,
-                    executions_for_iterations(self.cfg.finetune_max_iterations) as f64
-                        * s.lane.secs_per_execution,
-                )
-            })
-            .collect()
-    }
-
-    pub(crate) fn seconds_per_execution_by_fleet(&self, n_devices: usize) -> Vec<f64> {
-        let mut secs = vec![0.0; n_devices];
-        for shard in &self.shards {
-            secs[shard.lane.fleet_index] = shard.lane.secs_per_execution;
-        }
-        secs
-    }
-
-    /// Runs `shard`'s pending batch; at phase ends, advances the shard to
-    /// its next restart, and at the exploration barrier merges all shards'
-    /// reports, runs triage, and deals the survivors to the fine-tuning
-    /// shards.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the shard has no pending batch.
-    pub(crate) fn execute_batch(&mut self, shard: usize) -> BatchResult {
-        let (restart, mut runner) = self.shards[shard]
-            .active
-            .take()
-            .expect("shard has a pending batch");
-        let out = runner.step(self.shards[shard].lane.evaluator.as_mut());
-        let mut pruned = None;
-        if !out.finished {
-            self.shards[shard].active = Some((restart, runner));
-        } else {
-            let device = self.shards[shard].lane.device_name.clone();
-            let (params, phase) = runner.finish(device);
-            match self.stage {
-                SplitStage::Exploring => {
-                    let exploration_expectation =
-                        phase.trace.final_expectation().unwrap_or(f64::INFINITY);
-                    self.pending_reports.push((
-                        restart,
-                        RestartReport {
-                            index: restart,
-                            initial_params: initial_point(self.n_params, restart, self.cfg.seed),
-                            final_params: params,
-                            phases: vec![phase],
-                            survived: true,
-                            exploration_expectation,
-                            final_expectation: exploration_expectation,
-                        },
-                    ));
-                    self.start_next_restart(shard);
-                    if self.tier_idle(Tier::Explore) {
-                        pruned = Some(self.merge_and_triage());
-                    }
-                }
-                SplitStage::FineTuning => {
-                    let report = &mut self.reports[restart];
-                    report.final_params = params;
-                    if let Some(e) = phase.trace.final_expectation() {
-                        report.final_expectation = e;
-                    }
-                    report.phases.push(phase);
-                    self.start_next_restart(shard);
-                    if self.tier_idle(Tier::FineTune) {
-                        self.stage = SplitStage::Done;
-                    }
-                }
-                SplitStage::Done => unreachable!("no batches are pending once done"),
-            }
-        }
-        BatchResult {
-            fleet_index: self.shards[shard].lane.fleet_index,
-            duration: out.executions as f64 * self.shards[shard].lane.secs_per_execution,
-            executions: out.executions,
-            pruned,
-            finished: matches!(self.stage, SplitStage::Done),
-        }
-    }
-
-    pub(crate) fn into_report(self) -> QoncordReport {
-        QoncordReport {
-            restarts: self.reports,
-            devices: self
-                .shards
-                .iter()
-                .map(|s| DeviceUsage {
-                    device: s.lane.device_name.clone(),
-                    p_correct: s.lane.p_correct,
-                    executions: s.lane.evaluator.executions(),
-                })
-                .collect(),
-            rejected: self.rejected,
-            ground_energy: self.ground_energy,
-        }
-    }
-
-    /// Pops `shard`'s next queued restart into an active phase runner.
-    fn start_next_restart(&mut self, shard: usize) {
-        if self.shards[shard].queue.is_empty() {
-            return;
-        }
-        let restart = self.shards[shard].queue.remove(0);
-        let runner = match self.shards[shard].tier {
-            // The shared constructors keep tiering, budgets, and seeding
-            // byte-equivalent to the unsplit driver: exploration as the
-            // entry rung of a multi-device ladder...
-            Tier::Explore => exploration_runner(
-                &self.cfg,
-                initial_point(self.n_params, restart, self.cfg.seed),
-                true,
-                restart,
-            ),
-            // ...and fine-tuning as rung 1 of the two-rung ladder,
-            // regardless of which twin runs it.
-            Tier::FineTune => finetune_runner(
-                &self.cfg,
-                self.reports[restart].final_params.clone(),
-                1,
-                2,
-                restart,
-            ),
-        };
-        self.shards[shard].active = Some((restart, runner));
-    }
-
-    fn tier_idle(&self, tier: Tier) -> bool {
-        self.shards
-            .iter()
-            .filter(|s| s.tier == tier)
-            .all(|s| s.active.is_none())
-    }
-
-    /// The exploration barrier: merge shard reports into restart order, run
-    /// restart triage on the merged expectations, deal the survivors across
-    /// the fine-tuning shards, and return the pruned restart indices.
-    fn merge_and_triage(&mut self) -> Vec<usize> {
-        let outcomes = std::mem::take(&mut self.pending_reports);
-        self.reports = merge_shard_results(outcomes, self.n_restarts)
-            .expect("every restart explored exactly once across the shards");
-        let pruned = triage_reports(&mut self.reports, self.cfg.selection);
-        let survivors: Vec<usize> = (0..self.reports.len())
-            .filter(|&i| self.reports[i].survived)
-            .collect();
-        let finetune: Vec<usize> = self
-            .shards
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.tier == Tier::FineTune)
-            .map(|(i, _)| i)
-            .collect();
-        for (pos, restart) in survivors.iter().enumerate() {
-            let shard = finetune[pos % finetune.len()];
-            self.shards[shard].queue.push(*restart);
-        }
-        self.stage = SplitStage::FineTuning;
-        for shard in finetune {
-            self.start_next_restart(shard);
-        }
-        if self.tier_idle(Tier::FineTune) {
-            // Degenerate triage kept nothing to fine-tune.
-            self.stage = SplitStage::Done;
-        }
-        pruned
-    }
-}
-
-/// Binds one shard to its fleet device: builds the evaluator, prices one
-/// circuit execution, and applies the same minimum-fidelity filter the
-/// ladder construction uses.
-fn build_shard_lane(
-    factory: &dyn EvaluatorFactory,
-    device: &FleetDevice,
-    fleet_index: usize,
-    seed: u64,
-    shots: u64,
-    min_fidelity: f64,
-) -> Result<ShardLane, RejectedDevice> {
-    let calibration = device.calibration().clone();
-    let backend = SimulatedBackend::from_calibration(calibration.clone());
-    let evaluator =
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| factory.make(backend, seed)))
-            .map_err(|_| RejectedDevice {
-                device: calibration.name().to_owned(),
-                reason: RejectionReason::TooSmall,
-            })?;
-    let stats = evaluator.circuit_stats();
-    let p_correct = fidelity::p_correct(&calibration, &stats);
-    if p_correct < min_fidelity {
-        return Err(RejectedDevice {
-            device: calibration.name().to_owned(),
-            reason: RejectionReason::BelowMinFidelity {
-                estimate: p_correct,
-            },
-        });
-    }
-    Ok(ShardLane {
-        fleet_index,
-        device_name: calibration.name().to_owned(),
-        secs_per_execution: calibration.execution_time_s(&stats, shots) / device.speed(),
-        evaluator,
-        p_correct,
-    })
+    )
+    .into_iter()
+    .map(|p| (p.device, p.restarts))
+    .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::fleet::two_lf_two_hf_fleet;
-    use qoncord_core::executor::QaoaFactory;
-    use qoncord_core::scheduler::QoncordScheduler;
+    use qoncord_core::executor::{EvaluatorFactory, QaoaFactory};
+    use qoncord_core::scheduler::{QoncordConfig, QoncordReport, QoncordScheduler};
     use qoncord_device::catalog;
     use qoncord_vqa::graph::Graph;
     use qoncord_vqa::maxcut::MaxCut;
@@ -779,9 +216,10 @@ mod tests {
             .with_config(cfg)
     }
 
-    /// The ladder driver over the twin fleet's primary devices (lf_east +
-    /// hf_north), which SplitDriver::new consumes for its primary shards.
-    fn ladder_driver(spec: &TenantJob, fleet: &[FleetDevice]) -> JobDriver {
+    /// The twin fleet's split runner: the ladder over its primary devices
+    /// (lf_east + hf_north) fanned out over `plans`.
+    fn split_driver(spec: &TenantJob) -> Box<Runner> {
+        let fleet = two_lf_two_hf_fleet();
         let selected = [0, 2]
             .map(|i| SelectedDevice {
                 fleet_index: i,
@@ -789,14 +227,19 @@ mod tests {
                 speed: fleet[i].speed(),
             })
             .to_vec();
-        JobDriver::new(
+        let ladder = Runner::new(
             spec.config.clone(),
             spec.n_restarts,
             spec.factory.as_ref(),
             &selected,
             1000,
         )
-        .expect("twin fleet passes the fidelity filter")
+        .expect("twin fleet passes the fidelity filter");
+        let (explore, finetune) = plans(spec.n_restarts);
+        Box::new(ladder)
+            .fan_out([&explore, &finetune], spec.factory.as_ref(), &fleet, 1000)
+            .ok()
+            .unwrap()
     }
 
     /// Fully fanned plans over the twin reference fleet: restarts dealt
@@ -810,7 +253,7 @@ mod tests {
         )
     }
 
-    fn drain(mut driver: SplitDriver) -> QoncordReport {
+    fn drain(mut driver: Box<Runner>) -> QoncordReport {
         let mut batches = 0;
         loop {
             let ready = driver.ready_shards();
@@ -833,12 +276,7 @@ mod tests {
     #[test]
     fn split_execution_matches_closed_loop_scheduler_per_restart() {
         let spec = spec(5);
-        let fleet = two_lf_two_hf_fleet();
-        let (explore, finetune) = plans(5);
-        let ladder = ladder_driver(&spec, &fleet);
-        let driver = SplitDriver::new(&spec, &explore, &finetune, &fleet, 1000, ladder)
-            .ok()
-            .unwrap();
+        let driver = split_driver(&spec);
         assert_eq!(driver.shard_count(), 4);
         let split = drain(driver);
 
@@ -867,12 +305,7 @@ mod tests {
     #[test]
     fn every_shard_of_both_tiers_works() {
         let spec = spec(6);
-        let fleet = two_lf_two_hf_fleet();
-        let (explore, finetune) = plans(6);
-        let ladder = ladder_driver(&spec, &fleet);
-        let driver = SplitDriver::new(&spec, &explore, &finetune, &fleet, 1000, ladder)
-            .ok()
-            .unwrap();
+        let driver = split_driver(&spec);
         let report = drain(driver);
         assert_eq!(report.devices.len(), 4);
         for usage in &report.devices {
@@ -887,12 +320,7 @@ mod tests {
     #[test]
     fn shard_checkpoints_name_their_coordinates() {
         let spec = spec(4);
-        let fleet = two_lf_two_hf_fleet();
-        let (explore, finetune) = plans(4);
-        let ladder = ladder_driver(&spec, &fleet);
-        let mut driver = SplitDriver::new(&spec, &explore, &finetune, &fleet, 1000, ladder)
-            .ok()
-            .unwrap();
+        let mut driver = split_driver(&spec);
         let ready = driver.ready_shards();
         assert_eq!(ready, vec![0, 1], "both exploration shards start ready");
         let ckpt = driver.shard_checkpoint(1);

@@ -163,20 +163,6 @@ pub fn random_initial_points(n_params: usize, n_restarts: usize, seed: u64) -> V
         .collect()
 }
 
-/// The `restart`-th initial point of the sequence [`random_initial_points`]
-/// draws — restart state addressable by index, so each shard of a job split
-/// across devices materializes exactly the restarts it owns while every
-/// shard still samples the one shared per-job sequence (bit-identical to
-/// the unsplit run).
-pub fn initial_point(n_params: usize, restart: usize, seed: u64) -> Vec<f64> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut point = Vec::new();
-    for _ in 0..=restart {
-        point = (0..n_params).map(|_| rng.random::<f64>() * TAU).collect();
-    }
-    point
-}
-
 /// A plateau-based stopping rule: stop after `patience` consecutive
 /// iterations without at least `min_improvement` reduction of the best
 /// expectation. This is the conventional single-device convergence check the
@@ -351,18 +337,6 @@ mod tests {
             .all(|&x| (0.0..std::f64::consts::TAU).contains(&x)));
         let c = random_initial_points(4, 8, 100);
         assert_ne!(a, c, "different seeds differ");
-    }
-
-    #[test]
-    fn initial_point_is_addressable_by_restart_index() {
-        let all = random_initial_points(3, 6, 42);
-        for (i, expected) in all.iter().enumerate() {
-            assert_eq!(
-                &initial_point(3, i, 42),
-                expected,
-                "restart {i} must draw the same point the batch generator does"
-            );
-        }
     }
 
     #[test]
