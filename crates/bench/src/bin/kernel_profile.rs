@@ -5,9 +5,10 @@
 //! fair-share queue churn under a fresh profiler, then pools the retained
 //! span durations across repetitions with [`LogHistogram::merge`].
 //!
-//! Two fast-vs-reference records ride along: a 14-qubit QAOA evaluation on
-//! the ideal backend, and a 7-qubit noisy density run — the path every
-//! orchestrated job takes.
+//! Three fast-vs-reference records ride along: a 14-qubit QAOA evaluation
+//! on the ideal backend, a 7-qubit noisy density run — the path every
+//! orchestrated job up to 8 qubits takes — and a 14-qubit trajectory run,
+//! the path above that.
 //!
 //! Emits `BENCH_kernels.json` in the working directory (the repo root
 //! under `cargo run`) alongside the usual CSV + table; the binary
@@ -21,7 +22,7 @@ use qoncord_circuit::coupling::CouplingMap;
 use qoncord_circuit::transpile::transpile;
 use qoncord_cloud::fairshare::{FairShareQueue, QueuedRequest};
 use qoncord_device::catalog;
-use qoncord_device::noise_model::SimulatedBackend;
+use qoncord_device::noise_model::{SimulatedBackend, AUTO_TRAJECTORIES};
 use qoncord_orchestrator::LogHistogram;
 use qoncord_prof::Profiler;
 use qoncord_sim::dist::ProbDist;
@@ -29,6 +30,7 @@ use qoncord_sim::gates;
 use qoncord_sim::noisy::DensityProgram;
 use qoncord_sim::reference::ScopedReference;
 use qoncord_sim::statevector::StateVector;
+use qoncord_sim::trajectory::TrajectoryProgram;
 use qoncord_vqa::evaluator::{CostEvaluator, QaoaEvaluator};
 use qoncord_vqa::graph::Graph;
 use qoncord_vqa::maxcut::MaxCut;
@@ -240,6 +242,15 @@ fn fast_vs_reference(evals: usize) -> (String, f64) {
     (json, speedup)
 }
 
+/// Largest difference between two outcome distributions.
+fn max_abs_diff(a: &ProbDist, b: &ProbDist) -> f64 {
+    a.probabilities()
+        .iter()
+        .zip(b.probabilities())
+        .map(|(x, y)| (x - y).abs())
+        .fold(0.0, f64::max)
+}
+
 /// The same axis on the path every noisy job takes: one density-matrix run
 /// of the transpiled 7-qubit QAOA (p = 1) under `ibmq_toronto` noise, the
 /// fused density program ([`qoncord_sim::noisy`]) against the seed's
@@ -266,12 +277,7 @@ fn fast_vs_reference_density(runs: usize) -> (String, f64) {
         let _seed = ScopedReference::new();
         backend.run(&transpiled, &params, 0)
     };
-    let max_abs_diff = fast
-        .probabilities()
-        .iter()
-        .zip(reference.probabilities())
-        .map(|(a, b)| (a - b).abs())
-        .fold(0.0, f64::max);
+    let max_abs_diff = max_abs_diff(&fast, &reference);
     assert!(
         max_abs_diff <= 1e-12,
         "fused and reference distributions diverged by {max_abs_diff}"
@@ -287,6 +293,64 @@ fn fast_vs_reference_density(runs: usize) -> (String, f64) {
          \"device\": \"ibmq_toronto\", \"gates\": {gates}, \"sweeps\": {sweeps}, \
          \"evals\": {runs}, \"reference_ms\": {:.3}, \"fast_ms\": {:.3}, \
          \"speedup\": {:.2}, \"max_abs_diff\": {:.3e}}}",
+        reference_s * 1e3,
+        fast_s * 1e3,
+        speedup,
+        max_abs_diff,
+    );
+    (json, speedup)
+}
+
+/// The same axis above the density limit: one 48-trajectory run of the
+/// transpiled 14-qubit QAOA (p = 1) under `ibmq_toronto` noise, the
+/// trajectory program ([`qoncord_sim::trajectory`]: pre-drawn patterns,
+/// fused, deduped, prefix-shared) against the seed's loop on the scalar
+/// reference kernels. `ops_applied` is the program's sweep count, against
+/// `gates × trajectories` gate sweeps (plus the fired channels) in the loop.
+fn fast_vs_reference_trajectory(runs: usize) -> (String, f64) {
+    const LAYERS: usize = 1;
+    const SEED: u64 = 0;
+    let calibration = catalog::ibmq_toronto();
+    let circuit = qaoa::build_circuit(&Graph::paper_graph_14(), LAYERS);
+    let transpiled = transpile(&circuit, calibration.coupling());
+    let backend = SimulatedBackend::from_calibration(calibration);
+    let qubits = transpiled.circuit.n_qubits();
+    let params: Vec<f64> = (0..transpiled.circuit.n_params())
+        .map(|i| 0.35 + 0.1 * i as f64)
+        .collect();
+    let ops = transpiled.circuit.bind_ops(&params);
+    let gates = ops.len();
+    let noise = backend.noise();
+    let mut program = TrajectoryProgram::compile(qubits, ops, noise.dep_1q, noise.dep_2q);
+    program.run(SEED, AUTO_TRAJECTORIES);
+    let stats = program.stats();
+
+    let fast = backend.run(&transpiled, &params, SEED);
+    let reference = {
+        let _seed = ScopedReference::new();
+        backend.run(&transpiled, &params, SEED)
+    };
+    let max_abs_diff = max_abs_diff(&fast, &reference);
+    assert!(
+        max_abs_diff <= 1e-12,
+        "trajectory program and seed loop diverged by {max_abs_diff}"
+    );
+
+    let (fast_s, reference_s) = interleaved_medians(runs, || {
+        std::hint::black_box(backend.run(&transpiled, &params, SEED));
+    });
+
+    let speedup = reference_s / fast_s.max(1e-12);
+    let json = format!(
+        "  \"fast_vs_reference_trajectory\": {{\"qubits\": {qubits}, \"layers\": {LAYERS}, \
+         \"device\": \"ibmq_toronto\", \"gates\": {gates}, \"trajectories\": {}, \
+         \"distinct_patterns\": {}, \"fired_sites\": {}, \"ops_applied\": {}, \
+         \"evals\": {runs}, \"reference_ms\": {:.3}, \"fast_ms\": {:.3}, \
+         \"speedup\": {:.2}, \"max_abs_diff\": {:.3e}}}",
+        stats.trajectories,
+        stats.distinct_patterns,
+        stats.fired_sites,
+        stats.ops_applied,
         reference_s * 1e3,
         fast_s * 1e3,
         speedup,
@@ -385,10 +449,12 @@ fn main() {
     println!("\n14-qubit QAOA evaluation, fast vs reference kernels: {speedup:.2}x");
     let (fvr_density_json, speedup) = fast_vs_reference_density(args.scale(9, 51));
     println!("7-qubit noisy QAOA density run, fused program vs reference kernels: {speedup:.2}x");
+    let (fvr_trajectory_json, speedup) = fast_vs_reference_trajectory(args.scale(3, 9));
+    println!("14-qubit noisy QAOA trajectory run, program vs reference loop: {speedup:.2}x");
 
     let json = format!(
         "{{\n  \"experiment\": \"kernel_profile\",\n  \"mode\": \"{}\",\n  \
-         \"seed\": {},\n  \"repetitions\": {},\n{fvr_json},\n{fvr_density_json},\n  \"sweep\": [\n{}\n  ]\n}}\n",
+         \"seed\": {},\n  \"repetitions\": {},\n{fvr_json},\n{fvr_density_json},\n{fvr_trajectory_json},\n  \"sweep\": [\n{}\n  ]\n}}\n",
         if args.paper { "paper" } else { "quick" },
         args.seed,
         reps,
@@ -403,6 +469,11 @@ fn main() {
             "repetitions",
             "fast_vs_reference",
             "fast_vs_reference_density",
+            "fast_vs_reference_trajectory",
+            "trajectories",
+            "distinct_patterns",
+            "fired_sites",
+            "ops_applied",
             "device",
             "gates",
             "sweeps",

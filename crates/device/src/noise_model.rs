@@ -6,14 +6,10 @@ use crate::calibration::Calibration;
 use qoncord_circuit::transpile::TranspiledCircuit;
 use qoncord_sim::density::DensityMatrix;
 use qoncord_sim::dist::ProbDist;
-use qoncord_sim::fuse::FusedOp;
-use qoncord_sim::noise::{NoiseChannel, ReadoutError};
+use qoncord_sim::noise::ReadoutError;
 use qoncord_sim::noisy::{self, DensityProgram};
 use qoncord_sim::reference;
-use qoncord_sim::statevector::StateVector;
-use qoncord_sim::trajectory::{apply_stochastic, TrajectoryAccumulator};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use qoncord_sim::trajectory::{self, TrajectoryProgram};
 
 /// Gate-level noise parameters derived from a calibration: depolarizing
 /// probabilities per gate plus readout confusion.
@@ -172,8 +168,9 @@ impl SimulatedBackend {
     ///
     /// `seed` makes trajectory backends deterministic; density and ideal
     /// backends ignore it. A density run executes as a fused
-    /// [`DensityProgram`], within 1e-12 of the seed's op-at-a-time
-    /// evolution, which a [`reference::forced`] run replays instead.
+    /// [`DensityProgram`] and a trajectory run as a [`TrajectoryProgram`],
+    /// each within 1e-12 of the seed's op-at-a-time evolution, which a
+    /// [`reference::forced`] run replays instead.
     ///
     /// # Panics
     ///
@@ -238,36 +235,21 @@ impl SimulatedBackend {
         n_trajectories: u32,
         seed: u64,
     ) -> ProbDist {
-        assert!(n_trajectories > 0, "need at least one trajectory");
         let n = transpiled.circuit.n_qubits();
-        let ch_1q = NoiseChannel::depolarizing_1q(self.noise.dep_1q);
-        let ch_2q = NoiseChannel::depolarizing_2q(self.noise.dep_2q);
-        let mut acc = TrajectoryAccumulator::new(n);
-        // Resolve the gate sequence once; every trajectory replays the same
-        // lowered ops (interleaved noise sites pin the op order, so no
-        // fusion — the kernel-call sequence matches the seed bit-for-bit).
         let ops = transpiled.circuit.bind_ops(params);
-        for t in 0..n_trajectories {
-            let mut rng = StdRng::seed_from_u64(seed.wrapping_add(t as u64));
-            let mut sv = StateVector::zero_state(n);
-            for op in &ops {
-                sv.apply_op(op);
-                match *op {
-                    FusedOp::One(_, q) | FusedOp::Rz(_, q) => {
-                        if self.noise.dep_1q > 0.0 {
-                            apply_stochastic(&mut sv, &ch_1q, &[q], &mut rng);
-                        }
-                    }
-                    FusedOp::Two(_, a, b) | FusedOp::Cx(a, b) | FusedOp::Mono(_, _, a, b) => {
-                        if self.noise.dep_2q > 0.0 {
-                            apply_stochastic(&mut sv, &ch_2q, &[a, b], &mut rng);
-                        }
-                    }
-                }
-            }
-            acc.add(&sv);
+        let (dep_1q, dep_2q) = (self.noise.dep_1q, self.noise.dep_2q);
+        if reference::forced() {
+            // The seed path: every trajectory replays every op unfused and
+            // samples a channel after it.
+            trajectory::sample_unfused(n, &ops, dep_1q, dep_2q, seed, n_trajectories)
+        } else {
+            // A depolarizing site draws one state-independent uniform, so
+            // every trajectory's Paulis are known before it runs: the
+            // noise-free stretches between them fuse, and equal or
+            // prefix-sharing trajectories are evolved once (see
+            // `qoncord_sim::trajectory`); ≤ 1e-12 from the seed path.
+            TrajectoryProgram::compile(n, ops, dep_1q, dep_2q).run(seed, n_trajectories)
         }
-        acc.into_dist()
     }
 }
 

@@ -14,7 +14,8 @@
 //! - [`density`] — exact mixed-state simulation with Kraus channels
 //!   (≤ ~10 qubits).
 //! - [`trajectory`] — Monte-Carlo unraveling for larger registers
-//!   (the paper's 14-qubit study).
+//!   (the paper's 14-qubit study): the seed loop and the compiled
+//!   trajectory program jobs run.
 //! - [`noise`] — depolarizing / damping / thermal-relaxation channels and
 //!   classical readout error.
 //! - [`dist`] — outcome distributions with the statistics Qoncord's adaptive

@@ -15,8 +15,9 @@
 //!   no global state.
 //! - **Routed**: flip the process-global switch with [`force`] (or the RAII
 //!   [`ScopedReference`]) and every [`StateVector`] method dispatches to the
-//!   scalar kernels, `circuit::simulate_ideal` skips gate fusion and a noisy
-//!   density run skips its fused program ([`crate::noisy`]) — this is how an
+//!   scalar kernels, `circuit::simulate_ideal` skips gate fusion, a noisy
+//!   density run skips its fused program ([`crate::noisy`]) and a trajectory
+//!   run its trajectory program ([`crate::trajectory`]) — this is how an
 //!   end-to-end run is replayed "as the seed would have computed it".
 //!
 //! The switch is sound to flip between runs even with concurrent tests:

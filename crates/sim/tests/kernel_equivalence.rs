@@ -18,7 +18,9 @@
 //!   operations (matrix products are pre-multiplied), so equality is only up
 //!   to rounding. Noisy density programs (`qoncord_sim::noisy`) are in this
 //!   tier too: against the op-at-a-time evolution on the full ρ, and
-//!   bit-identical to themselves at any thread count.
+//!   bit-identical to themselves at any thread count. So are trajectory
+//!   programs (`qoncord_sim::trajectory`), against the seed's trajectory
+//!   loop on every outcome probability.
 //! * **Fail-closed:** out-of-range or coinciding qubit indices panic in every
 //!   build profile, not just debug.
 //!
@@ -35,6 +37,7 @@ use qoncord_sim::noisy::{evolve_unfused, DensityProgram};
 use qoncord_sim::par;
 use qoncord_sim::reference::{self, ScopedReference};
 use qoncord_sim::statevector::StateVector;
+use qoncord_sim::trajectory::{sample_unfused, TrajectoryProgram};
 use std::sync::{Mutex, MutexGuard};
 
 static GLOBAL: Mutex<()> = Mutex::new(());
@@ -327,6 +330,48 @@ proptest! {
                 .collect();
             assert_bits_eq(&runs[0], &runs[1], "noisy program 1 vs 2 threads");
             assert_bits_eq(&runs[0], &runs[2], "noisy program 1 vs 4 threads");
+        }
+    }
+
+    /// A trajectory program (pre-drawn patterns, fused, deduped, prefix-
+    /// shared) matches the seed's trajectory loop on every probability,
+    /// accounts for every trajectory, and is bit-identical across thread
+    /// counts. High rates make deep tries, zero rates draw no uniform.
+    #[test]
+    fn sv_trajectory_program_matches_seed_loop(
+        ops in noisy_program(),
+        dep_1q in rate(),
+        dep_2q in rate(),
+        seed in 0..u64::MAX,
+        n_trajectories in 1u32..40,
+    ) {
+        let _lock = exclusive();
+        for n in [1usize, 2, 5] {
+            let ops = to_noisy(n, &ops);
+            let seed_loop = sample_unfused(n, &ops, dep_1q, dep_2q, seed, n_trajectories);
+            let mut program = TrajectoryProgram::compile(n, ops.iter().copied(), dep_1q, dep_2q);
+            let runs: Vec<Vec<f64>> = [1usize, 2, 4]
+                .iter()
+                .map(|&t| {
+                    let _cfg = Threads::set(t, 1);
+                    program.run(seed, n_trajectories).probabilities().to_vec()
+                })
+                .collect();
+            let d = runs[0]
+                .iter()
+                .zip(seed_loop.probabilities())
+                .map(|(x, y)| (x - y).abs())
+                .fold(0.0, f64::max);
+            prop_assert!(d <= 1e-12, "{n} qubits, rates ({dep_1q}, {dep_2q}): diff {d}");
+            for threaded in &runs[1..] {
+                let same = runs[0].iter().zip(threaded).all(|(x, y)| x.to_bits() == y.to_bits());
+                prop_assert!(same, "{n} qubits: thread count changed bits");
+            }
+            let stats = program.stats();
+            prop_assert_eq!(stats.trajectories, n_trajectories as u64);
+            prop_assert!((1..=stats.trajectories).contains(&stats.distinct_patterns));
+            let drawn = program.draw(seed, n_trajectories);
+            prop_assert_eq!(stats.fired_sites, drawn.iter().map(|p| p.len() as u64).sum::<u64>());
         }
     }
 
