@@ -40,9 +40,10 @@ struct Point {
     admissions_per_sec: f64,
     dispatches_per_sec: f64,
     makespan: f64,
-    /// The queue's own operation counters over the drain — proof the run
-    /// stayed on the indexed fast path (`index_rebuilds` tracks decay
-    /// epochs, not pops).
+    /// The queue's own operation counters over the probes and the drain —
+    /// proof the run stayed on the indexed fast path (`index_rebuilds`
+    /// tracks decay epochs, not pops; `drain_rekeys` is one build of the
+    /// drain-order index, not one per probe).
     queue_ops: QueueOpStats,
 }
 
@@ -398,7 +399,8 @@ fn main() {
              \"admissions_per_sec\": {:.1}, \"dispatches_per_sec\": {:.1}, \
              \"makespan\": {:.2}, \
              \"queue_ops\": {{\"pushes\": {}, \"pops\": {}, \"cancels\": {}, \
-             \"index_rebuilds\": {}, \"backlog_refreshes\": {}}}}}{}\n",
+             \"index_rebuilds\": {}, \"backlog_refreshes\": {}, \
+             \"drain_rekeys\": {}, \"projection_walked\": {}}}}}{}\n",
             p.tenants,
             p.devices,
             p.queued_requests,
@@ -410,6 +412,8 @@ fn main() {
             ops.cancels,
             ops.index_rebuilds,
             ops.backlog_refreshes,
+            ops.drain_rekeys,
+            ops.projection_walked,
             if i + 1 < points.len() { "," } else { "" }
         ));
     }
@@ -455,6 +459,8 @@ fn main() {
             "cancels",
             "index_rebuilds",
             "backlog_refreshes",
+            "drain_rekeys",
+            "projection_walked",
             "reference_comparison",
             "dispatch_speedup",
             "engine_sharding",

@@ -29,6 +29,13 @@
 //! * A per-device backlog summary (sum of queued `requested_seconds`) is
 //!   maintained incrementally on push/pop/cancel so admission projections
 //!   read it in `O(1)` instead of cloning and draining the queue.
+//! * A lazily maintained *drain-order index* holds, per device, every
+//!   queued request charged to it in the order a drain would reach it, so
+//!   the admission projection
+//!   ([`projected_backlog_for`](FairShareQueue::projected_backlog_for)) is
+//!   one ordered range walk per priced device. Writes only mark their tenant
+//!   dirty; the next undecayed projection re-keys the dirty tenants
+//!   ([`QueueOpStats::drain_rekeys`]), or everyone once after a decay epoch.
 //!
 //! The behavioral contract is unchanged from the original linear-scan
 //! implementation: pops pick the lowest score, FIFO on score ties, insertion
@@ -38,6 +45,7 @@
 //! `requested_seconds` or `submitted_at` are rejected at push time with a
 //! typed error instead of panicking inside the pop comparator.
 
+use std::cell::RefCell;
 use std::cmp::{Ordering, Reverse};
 use std::collections::{BTreeMap, BinaryHeap, HashMap};
 use std::fmt;
@@ -157,6 +165,14 @@ pub struct QueueOpStats {
     /// Incremental updates of the per-device backlog summary (one per
     /// device-tagged push/pop/cancel; never a full queue walk).
     pub backlog_refreshes: u64,
+    /// Queued requests whose drain-order key a fresh projection's lazy
+    /// refresh recomputed: every request of each tenant written to since
+    /// the last one (all of them after a decay epoch). Zero across
+    /// projections with no write in between.
+    pub drain_rekeys: u64,
+    /// Drain-order index entries fresh projections visited — the requests
+    /// ranked ahead of the probe on the devices it priced.
+    pub projection_walked: u64,
 }
 
 /// Total-ordered `f64` wrapper for index keys. Construction normalizes
@@ -240,130 +256,38 @@ struct StoredRequest {
     seq: u64,
 }
 
-/// Blocked order-statistics index over the posted ready-set: an ordered
-/// sequence of ~√n-sized chunks, each carrying subtree aggregates (entry
-/// count via `Vec::len`, sum of posted `requested_seconds`) so rank
-/// queries — "how many posted lane-bests outrank this key, and how many
-/// requested seconds do they hold?" — answer in O(√n) chunk hops without
-/// touching individual entries, while insert/remove stay an O(log n)
-/// search plus one small memmove.
+/// A queued request's rank in a drain: its tenant's prefix-maximum
+/// [`CrossKey`] through its within-tenant drain position, then the position.
+type DrainKey = (CrossKey, u32);
+
+/// One tenant's side of the [`DrainIndex`]: whether it awaits re-keying, and
+/// the `(device, key)` of each posting it holds so a re-key can retract them.
 #[derive(Debug, Clone, Default)]
-struct RankedReady {
-    chunks: Vec<ReadyChunk>,
-    len: usize,
+struct TenantPostings {
+    dirty: bool,
+    posted: Vec<(usize, DrainKey)>,
 }
 
+/// The drain-order index behind the fresh admission projection. Per device,
+/// every queued request charged to it, keyed by its [`DrainKey`] under the
+/// live balances, with its `(requested_seconds, uid)`. Ascending key order
+/// restricted to a device is the order a drain would visit that device's
+/// requests, so a projection is one range walk per priced device.
+/// Maintained lazily: writes only mark their tenant dirty and the next fresh
+/// projection re-keys the dirty tenants, which is why the queue holds it in
+/// a `RefCell`.
 #[derive(Debug, Clone, Default)]
-struct ReadyChunk {
-    /// `(posted key, (uid, lane tag), posted best's requested_seconds)` in
-    /// ascending key order.
-    entries: Vec<(CrossKey, (usize, Tag), f64)>,
-    /// Exact sum of `entries`' seconds, recomputed on every mutation so a
-    /// remove can never drift the aggregate numerically.
-    seconds: f64,
-}
-
-impl ReadyChunk {
-    fn refresh(&mut self) {
-        self.seconds = self.entries.iter().map(|e| e.2).sum();
-    }
-}
-
-impl RankedReady {
-    /// Chunk size tracks √n so both the chunk-list walk and the single
-    /// partial-chunk scan of a rank query stay O(√n).
-    fn target_chunk(len: usize) -> usize {
-        ((len as f64).sqrt() as usize).clamp(16, 4096)
-    }
-
-    /// Index of the chunk that contains (or would contain) `key`.
-    fn chunk_of(&self, key: &CrossKey) -> usize {
-        self.chunks
-            .partition_point(|c| c.entries.last().is_some_and(|e| e.0 < *key))
-    }
-
-    fn insert(&mut self, key: CrossKey, value: (usize, Tag), seconds: f64) {
-        self.len += 1;
-        if self.chunks.is_empty() {
-            self.chunks.push(ReadyChunk {
-                entries: vec![(key, value, seconds)],
-                seconds,
-            });
-            return;
-        }
-        let idx = self.chunk_of(&key).min(self.chunks.len() - 1);
-        let chunk = &mut self.chunks[idx];
-        let at = chunk.entries.partition_point(|e| e.0 < key);
-        chunk.entries.insert(at, (key, value, seconds));
-        if chunk.entries.len() > 2 * Self::target_chunk(self.len) {
-            let tail = chunk.entries.split_off(chunk.entries.len() / 2);
-            chunk.refresh();
-            let mut split = ReadyChunk {
-                entries: tail,
-                seconds: 0.0,
-            };
-            split.refresh();
-            self.chunks.insert(idx + 1, split);
-        } else {
-            chunk.refresh();
-        }
-    }
-
-    fn remove(&mut self, key: &CrossKey) -> bool {
-        let idx = self.chunk_of(key);
-        let Some(chunk) = self.chunks.get_mut(idx) else {
-            return false;
-        };
-        let at = chunk.entries.partition_point(|e| e.0 < *key);
-        if chunk.entries.get(at).map(|e| e.0) != Some(*key) {
-            return false;
-        }
-        chunk.entries.remove(at);
-        self.len -= 1;
-        if chunk.entries.is_empty() {
-            self.chunks.remove(idx);
-        } else {
-            chunk.refresh();
-        }
-        true
-    }
-
-    /// The lowest-keyed posted entry.
-    fn first(&self) -> Option<&(CrossKey, (usize, Tag), f64)> {
-        self.chunks.first().and_then(|c| c.entries.first())
-    }
-
-    /// All posted entries in ascending key order.
-    fn iter(&self) -> impl Iterator<Item = &(CrossKey, (usize, Tag), f64)> {
-        self.chunks.iter().flat_map(|c| c.entries.iter())
-    }
-
-    /// Posted entries strictly below `key`, in ascending key order.
-    fn below<'a>(
-        &'a self,
-        key: &'a CrossKey,
-    ) -> impl Iterator<Item = &'a (CrossKey, (usize, Tag), f64)> + 'a {
-        self.iter().take_while(move |e| e.0 < *key)
-    }
-
-    /// Rank query: `(count, total requested_seconds)` of posted entries
-    /// strictly below `key`, answered from chunk aggregates in O(√n).
-    fn rank_below(&self, key: &CrossKey) -> (usize, f64) {
-        let mut count = 0usize;
-        let mut seconds = 0.0f64;
-        for chunk in &self.chunks {
-            if chunk.entries.last().is_some_and(|e| e.0 < *key) {
-                count += chunk.entries.len();
-                seconds += chunk.seconds;
-            } else {
-                let at = chunk.entries.partition_point(|e| e.0 < *key);
-                count += at;
-                seconds += chunk.entries[..at].iter().map(|e| e.2).sum::<f64>();
-                break;
-            }
-        }
-        (count, seconds)
-    }
+struct DrainIndex {
+    by_device: HashMap<usize, BTreeMap<DrainKey, (f64, u32)>>,
+    /// Parallel to `FairShareQueue::states`.
+    tenants: Vec<TenantPostings>,
+    /// Tenants whose balances or requests moved since their last re-key.
+    dirty: Vec<usize>,
+    /// Set by a decaying `decay_usage`: every key moved, rebuild from empty.
+    all_dirty: bool,
+    /// `QueueOpStats::{drain_rekeys, projection_walked}`.
+    rekeys: u64,
+    walked: u64,
 }
 
 /// One tenant's ordered bucket of requests sharing a placement tag, plus
@@ -405,9 +329,8 @@ pub struct FairShareQueue {
     states: Vec<UserState>,
     /// Request id → stored request + index coordinates.
     entries: HashMap<usize, StoredRequest>,
-    /// Cross-tenant score index over every lane's best request, with
-    /// order-statistics chunk aggregates for rank queries.
-    ready_all: RankedReady,
+    /// Cross-tenant score index over every lane's best request.
+    ready_all: BTreeMap<CrossKey, (usize, Tag)>,
     /// Per-device score index over `Tag::Device` lane bests only.
     ready_by_device: HashMap<usize, BTreeMap<CrossKey, usize>>,
     /// Insertion-order view (seq → id) over every pending request.
@@ -423,7 +346,15 @@ pub struct FairShareQueue {
     /// amortized index rebuild.
     stale: bool,
     stats: QueueOpStats,
+    /// Refreshed inside `&self` projections, hence the cell.
+    drain: RefCell<DrainIndex>,
 }
+
+// The cell makes the queue `!Sync`; the engine moves it but never shares it.
+const _: () = {
+    const fn assert_send<T: Send>() {}
+    assert_send::<FairShareQueue>()
+};
 
 impl FairShareQueue {
     /// Creates an empty queue with default weights.
@@ -472,7 +403,12 @@ impl FairShareQueue {
 
     /// Counters over this queue's operations since construction.
     pub fn stats(&self) -> QueueOpStats {
-        self.stats
+        let drain = self.drain.borrow();
+        QueueOpStats {
+            drain_rekeys: drain.rekeys,
+            projection_walked: drain.walked,
+            ..self.stats
+        }
     }
 
     fn uid_of(&mut self, user: &str) -> usize {
@@ -486,6 +422,7 @@ impl FairShareQueue {
             usage: UserUsage::default(),
             lanes: HashMap::new(),
         });
+        self.drain.get_mut().tenants.push(TenantPostings::default());
         uid
     }
 
@@ -493,6 +430,16 @@ impl FairShareQueue {
         self.weights.usage * usage.consumed_seconds
             + self.weights.in_flight * usage.jobs_in_flight as f64
             + self.weights.request_size * requested_seconds
+    }
+
+    /// The cross-tenant key of a request under the given score terms; its
+    /// tie-breaks are the within-lane key's.
+    fn cross_key(&self, usage: UserUsage, requested_seconds: f64, rk: ReqKey) -> CrossKey {
+        CrossKey {
+            score: Key::new(self.score_of(usage, requested_seconds)),
+            submitted: rk.submitted,
+            seq: rk.seq,
+        }
     }
 
     fn req_key(&self, request: &QueuedRequest, seq: u64) -> ReqKey {
@@ -522,27 +469,33 @@ impl FairShareQueue {
         let best = self.states[uid].lanes[&tag]
             .requests
             .first_key_value()
-            .map(|(_, &id)| id);
-        let Some(id) = best else {
+            .map(|(&rk, &id)| (rk, id));
+        let Some((rk, id)) = best else {
             self.states[uid].lanes.remove(&tag);
             return;
         };
-        let entry = &self.entries[&id];
-        let seconds = entry.request.requested_seconds;
-        let key = CrossKey {
-            score: Key::new(self.score_of(self.states[uid].usage, seconds)),
-            submitted: Key::new(entry.request.submitted_at),
-            seq: entry.seq,
-        };
+        let seconds = self.entries[&id].request.requested_seconds;
+        let key = self.cross_key(self.states[uid].usage, seconds, rk);
         self.states[uid]
             .lanes
             .get_mut(&tag)
             .expect("lane exists")
             .posted = Some(key);
-        self.ready_all.insert(key, (uid, tag), seconds);
+        self.ready_all.insert(key, (uid, tag));
         if let Tag::Device(d) = tag {
             self.ready_by_device.entry(d).or_default().insert(key, uid);
         }
+    }
+
+    /// A tenant's balance or requests moved: reposts its lanes now and queues
+    /// it for the drain index's next lazy re-key (a flag, so writes stay
+    /// cheap when nobody projects).
+    fn touch(&mut self, uid: usize) {
+        let drain = self.drain.get_mut();
+        if !std::mem::replace(&mut drain.tenants[uid].dirty, true) {
+            drain.dirty.push(uid);
+        }
+        self.repost_user(uid);
     }
 
     /// Reposts every lane of a tenant — needed whenever the tenant's usage
@@ -613,7 +566,7 @@ impl FairShareQueue {
         );
         self.len += 1;
         self.stats.pushes += 1;
-        self.repost_user(uid);
+        self.touch(uid);
         Ok(())
     }
 
@@ -643,7 +596,7 @@ impl FairShareQueue {
         let usage = &mut self.states[uid].usage;
         usage.jobs_in_flight = usage.jobs_in_flight.saturating_sub(1);
         self.len -= 1;
-        self.repost_user(uid);
+        self.touch(uid);
         Some(request)
     }
 
@@ -661,7 +614,7 @@ impl FairShareQueue {
         }
         let uid = self.uid_of(user);
         self.states[uid].usage.consumed_seconds += seconds;
-        self.repost_user(uid);
+        self.touch(uid);
         Ok(())
     }
 
@@ -681,7 +634,7 @@ impl FairShareQueue {
         }
         let uid = self.uid_of(user);
         self.states[uid].usage.consumed_seconds -= seconds;
-        self.repost_user(uid);
+        self.touch(uid);
         Ok(())
     }
 
@@ -707,6 +660,7 @@ impl FairShareQueue {
         }
         if factor < 1.0 {
             self.stale = true;
+            self.drain.get_mut().all_dirty = true;
         }
         Ok(())
     }
@@ -806,7 +760,7 @@ impl FairShareQueue {
     pub fn pop(&mut self) -> Option<QueuedRequest> {
         let _prof = qoncord_prof::span("fairshare::pop");
         self.ensure_fresh();
-        let &(_, (uid, tag), _) = self.ready_all.first()?;
+        let (_, &(uid, tag)) = self.ready_all.first_key_value()?;
         let id = *self.states[uid].lanes[&tag]
             .requests
             .first_key_value()
@@ -861,7 +815,7 @@ impl FairShareQueue {
     pub fn pop_where(&mut self, pred: impl Fn(&QueuedRequest) -> bool) -> Option<QueuedRequest> {
         self.ensure_fresh();
         let mut frontier = BinaryHeap::new();
-        for &(key, (uid, tag), _) in self.ready_all.iter() {
+        for (&key, &(uid, tag)) in &self.ready_all {
             let (&req_key, &id) = self.states[uid].lanes[&tag]
                 .requests
                 .first_key_value()
@@ -879,14 +833,8 @@ impl FairShareQueue {
                 .next()
                 .map(|(&k, &i)| (k, i));
             if let Some((next_key, next_id)) = next {
-                let request = &self.entries[&next_id].request;
-                let cross = CrossKey {
-                    score: Key::new(
-                        self.score_of(self.states[uid].usage, request.requested_seconds),
-                    ),
-                    submitted: Key::new(request.submitted_at),
-                    seq: next_key.seq,
-                };
+                let seconds = self.entries[&next_id].request.requested_seconds;
+                let cross = self.cross_key(self.states[uid].usage, seconds, next_key);
                 frontier.push(Reverse((cross, uid, tag, next_key, next_id)));
             }
         }
@@ -1242,7 +1190,65 @@ impl FairShareQueue {
         ahead
     }
 
-    /// The rank-query fast path behind
+    /// The prefix-maximum keys of one tenant's forced drain. Position `k` of
+    /// `requests` (the tenant's merged within-lane order) is scored with
+    /// `usage`'s balance and the in-flight count its `k` earlier pops leave,
+    /// and yields the maximum key through `k` with its seconds and device.
+    fn prefix_keys<'a>(
+        &'a self,
+        mut usage: UserUsage,
+        requests: &'a [(ReqKey, usize, f64, Option<usize>)],
+    ) -> impl Iterator<Item = (CrossKey, f64, Option<usize>)> + 'a {
+        let mut max: Option<CrossKey> = None;
+        requests.iter().map(move |&(rk, _, secs, device)| {
+            let key = self.cross_key(usage, secs, rk);
+            usage.jobs_in_flight = usage.jobs_in_flight.saturating_sub(1);
+            let m = max.map_or(key, |prev| prev.max(key));
+            max = Some(m);
+            (m, secs, device)
+        })
+    }
+
+    /// Brings the drain index up to date with the live balances: retracts
+    /// and re-posts every request of each dirty tenant (of everyone after a
+    /// decay epoch), keyed exactly as the decayed pass of
+    /// [`backlog_ahead_ranked`](Self::backlog_ahead_ranked) would key it at
+    /// factor 1 (`consumed * 1.0` is an identity).
+    fn refresh_drain_index(&self, index: &mut DrainIndex) {
+        if std::mem::take(&mut index.all_dirty) {
+            index.by_device.clear();
+            index.tenants.iter_mut().for_each(|t| t.posted.clear());
+            index.dirty.clear();
+            index.dirty.extend(0..index.tenants.len());
+        }
+        let mut buf = Vec::new();
+        for uid in index.dirty.drain(..) {
+            let tenant = &mut index.tenants[uid];
+            tenant.dirty = false;
+            for (d, key) in tenant.posted.drain(..) {
+                if let Some(postings) = index.by_device.get_mut(&d) {
+                    postings.remove(&key);
+                }
+            }
+            self.tenant_requests_into(uid, &mut buf);
+            index.rekeys += buf.len() as u64;
+            let id = u32::try_from(uid).expect("fewer than 2^32 tenants");
+            let keys = self.prefix_keys(self.states[uid].usage, &buf);
+            for (k, (m, secs, device)) in keys.enumerate() {
+                if let Some(d) = device {
+                    let key = (m, k as u32);
+                    index
+                        .by_device
+                        .entry(d)
+                        .or_default()
+                        .insert(key, (secs, id));
+                    tenant.posted.push((d, key));
+                }
+            }
+        }
+    }
+
+    /// The fast path behind
     /// [`projected_backlog_ahead`](Self::projected_backlog_ahead):
     /// characterizes the outranking set directly instead of heap-replaying
     /// the whole drain.
@@ -1260,15 +1266,17 @@ impl FairShareQueue {
     /// whose keys stay below the probe's prefix-maximum key `T`, and the
     /// global pop order is ascending `(prefix max, position)`.
     ///
-    /// Candidate tenants come from the order-statistics ready index (posted
-    /// lane-bests below `T`, enumerated in `O(√n + hits)`) when balances
-    /// are fresh and undecayed — a tenant's merged head key is never below
-    /// its lanes' minimum posted key, so no candidate is missed — or from a
-    /// per-tenant O(1) head test otherwise (the prefix maximum is
-    /// nondecreasing, so a tenant whose head clears `T` contributes
-    /// nothing). Each candidate is walked only until its first key at or
-    /// above `T`, and accumulation replays the exact pop order, keeping
-    /// every per-device sum bit-identical to the replay oracle.
+    /// Undecayed (`decay_factor == 1`, the fresh pass), the other tenants'
+    /// part is already sorted in the [`DrainIndex`]: per priced device, one
+    /// ascending walk of the postings below `T`, skipping the probe
+    /// tenant's own and merging in its re-keyed forced prefix by key.
+    /// Decayed, every key shifts, so each tenant gets an O(1) head test
+    /// (the prefix maximum is nondecreasing, so a tenant whose head clears
+    /// `T` contributes nothing), candidates are walked until their first
+    /// key at or above `T`, and the collected set is sorted. Either way
+    /// each device's sum accumulates in exact pop order — float addition
+    /// order is the contract, which is why the index carries no prefix
+    /// aggregates — keeping it bit-identical to the replay oracle.
     fn backlog_ahead_ranked(
         &self,
         probe: &QueuedRequest,
@@ -1277,21 +1285,23 @@ impl FairShareQueue {
         n_devices: usize,
         only: Option<&[usize]>,
     ) -> Vec<f64> {
-        let w = self.weights;
-        let score = |consumed: f64, in_flight: u32, secs: f64| -> f64 {
-            w.usage * consumed + w.in_flight * in_flight as f64 + w.request_size * secs
-        };
         let probe_uid = self.users.get(&probe.user).copied();
-        let (p_consumed0, p_in_flight0) = probe_uid
-            .map(|uid| {
-                let usage = self.states[uid].usage;
-                (usage.consumed_seconds, usage.jobs_in_flight)
-            })
-            .unwrap_or((0.0, 0));
+        let live = probe_uid.map_or(UserUsage::default(), |uid| self.states[uid].usage);
         // Same op order as the replay: credit, then decay, then the probe's
         // in-flight bump.
-        let p_consumed = (p_consumed0 - probe_credit) * decay_factor;
-        let p_in_flight = p_in_flight0 + 1;
+        let p_usage = UserUsage {
+            consumed_seconds: (live.consumed_seconds - probe_credit) * decay_factor,
+            jobs_in_flight: live.jobs_in_flight + 1,
+        };
+        // Every listed device below `n_devices` is priced once, however
+        // often `only` names it; `None` lists them all.
+        let mut listed = vec![only.is_none(); n_devices];
+        for &d in only.unwrap_or_default() {
+            if let Some(slot) = listed.get_mut(d) {
+                *slot = true;
+            }
+        }
+        let priced = |device: Option<usize>| device.filter(|&d| listed.get(d) == Some(&true));
 
         let mut buf = Vec::new();
         if let Some(uid) = probe_uid {
@@ -1299,113 +1309,90 @@ impl FairShareQueue {
         }
         let probe_key = self.req_key(probe, self.seq);
         let at = buf.partition_point(|(key, ..)| *key < probe_key);
-        buf.insert(at, (probe_key, probe.id, probe.requested_seconds, None));
+        buf.truncate(at);
+        buf.push((probe_key, probe.id, probe.requested_seconds, None));
 
         // Walk the probe tenant's forced prefix through the probe itself:
         // `t` ends as the probe's prefix-maximum key, and every position
-        // before the probe is unconditionally ahead.
-        let mut ahead_set: Vec<(CrossKey, u32, f64, Option<usize>)> = Vec::new();
-        let mut t: Option<CrossKey> = None;
-        let mut in_flight = p_in_flight;
-        for (k, &(rk, _, secs, device)) in buf[..=at].iter().enumerate() {
-            let key = CrossKey {
-                score: Key::new(score(p_consumed, in_flight, secs)),
-                submitted: rk.submitted,
-                seq: rk.seq,
-            };
-            let m = t.map_or(key, |prev| prev.max(key));
+        // before the probe is unconditionally ahead. Only priced requests
+        // are ever summed, so only they are kept, as (rank, seconds,
+        // device).
+        let mut ahead_set: Vec<(DrainKey, f64, usize)> = Vec::new();
+        let mut t = None;
+        for (k, (m, secs, device)) in self.prefix_keys(p_usage, &buf).enumerate() {
             t = Some(m);
-            if k < at {
-                ahead_set.push((m, k as u32, secs, device));
+            if let Some(d) = priced(device) {
+                ahead_set.push(((m, k as u32), secs, d));
             }
-            in_flight = in_flight.saturating_sub(1);
         }
         let t = t.expect("prefix includes the probe");
+        let mut ahead = vec![0.0; n_devices];
 
-        let mut candidates: Vec<usize> = Vec::new();
-        if decay_factor == 1.0 && !self.stale {
-            // Fresh, undecayed balances: posted lane-best keys equal the
-            // projection's position-0 keys bit for bit (`consumed * 1.0` is
-            // an identity), so the ready index enumerates candidates.
-            let (hits, _) = self.ready_all.rank_below(&t);
-            if hits > 0 {
-                ahead_set.reserve(hits);
-                candidates.extend(
-                    self.ready_all
-                        .below(&t)
-                        .map(|&(_, (uid, _), _)| uid)
-                        .filter(|&uid| Some(uid) != probe_uid),
-                );
-                candidates.sort_unstable();
-                candidates.dedup();
-            }
-        } else {
-            // Decayed or stale balances shift every posted score, so fall
-            // back to one head test per tenant (min lane head by the
-            // decay-invariant key, scored live).
-            for (uid, state) in self.states.iter().enumerate() {
-                if Some(uid) == probe_uid {
-                    continue;
-                }
-                let mut head: Option<(ReqKey, usize)> = None;
-                for lane in state.lanes.values() {
-                    if let Some((&rk, &id)) = lane.requests.first_key_value() {
-                        if head.is_none_or(|(best, _)| rk < best) {
-                            head = Some((rk, id));
-                        }
+        if decay_factor == 1.0 {
+            let mut index = self.drain.borrow_mut();
+            self.refresh_drain_index(&mut index);
+            // Stable, so each device's run of own requests keeps its drain
+            // order, and the runs come up in the order devices are walked.
+            ahead_set.sort_by_key(|e| e.2);
+            let mut own = ahead_set.iter().peekable();
+            let mut walked = 0;
+            for d in (0..n_devices).filter(|&d| listed[d]) {
+                let others = index.by_device.get(&d).into_iter();
+                for (key, &(secs, uid)) in others.flat_map(|p| p.range(..(t, 0))) {
+                    walked += 1;
+                    if Some(uid as usize) == probe_uid {
+                        continue;
                     }
+                    while let Some(e) = own.next_if(|e| e.2 == d && e.0 < *key) {
+                        ahead[d] += e.1;
+                    }
+                    ahead[d] += secs;
                 }
-                let Some((rk, id)) = head else { continue };
-                let consumed = state.usage.consumed_seconds * decay_factor;
-                let secs = self.entries[&id].request.requested_seconds;
-                let key = CrossKey {
-                    score: Key::new(score(consumed, state.usage.jobs_in_flight, secs)),
-                    submitted: rk.submitted,
-                    seq: rk.seq,
-                };
-                if key < t {
-                    candidates.push(uid);
+                while let Some(e) = own.next_if(|e| e.2 == d) {
+                    ahead[d] += e.1;
                 }
             }
+            index.walked += walked;
+            return ahead;
         }
 
-        for uid in candidates {
-            let state = &self.states[uid];
-            let consumed = state.usage.consumed_seconds * decay_factor;
-            let mut in_flight = state.usage.jobs_in_flight;
+        for (uid, state) in self.states.iter().enumerate() {
+            if Some(uid) == probe_uid {
+                continue;
+            }
+            // Head test: min lane head by the decay-invariant key.
+            let head = state
+                .lanes
+                .values()
+                .filter_map(|lane| lane.requests.first_key_value())
+                .min_by_key(|(&rk, _)| rk);
+            let Some((&rk, id)) = head else { continue };
+            let usage = UserUsage {
+                consumed_seconds: state.usage.consumed_seconds * decay_factor,
+                ..state.usage
+            };
+            if self.cross_key(usage, self.entries[id].request.requested_seconds, rk) >= t {
+                continue;
+            }
             self.tenant_requests_into(uid, &mut buf);
-            let mut m: Option<CrossKey> = None;
-            for (k, &(rk, _, secs, device)) in buf.iter().enumerate() {
-                let key = CrossKey {
-                    score: Key::new(score(consumed, in_flight, secs)),
-                    submitted: rk.submitted,
-                    seq: rk.seq,
-                };
-                // The running prefix max below stays under `t` for every
-                // pushed position, so the prefix max first reaches `t`
-                // exactly at the first key at or above it.
-                if key >= t {
-                    break;
-                }
-                let mk = m.map_or(key, |prev| prev.max(key));
-                m = Some(mk);
-                ahead_set.push((mk, k as u32, secs, device));
-                in_flight = in_flight.saturating_sub(1);
-            }
+            // The prefix max first reaches `t` exactly at the first key at
+            // or above it.
+            ahead_set.extend(
+                self.prefix_keys(usage, &buf)
+                    .enumerate()
+                    .take_while(|(_, (m, ..))| *m < t)
+                    .filter_map(|(k, (m, secs, device))| {
+                        priced(device).map(|d| ((m, k as u32), secs, d))
+                    }),
+            );
         }
-
         // Replay the exact global pop order: ascending prefix-max key, then
         // within-tenant position (prefix-max keys never tie across tenants,
         // every key being globally unique via `seq`), so each device's sum
         // accumulates in the same order the drain would visit it.
-        ahead_set.sort_unstable_by_key(|a| (a.0, a.1));
-        let mut ahead = vec![0.0; n_devices];
-        for (_, _, secs, device) in ahead_set {
-            if let Some(d) = device {
-                if d < n_devices && only.is_none_or(|list| list.contains(&d)) {
-                    ahead[d] += secs;
-                }
-            }
+        ahead_set.sort_unstable_by_key(|e| e.0);
+        for (_, secs, d) in ahead_set {
+            ahead[d] += secs;
         }
         ahead
     }
@@ -1777,6 +1764,60 @@ mod tests {
         assert_eq!(stats.index_rebuilds, 1, "one amortized rebuild per epoch");
         // Two device-tagged pushes + their two removals.
         assert_eq!(stats.backlog_refreshes, 4);
+    }
+
+    /// The drain index's cost model, pinned the way `index_rebuilds` pins
+    /// lazy decay: a fresh projection re-keys exactly the requests of the
+    /// tenants written to since the last one, and walks exactly the
+    /// postings ranked ahead of the probe on the devices it prices.
+    #[test]
+    fn drain_index_rekeys_only_written_tenants_and_walks_only_priced_devices() {
+        let mut q = FairShareQueue::new();
+        for i in 0..2000 {
+            let secs = 0.1 * (i % 7) as f64 + 0.037;
+            q.push_for_device(req(i, "whale", secs, i as f64), i % 2)
+                .unwrap();
+        }
+        for i in 0..50 {
+            q.push_for_device(req(10_000 + i, &format!("t{i}"), 1.0, i as f64), i % 2)
+                .unwrap();
+        }
+        // A heavy probe tenant: every queued request outranks it.
+        q.record_usage("probe", 1e9).unwrap();
+        let probe = req(usize::MAX, "probe", 3.0, 5000.0);
+        let project = |q: &FairShareQueue, factor: f64, devices: &[usize]| {
+            q.projected_backlog_for(&probe, 0.0, factor, 2, devices);
+            q.stats()
+        };
+        let built = project(&q, 1.0, &[0]);
+        assert_eq!(built.drain_rekeys, 2050, "the first projection keys all");
+        assert_eq!(built.projection_walked, 1025, "device 0's postings only");
+        // Duplicates and out-of-range devices: each in-range one walked once.
+        let again = project(&q, 1.0, &[0, 0, 7]);
+        assert_eq!(again.projection_walked, 2 * 1025);
+        for _ in 0..5 {
+            project(&q, 1.0, &[0, 1]);
+        }
+        assert_eq!(q.stats().drain_rekeys, 2050, "no write, no re-key");
+        q.push(req(20_000, "t3", 1.0, 0.0)).unwrap();
+        assert_eq!(project(&q, 1.0, &[0]).drain_rekeys, 2052, "t3's two");
+        q.record_usage("whale", 1.0).unwrap();
+        q.credit_usage("whale", 0.5).unwrap();
+        assert_eq!(project(&q, 1.0, &[0]).drain_rekeys, 4052, "whale's 2000");
+        q.cancel_by_id(20_000).unwrap();
+        assert_eq!(
+            project(&q, 0.5, &[0]).drain_rekeys,
+            4052,
+            "a decayed pass neither reads nor refreshes the index"
+        );
+        assert_eq!(project(&q, 1.0, &[0]).drain_rekeys, 4053);
+        q.decay_usage(0.5).unwrap();
+        project(&q, 1.0, &[0]);
+        assert_eq!(
+            project(&q, 1.0, &[1]).drain_rekeys,
+            4053 + 2050,
+            "one rebuild per decay epoch"
+        );
     }
 
     #[test]

@@ -514,13 +514,12 @@ pub fn estimate_feasibility_decayed(
     model: QueueModel<'_>,
 ) -> FeasibilityEstimate {
     // Only the placements' own devices can delay this job, so the
-    // projection is asked for exactly those — the rank-query fast path in
-    // the queue then characterizes the outranking set directly (per-tenant
-    // prefix maxima against the probe's, candidates enumerated off the
-    // order-statistics ready index) instead of heap-replaying the whole
-    // drain per admission decision. The exact replay survives as a
-    // debug-assert oracle inside the queue, and a property test pins the
-    // projection to the cloned-queue pop order bit for bit.
+    // projection is asked for exactly those — the queue then walks just
+    // those devices' slices of its drain-order index up to the probe's
+    // rank instead of heap-replaying the whole drain per admission
+    // decision. The exact replay survives as a debug-assert oracle inside
+    // the queue, and a property test pins the projection to the
+    // cloned-queue pop order bit for bit.
     let mut wanted: Vec<usize> = placements.iter().map(|p| p.device).collect();
     wanted.sort_unstable();
     wanted.dedup();

@@ -317,18 +317,62 @@ proptest! {
 /// A request with tie-friendly discrete sizes and submission times shared by
 /// consecutive pushes, so full score-and-time ties (which dispatch breaks by
 /// insertion order) are reachable. The single byte picks both tenant and
-/// size.
+/// size. Sizes are deliberately not dyadic: sums of {1, 2, 5, 10} are exact
+/// in any order, these are not, so a projection that accumulates a device's
+/// seconds out of pop order shows in the last bits.
 fn gen_req(id: usize, byte: u8, clock: usize) -> QueuedRequest {
     QueuedRequest {
         id,
         user: format!("user-{}", byte % 4),
-        requested_seconds: [1.0, 2.0, 5.0, 10.0][(byte / 4 % 4) as usize],
+        requested_seconds: 0.1 * (byte / 4 % 8) as f64 + 0.037,
         submitted_at: (clock / 2) as f64,
     }
 }
 
+/// One admission projection on the indexed queue next to the seed-style
+/// oracle — clone the reference queue, credit, decay, enqueue the probe, pop
+/// until it surfaces, charging each outranking request to its tagged device
+/// (`tags`: id → (0 free | 1 device | 2 hold, device)) — both as `to_bits`
+/// vectors over three devices. `mask` picks the priced devices: 0 prices all
+/// through the unfiltered entry point, otherwise that subset of devices,
+/// its first one named twice plus one out of range.
+fn projection_vs_oracle(
+    q: &FairShareQueue,
+    rq: &ReferenceFairShareQueue,
+    tags: &HashMap<usize, (u8, usize)>,
+    probe: &QueuedRequest,
+    credit: f64,
+    factor: f64,
+    mask: u8,
+) -> (Vec<u64>, Vec<u64>) {
+    let mut devices: Vec<usize> = (0..3).filter(|d| mask & (1 << d) != 0).collect();
+    let ahead = if let Some(&first) = devices.first() {
+        let spelled = [&devices[..], &[first, 3]].concat();
+        q.projected_backlog_for(probe, credit, factor, 3, &spelled)
+    } else {
+        devices = vec![0, 1, 2];
+        q.projected_backlog_ahead(probe, credit, factor, 3)
+    };
+    let mut oracle = rq.clone();
+    oracle.credit_usage(&probe.user, credit).unwrap();
+    oracle.decay_usage(factor).unwrap();
+    oracle.push(probe.clone());
+    let mut expect = [0.0f64; 3];
+    while let Some(r) = oracle.pop() {
+        if r.id == probe.id {
+            break;
+        }
+        let (kind, d) = tags[&r.id];
+        if kind != 0 && devices.contains(&d) {
+            expect[d] += r.requested_seconds;
+        }
+    }
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect();
+    (bits(&ahead), bits(&expect))
+}
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
+    #![proptest_config(ProptestConfig::with_cases(512))]
 
     /// The indexed [`FairShareQueue`] and the retained seed implementation
     /// ([`ReferenceFairShareQueue`]) produce bit-identical behavior over
@@ -338,10 +382,19 @@ proptest! {
     /// has no device lanes, so the test keeps a side table of each id's tag
     /// and expresses device pops as predicate pops — which is exactly what
     /// the seed orchestrator did before the indexed API existed.
+    ///
+    /// A quarter of the ops are admission projections on the same mutating
+    /// queue, each checked bit for bit against the seed-style oracle (clone
+    /// the reference, credit, decay, enqueue the probe, pop until it
+    /// surfaces). The drain-order index behind the undecayed projection is
+    /// refreshed lazily from dirty marks left by every write above, so a
+    /// write that forgets its mark surfaces here as a stale answer. Probe
+    /// tenants are the queue's own four, so they hold queued requests on the
+    /// priced devices.
     #[test]
     fn indexed_queue_matches_reference_on_random_interleavings(
         seed_balances in proptest::collection::vec(0.0..300.0f64, 4),
-        ops in proptest::collection::vec((0..12u8, 0..255u8, 0..255u8), 1..48),
+        ops in proptest::collection::vec((0..16u8, 0..255u8, 0..255u8), 1..48),
     ) {
         let mut q = FairShareQueue::new();
         let mut rq = ReferenceFairShareQueue::new();
@@ -423,7 +476,7 @@ proptest! {
                         rq.credit_usage(&user, secs).unwrap();
                     }
                 }
-                _ => {
+                11 => {
                     let r = gen_req(next_id, a, clock);
                     next_id += 1;
                     clock += 1;
@@ -431,6 +484,20 @@ proptest! {
                     tags.insert(r.id, (0, 0));
                     q.requeue_with_credit(r.clone(), burned).unwrap();
                     rq.requeue_with_credit(r, burned).unwrap();
+                }
+                _ => {
+                    let credit = (b % 4) as f64 * 7.3;
+                    let factor = [1.0, 1.0, 1.0, 0.9][(b / 4 % 4) as usize];
+                    for tenant in 0..4 {
+                        let probe = QueuedRequest {
+                            user: format!("user-{tenant}"),
+                            ..gen_req(usize::MAX, a, clock)
+                        };
+                        let (ahead, expect) = projection_vs_oracle(
+                            &q, &rq, &tags, &probe, credit, factor, b / 16 % 8,
+                        );
+                        prop_assert_eq!(ahead, expect, "probe {:?}", probe);
+                    }
                 }
             }
             prop_assert_eq!(q.len(), rq.len());
@@ -449,6 +516,11 @@ proptest! {
         prop_assert_eq!(pending_left, pending_right);
         prop_assert_eq!(q.drain_ordered(), rq.drain_ordered());
     }
+
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// [`FairShareQueue::projected_backlog_ahead`] — the clone-free
     /// projection that admission control now consumes — matches a seed-style
