@@ -5,12 +5,6 @@
 //! against the retained seed implementation
 //! ([`ReferenceFairShareQueue`]'s linear scan) at a fixed queue depth.
 //!
-//! A second section sweeps the *engine's* shard-count axis: a lockstep
-//! fleet of twin devices (every lease expires simultaneously, so each
-//! virtual-time barrier carries a whole fleet of completions) run at 1, 2,
-//! 4, … device-group shards, reporting the wall-clock speedup of the
-//! sharded executor over the sequential engine on byte-identical results.
-//!
 //! Emits `BENCH_fleet_scale.json` in the working directory (the repo root
 //! under `cargo run`) alongside the usual CSV + table; CI smoke-runs the
 //! quick scale and fails if the JSON is missing its required keys.
@@ -22,11 +16,6 @@ use qoncord_cloud::device::hypothetical_fleet;
 use qoncord_cloud::fairshare::{FairShareQueue, QueueOpStats, QueuedRequest};
 use qoncord_cloud::policy::{estimate_feasibility_decayed, Placement, QueueModel, UsageDecayModel};
 use qoncord_cloud::reference::ReferenceFairShareQueue;
-use qoncord_core::executor::QaoaFactory;
-use qoncord_core::scheduler::QoncordConfig;
-use qoncord_device::catalog;
-use qoncord_orchestrator::{FleetDevice, Orchestrator, OrchestratorConfig, TenantJob};
-use qoncord_vqa::{graph::Graph, maxcut::MaxCut};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
@@ -208,95 +197,6 @@ fn reference_comparison(n: usize, devices: usize, seed: u64) -> (usize, usize, f
     )
 }
 
-/// One engine run of the shard axis: wall seconds at `shards` device
-/// groups, plus the makespan as a cross-run identity check.
-struct ShardRun {
-    shards: usize,
-    wall_seconds: f64,
-    makespan: f64,
-}
-
-/// A lockstep multi-tenant workload: `tenants` identical `qubits`-qubit
-/// QAOA jobs over twin devices. Identical specs on twin hardware keep
-/// every device's lease expiring at the same virtual instant, so each
-/// barrier hands the sharded executor a whole fleet's worth of
-/// simultaneous batch completions — the workload the shard axis is meant
-/// to measure (profiled: >99% of the run's wall time is the hoisted
-/// `execute_batch` compute).
-fn engine_jobs(tenants: usize, qubits: usize) -> Vec<TenantJob> {
-    let edges: Vec<(usize, usize, f64)> = (0..qubits).map(|i| (i, (i + 1) % qubits, 1.0)).collect();
-    (0..tenants)
-        .map(|i| {
-            let factory = QaoaFactory {
-                problem: MaxCut::new(Graph::new(qubits, &edges)),
-                layers: 1,
-            };
-            let cfg = QoncordConfig {
-                exploration_max_iterations: 4,
-                finetune_max_iterations: 3,
-                // The wide ring sits below the default fidelity floor on
-                // the twin calibration; this bench measures executor
-                // wall-clock, not result quality, so admit it anyway.
-                min_fidelity: 0.0,
-                seed: 0x5CA1E + i as u64,
-                ..QoncordConfig::default()
-            };
-            TenantJob::new(i, format!("tenant-{i}"), 0.0, Box::new(factory))
-                .with_restarts(1)
-                .with_config(cfg)
-        })
-        .collect()
-}
-
-fn twin_fleet(devices: usize) -> Vec<FleetDevice> {
-    (0..devices)
-        .map(|i| FleetDevice::new(catalog::ibmq_toronto().renamed(format!("twin_{i}"))))
-        .collect()
-}
-
-/// Times the lockstep workload once per shard count (first entry is the
-/// sequential baseline) and asserts the runs agree on the makespan — the
-/// cheap facet of the bit-identity the `sharded_engine` suite proves in
-/// full. Wall-clock speedup is bounded by `min(shards, host cores)`: on a
-/// single-core host the column reads ~1.0 even though the barrier compute
-/// has been hoisted onto the worker pool (the determinism assertions still
-/// exercise the full sharded path).
-fn engine_sharding(
-    tenants: usize,
-    devices: usize,
-    qubits: usize,
-    shard_axis: &[usize],
-) -> Vec<ShardRun> {
-    let jobs = engine_jobs(tenants, qubits);
-    let mut runs: Vec<ShardRun> = Vec::new();
-    for &shards in shard_axis {
-        let orchestrator = Orchestrator::new(
-            OrchestratorConfig {
-                shards,
-                ..OrchestratorConfig::default()
-            },
-            twin_fleet(devices),
-        );
-        let started = Instant::now();
-        let report = orchestrator.run(&jobs);
-        let wall_seconds = started.elapsed().as_secs_f64();
-        assert_eq!(report.completed(), tenants, "every lockstep job completes");
-        if let Some(first) = runs.first() {
-            assert_eq!(
-                report.fleet.makespan.to_bits(),
-                first.makespan.to_bits(),
-                "shard count must not change results"
-            );
-        }
-        runs.push(ShardRun {
-            shards,
-            wall_seconds,
-            makespan: report.fleet.makespan,
-        });
-    }
-    runs
-}
-
 fn main() {
     let args = ExperimentArgs::parse();
     let tenant_axis: &[usize] = if args.paper {
@@ -322,18 +222,6 @@ fn main() {
     let (cmp_requests, cmp_devs, indexed_rate, reference_rate) =
         reference_comparison(cmp_n, cmp_devices, args.seed);
     let speedup = indexed_rate / reference_rate;
-
-    let engine_tenants = args.scale(8, 16);
-    let engine_devices = args.scale(4, 8);
-    let engine_qubits = args.scale(10, 12);
-    let shard_axis: &[usize] = if args.paper {
-        &[1, 2, 4, 8]
-    } else {
-        &[1, 2, 4]
-    };
-    let shard_runs = engine_sharding(engine_tenants, engine_devices, engine_qubits, shard_axis);
-    let engine_baseline = shard_runs[0].wall_seconds;
-    let host_cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
 
     let headers = [
         "tenants",
@@ -365,24 +253,6 @@ fn main() {
          ({speedup:.1}x)"
     );
     write_csv("fleet_scale.csv", &headers, &rows);
-
-    println!(
-        "\nengine shard axis @ {engine_tenants} tenants / {engine_devices} twin devices, \
-         {engine_qubits}-qubit jobs (lockstep barriers; speedup bounded by \
-         min(shards, {host_cpus} host cores)):"
-    );
-    let shard_headers = ["shards", "wall s", "speedup"];
-    let shard_rows: Vec<Vec<String>> = shard_runs
-        .iter()
-        .map(|r| {
-            vec![
-                r.shards.to_string(),
-                fmt(r.wall_seconds, 3),
-                fmt(engine_baseline / r.wall_seconds, 2),
-            ]
-        })
-        .collect();
-    print_table(&shard_headers, &shard_rows);
 
     let mut json = String::from("{\n");
     json.push_str("  \"experiment\": \"fleet_scale\",\n");
@@ -422,23 +292,8 @@ fn main() {
         "  \"reference_comparison\": {{\"queued_requests\": {cmp_requests}, \
          \"devices\": {cmp_devs}, \"indexed_dispatches_per_sec\": {indexed_rate:.1}, \
          \"reference_dispatches_per_sec\": {reference_rate:.1}, \
-         \"dispatch_speedup\": {speedup:.2}}},\n"
+         \"dispatch_speedup\": {speedup:.2}}}\n"
     ));
-    json.push_str(&format!(
-        "  \"engine_sharding\": {{\"tenants\": {engine_tenants}, \
-         \"devices\": {engine_devices}, \"qubits\": {engine_qubits}, \
-         \"host_cpus\": {host_cpus}, \"runs\": [\n"
-    ));
-    for (i, r) in shard_runs.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"shards\": {}, \"wall_seconds\": {:.4}, \"speedup\": {:.2}}}{}\n",
-            r.shards,
-            r.wall_seconds,
-            engine_baseline / r.wall_seconds,
-            if i + 1 < shard_runs.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  ]}\n");
     json.push_str("}\n");
     qoncord_bench::require_keys(
         &json,
@@ -463,11 +318,6 @@ fn main() {
             "projection_walked",
             "reference_comparison",
             "dispatch_speedup",
-            "engine_sharding",
-            "host_cpus",
-            "shards",
-            "wall_seconds",
-            "speedup",
         ],
     )
     .expect("BENCH_fleet_scale.json schema");

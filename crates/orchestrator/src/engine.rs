@@ -59,13 +59,11 @@
 
 use crate::admission::{AdmissionConfig, AdmissionController, AdmissionDecision, AdmissionMode};
 use crate::calibration::{CalibrationConfig, MarginKey, MarginModel, ServiceClass};
-use crate::driver::{BatchResult, Runner, SelectedDevice, EXECUTIONS_PER_BATCH_ESTIMATE};
+use crate::driver::{Runner, SelectedDevice, EXECUTIONS_PER_BATCH_ESTIMATE};
 use crate::events::{Event, EventQueue};
-use crate::exec::ShardedExecutor;
 use crate::fleet::FleetDevice;
 use crate::job::TenantJob;
 use crate::lease::{LeaseLedger, LeaseTerms, Urgency};
-use crate::shard::ShardTask;
 use crate::split::{self, SplitConfig};
 use crate::telemetry::{JobRecord, JobStatus, OrchestratorReport, TenantUsage};
 use crate::trace::{TraceEvent, TraceHandle, Tracer};
@@ -167,17 +165,13 @@ pub struct OrchestratorConfig {
     pub decay: UsageDecayConfig,
     /// Seed of the placement RNG (only randomized policies consume it).
     pub seed: u64,
-    /// Device-group shards of the sharded executor: with `shards > 1` the
-    /// fleet is partitioned into `shards` device groups (device index
-    /// modulo `shards`) and the deferred batch compute of simultaneous
-    /// lease completions is advanced in parallel, one worker thread per
-    /// group, between virtual-time barriers. Every result stream — trace
-    /// events, telemetry, calibration history, tenant usage — is
-    /// byte-identical at any shard count; only wall-clock time changes.
-    /// `1` (the default) keeps the engine single-threaded. The
-    /// `QONCORD_SHARDS` environment variable, when set to a positive
-    /// integer, overrides this field — that is how CI re-runs the whole
-    /// suite multi-sharded without touching test code.
+    /// Accepted and **ignored**: the engine is single-threaded at every
+    /// value (the sharded executor this field once sized was measured and
+    /// deleted — "Why the engine is single-threaded" in
+    /// `docs/ARCHITECTURE.md`). The field survives only because the frozen
+    /// `benchmark/src/harness.rs` still sets it for its
+    /// `orchestrator.shard_speedup` probe; the follow-up `benchmark` issue
+    /// that retires that probe removes the field with it.
     pub shards: usize,
     /// Flight-recorder sink (detached by default): every engine decision is
     /// emitted as a [`TraceEvent`] to the attached
@@ -286,14 +280,12 @@ impl Orchestrator {
     /// Runs `jobs` to completion on the virtual clock and returns the full
     /// report (jobs in submission order).
     ///
-    /// With [`OrchestratorConfig::shards`] (or its `QONCORD_SHARDS`
-    /// environment override) above one, simultaneous lease completions
-    /// advance in parallel across device-group shards; the report is
-    /// byte-identical to the single-shard run either way.
+    /// The engine is single-threaded (see "Why the engine is
+    /// single-threaded" in `docs/ARCHITECTURE.md`); the simulator kernels
+    /// underneath may still use `sim::par` threads, bit-identically.
     pub fn run(&self, jobs: &[TenantJob]) -> OrchestratorReport {
-        let mut exec = ShardedExecutor::new(ShardedExecutor::effective_shards(self.config.shards));
         let mut sim = Sim::new(&self.config, &self.fleet, jobs);
-        sim.run_loop(&mut exec);
+        sim.run_loop();
         sim.into_report()
     }
 }
@@ -321,8 +313,8 @@ enum Reservation {
 /// accessed by key or membership — never iterated in an order that can
 /// reach events, telemetry sums, or trace output. The one iteration,
 /// `resolve_holds`, sorts by restart index first. Anything order-sensitive
-/// must either sort before iterating or use an ordered container; this is
-/// also what makes shard-merge replay in `run_loop` byte-stable.
+/// must either sort before iterating or use an ordered container, or the
+/// `(time, seq)` replay in `run_loop` stops being byte-stable across runs.
 struct Sim<'a> {
     config: &'a OrchestratorConfig,
     fleet: &'a [FleetDevice],
@@ -447,99 +439,20 @@ impl<'a> Sim<'a> {
         }
     }
 
-    /// The event loop, barrier by barrier: every iteration drains one
-    /// virtual instant's events, hoists the hoist-safe deferred batch
-    /// compute among them onto the sharded executor (stage A), then
-    /// replays the whole batch sequentially in `(time, seq)` order with
-    /// the precomputed results spliced in (stage B). Stage B is where all
-    /// bookkeeping — queue, ledger, telemetry, trace — happens, on this
-    /// thread, so the result streams cannot depend on the shard count.
-    fn run_loop(&mut self, exec: &mut ShardedExecutor) {
+    /// The event loop: one thread, one path. Events pop in `(time, seq)`
+    /// order and every one — arrival or lease expiry — is handled to
+    /// completion, batch compute included, before the next is popped.
+    fn run_loop(&mut self) {
         let _prof = qoncord_prof::span("engine::run");
-        let mut batch = Vec::new();
-        while let Some(t) = self.events.pop_batch(&mut batch) {
-            // Decay is a function of the clock alone and idempotent within
-            // one instant, so once per barrier equals once per event.
+        while let Some((t, event)) = self.events.pop() {
+            // A function of the clock alone, so a no-op for every event
+            // after the first of an instant.
             self.apply_decay(t);
-            let mut hoisted = self.hoist_batch(&batch, t, exec);
-            for (pos, &event) in batch.iter().enumerate() {
-                match event {
-                    Event::Arrival(job) => self.admit(job, t),
-                    Event::LeaseDone { device, lease } => {
-                        self.on_lease_done(device, lease, t, hoisted[pos].take())
-                    }
-                }
+            match event {
+                Event::Arrival(job) => self.admit(job, t),
+                Event::LeaseDone { device, lease } => self.on_lease_done(device, lease, t),
             }
         }
-    }
-
-    /// Stage A of one barrier: runs the deferred batch compute of the
-    /// batch's hoist-safe lease completions on the sharded executor,
-    /// returning each event's precomputed [`BatchResult`] by batch
-    /// position (`None` = not hoisted, stage B computes inline).
-    ///
-    /// An expiry is hoist-safe iff its lease is still the device's active
-    /// lease *and* the job runs as a single shard (`shard_count() == 1`).
-    /// Why that is exactly the sequential result:
-    ///
-    /// - **Its own staleness cannot change inside the barrier.** A lease
-    ///   completes only through its unique `LeaseDone` event, and
-    ///   preemption never recalls a lease at its expiry boundary
-    ///   (`try_preempt` refuses when no occupancy remains to save), so a
-    ///   lease live at the barrier's start is live when its event replays
-    ///   — and a stale one stays stale.
-    /// - **No earlier batch event can touch a one-shard runner.** A shard
-    ///   never has more than one batch in the system, so a one-shard job
-    ///   has at most one — while this lease is active it has no queued
-    ///   request to grant (no checkpoint read) and no other expiry to
-    ///   execute, and triage hold releases only follow its *own*
-    ///   `execute_batch`. So the runner's state when its event replays
-    ///   equals its state at the barrier's start, and the hoisted compute
-    ///   is bit-identical to the inline call.
-    ///
-    /// The shards of a split job share optimizer state (the tier barrier's
-    /// merged reports) across their sub-leases, whose same-instant events
-    /// *do* interleave with grants reading shard checkpoints — their
-    /// compute stays inline in stage B, at its exact sequential position.
-    fn hoist_batch(
-        &mut self,
-        batch: &[Event],
-        now: f64,
-        exec: &mut ShardedExecutor,
-    ) -> Vec<Option<BatchResult>> {
-        let mut results: Vec<Option<BatchResult>> = (0..batch.len()).map(|_| None).collect();
-        if !exec.is_parallel() {
-            return results;
-        }
-        let mut tasks = Vec::new();
-        for (pos, &event) in batch.iter().enumerate() {
-            let Event::LeaseDone { device, lease } = event else {
-                continue;
-            };
-            let Some(active) = self.leases.active(device) else {
-                continue;
-            };
-            if active.id != lease {
-                continue; // stale expiry: stage B just records it
-            }
-            let (job, job_shard) = (active.job, active.shard());
-            debug_assert!(active.remaining(now) <= 0.0, "expiry event at lease end");
-            let Some(runner) = self.drivers[job].take_if(|r| r.shard_count() == 1) else {
-                continue;
-            };
-            tasks.push(ShardTask {
-                pos,
-                job,
-                job_shard,
-                device,
-                runner,
-            });
-        }
-        for done in exec.run_barrier(tasks) {
-            self.drivers[done.job] = Some(done.runner);
-            results[done.pos] = Some(done.result);
-        }
-        results
     }
 
     /// Applies every decay epoch the virtual clock has crossed since the
@@ -1132,18 +1045,11 @@ impl<'a> Sim<'a> {
         );
     }
 
-    /// Lease-completion bookkeeping. `hoisted` carries the batch's
-    /// precomputed [`BatchResult`] when stage A already advanced the
-    /// runner on a shard worker; `None` runs the compute inline here (the
-    /// sequential path, and every non-hoist-safe case).
-    fn on_lease_done(&mut self, device: usize, lease: u64, now: f64, hoisted: Option<BatchResult>) {
+    /// Lease-completion bookkeeping, and the batch's deferred compute.
+    fn on_lease_done(&mut self, device: usize, lease: u64, now: f64) {
         let _prof = qoncord_prof::span("engine::lease_done");
         // Expiry of an evicted lease: the device moved on, nothing to do.
         let Some(lease) = self.leases.complete(device, lease) else {
-            debug_assert!(
-                hoisted.is_none(),
-                "a lease live at its barrier's start cannot go stale within the barrier"
-            );
             self.tracer
                 .emit(now, TraceEvent::StaleExpiry { lease, device });
             return;
@@ -1151,15 +1057,11 @@ impl<'a> Sim<'a> {
         let job = lease.job;
         let shard = lease.shard();
         self.in_flight[job].remove(&shard);
-        // The batch's real compute runs now, at its virtual completion —
-        // either spliced in from the barrier's parallel stage or inline.
-        let result = match hoisted {
-            Some(result) => result,
-            None => self.drivers[job]
-                .as_mut()
-                .expect("granted job is active")
-                .execute_batch(shard),
-        };
+        // The batch's real compute runs now, at its virtual completion.
+        let result = self.drivers[job]
+            .as_mut()
+            .expect("granted job is active")
+            .execute_batch(shard);
         debug_assert_eq!(result.fleet_index, device, "driver/queue device mismatch");
         debug_assert!(
             (result.duration - lease.seconds).abs() < 1e-9,

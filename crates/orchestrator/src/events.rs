@@ -83,25 +83,6 @@ impl EventQueue {
     pub(crate) fn pop(&mut self) -> Option<(f64, Event)> {
         self.heap.pop().map(|e| (e.time, e.event))
     }
-
-    /// Pops every event scheduled at the earliest pending instant — one
-    /// virtual-time barrier — into `batch` in FIFO `seq` order, returning
-    /// that instant. Events pushed while a barrier is being processed land
-    /// in a later barrier even when they collapse onto the same timestamp:
-    /// their `seq` is higher than everything drained here, so processing
-    /// them in a follow-up barrier replays exactly the sequential order.
-    pub(crate) fn pop_batch(&mut self, batch: &mut Vec<Event>) -> Option<f64> {
-        batch.clear();
-        let (time, first) = self.pop()?;
-        batch.push(first);
-        while let Some(entry) = self.heap.peek() {
-            if entry.time != time {
-                break;
-            }
-            batch.push(self.heap.pop().expect("peeked entry exists").event);
-        }
-        Some(time)
-    }
 }
 
 #[cfg(test)]
@@ -120,7 +101,12 @@ mod tests {
         q.push(5.0, Event::Arrival(1));
         assert_eq!(q.pop(), Some((1.0, done)));
         assert_eq!(q.pop(), Some((5.0, Event::Arrival(0))));
+        // A push at the instant just popped comes out after everything
+        // already queued there: handling an event can never reorder its
+        // same-instant successors.
+        q.push(5.0, Event::Arrival(2));
         assert_eq!(q.pop(), Some((5.0, Event::Arrival(1))));
+        assert_eq!(q.pop(), Some((5.0, Event::Arrival(2))));
         assert_eq!(q.pop(), None);
     }
 
@@ -128,24 +114,5 @@ mod tests {
     #[should_panic(expected = "event time")]
     fn infinite_time_rejected() {
         EventQueue::new().push(f64::INFINITY, Event::Arrival(0));
-    }
-
-    #[test]
-    fn pop_batch_drains_one_instant_in_seq_order() {
-        let done = |device| Event::LeaseDone { device, lease: 1 };
-        let mut q = EventQueue::new();
-        q.push(2.0, Event::Arrival(0));
-        q.push(1.0, done(0));
-        q.push(1.0, done(1));
-        q.push(1.0, Event::Arrival(9));
-        let mut batch = Vec::new();
-        assert_eq!(q.pop_batch(&mut batch), Some(1.0));
-        assert_eq!(batch, vec![done(0), done(1), Event::Arrival(9)]);
-        // A push at the drained instant lands in a *new* barrier.
-        q.push(2.0, Event::Arrival(1));
-        assert_eq!(q.pop_batch(&mut batch), Some(2.0));
-        assert_eq!(batch, vec![Event::Arrival(0), Event::Arrival(1)]);
-        assert_eq!(q.pop_batch(&mut batch), None);
-        assert!(batch.is_empty());
     }
 }

@@ -13,7 +13,9 @@
 //! engine verifies (in debug builds) that the victim resumes from exactly
 //! that state — bit-identically to a run that was never preempted. The only
 //! cost of an eviction is the wasted occupancy between grant and recall,
-//! which the [`LeaseLedger`] accounts as wasted-work seconds.
+//! which [`LeaseLedger::evict`] returns as
+//! [`EvictedLease::burned_seconds`]; totals are the trace fold's job
+//! ([`crate::trace`]), the ledger keeps none.
 //!
 //! Preemption eligibility is decided by [`Urgency::may_preempt`]: a
 //! higher-priority challenger may evict a lower-priority holder, and a
@@ -165,16 +167,12 @@ pub struct LeaseTerms {
     pub checkpoint: ShardCheckpoint,
 }
 
-/// The book of record for device leases: one active lease per device, plus
-/// grant/completion/eviction counters and wasted-work accounting.
+/// The book of record for device leases: one active lease per device, and
+/// the id the next grant receives.
 #[derive(Debug, Clone, Default)]
 pub struct LeaseLedger {
     active: Vec<Option<Lease>>,
     next_id: u64,
-    granted: u64,
-    completed: u64,
-    evicted: u64,
-    wasted_seconds: f64,
 }
 
 impl LeaseLedger {
@@ -210,7 +208,6 @@ impl LeaseLedger {
         );
         let id = self.next_id;
         self.next_id += 1;
-        self.granted += 1;
         let lease = Lease {
             id,
             job: terms.job,
@@ -231,16 +228,11 @@ impl LeaseLedger {
     /// the lease was evicted in the meantime (a stale completion event),
     /// leaving the device's current state untouched.
     pub fn complete(&mut self, device: usize, id: u64) -> Option<Lease> {
-        if self.active[device].as_ref().is_some_and(|l| l.id == id) {
-            self.completed += 1;
-            self.active[device].take()
-        } else {
-            None
-        }
+        self.active[device].take_if(|l| l.id == id)
     }
 
-    /// Evicts the active lease on `device` at `now`, accounting the
-    /// occupancy since its grant as wasted work.
+    /// Evicts the active lease on `device` at `now`; the occupancy since
+    /// its grant is returned as the wasted work.
     ///
     /// # Panics
     ///
@@ -248,32 +240,10 @@ impl LeaseLedger {
     pub fn evict(&mut self, device: usize, now: f64) -> EvictedLease {
         let lease = self.active[device].take().expect("evicting an idle device");
         let burned_seconds = lease.held(now);
-        self.evicted += 1;
-        self.wasted_seconds += burned_seconds;
         EvictedLease {
             lease,
             burned_seconds,
         }
-    }
-
-    /// Leases granted so far.
-    pub fn granted(&self) -> u64 {
-        self.granted
-    }
-
-    /// Leases that ran to completion.
-    pub fn completed(&self) -> u64 {
-        self.completed
-    }
-
-    /// Leases recalled by preemption.
-    pub fn evicted(&self) -> u64 {
-        self.evicted
-    }
-
-    /// Total device-seconds of occupancy evictions wasted.
-    pub fn wasted_seconds(&self) -> f64 {
-        self.wasted_seconds
     }
 }
 
@@ -310,10 +280,7 @@ mod tests {
         let done = ledger.complete(1, id).expect("live lease completes");
         assert_eq!(done.job, 0);
         assert!(ledger.active(1).is_none());
-        assert_eq!(
-            (ledger.granted(), ledger.completed(), ledger.evicted()),
-            (1, 1, 0)
-        );
+        assert_eq!(ledger.complete(1, id), None, "a lease completes once");
     }
 
     #[test]
@@ -323,14 +290,18 @@ mod tests {
         let evicted = ledger.evict(0, 104.0);
         assert_eq!(evicted.lease.id, id);
         assert_eq!(evicted.burned_seconds, 4.0);
-        assert_eq!(ledger.wasted_seconds(), 4.0);
+        assert!(ledger.active(0).is_none(), "eviction frees the device");
         // The stale completion event for the evicted lease is a no-op...
         assert_eq!(ledger.complete(0, id), None);
         // ...even when another lease has since taken the device.
         let id2 = ledger.grant(terms(4, 0, 2, 3.0), 104.0).id;
         assert_eq!(ledger.complete(0, id), None);
+        assert_eq!(
+            ledger.active(0).unwrap().id,
+            id2,
+            "stale id touched nothing"
+        );
         assert!(ledger.complete(0, id2).is_some());
-        assert_eq!(ledger.evicted(), 1);
     }
 
     #[test]

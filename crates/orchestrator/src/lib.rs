@@ -19,8 +19,8 @@
 //!   workload).
 //! - [`fleet`] — the shared fleet: calibrations + market metadata.
 //! - [`lease`] — explicit device leases: priority, deadline, checkpointed
-//!   optimizer state, and the eviction/wasted-work ledger behind
-//!   preemption.
+//!   optimizer state, and the one-active-lease-per-device ledger that
+//!   grants, completes and evicts them.
 //! - [`admission`] — deadline-aware admission control: feasibility
 //!   projections from fleet load decide whether a job's SLA is keepable,
 //!   downgrading or rejecting it otherwise. Projections can be
@@ -36,11 +36,9 @@
 //!   [`qoncord_cloud::policy::place_job`]), urgency-based lease preemption
 //!   bounded by an anti-starvation eviction budget, virtual-time usage
 //!   decay, and pruning-aware cancellation of reservations when restart
-//!   triage kills work mid-flight. With
-//!   [`OrchestratorConfig::shards`](engine::OrchestratorConfig::shards)
-//!   above one (or the `QONCORD_SHARDS` env override), each virtual-time
-//!   barrier's batch compute runs on per-device-group worker threads with
-//!   results bit-identical to the sequential engine.
+//!   triage kills work mid-flight. One thread pops events in
+//!   `(time, seq)` order; parallelism lives below it, in the simulator's
+//!   `sim::par` kernels.
 //! - [`split`] — QuSplit-style restart splitting: one job's restarts
 //!   fanned across same-tier devices as concurrent sub-leases (fan-out
 //!   width chosen from live load), with merges bit-identical to the
@@ -106,8 +104,6 @@
 
 mod driver;
 mod events;
-mod exec;
-mod shard;
 
 pub mod admission;
 pub mod calibration;

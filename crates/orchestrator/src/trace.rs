@@ -2225,13 +2225,15 @@ impl ReportFold {
                 assessed_deadline,
             } => {
                 let s = self.job_mut(*job)?;
-                s.telemetry.admission_estimate = Some(*estimate);
-                s.telemetry.admission_margin = *margin;
                 match decision {
                     AdmissionDecision::Reject => {
                         s.outcome = ReconstructedOutcome::Denied {
                             estimate: *estimate,
-                            deadline: assessed_deadline.expect("only deadline jobs are denied"),
+                            // The engine only denies deadline jobs; a
+                            // captured denial without the deadline it was
+                            // assessed against is malformed and skipped
+                            // whole (nothing is written before this `?`).
+                            deadline: (*assessed_deadline)?,
                         };
                     }
                     AdmissionDecision::Downgrade => {
@@ -2242,6 +2244,8 @@ impl ReportFold {
                         s.telemetry.deadline = *deadline;
                     }
                 }
+                s.telemetry.admission_estimate = Some(*estimate);
+                s.telemetry.admission_margin = *margin;
             }
             TraceEvent::HoldRelease {
                 job,
@@ -2590,6 +2594,20 @@ mod tests {
                 credit: 1.0,
             },
             TraceEvent::JobComplete { job: 0 },
+            // A hand-edited denial of a declared job that lost the deadline
+            // it was assessed against: skipped whole, not a panic.
+            TraceEvent::AdmissionVerdict {
+                job: 1,
+                decision: AdmissionDecision::Reject,
+                estimate: FeasibilityEstimate {
+                    queue_seconds: 0.0,
+                    service_seconds: 2.5,
+                    completion: 2.75,
+                },
+                margin: Some(1.0),
+                deadline: None,
+                assessed_deadline: None,
+            },
         ];
         let records: Vec<TraceRecord> = events
             .into_iter()
@@ -2597,9 +2615,11 @@ mod tests {
             .map(|(i, event)| record(i as u64, 5.0, event))
             .collect();
         let rebuilt = reconstruct_report(&records);
-        assert_eq!(rebuilt.orphaned, 4);
+        assert_eq!(rebuilt.orphaned, 5);
         assert_eq!(rebuilt.jobs.len(), 1, "undeclared jobs are absent");
         let job = &rebuilt.jobs[0];
+        assert_eq!(job.outcome, ReconstructedOutcome::Completed);
+        assert_eq!(job.telemetry.admission_estimate, None);
         assert_eq!((job.id, job.telemetry.executions), (41, 10));
         assert_eq!(job.telemetry.device_seconds, [0.0, 4.0]);
         assert_eq!(job.telemetry.cost, 8.0);

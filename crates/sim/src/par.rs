@@ -22,9 +22,9 @@
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// Environment variable selecting the simulator worker-thread count
-/// (mirrors the orchestrator's `QONCORD_SHARDS`). Unset or invalid values
-/// mean 1 (sequential).
+/// Environment variable selecting the simulator worker-thread count — the
+/// stack's one parallelism switch. Unset or invalid values mean 1
+/// (sequential).
 pub const SIM_THREADS_ENV: &str = "QONCORD_SIM_THREADS";
 
 /// Default minimum number of items each worker must receive before a sweep

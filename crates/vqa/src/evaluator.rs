@@ -29,11 +29,9 @@ pub struct Evaluation {
 
 /// A stateful objective bound to one device; counts circuit executions.
 ///
-/// `Send` is a supertrait so boxed evaluators (and the job drivers built
-/// around them) can cross threads: the sharded orchestrator executor runs
-/// independent jobs' batches on worker threads between virtual-time
-/// barriers. Evaluators are plain owned state, so this costs implementors
-/// nothing.
+/// `Send` is a supertrait so boxed evaluators (and the job runners built
+/// around them) can cross threads. Evaluators are plain owned state, so
+/// this costs implementors nothing.
 pub trait CostEvaluator: Send {
     /// Number of trainable parameters.
     fn n_params(&self) -> usize;

@@ -9,11 +9,10 @@ use qoncord::cloud::policy::Policy;
 use qoncord::core::executor::QaoaFactory;
 use qoncord::core::prof::{folded_export, Profiler};
 use qoncord::core::scheduler::QoncordConfig;
-use qoncord::device::catalog;
 use qoncord::orchestrator::trace::{MemorySink, TraceHandle, TraceRecord};
 use qoncord::orchestrator::{
-    two_lf_one_hf_fleet, DeadlineClass, FleetDevice, Orchestrator, OrchestratorConfig,
-    OrchestratorReport, PreemptionConfig, TenantJob,
+    two_lf_one_hf_fleet, DeadlineClass, Orchestrator, OrchestratorConfig, OrchestratorReport,
+    PreemptionConfig, TenantJob,
 };
 use qoncord::vqa::{graph::Graph, maxcut::MaxCut};
 use std::cell::RefCell;
@@ -147,54 +146,4 @@ fn disabled_profiler_records_no_spans_at_all() {
     // report an unprofiled run gets.
     assert!(report.perf.is_empty());
     assert!(folded_export(&report.perf).is_empty());
-}
-
-#[test]
-fn unsplit_jobs_are_hoisted_onto_the_shard_workers() {
-    // Every bit-identity suite passes with hoisting silently off — the
-    // engine then computes each batch inline — so the parallel stage needs
-    // its own witness: the `engine::barrier` span is opened only when a
-    // barrier fans at least two hoisted batches out to the workers. The
-    // scenario is `sharded_engine`'s lockstep fleet: six twin devices,
-    // twelve identical unsplit jobs arriving together, so every barrier
-    // carries a fleet's worth of simultaneous lease completions.
-    if std::env::var("QONCORD_SHARDS").is_ok_and(|raw| raw.trim() == "1") {
-        return; // the override forces the sequential engine
-    }
-    let fleet: Vec<FleetDevice> = (0..6)
-        .map(|i| FleetDevice::new(catalog::ibmq_toronto().renamed(format!("twin_{i}"))))
-        .collect();
-    let jobs: Vec<TenantJob> = (0..12)
-        .map(|i| {
-            let cfg = QoncordConfig {
-                exploration_max_iterations: 6,
-                finetune_max_iterations: 4,
-                seed: 0x51AD + i as u64,
-                ..QoncordConfig::default()
-            };
-            TenantJob::new(i, format!("tenant-{i}"), 0.0, Box::new(factory()))
-                .with_restarts(2)
-                .with_config(cfg)
-        })
-        .collect();
-    let orchestrator = Orchestrator::new(
-        OrchestratorConfig {
-            shards: 2,
-            ..OrchestratorConfig::default()
-        },
-        fleet,
-    );
-    let profiler = Profiler::new();
-    let report = {
-        let _installed = profiler.install();
-        orchestrator.run(&jobs)
-    };
-    assert_eq!(report.completed(), jobs.len());
-    let barriers: u64 = report
-        .perf
-        .entries_labeled("engine::barrier")
-        .iter()
-        .map(|e| e.count)
-        .sum();
-    assert!(barriers > 0, "no barrier ever fanned out: hoisting stopped");
 }

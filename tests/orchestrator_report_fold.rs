@@ -1,8 +1,7 @@
 //! The report is a fold of the engine's own event stream: it must not
 //! depend on which sink (if any) is attached, the captured stream must
-//! replay into it bit-for-bit at every shard count, and a capture that
-//! lost its head must still replay — skipping, and counting, what it can
-//! no longer attribute.
+//! replay into it bit-for-bit, and a capture that lost its head must still
+//! replay — skipping, and counting, what it can no longer attribute.
 
 use qoncord::cloud::policy::Policy;
 use qoncord::core::executor::QaoaFactory;
@@ -26,7 +25,7 @@ fn factory() -> QaoaFactory {
 
 /// The `orchestrator_preemption` trace: seven batch tenants at t=0 plus an
 /// urgent interactive arrival at t=1, preemption on, 2-LF/1-HF fleet.
-fn run_preemption(shards: usize, trace: TraceHandle) -> OrchestratorReport {
+fn run_preemption(trace: TraceHandle) -> OrchestratorReport {
     let jobs: Vec<TenantJob> = (0..8)
         .map(|i| {
             let cfg = QoncordConfig {
@@ -52,7 +51,6 @@ fn run_preemption(shards: usize, trace: TraceHandle) -> OrchestratorReport {
     let config = OrchestratorConfig {
         policy: Policy::Qoncord,
         preemption: PreemptionConfig::enabled(),
-        shards,
         trace,
         ..OrchestratorConfig::default()
     };
@@ -61,7 +59,7 @@ fn run_preemption(shards: usize, trace: TraceHandle) -> OrchestratorReport {
 
 /// The `orchestrator_split` trace: eight restart-heavy jobs 20 s apart,
 /// splitting on, twin 2-LF/2-HF fleet.
-fn run_split(shards: usize, trace: TraceHandle) -> OrchestratorReport {
+fn run_split(trace: TraceHandle) -> OrchestratorReport {
     let jobs: Vec<TenantJob> = (0..8)
         .map(|i| {
             let cfg = QoncordConfig {
@@ -83,7 +81,6 @@ fn run_split(shards: usize, trace: TraceHandle) -> OrchestratorReport {
         .collect();
     let config = OrchestratorConfig {
         split: SplitConfig::enabled(),
-        shards,
         trace,
         ..OrchestratorConfig::default()
     };
@@ -104,9 +101,9 @@ fn fingerprint(report: &OrchestratorReport) -> String {
     )
 }
 
-fn captured(run: fn(usize, TraceHandle) -> OrchestratorReport) -> Vec<TraceRecord> {
+fn captured(run: fn(TraceHandle) -> OrchestratorReport) -> Vec<TraceRecord> {
     let sink = Rc::new(RefCell::new(MemorySink::new()));
-    run(1, TraceHandle::to(sink.clone()));
+    run(TraceHandle::to(sink.clone()));
     let records = sink.borrow().records().to_vec();
     records
 }
@@ -114,12 +111,12 @@ fn captured(run: fn(usize, TraceHandle) -> OrchestratorReport) -> Vec<TraceRecor
 #[test]
 fn report_does_not_depend_on_the_attached_sink() {
     for run in [run_preemption, run_split] {
-        let detached = run(1, TraceHandle::none());
+        let detached = run(TraceHandle::none());
         assert_eq!(detached.completed(), 8);
         let memory = Rc::new(RefCell::new(MemorySink::new()));
         let ring = Rc::new(RefCell::new(RingBufferSink::with_capacity(64)));
-        let on_memory = run(1, TraceHandle::to(memory.clone()));
-        let on_ring = run(1, TraceHandle::to(ring.clone()));
+        let on_memory = run(TraceHandle::to(memory.clone()));
+        let on_ring = run(TraceHandle::to(ring.clone()));
         assert!(
             ring.borrow().dropped() > 0,
             "the ring must be smaller than the stream"
@@ -130,16 +127,14 @@ fn report_does_not_depend_on_the_attached_sink() {
 }
 
 #[test]
-fn captured_stream_replays_into_the_report_at_every_shard_count() {
+fn captured_stream_replays_into_the_report() {
     for run in [run_preemption, run_split] {
-        for shards in [1, 2, 4] {
-            let sink = Rc::new(RefCell::new(MemorySink::new()));
-            let report = run(shards, TraceHandle::to(sink.clone()));
-            let rebuilt = trace::reconstruct_report(sink.borrow().records());
-            assert_eq!(rebuilt.orphaned, 0);
-            let diff = rebuilt.diff(&report);
-            assert!(diff.is_empty(), "shards {shards}:\n{}", diff.join("\n"));
-        }
+        let sink = Rc::new(RefCell::new(MemorySink::new()));
+        let report = run(TraceHandle::to(sink.clone()));
+        let rebuilt = trace::reconstruct_report(sink.borrow().records());
+        assert_eq!(rebuilt.orphaned, 0);
+        let diff = rebuilt.diff(&report);
+        assert!(diff.is_empty(), "{}", diff.join("\n"));
     }
 }
 

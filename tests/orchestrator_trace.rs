@@ -9,12 +9,13 @@ use qoncord::cloud::policy::Policy;
 use qoncord::core::executor::QaoaFactory;
 use qoncord::core::scheduler::QoncordConfig;
 use qoncord::core::SelectionPolicy;
+use qoncord::device::catalog;
 use qoncord::orchestrator::trace::{
     self, JsonlSink, MemorySink, RingBufferSink, TraceHandle, CHROME_FLEET_PID, CHROME_JOBS_PID,
 };
 use qoncord::orchestrator::{
-    two_lf_one_hf_fleet, two_lf_two_hf_fleet, DeadlineClass, Orchestrator, OrchestratorConfig,
-    OrchestratorReport, PreemptionConfig, SplitConfig, TenantJob,
+    two_lf_one_hf_fleet, two_lf_two_hf_fleet, DeadlineClass, FleetDevice, Orchestrator,
+    OrchestratorConfig, OrchestratorReport, PreemptionConfig, SplitConfig, TenantJob,
 };
 use qoncord::vqa::{graph::Graph, maxcut::MaxCut};
 use std::cell::RefCell;
@@ -149,21 +150,66 @@ fn reconstruction_matches_the_engine_report_on_the_split_trace() {
     );
 }
 
+/// Six `ibmq_toronto` twins, twelve identical two-restart jobs at t = 0:
+/// every device's lease expires at the same virtual instant, the densest
+/// same-instant traffic in the suite — what would expose a hash-iteration
+/// order leaking into `(time, seq)` replay.
+fn run_lockstep(trace: TraceHandle) -> OrchestratorReport {
+    let fleet: Vec<FleetDevice> = (0..6)
+        .map(|i| FleetDevice::new(catalog::ibmq_toronto().renamed(format!("twin_{i}"))))
+        .collect();
+    let jobs: Vec<TenantJob> = (0..12)
+        .map(|i| {
+            let cfg = QoncordConfig {
+                exploration_max_iterations: 6,
+                finetune_max_iterations: 4,
+                seed: 0x51AD + i as u64,
+                ..QoncordConfig::default()
+            };
+            TenantJob::new(i, format!("tenant-{i}"), 0.0, Box::new(factory()))
+                .with_restarts(2)
+                .with_config(cfg)
+        })
+        .collect();
+    let config = OrchestratorConfig {
+        trace,
+        ..OrchestratorConfig::default()
+    };
+    Orchestrator::new(config, fleet).run(&jobs)
+}
+
 #[test]
 fn jsonl_capture_is_byte_identical_across_identical_runs() {
-    let capture = || {
-        let sink = Rc::new(RefCell::new(JsonlSink::new()));
-        run_preemption(TraceHandle::to(sink.clone()));
-        let jsonl = sink.borrow().as_str().to_owned();
-        jsonl
-    };
-    let first = capture();
-    let second = capture();
-    assert!(!first.is_empty());
-    assert_eq!(
-        first.as_bytes(),
-        second.as_bytes(),
-        "same config + seed must serialize byte-identically"
+    for run in [run_preemption, run_lockstep] {
+        let capture = || {
+            let sink = Rc::new(RefCell::new(JsonlSink::new()));
+            run(TraceHandle::to(sink.clone()));
+            let jsonl = sink.borrow().as_str().to_owned();
+            jsonl
+        };
+        let first = capture();
+        let second = capture();
+        assert!(!first.is_empty());
+        assert_eq!(
+            first.as_bytes(),
+            second.as_bytes(),
+            "same config + seed must serialize byte-identically"
+        );
+    }
+
+    // The lockstep scenario must stay lockstep: completions share instants.
+    let sink = Rc::new(RefCell::new(MemorySink::new()));
+    run_lockstep(TraceHandle::to(sink.clone()));
+    let sink = sink.borrow();
+    let completions: Vec<f64> = sink
+        .records()
+        .iter()
+        .filter(|r| matches!(r.event, trace::TraceEvent::LeaseComplete { .. }))
+        .map(|r| r.time)
+        .collect();
+    assert!(
+        completions.windows(2).any(|w| w[0] == w[1]),
+        "no two lease completions share a timestamp: the scenario stopped being lockstep"
     );
 }
 
