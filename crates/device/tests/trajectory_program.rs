@@ -5,23 +5,21 @@
 //!   trajectory at a time, identity sites skipped; no dedupe, fusion or
 //!   prefix sharing) agree on every bit of every probability;
 //! * **≤ 1e-12** — the default run (fused, deduped, prefix-shared) against
-//!   those, and bit-identically against itself at any sim thread count.
+//!   those.
 //!
 //! Circuits: the transpiled 9-qubit QAOA on both devices of the reference
 //! fleet, and a 10-qubit op list with every `FusedOp` variant as a noise
-//! site. `ScopedReference` and the thread settings are process-global, so
-//! the tests serialize.
+//! site. `ScopedReference` is process-global, so the tests serialize.
 
 use qoncord_circuit::transpile::{transpile, TranspiledCircuit};
 use qoncord_device::calibration::Calibration;
 use qoncord_device::catalog;
-use qoncord_device::noise_model::{BackendKind, NoiseModel, SimulatedBackend};
+use qoncord_device::noise_model::{NoiseModel, SimulatedBackend};
 use qoncord_sim::dist::ProbDist;
 use qoncord_sim::fuse::FusedOp;
 use qoncord_sim::gates;
 use qoncord_sim::math::C64;
 use qoncord_sim::noise::NoiseChannel;
-use qoncord_sim::par;
 use qoncord_sim::reference::ScopedReference;
 use qoncord_sim::statevector::StateVector;
 use qoncord_sim::trajectory::{
@@ -35,24 +33,6 @@ static GLOBAL: Mutex<()> = Mutex::new(());
 
 fn exclusive() -> MutexGuard<'static, ()> {
     GLOBAL.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-/// Scoped thread configuration; restores the sequential default on drop.
-struct Threads;
-
-impl Threads {
-    fn set(threads: usize, min_items: usize) -> Self {
-        par::set_threads(threads);
-        par::set_min_items_per_thread(min_items);
-        Threads
-    }
-}
-
-impl Drop for Threads {
-    fn drop(&mut self) {
-        par::set_threads(1);
-        par::set_min_items_per_thread(par::DEFAULT_MIN_ITEMS_PER_THREAD);
-    }
 }
 
 fn qaoa_9(cal: &Calibration) -> (TranspiledCircuit, Vec<f64>) {
@@ -278,35 +258,4 @@ fn edge_rates_trajectory_counts_and_seeds() {
     // No ops: every trajectory is |0…0⟩.
     let empty = assert_two_tiers(3, &[], (0.1, 0.1), 9, 48, "empty op list");
     assert_eq!(empty.probabilities()[0], 1.0);
-}
-
-#[test]
-fn program_is_bit_identical_across_sim_thread_counts() {
-    let _lock = exclusive();
-    let cal = catalog::ibmq_toronto();
-    let (t, params) = qaoa_9(&cal);
-    let backend = SimulatedBackend::from_calibration(cal);
-    assert_eq!(
-        backend.kind(),
-        BackendKind::Auto,
-        "9 qubits resolve to 48 trajectories"
-    );
-    let run = |threads| {
-        // 16 items per thread: a 9-qubit sweep really splits.
-        let _threads = Threads::set(threads, 16);
-        (backend.run(&t, &params, 13), {
-            let _guard = ScopedReference::new();
-            backend.run(&t, &params, 13)
-        })
-    };
-    let (fast_1, forced_1) = run(1);
-    for threads in [2, 4] {
-        let (fast, forced) = run(threads);
-        assert_bits_eq(&fast, &fast_1, &format!("program at {threads} threads"));
-        assert_bits_eq(
-            &forced,
-            &forced_1,
-            &format!("seed loop at {threads} threads"),
-        );
-    }
 }

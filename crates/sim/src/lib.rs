@@ -23,7 +23,6 @@
 //! - [`fuse`] — gate fusion collapsing adjacent gates into fewer sweeps.
 //! - [`noisy`] — the same for noisy density runs: gates and their
 //!   depolarizing channels compiled into a few in-place sweeps.
-//! - [`par`] — deterministic chunked std-thread parallelism for the kernels.
 //! - [`mod@reference`] — the retained scalar seed kernels the fast paths are
 //!   differentially tested against (and a global switch to force them).
 //!
@@ -53,7 +52,6 @@ pub mod linalg;
 pub mod math;
 pub mod noise;
 pub mod noisy;
-pub mod par;
 pub mod reference;
 pub mod statevector;
 pub mod trajectory;

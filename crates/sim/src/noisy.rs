@@ -65,16 +65,23 @@
 //!
 //! Compilation multiplies gate matrices, so a program matches the unfused
 //! evolution ([`evolve_unfused`]) to ≤ 1e-12 max-norm, not bit-for-bit —
-//! the same tier as [`crate::fuse`]. Sweeps split row anchors across
-//! workers through [`crate::par`]; a strip's arithmetic does not depend on
-//! which worker owns it, so a program's result is bit-identical at every
-//! thread count.
+//! the same tier as [`crate::fuse`]. A run is a fixed sequence of sweeps on
+//! the calling thread, so the same program on the same ρ gives the same
+//! bits every time.
+//!
+//! The sweeps reach ρ through `RawRho`, the workspace's only `unsafe`
+//! (forbidden in every other crate, denied in the rest of this one).
+//! Bounds-checked forms cost `noisy_fleet` 16–20 % of its `wall_s`;
+//! `docs/ARCHITECTURE.md`, "Why the simulator is single-threaded", has the
+//! table.
+
+#![allow(unsafe_code)]
 
 use crate::density::DensityMatrix;
 use crate::fuse::{self, FusedOp};
 use crate::gates::{self, mat2_adjoint, mat2_mul, Mat2, Mat4};
 use crate::math::C64;
-use crate::par::{self, expand, SharedAmps};
+use crate::statevector::expand;
 
 /// The unfused noisy evolution the program is pinned against, and what a
 /// [`crate::reference::forced`] run replays: each op is one gate sweep
@@ -558,14 +565,52 @@ fn draft_2q(op: FusedOp, q0: usize) -> Draft {
     }
 }
 
+/// Unchecked access to ρ's entries for the sweeps below. It holds a raw
+/// pointer, so it is neither `Send` nor `Sync`: a sweep runs on the thread
+/// that borrowed ρ.
+#[derive(Clone, Copy)]
+struct RawRho(*mut C64);
+
+impl RawRho {
+    /// Reads entry `i`.
+    ///
+    /// # Safety
+    ///
+    /// `i` must be below the length of the slice `self` was made from, and
+    /// that borrow must still be live.
+    unsafe fn get(self, i: usize) -> C64 {
+        *self.0.add(i)
+    }
+
+    /// Writes entry `i`.
+    ///
+    /// # Safety
+    ///
+    /// As for [`RawRho::get`].
+    unsafe fn set(self, i: usize, v: C64) {
+        *self.0.add(i) = v;
+    }
+
+    /// Swaps entries `i` and `j`.
+    ///
+    /// # Safety
+    ///
+    /// As for [`RawRho::get`], for both indices.
+    unsafe fn swap(self, i: usize, j: usize) {
+        let a = self.get(i);
+        self.set(i, self.get(j));
+        self.set(j, a);
+    }
+}
+
 /// Applies `run` in place to the sub-block at `rows × cols` (row offsets
 /// already multiplied by the row length).
 ///
 /// # Safety
 ///
-/// The four indices must be in bounds and owned by the calling worker.
+/// The four indices must be in bounds of `ptr`'s slice.
 #[inline(always)]
-unsafe fn wire_at(ptr: SharedAmps, run: &WireOp, rows: [usize; 2], cols: [usize; 2]) {
+unsafe fn wire_at(ptr: RawRho, run: &WireOp, rows: [usize; 2], cols: [usize; 2]) {
     let at = [
         rows[0] + cols[0],
         rows[0] + cols[1],
@@ -582,19 +627,19 @@ unsafe fn wire_at(ptr: SharedAmps, run: &WireOp, rows: [usize; 2], cols: [usize;
 fn sweep_wire(data: &mut [C64], dim: usize, q: usize, run: &WireOp) {
     let _prof = qoncord_prof::span("sim::dm::apply_wire");
     let bit = 1usize << q;
-    let ptr = SharedAmps::new(data);
-    par::for_each_range(dim >> 1, |range| {
-        for ar in range {
-            let r = expand(ar, q);
-            let rows = [r * dim, (r | bit) * dim];
-            for ac in 0..dim >> 1 {
-                let c = expand(ac, q);
-                // SAFETY: both rows derive 1:1 from this worker's private
-                // anchor range and every index is below `dim * dim`.
-                unsafe { wire_at(ptr, run, rows, [c, c | bit]) };
-            }
+    assert!(bit < dim && data.len() == dim * dim, "sweep outside ρ");
+    let ptr = RawRho(data.as_mut_ptr());
+    for ar in 0..dim >> 1 {
+        let r = expand(ar, q);
+        let rows = [r * dim, (r | bit) * dim];
+        for ac in 0..dim >> 1 {
+            let c = expand(ac, q);
+            // SAFETY: `r` and `c` are anchors below `dim` with bit `q`
+            // clear and `bit < dim` (asserted above), so each of the four
+            // indices is at most `(dim − 1)·dim + dim − 1 < data.len()`.
+            unsafe { wire_at(ptr, run, rows, [c, c | bit]) };
         }
-    });
+    }
 }
 
 /// One pair block on `(q0, q1)`: each strip goes through all of `ops`, the
@@ -610,42 +655,45 @@ fn sweep_pair(
     let _prof = qoncord_prof::span("sim::dm::apply_pair");
     let (lo, hi) = if q0 < q1 { (q0, q1) } else { (q1, q0) };
     let offsets = [0, 1 << q0, 1 << q1, 1 << q0 | 1 << q1];
-    let ptr = SharedAmps::new(data);
-    par::for_each_range(dim >> 2, |range| {
-        for ar in range {
-            let strip = Strip {
-                ptr,
-                dim,
-                lo,
-                hi,
-                offsets,
-                row: expand(expand(ar, lo), hi),
-            };
-            // SAFETY: the strip's four rows derive 1:1 from this worker's
-            // private anchor range, and the compiler only emits offsets
-            // drawn from `offsets`.
-            unsafe {
-                for op in ops {
-                    match op {
-                        Local::Wire { pairs, run } => strip.wire(pairs, run),
-                        Local::Dense(u) => strip.dense(u),
-                    }
-                }
-                if keep != 1.0 {
-                    strip.depolarize(keep);
-                }
-                for &[a, b] in swaps {
-                    strip.swap(a, b);
+    assert!(
+        q0 != q1 && offsets[3] < dim && data.len() == dim * dim,
+        "sweep outside ρ"
+    );
+    let ptr = RawRho(data.as_mut_ptr());
+    for ar in 0..dim >> 2 {
+        let strip = Strip {
+            ptr,
+            dim,
+            lo,
+            hi,
+            offsets,
+            row: expand(expand(ar, lo), hi),
+        };
+        // SAFETY: `row` is an anchor below `dim` with both pair bits clear,
+        // `offsets[3] < dim` and `data.len() == dim * dim` are asserted
+        // above, and `finish_pair` — the only place `ops` and `swaps` are
+        // built — emits no offset outside `offsets`.
+        unsafe {
+            for op in ops {
+                match op {
+                    Local::Wire { pairs, run } => strip.wire(pairs, run),
+                    Local::Dense(u) => strip.dense(u),
                 }
             }
+            if keep != 1.0 {
+                strip.depolarize(keep);
+            }
+            for &[a, b] in swaps {
+                strip.swap(a, b);
+            }
         }
-    });
+    }
 }
 
 /// The four rows `row | offsets[k]` of ρ — one row anchor's tiles.
 #[derive(Clone, Copy)]
 struct Strip {
-    ptr: SharedAmps,
+    ptr: RawRho,
     dim: usize,
     lo: usize,
     hi: usize,
@@ -672,8 +720,9 @@ impl Strip {
     ///
     /// # Safety
     ///
-    /// The caller must own the strip's rows, `row` must be a row anchor
-    /// below `dim` and every offset in `pairs` one of `offsets`.
+    /// `ptr` must span `dim * dim` entries, `offsets` must be the pair's tile
+    /// offsets, each below `dim`, `row` a row anchor below `dim` with both
+    /// pair bits clear, and every offset in `pairs` one of `offsets`.
     #[inline(always)]
     unsafe fn wire(self, pairs: &[[usize; 2]; 2], run: &WireOp) {
         let rows = pairs.map(|p| p.map(|o| self.row_at(o)));

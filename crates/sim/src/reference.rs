@@ -2,7 +2,7 @@
 //!
 //! This module pins the seed implementations of the statevector gate
 //! kernels exactly as they shipped before the fast paths landed: plain
-//! sequential loops, one amplitude sweep per op, no fusion, no threading.
+//! loops, one amplitude sweep per op, no fusion.
 //! They are the ground truth the differential kernel-equivalence suite
 //! (`crates/sim/tests/kernel_equivalence.rs`) compares the fast paths
 //! against, and the "before" axis of the `kernel_profile` benchmark. The
@@ -20,32 +20,44 @@
 //!   run its trajectory program ([`crate::trajectory`]) — this is how an
 //!   end-to-end run is replayed "as the seed would have computed it".
 //!
-//! The switch is sound to flip between runs even with concurrent tests:
-//! for unfused op sequences the fast kernels are bit-identical to these
-//! reference kernels (pinned by the equivalence suite), so routing only
-//! changes *speed* except where fusion deliberately reorders floating-point
-//! ops behind an explicitly tolerance-checked boundary.
+//! The switch counts holds, so guards on different threads may overlap and
+//! be released in any order: routing stays forced while any of them lives.
+//! It is sound to flip between runs even with concurrent tests: for unfused
+//! op sequences the fast kernels are bit-identical to these reference
+//! kernels (pinned by the equivalence suite), so routing only changes
+//! *speed* except where fusion deliberately reorders floating-point ops
+//! behind an explicitly tolerance-checked boundary.
 
 use crate::gates::{Mat2, Mat4};
 use crate::math::C64;
 use crate::statevector::StateVector;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
-static FORCE_REFERENCE: AtomicBool = AtomicBool::new(false);
+/// Number of holds on reference routing. A count, not a flag: a guard that
+/// restored the flag it found would switch routing off under a guard made
+/// after it on another thread, and that one would then switch it on for good.
+static FORCE_REFERENCE: AtomicUsize = AtomicUsize::new(0);
 
-/// Routes every simulator kernel through the scalar reference
-/// implementations (`true`) or the default fast paths (`false`).
+/// Takes (`true`) or releases (`false`) one hold on reference routing:
+/// every simulator kernel runs the scalar reference implementations while
+/// at least one hold is out, the default fast paths otherwise. Releasing
+/// with no hold out does nothing.
 pub fn force(on: bool) {
-    FORCE_REFERENCE.store(on, Ordering::Relaxed);
+    if on {
+        FORCE_REFERENCE.fetch_add(1, Ordering::Relaxed);
+    } else {
+        // `Err` is the count already at zero.
+        let _ = FORCE_REFERENCE
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| n.checked_sub(1));
+    }
 }
 
 /// Whether reference-mode routing is currently forced.
 pub fn forced() -> bool {
-    FORCE_REFERENCE.load(Ordering::Relaxed)
+    FORCE_REFERENCE.load(Ordering::Relaxed) > 0
 }
 
-/// RAII guard that forces reference-mode routing for its lifetime and
-/// restores the previous setting on drop.
+/// RAII guard that holds reference-mode routing on for its lifetime.
 ///
 /// ```
 /// let fast = qoncord_sim::reference::forced();
@@ -56,23 +68,20 @@ pub fn forced() -> bool {
 /// assert_eq!(qoncord_sim::reference::forced(), fast);
 /// ```
 #[derive(Debug)]
-pub struct ScopedReference {
-    prev: bool,
-}
+pub struct ScopedReference(());
 
 impl ScopedReference {
     /// Forces reference-mode routing until the guard drops.
     #[allow(clippy::new_without_default)]
     pub fn new() -> Self {
-        let prev = forced();
         force(true);
-        ScopedReference { prev }
+        ScopedReference(())
     }
 }
 
 impl Drop for ScopedReference {
     fn drop(&mut self) {
-        force(self.prev);
+        force(false);
     }
 }
 
@@ -179,5 +188,40 @@ pub(crate) fn raw_sv_apply_rz(amps: &mut [C64], theta: f64, q: usize) {
     let hi = C64::cis(theta / 2.0);
     for (i, a) in amps.iter_mut().enumerate() {
         *a *= if i & bit == 0 { lo } else { hi };
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::mpsc::channel;
+
+    /// Two guards overlap on two threads and the first made is the first
+    /// released. A guard that restores the flag it found turns routing off
+    /// under the second guard, then leaves it on for the rest of the process.
+    #[test]
+    fn overlapping_guards_released_first_made_first_keep_routing_forced() {
+        let (first_made, wait_first_made) = channel();
+        let (second_made, wait_second_made) = channel();
+        let (first_released, wait_first_released) = channel();
+        std::thread::scope(|s| {
+            s.spawn(move || {
+                let first = ScopedReference::new();
+                first_made.send(()).unwrap();
+                wait_second_made.recv().unwrap();
+                assert!(forced());
+                drop(first);
+                first_released.send(()).unwrap();
+            });
+            s.spawn(move || {
+                wait_first_made.recv().unwrap();
+                let second = ScopedReference::new();
+                second_made.send(()).unwrap();
+                wait_first_released.recv().unwrap();
+                assert!(forced(), "released under a live guard");
+                drop(second);
+            });
+        });
+        assert!(!forced(), "stuck on after both guards dropped");
     }
 }

@@ -7,20 +7,17 @@
 //!
 //! Gate application routes through cache-blocked, branch-free fast kernels:
 //! each sweep enumerates only the anchor indices it touches (pair indices
-//! for 1q ops, quarter indices for 2q ops) instead of scanning and skipping,
-//! and large sweeps split across [`crate::par`] worker threads in disjoint
-//! contiguous ranges. The per-amplitude arithmetic is kept *expression-
-//! identical* to the retained scalar kernels in [`crate::reference`], so an
-//! unfused fast sweep is **bit-identical** to the reference sweep — and
-//! because the kernels are elementwise (no cross-amplitude reductions),
-//! results are bit-identical at any thread count. Flipping
-//! [`crate::reference::force`] reroutes every method here through the
-//! scalar seed kernels.
+//! for 1q ops, quarter indices for 2q ops) instead of scanning and skipping.
+//! The per-amplitude arithmetic is kept *expression-identical* to the
+//! retained scalar kernels in [`crate::reference`], so an unfused fast sweep
+//! is **bit-identical** to the reference sweep. Every sweep is one plain
+//! loop on the calling thread (see "Why the simulator is single-threaded"
+//! in `docs/ARCHITECTURE.md`). Flipping [`crate::reference::force`] reroutes
+//! every method here through the scalar seed kernels.
 
 use crate::fuse::{self, FusedOp};
 use crate::gates::{Mat2, Mat4};
 use crate::math::C64;
-use crate::par::{self, expand, SharedAmps};
 use crate::reference;
 
 /// The state of an `n`-qubit register as `2^n` complex amplitudes.
@@ -292,43 +289,28 @@ impl StateVector {
     }
 }
 
+/// Inserts a zero bit at position `bit` of `i` (all higher bits shift up):
+/// maps a dense anchor counter onto the indices with that bit clear, letting
+/// kernels enumerate sweep anchors branch-free.
+#[inline(always)]
+pub(crate) fn expand(i: usize, bit: usize) -> usize {
+    ((i >> bit) << (bit + 1)) | (i & ((1 << bit) - 1))
+}
+
 /// Blocked single-qubit sweep over pair indices: pair `p` maps to the
 /// amplitude pair `(i0, i0 | stride)` with `i0 = expand(p, q)`, so the inner
 /// loop is branch-free and walks two contiguous streams. Arithmetic is
 /// expression-identical to [`reference::sv_apply_1q`].
 fn fast_apply_1q(amps: &mut [C64], u: &Mat2, q: usize) {
     let stride = 1usize << q;
-    let pairs = amps.len() >> 1;
-    // Sequential sweeps go through plain slice indexing: LLVM can prove
-    // non-aliasing and vectorize the butterfly, which the shared-pointer
-    // parallel path below inhibits. Same expressions, same bits.
-    if par::plan(pairs) <= 1 {
-        for p in 0..pairs {
-            let i0 = expand(p, q);
-            let i1 = i0 | stride;
-            let a0 = amps[i0];
-            let a1 = amps[i1];
-            amps[i0] = u[0][0] * a0 + u[0][1] * a1;
-            amps[i1] = u[1][0] * a0 + u[1][1] * a1;
-        }
-        return;
+    for p in 0..amps.len() >> 1 {
+        let i0 = expand(p, q);
+        let i1 = i0 | stride;
+        let a0 = amps[i0];
+        let a1 = amps[i1];
+        amps[i0] = u[0][0] * a0 + u[0][1] * a1;
+        amps[i1] = u[1][0] * a0 + u[1][1] * a1;
     }
-    let u = *u;
-    let ptr = SharedAmps::new(amps);
-    par::for_each_range(pairs, |range| {
-        for p in range {
-            let i0 = expand(p, q);
-            let i1 = i0 | stride;
-            // SAFETY: distinct pair indices map to disjoint (i0, i1) slot
-            // pairs, and worker ranges partition the pair space.
-            unsafe {
-                let a0 = ptr.get(i0);
-                let a1 = ptr.get(i1);
-                ptr.set(i0, u[0][0] * a0 + u[0][1] * a1);
-                ptr.set(i1, u[1][0] * a0 + u[1][1] * a1);
-            }
-        }
-    });
 }
 
 /// Blocked two-qubit sweep over quarter indices: anchor construction sorts
@@ -339,65 +321,28 @@ fn fast_apply_2q(amps: &mut [C64], u: &Mat4, q0: usize, q1: usize) {
     let b0 = 1usize << q0;
     let b1 = 1usize << q1;
     let (lo, hi) = (q0.min(q1), q0.max(q1));
-    let quarters = amps.len() >> 2;
-    if par::plan(quarters) <= 1 {
-        for p in 0..quarters {
-            let i00 = expand(expand(p, lo), hi);
-            let i01 = i00 | b0;
-            let i10 = i00 | b1;
-            let i11 = i00 | b0 | b1;
-            let a = [amps[i00], amps[i01], amps[i10], amps[i11]];
-            amps[i00] = u[0][0] * a[0] + u[0][1] * a[1] + u[0][2] * a[2] + u[0][3] * a[3];
-            amps[i01] = u[1][0] * a[0] + u[1][1] * a[1] + u[1][2] * a[2] + u[1][3] * a[3];
-            amps[i10] = u[2][0] * a[0] + u[2][1] * a[1] + u[2][2] * a[2] + u[2][3] * a[3];
-            amps[i11] = u[3][0] * a[0] + u[3][1] * a[1] + u[3][2] * a[2] + u[3][3] * a[3];
-        }
-        return;
+    for p in 0..amps.len() >> 2 {
+        let i00 = expand(expand(p, lo), hi);
+        let i01 = i00 | b0;
+        let i10 = i00 | b1;
+        let i11 = i00 | b0 | b1;
+        let a = [amps[i00], amps[i01], amps[i10], amps[i11]];
+        amps[i00] = u[0][0] * a[0] + u[0][1] * a[1] + u[0][2] * a[2] + u[0][3] * a[3];
+        amps[i01] = u[1][0] * a[0] + u[1][1] * a[1] + u[1][2] * a[2] + u[1][3] * a[3];
+        amps[i10] = u[2][0] * a[0] + u[2][1] * a[1] + u[2][2] * a[2] + u[2][3] * a[3];
+        amps[i11] = u[3][0] * a[0] + u[3][1] * a[1] + u[3][2] * a[2] + u[3][3] * a[3];
     }
-    let u = *u;
-    let ptr = SharedAmps::new(amps);
-    par::for_each_range(quarters, |range| {
-        for p in range {
-            let i00 = expand(expand(p, lo), hi);
-            let i01 = i00 | b0;
-            let i10 = i00 | b1;
-            let i11 = i00 | b0 | b1;
-            // SAFETY: distinct quarter indices map to disjoint 4-slot blocks,
-            // and worker ranges partition the quarter space.
-            unsafe {
-                let a = [ptr.get(i00), ptr.get(i01), ptr.get(i10), ptr.get(i11)];
-                ptr.set(
-                    i00,
-                    u[0][0] * a[0] + u[0][1] * a[1] + u[0][2] * a[2] + u[0][3] * a[3],
-                );
-                ptr.set(
-                    i01,
-                    u[1][0] * a[0] + u[1][1] * a[1] + u[1][2] * a[2] + u[1][3] * a[3],
-                );
-                ptr.set(
-                    i10,
-                    u[2][0] * a[0] + u[2][1] * a[1] + u[2][2] * a[2] + u[2][3] * a[3],
-                );
-                ptr.set(
-                    i11,
-                    u[3][0] * a[0] + u[3][1] * a[1] + u[3][2] * a[2] + u[3][3] * a[3],
-                );
-            }
-        }
-    });
 }
 
 /// Blocked monomial sweep: each quartet loads its 4 amplitudes through the
 /// source permutation and applies one phase multiply per slot — 4 complex
 /// multiplies where the dense `Mat4` sweep does 16 plus 12 adds. Only ever
 /// reached from fused programs (fusion's matrix products already reorder
-/// floating-point ops), so the contract is ≤ 1e-12 max-norm vs reference,
-/// while thread-count invariance stays bit-exact (disjoint quartets).
+/// floating-point ops), so the contract is ≤ 1e-12 max-norm vs reference.
 fn fast_apply_2q_mono(amps: &mut [C64], d: &[C64; 4], src: &[u8; 4], q0: usize, q1: usize) {
     let b0 = 1usize << q0;
     let b1 = 1usize << q1;
     let (lo, hi) = (q0.min(q1), q0.max(q1));
-    let quarters = amps.len() >> 2;
     let d = *d;
     let s = [
         src[0] as usize,
@@ -405,44 +350,20 @@ fn fast_apply_2q_mono(amps: &mut [C64], d: &[C64; 4], src: &[u8; 4], q0: usize, 
         src[2] as usize,
         src[3] as usize,
     ];
-    if par::plan(quarters) <= 1 {
-        for p in 0..quarters {
-            let i00 = expand(expand(p, lo), hi);
-            let idx = [i00, i00 | b0, i00 | b1, i00 | b0 | b1];
-            let a = [
-                amps[idx[s[0]]],
-                amps[idx[s[1]]],
-                amps[idx[s[2]]],
-                amps[idx[s[3]]],
-            ];
-            amps[idx[0]] = d[0] * a[0];
-            amps[idx[1]] = d[1] * a[1];
-            amps[idx[2]] = d[2] * a[2];
-            amps[idx[3]] = d[3] * a[3];
-        }
-        return;
+    for p in 0..amps.len() >> 2 {
+        let i00 = expand(expand(p, lo), hi);
+        let idx = [i00, i00 | b0, i00 | b1, i00 | b0 | b1];
+        let a = [
+            amps[idx[s[0]]],
+            amps[idx[s[1]]],
+            amps[idx[s[2]]],
+            amps[idx[s[3]]],
+        ];
+        amps[idx[0]] = d[0] * a[0];
+        amps[idx[1]] = d[1] * a[1];
+        amps[idx[2]] = d[2] * a[2];
+        amps[idx[3]] = d[3] * a[3];
     }
-    let ptr = SharedAmps::new(amps);
-    par::for_each_range(quarters, |range| {
-        for p in range {
-            let i00 = expand(expand(p, lo), hi);
-            let idx = [i00, i00 | b0, i00 | b1, i00 | b0 | b1];
-            // SAFETY: distinct quarter indices map to disjoint 4-slot blocks,
-            // and worker ranges partition the quarter space.
-            unsafe {
-                let a = [
-                    ptr.get(idx[s[0]]),
-                    ptr.get(idx[s[1]]),
-                    ptr.get(idx[s[2]]),
-                    ptr.get(idx[s[3]]),
-                ];
-                ptr.set(idx[0], d[0] * a[0]);
-                ptr.set(idx[1], d[1] * a[1]);
-                ptr.set(idx[2], d[2] * a[2]);
-                ptr.set(idx[3], d[3] * a[3]);
-            }
-        }
-    });
 }
 
 /// Blocked CNOT: enumerates exactly the indices with the control bit set and
@@ -452,50 +373,22 @@ fn fast_apply_cx(amps: &mut [C64], c: usize, t: usize) {
     let cb = 1usize << c;
     let tb = 1usize << t;
     let (lo, hi) = (c.min(t), c.max(t));
-    let quarters = amps.len() >> 2;
-    if par::plan(quarters) <= 1 {
-        for p in 0..quarters {
-            let i = expand(expand(p, lo), hi) | cb;
-            amps.swap(i, i | tb);
-        }
-        return;
+    for p in 0..amps.len() >> 2 {
+        let i = expand(expand(p, lo), hi) | cb;
+        amps.swap(i, i | tb);
     }
-    let ptr = SharedAmps::new(amps);
-    par::for_each_range(quarters, |range| {
-        for p in range {
-            let i = expand(expand(p, lo), hi) | cb;
-            // SAFETY: each quarter index owns the disjoint pair (i, i | tb).
-            unsafe {
-                ptr.swap(i, i | tb);
-            }
-        }
-    });
 }
 
 /// Elementwise RZ phase sweep; each amplitude gets the same single multiply
-/// as [`reference::sv_apply_rz`], so any range partition is exact.
+/// as [`reference::sv_apply_rz`].
 fn fast_apply_rz(amps: &mut [C64], theta: f64, q: usize) {
     let bit = 1usize << q;
     let lo = C64::cis(-theta / 2.0);
     let hi = C64::cis(theta / 2.0);
-    let len = amps.len();
-    if par::plan(len) <= 1 {
-        for (i, a) in amps.iter_mut().enumerate() {
-            let f = if i & bit == 0 { lo } else { hi };
-            *a *= f;
-        }
-        return;
+    for (i, a) in amps.iter_mut().enumerate() {
+        let f = if i & bit == 0 { lo } else { hi };
+        *a *= f;
     }
-    let ptr = SharedAmps::new(amps);
-    par::for_each_range(len, |range| {
-        for i in range {
-            // SAFETY: worker ranges partition the index space.
-            unsafe {
-                let f = if i & bit == 0 { lo } else { hi };
-                ptr.set(i, ptr.get(i) * f);
-            }
-        }
-    });
 }
 
 #[cfg(test)]

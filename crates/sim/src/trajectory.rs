@@ -24,8 +24,7 @@
 //!
 //! Replaying the patterns op-at-a-time is bit-identical to
 //! [`sample_unfused`]; fusion reorders floating-point products, so the
-//! program matches it to ≤ 1e-12 on every probability — bit-identically at
-//! every thread count (elementwise kernels, fixed accumulation order).
+//! program matches it to ≤ 1e-12 on every probability.
 
 use crate::dist::ProbDist;
 use crate::fuse::{fuse, FusedOp};

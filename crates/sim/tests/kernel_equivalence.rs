@@ -1,14 +1,13 @@
 //! Differential kernel-equivalence suite: the fast simulator kernels
-//! (chunked-parallel sweeps, gate fusion) against the scalar seed kernels
-//! preserved in `qoncord_sim::reference`.
+//! (blocked sweeps, gate fusion) against the scalar seed kernels preserved
+//! in `qoncord_sim::reference`.
 //!
 //! Contract under test (see `docs/ARCHITECTURE.md`):
 //!
 //! * **Unfused fast vs reference: bit-identical.** The fast statevector
 //!   kernels keep the per-amplitude arithmetic expression-identical to the
 //!   seed loops, so with the op sequence unchanged every output amplitude
-//!   matches to the last bit (`f64::to_bits` equality), at *any* thread
-//!   count.
+//!   matches to the last bit (`f64::to_bits` equality).
 //! * **Per-op density kernels vs independent oracles: ≤ 1e-12.** The density
 //!   matrix has one per-op implementation (the seed loops), so it is checked
 //!   against other code: pure states evolved by the reference statevector
@@ -17,15 +16,14 @@
 //! * **Fused vs reference: ≤ 1e-12 max-norm.** Fusion reorders floating-point
 //!   operations (matrix products are pre-multiplied), so equality is only up
 //!   to rounding. Noisy density programs (`qoncord_sim::noisy`) are in this
-//!   tier too: against the op-at-a-time evolution on the full ρ, and
-//!   bit-identical to themselves at any thread count. So are trajectory
-//!   programs (`qoncord_sim::trajectory`), against the seed's trajectory
-//!   loop on every outcome probability.
+//!   tier too, against the op-at-a-time evolution on the full ρ. So are
+//!   trajectory programs (`qoncord_sim::trajectory`), against the seed's
+//!   trajectory loop on every outcome probability.
 //! * **Fail-closed:** out-of-range or coinciding qubit indices panic in every
 //!   build profile, not just debug.
 //!
-//! Every test here flips process-global switches (reference forcing, thread
-//! configuration), so they all serialize on one mutex.
+//! Every test here may flip the process-global reference switch, so they
+//! all serialize on one mutex.
 
 use proptest::prelude::*;
 use qoncord_sim::density::DensityMatrix;
@@ -34,7 +32,6 @@ use qoncord_sim::gates;
 use qoncord_sim::math::C64;
 use qoncord_sim::noise::NoiseChannel;
 use qoncord_sim::noisy::{evolve_unfused, DensityProgram};
-use qoncord_sim::par;
 use qoncord_sim::reference::{self, ScopedReference};
 use qoncord_sim::statevector::StateVector;
 use qoncord_sim::trajectory::{sample_unfused, TrajectoryProgram};
@@ -44,24 +41,6 @@ static GLOBAL: Mutex<()> = Mutex::new(());
 
 fn exclusive() -> MutexGuard<'static, ()> {
     GLOBAL.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-/// Scoped thread configuration; restores the sequential default on drop.
-struct Threads;
-
-impl Threads {
-    fn set(threads: usize, min_items: usize) -> Self {
-        par::set_threads(threads);
-        par::set_min_items_per_thread(min_items);
-        Threads
-    }
-}
-
-impl Drop for Threads {
-    fn drop(&mut self) {
-        par::set_threads(1);
-        par::set_min_items_per_thread(par::DEFAULT_MIN_ITEMS_PER_THREAD);
-    }
 }
 
 /// Random gate program encoded as opcodes, decoded by [`to_fused`].
@@ -229,22 +208,6 @@ proptest! {
         prop_assert!(d <= 1e-12, "max-norm diff {d}");
     }
 
-    /// The chunked-parallel path is bit-identical across thread counts.
-    #[test]
-    fn sv_thread_count_does_not_change_bits(ops in program(6, 24)) {
-        let _lock = exclusive();
-        let ops = to_fused(6, &ops);
-        let runs: Vec<StateVector> = [1usize, 2, 4]
-            .iter()
-            .map(|&t| {
-                let _cfg = Threads::set(t, 16);
-                run_sv(6, &ops)
-            })
-            .collect();
-        assert_bits_eq(runs[0].amplitudes(), runs[1].amplitudes(), "sv 1 vs 2 threads");
-        assert_bits_eq(runs[0].amplitudes(), runs[2].amplitudes(), "sv 1 vs 4 threads");
-    }
-
     /// The per-op density kernels evolve a pure state to the lift of what
     /// the reference statevector kernels compute, at 2, 3 and 4 qubits.
     #[test]
@@ -309,34 +272,10 @@ proptest! {
         }
     }
 
-    /// The program path is bit-identical across thread counts.
-    #[test]
-    fn dm_noisy_program_thread_count_does_not_change_bits(
-        ops in noisy_program(),
-        dep_1q in rate(),
-        dep_2q in rate(),
-    ) {
-        let _lock = exclusive();
-        for n in [3usize, 5] {
-            let program = DensityProgram::compile(n, to_noisy(n, &ops), dep_1q, dep_2q);
-            let runs: Vec<Vec<C64>> = [1usize, 2, 4]
-                .iter()
-                .map(|&t| {
-                    let _cfg = Threads::set(t, 1);
-                    let mut rho = scrambled(n);
-                    program.run(&mut rho);
-                    dm_entries(&rho)
-                })
-                .collect();
-            assert_bits_eq(&runs[0], &runs[1], "noisy program 1 vs 2 threads");
-            assert_bits_eq(&runs[0], &runs[2], "noisy program 1 vs 4 threads");
-        }
-    }
-
     /// A trajectory program (pre-drawn patterns, fused, deduped, prefix-
-    /// shared) matches the seed's trajectory loop on every probability,
-    /// accounts for every trajectory, and is bit-identical across thread
-    /// counts. High rates make deep tries, zero rates draw no uniform.
+    /// shared) matches the seed's trajectory loop on every probability and
+    /// accounts for every trajectory. High rates make deep tries, zero
+    /// rates draw no uniform.
     #[test]
     fn sv_trajectory_program_matches_seed_loop(
         ops in noisy_program(),
@@ -350,23 +289,14 @@ proptest! {
             let ops = to_noisy(n, &ops);
             let seed_loop = sample_unfused(n, &ops, dep_1q, dep_2q, seed, n_trajectories);
             let mut program = TrajectoryProgram::compile(n, ops.iter().copied(), dep_1q, dep_2q);
-            let runs: Vec<Vec<f64>> = [1usize, 2, 4]
-                .iter()
-                .map(|&t| {
-                    let _cfg = Threads::set(t, 1);
-                    program.run(seed, n_trajectories).probabilities().to_vec()
-                })
-                .collect();
-            let d = runs[0]
+            let d = program
+                .run(seed, n_trajectories)
+                .probabilities()
                 .iter()
                 .zip(seed_loop.probabilities())
                 .map(|(x, y)| (x - y).abs())
                 .fold(0.0, f64::max);
             prop_assert!(d <= 1e-12, "{n} qubits, rates ({dep_1q}, {dep_2q}): diff {d}");
-            for threaded in &runs[1..] {
-                let same = runs[0].iter().zip(threaded).all(|(x, y)| x.to_bits() == y.to_bits());
-                prop_assert!(same, "{n} qubits: thread count changed bits");
-            }
             let stats = program.stats();
             prop_assert_eq!(stats.trajectories, n_trajectories as u64);
             prop_assert!((1..=stats.trajectories).contains(&stats.distinct_patterns));
@@ -452,44 +382,6 @@ fn dm_apply_2q_descending_qubit_order_matches_reference() {
             }
         }
     }
-}
-
-/// Fused programs replayed through `apply_ops` are themselves thread-count
-/// invariant: fusion fixes the op sequence before any sweep runs.
-#[test]
-fn fused_program_is_thread_count_invariant() {
-    let _lock = exclusive();
-    let ops = to_fused(
-        7,
-        &[
-            (0, 0, 0, 0.0),
-            (3, 0, 4, 0.0),
-            (2, 4, 4, 0.8),
-            (3, 0, 4, 0.0),
-            (4, 2, 6, -1.2),
-            (1, 3, 3, 2.2),
-            (5, 5, 5, 0.3),
-            (3, 6, 1, 0.0),
-        ],
-    );
-    let fused = fuse::fuse(7, ops);
-    let runs: Vec<StateVector> = [1usize, 2, 4]
-        .iter()
-        .map(|&t| {
-            let _cfg = Threads::set(t, 16);
-            run_sv(7, &fused)
-        })
-        .collect();
-    assert_bits_eq(
-        runs[0].amplitudes(),
-        runs[1].amplitudes(),
-        "fused 1 vs 2 threads",
-    );
-    assert_bits_eq(
-        runs[0].amplitudes(),
-        runs[2].amplitudes(),
-        "fused 1 vs 4 threads",
-    );
 }
 
 // Fail-closed index validation: release builds must panic too (these tests

@@ -73,6 +73,20 @@ fn re_i_pow(y_mod4: u8, s: C64) -> f64 {
     }
 }
 
+/// Width, in amplitudes, of the blocks the batched expectation sweeps walk:
+/// the cache blocking, and — because each block's partial sum is formed on
+/// its own and the partials are folded in block order — part of the
+/// floating-point summation order. Changing it changes result bits.
+const SWEEP_CHUNK: usize = 1 << 12;
+
+/// `0..items` as consecutive [`SWEEP_CHUNK`]-wide ranges (the last may be
+/// shorter).
+fn chunks(items: usize) -> impl Iterator<Item = std::ops::Range<usize>> {
+    (0..items)
+        .step_by(SWEEP_CHUNK)
+        .map(move |lo| lo..(lo + SWEEP_CHUNK).min(items))
+}
+
 /// A tensor product of single-qubit Paulis over `n` qubits
 /// (index 0 = qubit 0).
 ///
@@ -523,16 +537,17 @@ impl PauliSum {
 
     /// Batched masked sweeps over the listed terms, cache-blocked.
     ///
-    /// Both sweeps reduce through [`qoncord_sim::par::chunked_sums`]: inside
-    /// each fixed-width chunk every term runs its own tight inner loop while
-    /// the chunk's amplitudes are hot in cache — a branch-free dependency
-    /// chain per term (the sign flip is a bitwise XOR of the f64 sign bit,
-    /// exactly `·(−1)`) instead of a per-amplitude scan over the term list.
-    /// Diagonal terms (`x == 0`, including identity) accumulate signed
-    /// `|ψ_i|²` series; off-diagonal terms accumulate
-    /// `conj(ψ[i⊕x]) · (−1)^{parity(i&z)} · ψ[i]`. Chunk partials are folded
-    /// in chunk order, so the summation order is fixed regardless of thread
-    /// count.
+    /// Both sweeps walk the amplitudes in fixed [`SWEEP_CHUNK`]-wide chunks:
+    /// inside each chunk every term runs its own tight inner loop while the
+    /// chunk's amplitudes are hot in cache — a branch-free dependency chain
+    /// per term (the sign flip is a bitwise XOR of the f64 sign bit, exactly
+    /// `·(−1)`) instead of a per-amplitude scan over the term list. Diagonal
+    /// terms (`x == 0`, including identity) accumulate signed `|ψ_i|²`
+    /// series; off-diagonal terms accumulate
+    /// `conj(ψ[i⊕x]) · (−1)^{parity(i&z)} · ψ[i]`. Each chunk's partial is
+    /// formed on its own and the partials are folded in chunk order; that
+    /// order is part of the result's bits (pinned at 13 and 14 qubits in
+    /// `crates/vqa/tests/pauli_equivalence.rs`).
     fn expectation_sv_terms(
         &self,
         group: &[usize],
@@ -553,7 +568,8 @@ impl PauliSum {
         let sign_bit = |i: usize, z: usize| (((i & z).count_ones() as u64) & 1) << 63;
         let mut total = 0.0;
         if !diag.is_empty() {
-            let parts = qoncord_sim::par::chunked_sums(amps.len(), |r| {
+            let mut sum = 0.0f64;
+            for r in chunks(amps.len()) {
                 let mut acc = 0.0f64;
                 for &(c, z) in &diag {
                     let mut t = 0.0f64;
@@ -563,14 +579,14 @@ impl PauliSum {
                     }
                     acc += c * t;
                 }
-                acc
-            });
-            total += parts.into_iter().fold(0.0, |a, b| a + b);
+                sum += acc;
+            }
+            total += sum;
         }
         if !offdiag.is_empty() {
-            let parts = qoncord_sim::par::chunked_sums(amps.len(), |r| {
-                let mut acc = vec![C64::ZERO; offdiag.len()];
-                for (d, &(_, m)) in offdiag.iter().enumerate() {
+            let mut sums = vec![C64::ZERO; offdiag.len()];
+            for r in chunks(amps.len()) {
+                for (sum, &(_, m)) in sums.iter_mut().zip(&offdiag) {
                     let mut t = C64::ZERO;
                     for i in r.clone() {
                         let psi = amps[i];
@@ -581,14 +597,7 @@ impl PauliSum {
                         };
                         t += amps[i ^ m.x].conj() * signed;
                     }
-                    acc[d] = t;
-                }
-                acc
-            });
-            let mut sums = vec![C64::ZERO; offdiag.len()];
-            for part in parts {
-                for (s, p) in sums.iter_mut().zip(part) {
-                    *s += p;
+                    *sum += t;
                 }
             }
             for (&(c, m), s) in offdiag.iter().zip(sums) {

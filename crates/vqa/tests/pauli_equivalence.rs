@@ -1,11 +1,12 @@
 //! Differential equivalence suite for the batched Pauli-expectation sweeps:
 //! the masked fast paths against the seed `O(4^n)` dense-matrix route
 //! (`expectation_sv_reference`) and the sequential per-term scalar path
-//! (`expectation_sv_unbatched`), pinned per QWC group.
+//! (`expectation_sv_unbatched`), pinned per QWC group; and the batched
+//! sweep's summation order, bitwise, above one chunk.
 
 use proptest::prelude::*;
 use qoncord_circuit::circuit::Circuit;
-use qoncord_sim::par;
+use qoncord_sim::math::C64;
 use qoncord_sim::reference::ScopedReference;
 use qoncord_sim::statevector::StateVector;
 use qoncord_vqa::pauli::{Pauli, PauliString, PauliSum};
@@ -15,23 +16,6 @@ static GLOBAL: Mutex<()> = Mutex::new(());
 
 fn exclusive() -> MutexGuard<'static, ()> {
     GLOBAL.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-struct Threads;
-
-impl Threads {
-    fn set(threads: usize, min_items: usize) -> Self {
-        par::set_threads(threads);
-        par::set_min_items_per_thread(min_items);
-        Threads
-    }
-}
-
-impl Drop for Threads {
-    fn drop(&mut self) {
-        par::set_threads(1);
-        par::set_min_items_per_thread(par::DEFAULT_MIN_ITEMS_PER_THREAD);
-    }
 }
 
 fn pauli(code: u8) -> Pauli {
@@ -133,27 +117,6 @@ proptest! {
         prop_assert!((per_term - whole).abs() < 1e-10, "terms {per_term} vs whole {whole}");
     }
 
-    /// The chunked reduction makes batched expectations bit-identical at any
-    /// thread count.
-    #[test]
-    fn expectation_is_bit_identical_across_thread_counts(
-        raw in sum_strategy(6),
-        ops in state_strategy(6),
-    ) {
-        let _lock = exclusive();
-        let h = build_sum(&raw);
-        let sv = build_state(6, &ops);
-        let runs: Vec<f64> = [1usize, 2, 4]
-            .iter()
-            .map(|&t| {
-                let _cfg = Threads::set(t, 8);
-                h.expectation_statevector(&sv)
-            })
-            .collect();
-        prop_assert!(runs[0].to_bits() == runs[1].to_bits(), "1 vs 2 threads");
-        prop_assert!(runs[0].to_bits() == runs[2].to_bits(), "1 vs 4 threads");
-    }
-
     /// Reference mode routes to the scalar path and stays within rounding of
     /// the batched result.
     #[test]
@@ -170,5 +133,106 @@ proptest! {
             h.expectation_statevector(&sv)
         };
         prop_assert!((fast - forced).abs() < 1e-12, "fast {fast} vs forced {forced}");
+    }
+}
+
+/// The batched sweep's floating-point summation order is part of its
+/// result: per 4096-amplitude chunk one partial (diagonal terms: each
+/// term's signed `|ψ|²` series times its coefficient, added in term order;
+/// off-diagonal terms: one complex partial per term), the partials folded in
+/// chunk order. The benchmark's largest register (9 qubits) is a single
+/// chunk, so this is the only pin above it; a sweep rewritten as one flat
+/// sum per term passes every tolerance test and fails here.
+#[test]
+fn expectation_folds_per_chunk_partials_in_chunk_order() {
+    const CHUNK: usize = 4096;
+    let _lock = exclusive();
+    for n in [13usize, 14] {
+        let mut ops: Vec<(u8, usize, f64)> =
+            (0..n).map(|q| (1, q, 0.3 + 0.37 * q as f64)).collect();
+        ops.extend((0..n).map(|q| (3, q, 0.0)));
+        ops.extend((0..n).map(|q| (2, q, 1.1 - 0.21 * q as f64)));
+        ops.extend((0..n).map(|q| (1, q, -0.8 + 0.13 * q as f64 + 0.01 * n as f64)));
+        let sv = build_state(n, &ops);
+        // Codes: 0 I, 1 X, 2 Y, 3 Z. Diagonal and off-diagonal terms, an
+        // identity, Y factors in every residue of the phase.
+        let raw: Vec<(f64, Vec<u8>)> = (0..n)
+            .map(|q| {
+                let mut codes = vec![0u8; n];
+                codes[q] = 3;
+                codes[(q + 1) % n] = 3;
+                (0.5 + 0.1 * q as f64, codes)
+            })
+            .chain([(0.25, vec![0u8; n])])
+            .chain((0..n).map(|q| {
+                let mut codes = vec![0u8; n];
+                codes[q] = 1 + (q % 2) as u8;
+                codes[(q + 3) % n] = 2;
+                codes[(q + 5) % n] = 3;
+                (-0.7 + 0.15 * q as f64, codes)
+            }))
+            .collect();
+        let h = build_sum(&raw);
+
+        let amps = sv.amplitudes();
+        let signed =
+            |i: usize, z: usize, x: f64| if (i & z).count_ones() & 1 == 0 { x } else { -x };
+        let masks: Vec<_> = h.terms().iter().map(|(c, p)| (*c, p.masks())).collect();
+        assert!(amps.len() >= 2 * CHUNK);
+
+        // The sweep as specified, over chunks `width` amplitudes wide.
+        let expectation = |width: usize| {
+            let ranges: Vec<_> = (0..amps.len())
+                .step_by(width)
+                .map(|lo| lo..lo + width)
+                .collect();
+            let mut diag = 0.0f64;
+            for r in &ranges {
+                let mut partial = 0.0f64;
+                for &(c, m) in masks.iter().filter(|(_, m)| m.x == 0) {
+                    let mut t = 0.0f64;
+                    for i in r.clone() {
+                        t += signed(i, m.z, amps[i].norm_sq());
+                    }
+                    partial += c * t;
+                }
+                diag += partial;
+            }
+            let mut total = diag;
+            for &(c, m) in masks.iter().filter(|(_, m)| m.x != 0) {
+                let mut sum = C64::ZERO;
+                for r in &ranges {
+                    let mut t = C64::ZERO;
+                    for i in r.clone() {
+                        let psi = C64 {
+                            re: signed(i, m.z, amps[i].re),
+                            im: signed(i, m.z, amps[i].im),
+                        };
+                        t += amps[i ^ m.x].conj() * psi;
+                    }
+                    sum += t;
+                }
+                total += c * match m.y_mod4 & 3 {
+                    0 => sum.re,
+                    1 => -sum.im,
+                    2 => -sum.re,
+                    _ => sum.im,
+                };
+            }
+            total
+        };
+
+        let got = h.expectation_statevector(&sv);
+        let want = expectation(CHUNK);
+        assert_eq!(
+            got.to_bits(),
+            want.to_bits(),
+            "{n} qubits: {got:e} is not the chunk-ordered fold {want:e}"
+        );
+        assert_ne!(
+            want.to_bits(),
+            expectation(amps.len()).to_bits(),
+            "{n} qubits: this state cannot tell a chunked fold from a flat sum"
+        );
     }
 }

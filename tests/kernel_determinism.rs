@@ -1,17 +1,17 @@
 //! End-to-end determinism regression for the fast simulator kernels: the
 //! contended eight-tenant preemption scenario must produce the same
-//! training outcomes whether it runs on the fast kernels, the preserved
-//! scalar seed kernels (`qoncord_sim::reference`), or the chunked-parallel
-//! path at any thread count.
+//! training outcomes whether it runs on the fast kernels or the preserved
+//! scalar seed kernels (`qoncord_sim::reference`), and the same bits every
+//! time it runs.
 //!
 //! Two guarantees, at two strengths:
 //!
 //! * fast vs reference — *within tolerance*: the fast evaluation pipeline
 //!   batches Pauli sweeps, which reorders floating-point reductions, so
 //!   per-restart parameters and energies agree to 1e-9 but not bit-for-bit;
-//! * thread count {1, 2, 4} — *bit-identical*: workers own disjoint index
-//!   ranges and reductions fold fixed-size chunks in chunk order, so the
-//!   entire report (params, energies, event stream) is unchanged.
+//! * run vs run — *bit-identical*: nothing in the stack depends on the
+//!   host (one engine thread, one simulator thread, seeded RNGs, ordered
+//!   maps), so the entire report (params, energies, event stream) repeats.
 
 use qoncord::cloud::policy::Policy;
 use qoncord::core::executor::QaoaFactory;
@@ -21,7 +21,6 @@ use qoncord::orchestrator::{
     two_lf_one_hf_fleet, DeadlineClass, Orchestrator, OrchestratorConfig, OrchestratorReport,
     PreemptionConfig, TenantJob,
 };
-use qoncord::sim::par;
 use qoncord::sim::reference::ScopedReference;
 use qoncord::vqa::{graph::Graph, maxcut::MaxCut};
 use std::cell::RefCell;
@@ -32,28 +31,11 @@ const N_TENANTS: usize = 8;
 const N_RESTARTS: usize = 3;
 const URGENT: usize = 7;
 
-/// Both tests flip process-global kernel switches; serialize them.
+/// The first test flips the process-global reference switch; serialize them.
 static GLOBAL: Mutex<()> = Mutex::new(());
 
 fn exclusive() -> MutexGuard<'static, ()> {
     GLOBAL.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-struct Threads;
-
-impl Threads {
-    fn set(threads: usize, min_items: usize) -> Self {
-        par::set_threads(threads);
-        par::set_min_items_per_thread(min_items);
-        Threads
-    }
-}
-
-impl Drop for Threads {
-    fn drop(&mut self) {
-        par::set_threads(1);
-        par::set_min_items_per_thread(par::DEFAULT_MIN_ITEMS_PER_THREAD);
-    }
 }
 
 fn factory() -> QaoaFactory {
@@ -154,45 +136,31 @@ fn fast_kernels_track_the_scalar_seed_run_within_tolerance() {
 }
 
 #[test]
-fn thread_count_never_changes_a_single_bit_of_the_run() {
+fn running_twice_never_changes_a_single_bit_of_the_run() {
     let _lock = exclusive();
-    // min_items = 8 forces even the 7-qubit registers of this scenario
-    // through the multi-worker sweeps.
-    let runs: Vec<(OrchestratorReport, Vec<TraceRecord>)> = [1usize, 2, 4]
-        .iter()
-        .map(|&t| {
-            let _cfg = Threads::set(t, 8);
-            run()
-        })
-        .collect();
-
-    let (base, base_records) = &runs[0];
-    for (threads, (report, records)) in [2usize, 4].iter().zip(&runs[1..]) {
-        assert_eq!(
-            records, base_records,
-            "{threads}-thread event stream diverged from sequential"
+    let (base, base_records) = run();
+    let (report, records) = run();
+    assert_eq!(records, base_records, "event stream diverged between runs");
+    assert_eq!(report.trace, base.trace);
+    assert_eq!(report.queue_ops, base.queue_ops);
+    assert_eq!(report.jobs.len(), base.jobs.len());
+    for (a, b) in report.jobs.iter().zip(&base.jobs) {
+        assert_eq!(a.telemetry, b.telemetry);
+        let (ra, rb) = (
+            a.status.report().expect("job completed"),
+            b.status.report().expect("job completed"),
         );
-        assert_eq!(report.trace, base.trace);
-        assert_eq!(report.queue_ops, base.queue_ops);
-        assert_eq!(report.jobs.len(), base.jobs.len());
-        for (a, b) in report.jobs.iter().zip(&base.jobs) {
-            assert_eq!(a.telemetry, b.telemetry);
-            let (ra, rb) = (
-                a.status.report().expect("job completed"),
-                b.status.report().expect("job completed"),
-            );
-            assert_eq!(
-                ra.best_expectation().to_bits(),
-                rb.best_expectation().to_bits(),
-                "tenant {}: best energy changed with {threads} threads",
-                a.tenant
-            );
-            for (x, y) in ra.restarts.iter().zip(&rb.restarts) {
-                assert_eq!(x.final_expectation.to_bits(), y.final_expectation.to_bits());
-                let bits_a: Vec<u64> = x.final_params.iter().map(|p| p.to_bits()).collect();
-                let bits_b: Vec<u64> = y.final_params.iter().map(|p| p.to_bits()).collect();
-                assert_eq!(bits_a, bits_b, "tenant {} params drifted", a.tenant);
-            }
+        assert_eq!(
+            ra.best_expectation().to_bits(),
+            rb.best_expectation().to_bits(),
+            "tenant {}: best energy changed between runs",
+            a.tenant
+        );
+        for (x, y) in ra.restarts.iter().zip(&rb.restarts) {
+            assert_eq!(x.final_expectation.to_bits(), y.final_expectation.to_bits());
+            let bits_a: Vec<u64> = x.final_params.iter().map(|p| p.to_bits()).collect();
+            let bits_b: Vec<u64> = y.final_params.iter().map(|p| p.to_bits()).collect();
+            assert_eq!(bits_a, bits_b, "tenant {} params drifted", a.tenant);
         }
     }
 }
