@@ -256,7 +256,8 @@ fn max_abs_diff(a: &ProbDist, b: &ProbDist) -> f64 {
 /// fused density program ([`qoncord_sim::noisy`]) against the seed's
 /// op-at-a-time evolution on the scalar reference kernels. Timed and
 /// summarised like [`fast_vs_reference`]; the cross-check is the largest
-/// difference between the two outcome distributions.
+/// difference between the two outcome distributions. `tiles_visited` of
+/// `tiles_full` is how much of ρ the program's light-cone read-out touches.
 fn fast_vs_reference_density(runs: usize) -> (String, f64) {
     const LAYERS: usize = 1;
     let calibration = catalog::ibmq_toronto();
@@ -270,7 +271,7 @@ fn fast_vs_reference_density(runs: usize) -> (String, f64) {
     let ops = transpiled.circuit.bind_ops(&params);
     let gates = ops.len();
     let noise = backend.noise();
-    let sweeps = DensityProgram::compile(qubits, ops, noise.dep_1q, noise.dep_2q).sweeps();
+    let stats = DensityProgram::compile(qubits, ops, noise.dep_1q, noise.dep_2q).stats();
 
     let fast = backend.run(&transpiled, &params, 0);
     let reference = {
@@ -290,9 +291,13 @@ fn fast_vs_reference_density(runs: usize) -> (String, f64) {
     let speedup = reference_s / fast_s.max(1e-12);
     let json = format!(
         "  \"fast_vs_reference_density\": {{\"qubits\": {qubits}, \"layers\": {LAYERS}, \
-         \"device\": \"ibmq_toronto\", \"gates\": {gates}, \"sweeps\": {sweeps}, \
+         \"device\": \"ibmq_toronto\", \"gates\": {gates}, \"sweeps\": {}, \
+         \"tiles_visited\": {}, \"tiles_full\": {}, \
          \"evals\": {runs}, \"reference_ms\": {:.3}, \"fast_ms\": {:.3}, \
          \"speedup\": {:.2}, \"max_abs_diff\": {:.3e}}}",
+        stats.sweeps,
+        stats.tiles_visited,
+        stats.tiles_full,
         reference_s * 1e3,
         fast_s * 1e3,
         speedup,
@@ -477,6 +482,8 @@ fn main() {
             "device",
             "gates",
             "sweeps",
+            "tiles_visited",
+            "tiles_full",
             "reference_ms",
             "fast_ms",
             "speedup",

@@ -1,6 +1,8 @@
 //! The fused noisy density path against the seed's op-at-a-time path, on
 //! the circuits real jobs run: the transpiled 7-qubit QAOA and every H2
-//! measurement-group circuit, on both devices of the reference fleet.
+//! measurement-group circuit, on both devices of the reference fleet. The
+//! light-cone read-out those runs take is pinned bitwise to the full-ρ run
+//! it is a subset of, and its tile count to the number the docs quote.
 //!
 //! `ScopedReference` flips a process-global switch, so the tests serialize.
 
@@ -8,7 +10,9 @@ use qoncord_circuit::transpile::{transpile, TranspiledCircuit};
 use qoncord_device::calibration::Calibration;
 use qoncord_device::catalog;
 use qoncord_device::noise_model::{BackendKind, NoiseModel, SimulatedBackend};
+use qoncord_sim::density::DensityMatrix;
 use qoncord_sim::dist::ProbDist;
+use qoncord_sim::noisy::{DensityProgram, DensityStats};
 use qoncord_sim::reference::ScopedReference;
 use qoncord_vqa::graph::Graph;
 use qoncord_vqa::{qaoa, uccsd, vqe};
@@ -76,6 +80,57 @@ fn fused_density_run_matches_the_seed_path_on_job_circuits() {
         let name = cal.name().to_owned();
         let backend = SimulatedBackend::from_calibration(cal).with_kind(BackendKind::DensityMatrix);
         assert_fused_matches_seed(&backend, &name);
+    }
+}
+
+/// The program `backend` compiles for `t`.
+fn program_for(backend: &SimulatedBackend, t: &TranspiledCircuit) -> DensityProgram {
+    let noise = backend.noise();
+    let ops = t.circuit.bind_ops(&params_for(t));
+    DensityProgram::compile(t.circuit.n_qubits(), ops, noise.dep_1q, noise.dep_2q)
+}
+
+/// Skipping the tiles outside each sweep's light cone changes no bit of any
+/// outcome probability a job reads.
+#[test]
+fn windowed_outcome_is_bitwise_the_full_runs_diagonal_on_job_circuits() {
+    for cal in [catalog::ibmq_toronto(), catalog::ibmq_kolkata()] {
+        let backend = SimulatedBackend::from_calibration(cal);
+        for (i, t) in job_circuits(backend.calibration()).iter().enumerate() {
+            let program = program_for(&backend, t);
+            let mut full = DensityMatrix::zero_state(t.circuit.n_qubits());
+            program.run(&mut full);
+            let bits = |d: ProbDist| -> Vec<u64> {
+                d.probabilities().iter().map(|p| p.to_bits()).collect()
+            };
+            assert_eq!(
+                bits(program.outcome_probabilities()),
+                bits(full.probabilities()),
+                "{}, circuit {i}",
+                backend.calibration().name()
+            );
+        }
+    }
+}
+
+/// The 7-qubit QAOA routes to the same 16 blocks on both fleet devices;
+/// per block the read-out visits 1, 4, 64, 256, 256, 256, 1024 × 4, 512,
+/// 256, 256, 128, 64 and 32 of 1024 tiles.
+#[test]
+fn qaoa_readout_visits_6181_of_16384_tiles() {
+    for cal in [catalog::ibmq_toronto(), catalog::ibmq_kolkata()] {
+        let backend = SimulatedBackend::from_calibration(cal);
+        let qaoa = &job_circuits(backend.calibration())[0];
+        assert_eq!(
+            program_for(&backend, qaoa).stats(),
+            DensityStats {
+                sweeps: 16,
+                tiles_full: 16_384,
+                tiles_visited: 6181,
+            },
+            "{}",
+            backend.calibration().name()
+        );
     }
 }
 

@@ -35,9 +35,10 @@
 //!
 //! A pair block on `(q0, q1)` acts on ρ's `4 × 4` *tiles* — the entries
 //! whose row and column indices agree outside the pair — one tile at a
-//! time. Its sweep walks ρ one *strip* at a time (the four rows of one row
-//! anchor, i.e. a row of tiles; 8 KiB at 7 qubits, so it stays in L1) and
-//! takes each strip through the whole block in place before moving on:
+//! time. Its sweep visits the tiles of its *window* (next section) one
+//! *strip* at a time (the four rows of one row anchor, i.e. a row of tiles;
+//! at most 8 KiB at 7 qubits, so it stays in L1) and takes each strip
+//! through the whole block in place before moving on:
 //!
 //! - `Cx` moves no data. It permutes the pair's four basis states, so the
 //!   compiler just tracks which tile offset holds which state, points the
@@ -61,13 +62,43 @@
 //! No step divides by a survival factor, so fully depolarizing rates
 //! (`p = 1`, `K = 0`) are ordinary inputs.
 //!
+//! # Light-cone windows
+//!
+//! Every pass above is tile-local: it reads and writes one tile, and maps a
+//! tile of zeros to zeros. A job starts in `|0…0⟩` and reads only ρ's
+//! diagonal, so [`DensityProgram::outcome_probabilities`] skips the tiles
+//! that cannot matter. With `P_t` the qubits of step `t`, two masks follow
+//! from the step list alone:
+//!
+//! - **forward support** `S_t = ⋃_{s≤t} P_s`. A qubit no step has touched
+//!   yet is still exactly `|0⟩⟨0|`, so every entry whose row or column has
+//!   a bit outside `S_t` is an exact zero before step `t` and after it:
+//!   the sweep visits row anchors `r ⊆ S_t ∖ P_t` only.
+//! - **backward cone** `M_t = ⋃_{s≥t} P_s`. An entry at `(row, col)` feeds
+//!   the tile at the same anchors and nothing else, so `row ⊕ col` changes
+//!   only on the bits of the steps still to come; an entry that reaches the
+//!   diagonal has `row ⊕ col ⊆ M_{t+1}` after step `t`. Per row anchor `r`
+//!   the sweep visits column anchors `r ⊕ d` for `d ⊆ (S_t ∩ M_t) ∖ P_t`.
+//!
+//! Entries outside a window are left stale, and no later window reads one
+//! that the full sweep would have changed: a later entry inside its window
+//! has `row ⊕ col` inside every earlier cone, so it was either inside each
+//! earlier window or outside that step's support, where it is still the
+//! zero it started as. [`DensityProgram::run`] is the same kernel with both
+//! masks full — arbitrary ρ in, whole ρ out. The per-tile arithmetic is the
+//! same code in the same order either way, so the outcome distribution of
+//! a windowed run equals, bit for bit, the diagonal of a full run from
+//! `|0…0⟩`. On the transpiled 7-qubit QAOA the 16 blocks visit 6181 of
+//! their 16 384 tiles ([`DensityProgram::stats`]; `docs/ARCHITECTURE.md`
+//! has the per-block table).
+//!
 //! # Determinism
 //!
 //! Compilation multiplies gate matrices, so a program matches the unfused
 //! evolution ([`evolve_unfused`]) to ≤ 1e-12 max-norm, not bit-for-bit —
 //! the same tier as [`crate::fuse`]. A run is a fixed sequence of sweeps on
 //! the calling thread, so the same program on the same ρ gives the same
-//! bits every time.
+//! bits every time, windowed or full.
 //!
 //! The sweeps reach ρ through `RawRho`, the workspace's only `unsafe`
 //! (forbidden in every other crate, denied in the rest of this one).
@@ -78,10 +109,10 @@
 #![allow(unsafe_code)]
 
 use crate::density::DensityMatrix;
+use crate::dist::ProbDist;
 use crate::fuse::{self, FusedOp};
 use crate::gates::{self, mat2_adjoint, mat2_mul, Mat2, Mat4};
 use crate::math::C64;
-use crate::statevector::expand;
 
 /// The unfused noisy evolution the program is pinned against, and what a
 /// [`crate::reference::forced`] run replays: each op is one gate sweep
@@ -102,7 +133,7 @@ pub fn evolve_unfused(rho: &mut DensityMatrix, ops: &[FusedOp], dep_1q: f64, dep
     }
 }
 
-/// A compiled noisy circuit: a short list of full-ρ sweeps equivalent to
+/// A compiled noisy circuit: a short list of sweeps over ρ equivalent to
 /// applying every op followed by its depolarizing channel.
 ///
 /// Every `One`/`Two`/`Mono` matrix must be unitary — the identities the
@@ -135,9 +166,86 @@ pub fn evolve_unfused(rho: &mut DensityMatrix, ops: &[FusedOp], dep_1q: f64, dep
 pub struct DensityProgram {
     n_qubits: usize,
     steps: Vec<Step>,
+    /// Per step, the tiles [`DensityProgram::outcome_probabilities`] visits.
+    windows: Vec<Window>,
 }
 
-/// One full-ρ sweep.
+/// How much of ρ a program's read-out run touches, counted from its
+/// windows (see the module docs); the density analogue of
+/// [`crate::trajectory::TrajectoryStats`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct DensityStats {
+    /// Sweeps per run.
+    pub sweeps: usize,
+    /// Tiles [`DensityProgram::run`] visits: every tile of every sweep
+    /// (`4 × 4` for a pair block, `2 × 2` for a lone wire).
+    pub tiles_full: u64,
+    /// Tiles [`DensityProgram::outcome_probabilities`] visits.
+    pub tiles_visited: u64,
+}
+
+/// The tiles one sweep visits: row anchors are the subsets of `rows`, and
+/// a row anchor `r`'s column anchors are `r ^ d` for the subsets `d` of
+/// `deltas`. Neither mask holds a bit of the sweep's own qubits.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Window {
+    rows: usize,
+    deltas: usize,
+}
+
+impl Window {
+    /// Every tile of a `dim × dim` ρ for a sweep on the qubits in `own`.
+    fn full(dim: usize, own: usize) -> Self {
+        let rest = (dim - 1) & !own;
+        Window {
+            rows: rest,
+            deltas: rest,
+        }
+    }
+
+    /// Whether every anchor is below `dim` with the bits of `own` clear.
+    fn fits(self, dim: usize, own: usize) -> bool {
+        dim.is_power_of_two()
+            && (self.rows | self.deltas | own) < dim
+            && (self.rows | self.deltas) & own == 0
+    }
+
+    fn tiles(self) -> u64 {
+        1 << (self.rows.count_ones() + self.deltas.count_ones())
+    }
+}
+
+/// The window of each step for a run that starts in `|0…0⟩` and is read on
+/// the diagonal: forward support for the rows, intersected with the
+/// backward cone for the row-to-column deltas.
+fn readout_windows(steps: &[Step]) -> Vec<Window> {
+    let mut windows = vec![Window { rows: 0, deltas: 0 }; steps.len()];
+    let mut support = 0;
+    for (window, step) in windows.iter_mut().zip(steps) {
+        support |= step.qubits();
+        window.rows = support & !step.qubits();
+    }
+    let mut cone = 0;
+    for (window, step) in windows.iter_mut().zip(steps).rev() {
+        cone |= step.qubits();
+        window.deltas = window.rows & cone;
+    }
+    windows
+}
+
+/// The subsets of `mask` in ascending order.
+#[inline(always)]
+fn subsets(mask: usize) -> impl Iterator<Item = usize> {
+    let mut next = Some(0usize);
+    std::iter::from_fn(move || {
+        let s = next?;
+        let after = s.wrapping_sub(mask) & mask;
+        next = (after != 0).then_some(after);
+        Some(s)
+    })
+}
+
+/// One sweep over ρ.
 #[derive(Debug, Clone)]
 enum Step {
     /// A merged run on a wire no two-qubit op ever touches.
@@ -152,6 +260,30 @@ enum Step {
         keep: f64,
         swaps: Vec<[usize; 2]>,
     },
+}
+
+impl Step {
+    /// Bitmask of the qubits the step acts on.
+    fn qubits(&self) -> usize {
+        match *self {
+            Step::Wire { q, .. } => 1 << q,
+            Step::Pair { q0, q1, .. } => 1 << q0 | 1 << q1,
+        }
+    }
+
+    /// Takes the tiles of `window` through the step.
+    fn sweep(&self, data: &mut [C64], dim: usize, window: Window) {
+        match self {
+            Step::Wire { q, run } => sweep_wire(data, dim, *q, run, window),
+            Step::Pair {
+                q0,
+                q1,
+                ops,
+                keep,
+                swaps,
+            } => sweep_pair(data, dim, [*q0, *q1], ops, *keep, swaps, window),
+        }
+    }
 }
 
 /// An op inside a pair block. Local basis states are named by their index
@@ -369,16 +501,38 @@ impl DensityProgram {
                     ..
                 } => finish_pair(q0, q1, ops, keep_1q, keep_2q.powi(channels_2q)),
             })
-            .collect();
-        DensityProgram { n_qubits, steps }
+            .collect::<Vec<_>>();
+        let windows = readout_windows(&steps);
+        DensityProgram {
+            n_qubits,
+            steps,
+            windows,
+        }
     }
 
-    /// Number of full-ρ sweeps [`DensityProgram::run`] performs.
+    /// Number of sweeps a run performs.
     pub fn sweeps(&self) -> usize {
         self.steps.len()
     }
 
-    /// Evolves `rho` through the program.
+    /// Tile counts of a read-out run against a full one; exact, from the
+    /// windows alone.
+    pub fn stats(&self) -> DensityStats {
+        let dim = 1usize << self.n_qubits;
+        DensityStats {
+            sweeps: self.steps.len(),
+            tiles_full: self
+                .steps
+                .iter()
+                .map(|step| Window::full(dim, step.qubits()).tiles())
+                .sum(),
+            tiles_visited: self.windows.iter().map(|w| w.tiles()).sum(),
+        }
+    }
+
+    /// Evolves `rho` through the program: any ρ in, every entry of the
+    /// evolved ρ out. Each sweep visits all of its tiles; this is what the
+    /// test suites pin against [`evolve_unfused`].
     ///
     /// # Panics
     ///
@@ -392,17 +546,26 @@ impl DensityProgram {
         );
         let dim = 1usize << self.n_qubits;
         for step in &self.steps {
-            match step {
-                Step::Wire { q, run } => sweep_wire(rho.data_mut(), dim, *q, run),
-                Step::Pair {
-                    q0,
-                    q1,
-                    ops,
-                    keep,
-                    swaps,
-                } => sweep_pair(rho.data_mut(), dim, [*q0, *q1], ops, *keep, swaps),
-            }
+            step.sweep(rho.data_mut(), dim, Window::full(dim, step.qubits()));
         }
+    }
+
+    /// The outcome distribution of the program run from `|0…0⟩` — the
+    /// diagonal [`DensityProgram::run`] would leave, bit for bit — visiting
+    /// only the tiles inside each step's light-cone window (see the module
+    /// docs).
+    ///
+    /// The start state is owned here because the windows are exact only
+    /// from `|0…0⟩`, and ρ never leaves because entries outside the last
+    /// window are stale: there is deliberately no `&mut DensityMatrix`
+    /// form of this method.
+    pub fn outcome_probabilities(&self) -> ProbDist {
+        let mut rho = DensityMatrix::zero_state(self.n_qubits);
+        let dim = 1usize << self.n_qubits;
+        for (step, window) in self.steps.iter().zip(&self.windows) {
+            step.sweep(rho.data_mut(), dim, *window);
+        }
+        rho.probabilities()
     }
 }
 
@@ -623,27 +786,33 @@ unsafe fn wire_at(ptr: RawRho, run: &WireOp, rows: [usize; 2], cols: [usize; 2])
     }
 }
 
-/// One lone run over every `2 × 2` sub-block of wire `q`.
-fn sweep_wire(data: &mut [C64], dim: usize, q: usize, run: &WireOp) {
+/// One lone run over the `2 × 2` sub-blocks of wire `q` inside `window`.
+fn sweep_wire(data: &mut [C64], dim: usize, q: usize, run: &WireOp, window: Window) {
     let _prof = qoncord_prof::span("sim::dm::apply_wire");
     let bit = 1usize << q;
-    assert!(bit < dim && data.len() == dim * dim, "sweep outside ρ");
+    assert!(
+        window.fits(dim, bit) && data.len() == dim * dim,
+        "sweep outside ρ"
+    );
     let ptr = RawRho(data.as_mut_ptr());
-    for ar in 0..dim >> 1 {
-        let r = expand(ar, q);
+    for r in subsets(window.rows) {
         let rows = [r * dim, (r | bit) * dim];
-        for ac in 0..dim >> 1 {
-            let c = expand(ac, q);
-            // SAFETY: `r` and `c` are anchors below `dim` with bit `q`
-            // clear and `bit < dim` (asserted above), so each of the four
-            // indices is at most `(dim − 1)·dim + dim − 1 < data.len()`.
+        for d in subsets(window.deltas) {
+            let c = r ^ d;
+            // SAFETY: `r` and `d` are subsets of the window's masks, which
+            // `fits` (asserted above) holds below the power of two `dim`
+            // with bit `q` clear, as it does `bit` itself; so `r`, `c = r ^
+            // d` and both with `bit` set are below `dim`, and each of the
+            // four indices is at most `(dim − 1)·dim + dim − 1 <
+            // data.len()`.
             unsafe { wire_at(ptr, run, rows, [c, c | bit]) };
         }
     }
 }
 
-/// One pair block on `(q0, q1)`: each strip goes through all of `ops`, the
-/// merged channel and the net permutation before the next strip starts.
+/// One pair block on `(q0, q1)` over the tiles of `window`: each strip goes
+/// through all of `ops`, the merged channel and the net permutation before
+/// the next strip starts.
 fn sweep_pair(
     data: &mut [C64],
     dim: usize,
@@ -651,28 +820,31 @@ fn sweep_pair(
     ops: &[Local],
     keep: f64,
     swaps: &[[usize; 2]],
+    window: Window,
 ) {
     let _prof = qoncord_prof::span("sim::dm::apply_pair");
-    let (lo, hi) = if q0 < q1 { (q0, q1) } else { (q1, q0) };
     let offsets = [0, 1 << q0, 1 << q1, 1 << q0 | 1 << q1];
     assert!(
-        q0 != q1 && offsets[3] < dim && data.len() == dim * dim,
+        q0 != q1 && window.fits(dim, offsets[3]) && data.len() == dim * dim,
         "sweep outside ρ"
     );
     let ptr = RawRho(data.as_mut_ptr());
-    for ar in 0..dim >> 2 {
+    for row in subsets(window.rows) {
         let strip = Strip {
             ptr,
             dim,
-            lo,
-            hi,
             offsets,
-            row: expand(expand(ar, lo), hi),
+            row,
+            deltas: window.deltas,
         };
-        // SAFETY: `row` is an anchor below `dim` with both pair bits clear,
-        // `offsets[3] < dim` and `data.len() == dim * dim` are asserted
-        // above, and `finish_pair` — the only place `ops` and `swaps` are
-        // built — emits no offset outside `offsets`.
+        // SAFETY: `row` is a subset of `window.rows` and every column
+        // anchor the strip derives is `row ^ d` for a subset `d` of
+        // `window.deltas`; `fits` (asserted above) holds both masks and
+        // `offsets[3]` below the power of two `dim` with the pair bits
+        // clear in the masks, so every anchor is below `dim` with both pair
+        // bits clear. `data.len() == dim * dim` is asserted too, and
+        // `finish_pair` — the only place `ops` and `swaps` are built —
+        // emits no offset outside `offsets`.
         unsafe {
             for op in ops {
                 match op {
@@ -690,24 +862,24 @@ fn sweep_pair(
     }
 }
 
-/// The four rows `row | offsets[k]` of ρ — one row anchor's tiles.
+/// The four rows `row | offsets[k]` of ρ — one row anchor's tiles, of which
+/// a sweep visits those at the columns `row ^ d`, `d ⊆ deltas`.
 #[derive(Clone, Copy)]
 struct Strip {
     ptr: RawRho,
     dim: usize,
-    lo: usize,
-    hi: usize,
     /// Tile offsets of the pair's basis states: `0`, `q0`'s bit, `q1`'s
     /// bit, both.
     offsets: [usize; 4],
     row: usize,
+    deltas: usize,
 }
 
 impl Strip {
-    /// The column of each tile's first entry.
+    /// The column of each visited tile's first entry.
     #[inline(always)]
     fn anchors(self) -> impl Iterator<Item = usize> {
-        (0..self.dim >> 2).map(move |a| expand(expand(a, self.lo), self.hi))
+        subsets(self.deltas).map(move |d| self.row ^ d)
     }
 
     /// Start of the row holding the basis state at `offset`.
@@ -721,8 +893,9 @@ impl Strip {
     /// # Safety
     ///
     /// `ptr` must span `dim * dim` entries, `offsets` must be the pair's tile
-    /// offsets, each below `dim`, `row` a row anchor below `dim` with both
-    /// pair bits clear, and every offset in `pairs` one of `offsets`.
+    /// offsets, each below `dim`, `row` and every `row ^ d` for `d ⊆ deltas`
+    /// anchors below `dim` with both pair bits clear, and every offset in
+    /// `pairs` one of `offsets`.
     #[inline(always)]
     unsafe fn wire(self, pairs: &[[usize; 2]; 2], run: &WireOp) {
         let rows = pairs.map(|p| p.map(|o| self.row_at(o)));
@@ -787,16 +960,18 @@ impl Strip {
         }
     }
 
-    /// Exchanges the basis states at offsets `a` and `b`: their two rows,
-    /// then their two columns in each of the strip's rows.
+    /// Exchanges the basis states at offsets `a` and `b` in every tile:
+    /// their two rows, then their two columns in each of the strip's rows.
     ///
     /// # Safety
     ///
     /// As for [`Strip::wire`], with `a` and `b` among `offsets`.
     unsafe fn swap(self, a: usize, b: usize) {
         let (ra, rb) = (self.row_at(a), self.row_at(b));
-        for col in 0..self.dim {
-            self.ptr.swap(ra + col, rb + col);
+        for c in self.anchors() {
+            for o in self.offsets {
+                self.ptr.swap(ra + (c | o), rb + (c | o));
+            }
         }
         for o in self.offsets {
             let row = self.row_at(o);
@@ -914,6 +1089,134 @@ mod tests {
         ];
         assert_eq!(DensityProgram::compile(1, ops, 0.1, 0.0).sweeps(), 1);
         assert_matches_unfused(1, &ops, 0.1, 0.0);
+    }
+
+    /// The windowed read-out against the diagonal of a full run from
+    /// `|0…0⟩`, bit for bit.
+    fn assert_outcome_is_the_full_runs_diagonal(program: &DensityProgram) {
+        let mut rho = DensityMatrix::zero_state(program.n_qubits);
+        program.run(&mut rho);
+        let bits =
+            |d: ProbDist| -> Vec<u64> { d.probabilities().iter().map(|p| p.to_bits()).collect() };
+        assert_eq!(
+            bits(program.outcome_probabilities()),
+            bits(rho.probabilities())
+        );
+    }
+
+    fn window(rows: usize, deltas: usize) -> Window {
+        Window { rows, deltas }
+    }
+
+    #[test]
+    fn windows_grow_with_the_support_and_shrink_with_the_cone() {
+        // A chain: qubit 3 is first touched in the last block, so no window
+        // before it has rows (or deltas) on bit 3; qubit 0 is last touched
+        // in the first block, so it is a row bit but never a delta bit.
+        let chain = [FusedOp::Cx(0, 1), FusedOp::Cx(1, 2), FusedOp::Cx(2, 3)];
+        let program = DensityProgram::compile(4, chain, 0.01, 0.02);
+        assert_eq!(
+            program.windows,
+            [window(0, 0), window(0b0001, 0), window(0b0011, 0)]
+        );
+        assert_eq!(
+            program.stats(),
+            DensityStats {
+                sweeps: 3,
+                tiles_full: 3 * 16,
+                tiles_visited: 1 + 2 + 4,
+            }
+        );
+
+        // Qubits touched on both sides of a block they are not in are its
+        // deltas: 2 around block (0,1), 1 around block (2,3). Qubit 0 is
+        // done after the second block and qubit 3 unborn before the third.
+        let weave = [
+            FusedOp::Cx(1, 2),
+            FusedOp::Cx(0, 1),
+            FusedOp::Cx(2, 3),
+            FusedOp::Cx(1, 2),
+        ];
+        let program = DensityProgram::compile(4, weave, 0.01, 0.02);
+        assert_eq!(
+            program.windows,
+            [
+                window(0, 0),
+                window(0b0100, 0b0100),
+                window(0b0011, 0b0010),
+                window(0b1001, 0),
+            ]
+        );
+        assert_outcome_is_the_full_runs_diagonal(&program);
+    }
+
+    #[test]
+    fn windowed_outcome_is_the_full_runs_diagonal_on_every_local_op_kind() {
+        for (dep_1q, dep_2q) in [(0.0, 0.0), (0.004, 0.03), (1.0, 0.03), (0.004, 1.0)] {
+            let program = DensityProgram::compile(4, mixed_program(), dep_1q, dep_2q);
+            assert!(program.stats().tiles_visited < program.stats().tiles_full);
+            assert_outcome_is_the_full_runs_diagonal(&program);
+        }
+    }
+
+    #[test]
+    fn lone_wire_sweeps_are_windowed_before_and_after_pair_blocks() {
+        let pair = [
+            FusedOp::One(gates::h(), 0),
+            FusedOp::Cx(0, 1),
+            FusedOp::Rz(0.4, 1),
+        ];
+        let lone = [FusedOp::One(gates::ry(0.9), 2), FusedOp::Rz(-0.3, 2)];
+
+        let wire_first: Vec<FusedOp> = lone.iter().chain(&pair).copied().collect();
+        let program = DensityProgram::compile(3, wire_first, 0.01, 0.02);
+        assert_eq!(program.windows, [window(0, 0), window(0b100, 0)]);
+        assert_outcome_is_the_full_runs_diagonal(&program);
+
+        let wire_last: Vec<FusedOp> = pair.iter().chain(&lone).copied().collect();
+        let program = DensityProgram::compile(3, wire_last, 0.01, 0.02);
+        assert_eq!(program.windows, [window(0, 0), window(0b011, 0)]);
+        assert_outcome_is_the_full_runs_diagonal(&program);
+    }
+
+    #[test]
+    fn empty_program_leaves_all_mass_on_the_zero_outcome() {
+        let program = DensityProgram::compile(3, [], 0.01, 0.02);
+        assert_eq!(program.stats().sweeps, 0);
+        let outcome = program.outcome_probabilities();
+        assert_eq!(outcome.probabilities()[0], 1.0);
+        assert!(outcome.probabilities()[1..].iter().all(|&p| p == 0.0));
+    }
+
+    fn pair_sweep_on_01_of_three_qubits(window: Window) {
+        let mut rho = DensityMatrix::zero_state(3);
+        sweep_pair(rho.data_mut(), 8, [0, 1], &[], 0.9, &[], window);
+    }
+
+    #[test]
+    #[should_panic(expected = "sweep outside ρ")]
+    fn window_row_bit_beyond_the_register_fails_closed() {
+        pair_sweep_on_01_of_three_qubits(window(0b1000, 0));
+    }
+
+    #[test]
+    #[should_panic(expected = "sweep outside ρ")]
+    fn window_delta_bit_beyond_the_register_fails_closed() {
+        pair_sweep_on_01_of_three_qubits(window(0b100, 0b1100));
+    }
+
+    #[test]
+    #[should_panic(expected = "sweep outside ρ")]
+    fn window_bit_inside_the_pair_fails_closed() {
+        pair_sweep_on_01_of_three_qubits(window(0b100, 0b110));
+    }
+
+    #[test]
+    #[should_panic(expected = "sweep outside ρ")]
+    fn wire_window_on_its_own_bit_fails_closed() {
+        let mut rho = DensityMatrix::zero_state(2);
+        let run = Run::new(RunGate::Rz(0.3)).finish(0.99);
+        sweep_wire(rho.data_mut(), 4, 1, &run, window(0b10, 0));
     }
 
     #[test]

@@ -16,7 +16,9 @@
 //! * **Fused vs reference: ≤ 1e-12 max-norm.** Fusion reorders floating-point
 //!   operations (matrix products are pre-multiplied), so equality is only up
 //!   to rounding. Noisy density programs (`qoncord_sim::noisy`) are in this
-//!   tier too, against the op-at-a-time evolution on the full ρ. So are
+//!   tier too, against the op-at-a-time evolution on the full ρ; their
+//!   light-cone read-out (`outcome_probabilities`) is pinned *bitwise* to
+//!   the diagonal of the full run it is a subset of. So are
 //!   trajectory programs (`qoncord_sim::trajectory`), against the seed's
 //!   trajectory loop on every outcome probability.
 //! * **Fail-closed:** out-of-range or coinciding qubit indices panic in every
@@ -27,6 +29,7 @@
 
 use proptest::prelude::*;
 use qoncord_sim::density::DensityMatrix;
+use qoncord_sim::dist::ProbDist;
 use qoncord_sim::fuse::{self, FusedOp};
 use qoncord_sim::gates;
 use qoncord_sim::math::C64;
@@ -176,6 +179,15 @@ fn max_norm_diff(a: &[C64], b: &[C64]) -> f64 {
         .fold(0.0, f64::max)
 }
 
+/// Largest difference between two outcome distributions.
+fn max_prob_diff(a: &ProbDist, b: &ProbDist) -> f64 {
+    a.probabilities()
+        .iter()
+        .zip(b.probabilities())
+        .map(|(x, y)| (x - y).abs())
+        .fold(0.0, f64::max)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -272,6 +284,38 @@ proptest! {
         }
     }
 
+    /// The light-cone read-out equals, bit for bit, the diagonal a full run
+    /// from `|0…0⟩` leaves (the same per-tile arithmetic on fewer tiles),
+    /// and is within the fused tier of the op-at-a-time evolution.
+    #[test]
+    fn dm_windowed_outcome_is_bitwise_the_full_runs_diagonal(
+        ops in noisy_program(),
+        dep_1q in rate(),
+        dep_2q in rate(),
+    ) {
+        let _lock = exclusive();
+        for n in [1usize, 2, 3, 5] {
+            let ops = to_noisy(n, &ops);
+            let program = DensityProgram::compile(n, ops.iter().copied(), dep_1q, dep_2q);
+            let windowed = program.outcome_probabilities();
+            let mut full = DensityMatrix::zero_state(n);
+            program.run(&mut full);
+            let full = full.probabilities();
+            for (i, (w, f)) in windowed.probabilities().iter().zip(full.probabilities()).enumerate() {
+                prop_assert!(
+                    w.to_bits() == f.to_bits(),
+                    "{n} qubits, rates ({dep_1q}, {dep_2q}), outcome {i}: windowed {w:e} vs full {f:e}"
+                );
+            }
+            let stats = program.stats();
+            prop_assert!(stats.tiles_visited <= stats.tiles_full);
+            let mut unfused = DensityMatrix::zero_state(n);
+            evolve_unfused(&mut unfused, &ops, dep_1q, dep_2q);
+            let d = max_prob_diff(&windowed, &unfused.probabilities());
+            prop_assert!(d <= 1e-12, "{n} qubits, rates ({dep_1q}, {dep_2q}): diff {d} from unfused");
+        }
+    }
+
     /// A trajectory program (pre-drawn patterns, fused, deduped, prefix-
     /// shared) matches the seed's trajectory loop on every probability and
     /// accounts for every trajectory. High rates make deep tries, zero
@@ -289,13 +333,7 @@ proptest! {
             let ops = to_noisy(n, &ops);
             let seed_loop = sample_unfused(n, &ops, dep_1q, dep_2q, seed, n_trajectories);
             let mut program = TrajectoryProgram::compile(n, ops.iter().copied(), dep_1q, dep_2q);
-            let d = program
-                .run(seed, n_trajectories)
-                .probabilities()
-                .iter()
-                .zip(seed_loop.probabilities())
-                .map(|(x, y)| (x - y).abs())
-                .fold(0.0, f64::max);
+            let d = max_prob_diff(&program.run(seed, n_trajectories), &seed_loop);
             prop_assert!(d <= 1e-12, "{n} qubits, rates ({dep_1q}, {dep_2q}): diff {d}");
             let stats = program.stats();
             prop_assert_eq!(stats.trajectories, n_trajectories as u64);
