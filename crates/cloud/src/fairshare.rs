@@ -20,7 +20,11 @@
 //! * A cross-tenant ordered index holds each lane's best request keyed by
 //!   its full score, so [`pop`](FairShareQueue::pop) is a first-entry read
 //!   plus an `O(log n)` removal, and a per-device ready index makes
-//!   [`pop_for_device`](FairShareQueue::pop_for_device) the same.
+//!   [`pop_for_device`](FairShareQueue::pop_for_device) the same. Writes
+//!   (push, removal, usage charge or credit) only flag their tenant; the
+//!   ordered queries — the only readers of the index — first repost the
+//!   flagged tenants, so any number of writes to one tenant between two
+//!   reads cost one repost.
 //! * [`decay_usage`](FairShareQueue::decay_usage) keeps the seed's exact
 //!   arithmetic (`consumed *= factor` per tenant, so balances stay
 //!   bit-identical to the unindexed implementation) and merely marks the
@@ -303,6 +307,9 @@ struct UserState {
     name: String,
     usage: UserUsage,
     lanes: HashMap<Tag, Lane>,
+    /// Written to since its lanes were last posted (on
+    /// `FairShareQueue::unposted`).
+    unposted: bool,
 }
 
 /// A fair-share priority queue over [`QueuedRequest`]s.
@@ -335,13 +342,14 @@ pub struct FairShareQueue {
     ready_by_device: HashMap<usize, BTreeMap<CrossKey, usize>>,
     /// Insertion-order view (seq → id) over every pending request.
     insertion_all: BTreeMap<u64, usize>,
-    /// Insertion-order view restricted to a device's dispatchable requests.
-    insertion_by_device: HashMap<usize, BTreeMap<u64, usize>>,
     /// Incrementally maintained per-device backlog: sum of queued
     /// `requested_seconds` charged to the device (dispatchable + holds).
     backlog: HashMap<usize, f64>,
     len: usize,
     seq: u64,
+    /// Tenants whose posted lane bests predate a write; reposted by the
+    /// next ordered query.
+    unposted: Vec<usize>,
     /// Set by a decaying `decay_usage`; cleared by the next ordered query's
     /// amortized index rebuild.
     stale: bool,
@@ -421,6 +429,7 @@ impl FairShareQueue {
             name: user.to_owned(),
             usage: UserUsage::default(),
             lanes: HashMap::new(),
+            unposted: false,
         });
         self.drain.get_mut().tenants.push(TenantPostings::default());
         uid
@@ -487,15 +496,19 @@ impl FairShareQueue {
         }
     }
 
-    /// A tenant's balance or requests moved: reposts its lanes now and queues
-    /// it for the drain index's next lazy re-key (a flag, so writes stay
-    /// cheap when nobody projects).
+    /// A tenant's balance or requests moved: flags it for the two lazy
+    /// indexes — the posted lane bests, re-derived by the next ordered query
+    /// ([`ensure_fresh`](Self::ensure_fresh)), and the drain index's next
+    /// re-key — so a write costs no ordered-map operation until something
+    /// reads the order.
     fn touch(&mut self, uid: usize) {
         let drain = self.drain.get_mut();
         if !std::mem::replace(&mut drain.tenants[uid].dirty, true) {
             drain.dirty.push(uid);
         }
-        self.repost_user(uid);
+        if !std::mem::replace(&mut self.states[uid].unposted, true) {
+            self.unposted.push(uid);
+        }
     }
 
     /// Reposts every lane of a tenant — needed whenever the tenant's usage
@@ -507,19 +520,27 @@ impl FairShareQueue {
         }
     }
 
-    /// Performs the amortized cross-tenant index rebuild a decay epoch
-    /// deferred. The within-lane order is decay-invariant, so only the
-    /// posted lane-best keys need re-deriving.
+    /// Brings the cross-tenant indexes up to date with the live state, as
+    /// the first step of every query that reads them: reposts the tenants
+    /// written to since the last one — or everyone, as the amortized rebuild
+    /// a decay epoch deferred. A posting is a function of the tenant's live
+    /// balance and lane contents alone, so however many writes a tenant
+    /// absorbed in between, one repost lands it where eager reposting would
+    /// have. The within-lane order is decay-invariant, so only the posted
+    /// lane-best keys need re-deriving.
     fn ensure_fresh(&mut self) {
-        if !self.stale {
-            return;
-        }
-        let _prof = qoncord_prof::span("fairshare::rebuild");
-        self.stale = false;
-        self.stats.index_rebuilds += 1;
-        for uid in 0..self.states.len() {
+        let _rebuild = std::mem::take(&mut self.stale).then(|| {
+            self.stats.index_rebuilds += 1;
+            self.unposted.clear();
+            self.unposted.extend(0..self.states.len());
+            qoncord_prof::span("fairshare::rebuild")
+        });
+        for i in 0..self.unposted.len() {
+            let uid = self.unposted[i];
+            self.states[uid].unposted = false;
             self.repost_user(uid);
         }
+        self.unposted.clear();
     }
 
     fn insert_request(&mut self, request: QueuedRequest, tag: Tag) -> Result<(), FairShareError> {
@@ -542,12 +563,6 @@ impl FairShareQueue {
             self.stats.backlog_refreshes += 1;
         }
         self.insertion_all.insert(seq, request.id);
-        if let Tag::Device(d) = tag {
-            self.insertion_by_device
-                .entry(d)
-                .or_default()
-                .insert(seq, request.id);
-        }
         let key = self.req_key(&request, seq);
         self.states[uid]
             .lanes
@@ -582,11 +597,6 @@ impl FairShareQueue {
             lane.requests.remove(&key);
         }
         self.insertion_all.remove(&seq);
-        if let Tag::Device(d) = tag {
-            if let Some(order) = self.insertion_by_device.get_mut(&d) {
-                order.remove(&seq);
-            }
-        }
         if let Some(d) = tag.device() {
             if let Some(total) = self.backlog.get_mut(&d) {
                 *total -= request.requested_seconds;
@@ -679,23 +689,12 @@ impl FairShareQueue {
         self.states.iter().map(|s| (s.name.as_str(), s.usage))
     }
 
-    /// Iterates the pending requests in insertion order (a dispatcher that
-    /// layers its own priority rules over fair-share — e.g. preemption
-    /// eligibility — needs to inspect the queue without popping).
+    /// Iterates the pending requests — every lane: untargeted, device-bound
+    /// and holds — in insertion order, without popping. A request popped
+    /// and pushed again re-enters at the back.
     pub fn pending(&self) -> impl Iterator<Item = &QueuedRequest> {
         self.insertion_all
             .values()
-            .map(|id| &self.entries[id].request)
-    }
-
-    /// Iterates the dispatchable requests bound to `device`, in insertion
-    /// order. Holds on the device are excluded — they are not dispatch
-    /// candidates.
-    pub fn pending_for_device(&self, device: usize) -> impl Iterator<Item = &QueuedRequest> {
-        self.insertion_by_device
-            .get(&device)
-            .into_iter()
-            .flat_map(|order| order.values())
             .map(|id| &self.entries[id].request)
     }
 
@@ -1704,8 +1703,11 @@ mod tests {
         q.push_hold(req(0, "a", 30.0, 0.0), 0).unwrap();
         q.push_for_device(req(1, "b", 10.0, 1.0), 0).unwrap();
         assert_eq!(q.device_backlog(0), 40.0);
-        let pending: Vec<usize> = q.pending_for_device(0).map(|r| r.id).collect();
-        assert_eq!(pending, [1], "the hold is charged to the device, not bound");
+        assert_eq!(
+            q.pending().map(|r| r.id).collect::<Vec<_>>(),
+            [0, 1],
+            "the hold is queued and charged to the device, not bound to it"
+        );
         assert_eq!(
             q.pop_for_device(0).unwrap().id,
             1,
@@ -1738,11 +1740,59 @@ mod tests {
         q.push_hold(req(2, "a", 1.0, 2.0), 0).unwrap();
         q.push_for_device(req(3, "c", 4.0, 3.0), 0).unwrap();
         assert_eq!(q.pending().map(|r| r.id).collect::<Vec<_>>(), [0, 1, 2, 3]);
-        assert_eq!(
-            q.pending_for_device(0).map(|r| r.id).collect::<Vec<_>>(),
-            [1, 3],
-            "holds and untargeted requests are not dispatch candidates"
-        );
+        // A popped request pushed again re-enters at the back.
+        let again = q.pop_by_id(1).unwrap();
+        q.push_for_device(again, 0).unwrap();
+        assert_eq!(q.pending().map(|r| r.id).collect::<Vec<_>>(), [0, 2, 3, 1]);
+        // Holds and untargeted requests are not dispatch candidates.
+        let mut dispatched: Vec<usize> =
+            std::iter::from_fn(|| q.pop_for_device(0).map(|r| r.id)).collect();
+        dispatched.sort_unstable();
+        assert_eq!(dispatched, [1, 3]);
+        assert_eq!(q.pending().map(|r| r.id).collect::<Vec<_>>(), [0, 2]);
+    }
+
+    /// Writes only flag their tenant: however many land between two ordered
+    /// reads, the ready indexes are not touched until the next read, which
+    /// reposts each flagged tenant once and pops what eager reposting (the
+    /// reference) pops.
+    #[test]
+    fn writes_between_reads_share_one_repost() {
+        use crate::reference::ReferenceFairShareQueue;
+        let mut q = FairShareQueue::new();
+        let mut oracle = ReferenceFairShareQueue::new();
+        for (id, user) in ["a", "b", "c"].into_iter().enumerate() {
+            q.push_for_device(req(id, user, 5.0, id as f64), 0).unwrap();
+            // Every request is bound to device 0, so the reference's plain
+            // pop is the device pop.
+            oracle.push(req(id, user, 5.0, id as f64));
+        }
+        assert_eq!(q.pop_for_device(0).unwrap().id, 0);
+        assert_eq!(oracle.pop().unwrap().id, 0);
+        // The pop flagged "a"; one read settles it.
+        q.ensure_fresh();
+        let posted = q.ready_by_device.clone();
+        assert_eq!(posted[&0].len(), 2);
+
+        // Three writes to "b" — charge, credit, push — and no read.
+        q.record_usage("b", 100.0).unwrap();
+        q.credit_usage("b", 30.0).unwrap();
+        q.push_for_device(req(3, "b", 1.0, 3.0), 0).unwrap();
+        oracle.record_usage("b", 100.0).unwrap();
+        oracle.credit_usage("b", 30.0).unwrap();
+        oracle.push(req(3, "b", 1.0, 3.0));
+        assert_eq!(q.ready_by_device, posted, "no write reposts");
+        assert_eq!(q.unposted, [1], "flagged once, not per write");
+
+        // The read reposts "b" under its new balance: "c" now leads.
+        let popped = q.pop_for_device(0).unwrap();
+        assert_eq!(popped, oracle.pop().unwrap());
+        assert_eq!(popped.id, 2);
+        assert_ne!(q.ready_by_device, posted);
+        while let Some(next) = oracle.pop() {
+            assert_eq!(q.pop_for_device(0), Some(next));
+        }
+        assert!(q.pop_for_device(0).is_none());
     }
 
     #[test]

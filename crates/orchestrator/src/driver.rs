@@ -53,11 +53,11 @@ pub(crate) const EXECUTIONS_PER_BATCH_ESTIMATE: f64 = SPSA_EXECUTIONS_PER_ITERAT
 
 /// A fleet device handed to a job's ladder construction.
 #[derive(Debug, Clone)]
-pub(crate) struct SelectedDevice {
+pub(crate) struct SelectedDevice<'a> {
     /// Index of the device in the engine's fleet.
     pub fleet_index: usize,
     /// Its calibration.
-    pub calibration: Calibration,
+    pub calibration: &'a Calibration,
     /// Its relative speed.
     pub speed: f64,
 }
@@ -623,16 +623,19 @@ mod tests {
         }
     }
 
-    fn selected() -> Vec<SelectedDevice> {
+    fn selected() -> Vec<SelectedDevice<'static>> {
+        // Leaked so the helper can hand out borrows: two small values per
+        // call, in a test process.
+        let leak = |calibration| &*Box::leak(Box::new(calibration));
         vec![
             SelectedDevice {
                 fleet_index: 4,
-                calibration: catalog::ibmq_toronto(),
+                calibration: leak(catalog::ibmq_toronto()),
                 speed: 1.0,
             },
             SelectedDevice {
                 fleet_index: 9,
-                calibration: catalog::ibmq_kolkata(),
+                calibration: leak(catalog::ibmq_kolkata()),
                 speed: 1.0,
             },
         ]
@@ -710,7 +713,7 @@ mod tests {
             .enumerate()
             .map(|(i, calibration)| SelectedDevice {
                 fleet_index: i,
-                calibration: calibration.clone(),
+                calibration,
                 speed: 1.0,
             })
             .collect();
@@ -744,9 +747,10 @@ mod tests {
         let closed = QoncordScheduler::new(cfg.clone())
             .run(&[catalog::ibmq_kolkata()], &factory(), 3)
             .unwrap();
+        let kolkata = catalog::ibmq_kolkata();
         let one = vec![SelectedDevice {
             fleet_index: 0,
-            calibration: catalog::ibmq_kolkata(),
+            calibration: &kolkata,
             speed: 1.0,
         }];
         let driver = Runner::new(cfg, 3, &factory(), &one, 1000).unwrap();

@@ -76,7 +76,7 @@ use qoncord_cloud::policy::{
 use qoncord_core::phase::ShardCheckpoint;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 
 /// Default preemption budget: evictions a job absorbs before its remaining
 /// leases gain eviction immunity.
@@ -281,8 +281,8 @@ impl Orchestrator {
     /// report (jobs in submission order).
     ///
     /// The engine is single-threaded (see "Why the engine is
-    /// single-threaded" in `docs/ARCHITECTURE.md`); the simulator kernels
-    /// underneath may still use `sim::par` threads, bit-identically.
+    /// single-threaded" in `docs/ARCHITECTURE.md`), and so are the
+    /// simulator kernels underneath: a run uses the calling thread only.
     pub fn run(&self, jobs: &[TenantJob]) -> OrchestratorReport {
         let mut sim = Sim::new(&self.config, &self.fleet, jobs);
         sim.run_loop();
@@ -301,6 +301,8 @@ enum Reservation {
         /// recorded checkpoint. The grant path verifies (in debug builds)
         /// that the shard resumes from exactly this state.
         resume: Option<ShardCheckpoint>,
+        /// Its key in `Sim::urgent[device]` while it is queued there.
+        urgent_order: Option<u64>,
     },
     /// A provisional hold for a restart's future fine-tuning block; never
     /// granted, released (or silently converted) at triage. The owning job
@@ -359,6 +361,15 @@ struct Sim<'a> {
     holds: Vec<HashMap<usize, (usize, usize, f64)>>,
     reservations: HashMap<usize, Reservation>,
     next_reservation: usize,
+    /// Per device, in the order they were pushed: the queued batch requests
+    /// `(reservation, job)` that can ever outrank another request — those
+    /// of a job with a positive priority or a deadline, both fixed at
+    /// admission, so membership is decided at push time. Every other
+    /// request has `Urgency { 0, false }` at all times, which
+    /// [`Urgency::may_preempt`] nothing, so `urgent_override` reads only
+    /// these instead of the device's whole queue. Entries leave in `grant`.
+    urgent: Vec<BTreeMap<u64, (usize, usize)>>,
+    next_push: u64,
     /// The flight recorder: stamps every decision with the virtual clock
     /// and a run-wide sequence number, aggregates metrics, forwards to the
     /// configured sink — and accounts the report: job and fleet telemetry
@@ -435,6 +446,8 @@ impl<'a> Sim<'a> {
             holds: jobs.iter().map(|_| HashMap::new()).collect(),
             reservations: HashMap::new(),
             next_reservation: 0,
+            urgent: vec![BTreeMap::new(); fleet.len()],
+            next_push: 0,
             tracer,
         }
     }
@@ -540,7 +553,7 @@ impl<'a> Sim<'a> {
             if !selected.iter().any(|s| s.fleet_index == p.device) {
                 selected.push(SelectedDevice {
                     fleet_index: p.device,
-                    calibration: self.fleet[p.device].calibration().clone(),
+                    calibration: self.fleet[p.device].calibration(),
                     speed: self.fleet[p.device].speed(),
                 });
             }
@@ -760,6 +773,7 @@ impl<'a> Sim<'a> {
     /// shard, which is what turns one job into several concurrently
     /// schedulable sub-leases.
     fn enqueue_ready_batches(&mut self, job: usize, now: f64) {
+        let _prof = qoncord_prof::span("engine::enqueue");
         let ready: Vec<(usize, usize, f64)> = {
             let runner = self.drivers[job].as_ref().expect("active runner");
             runner
@@ -786,6 +800,7 @@ impl<'a> Sim<'a> {
                     device,
                     seconds,
                     resume: None,
+                    urgent_order: None,
                 },
             );
             self.queue
@@ -799,6 +814,7 @@ impl<'a> Sim<'a> {
                     device,
                 )
                 .expect("reservation ids are unique and batch estimates finite");
+            self.index_urgent(job, id);
             self.tracer.emit(
                 now,
                 TraceEvent::QueuePush {
@@ -828,9 +844,9 @@ impl<'a> Sim<'a> {
         if self.leases.active(device).is_some() {
             return;
         }
-        // Every request in the device's ready set is a batch reservation on
-        // it (holds live in a separate lane), so the indexed device pop is
-        // exactly the old filtered min-scan — as a heap peek.
+        // The device's ready index holds batch reservations on it and
+        // nothing else (holds live in a separate lane), so this is one
+        // first-entry read, and what it returns can be granted as is.
         let Some(winner) = self.queue.pop_for_device(device) else {
             return;
         };
@@ -838,23 +854,75 @@ impl<'a> Sim<'a> {
         self.grant(request, now);
     }
 
-    /// The most urgent queued batch request for `device` that may preempt
-    /// the fair-share `winner`, or the winner itself when none outranks it
-    /// (earliest queue position wins among equally urgent challengers).
-    fn urgent_override(&mut self, device: usize, winner: QueuedRequest, now: f64) -> QueuedRequest {
-        if !self.config.preemption.enabled {
-            return winner;
+    /// Enters the just-pushed batch request `id` of `job` at the back of
+    /// its device's urgent index, if the job can ever outrank anyone. A
+    /// request pushed a second time (an overridden winner) gives up its old
+    /// place: the queue re-sequenced it to the back as well.
+    fn index_urgent(&mut self, job: usize, id: usize) {
+        if !self.can_outrank(job) {
+            return;
         }
-        let Some(Reservation::Batch { job, .. }) = self.reservations.get(&winner.id) else {
+        let Some(Reservation::Batch {
+            device,
+            urgent_order,
+            ..
+        }) = self.reservations.get_mut(&id)
+        else {
+            unreachable!("pushed requests are batch reservations");
+        };
+        let index = &mut self.urgent[*device];
+        if let Some(stale) = urgent_order.replace(self.next_push) {
+            index.remove(&stale);
+        }
+        index.insert(self.next_push, (id, job));
+        self.next_push += 1;
+    }
+
+    /// Whether `job`'s urgency can ever differ from `Urgency { 0, false }`,
+    /// which preempts nothing. Both inputs are fixed by the end of `admit`.
+    fn can_outrank(&self, job: usize) -> bool {
+        self.effective_priority[job] > 0 || self.deadlines[job].is_some()
+    }
+
+    fn batch_job(&self, id: usize) -> usize {
+        let Some(Reservation::Batch { job, .. }) = self.reservations.get(&id) else {
             unreachable!("dispatched requests are batch reservations");
         };
-        let winner_urgency = self.urgency(*job, now);
+        *job
+    }
+
+    /// Every queued batch request on `device` as `(reservation, job)`, in
+    /// push order, found the slow way — a walk of the whole queue. What
+    /// `urgent_override` read before the urgent index; retained as its
+    /// debug-build oracle.
+    fn queued_batches_on(&self, device: usize) -> impl Iterator<Item = (usize, usize)> + '_ {
+        self.queue
+            .pending()
+            .filter_map(move |request| match self.reservations.get(&request.id) {
+                Some(Reservation::Batch { job, device: d, .. }) if *d == device => {
+                    Some((request.id, *job))
+                }
+                _ => None,
+            })
+    }
+
+    /// The request among `candidates` — `(reservation, job)` in push order —
+    /// that may preempt the popped `winner` and that no other candidate may
+    /// preempt in turn; the earliest of equally urgent ones.
+    fn most_urgent(
+        &self,
+        winner: &QueuedRequest,
+        candidates: impl Iterator<Item = (usize, usize)>,
+        now: f64,
+    ) -> Option<usize> {
+        let winner_urgency = self.urgency(self.batch_job(winner.id), now);
         let mut pick: Option<(usize, Urgency)> = None;
-        for request in self.queue.pending_for_device(device) {
-            let Some(Reservation::Batch { job, .. }) = self.reservations.get(&request.id) else {
+        for (id, job) in candidates {
+            // The popped winner is still indexed; it is not queued.
+            if id == winner.id {
                 continue;
-            };
-            let urgency = self.urgency(*job, now);
+            }
+            let urgency = self.urgency(job, now);
             if !urgency.may_preempt(&winner_urgency) {
                 continue;
             }
@@ -862,15 +930,51 @@ impl<'a> Sim<'a> {
                 .as_ref()
                 .is_none_or(|(_, best)| urgency.may_preempt(best))
             {
-                pick = Some((request.id, urgency));
+                pick = Some((id, urgency));
             }
         }
-        let Some((id, _)) = pick else {
+        pick.map(|(id, _)| id)
+    }
+
+    /// The most urgent queued batch request for `device` that may preempt
+    /// the fair-share `winner`, or the winner itself when none outranks it
+    /// (earliest queue position wins among equally urgent challengers).
+    /// Only requests in the device's urgent index can, so an empty index
+    /// settles it without looking at the queue.
+    fn urgent_override(&mut self, device: usize, winner: QueuedRequest, now: f64) -> QueuedRequest {
+        let _prof = qoncord_prof::span("engine::override");
+        if !self.config.preemption.enabled {
+            return winner;
+        }
+        let index = &self.urgent[device];
+        let pick = if index.is_empty() {
+            None
+        } else {
+            self.most_urgent(&winner, index.values().copied(), now)
+        };
+        debug_assert!(
+            index
+                .values()
+                .copied()
+                .filter(|&(id, _)| id != winner.id)
+                .eq(self
+                    .queued_batches_on(device)
+                    .filter(|&(_, job)| self.can_outrank(job))),
+            "device {device}'s urgent index is not its queue's urgent requests in push order"
+        );
+        debug_assert_eq!(
+            pick,
+            self.most_urgent(&winner, self.queued_batches_on(device), now),
+            "urgent index and queue scan disagree on device {device}'s override"
+        );
+        let Some(id) = pick else {
             return winner;
         };
+        let winner_id = winner.id;
         self.queue
             .push_for_device(winner, device)
             .expect("the popped winner re-enqueues cleanly");
+        self.index_urgent(self.batch_job(winner_id), winner_id);
         self.queue
             .pop_by_id(id)
             .expect("override candidate is queued")
@@ -881,16 +985,28 @@ impl<'a> Sim<'a> {
     /// lease preemptible: until it expires, evicting it loses no training
     /// progress.
     fn grant(&mut self, request: QueuedRequest, now: f64) {
+        let _prof = qoncord_prof::span("engine::grant");
         let Some(Reservation::Batch {
             job,
             shard,
             device,
             seconds,
             resume,
+            urgent_order,
         }) = self.reservations.remove(&request.id)
         else {
             unreachable!("granted requests are batch reservations");
         };
+        if let Some(order) = urgent_order {
+            self.urgent[device].remove(&order);
+        }
+        debug_assert!(
+            self.urgent
+                .iter()
+                .all(|index| index.values().all(|&(id, _)| id != request.id)),
+            "granted request {} is still in an urgent index",
+            request.id
+        );
         let checkpoint = self.drivers[job]
             .as_ref()
             .expect("granted job is active")
@@ -1018,6 +1134,7 @@ impl<'a> Sim<'a> {
                 device,
                 seconds: evicted.lease.seconds,
                 resume: Some(evicted.lease.checkpoint),
+                urgent_order: None,
             },
         );
         self.queue
@@ -1032,6 +1149,7 @@ impl<'a> Sim<'a> {
                 evicted.burned_seconds,
             )
             .expect("burned occupancy is finite and non-negative");
+        self.index_urgent(victim, id);
         self.tracer.emit(
             now,
             TraceEvent::QueuePush {

@@ -100,6 +100,7 @@ pub(crate) fn build_runner(
     config: &OrchestratorConfig,
     now: f64,
 ) -> Result<Box<Runner>, Vec<RejectedDevice>> {
+    let _prof = qoncord_prof::span("engine::build_runner");
     let runner = Box::new(Runner::new(
         spec.config.clone(),
         spec.n_restarts,
@@ -223,7 +224,7 @@ mod tests {
         let selected = [0, 2]
             .map(|i| SelectedDevice {
                 fleet_index: i,
-                calibration: fleet[i].calibration().clone(),
+                calibration: fleet[i].calibration(),
                 speed: fleet[i].speed(),
             })
             .to_vec();

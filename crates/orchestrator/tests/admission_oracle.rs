@@ -11,89 +11,23 @@
 //! lease completion, and decay epochs. A write that failed to mark its
 //! tenant dirty would leave a stale key in the index and trip the oracle.
 //!
-//! The jobs train on an analytic surface (the engine, queue and admission
-//! layers run as for a real job; no circuit is simulated), so the debug
-//! build stays fast.
+//! The jobs train on an analytic surface (`common::bowl_factory`), so the
+//! debug build stays fast.
 
-use qoncord_circuit::transpile::CircuitStats;
-use qoncord_core::executor::EvaluatorFactory;
+mod common;
+
+use common::bowl_factory;
 use qoncord_core::scheduler::QoncordConfig;
-use qoncord_device::noise_model::SimulatedBackend;
 use qoncord_orchestrator::{
     two_lf_two_hf_fleet, AdmissionConfig, AdmissionMode, Orchestrator, OrchestratorConfig,
     PreemptionConfig, TenantJob, UsageDecayConfig,
 };
-use qoncord_sim::dist::ProbDist;
-use qoncord_vqa::evaluator::{CostEvaluator, Evaluation};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashSet;
 
 const JOBS: usize = 320;
 const TENANTS: usize = 600;
-
-/// `E(θ) = -depth · (1 + cos(θ₀ − a) · cos(θ₁ − b)) / 2` on a two-parameter
-/// torus: ground energy `-1` at `(a, b)` on a noiseless device, shallower as
-/// the device's two-qubit error grows.
-struct Bowl {
-    minimum: [f64; 2],
-    depth: f64,
-    device: String,
-    executions: u64,
-}
-
-impl CostEvaluator for Bowl {
-    fn n_params(&self) -> usize {
-        2
-    }
-
-    fn evaluate(&mut self, params: &[f64]) -> Evaluation {
-        self.executions += 1;
-        let [a, b] = self.minimum;
-        let expectation = -self.depth * (1.0 + (params[0] - a).cos() * (params[1] - b).cos()) / 2.0;
-        Evaluation {
-            expectation,
-            entropy: 3.0 * (1.0 + expectation),
-            dist: ProbDist::uniform(1),
-        }
-    }
-
-    fn executions(&self) -> u64 {
-        self.executions
-    }
-
-    fn device_name(&self) -> String {
-        self.device.clone()
-    }
-
-    fn ground_energy(&self) -> f64 {
-        -1.0
-    }
-
-    fn circuit_stats(&self) -> CircuitStats {
-        // Shallow enough to clear the default fidelity filter on both
-        // catalog calibrations; it also sets the lease length.
-        CircuitStats {
-            n_1q: 20,
-            n_2q: 6,
-            depth: 10,
-            swaps_inserted: 0,
-            n_measured: 4,
-        }
-    }
-}
-
-fn bowl_factory(minimum: [f64; 2]) -> Box<dyn EvaluatorFactory> {
-    Box::new(move |backend: SimulatedBackend, _seed: u64| {
-        let cal = backend.calibration();
-        Box::new(Bowl {
-            minimum,
-            depth: (1.0 - 8.0 * cal.error_2q()).clamp(0.1, 1.0),
-            device: cal.name().to_owned(),
-            executions: 0,
-        }) as Box<dyn CostEvaluator>
-    })
-}
 
 /// 320 jobs, tenants drawn from 600 names (so some repeat), arriving 160 per
 /// simulated second onto a fleet that drains about 30, each with a deadline

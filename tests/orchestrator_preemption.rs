@@ -10,11 +10,14 @@ use qoncord::cloud::policy::Policy;
 use qoncord::core::executor::QaoaFactory;
 use qoncord::core::scheduler::{QoncordConfig, QoncordScheduler};
 use qoncord::device::catalog;
+use qoncord::orchestrator::trace::{MemorySink, TraceEvent, TraceHandle};
 use qoncord::orchestrator::{
-    two_lf_one_hf_fleet, DeadlineClass, Orchestrator, OrchestratorConfig, OrchestratorReport,
-    PreemptionConfig, TenantJob,
+    two_lf_one_hf_fleet, DeadlineClass, FleetDevice, Orchestrator, OrchestratorConfig,
+    OrchestratorReport, PreemptionConfig, TenantJob,
 };
 use qoncord::vqa::{graph::Graph, maxcut::MaxCut};
+use std::cell::RefCell;
+use std::rc::Rc;
 
 const N_TENANTS: usize = 8;
 const N_RESTARTS: usize = 3;
@@ -151,4 +154,79 @@ fn preempted_jobs_resume_bit_identically_and_urgent_arrivals_wait_less() {
     // The urgent tenant ran under a resolved Interactive deadline.
     assert!(preemptive.jobs[URGENT].telemetry.deadline.is_some());
     assert!(preemptive.sla_attainment().is_some());
+}
+
+/// The override's tie-break, by hand, on one device. Priority credit is
+/// zero, so every tenant's first request scores the same and fair-share
+/// falls through to submission time, then push order. The holder H arrives
+/// first and is granted the idle device at a priority nobody below can
+/// evict; the rest arrive together while it runs and queue in push order:
+///
+/// * W — priority 3, deadline far off (not imminent): the fair-share winner
+///   when H expires,
+/// * Z — priority 0, no deadline,
+/// * A, B — priority 3, deadlines far off,
+/// * C — priority 3, deadline all but due (imminent).
+///
+/// Every job is one batch. At H's expiry the winner is W; only C may
+/// preempt it, so C runs and W is pushed again — to the back of the queue,
+/// behind Z, A and B. Z is the next fair-share winner, and the equally
+/// urgent A, B and W all outrank it: the earliest in push order takes the
+/// device, and that is A, because W's second push is the one that counts.
+/// B and then W follow as fair-share winners nobody outranks, Z last.
+#[test]
+fn an_overridden_winner_requeues_behind_its_equally_urgent_peers() {
+    let [h, w, z, a, b, c] = [0, 1, 2, 3, 4, 5];
+    let job = |id: usize, arrival: f64| {
+        let factory = QaoaFactory {
+            problem: MaxCut::new(Graph::new(3, &[(0, 1, 1.0), (1, 2, 1.0)])),
+            layers: 1,
+        };
+        let mut job = TenantJob::new(id, format!("tenant-{id}"), 0.0, Box::new(factory))
+            .with_restarts(1)
+            .with_config(QoncordConfig {
+                // One rung, so one phase of the combined budget: one batch.
+                exploration_max_iterations: 1,
+                finetune_max_iterations: 0,
+                seed: 0x71E + id as u64,
+                ..QoncordConfig::default()
+            });
+        job.arrival = arrival;
+        job
+    };
+    let far = 1e6;
+    let jobs = vec![
+        job(h, 0.0).with_priority(5),
+        job(w, 1e-6).with_priority(3).with_deadline(far),
+        job(z, 1e-6),
+        job(a, 1e-6).with_priority(3).with_deadline(far),
+        job(b, 1e-6).with_priority(3).with_deadline(far),
+        job(c, 1e-6).with_priority(3).with_deadline(2e-6),
+    ];
+    let sink = Rc::new(RefCell::new(MemorySink::new()));
+    let config = OrchestratorConfig {
+        preemption: PreemptionConfig::enabled(),
+        priority_credit: 0.0,
+        trace: TraceHandle::to(sink.clone()),
+        ..OrchestratorConfig::default()
+    };
+    let fleet = vec![FleetDevice::new(catalog::ibmq_kolkata())];
+    let report = Orchestrator::new(config, fleet).run(&jobs);
+    assert_eq!(report.completed(), jobs.len());
+    assert_eq!(report.total_evictions(), 0, "nobody outranks a holder");
+
+    let grants: Vec<usize> = sink
+        .borrow()
+        .records()
+        .iter()
+        .filter_map(|r| match r.event {
+            TraceEvent::LeaseGrant { job, .. } => Some(job),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(grants, [h, c, a, b, w, z]);
+    // Two grants (C's and A's) overrode the fair-share winner: each popped
+    // it, pushed it back and popped the challenger.
+    assert_eq!(report.queue_ops.pops, 6 + 2);
+    assert_eq!(report.queue_ops.pushes, 6 + 2);
 }
