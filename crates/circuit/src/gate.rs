@@ -71,7 +71,7 @@ impl GateKind {
     }
 
     /// Number of angle operands the gate takes.
-    pub fn n_angles(self) -> usize {
+    fn n_angles(self) -> usize {
         match self {
             GateKind::Rx
             | GateKind::Ry
@@ -85,7 +85,7 @@ impl GateKind {
     }
 
     /// Lowercase OpenQASM-style mnemonic.
-    pub fn mnemonic(self) -> &'static str {
+    fn mnemonic(self) -> &'static str {
         match self {
             GateKind::H => "h",
             GateKind::X => "x",

@@ -34,7 +34,6 @@ pub mod circuit;
 pub mod coupling;
 pub mod gate;
 pub mod param;
-pub mod qasm;
 pub mod transpile;
 
 pub use circuit::Circuit;

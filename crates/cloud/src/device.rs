@@ -70,7 +70,7 @@ impl CloudDevice {
 
     /// Earliest start for a block of `duration` seconds at or after
     /// `earliest`, considering gap filling; does **not** commit.
-    pub fn earliest_start(&self, earliest: f64, duration: f64) -> f64 {
+    fn earliest_start(&self, earliest: f64, duration: f64) -> f64 {
         let mut candidate = earliest;
         for &(start, end) in &self.busy {
             if candidate + duration <= start {

@@ -10,7 +10,7 @@
 /// # Examples
 ///
 /// ```
-/// use qoncord_cloud::job::{JobKind, JobSpec};
+/// use qoncord_cloud::job::JobKind;
 ///
 /// let session = JobKind::RuntimeSession {
 ///     n_batches: 10,
@@ -19,14 +19,6 @@
 /// };
 /// assert!(session.is_session());
 /// assert_eq!(session.total_circuits(), 300);
-/// let spec = JobSpec {
-///     id: 0,
-///     arrival: 5.0,
-///     kind: session,
-///     seconds_per_circuit: 0.1,
-///     is_vqa: true,
-/// };
-/// assert_eq!(spec.nominal_busy_time(), 30.0);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum JobKind {
@@ -90,12 +82,6 @@ impl JobSpec {
     pub fn total_circuits(&self) -> u64 {
         self.kind.total_circuits()
     }
-
-    /// Nominal busy time on a reference-speed device, seconds (excluding
-    /// think-time gaps).
-    pub fn nominal_busy_time(&self) -> f64 {
-        self.total_circuits() as f64 * self.seconds_per_circuit
-    }
 }
 
 /// Outcome of one completed job.
@@ -134,18 +120,6 @@ mod tests {
         };
         assert_eq!(sess.total_circuits(), 40);
         assert!(sess.is_session());
-    }
-
-    #[test]
-    fn busy_time_scales_with_circuits() {
-        let spec = JobSpec {
-            id: 0,
-            arrival: 0.0,
-            kind: JobKind::Independent { n_circuits: 10 },
-            seconds_per_circuit: 0.5,
-            is_vqa: false,
-        };
-        assert!((spec.nominal_busy_time() - 5.0).abs() < 1e-12);
     }
 
     #[test]

@@ -69,20 +69,20 @@ impl fmt::Display for Policy {
 /// Fraction of a VQA job's circuits Qoncord runs as exploration on the
 /// low-fidelity device (Fig. 14 measures ≈ 70 % of executions on the LF
 /// device).
-pub const QONCORD_EXPLORATION_FRACTION: f64 = 0.7;
+const QONCORD_EXPLORATION_FRACTION: f64 = 0.7;
 
 /// Fraction of exploration circuits Qoncord's restart triage eliminates
 /// (Fig. 13: 31 of 50 restarts are cut after exploration, trimming their
 /// fine-tuning work; net execution savings land near 15 %).
-pub const QONCORD_TERMINATION_SAVINGS: f64 = 0.15;
+const QONCORD_TERMINATION_SAVINGS: f64 = 0.15;
 
 /// Quality mixing for Qoncord jobs: solution quality tracks the fine-tuning
 /// device (the paper's central claim), with a small exploration residue.
-pub const QONCORD_FINETUNE_WEIGHT: f64 = 0.92;
+const QONCORD_FINETUNE_WEIGHT: f64 = 0.92;
 
 /// EQC's circuit-execution multiplier (the paper: "twice the number of
 /// tasks... the minimum overhead for a 1-layer QAOA").
-pub const EQC_CIRCUIT_MULTIPLIER: f64 = 2.0;
+const EQC_CIRCUIT_MULTIPLIER: f64 = 2.0;
 
 /// One placement decision: a device, the circuits to run there, and the
 /// fidelity weight those circuits contribute.
@@ -384,7 +384,7 @@ impl UsageDecayModel {
     /// Epoch boundaries crossed between virtual times `from` and `until`
     /// (absolute boundaries at multiples of the epoch length, matching a
     /// dispatcher that decays whenever `floor(now / epoch)` advances).
-    pub fn epochs_between(&self, from: f64, until: f64) -> u32 {
+    fn epochs_between(&self, from: f64, until: f64) -> u32 {
         if !self.epoch_seconds.is_finite() || until <= from {
             return 0;
         }
@@ -395,7 +395,7 @@ impl UsageDecayModel {
     /// The compound decay factor applied to a balance between `from` and
     /// `until` (1.0 when no epoch boundary is crossed). Epoch counts beyond
     /// `i32::MAX` saturate (the factor is already ~0 long before that).
-    pub fn factor_between(&self, from: f64, until: f64) -> f64 {
+    fn factor_between(&self, from: f64, until: f64) -> f64 {
         self.factor
             .powi(self.epochs_between(from, until).min(i32::MAX as u32) as i32)
     }
@@ -466,7 +466,7 @@ pub struct QueueModel<'a> {
 ///
 /// Decay enters as a fixed point: a first pass projects the start time
 /// with un-decayed balances, the crossed epochs until that start give the
-/// compound [`UsageDecayModel::factor_between`], and the final projection
+/// compound decay factor ([`UsageDecayModel`]), and the final projection
 /// ranks the queue with balances aged by that factor — so a past-heavy
 /// tenant whose balance will have decayed by the time the job could start
 /// is projected to outrank it, matching realized dispatch.

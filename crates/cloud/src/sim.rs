@@ -45,17 +45,6 @@ impl SimulationResult {
         sum / self.outcomes.len() as f64 / best_fidelity
     }
 
-    /// Mean turnaround time over the workload.
-    pub fn mean_turnaround(&self, jobs: &[JobSpec]) -> f64 {
-        let total: f64 = self
-            .outcomes
-            .iter()
-            .zip(jobs)
-            .map(|(o, j)| o.turnaround(j))
-            .sum();
-        total / self.outcomes.len() as f64
-    }
-
     /// Per-device utilization: busy seconds divided by the workload
     /// makespan, in device order. All zeros when nothing ran.
     pub fn utilization(&self) -> Vec<f64> {
@@ -379,6 +368,10 @@ mod tests {
             &hypothetical_fleet(10, 0.3, 0.9),
             7,
         );
-        assert!(r.mean_turnaround(&jobs) > 0.0);
+        assert!(r
+            .outcomes
+            .iter()
+            .zip(&jobs)
+            .all(|(o, j)| o.turnaround(j) > 0.0));
     }
 }

@@ -27,7 +27,7 @@ impl Clustering {
     }
 
     /// The cluster with the lowest centroid (best for minimization).
-    pub fn best_cluster(&self) -> usize {
+    fn best_cluster(&self) -> usize {
         self.centroids
             .iter()
             .enumerate()
@@ -127,18 +127,18 @@ impl SelectionPolicy {
 /// Minimum centroid separation, relative to the mean |value|, for the triage
 /// to act; closer clusters mean the restarts are statistically
 /// indistinguishable and all are kept.
-pub const MIN_CLUSTER_SEPARATION: f64 = 0.05;
+const MIN_CLUSTER_SEPARATION: f64 = 0.05;
 
 /// Absolute floor on centroid separation (in expectation-value units) below
 /// which triage never acts.
-pub const MIN_ABS_SEPARATION: f64 = 0.02;
+const MIN_ABS_SEPARATION: f64 = 0.02;
 
 /// Selects the restart indices to promote, given per-restart intermediate
 /// expectation values (lower = better).
 ///
 /// With [`SelectionPolicy::TopCluster`], values are split by 2-means; if the
-/// centroids are closer than [`MIN_CLUSTER_SEPARATION`] relative to the value
-/// spread, everything is promoted.
+/// centroids are closer than 5 % of the mean |value| (and never less than
+/// 0.02), everything is promoted.
 ///
 /// # Panics
 ///

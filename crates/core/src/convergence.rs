@@ -162,11 +162,6 @@ impl ConvergenceChecker {
         }
     }
 
-    /// Last observed entropy, if any.
-    pub fn last_entropy(&self) -> Option<f64> {
-        self.history.last().map(|&(_, s)| s)
-    }
-
     /// Best (minimum) expectation observed.
     pub fn best_expectation(&self) -> Option<f64> {
         self.history
@@ -268,7 +263,6 @@ mod tests {
         let mut c = ConvergenceChecker::new(ConvergenceConfig::relaxed());
         feed(&mut c, &[(-1.0, 1.0), (-4.0, 1.5), (-2.0, 1.2)]);
         assert_eq!(c.best_expectation(), Some(-4.0));
-        assert_eq!(c.last_entropy(), Some(1.2));
     }
 
     #[test]

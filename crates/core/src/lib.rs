@@ -55,7 +55,6 @@ pub mod convergence;
 pub mod executor;
 pub mod phase;
 pub mod scheduler;
-pub mod timeline;
 
 /// Wall-clock span profiling, shared by every layer of the workspace.
 ///
@@ -75,4 +74,3 @@ pub use scheduler::{
     exploration_seed, finetune_seed, run_single_device, DeviceUsage, PhaseTrace, QoncordConfig,
     QoncordReport, QoncordScheduler, RestartReport, ScheduleError,
 };
-pub use timeline::{estimate_timeline, QueueModel, TimelineEstimate};

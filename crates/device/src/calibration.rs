@@ -134,11 +134,6 @@ impl Calibration {
         self.gate_time_2q_ns
     }
 
-    /// Readout duration, nanoseconds.
-    pub fn readout_time_ns(&self) -> f64 {
-        self.readout_time_ns
-    }
-
     /// Serial execution time of one circuit run with `shots` repetitions,
     /// in seconds (gate latencies summed over the critical path approximated
     /// by total gate count, matching the coarse model the paper uses for
@@ -148,24 +143,6 @@ impl Calibration {
             + stats.n_2q as f64 * self.gate_time_2q_ns
             + self.readout_time_ns;
         per_shot_ns * 1e-9 * shots as f64
-    }
-
-    /// Returns a copy with all error rates scaled by `factor` (clamped to
-    /// valid probabilities); used for mitigation modelling and drift
-    /// injection.
-    pub fn with_error_scale(&self, factor: f64) -> Calibration {
-        let mut out = self.clone();
-        out.error_1q = (self.error_1q * factor).clamp(0.0, 1.0);
-        out.error_2q = (self.error_2q * factor).clamp(0.0, 1.0);
-        out.readout_error = (self.readout_error * factor).clamp(0.0, 0.5);
-        out
-    }
-
-    /// Returns a copy with only the readout error scaled.
-    pub fn with_readout_scale(&self, factor: f64) -> Calibration {
-        let mut out = self.clone();
-        out.readout_error = (self.readout_error * factor).clamp(0.0, 0.5);
-        out
     }
 
     /// Returns a copy renamed to `name`.
@@ -292,20 +269,6 @@ mod tests {
         assert!((t1000 / t1 - 1000.0).abs() < 1e-9);
         // 10*30 + 5*300 + 700 = 2500 ns
         assert!((t1 - 2.5e-6).abs() < 1e-12);
-    }
-
-    #[test]
-    fn error_scaling_clamps() {
-        let c = toy().with_error_scale(100.0);
-        assert_eq!(c.error_2q(), 1.0);
-        assert_eq!(c.readout_error(), 0.5);
-    }
-
-    #[test]
-    fn readout_scale_leaves_gates() {
-        let c = toy().with_readout_scale(0.1);
-        assert!((c.readout_error() - 0.003).abs() < 1e-12);
-        assert_eq!(c.error_2q(), 0.02);
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //! snapshots, a catalog of the paper's named backends (ibmq_toronto,
 //! ibmq_kolkata, IonQ-Forte, and the Fig. 8 sweep devices), the P_correct
 //! execution-fidelity estimator (Eq. 1), noise-model construction with
-//! density-matrix and trajectory simulation backends, error-mitigation
-//! modelling (Fig. 3), and calibration-drift tracking (Sec. IV-I).
+//! density-matrix and trajectory simulation backends, and error-mitigation
+//! modelling (Fig. 3).
 //!
 //! ## Example
 //!
@@ -26,13 +26,11 @@
 
 pub mod calibration;
 pub mod catalog;
-pub mod drift;
 pub mod fidelity;
 pub mod mitigation;
 pub mod noise_model;
 
 pub use calibration::{Calibration, CalibrationBuilder, Technology};
-pub use drift::CalibrationTracker;
 pub use fidelity::{p_correct, rank_devices, MIN_FIDELITY_THRESHOLD};
 pub use mitigation::{Mitigation, MitigationStack};
 pub use noise_model::{BackendKind, NoiseModel, SimulatedBackend};

@@ -48,7 +48,7 @@ impl DeadlineClass {
 
     /// The absolute deadline for a job of this class arriving at `arrival`
     /// with `service_seconds` of projected device time.
-    pub fn deadline_for(&self, arrival: f64, service_seconds: f64) -> f64 {
+    fn deadline_for(&self, arrival: f64, service_seconds: f64) -> f64 {
         arrival + self.multiplier() * service_seconds
     }
 }

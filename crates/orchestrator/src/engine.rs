@@ -80,7 +80,7 @@ use std::collections::{BTreeMap, HashMap, HashSet};
 
 /// Default preemption budget: evictions a job absorbs before its remaining
 /// leases gain eviction immunity.
-pub const DEFAULT_EVICTION_CAP: u32 = 8;
+const DEFAULT_EVICTION_CAP: u32 = 8;
 
 /// Tuning of lease preemption.
 #[derive(Debug, Clone, Copy, PartialEq)]

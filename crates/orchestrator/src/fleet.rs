@@ -13,8 +13,6 @@ pub enum FleetDeviceError {
     NonPositiveSpeed(f64),
     /// `cost_per_second` must be a positive finite number.
     NonPositiveCost(f64),
-    /// `advertised_fidelity` must lie in `(0, 1]`.
-    FidelityOutOfRange(f64),
 }
 
 impl fmt::Display for FleetDeviceError {
@@ -28,9 +26,6 @@ impl fmt::Display for FleetDeviceError {
                     f,
                     "cost per second must be a positive finite number, got {v}"
                 )
-            }
-            FleetDeviceError::FidelityOutOfRange(v) => {
-                write!(f, "advertised fidelity must lie in (0, 1], got {v}")
             }
         }
     }
@@ -109,20 +104,6 @@ impl FleetDevice {
             return Err(FleetDeviceError::NonPositiveCost(cost));
         }
         self.cost_per_second = cost;
-        Ok(self)
-    }
-
-    /// Overrides the advertised fidelity tier.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FleetDeviceError::FidelityOutOfRange`] when the value lies
-    /// outside `(0, 1]`.
-    pub fn with_advertised_fidelity(mut self, fidelity: f64) -> Result<Self, FleetDeviceError> {
-        if !(fidelity.is_finite() && fidelity > 0.0 && fidelity <= 1.0) {
-            return Err(FleetDeviceError::FidelityOutOfRange(fidelity));
-        }
-        self.advertised_fidelity = fidelity;
         Ok(self)
     }
 
@@ -226,14 +207,6 @@ mod tests {
             FleetDeviceError::NonPositiveCost(0.0),
             "free devices are rejected, not silently accepted"
         );
-        assert_eq!(
-            device().with_advertised_fidelity(1.5).unwrap_err(),
-            FleetDeviceError::FidelityOutOfRange(1.5)
-        );
-        assert_eq!(
-            device().with_advertised_fidelity(0.0).unwrap_err(),
-            FleetDeviceError::FidelityOutOfRange(0.0)
-        );
         let err = device().with_speed(-2.0).unwrap_err();
         assert!(err.to_string().contains("speed"), "display names the field");
     }
@@ -262,10 +235,8 @@ mod tests {
         let device = FleetDevice::new(catalog::ibmq_toronto())
             .with_speed(2.0)
             .and_then(|d| d.with_cost_per_second(4.0))
-            .and_then(|d| d.with_advertised_fidelity(0.75))
             .expect("all values valid");
         assert_eq!(device.speed(), 2.0);
         assert_eq!(device.cost_per_second(), 4.0);
-        assert_eq!(device.advertised_fidelity(), 0.75);
     }
 }

@@ -305,8 +305,7 @@ pub struct OrchestratorReport {
     pub calibration: Vec<MarginSnapshot>,
     /// The flight recorder's always-on aggregation of the run's event
     /// stream: event counts, log-scale histograms of wait / turnaround /
-    /// queue depth / per-device backlog, and per-device busy/idle
-    /// timelines — populated whether or not a
+    /// queue depth / per-device backlog — populated whether or not a
     /// [`TraceSink`](crate::trace::TraceSink) was attached.
     pub trace: crate::trace::TraceSummary,
     /// Wall-clock cost attribution of the run: a snapshot of the

@@ -26,15 +26,13 @@
 //!
 //! [`TraceSink`] is the pluggable consumer interface. Provided sinks:
 //!
-//! - [`NoopSink`] — discards everything (the default when no sink is
-//!   attached; the engine additionally always feeds an internal
-//!   [`MetricsSink`], whose aggregates land on the report).
 //! - [`MemorySink`] — unbounded capture, for export and replay.
 //! - [`RingBufferSink`] — bounded capture that drops oldest-first.
 //! - [`JsonlSink`] — one JSON object per record, byte-deterministic.
 //! - [`MetricsSink`] — streaming aggregation: log-scale histograms of
-//!   wait, turnaround, queue depth, and per-device backlog, plus
-//!   per-device busy/wasted timelines.
+//!   wait, turnaround, queue depth, and per-device backlog. The engine
+//!   always feeds one internally, attached sink or not, and its aggregates
+//!   land on the report.
 //!
 //! Attach a sink through [`TraceHandle`] on
 //! [`OrchestratorConfig::trace`](crate::engine::OrchestratorConfig):
@@ -359,14 +357,6 @@ pub trait TraceSink {
     fn record(&mut self, record: &TraceRecord);
 }
 
-/// The default sink: discards every record.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NoopSink;
-
-impl TraceSink for NoopSink {
-    fn record(&mut self, _record: &TraceRecord) {}
-}
-
 /// Unbounded in-memory capture, for post-run export and replay.
 #[derive(Debug, Clone, Default)]
 pub struct MemorySink {
@@ -382,11 +372,6 @@ impl MemorySink {
     /// The captured records, in decision order.
     pub fn records(&self) -> &[TraceRecord] {
         &self.records
-    }
-
-    /// Consumes the sink into its records.
-    pub fn into_records(self) -> Vec<TraceRecord> {
-        self.records
     }
 }
 
@@ -473,11 +458,6 @@ impl JsonlSink {
     /// The serialized lines so far.
     pub fn as_str(&self) -> &str {
         &self.out
-    }
-
-    /// Consumes the sink into its serialized lines.
-    pub fn into_string(self) -> String {
-        self.out
     }
 }
 
@@ -745,11 +725,6 @@ impl TraceHandle {
         TraceHandle { sink: Some(sink) }
     }
 
-    /// Whether a sink is attached.
-    pub fn is_attached(&self) -> bool {
-        self.sink.is_some()
-    }
-
     fn emit(&self, record: &TraceRecord) {
         if let Some(sink) = &self.sink {
             sink.borrow_mut().record(record);
@@ -760,7 +735,7 @@ impl TraceHandle {
 impl fmt::Debug for TraceHandle {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("TraceHandle")
-            .field("attached", &self.is_attached())
+            .field("attached", &self.sink.is_some())
             .finish()
     }
 }
@@ -972,25 +947,6 @@ impl LogHistogram {
             *mine = mine.saturating_add(*theirs);
         }
     }
-
-    /// The non-empty buckets as `(lower bound, upper bound, count)`; the
-    /// underflow bucket reports as `(0.0, 2^-30, count)`.
-    pub fn nonzero_buckets(&self) -> Vec<(f64, f64, u64)> {
-        let mut out = Vec::new();
-        if self.underflow > 0 {
-            out.push((0.0, (HISTOGRAM_MIN_EXP as f64).exp2(), self.underflow));
-        }
-        for (i, &c) in self.counts.iter().enumerate() {
-            if c > 0 {
-                out.push((
-                    ((i as i32 + HISTOGRAM_MIN_EXP) as f64).exp2(),
-                    ((i as i32 + HISTOGRAM_MIN_EXP + 1) as f64).exp2(),
-                    c,
-                ));
-            }
-        }
-        out
-    }
 }
 
 /// Event-stream volume by kind, one counter per [`TraceEvent`] variant.
@@ -1075,64 +1031,6 @@ impl EventCounts {
     }
 }
 
-/// One contiguous occupancy of a device by a lease.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BusySpan {
-    /// Grant time.
-    pub start: f64,
-    /// Completion or eviction time.
-    pub end: f64,
-    /// The occupying job.
-    pub job: usize,
-    /// The occupying shard.
-    pub shard: usize,
-    /// The lease id.
-    pub lease: u64,
-    /// Whether the span ended in eviction (burned occupancy) rather than a
-    /// completed batch.
-    pub wasted: bool,
-}
-
-/// One device's busy/idle timeline: its occupancy spans in chronological
-/// order (spans never overlap — a device holds one lease at a time; the
-/// gaps are idle time).
-#[derive(Debug, Clone, PartialEq)]
-pub struct DeviceTimeline {
-    /// Fleet index.
-    pub device: usize,
-    /// Device name.
-    pub name: String,
-    /// Occupancy spans, chronological.
-    pub spans: Vec<BusySpan>,
-}
-
-impl DeviceTimeline {
-    /// Seconds of completed-batch occupancy.
-    pub fn busy_seconds(&self) -> f64 {
-        // Fold from +0.0: an empty `Sum<f64>` is IEEE -0.0, which prints
-        // as "-0.000" in reports.
-        self.spans
-            .iter()
-            .filter(|s| !s.wasted)
-            .fold(0.0, |acc, s| acc + (s.end - s.start))
-    }
-
-    /// Seconds of evicted (burned) occupancy.
-    pub fn wasted_seconds(&self) -> f64 {
-        self.spans
-            .iter()
-            .filter(|s| s.wasted)
-            .fold(0.0, |acc, s| acc + (s.end - s.start))
-    }
-
-    /// Seconds the device sat idle over `[0, horizon]` (0.0 when the
-    /// occupancy already covers the horizon — never negative).
-    pub fn idle_seconds(&self, horizon: f64) -> f64 {
-        let occupied: f64 = self.spans.iter().map(|s| s.end - s.start).sum();
-        (horizon - occupied).max(0.0)
-    }
-}
-
 /// The aggregates the engine's always-on metrics pass distills from the
 /// event stream, surfaced as
 /// [`OrchestratorReport::trace`](crate::telemetry::OrchestratorReport).
@@ -1152,12 +1050,10 @@ pub struct TraceSummary {
     /// The affected device's queued backlog seconds (batch requests +
     /// holds), sampled after every queue-mutating decision.
     pub device_backlog: LogHistogram,
-    /// Per-device busy/idle timelines, fleet order.
-    pub timelines: Vec<DeviceTimeline>,
 }
 
 /// Streaming aggregation sink: histograms of wait / turnaround / queue
-/// depth / per-device backlog, event counts, and per-device timelines.
+/// depth / per-device backlog and event counts.
 ///
 /// The engine always runs one internally; attach your own (via
 /// [`TraceHandle::to`]) only to aggregate a filtered or replayed stream.
@@ -1168,7 +1064,6 @@ pub struct MetricsSink {
     turnaround: LogHistogram,
     queue_depth: LogHistogram,
     device_backlog: LogHistogram,
-    timelines: Vec<DeviceTimeline>,
     depth: u64,
     backlog: Vec<f64>,
     queued_seconds: HashMap<usize, (usize, f64)>,
@@ -1182,15 +1077,13 @@ impl MetricsSink {
         MetricsSink::default()
     }
 
-    /// Consumes the sink into its aggregates.
-    pub fn into_summary(self) -> TraceSummary {
+    fn into_summary(self) -> TraceSummary {
         TraceSummary {
             events: self.events,
             wait: self.wait,
             turnaround: self.turnaround,
             queue_depth: self.queue_depth,
             device_backlog: self.device_backlog,
-            timelines: self.timelines,
         }
     }
 
@@ -1199,27 +1092,15 @@ impl MetricsSink {
         self.clone().into_summary()
     }
 
-    fn device_slot(&mut self, device: usize) {
-        if self.backlog.len() <= device {
-            self.backlog.resize(device + 1, 0.0);
-        }
-        while self.timelines.len() <= device {
-            let index = self.timelines.len();
-            self.timelines.push(DeviceTimeline {
-                device: index,
-                name: format!("device-{index}"),
-                spans: Vec::new(),
-            });
-        }
-    }
-
     fn sample_queue(&mut self, device: usize) {
         self.queue_depth.record(self.depth as f64);
         self.device_backlog.record(self.backlog[device]);
     }
 
     fn enqueue(&mut self, reservation: usize, device: usize, seconds: f64) {
-        self.device_slot(device);
+        if self.backlog.len() <= device {
+            self.backlog.resize(device + 1, 0.0);
+        }
         self.depth += 1;
         self.backlog[device] += seconds;
         self.queued_seconds.insert(reservation, (device, seconds));
@@ -1239,10 +1120,6 @@ impl TraceSink for MetricsSink {
     fn record(&mut self, record: &TraceRecord) {
         self.events.count(&record.event);
         match &record.event {
-            TraceEvent::DeviceDefined { device, name, .. } => {
-                self.device_slot(*device);
-                self.timelines[*device].name = name.clone();
-            }
             TraceEvent::Arrival { job, .. } => {
                 self.arrivals.insert(*job, record.time);
             }
@@ -1267,55 +1144,25 @@ impl TraceSink for MetricsSink {
                 self.dequeue(*reservation);
             }
             TraceEvent::LeaseComplete {
-                lease,
-                job,
-                shard,
-                device,
-                granted_at,
-                ..
+                job, granted_at, ..
             } => {
-                self.device_slot(*device);
-                self.timelines[*device].spans.push(BusySpan {
-                    start: *granted_at,
-                    end: record.time,
-                    job: *job,
-                    shard: *shard,
-                    lease: *lease,
-                    wasted: false,
-                });
                 if self.started.insert(*job) {
                     let arrival = self.arrivals.get(job).copied().unwrap_or(*granted_at);
                     self.wait.record(granted_at - arrival);
                 }
-            }
-            TraceEvent::Eviction {
-                lease,
-                job,
-                shard,
-                device,
-                burned_seconds,
-                ..
-            } => {
-                self.device_slot(*device);
-                self.timelines[*device].spans.push(BusySpan {
-                    start: record.time - burned_seconds,
-                    end: record.time,
-                    job: *job,
-                    shard: *shard,
-                    lease: *lease,
-                    wasted: true,
-                });
             }
             TraceEvent::JobComplete { job } => {
                 if let Some(arrival) = self.arrivals.get(job) {
                     self.turnaround.record(record.time - arrival);
                 }
             }
-            TraceEvent::ShardPlan { .. }
+            TraceEvent::DeviceDefined { .. }
+            | TraceEvent::ShardPlan { .. }
             | TraceEvent::FilterRejected { .. }
             | TraceEvent::AdmissionVerdict { .. }
             | TraceEvent::PriorityCredit { .. }
             | TraceEvent::StaleExpiry { .. }
+            | TraceEvent::Eviction { .. }
             | TraceEvent::CalibrationUpdate { .. }
             | TraceEvent::DecayEpoch { .. } => {}
         }
@@ -1779,7 +1626,7 @@ pub mod json {
 
         /// The number as an unsigned integer, `None` unless it is a
         /// non-negative whole number (or for non-numbers).
-        pub fn as_u64(&self) -> Option<u64> {
+        pub(super) fn as_u64(&self) -> Option<u64> {
             match self {
                 Value::Number(n) if *n >= 0.0 && n.fract() == 0.0 => Some(*n as u64),
                 _ => None,
@@ -2358,9 +2205,6 @@ mod tests {
         assert_eq!(h.quantile(0.5), Some(2.0));
         // The top quantile clamps to the recorded max, not the bucket edge.
         assert_eq!(h.quantile(1.0), Some(1e12));
-        let buckets = h.nonzero_buckets();
-        assert_eq!(buckets.iter().map(|b| b.2).sum::<u64>(), 6);
-        assert!(buckets.windows(2).all(|w| w[0].0 < w[1].0));
     }
 
     #[test]
@@ -2470,7 +2314,7 @@ mod tests {
     }
 
     #[test]
-    fn metrics_sink_tracks_depth_backlog_and_timelines() {
+    fn metrics_sink_tracks_depth_and_backlog() {
         let mut sink = MetricsSink::new();
         let events = vec![
             record(
@@ -2547,11 +2391,6 @@ mod tests {
         // Depth sampled at 1 after the push, 0 after the grant.
         assert_eq!(summary.queue_depth.count(), 2);
         assert_eq!(summary.queue_depth.max(), Some(1.0));
-        assert_eq!(summary.timelines.len(), 1);
-        assert_eq!(summary.timelines[0].spans.len(), 1);
-        assert_eq!(summary.timelines[0].busy_seconds(), 4.0);
-        assert_eq!(summary.timelines[0].wasted_seconds(), 0.0);
-        assert_eq!(summary.timelines[0].idle_seconds(5.0), 1.0);
     }
 
     /// A capture cut mid-preamble: device 0 and job 0 lost their

@@ -52,7 +52,7 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::marker::PhantomData;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
@@ -107,7 +107,7 @@ struct Registry {
 }
 
 struct Inner {
-    enabled: AtomicBool,
+    enabled: bool,
     started: AtomicU64,
     epoch: Instant,
     registry: Mutex<Registry>,
@@ -158,9 +158,8 @@ impl Profiler {
         Profiler::with_enabled(true)
     }
 
-    /// Creates a profiler whose enable switch starts off: it can be
-    /// installed without recording anything, and flipped on later with
-    /// [`set_enabled`](Profiler::set_enabled).
+    /// Creates a profiler whose enable switch is off: it can be installed
+    /// without recording anything.
     pub fn disabled() -> Self {
         Profiler::with_enabled(false)
     }
@@ -168,7 +167,7 @@ impl Profiler {
     fn with_enabled(enabled: bool) -> Self {
         Profiler {
             inner: Arc::new(Inner {
-                enabled: AtomicBool::new(enabled),
+                enabled,
                 started: AtomicU64::new(0),
                 epoch: Instant::now(),
                 registry: Mutex::new(Registry::default()),
@@ -176,14 +175,9 @@ impl Profiler {
         }
     }
 
-    /// Flips the enable switch; affects spans opened after the call.
-    pub fn set_enabled(&self, enabled: bool) {
-        self.inner.enabled.store(enabled, Ordering::Relaxed);
-    }
-
     /// Whether spans opened now would be recorded (on installed threads).
     pub fn is_enabled(&self) -> bool {
-        self.inner.enabled.load(Ordering::Relaxed)
+        self.inner.enabled
     }
 
     /// Installs this profiler as the current thread's span recipient,
@@ -371,14 +365,6 @@ pub struct SpanGuard {
     active: Option<ActiveSpan>,
 }
 
-impl SpanGuard {
-    /// Whether this guard is actually timing (a profiler was installed and
-    /// enabled when it was opened).
-    pub fn is_recording(&self) -> bool {
-        self.active.is_some()
-    }
-}
-
 impl Drop for SpanGuard {
     fn drop(&mut self) {
         let Some(active) = self.active.take() else {
@@ -441,11 +427,6 @@ impl ProfileEntry {
     pub fn folded_path(&self) -> String {
         self.path.join(";")
     }
-
-    /// Mean inclusive span duration, nanoseconds (0 when empty).
-    pub fn mean_ns(&self) -> u64 {
-        self.total_ns.checked_div(self.count).unwrap_or(0)
-    }
 }
 
 /// One retained raw span, for timeline export.
@@ -488,12 +469,6 @@ impl ProfileReport {
     /// The entry with exactly this folded path, if recorded.
     pub fn entry(&self, path: &[&str]) -> Option<&ProfileEntry> {
         self.entries.iter().find(|e| e.path == path)
-    }
-
-    /// All entries whose leaf label matches `label`, across every parent
-    /// path (e.g. a kernel reached from several call stacks).
-    pub fn entries_labeled(&self, label: &str) -> Vec<&ProfileEntry> {
-        self.entries.iter().filter(|e| e.label() == label).collect()
     }
 }
 
@@ -555,7 +530,7 @@ mod tests {
     fn no_install_means_inert_guards() {
         assert!(current().is_none());
         let guard = span("unrecorded");
-        assert!(!guard.is_recording());
+        assert!(guard.active.is_none());
     }
 
     #[test]
@@ -564,16 +539,10 @@ mod tests {
         let _session = profiler.install();
         {
             let guard = span("off");
-            assert!(!guard.is_recording());
+            assert!(guard.active.is_none());
         }
         assert_eq!(profiler.spans_started(), 0);
         assert!(profiler.report().is_empty());
-        profiler.set_enabled(true);
-        {
-            let _guard = span("on");
-        }
-        assert_eq!(profiler.spans_started(), 1);
-        assert_eq!(profiler.report().entries[0].path, vec!["on"]);
     }
 
     #[test]
@@ -608,7 +577,8 @@ mod tests {
         }
         let report = profiler.report();
         assert_eq!(report.entries.len(), 4);
-        assert_eq!(report.entries_labeled("kernel").len(), 2);
+        let kernels = report.entries.iter().filter(|e| e.label() == "kernel");
+        assert_eq!(kernels.count(), 2);
         assert!(report.entry(&["a", "kernel"]).is_some());
         assert!(report.entry(&["b", "kernel"]).is_some());
     }

@@ -430,23 +430,6 @@ impl DensityMatrix {
             .map(|i| self.data[i * self.dim + i].re * diag[i])
             .sum()
     }
-
-    /// State fidelity with a pure state: `⟨ψ|ρ|ψ⟩`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if register sizes differ.
-    pub fn fidelity_with_pure(&self, psi: &StateVector) -> f64 {
-        assert_eq!(self.n_qubits, psi.n_qubits());
-        let amps = psi.amplitudes();
-        let mut acc = C64::ZERO;
-        for r in 0..self.dim {
-            for c in 0..self.dim {
-                acc += amps[r].conj() * self.data[r * self.dim + c] * amps[c];
-            }
-        }
-        acc.re.clamp(0.0, 1.0)
-    }
 }
 
 fn matrix_to_mat2(m: &crate::linalg::Matrix) -> Mat2 {
@@ -569,19 +552,6 @@ mod tests {
         let p = rho.probabilities();
         assert!((p.probabilities()[0] - 0.5).abs() < 1e-12);
         assert!((p.probabilities()[3] - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn fidelity_with_pure_state() {
-        let mut rho = DensityMatrix::zero_state(1);
-        rho.apply_1q(&gates::h(), 0);
-        let mut psi = StateVector::zero_state(1);
-        psi.apply_1q(&gates::h(), 0);
-        assert!((rho.fidelity_with_pure(&psi) - 1.0).abs() < 1e-12);
-
-        rho.apply_channel(&NoiseChannel::depolarizing_1q(0.5), &[0]);
-        let f = rho.fidelity_with_pure(&psi);
-        assert!(f < 1.0 && f > 0.4);
     }
 
     #[test]

@@ -1,10 +1,8 @@
 //! Measurement-outcome distributions and the statistics Qoncord's
-//! convergence checker consumes: Shannon entropy, Hellinger fidelity, shot
-//! sampling, and readout-error application.
+//! convergence checker consumes: Shannon entropy, Hellinger fidelity, and
+//! readout-error application.
 
 use crate::noise::ReadoutError;
-use rand::Rng;
-use std::collections::HashMap;
 
 /// A probability distribution over the `2^n` computational basis states of an
 /// `n`-qubit register (little-endian indexing).
@@ -111,13 +109,6 @@ impl ProbDist {
         bc * bc
     }
 
-    /// Hellinger distance `√(1 − BC)` where `BC` is the Bhattacharyya
-    /// coefficient.
-    pub fn hellinger_distance(&self, other: &ProbDist) -> f64 {
-        let bc = self.hellinger_fidelity(other).sqrt();
-        (1.0 - bc).max(0.0).sqrt()
-    }
-
     /// Total-variation distance `½ Σ |pᵢ − qᵢ|`.
     ///
     /// # Panics
@@ -155,7 +146,7 @@ impl ProbDist {
     /// # Panics
     ///
     /// Panics if `errors.len() != n_qubits`.
-    pub fn with_readout_error(&self, errors: &[ReadoutError]) -> ProbDist {
+    fn with_readout_error(&self, errors: &[ReadoutError]) -> ProbDist {
         assert_eq!(errors.len(), self.n_qubits, "one ReadoutError per qubit");
         let mut probs = self.probs.clone();
         for (q, err) in errors.iter().enumerate() {
@@ -184,29 +175,6 @@ impl ProbDist {
         self.with_readout_error(&vec![error; self.n_qubits])
     }
 
-    /// Samples `shots` measurement outcomes.
-    pub fn sample_counts(&self, shots: u64, rng: &mut impl Rng) -> Counts {
-        let mut cumulative = Vec::with_capacity(self.probs.len());
-        let mut acc = 0.0;
-        for &p in &self.probs {
-            acc += p;
-            cumulative.push(acc);
-        }
-        let mut map: HashMap<usize, u64> = HashMap::new();
-        for _ in 0..shots {
-            let r: f64 = rng.random();
-            let idx = cumulative
-                .partition_point(|&c| c < r)
-                .min(self.probs.len() - 1);
-            *map.entry(idx).or_insert(0) += 1;
-        }
-        Counts {
-            n_qubits: self.n_qubits,
-            shots,
-            map,
-        }
-    }
-
     /// Mixes `self` toward `other` with weight `w`: `(1−w)·self + w·other`.
     ///
     /// # Panics
@@ -228,79 +196,9 @@ impl ProbDist {
     }
 }
 
-/// A histogram of measured basis states (the quantum analog of Qiskit's
-/// `Counts`).
-#[derive(Debug, Clone, PartialEq)]
-pub struct Counts {
-    n_qubits: usize,
-    shots: u64,
-    map: HashMap<usize, u64>,
-}
-
-impl Counts {
-    /// Builds counts directly from `(basis index, count)` pairs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any index exceeds the register size.
-    pub fn from_pairs(n_qubits: usize, pairs: impl IntoIterator<Item = (usize, u64)>) -> Self {
-        let mut map = HashMap::new();
-        let mut shots = 0;
-        for (idx, c) in pairs {
-            assert!(idx < (1usize << n_qubits), "basis index out of range");
-            *map.entry(idx).or_insert(0) += c;
-            shots += c;
-        }
-        Counts {
-            n_qubits,
-            shots,
-            map,
-        }
-    }
-
-    /// Number of qubits.
-    pub fn n_qubits(&self) -> usize {
-        self.n_qubits
-    }
-
-    /// Total number of shots recorded.
-    pub fn shots(&self) -> u64 {
-        self.shots
-    }
-
-    /// Count for a specific basis state.
-    pub fn count(&self, index: usize) -> u64 {
-        self.map.get(&index).copied().unwrap_or(0)
-    }
-
-    /// Iterator over `(basis index, count)` pairs in arbitrary order.
-    pub fn iter(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
-        self.map.iter().map(|(&k, &v)| (k, v))
-    }
-
-    /// Converts the histogram to an empirical probability distribution.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no shots were recorded.
-    pub fn to_dist(&self) -> ProbDist {
-        assert!(self.shots > 0, "cannot normalize zero shots");
-        let mut probs = vec![0.0; 1usize << self.n_qubits];
-        for (&idx, &c) in &self.map {
-            probs[idx] = c as f64 / self.shots as f64;
-        }
-        ProbDist {
-            n_qubits: self.n_qubits,
-            probs,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     #[test]
     fn uniform_entropy_is_n_bits() {
@@ -325,7 +223,6 @@ mod tests {
         let a = ProbDist::point_mass(1, 0);
         let b = ProbDist::point_mass(1, 1);
         assert_eq!(a.hellinger_fidelity(&b), 0.0);
-        assert!((a.hellinger_distance(&b) - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -358,23 +255,6 @@ mod tests {
         let clean = ProbDist::point_mass(3, 0);
         let noisy = clean.with_uniform_readout_error(ReadoutError::symmetric(0.05));
         assert!(noisy.shannon_entropy() > clean.shannon_entropy());
-    }
-
-    #[test]
-    fn sampling_concentrates_on_support() {
-        let d = ProbDist::new(vec![0.75, 0.25]);
-        let mut rng = StdRng::seed_from_u64(7);
-        let counts = d.sample_counts(10_000, &mut rng);
-        let p0 = counts.count(0) as f64 / 10_000.0;
-        assert!((p0 - 0.75).abs() < 0.02, "sampled p0 = {p0}");
-    }
-
-    #[test]
-    fn counts_roundtrip_to_dist() {
-        let counts = Counts::from_pairs(2, [(0, 30), (3, 70)]);
-        let d = counts.to_dist();
-        assert!((d.probabilities()[0] - 0.3).abs() < 1e-12);
-        assert!((d.probabilities()[3] - 0.7).abs() < 1e-12);
     }
 
     #[test]

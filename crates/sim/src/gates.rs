@@ -6,7 +6,6 @@
 //! basis ordering `|q1 q0⟩` where `q0` is the *first* qubit argument of the
 //! applying function (little-endian, matching the rest of the crate).
 
-use crate::linalg::Matrix;
 use crate::math::C64;
 
 /// A `2 × 2` complex matrix for single-qubit gates.
@@ -168,17 +167,6 @@ fn identity4() -> Mat4 {
     m
 }
 
-/// Converts a [`Mat2`] to a [`Matrix`] for use with the linear-algebra layer.
-pub fn mat2_to_matrix(m: &Mat2) -> Matrix {
-    Matrix::from_rows(2, 2, &[m[0][0], m[0][1], m[1][0], m[1][1]])
-}
-
-/// Converts a [`Mat4`] to a [`Matrix`].
-pub fn mat4_to_matrix(m: &Mat4) -> Matrix {
-    let flat: Vec<C64> = m.iter().flatten().copied().collect();
-    Matrix::from_rows(4, 4, &flat)
-}
-
 /// Multiplies two [`Mat2`]s: `a · b`.
 pub fn mat2_mul(a: &Mat2, b: &Mat2) -> Mat2 {
     let mut out = [[C64::ZERO; 2]; 2];
@@ -198,33 +186,23 @@ pub fn mat2_adjoint(m: &Mat2) -> Mat2 {
     ]
 }
 
-/// Conjugate transpose of a [`Mat4`].
-pub fn mat4_adjoint(m: &Mat4) -> Mat4 {
-    let mut out = zeros4();
-    for r in 0..4 {
-        for c in 0..4 {
-            out[r][c] = m[c][r].conj();
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::linalg::Matrix;
 
-    fn assert_unitary2(m: &Mat2) {
-        assert!(mat2_to_matrix(m).is_unitary(1e-12), "not unitary");
+    fn matrix<const N: usize>(m: &[[C64; N]; N]) -> Matrix {
+        Matrix::from_rows(N, N, m.as_flattened())
     }
 
-    fn assert_unitary4(m: &Mat4) {
-        assert!(mat4_to_matrix(m).is_unitary(1e-12), "not unitary");
+    fn assert_unitary<const N: usize>(m: &[[C64; N]; N]) {
+        assert!(matrix(m).is_unitary(1e-12), "not unitary");
     }
 
     #[test]
     fn all_fixed_1q_gates_are_unitary() {
         for g in [h(), x(), y(), z(), s(), sdg(), t(), tdg(), sx()] {
-            assert_unitary2(&g);
+            assert_unitary(&g);
         }
     }
 
@@ -232,39 +210,39 @@ mod tests {
     fn rotations_are_unitary_for_many_angles() {
         for k in 0..12 {
             let th = k as f64 * 0.55 - 3.0;
-            assert_unitary2(&rx(th));
-            assert_unitary2(&ry(th));
-            assert_unitary2(&rz(th));
-            assert_unitary2(&p(th));
-            assert_unitary2(&u3(th, th * 0.3, -th));
+            assert_unitary(&rx(th));
+            assert_unitary(&ry(th));
+            assert_unitary(&rz(th));
+            assert_unitary(&p(th));
+            assert_unitary(&u3(th, th * 0.3, -th));
         }
     }
 
     #[test]
     fn all_2q_gates_are_unitary() {
-        assert_unitary4(&cx());
-        assert_unitary4(&cz());
-        assert_unitary4(&swap());
-        assert_unitary4(&rzz(0.7));
-        assert_unitary4(&crz(1.3));
+        assert_unitary(&cx());
+        assert_unitary(&cz());
+        assert_unitary(&swap());
+        assert_unitary(&rzz(0.7));
+        assert_unitary(&crz(1.3));
     }
 
     #[test]
     fn hadamard_squares_to_identity() {
         let h2 = mat2_mul(&h(), &h());
-        assert!(mat2_to_matrix(&h2).approx_eq(&Matrix::identity(2), 1e-12));
+        assert!(matrix(&h2).approx_eq(&Matrix::identity(2), 1e-12));
     }
 
     #[test]
     fn sx_squared_is_x() {
         let xx = mat2_mul(&sx(), &sx());
-        assert!(mat2_to_matrix(&xx).approx_eq(&mat2_to_matrix(&x()), 1e-12));
+        assert!(matrix(&xx).approx_eq(&matrix(&x()), 1e-12));
     }
 
     #[test]
     fn s_is_t_squared() {
         let tt = mat2_mul(&t(), &t());
-        assert!(mat2_to_matrix(&tt).approx_eq(&mat2_to_matrix(&s()), 1e-12));
+        assert!(matrix(&tt).approx_eq(&matrix(&s()), 1e-12));
     }
 
     #[test]
@@ -280,7 +258,7 @@ mod tests {
     fn u3_reduces_to_ry_and_rz_like_forms() {
         // U3(θ, 0, 0) = RY(θ)
         let th = 0.83;
-        assert!(mat2_to_matrix(&u3(th, 0.0, 0.0)).approx_eq(&mat2_to_matrix(&ry(th)), 1e-12));
+        assert!(matrix(&u3(th, 0.0, 0.0)).approx_eq(&matrix(&ry(th)), 1e-12));
     }
 
     #[test]
@@ -304,6 +282,6 @@ mod tests {
     fn adjoint_inverts_rotation() {
         let m = rx(0.9);
         let prod = mat2_mul(&m, &mat2_adjoint(&m));
-        assert!(mat2_to_matrix(&prod).approx_eq(&Matrix::identity(2), 1e-12));
+        assert!(matrix(&prod).approx_eq(&Matrix::identity(2), 1e-12));
     }
 }

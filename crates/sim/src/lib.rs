@@ -57,7 +57,7 @@ pub mod statevector;
 pub mod trajectory;
 
 pub use density::DensityMatrix;
-pub use dist::{Counts, ProbDist};
+pub use dist::ProbDist;
 pub use linalg::Matrix;
 pub use math::C64;
 pub use noise::{NoiseChannel, ReadoutError};

@@ -197,7 +197,7 @@ impl Matrix {
     /// # Panics
     ///
     /// Panics if the matrix is not square or not Hermitian within `1e-9`.
-    pub fn eigenvalues_hermitian(&self) -> Vec<f64> {
+    fn eigenvalues_hermitian(&self) -> Vec<f64> {
         assert!(self.is_hermitian(1e-9), "matrix must be Hermitian");
         let n = self.rows;
         let m = 2 * n;
@@ -222,7 +222,7 @@ impl Matrix {
     ///
     /// # Panics
     ///
-    /// Panics under the same conditions as [`Matrix::eigenvalues_hermitian`].
+    /// Panics if the matrix is not square or not Hermitian within `1e-9`.
     pub fn min_eigenvalue_hermitian(&self) -> f64 {
         self.eigenvalues_hermitian()[0]
     }

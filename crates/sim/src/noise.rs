@@ -17,7 +17,8 @@ use crate::math::C64;
 /// use qoncord_sim::noise::NoiseChannel;
 ///
 /// let dep = NoiseChannel::depolarizing_1q(0.01);
-/// assert!(dep.validate_cptp(1e-9).is_ok());
+/// assert_eq!(dep.n_qubits(), 1);
+/// assert_eq!(dep.kraus_operators().len(), 4);
 /// ```
 #[derive(Debug, Clone)]
 pub enum NoiseChannel {
@@ -32,25 +33,6 @@ pub enum NoiseChannel {
         ops: Vec<Matrix>,
     },
 }
-
-/// Error returned when a channel fails CPTP validation.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CptpError {
-    /// Largest deviation of `Σ K†K` from identity.
-    pub deviation: f64,
-}
-
-impl std::fmt::Display for CptpError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "channel is not trace preserving (max deviation {:.3e})",
-            self.deviation
-        )
-    }
-}
-
-impl std::error::Error for CptpError {}
 
 impl NoiseChannel {
     /// Single-qubit depolarizing channel: with probability `p` replace the
@@ -144,107 +126,6 @@ impl NoiseChannel {
         NoiseChannel::Kraus { ops: vec![k0, k1] }
     }
 
-    /// Thermal relaxation over `duration` given `t1` and `t2` times (same
-    /// units). Composes amplitude damping `γ = 1 − e^{−t/T1}` with the pure
-    /// dephasing remainder `λ = 1 − e^{−t/Tφ}`, `1/Tφ = 1/T2 − 1/(2 T1)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `t1 <= 0`, `t2 <= 0`, or `t2 > 2 t1` (unphysical).
-    pub fn thermal_relaxation(t1: f64, t2: f64, duration: f64) -> Self {
-        assert!(t1 > 0.0 && t2 > 0.0, "T1 and T2 must be positive");
-        assert!(t2 <= 2.0 * t1 + 1e-12, "T2 must not exceed 2·T1");
-        let gamma = 1.0 - (-duration / t1).exp();
-        let inv_tphi = (1.0 / t2 - 1.0 / (2.0 * t1)).max(0.0);
-        let lambda = 1.0 - (-duration * inv_tphi).exp();
-        // Compose the two Kraus sets: all products K_pd · K_ad.
-        let ad = NoiseChannel::amplitude_damping(gamma);
-        let pd = NoiseChannel::phase_damping(lambda);
-        let (NoiseChannel::Kraus { ops: ad_ops }, NoiseChannel::Kraus { ops: pd_ops }) = (ad, pd)
-        else {
-            unreachable!("constructors above return Kraus channels");
-        };
-        let mut ops = Vec::new();
-        for p in &pd_ops {
-            for a in &ad_ops {
-                let prod = p * a;
-                // Drop exactly-zero operators to keep sampling cheap.
-                if prod.as_slice().iter().any(|z| z.norm_sq() > 0.0) {
-                    ops.push(prod);
-                }
-            }
-        }
-        NoiseChannel::Kraus { ops }
-    }
-
-    /// Bit-flip channel: applies X with probability `p`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p` is outside `[0, 1]`.
-    pub fn bit_flip(p: f64) -> Self {
-        assert!((0.0..=1.0).contains(&p), "probability must be in [0,1]");
-        let paulis = pauli_matrices_1q();
-        NoiseChannel::MixedUnitary {
-            ops: vec![(1.0 - p, paulis[0].clone()), (p, paulis[1].clone())],
-        }
-    }
-
-    /// Phase-flip channel: applies Z with probability `p`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p` is outside `[0, 1]`.
-    pub fn phase_flip(p: f64) -> Self {
-        assert!((0.0..=1.0).contains(&p), "probability must be in [0,1]");
-        let paulis = pauli_matrices_1q();
-        NoiseChannel::MixedUnitary {
-            ops: vec![(1.0 - p, paulis[0].clone()), (p, paulis[3].clone())],
-        }
-    }
-
-    /// General single-qubit Pauli channel with probabilities `(px, py, pz)`
-    /// (identity takes the remainder).
-    ///
-    /// # Panics
-    ///
-    /// Panics if any probability is negative or they sum above 1.
-    pub fn pauli_channel(px: f64, py: f64, pz: f64) -> Self {
-        assert!(px >= 0.0 && py >= 0.0 && pz >= 0.0, "negative probability");
-        let total = px + py + pz;
-        assert!(
-            total <= 1.0 + 1e-12,
-            "pauli probabilities sum to {total} > 1"
-        );
-        let paulis = pauli_matrices_1q();
-        NoiseChannel::MixedUnitary {
-            ops: vec![
-                ((1.0 - total).max(0.0), paulis[0].clone()),
-                (px, paulis[1].clone()),
-                (py, paulis[2].clone()),
-                (pz, paulis[3].clone()),
-            ],
-        }
-    }
-
-    /// Coherent over-rotation about Z by `epsilon` radians: a *unitary*
-    /// error channel (what gate twirling converts into stochastic noise).
-    pub fn coherent_z_overrotation(epsilon: f64) -> Self {
-        let u = Matrix::from_rows(
-            2,
-            2,
-            &[
-                C64::cis(-epsilon / 2.0),
-                C64::ZERO,
-                C64::ZERO,
-                C64::cis(epsilon / 2.0),
-            ],
-        );
-        NoiseChannel::MixedUnitary {
-            ops: vec![(1.0, u)],
-        }
-    }
-
     /// Identity (no-op) channel on `n_qubits` qubits.
     pub fn identity(n_qubits: usize) -> Self {
         NoiseChannel::MixedUnitary {
@@ -274,33 +155,6 @@ impl NoiseChannel {
                 .map(|(p, u)| u.scale(p.sqrt()))
                 .collect(),
             NoiseChannel::Kraus { ops } => ops.clone(),
-        }
-    }
-
-    /// Verifies `Σ K†K = I` within `tol`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CptpError`] with the largest deviation when the completeness
-    /// relation fails.
-    pub fn validate_cptp(&self, tol: f64) -> Result<(), CptpError> {
-        let ops = self.kraus_operators();
-        let dim = self.dim();
-        let mut sum = Matrix::zeros(dim, dim);
-        for k in &ops {
-            sum = &sum + &(&k.adjoint() * k);
-        }
-        let id = Matrix::identity(dim);
-        let deviation = sum
-            .as_slice()
-            .iter()
-            .zip(id.as_slice())
-            .map(|(a, b)| (*a - *b).abs())
-            .fold(0.0_f64, f64::max);
-        if deviation <= tol {
-            Ok(())
-        } else {
-            Err(CptpError { deviation })
         }
     }
 }
@@ -375,40 +229,30 @@ fn pauli_matrices_1q() -> [Matrix; 4] {
 mod tests {
     use super::*;
 
+    /// The completeness relation `Σ K†K = I` of a trace-preserving channel.
+    fn assert_cptp(channel: &NoiseChannel, tol: f64) {
+        let dim = channel.dim();
+        let mut sum = Matrix::zeros(dim, dim);
+        for k in &channel.kraus_operators() {
+            sum = &sum + &(&k.adjoint() * k);
+        }
+        assert!(sum.approx_eq(&Matrix::identity(dim), tol));
+    }
+
     #[test]
     fn depolarizing_channels_are_cptp() {
         for p in [0.0, 0.001, 0.05, 0.5, 1.0] {
-            assert!(NoiseChannel::depolarizing_1q(p).validate_cptp(1e-9).is_ok());
-            assert!(NoiseChannel::depolarizing_2q(p).validate_cptp(1e-9).is_ok());
+            assert_cptp(&NoiseChannel::depolarizing_1q(p), 1e-9);
+            assert_cptp(&NoiseChannel::depolarizing_2q(p), 1e-9);
         }
     }
 
     #[test]
     fn damping_channels_are_cptp() {
         for g in [0.0, 0.1, 0.9, 1.0] {
-            assert!(NoiseChannel::amplitude_damping(g)
-                .validate_cptp(1e-9)
-                .is_ok());
-            assert!(NoiseChannel::phase_damping(g).validate_cptp(1e-9).is_ok());
+            assert_cptp(&NoiseChannel::amplitude_damping(g), 1e-9);
+            assert_cptp(&NoiseChannel::phase_damping(g), 1e-9);
         }
-    }
-
-    #[test]
-    fn thermal_relaxation_is_cptp() {
-        let ch = NoiseChannel::thermal_relaxation(100.0, 80.0, 0.5);
-        assert!(ch.validate_cptp(1e-9).is_ok());
-    }
-
-    #[test]
-    fn thermal_relaxation_dims() {
-        let ch = NoiseChannel::thermal_relaxation(120.0, 100.0, 1.0);
-        assert_eq!(ch.n_qubits(), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "T2 must not exceed")]
-    fn unphysical_t2_panics() {
-        let _ = NoiseChannel::thermal_relaxation(10.0, 30.0, 1.0);
     }
 
     #[test]
@@ -420,13 +264,7 @@ mod tests {
 
     #[test]
     fn mixed_unitary_kraus_export_preserves_cptp() {
-        let ch = NoiseChannel::depolarizing_1q(0.08);
-        let ops = ch.kraus_operators();
-        let mut sum = Matrix::zeros(2, 2);
-        for k in &ops {
-            sum = &sum + &(&k.adjoint() * k);
-        }
-        assert!(sum.approx_eq(&Matrix::identity(2), 1e-9));
+        assert_cptp(&NoiseChannel::depolarizing_1q(0.08), 1e-9);
     }
 
     #[test]
@@ -443,48 +281,6 @@ mod tests {
 
     #[test]
     fn identity_channel_is_noop_cptp() {
-        assert!(NoiseChannel::identity(2).validate_cptp(1e-12).is_ok());
-    }
-
-    #[test]
-    fn flip_channels_are_cptp() {
-        for p in [0.0, 0.2, 1.0] {
-            assert!(NoiseChannel::bit_flip(p).validate_cptp(1e-12).is_ok());
-            assert!(NoiseChannel::phase_flip(p).validate_cptp(1e-12).is_ok());
-        }
-    }
-
-    #[test]
-    fn pauli_channel_is_cptp_and_general() {
-        let ch = NoiseChannel::pauli_channel(0.1, 0.05, 0.2);
-        assert!(ch.validate_cptp(1e-12).is_ok());
-        // Depolarizing is the symmetric special case.
-        let dep = NoiseChannel::pauli_channel(0.02, 0.02, 0.02);
-        assert!(dep.validate_cptp(1e-12).is_ok());
-    }
-
-    #[test]
-    #[should_panic(expected = "sum to")]
-    fn oversubscribed_pauli_channel_panics() {
-        let _ = NoiseChannel::pauli_channel(0.5, 0.4, 0.3);
-    }
-
-    #[test]
-    fn coherent_overrotation_is_unitary_cptp() {
-        let ch = NoiseChannel::coherent_z_overrotation(0.07);
-        assert!(ch.validate_cptp(1e-12).is_ok());
-        let NoiseChannel::MixedUnitary { ops } = &ch else {
-            panic!("expected mixed-unitary form");
-        };
-        assert!(ops[0].1.is_unitary(1e-12));
-    }
-
-    #[test]
-    fn bit_flip_flips_populations() {
-        use crate::density::DensityMatrix;
-        let mut rho = DensityMatrix::zero_state(1);
-        rho.apply_channel(&NoiseChannel::bit_flip(0.25), &[0]);
-        let p = rho.probabilities();
-        assert!((p.probabilities()[1] - 0.25).abs() < 1e-12);
+        assert_cptp(&NoiseChannel::identity(2), 1e-12);
     }
 }

@@ -62,23 +62,6 @@ impl StateVector {
         sv
     }
 
-    /// Creates a state from raw amplitudes (must have power-of-two length).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the length is not a power of two or the norm is not ~1.
-    pub fn from_amplitudes(amps: Vec<C64>) -> Self {
-        let len = amps.len();
-        assert!(len.is_power_of_two(), "amplitude count must be 2^n");
-        let n_qubits = len.trailing_zeros() as usize;
-        let norm: f64 = amps.iter().map(|a| a.norm_sq()).sum();
-        assert!(
-            (norm - 1.0).abs() < 1e-6,
-            "state not normalized (norm² = {norm})"
-        );
-        StateVector { n_qubits, amps }
-    }
-
     /// Number of qubits in the register.
     pub fn n_qubits(&self) -> usize {
         self.n_qubits
@@ -171,7 +154,7 @@ impl StateVector {
     ///
     /// Panics if the qubits coincide or are out of range, or `src` is not a
     /// permutation of the pair basis.
-    pub fn apply_mono(&mut self, d: &[C64; 4], src: &[u8; 4], q0: usize, q1: usize) {
+    fn apply_mono(&mut self, d: &[C64; 4], src: &[u8; 4], q0: usize, q1: usize) {
         FusedOp::Mono(*d, *src, q0, q1).validate(self.n_qubits);
         let _prof = qoncord_prof::span("sim::sv::apply_mono");
         if reference::forced() {
@@ -208,17 +191,6 @@ impl StateVector {
     /// Measurement probabilities for every basis state.
     pub fn probabilities(&self) -> Vec<f64> {
         self.amps.iter().map(|a| a.norm_sq()).collect()
-    }
-
-    /// Probability that qubit `q` measures `1`.
-    pub fn prob_one(&self, q: usize) -> f64 {
-        let bit = 1usize << q;
-        self.amps
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| i & bit != 0)
-            .map(|(_, a)| a.norm_sq())
-            .sum()
     }
 
     /// Inner product `⟨self|other⟩`.
@@ -267,25 +239,6 @@ impl StateVector {
             .zip(diag)
             .map(|(a, d)| a.norm_sq() * d)
             .sum()
-    }
-
-    /// Projects qubit `q` onto `outcome` (false = 0, true = 1) and
-    /// renormalizes; returns the pre-measurement probability of that outcome.
-    pub fn project_qubit(&mut self, q: usize, outcome: bool) -> f64 {
-        let bit = 1usize << q;
-        let mut p = 0.0;
-        for (i, a) in self.amps.iter().enumerate() {
-            if ((i & bit) != 0) == outcome {
-                p += a.norm_sq();
-            }
-        }
-        for (i, a) in self.amps.iter_mut().enumerate() {
-            if ((i & bit) != 0) != outcome {
-                *a = C64::ZERO;
-            }
-        }
-        self.normalize();
-        p
     }
 }
 
@@ -459,14 +412,6 @@ mod tests {
     }
 
     #[test]
-    fn prob_one_on_plus_state() {
-        let mut sv = StateVector::zero_state(2);
-        sv.apply_1q(&gates::h(), 1);
-        assert!((sv.prob_one(1) - 0.5).abs() < 1e-12);
-        assert!(sv.prob_one(0).abs() < 1e-12);
-    }
-
-    #[test]
     fn inner_product_of_orthogonal_states() {
         let a = StateVector::basis_state(2, 1);
         let b = StateVector::basis_state(2, 2);
@@ -479,15 +424,6 @@ mod tests {
         // <Z0> on |1> is -1.
         let sv = StateVector::basis_state(1, 1);
         assert!((sv.expectation_diagonal(&[1.0, -1.0]) + 1.0).abs() < 1e-14);
-    }
-
-    #[test]
-    fn projection_collapses_state() {
-        let mut sv = StateVector::zero_state(1);
-        sv.apply_1q(&gates::h(), 0);
-        let p = sv.project_qubit(0, true);
-        assert!((p - 0.5).abs() < 1e-12);
-        assert!((sv.probabilities()[1] - 1.0).abs() < 1e-12);
     }
 
     #[test]

@@ -13,8 +13,6 @@ use qoncord_circuit::circuit::Circuit;
 use qoncord_circuit::transpile::{transpile, CircuitStats, TranspiledCircuit};
 use qoncord_device::noise_model::SimulatedBackend;
 use qoncord_sim::dist::ProbDist;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 /// One objective evaluation's full result.
 #[derive(Debug, Clone)]
@@ -78,12 +76,11 @@ pub struct QaoaEvaluator {
     ground: f64,
     executions: u64,
     seed: u64,
-    shots: Option<u64>,
 }
 
 impl QaoaEvaluator {
     /// Builds the `layers`-deep QAOA evaluator for `problem` on `backend`.
-    /// `seed` drives trajectory noise and shot sampling.
+    /// `seed` drives trajectory noise.
     pub fn new(problem: &MaxCut, layers: usize, backend: SimulatedBackend, seed: u64) -> Self {
         let circuit = qaoa::build_circuit(problem.graph(), layers);
         Self::from_circuit(problem, &circuit, backend, seed)
@@ -95,7 +92,7 @@ impl QaoaEvaluator {
     /// # Panics
     ///
     /// Panics if the circuit size mismatches the problem.
-    pub fn from_circuit(
+    fn from_circuit(
         problem: &MaxCut,
         circuit: &Circuit,
         backend: SimulatedBackend,
@@ -111,14 +108,7 @@ impl QaoaEvaluator {
             transpiled,
             executions: 0,
             seed,
-            shots: None,
         }
-    }
-
-    /// Enables finite-shot sampling (default: exact probabilities).
-    pub fn with_shots(mut self, shots: u64) -> Self {
-        self.shots = Some(shots);
-        self
     }
 
     /// The underlying Max-Cut problem.
@@ -141,11 +131,7 @@ impl CostEvaluator for QaoaEvaluator {
         let _prof = qoncord_prof::span("vqa::eval::qaoa");
         self.executions += 1;
         self.seed = self.seed.wrapping_add(1);
-        let mut dist = self.backend.run(&self.transpiled, params, self.seed);
-        if let Some(shots) = self.shots {
-            let mut rng = StdRng::seed_from_u64(self.seed ^ 0x5307);
-            dist = dist.sample_counts(shots, &mut rng).to_dist();
-        }
+        let dist = self.backend.run(&self.transpiled, params, self.seed);
         Evaluation {
             expectation: dist.expectation_diagonal(&self.diagonal),
             entropy: dist.shannon_entropy(),
@@ -182,7 +168,6 @@ pub struct VqeEvaluator {
     ground: f64,
     executions: u64,
     seed: u64,
-    shots: Option<u64>,
 }
 
 impl VqeEvaluator {
@@ -218,14 +203,7 @@ impl VqeEvaluator {
             groups,
             executions: 0,
             seed,
-            shots: None,
         }
-    }
-
-    /// Enables finite-shot sampling per measurement group.
-    pub fn with_shots(mut self, shots: u64) -> Self {
-        self.shots = Some(shots);
-        self
     }
 
     /// Number of measurement groups (circuit executions per evaluation).
@@ -252,11 +230,7 @@ impl CostEvaluator for VqeEvaluator {
         for (members, transpiled) in &self.groups {
             self.executions += 1;
             self.seed = self.seed.wrapping_add(1);
-            let mut dist = self.backend.run(transpiled, params, self.seed);
-            if let Some(shots) = self.shots {
-                let mut rng = StdRng::seed_from_u64(self.seed ^ 0x5307);
-                dist = dist.sample_counts(shots, &mut rng).to_dist();
-            }
+            let dist = self.backend.run(transpiled, params, self.seed);
             for &i in members {
                 let (coeff, string) = &self.hamiltonian.terms()[i];
                 energy += coeff * string.expectation_from_dist(&dist);
@@ -372,20 +346,6 @@ mod tests {
         .evaluate(&params)
         .expectation;
         assert!(noisy > ideal, "noisy {noisy} must exceed ideal {ideal}");
-    }
-
-    #[test]
-    fn shots_add_sampling_noise_but_stay_close() {
-        let problem = triangle();
-        let backend = SimulatedBackend::ideal(catalog::ibmq_kolkata());
-        let exact = QaoaEvaluator::new(&problem, 1, backend.clone(), 1)
-            .evaluate(&[0.5, 0.3])
-            .expectation;
-        let sampled = QaoaEvaluator::new(&problem, 1, backend, 1)
-            .with_shots(8192)
-            .evaluate(&[0.5, 0.3])
-            .expectation;
-        assert!((exact - sampled).abs() < 0.1, "{exact} vs {sampled}");
     }
 
     #[test]

@@ -49,7 +49,7 @@ impl Graph {
     /// # Panics
     ///
     /// Panics if `p` is outside `[0, 1]`.
-    pub fn erdos_renyi(n_nodes: usize, p: f64, rng: &mut StdRng) -> Self {
+    fn erdos_renyi(n_nodes: usize, p: f64, rng: &mut StdRng) -> Self {
         assert!((0.0..=1.0).contains(&p), "edge probability in [0,1]");
         let mut edges = Vec::new();
         for a in 0..n_nodes {
@@ -62,14 +62,14 @@ impl Graph {
         Graph { n_nodes, edges }
     }
 
-    /// Like [`Graph::erdos_renyi`] but guaranteed connected: resamples until
+    /// Like `erdos_renyi` but guaranteed connected: resamples until
     /// every node is reachable (matching how benchmark instances are drawn).
     ///
     /// # Panics
     ///
     /// Panics if no connected instance is found in 1000 attempts (practically
     /// impossible for `p ≥ 0.3`, `n ≥ 3`).
-    pub fn erdos_renyi_connected(n_nodes: usize, p: f64, rng: &mut StdRng) -> Self {
+    fn erdos_renyi_connected(n_nodes: usize, p: f64, rng: &mut StdRng) -> Self {
         for _ in 0..1000 {
             let g = Graph::erdos_renyi(n_nodes, p, rng);
             if g.is_connected() && g.n_edges() >= n_nodes - 1 {
@@ -111,11 +111,6 @@ impl Graph {
     /// The weighted edge list.
     pub fn edges(&self) -> &[(usize, usize, f64)] {
         &self.edges
-    }
-
-    /// Sum of all edge weights.
-    pub fn total_weight(&self) -> f64 {
-        self.edges.iter().map(|&(_, _, w)| w).sum()
     }
 
     /// Node degree.
@@ -179,12 +174,6 @@ mod tests {
         let g = Graph::new(3, &[(0, 1, 1.0), (1, 2, 1.0)]);
         assert_eq!(g.degree(1), 2);
         assert_eq!(g.degree(0), 1);
-    }
-
-    #[test]
-    fn total_weight_sums() {
-        let g = Graph::new(3, &[(0, 1, 1.5), (1, 2, 2.5)]);
-        assert_eq!(g.total_weight(), 4.0);
     }
 
     #[test]

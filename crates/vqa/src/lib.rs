@@ -7,8 +7,7 @@
 //!   on Erdős–Rényi graphs (7, 9, and 14 nodes).
 //! - [`pauli`] / [`vqe`] / [`uccsd`] — Pauli observables, the 4-qubit H₂
 //!   Hamiltonian, the UCCSD ansatz, and the two-local ansatz.
-//! - [`optimizer`] — SPSA (the paper's optimizer), gradient descent, Adam,
-//!   Nelder–Mead.
+//! - [`optimizer`] — SPSA (the paper's optimizer).
 //! - [`evaluator`] — device-bound cost evaluators with execution counting
 //!   and joint expectation/entropy reporting.
 //! - [`restart`] — random restarts, step-wise training loop, traces.
@@ -38,7 +37,6 @@
 
 pub mod agd;
 pub mod evaluator;
-pub mod gradient;
 pub mod graph;
 pub mod maxcut;
 pub mod metrics;

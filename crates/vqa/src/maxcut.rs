@@ -44,7 +44,7 @@ impl MaxCut {
 
     /// Cut value of the partition encoded by bitstring `z` (bit `i` = side of
     /// node `i`).
-    pub fn cut_value(&self, z: usize) -> f64 {
+    fn cut_value(&self, z: usize) -> f64 {
         self.graph
             .edges()
             .iter()
@@ -81,7 +81,7 @@ impl MaxCut {
     }
 
     /// Brute-force maximum cut: `(best bitstring, cut value)`.
-    pub fn brute_force_max_cut(&self) -> (usize, f64) {
+    fn brute_force_max_cut(&self) -> (usize, f64) {
         let mut best = (0usize, f64::NEG_INFINITY);
         for z in 0..1usize << self.n_qubits() {
             let c = self.cut_value(z);

@@ -53,11 +53,6 @@ impl BoxStats {
             mean,
         }
     }
-
-    /// Interquartile range `q3 − q1`.
-    pub fn iqr(&self) -> f64 {
-        self.q3 - self.q1
-    }
 }
 
 /// Linear-interpolation quantile of an already-sorted sample.
@@ -80,17 +75,6 @@ fn quantile(sorted: &[f64], q: f64) -> f64 {
 pub fn mean(samples: &[f64]) -> f64 {
     assert!(!samples.is_empty(), "need at least one sample");
     samples.iter().sum::<f64>() / samples.len() as f64
-}
-
-/// Unbiased sample standard deviation.
-///
-/// # Panics
-///
-/// Panics if fewer than two samples are given.
-pub fn std_dev(samples: &[f64]) -> f64 {
-    assert!(samples.len() >= 2, "need at least two samples");
-    let m = mean(samples);
-    (samples.iter().map(|x| (x - m).powi(2)).sum::<f64>() / (samples.len() - 1) as f64).sqrt()
 }
 
 #[cfg(test)]
@@ -127,7 +111,6 @@ mod tests {
         assert_eq!(s.mean, 3.0);
         assert_eq!(s.q1, 2.0);
         assert_eq!(s.q3, 4.0);
-        assert_eq!(s.iqr(), 2.0);
     }
 
     #[test]
@@ -139,13 +122,7 @@ mod tests {
     }
 
     #[test]
-    fn std_dev_of_constant_is_zero() {
-        assert_eq!(std_dev(&[2.0, 2.0, 2.0]), 0.0);
-    }
-
-    #[test]
-    fn mean_and_std_dev_basic() {
+    fn mean_basic() {
         assert_eq!(mean(&[1.0, 3.0]), 2.0);
-        assert!((std_dev(&[1.0, 3.0]) - std::f64::consts::SQRT_2).abs() < 1e-12);
     }
 }

@@ -2,9 +2,7 @@
 //!
 //! The paper uses Qiskit's SPSA (Simultaneous Perturbation Stochastic
 //! Approximation); [`Spsa`] reproduces that algorithm with the standard Spall
-//! gain schedule and Qiskit's default hyperparameters. Finite-difference
-//! gradient descent, Adam, and Nelder–Mead are provided for baselines and
-//! ablations.
+//! gain schedule and Qiskit's default hyperparameters.
 
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -143,220 +141,6 @@ impl Optimizer for Spsa {
     }
 }
 
-/// Central finite-difference gradient descent: `2n` evaluations per step.
-#[derive(Debug, Clone)]
-pub struct GradientDescent {
-    /// Learning rate.
-    pub learning_rate: f64,
-    /// Finite-difference half-width.
-    pub epsilon: f64,
-}
-
-impl Default for GradientDescent {
-    fn default() -> Self {
-        GradientDescent {
-            learning_rate: 0.1,
-            epsilon: 0.05,
-        }
-    }
-}
-
-impl Optimizer for GradientDescent {
-    fn step(
-        &mut self,
-        params: &mut [f64],
-        objective: &mut dyn FnMut(&[f64]) -> f64,
-        _rng: &mut StdRng,
-    ) -> StepOutcome {
-        let n = params.len();
-        let mut grad = vec![0.0; n];
-        let mut mean = 0.0;
-        let mut work = params.to_vec();
-        for i in 0..n {
-            work[i] = params[i] + self.epsilon;
-            let y_plus = objective(&work);
-            work[i] = params[i] - self.epsilon;
-            let y_minus = objective(&work);
-            work[i] = params[i];
-            grad[i] = (y_plus - y_minus) / (2.0 * self.epsilon);
-            mean += 0.5 * (y_plus + y_minus);
-        }
-        for (p, g) in params.iter_mut().zip(&grad) {
-            *p -= self.learning_rate * g;
-        }
-        StepOutcome {
-            objective: mean / n as f64,
-            evaluations: 2 * n as u32,
-        }
-    }
-
-    fn reset(&mut self) {}
-}
-
-/// Adam over central finite-difference gradients.
-#[derive(Debug, Clone)]
-pub struct Adam {
-    /// Learning rate.
-    pub learning_rate: f64,
-    /// Finite-difference half-width.
-    pub epsilon_fd: f64,
-    beta1: f64,
-    beta2: f64,
-    eps: f64,
-    m: Vec<f64>,
-    v: Vec<f64>,
-    t: u64,
-}
-
-impl Adam {
-    /// Creates Adam with the given learning rate and standard moments.
-    pub fn new(learning_rate: f64) -> Self {
-        Adam {
-            learning_rate,
-            epsilon_fd: 0.05,
-            beta1: 0.9,
-            beta2: 0.999,
-            eps: 1e-8,
-            m: Vec::new(),
-            v: Vec::new(),
-            t: 0,
-        }
-    }
-}
-
-impl Default for Adam {
-    fn default() -> Self {
-        Adam::new(0.1)
-    }
-}
-
-impl Optimizer for Adam {
-    fn step(
-        &mut self,
-        params: &mut [f64],
-        objective: &mut dyn FnMut(&[f64]) -> f64,
-        _rng: &mut StdRng,
-    ) -> StepOutcome {
-        let n = params.len();
-        if self.m.len() != n {
-            self.m = vec![0.0; n];
-            self.v = vec![0.0; n];
-            self.t = 0;
-        }
-        self.t += 1;
-        let mut mean = 0.0;
-        let mut work = params.to_vec();
-        let mut grad = vec![0.0; n];
-        for i in 0..n {
-            work[i] = params[i] + self.epsilon_fd;
-            let y_plus = objective(&work);
-            work[i] = params[i] - self.epsilon_fd;
-            let y_minus = objective(&work);
-            work[i] = params[i];
-            grad[i] = (y_plus - y_minus) / (2.0 * self.epsilon_fd);
-            mean += 0.5 * (y_plus + y_minus);
-        }
-        let t = self.t as i32;
-        for i in 0..n {
-            self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * grad[i];
-            self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * grad[i] * grad[i];
-            let m_hat = self.m[i] / (1.0 - self.beta1.powi(t));
-            let v_hat = self.v[i] / (1.0 - self.beta2.powi(t));
-            params[i] -= self.learning_rate * m_hat / (v_hat.sqrt() + self.eps);
-        }
-        StepOutcome {
-            objective: mean / n as f64,
-            evaluations: 2 * n as u32,
-        }
-    }
-
-    fn reset(&mut self) {
-        self.m.clear();
-        self.v.clear();
-        self.t = 0;
-    }
-}
-
-/// Derivative-free Nelder–Mead simplex search (full minimization, not
-/// step-wise). Used for ablations against SPSA.
-///
-/// Returns `(best_params, best_value, evaluations)`.
-pub fn nelder_mead(
-    initial: &[f64],
-    objective: &mut dyn FnMut(&[f64]) -> f64,
-    max_evals: u64,
-    initial_step: f64,
-) -> (Vec<f64>, f64, u64) {
-    let n = initial.len();
-    assert!(n > 0, "need at least one parameter");
-    let (alpha, gamma, rho, sigma) = (1.0, 2.0, 0.5, 0.5);
-    let mut evals = 0u64;
-    let mut eval = |x: &[f64], evals: &mut u64| {
-        *evals += 1;
-        objective(x)
-    };
-    // Initial simplex: the start plus one vertex per axis.
-    let mut simplex: Vec<(Vec<f64>, f64)> = Vec::with_capacity(n + 1);
-    let f0 = eval(initial, &mut evals);
-    simplex.push((initial.to_vec(), f0));
-    for i in 0..n {
-        let mut v = initial.to_vec();
-        v[i] += initial_step;
-        let f = eval(&v, &mut evals);
-        simplex.push((v, f));
-    }
-    while evals < max_evals {
-        simplex.sort_by(|a, b| a.1.partial_cmp(&b.1).expect("finite objective"));
-        let centroid: Vec<f64> = (0..n)
-            .map(|i| simplex[..n].iter().map(|(v, _)| v[i]).sum::<f64>() / n as f64)
-            .collect();
-        let worst = simplex[n].clone();
-        let reflected: Vec<f64> = centroid
-            .iter()
-            .zip(&worst.0)
-            .map(|(c, w)| c + alpha * (c - w))
-            .collect();
-        let f_r = eval(&reflected, &mut evals);
-        if f_r < simplex[0].1 {
-            let expanded: Vec<f64> = centroid
-                .iter()
-                .zip(&reflected)
-                .map(|(c, r)| c + gamma * (r - c))
-                .collect();
-            let f_e = eval(&expanded, &mut evals);
-            simplex[n] = if f_e < f_r {
-                (expanded, f_e)
-            } else {
-                (reflected, f_r)
-            };
-        } else if f_r < simplex[n - 1].1 {
-            simplex[n] = (reflected, f_r);
-        } else {
-            let contracted: Vec<f64> = centroid
-                .iter()
-                .zip(&worst.0)
-                .map(|(c, w)| c + rho * (w - c))
-                .collect();
-            let f_c = eval(&contracted, &mut evals);
-            if f_c < worst.1 {
-                simplex[n] = (contracted, f_c);
-            } else {
-                // Shrink toward the best vertex.
-                let best = simplex[0].0.clone();
-                for vertex in simplex.iter_mut().skip(1) {
-                    for (x, b) in vertex.0.iter_mut().zip(&best) {
-                        *x = b + sigma * (*x - b);
-                    }
-                    vertex.1 = eval(&vertex.0.clone(), &mut evals);
-                }
-            }
-        }
-    }
-    simplex.sort_by(|a, b| a.1.partial_cmp(&b.1).expect("finite objective"));
-    let (best, f_best) = simplex.swap_remove(0);
-    (best, f_best, evals)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -364,10 +148,6 @@ mod tests {
 
     fn sphere(p: &[f64]) -> f64 {
         p.iter().map(|x| x * x).sum()
-    }
-
-    fn rosenbrock(p: &[f64]) -> f64 {
-        (1.0 - p[0]).powi(2) + 100.0 * (p[1] - p[0] * p[0]).powi(2)
     }
 
     #[test]
@@ -420,61 +200,5 @@ mod tests {
         spsa.step(&mut params, &mut f, &mut rng);
         spsa.reset();
         assert_eq!(spsa.iteration(), 0);
-    }
-
-    #[test]
-    fn gradient_descent_minimizes_sphere() {
-        let mut gd = GradientDescent::default();
-        let mut params = vec![1.5, -2.0];
-        let mut rng = StdRng::seed_from_u64(0);
-        let mut f = |p: &[f64]| sphere(p);
-        for _ in 0..100 {
-            gd.step(&mut params, &mut f, &mut rng);
-        }
-        assert!(sphere(&params) < 1e-4);
-    }
-
-    #[test]
-    fn gd_eval_count_scales_with_dimension() {
-        let mut gd = GradientDescent::default();
-        let mut params = vec![0.5; 5];
-        let mut rng = StdRng::seed_from_u64(0);
-        let mut f = |p: &[f64]| sphere(p);
-        let out = gd.step(&mut params, &mut f, &mut rng);
-        assert_eq!(out.evaluations, 10);
-    }
-
-    #[test]
-    fn adam_minimizes_sphere() {
-        let mut adam = Adam::default();
-        let mut params = vec![2.0, -2.0];
-        let mut rng = StdRng::seed_from_u64(0);
-        let mut f = |p: &[f64]| sphere(p);
-        for _ in 0..200 {
-            adam.step(&mut params, &mut f, &mut rng);
-        }
-        assert!(sphere(&params) < 1e-3, "residual {}", sphere(&params));
-    }
-
-    #[test]
-    fn nelder_mead_solves_rosenbrock() {
-        let mut f = |p: &[f64]| rosenbrock(p);
-        let (best, f_best, evals) = nelder_mead(&[-1.0, 1.5], &mut f, 2000, 0.5);
-        assert!(f_best < 1e-4, "residual {f_best}");
-        assert!((best[0] - 1.0).abs() < 0.05);
-        // The budget may overshoot by at most one iteration's evaluations
-        // (reflection + expansion/contraction + shrink on n vertices).
-        assert!(evals <= 2000 + 4, "evals {evals}");
-    }
-
-    #[test]
-    fn nelder_mead_counts_evaluations() {
-        let mut calls = 0u64;
-        let mut f = |p: &[f64]| {
-            calls += 1;
-            sphere(p)
-        };
-        let (_, _, evals) = nelder_mead(&[1.0, 1.0], &mut f, 100, 0.3);
-        assert_eq!(calls, evals);
     }
 }

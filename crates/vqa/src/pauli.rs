@@ -201,14 +201,14 @@ impl PauliString {
     }
 
     /// Bit mask of qubits with non-identity operators.
-    pub fn support_mask(&self) -> usize {
+    fn support_mask(&self) -> usize {
         let m = self.masks();
         m.x | m.z
     }
 
     /// Eigenvalue (±1) of the *diagonalized* string on basis state `z`: the
     /// parity of set bits within the support. Valid after the measurement
-    /// rotation from [`PauliString::measurement_rotation`] has been applied.
+    /// rotation from `measurement_rotation` has been applied.
     pub fn eigenvalue(&self, z: usize) -> f64 {
         if (z & self.support_mask()).count_ones() & 1 == 0 {
             1.0
@@ -219,7 +219,7 @@ impl PauliString {
 
     /// Returns `true` if `self` and `other` commute qubit-wise: at every
     /// position the operators are equal or at least one is identity.
-    pub fn qubit_wise_commutes(&self, other: &PauliString) -> bool {
+    fn qubit_wise_commutes(&self, other: &PauliString) -> bool {
         assert_eq!(self.n_qubits(), other.n_qubits());
         self.ops
             .iter()
@@ -229,7 +229,7 @@ impl PauliString {
 
     /// The basis-change circuit mapping this string's eigenbasis to the
     /// computational basis: `H` for X, `S† H`-equivalent `RX(π/2)` for Y.
-    pub fn measurement_rotation(&self) -> Circuit {
+    fn measurement_rotation(&self) -> Circuit {
         let mut qc = Circuit::new(self.n_qubits(), 0);
         for (q, p) in self.ops.iter().enumerate() {
             match p {
@@ -248,7 +248,7 @@ impl PauliString {
     }
 
     /// Expectation of this string from a distribution measured *after* the
-    /// rotation from [`PauliString::measurement_rotation`].
+    /// rotation from `measurement_rotation`.
     pub fn expectation_from_dist(&self, dist: &ProbDist) -> f64 {
         assert_eq!(dist.n_qubits(), self.n_qubits());
         let _prof = qoncord_prof::span("vqa::pauli::expectation_dist");

@@ -50,19 +50,6 @@ pub fn n_params(layers: usize) -> usize {
     2 * layers
 }
 
-/// Splits a QAOA parameter vector into `(gammas, betas)`.
-///
-/// # Panics
-///
-/// Panics if the length is odd.
-pub fn split_params(params: &[f64]) -> (&[f64], &[f64]) {
-    assert!(
-        params.len().is_multiple_of(2),
-        "QAOA parameter count must be even"
-    );
-    params.split_at(params.len() / 2)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -110,14 +97,6 @@ mod tests {
             best < -1.9,
             "1-layer QAOA should near the optimum, got {best}"
         );
-    }
-
-    #[test]
-    fn split_params_halves() {
-        let p = [0.1, 0.2, 0.3, 0.4];
-        let (g, b) = split_params(&p);
-        assert_eq!(g, &[0.1, 0.2]);
-        assert_eq!(b, &[0.3, 0.4]);
     }
 
     #[test]

@@ -163,53 +163,6 @@ pub fn random_initial_points(n_params: usize, n_restarts: usize, seed: u64) -> V
         .collect()
 }
 
-/// A plateau-based stopping rule: stop after `patience` consecutive
-/// iterations without at least `min_improvement` reduction of the best
-/// expectation. This is the conventional single-device convergence check the
-/// baselines use (Qoncord's joint expectation+entropy checker lives in
-/// `qoncord-core`).
-#[derive(Debug, Clone)]
-pub struct PlateauStop {
-    best: f64,
-    stale: usize,
-    patience: usize,
-    min_improvement: f64,
-}
-
-impl PlateauStop {
-    /// Creates a rule with the given patience and improvement threshold.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `patience == 0` or `min_improvement < 0`.
-    pub fn new(patience: usize, min_improvement: f64) -> Self {
-        assert!(patience > 0, "patience must be positive");
-        assert!(min_improvement >= 0.0, "threshold must be non-negative");
-        PlateauStop {
-            best: f64::INFINITY,
-            stale: 0,
-            patience,
-            min_improvement,
-        }
-    }
-
-    /// Feeds one expectation; returns `true` when training should stop.
-    pub fn observe(&mut self, expectation: f64) -> bool {
-        if expectation < self.best - self.min_improvement {
-            self.best = expectation;
-            self.stale = 0;
-        } else {
-            self.stale += 1;
-        }
-        self.stale >= self.patience
-    }
-
-    /// Best expectation observed so far.
-    pub fn best(&self) -> f64 {
-        self.best
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -354,25 +307,5 @@ mod tests {
         assert_eq!(trace.at_fraction(0.4).unwrap().iteration, 4);
         assert_eq!(trace.at_fraction(1.0).unwrap().iteration, 10);
         assert_eq!(trace.best_expectation().unwrap(), -10.0);
-    }
-
-    #[test]
-    fn plateau_stop_fires_after_patience() {
-        let mut stop = PlateauStop::new(3, 1e-6);
-        assert!(!stop.observe(-1.0));
-        assert!(!stop.observe(-1.0)); // stale 1
-        assert!(!stop.observe(-1.0)); // stale 2
-        assert!(stop.observe(-1.0)); // stale 3 -> stop
-    }
-
-    #[test]
-    fn plateau_stop_resets_on_improvement() {
-        let mut stop = PlateauStop::new(2, 1e-6);
-        assert!(!stop.observe(-1.0));
-        assert!(!stop.observe(-1.0));
-        assert!(!stop.observe(-2.0)); // improvement resets
-        assert!(!stop.observe(-2.0));
-        assert!(stop.observe(-2.0));
-        assert_eq!(stop.best(), -2.0);
     }
 }

@@ -15,7 +15,7 @@ use std::f64::consts::FRAC_PI_2;
 /// # Panics
 ///
 /// Panics if the string size differs from the circuit register.
-pub fn append_pauli_evolution(circuit: &mut Circuit, pauli: &PauliString, angle: Angle) {
+fn append_pauli_evolution(circuit: &mut Circuit, pauli: &PauliString, angle: Angle) {
     assert_eq!(
         pauli.n_qubits(),
         circuit.n_qubits(),

@@ -122,14 +122,14 @@ fn main() {
         "\nper-device occupancy over the {:.2}s makespan:",
         report.makespan()
     );
-    for timeline in &t.timelines {
+    for device in &report.fleet.devices {
+        let idle = report.makespan() - device.busy_seconds - device.wasted_seconds;
         println!(
-            "  {:<16} busy={:>8.3}s wasted={:>7.3}s idle={:>8.3}s ({} leases)",
-            timeline.name,
-            timeline.busy_seconds(),
-            timeline.wasted_seconds(),
-            timeline.idle_seconds(report.makespan()),
-            timeline.spans.len(),
+            "  {:<16} busy={:>8.3}s wasted={:>7.3}s idle={:>8.3}s",
+            device.name,
+            device.busy_seconds,
+            device.wasted_seconds,
+            idle.max(0.0),
         );
     }
 }

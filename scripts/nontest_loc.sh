@@ -1,12 +1,13 @@
 #!/bin/sh
 # Non-test lines per crate: for every `.rs` file anywhere under
 # crates/<crate>/src (nested modules and `src/bin/` included), the lines
-# before its first `#[cfg(test)]` (the whole file when it has none). This is
-# the scoreboard ROADMAP item 4 reports collapse PRs against; run it from
-# anywhere, optionally naming crates (default: orchestrator cloud sim).
+# before its first `#[cfg(test)]` (the whole file when it has none), then a
+# `total` line over the crates printed. This is the scoreboard ROADMAP items
+# 4 and 13 report deletion PRs against; run it from anywhere, optionally
+# naming crates (default: all nine).
 set -eu
 cd "$(dirname "$0")/.."
-[ $# -gt 0 ] || set -- orchestrator cloud sim
+[ $# -gt 0 ] || set -- orchestrator cloud sim core vqa circuit device prof bench
 for crate in "$@"; do
     find crates/"$crate"/src -name '*.rs' | sort | xargs awk -v crate="$crate" '
         FNR == 1 { counting = 1 }
@@ -14,4 +15,4 @@ for crate in "$@"; do
         counting { lines++ }
         END { printf "%-14s %6d\n", crate, lines }
     '
-done
+done | awk '{ print; total += $2 } END { printf "%-14s %6d\n", "total", total }'

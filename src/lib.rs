@@ -8,8 +8,8 @@
 //!   channels, outcome-distribution statistics.
 //! - [`circuit`] — parametric circuit IR, coupling maps, transpiler.
 //! - [`device`] — calibrations, device catalog, P_correct (Eq. 1), noise
-//!   models, error mitigation, drift tracking.
-//! - [`vqa`] — QAOA / VQE workloads, SPSA and friends, restart driving.
+//!   models, error mitigation.
+//! - [`vqa`] — QAOA / VQE workloads, SPSA, restart driving.
 //! - [`core`] — the Qoncord scheduler: adaptive convergence, restart
 //!   triage, multi-device phase execution.
 //! - [`cloud`] — the discrete-event queue simulator and scheduling

@@ -10,6 +10,7 @@ use qoncord::core::executor::QaoaFactory;
 use qoncord::core::scheduler::QoncordConfig;
 use qoncord::core::SelectionPolicy;
 use qoncord::device::catalog;
+use qoncord::orchestrator::trace::json::Value;
 use qoncord::orchestrator::trace::{
     self, JsonlSink, MemorySink, RingBufferSink, TraceHandle, CHROME_FLEET_PID, CHROME_JOBS_PID,
 };
@@ -263,8 +264,9 @@ fn chrome_export_validates_with_a_busy_track_per_device() {
 }
 
 #[test]
-fn report_histograms_and_timelines_cover_every_job_and_device() {
-    let report = run_preemption(TraceHandle::none());
+fn report_histograms_and_chrome_slices_cover_every_job_and_device() {
+    let sink = Rc::new(RefCell::new(MemorySink::new()));
+    let report = run_preemption(TraceHandle::to(sink.clone()));
     let trace = &report.trace;
     let completed = report.completed() as u64;
     assert_eq!(trace.wait.count(), completed);
@@ -274,18 +276,32 @@ fn report_histograms_and_timelines_cover_every_job_and_device() {
     assert!(trace.queue_depth.count() > 0);
     assert!(trace.device_backlog.count() > 0);
 
-    assert_eq!(trace.timelines.len(), report.fleet.devices.len());
-    for (timeline, device) in trace.timelines.iter().zip(&report.fleet.devices) {
-        assert_eq!(timeline.name, device.name);
-        assert!(
-            (timeline.busy_seconds() - device.busy_seconds).abs() < 1e-9,
-            "{}: timeline busy {} vs report {}",
-            device.name,
-            timeline.busy_seconds(),
-            device.busy_seconds
-        );
-        assert!(timeline.idle_seconds(report.makespan()) >= -1e-9);
+    // The two views of device occupancy — the report's fleet accounting and
+    // the Chrome export's device tracks — must agree second for second.
+    let json = trace::chrome_export(sink.borrow().records());
+    let parsed = trace::json::parse(&json).expect("export must be valid JSON");
+    fn field<'a>(object: &'a Value, key: &str) -> Option<&'a Value> {
+        let fields = object.as_object().expect("trace events are objects");
+        fields.iter().find(|(k, _)| k == key).map(|(_, v)| v)
     }
-    let wasted: f64 = trace.timelines.iter().map(|t| t.wasted_seconds()).sum();
-    assert!((wasted - report.total_wasted_seconds()).abs() < 1e-9);
+    let events = field(&parsed, "traceEvents").expect("traceEvents present");
+    let mut occupied = vec![0.0; report.fleet.devices.len()];
+    for event in events.as_array().expect("traceEvents is an array") {
+        let number = |key| field(event, key).and_then(Value::as_f64);
+        if field(event, "ph").and_then(Value::as_str) == Some("X")
+            && number("pid") == Some(CHROME_FLEET_PID as f64)
+        {
+            let (tid, dur) = (number("tid").expect("tid"), number("dur").expect("dur"));
+            occupied[tid as usize] += dur / 1e6;
+        }
+    }
+    assert!(report.total_wasted_seconds() > 0.0, "the scenario evicts");
+    for (device, occupied) in report.fleet.devices.iter().zip(occupied) {
+        let accounted = device.busy_seconds + device.wasted_seconds;
+        assert!(
+            (occupied - accounted).abs() < 1e-6,
+            "{}: chrome slices {occupied} vs report {accounted}",
+            device.name
+        );
+    }
 }
