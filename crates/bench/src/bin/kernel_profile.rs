@@ -308,10 +308,12 @@ fn fast_vs_reference_density(runs: usize) -> (String, f64) {
 
 /// The same axis above the density limit: one 48-trajectory run of the
 /// transpiled 14-qubit QAOA (p = 1) under `ibmq_toronto` noise, the
-/// trajectory program ([`qoncord_sim::trajectory`]: pre-drawn patterns,
-/// fused, deduped, prefix-shared) against the seed's loop on the scalar
-/// reference kernels. `ops_applied` is the program's sweep count, against
-/// `gates × trajectories` gate sweeps (plus the fired channels) in the loop.
+/// trajectory program ([`qoncord_sim::trajectory`]: pre-drawn patterns, one
+/// fusion plan of `blocks` blocks, `patched_blocks` of them re-fused around
+/// fired Paulis, deduped, prefix-shared) against the seed's loop on the
+/// scalar reference kernels. `ops_applied` is the program's sweep count,
+/// against `gates × trajectories` gate sweeps (plus the fired channels) in
+/// the loop.
 fn fast_vs_reference_trajectory(runs: usize) -> (String, f64) {
     const LAYERS: usize = 1;
     const SEED: u64 = 0;
@@ -349,12 +351,15 @@ fn fast_vs_reference_trajectory(runs: usize) -> (String, f64) {
     let json = format!(
         "  \"fast_vs_reference_trajectory\": {{\"qubits\": {qubits}, \"layers\": {LAYERS}, \
          \"device\": \"ibmq_toronto\", \"gates\": {gates}, \"trajectories\": {}, \
-         \"distinct_patterns\": {}, \"fired_sites\": {}, \"ops_applied\": {}, \
+         \"distinct_patterns\": {}, \"fired_sites\": {}, \"blocks\": {}, \
+         \"patched_blocks\": {}, \"ops_applied\": {}, \
          \"evals\": {runs}, \"reference_ms\": {:.3}, \"fast_ms\": {:.3}, \
          \"speedup\": {:.2}, \"max_abs_diff\": {:.3e}}}",
         stats.trajectories,
         stats.distinct_patterns,
         stats.fired_sites,
+        stats.blocks,
+        stats.patched_blocks,
         stats.ops_applied,
         reference_s * 1e3,
         fast_s * 1e3,
@@ -478,6 +483,8 @@ fn main() {
             "trajectories",
             "distinct_patterns",
             "fired_sites",
+            "blocks",
+            "patched_blocks",
             "ops_applied",
             "device",
             "gates",

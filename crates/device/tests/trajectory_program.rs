@@ -24,6 +24,7 @@ use qoncord_sim::reference::ScopedReference;
 use qoncord_sim::statevector::StateVector;
 use qoncord_sim::trajectory::{
     apply_matrix, sample_unfused, Pattern, TrajectoryAccumulator, TrajectoryProgram,
+    TrajectoryStats,
 };
 use qoncord_vqa::graph::Graph;
 use qoncord_vqa::qaoa;
@@ -258,4 +259,40 @@ fn edge_rates_trajectory_counts_and_seeds() {
     // No ops: every trajectory is |0…0⟩.
     let empty = assert_two_tiers(3, &[], (0.1, 0.1), 9, 48, "empty op list");
     assert_eq!(empty.probabilities()[0], 1.0);
+}
+
+/// One `run(7, 48)` of the 9-qubit job circuit, counted: both fleet devices
+/// route it to a 28-block plan, fused once; a pattern's fired sites re-fuse
+/// only the blocks they land in (two sites sharing a block are one patch),
+/// and whole blocks are swept where the per-stretch fusion of PR 16 chunked
+/// them at fork sites — its `ops_applied` for the same runs was 943
+/// (`ibmq_toronto`) and 702 (`ibmq_kolkata`).
+#[test]
+fn qaoa_9_run_patches_99_and_64_of_28_blocks() {
+    let _lock = exclusive();
+    let counts = [
+        (catalog::ibmq_toronto(), (44, 103, 99, 928, 943)),
+        (catalog::ibmq_kolkata(), (37, 64, 64, 689, 702)),
+    ];
+    for (cal, (distinct_patterns, fired_sites, patched_blocks, ops_applied, before)) in counts {
+        let (t, params) = qaoa_9(&cal);
+        let noise = NoiseModel::from_calibration(&cal);
+        let ops = t.circuit.bind_ops(&params);
+        let mut program = TrajectoryProgram::compile(9, ops, noise.dep_1q, noise.dep_2q);
+        program.run(7, 48);
+        assert_eq!(
+            program.stats(),
+            TrajectoryStats {
+                trajectories: 48,
+                distinct_patterns,
+                fired_sites,
+                ops_applied,
+                blocks: 28,
+                patched_blocks,
+            },
+            "{}",
+            cal.name()
+        );
+        assert!(ops_applied <= before, "{}", cal.name());
+    }
 }

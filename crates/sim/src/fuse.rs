@@ -20,7 +20,11 @@
 //! folded: ops on disjoint wires commute, so folding past them preserves
 //! the circuit's operator product. The pass tracks, per wire, the slot of
 //! the last live op touching it; an op is a fusion candidate only if it is
-//! still the *latest* op on every wire involved.
+//! still the *latest* op on every wire involved. Legality thus depends on
+//! wires alone, never on matrices: the scan can also report which output
+//! block each input op ended in (`fuse_traced`), and re-fusing one block's
+//! ops with extra 1q gates on their own wires — what a trajectory's fired
+//! Paulis are — changes that block's matrix and nothing else of the plan.
 //!
 //! Fusion multiplies gate matrices, which reorders floating-point
 //! operations: fused evolution matches unfused evolution to ≤ 1e-12
@@ -215,39 +219,66 @@ fn embed_on(u: &Mat2, q: usize, q0: usize, q1: usize) -> Mat4 {
 /// Panics (fail-closed) if any op references an out-of-range qubit or a
 /// two-qubit op with coinciding qubits.
 pub fn fuse(n_qubits: usize, ops: impl IntoIterator<Item = FusedOp>) -> Vec<FusedOp> {
+    fuse_traced(n_qubits, ops).0
+}
+
+/// [`fuse`], plus for every input op the index of the output block it ended
+/// in. A block's *members* (the ops it owns, in input order) fused alone
+/// reproduce it bit for bit: their wires lie inside the block's, and the
+/// scan multiplied exactly those matrices in exactly that order.
+pub(crate) fn fuse_traced(
+    n_qubits: usize,
+    ops: impl IntoIterator<Item = FusedOp>,
+) -> (Vec<FusedOp>, Vec<u32>) {
     let _prof = qoncord_prof::span("sim::fuse::plan");
     // Ops merged into a later slot leave a `None` tombstone behind; the
     // surviving sequence is the flattened slot vector.
     let mut slots: Vec<Option<FusedOp>> = Vec::new();
     // Slot of the last live op touching each wire (never a tombstone).
     let mut last: Vec<Option<usize>> = vec![None; n_qubits];
+    // The slot each input op landed in, and `(tombstone, absorbing slot)`
+    // for every lone 1q slot a 2q op took over.
+    let mut owners: Vec<u32> = Vec::new();
+    let mut absorbed: Vec<(usize, usize)> = Vec::new();
     for op in ops {
         op.validate(n_qubits);
-        match op {
+        owners.push(match op {
             FusedOp::One(..) | FusedOp::Rz(..) => fuse_1q(&mut slots, &mut last, op),
             FusedOp::Two(..) | FusedOp::Cx(..) | FusedOp::Mono(..) => {
-                fuse_2q(&mut slots, &mut last, op)
+                fuse_2q(&mut slots, &mut last, &mut absorbed, op)
             }
-        }
+        } as u32);
     }
     // Final classification: merged blocks that came out monomial (SWAP
     // chains, ZZ-interaction blocks, and their products with RZ runs) take
     // the cheap permutation-with-phases kernel instead of a dense sweep.
-    slots
-        .into_iter()
-        .flatten()
-        .map(|op| match op {
-            FusedOp::Two(u, a, b) => match monomial_structure(&u) {
-                Some((d, src)) => FusedOp::Mono(d, src, a, b),
-                None => op,
-            },
-            _ => op,
-        })
-        .collect()
+    let mut blocks = Vec::new();
+    let mut block_of_slot = vec![0u32; slots.len()];
+    for (slot, index) in slots.iter().zip(&mut block_of_slot) {
+        if let Some(op) = *slot {
+            *index = blocks.len() as u32;
+            blocks.push(match op {
+                FusedOp::Two(u, a, b) => match monomial_structure(&u) {
+                    Some((d, src)) => FusedOp::Mono(d, src, a, b),
+                    None => op,
+                },
+                _ => op,
+            });
+        }
+    }
+    // A 2q slot is never absorbed, so one hop reaches a live slot.
+    for (tombstone, by) in absorbed {
+        block_of_slot[tombstone] = block_of_slot[by];
+    }
+    for owner in &mut owners {
+        *owner = block_of_slot[*owner as usize];
+    }
+    (blocks, owners)
 }
 
-/// Folds a 1q op into the latest op on its wire, or emits it.
-fn fuse_1q(slots: &mut Vec<Option<FusedOp>>, last: &mut [Option<usize>], op: FusedOp) {
+/// Folds a 1q op into the latest op on its wire, or emits it; returns the
+/// slot it landed in.
+fn fuse_1q(slots: &mut Vec<Option<FusedOp>>, last: &mut [Option<usize>], op: FusedOp) -> usize {
     let q = match op {
         FusedOp::One(_, q) | FusedOp::Rz(_, q) => q,
         _ => unreachable!("fuse_1q only receives 1q ops"),
@@ -255,7 +286,7 @@ fn fuse_1q(slots: &mut Vec<Option<FusedOp>>, last: &mut [Option<usize>], op: Fus
     let Some(j) = last[q] else {
         last[q] = Some(slots.len());
         slots.push(Some(op));
-        return;
+        return slots.len() - 1;
     };
     // `slots[j]` is the latest op touching q, so no intervening op acts on q
     // and folding `op` (a left matrix factor) into slot j is order-preserving.
@@ -279,11 +310,17 @@ fn fuse_1q(slots: &mut Vec<Option<FusedOp>>, last: &mut [Option<usize>], op: Fus
             }
         }
     });
+    j
 }
 
 /// Folds a 2q op into the latest op on its pair, or emits it (absorbing any
-/// pending lone 1q ops on its wires).
-fn fuse_2q(slots: &mut Vec<Option<FusedOp>>, last: &mut [Option<usize>], op: FusedOp) {
+/// pending lone 1q ops on its wires); returns the slot it landed in.
+fn fuse_2q(
+    slots: &mut Vec<Option<FusedOp>>,
+    last: &mut [Option<usize>],
+    absorbed: &mut Vec<(usize, usize)>,
+    op: FusedOp,
+) -> usize {
     let (a, b) = match op {
         FusedOp::Two(_, a, b) | FusedOp::Cx(a, b) | FusedOp::Mono(_, _, a, b) => (a, b),
         _ => unreachable!("fuse_2q only receives 2q ops"),
@@ -312,13 +349,14 @@ fn fuse_2q(slots: &mut Vec<Option<FusedOp>>, last: &mut [Option<usize>], op: Fus
                 };
                 let m = prev.mat4().expect("2q op");
                 slots[j] = Some(FusedOp::Two(mat4_mul(&n, &m), x, y));
-                return;
+                return j;
             }
         }
     }
     // Emit. A pending *lone 1q* op on either wire commutes forward to this
     // point (nothing after it touches its wire), so absorb it as a right
     // matrix factor and tombstone its slot.
+    let pos = slots.len();
     let mut fused: Option<Mat4> = None;
     for x in [a, b] {
         if let Some(k) = last[x] {
@@ -327,16 +365,17 @@ fn fuse_2q(slots: &mut Vec<Option<FusedOp>>, last: &mut [Option<usize>], op: Fus
                 let m = fused.get_or_insert_with(|| op.mat4().expect("2q op"));
                 *m = mat4_mul(m, &embed_on(&u, x, a, b));
                 slots[k] = None;
+                absorbed.push((k, pos));
             }
         }
     }
-    let pos = slots.len();
     last[a] = Some(pos);
     last[b] = Some(pos);
     slots.push(Some(match fused {
         Some(m) => FusedOp::Two(m, a, b),
         None => op,
     }));
+    pos
 }
 
 #[cfg(test)]
@@ -562,5 +601,70 @@ mod tests {
     #[should_panic(expected = "distinct qubits")]
     fn coinciding_two_qubit_operands_fail_closed() {
         fuse(3, vec![FusedOp::Cx(1, 1)]);
+    }
+
+    fn qubits(op: &FusedOp) -> Vec<usize> {
+        match *op {
+            FusedOp::One(_, q) | FusedOp::Rz(_, q) => vec![q],
+            FusedOp::Two(_, a, b) | FusedOp::Cx(a, b) | FusedOp::Mono(_, _, a, b) => vec![a, b],
+        }
+    }
+
+    /// `Debug` prints an `f64` so that it round-trips, `-0.0` included, so
+    /// equal strings are equal bits.
+    fn bits(ops: &[FusedOp]) -> String {
+        format!("{ops:?}")
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// The traced scan over random op lists with every variant in both
+        /// qubit orders: `owners` has one entry per input op, every block
+        /// owns at least one, a block's members — fused alone, in input
+        /// order — reproduce it bitwise, and they act inside its wires.
+        #[test]
+        fn members_fused_alone_reproduce_their_block(
+            program in proptest::collection::vec((0u8..9, 0..5usize, 0..5usize, -3.2..3.2f64), 0..60),
+        ) {
+            for n in [2usize, 3, 5] {
+                let ops: Vec<FusedOp> = program
+                    .iter()
+                    .map(|&(op, a, b, angle)| {
+                        let (a, b) = (a % n, b % n);
+                        let b = if a == b { (a + 1) % n } else { b };
+                        match op {
+                            0 => FusedOp::One(gates::h(), a),
+                            1 => FusedOp::One(gates::u3(angle, 0.4, -1.1), a),
+                            2 | 3 => FusedOp::Rz(angle, a),
+                            4..=6 => FusedOp::Cx(a, b),
+                            7 => FusedOp::Two(gates::crz(angle), a, b),
+                            _ => FusedOp::Mono(
+                                [C64::cis(angle), C64::I, C64::cis(-angle), C64::ONE],
+                                [2, 0, 3, 1],
+                                a,
+                                b,
+                            ),
+                        }
+                    })
+                    .collect();
+                let (blocks, owners) = fuse_traced(n, ops.iter().copied());
+                proptest::prop_assert_eq!(bits(&fuse(n, ops.iter().copied())), bits(&blocks));
+                proptest::prop_assert_eq!(owners.len(), ops.len());
+                proptest::prop_assert!(owners.iter().all(|&b| (b as usize) < blocks.len()));
+                for (b, block) in blocks.iter().enumerate() {
+                    let members: Vec<FusedOp> = ops
+                        .iter()
+                        .zip(&owners)
+                        .filter(|(_, &owner)| owner as usize == b)
+                        .map(|(op, _)| *op)
+                        .collect();
+                    proptest::prop_assert!(!members.is_empty(), "block {b} owns no op");
+                    proptest::prop_assert_eq!(bits(&fuse(n, members.iter().copied())), bits(&[*block]));
+                    let wires = qubits(block);
+                    proptest::prop_assert!(members.iter().all(|m| qubits(m).iter().all(|q| wires.contains(q))));
+                }
+            }
+        }
     }
 }

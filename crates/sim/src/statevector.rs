@@ -10,7 +10,8 @@
 //! for 1q ops, quarter indices for 2q ops) instead of scanning and skipping.
 //! The per-amplitude arithmetic is kept *expression-identical* to the
 //! retained scalar kernels in [`crate::reference`], so an unfused fast sweep
-//! is **bit-identical** to the reference sweep. Every sweep is one plain
+//! is **bit-identical** to the reference sweep (but for the sign of exact
+//! zeros in [`StateVector::apply_2q`]'s two-term sweep). Every sweep is one plain
 //! loop on the calling thread (see "Why the simulator is single-threaded"
 //! in `docs/ARCHITECTURE.md`). Flipping [`crate::reference::force`] reroutes
 //! every method here through the scalar seed kernels.
@@ -95,6 +96,15 @@ impl StateVector {
     /// Applies a two-qubit gate to qubits `(q0, q1)`; the matrix acts on the
     /// basis `|q1 q0⟩` (see [`crate::gates`]).
     ///
+    /// A matrix with exactly two structural non-zeros per row — a 1q gate
+    /// folded into a monomial block, most of what fusion leaves dense —
+    /// sweeps those two terms only. That is the dense expression minus its
+    /// exact-zero products: every amplitude is `==` the dense (and the
+    /// reference) sweep's and can differ in bits only by the sign of an exact
+    /// zero, which no later `+`, `−` or `×` on finite values turns into
+    /// anything else and `norm_sq` squares away, so probabilities keep their
+    /// bits. Any other matrix is bit-identical to the reference sweep.
+    ///
     /// # Panics
     ///
     /// Panics if the qubits coincide or are out of range.
@@ -107,6 +117,8 @@ impl StateVector {
         let _prof = qoncord_prof::span("sim::sv::apply_2q");
         if reference::forced() {
             reference::raw_sv_apply_2q(&mut self.amps, u, q0, q1);
+        } else if let Some(cols) = two_per_row(u) {
+            fast_apply_2q_two_term(&mut self.amps, u, &cols, q0, q1);
         } else {
             fast_apply_2q(&mut self.amps, u, q0, q1);
         }
@@ -287,31 +299,83 @@ fn fast_apply_2q(amps: &mut [C64], u: &Mat4, q0: usize, q1: usize) {
     }
 }
 
+/// The columns (ascending) of `u`'s non-zeros when every row has exactly
+/// two. Zero-tests are exact, as in fusion's monomial classification.
+fn two_per_row(u: &Mat4) -> Option<[[usize; 2]; 4]> {
+    let mut cols = [[0; 2]; 4];
+    for r in 0..4 {
+        let mut nonzero = (0..4).filter(|&c| u[r][c].re != 0.0 || u[r][c].im != 0.0);
+        cols[r] = [nonzero.next()?, nonzero.next()?];
+        if nonzero.next().is_some() {
+            return None;
+        }
+    }
+    Some(cols)
+}
+
+/// [`fast_apply_2q`] with only the terms in columns `cols` (from
+/// [`two_per_row`]): 8 complex multiplies per quartet for 16.
+fn fast_apply_2q_two_term(
+    amps: &mut [C64],
+    u: &Mat4,
+    cols: &[[usize; 2]; 4],
+    q0: usize,
+    q1: usize,
+) {
+    let b0 = 1usize << q0;
+    let b1 = 1usize << q1;
+    let (lo, hi) = (q0.min(q1), q0.max(q1));
+    let w: [[C64; 2]; 4] = std::array::from_fn(|r| cols[r].map(|c| u[r][c]));
+    for p in 0..amps.len() >> 2 {
+        let i00 = expand(expand(p, lo), hi);
+        let idx = [i00, i00 | b0, i00 | b1, i00 | b0 | b1];
+        let a = [amps[idx[0]], amps[idx[1]], amps[idx[2]], amps[idx[3]]];
+        for r in 0..4 {
+            amps[idx[r]] = w[r][0] * a[cols[r][0]] + w[r][1] * a[cols[r][1]];
+        }
+    }
+}
+
 /// Blocked monomial sweep: each quartet loads its 4 amplitudes through the
 /// source permutation and applies one phase multiply per slot — 4 complex
-/// multiplies where the dense `Mat4` sweep does 16 plus 12 adds. Only ever
-/// reached from fused programs (fusion's matrix products already reorder
-/// floating-point ops), so the contract is ≤ 1e-12 max-norm vs reference.
+/// multiplies where the dense `Mat4` sweep does 16 plus 12 adds. Each of the
+/// 24 permutations gets its own [`mono_sweep`], whose body is straight-line
+/// (a runtime `src` gather cost 30 % more per amplitude); the multiplies and
+/// their order are the same in all of them. Only ever reached from fused
+/// programs (fusion's matrix products already reorder floating-point ops),
+/// so the contract is ≤ 1e-12 max-norm vs reference.
 fn fast_apply_2q_mono(amps: &mut [C64], d: &[C64; 4], src: &[u8; 4], q0: usize, q1: usize) {
+    macro_rules! sweep_for {
+        ($([$a:literal $b:literal $c:literal $d:literal])*) => {
+            match *src {
+                $([$a, $b, $c, $d] => mono_sweep::<$a, $b, $c, $d>(amps, d, q0, q1),)*
+                _ => unreachable!("validated as a permutation of the pair basis"),
+            }
+        };
+    }
+    sweep_for! {
+        [0 1 2 3] [0 1 3 2] [0 2 1 3] [0 2 3 1] [0 3 1 2] [0 3 2 1]
+        [1 0 2 3] [1 0 3 2] [1 2 0 3] [1 2 3 0] [1 3 0 2] [1 3 2 0]
+        [2 0 1 3] [2 0 3 1] [2 1 0 3] [2 1 3 0] [2 3 0 1] [2 3 1 0]
+        [3 0 1 2] [3 0 2 1] [3 1 0 2] [3 1 2 0] [3 2 0 1] [3 2 1 0]
+    }
+}
+
+/// [`fast_apply_2q_mono`] for the source permutation `[S0, S1, S2, S3]`.
+fn mono_sweep<const S0: usize, const S1: usize, const S2: usize, const S3: usize>(
+    amps: &mut [C64],
+    d: &[C64; 4],
+    q0: usize,
+    q1: usize,
+) {
     let b0 = 1usize << q0;
     let b1 = 1usize << q1;
     let (lo, hi) = (q0.min(q1), q0.max(q1));
     let d = *d;
-    let s = [
-        src[0] as usize,
-        src[1] as usize,
-        src[2] as usize,
-        src[3] as usize,
-    ];
     for p in 0..amps.len() >> 2 {
         let i00 = expand(expand(p, lo), hi);
         let idx = [i00, i00 | b0, i00 | b1, i00 | b0 | b1];
-        let a = [
-            amps[idx[s[0]]],
-            amps[idx[s[1]]],
-            amps[idx[s[2]]],
-            amps[idx[s[3]]],
-        ];
+        let a = [amps[idx[S0]], amps[idx[S1]], amps[idx[S2]], amps[idx[S3]]];
         amps[idx[0]] = d[0] * a[0];
         amps[idx[1]] = d[1] * a[1];
         amps[idx[2]] = d[2] * a[2];
@@ -471,5 +535,167 @@ mod fast_path_tests {
         a.apply_rz_fast(-1.2, 0);
         b.apply_1q(&gates::rz(-1.2), 0);
         assert!((a.fidelity(&b) - 1.0).abs() < 1e-12);
+    }
+
+    /// A 6-qubit state with every amplitude distinct and non-zero.
+    fn scrambled() -> StateVector {
+        let mut sv = StateVector::zero_state(6);
+        for q in 0..6 {
+            sv.apply_1q(&gates::u3(0.7 + q as f64, 0.3, -0.5), q);
+        }
+        for q in 1..6 {
+            sv.apply_cx_fast(q - 1, q);
+            sv.apply_rz_fast(0.2 * q as f64, q);
+        }
+        sv
+    }
+
+    /// Low, high and adjacent qubit positions, each in both argument orders.
+    const PAIRS: [(usize, usize); 6] = [(0, 1), (1, 0), (4, 5), (5, 4), (1, 4), (4, 1)];
+
+    fn bits(amps: &[C64]) -> Vec<(u64, u64)> {
+        let of = |z: &C64| (z.re.to_bits(), z.im.to_bits());
+        amps.iter().map(of).collect()
+    }
+
+    /// The kernel `mono_sweep` specialises: the sources gathered through a
+    /// runtime index, as `fast_apply_2q_mono` did before it dispatched on
+    /// the permutation.
+    fn mono_by_runtime_gather(amps: &mut [C64], d: &[C64; 4], src: &[u8; 4], q0: usize, q1: usize) {
+        let (b0, b1) = (1usize << q0, 1usize << q1);
+        let (lo, hi) = (q0.min(q1), q0.max(q1));
+        for p in 0..amps.len() >> 2 {
+            let i00 = expand(expand(p, lo), hi);
+            let idx = [i00, i00 | b0, i00 | b1, i00 | b0 | b1];
+            let a = src.map(|s| amps[idx[s as usize]]);
+            for k in 0..4 {
+                amps[idx[k]] = d[k] * a[k];
+            }
+        }
+    }
+
+    #[test]
+    fn all_24_specialised_monomial_sweeps_equal_the_runtime_gather_bitwise() {
+        let d = [C64::cis(0.3), C64::cis(-1.1), C64::I, C64::new(0.6, -0.8)];
+        let mut seen = 0;
+        for code in 0..256u32 {
+            let src = [code & 3, code >> 2 & 3, code >> 4 & 3, code >> 6].map(|s| s as u8);
+            if (0..4).any(|k| !src.contains(&k)) {
+                continue;
+            }
+            seen += 1;
+            for (q0, q1) in PAIRS {
+                let mut fast = scrambled();
+                let mut oracle = fast.clone();
+                fast.apply_op(&FusedOp::Mono(d, src, q0, q1));
+                mono_by_runtime_gather(oracle.amps_mut(), &d, &src, q0, q1);
+                assert_eq!(
+                    bits(fast.amplitudes()),
+                    bits(oracle.amplitudes()),
+                    "{src:?} on ({q0}, {q1})"
+                );
+            }
+        }
+        assert_eq!(seen, 24);
+    }
+
+    /// `u ⊗ v` on the basis `|q1 q0⟩`: `v` acts on the low bit.
+    fn kron(u: &Mat2, v: &Mat2) -> Mat4 {
+        let mut out = [[C64::ZERO; 4]; 4];
+        for r in 0..4 {
+            for c in 0..4 {
+                out[r][c] = u[r >> 1][c >> 1] * v[r & 1][c & 1];
+            }
+        }
+        out
+    }
+
+    /// Both sweeps of `u` on every pair of [`PAIRS`]: `==` on every
+    /// component (an exact zero may change sign), the probabilities bitwise.
+    fn assert_two_term_equals_dense(u: &Mat4) {
+        let cols = two_per_row(u).expect("two structural non-zeros per row");
+        for (q0, q1) in PAIRS {
+            let mut two_term = scrambled();
+            // Exact zeros, of both signs, where the dropped terms matter.
+            two_term.amps_mut()[5] = C64::ZERO;
+            two_term.amps_mut()[6] = C64::new(-0.0, 0.0);
+            two_term.amps_mut()[40] = C64::new(0.0, -0.0);
+            let mut dense = two_term.clone();
+            let mut via_op = two_term.clone();
+            fast_apply_2q_two_term(two_term.amps_mut(), u, &cols, q0, q1);
+            fast_apply_2q(dense.amps_mut(), u, q0, q1);
+            via_op.apply_op(&FusedOp::Two(*u, q0, q1));
+            assert_eq!(
+                bits(via_op.amplitudes()),
+                bits(two_term.amplitudes()),
+                "apply_op takes the two-term sweep"
+            );
+            for (x, y) in two_term.amplitudes().iter().zip(dense.amplitudes()) {
+                assert!(x.re == y.re && x.im == y.im, "{x} vs {y} on ({q0}, {q1})");
+            }
+            let of = |sv: &StateVector| {
+                sv.probabilities()
+                    .iter()
+                    .map(|p| p.to_bits())
+                    .collect::<Vec<_>>()
+            };
+            assert_eq!(of(&two_term), of(&dense), "({q0}, {q1})");
+        }
+    }
+
+    #[test]
+    fn two_term_sweep_equals_the_dense_sweep_on_half_sparse_blocks() {
+        let u = gates::u3(0.9, -0.4, 1.3);
+        let d = [C64::cis(0.3), C64::cis(-0.3), C64::cis(-0.3), C64::cis(0.3)];
+        for src in [[0u8, 1, 2, 3], [0, 2, 1, 3], [0, 3, 2, 1], [2, 0, 3, 1]] {
+            // The mixer folded into a ZZ or SWAP block, on either wire, as
+            // fusion builds it: `(I⊗u)·Mono` and `(u⊗I)·Mono`.
+            for wire in [0, 1] {
+                let ops = [FusedOp::Mono(d, src, 0, 1), FusedOp::One(u, wire)];
+                match fuse::fuse(2, ops)[..] {
+                    [FusedOp::Two(m, 0, 1)] => assert_two_term_equals_dense(&m),
+                    ref fused => panic!("expected one dense block, got {fused:?}"),
+                }
+            }
+        }
+        // Any two columns per row, rows unrelated (need not be unitary).
+        let mut next = 0.1f64;
+        for choice in 0..36 {
+            let picks = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)];
+            let mut m = [[C64::ZERO; 4]; 4];
+            for (r, row) in m.iter_mut().enumerate() {
+                let (c0, c1) = picks[(choice + r * (1 + choice / 6)) % 6];
+                for c in [c0, c1] {
+                    next = (next * 7.3 + 0.37).fract();
+                    row[c] = C64::new(next - 0.5, 0.8 - next);
+                }
+            }
+            assert_two_term_equals_dense(&m);
+        }
+    }
+
+    #[test]
+    fn rows_of_one_three_or_four_non_zeros_take_the_dense_sweep() {
+        let mut three = kron(&gates::h(), &gates::h());
+        for r in 0..4 {
+            three[r][3 - r] = C64::ZERO;
+        }
+        let mut mixed = kron(&gates::h(), &gates::h());
+        (mixed[0][1], mixed[0][2]) = (C64::ZERO, C64::ZERO);
+        let dense = kron(&gates::u3(0.9, -0.4, 1.3), &gates::ry(0.7));
+        for u in [gates::cx(), gates::rzz(0.9), three, mixed, dense] {
+            assert!(two_per_row(&u).is_none());
+            for (q0, q1) in PAIRS {
+                let mut fast = scrambled();
+                let mut seed = fast.clone();
+                fast.apply_op(&FusedOp::Two(u, q0, q1));
+                reference::sv_apply_2q(&mut seed, &u, q0, q1);
+                assert_eq!(
+                    bits(fast.amplitudes()),
+                    bits(seed.amplitudes()),
+                    "({q0}, {q1})"
+                );
+            }
+        }
     }
 }

@@ -15,19 +15,22 @@
 //! [`TrajectoryProgram`]: a depolarizing site consumes one uniform whatever
 //! the state is, so it first draws every trajectory's *pattern* — the
 //! `(op index, branch)` pairs that drew a non-identity Pauli — in the
-//! seed's RNG order. Then it never multiplies by an identity (a fired
-//! site's Pauli joins the op list as one or two [`FusedOp::One`] and
-//! [`crate::fuse::fuse`] runs over the result), evolves equal patterns once,
-//! and walks the sorted patterns depth-first as a trie, so patterns that
-//! agree on their first `d` fired sites share the evolution up to the site
-//! where they part (one live state per trie level).
+//! seed's RNG order. Then it fuses the noise-free op list **once**
+//! (`fuse::fuse_traced`) and never multiplies by an identity: a
+//! fired site's Pauli (one or two [`FusedOp::One`]) lands in the block that
+//! owns its op, and only that block is re-fused, from its own members.
+//! Patterns become lists of such patched blocks; equal ones are evolved
+//! once, and the sorted lists are walked depth-first as a trie over blocks,
+//! so patterns that agree on their first `d` patched blocks share the
+//! evolution up to the block where they part (one live state per trie
+//! level).
 //!
 //! Replaying the patterns op-at-a-time is bit-identical to
 //! [`sample_unfused`]; fusion reorders floating-point products, so the
 //! program matches it to ≤ 1e-12 on every probability.
 
 use crate::dist::ProbDist;
-use crate::fuse::{fuse, FusedOp};
+use crate::fuse::{fuse, fuse_traced, FusedOp};
 use crate::gates::{self, Mat2, Mat4};
 use crate::linalg::Matrix;
 use crate::math::C64;
@@ -260,6 +263,10 @@ pub fn sample_unfused(
 /// ([`NoiseChannel::depolarizing_1q`] / [`NoiseChannel::depolarizing_2q`]).
 pub type Pattern = Vec<(u32, u8)>;
 
+/// A pattern in block coordinates: `(block, its fired sites in op order)`,
+/// blocks of the run's fusion plan ascending.
+type BlockPattern = Vec<(u32, Pattern)>;
+
 /// What the last [`TrajectoryProgram::run`] did, exactly.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TrajectoryStats {
@@ -272,6 +279,10 @@ pub struct TrajectoryStats {
     /// Amplitude sweeps executed; the seed loop's count is `ops ×
     /// trajectories` gate sweeps plus one per fired site.
     pub ops_applied: u64,
+    /// Blocks in the run's fusion plan of the noise-free op list.
+    pub blocks: u64,
+    /// Blocks re-fused with fired Paulis in them, over all trie nodes.
+    pub patched_blocks: u64,
 }
 
 /// A circuit with a depolarizing channel after every op, compiled for
@@ -365,36 +376,53 @@ impl TrajectoryProgram {
     ///
     /// Panics if `n_trajectories` is zero.
     pub fn run(&mut self, seed: u64, n_trajectories: u32) -> ProbDist {
-        let mut patterns = self.draw(seed, n_trajectories);
-        let plan = qoncord_prof::span("sim::sv::traj_plan");
+        let drawn = self.draw(seed, n_trajectories);
+        self.average(&drawn)
+    }
+
+    /// The average over the trajectories with the fired sites `drawn`.
+    fn average(&mut self, drawn: &[Pattern]) -> ProbDist {
+        let span = qoncord_prof::span("sim::sv::traj_plan");
+        let (blocks, owners) = fuse_traced(self.n_qubits, self.ops.iter().copied());
+        // Each pattern in block coordinates: its fired sites grouped by the
+        // block that owns their op, blocks ascending (the order of execution).
+        let to_blocks = |pattern: &Pattern| -> BlockPattern {
+            let mut sites: Vec<_> = pattern.iter().map(|&e| (owners[e.0 as usize], e)).collect();
+            sites.sort_unstable();
+            let patch = |of: &[(u32, (u32, u8))]| (of[0].0, of.iter().map(|s| s.1).collect());
+            sites.chunk_by(|a, b| a.0 == b.0).map(patch).collect()
+        };
+        let mut patterns: Vec<BlockPattern> = drawn.iter().map(to_blocks).collect();
         patterns.sort_unstable();
-        drop(plan);
+        drop(span);
         self.stats = TrajectoryStats {
-            fired_sites: patterns.iter().map(|p| p.len() as u64).sum(),
+            fired_sites: drawn.iter().map(|p| p.len() as u64).sum(),
+            blocks: blocks.len() as u64,
             ..TrajectoryStats::default()
         };
         let mut acc = TrajectoryAccumulator::new(self.n_qubits);
         let start = StateVector::zero_state(self.n_qubits);
-        self.subtree(&mut acc, &patterns, 0, start, Vec::new(), 0);
+        self.subtree(&mut acc, (&blocks, &owners), &patterns, 0, start, 0);
         self.stats.trajectories = acc.count();
         acc.into_dist()
     }
 
     /// Walks the sorted patterns of `group`, which agree on their first
-    /// `depth` entries. `sv` has been evolved along those up to (excluding)
-    /// op `from`, but for `pending`, the Pauli of the last shared entry.
+    /// `depth` patches; `sv` has been evolved along those through the blocks
+    /// before `from`.
     fn subtree(
         &mut self,
         acc: &mut TrajectoryAccumulator,
-        group: &[Pattern],
+        plan: (&[FusedOp], &[u32]),
+        group: &[BlockPattern],
         depth: usize,
         mut sv: StateVector,
-        mut pending: Vec<FusedOp>,
         mut from: usize,
     ) {
+        let (blocks, owners) = plan;
         // Patterns with nothing left to share take `sv` to the end of the
-        // circuit as one fused list: a group of equal patterns, or those
-        // that end here (they sort first but go last: the forks need `sv`).
+        // circuit: a group of equal patterns, or those that end here (they
+        // sort first but go last: the forks need `sv`).
         let (same, mut rest) = match group {
             [first, .., last] if first != last => {
                 group.split_at(group.partition_point(|p| p.len() == depth))
@@ -402,38 +430,53 @@ impl TrajectoryProgram {
             _ => (group, &[][..]),
         };
         while let [first, ..] = rest {
-            let entry = first[depth];
-            let (children, others) = rest.split_at(rest.partition_point(|p| p[depth] == entry));
-            let site = entry.0 as usize;
-            pending.extend(&self.ops[from..=site]);
-            self.evolve(&mut sv, std::mem::take(&mut pending));
-            from = site + 1;
-            let paulis = self.paulis(entry).collect();
-            self.subtree(acc, children, depth + 1, sv.clone(), paulis, from);
+            let patch = &first[depth];
+            let (children, others) = rest.split_at(rest.partition_point(|p| p[depth] == *patch));
+            let block = patch.0 as usize;
+            self.sweep(&mut sv, &blocks[from..block]);
+            from = block;
+            let mut child = sv.clone();
+            self.sweep_patched(&mut child, owners, patch);
+            self.subtree(acc, plan, children, depth + 1, child, block + 1);
             rest = others;
         }
         if let Some(pattern) = same.first() {
-            let mut fired = pattern[depth..].iter().peekable();
-            for i in from..self.ops.len() {
-                pending.push(self.ops[i]);
-                if let Some(&entry) = fired.next_if(|e| e.0 as usize == i) {
-                    pending.extend(self.paulis(entry));
-                }
+            for patch in &pattern[depth..] {
+                self.sweep(&mut sv, &blocks[from..patch.0 as usize]);
+                self.sweep_patched(&mut sv, owners, patch);
+                from = patch.0 as usize + 1;
             }
-            self.evolve(&mut sv, pending);
+            self.sweep(&mut sv, &blocks[from..]);
             self.stats.distinct_patterns += 1;
             acc.add_weighted(&sv, same.len() as u64);
         }
     }
 
-    /// Fuses `ops` and applies them to `sv`.
-    fn evolve(&mut self, sv: &mut StateVector, ops: Vec<FusedOp>) {
+    fn sweep(&mut self, sv: &mut StateVector, ops: &[FusedOp]) {
+        self.stats.ops_applied += ops.len() as u64;
+        sv.apply_ops(ops);
+    }
+
+    /// Applies block `patch.0` with the fired Paulis of `patch.1` in it: the
+    /// block's members re-fused with each Pauli after its op. Merge legality
+    /// in [`fuse_traced`] depends on wires only and a Pauli acts on its own
+    /// op's wires, so the circuit-with-Paulis has the ideal plan's blocks and
+    /// only this one's matrix differs.
+    fn sweep_patched(&mut self, sv: &mut StateVector, owners: &[u32], patch: &(u32, Pattern)) {
         let fused = {
             let _prof = qoncord_prof::span("sim::sv::traj_plan");
-            fuse(self.n_qubits, ops)
+            let mut fired = patch.1.iter().peekable();
+            let mut members = Vec::new();
+            for i in (0..self.ops.len()).filter(|&i| owners[i] == patch.0) {
+                members.push(self.ops[i]);
+                if let Some(&entry) = fired.next_if(|e| e.0 as usize == i) {
+                    members.extend(self.paulis(entry));
+                }
+            }
+            fuse(self.n_qubits, members)
         };
-        self.stats.ops_applied += fused.len() as u64;
-        sv.apply_ops(&fused);
+        self.stats.patched_blocks += 1;
+        self.sweep(sv, &fused);
     }
 
     /// The Pauli a fired site applies after its op. Branch `4a + c` of the
@@ -537,5 +580,113 @@ mod tests {
         apply_stochastic(&mut sv, &ch, &[0], &mut rng);
         let after = ProbDist::new(sv.probabilities());
         assert!(before.total_variation(&after) < 1e-12);
+    }
+
+    /// `average` on hand-written patterns against the same patterns replayed
+    /// op-at-a-time (every op unfused, a fired site's Paulis right after it);
+    /// returns the run's counters.
+    fn assert_average_matches_replay(
+        n: usize,
+        ops: &[FusedOp],
+        patterns: &[Pattern],
+    ) -> TrajectoryStats {
+        let mut program = TrajectoryProgram::compile(n, ops.iter().copied(), 0.01, 0.05);
+        let mut acc = TrajectoryAccumulator::new(n);
+        for pattern in patterns {
+            let mut sv = StateVector::zero_state(n);
+            let mut fired = pattern.iter().peekable();
+            for (i, op) in ops.iter().enumerate() {
+                sv.apply_op(op);
+                if let Some(&entry) = fired.next_if(|e| e.0 as usize == i) {
+                    program.paulis(entry).for_each(|pauli| sv.apply_op(&pauli));
+                }
+            }
+            assert!(fired.next().is_none(), "pattern names an op out of range");
+            acc.add(&sv);
+        }
+        let replayed = acc.into_dist();
+        let fast = program.average(patterns);
+        for (x, y) in fast.probabilities().iter().zip(replayed.probabilities()) {
+            assert!((x - y).abs() <= 1e-12, "{x} vs {y}");
+        }
+        assert_eq!(program.stats().trajectories, patterns.len() as u64);
+        program.stats()
+    }
+
+    /// Four qubits, four blocks: a ZZ block with its H layer absorbed (0), a
+    /// CX that absorbs the list's first op, a lone RZ (1), a lone CX (2) and
+    /// a dense block ending the list (3).
+    fn four_blocks() -> Vec<FusedOp> {
+        vec![
+            FusedOp::Rz(0.4, 3),
+            FusedOp::One(gates::h(), 0),
+            FusedOp::One(gates::h(), 1),
+            FusedOp::Cx(0, 1),
+            FusedOp::Rz(0.7, 1),
+            FusedOp::Cx(0, 1),
+            FusedOp::Cx(2, 3),
+            FusedOp::Cx(1, 2),
+            FusedOp::Two(gates::crz(0.9), 0, 1),
+            FusedOp::One(gates::u3(0.3, 0.2, -0.5), 0),
+        ]
+    }
+
+    #[test]
+    fn four_blocks_plan_is_what_the_cases_below_assume() {
+        let (blocks, owners) = fuse_traced(4, four_blocks());
+        assert_eq!(owners, [1, 0, 0, 0, 0, 0, 1, 2, 3, 3]);
+        assert!(
+            matches!(blocks[1], FusedOp::Mono(..)),
+            "CX · RZ is monomial"
+        );
+        assert!(matches!(blocks[2], FusedOp::Cx(..)), "lone CX");
+    }
+
+    #[test]
+    fn two_fired_sites_in_one_block_are_one_patch() {
+        let stats = assert_average_matches_replay(4, &four_blocks(), &[vec![(3, 7), (5, 9)]]);
+        assert_eq!((stats.fired_sites, stats.patched_blocks), (2, 1));
+        assert_eq!(stats.ops_applied, stats.blocks);
+    }
+
+    #[test]
+    fn a_fired_lone_rz_and_a_fired_lone_cx_change_variant() {
+        // Alone on its wire the RZ stays `Rz`; with a fired X it is a `One`.
+        let ops = [FusedOp::Rz(0.4, 1), FusedOp::One(gates::h(), 0)];
+        assert_average_matches_replay(2, &ops, &[vec![(0, 1)], vec![]]);
+        // Block 2 is a bare `Cx`; with Y on its control and Z on its target
+        // (branch 4·3 + 2) it is a `Two`.
+        let stats = assert_average_matches_replay(4, &four_blocks(), &[vec![(7, 14)], vec![]]);
+        assert_eq!((stats.distinct_patterns, stats.patched_blocks), (2, 1));
+    }
+
+    #[test]
+    fn a_fired_1q_op_a_later_2q_op_absorbed_patches_that_block() {
+        // Op 0 executes inside block 1, after ops 1–5 (block 0): op order and
+        // block order disagree. The first and third pattern share block 0's
+        // patch; block 1 is patched once on top of it and once without it.
+        let patterns = [vec![(0, 3), (1, 2)], vec![(0, 3)], vec![(1, 2)]];
+        let stats = assert_average_matches_replay(4, &four_blocks(), &patterns);
+        assert_eq!((stats.distinct_patterns, stats.patched_blocks), (3, 3));
+    }
+
+    #[test]
+    fn a_fired_site_on_the_last_op() {
+        let stats = assert_average_matches_replay(4, &four_blocks(), &[vec![(9, 2)], vec![(9, 2)]]);
+        assert_eq!((stats.distinct_patterns, stats.patched_blocks), (1, 1));
+    }
+
+    #[test]
+    fn patterns_equal_up_to_the_last_block_share_everything_before_it() {
+        let patterns = [
+            vec![(4, 1), (8, 5)],
+            vec![(4, 1), (9, 3)],
+            vec![(4, 1), (8, 5), (9, 3)],
+            vec![(4, 1)],
+        ];
+        let stats = assert_average_matches_replay(4, &four_blocks(), &patterns);
+        assert_eq!((stats.distinct_patterns, stats.patched_blocks), (4, 4));
+        // Blocks 0–2 once (block 0 patched), then block 3 four ways.
+        assert_eq!(stats.ops_applied, 3 + 4);
     }
 }

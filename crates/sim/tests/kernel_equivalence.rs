@@ -20,7 +20,9 @@
 //!   light-cone read-out (`outcome_probabilities`) is pinned *bitwise* to
 //!   the diagonal of the full run it is a subset of. So are
 //!   trajectory programs (`qoncord_sim::trajectory`), against the seed's
-//!   trajectory loop on every outcome probability.
+//!   trajectory loop on every outcome probability. (The fusion plan they
+//!   patch — `fuse_traced`, crate-private — is proptested beside it in
+//!   `src/fuse.rs`; the two-term and monomial sweeps in `src/statevector.rs`.)
 //! * **Fail-closed:** out-of-range or coinciding qubit indices panic in every
 //!   build profile, not just debug.
 //!
@@ -340,6 +342,32 @@ proptest! {
             prop_assert!((1..=stats.trajectories).contains(&stats.distinct_patterns));
             let drawn = program.draw(seed, n_trajectories);
             prop_assert_eq!(stats.fired_sites, drawn.iter().map(|p| p.len() as u64).sum::<u64>());
+        }
+    }
+
+    /// A trajectory run's counters follow its plan: one fusion of the
+    /// noise-free op list (`blocks`), at most one re-fused block per fired
+    /// site, and with no noise exactly the plan's sweeps and nothing patched.
+    #[test]
+    fn sv_trajectory_counters_follow_the_plan(
+        ops in noisy_program(),
+        dep_1q in rate(),
+        dep_2q in rate(),
+        seed in 0..u64::MAX,
+    ) {
+        let _lock = exclusive();
+        for n in [2usize, 5] {
+            let ops = to_noisy(n, &ops);
+            let blocks = fuse::fuse(n, ops.iter().copied()).len() as u64;
+            let mut program = TrajectoryProgram::compile(n, ops.iter().copied(), dep_1q, dep_2q);
+            program.run(seed, 12);
+            let stats = program.stats();
+            prop_assert_eq!(stats.blocks, blocks);
+            prop_assert!(stats.patched_blocks <= stats.fired_sites);
+            prop_assert!(stats.ops_applied >= blocks);
+            let mut ideal = TrajectoryProgram::compile(n, ops.iter().copied(), 0.0, 0.0);
+            ideal.run(seed, 12);
+            prop_assert_eq!((ideal.stats().ops_applied, ideal.stats().patched_blocks), (blocks, 0));
         }
     }
 

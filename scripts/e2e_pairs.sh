@@ -5,8 +5,11 @@
 # workload, alternating which side goes first, and report per run `wall_s`,
 # `peak_rss_mib` and `sim_digest`, then each side's median and quartiles and
 # the pairs the change won (lower `wall_s`; ties count for neither). Exits 1
-# when a run fails or any two runs disagree on `sim_digest`: the sides then
-# did different work and their times do not compare.
+# when a run fails or one side disagrees with itself on `sim_digest`: that
+# binary is not deterministic and its times mean nothing. Two self-consistent
+# sides with different digests are reported, not failed — a change in the
+# <= 1e-12 rounding tier moves the digest by design, and whether that is
+# allowed is scripts/e2e_golden.sh's call.
 #
 #   scripts/e2e_pairs.sh <parent e2e> <change e2e> <workload> [seed] [pairs=10] [seconds=8]
 set -eu
@@ -60,8 +63,8 @@ done | awk '
         value[$1, $2, "wall"] = $3
         value[$1, $2, "rss"] = $4
         if ($2 > pairs) pairs = $2
-        if (digest == "") digest = $5
-        if ($5 != digest) differ = 1
+        if (digest[$1] == "") digest[$1] = $5
+        if ($5 != digest[$1]) differ = 1
         if (NF < 5) broken = 1
     }
     END {
@@ -79,6 +82,8 @@ done | awk '
             median["parent", "wall"] - median["change", "wall"], iqr
         printf "pairs won by change %d/%d (lost %d)\n", won, pairs, lost
         if (broken) { print "FAIL: a run printed no wall_s, peak_rss_mib or sim_digest"; exit 1 }
-        if (differ) { print "FAIL: sim_digest differs between runs"; exit 1 }
-        print "sim_digest " digest " on every run"
+        if (differ) { print "FAIL: sim_digest differs between runs of one side"; exit 1 }
+        if (digest["parent"] == digest["change"]) print "sim_digest " digest["parent"] " on every run"
+        else print "sim_digest parent " digest["parent"] " change " digest["change"] \
+            ": the sides round differently — the golden gate decides whether that is allowed"
     }'
