@@ -38,6 +38,18 @@ impl Circuit {
         }
     }
 
+    /// A circuit of gates that already passed [`Circuit::push`]'s checks
+    /// for this register and parameter count; the allocation is trimmed to
+    /// them (evaluators keep transpiled circuits for as long as they live).
+    pub(crate) fn from_checked(n_qubits: usize, n_params: usize, mut gates: Vec<Gate>) -> Self {
+        gates.shrink_to_fit();
+        Circuit {
+            n_qubits,
+            n_params,
+            gates,
+        }
+    }
+
     /// Number of qubits.
     pub fn n_qubits(&self) -> usize {
         self.n_qubits
@@ -60,10 +72,10 @@ impl Circuit {
     /// Panics if a qubit operand is out of range or a referenced parameter
     /// index exceeds `n_params`.
     pub fn push(&mut self, gate: Gate) -> &mut Self {
-        for &q in &gate.qubits {
+        for &q in gate.qubits() {
             assert!(q < self.n_qubits, "qubit q{q} out of range");
         }
-        for a in &gate.angles {
+        for a in gate.angles() {
             if let Some(ParamId(i)) = a.param {
                 assert!(i < self.n_params, "parameter θ{i} out of range");
             }
@@ -76,89 +88,89 @@ impl Circuit {
 
     /// Appends a Hadamard on `q`.
     pub fn h(&mut self, q: usize) -> &mut Self {
-        self.push(Gate::new(GateKind::H, vec![q], vec![]))
+        self.push(Gate::new(GateKind::H, &[q], &[]))
     }
 
     /// Appends a Pauli-X on `q`.
     pub fn x(&mut self, q: usize) -> &mut Self {
-        self.push(Gate::new(GateKind::X, vec![q], vec![]))
+        self.push(Gate::new(GateKind::X, &[q], &[]))
     }
 
     /// Appends a Pauli-Y on `q`.
     pub fn y(&mut self, q: usize) -> &mut Self {
-        self.push(Gate::new(GateKind::Y, vec![q], vec![]))
+        self.push(Gate::new(GateKind::Y, &[q], &[]))
     }
 
     /// Appends a Pauli-Z on `q`.
     pub fn z(&mut self, q: usize) -> &mut Self {
-        self.push(Gate::new(GateKind::Z, vec![q], vec![]))
+        self.push(Gate::new(GateKind::Z, &[q], &[]))
     }
 
     /// Appends an S gate on `q`.
     pub fn s(&mut self, q: usize) -> &mut Self {
-        self.push(Gate::new(GateKind::S, vec![q], vec![]))
+        self.push(Gate::new(GateKind::S, &[q], &[]))
     }
 
     /// Appends an S† gate on `q`.
     pub fn sdg(&mut self, q: usize) -> &mut Self {
-        self.push(Gate::new(GateKind::Sdg, vec![q], vec![]))
+        self.push(Gate::new(GateKind::Sdg, &[q], &[]))
     }
 
     /// Appends a √X gate on `q`.
     pub fn sx(&mut self, q: usize) -> &mut Self {
-        self.push(Gate::new(GateKind::Sx, vec![q], vec![]))
+        self.push(Gate::new(GateKind::Sx, &[q], &[]))
     }
 
     /// Appends an RX rotation.
     pub fn rx(&mut self, q: usize, angle: impl Into<Angle>) -> &mut Self {
-        self.push(Gate::new(GateKind::Rx, vec![q], vec![angle.into()]))
+        self.push(Gate::new(GateKind::Rx, &[q], &[angle.into()]))
     }
 
     /// Appends an RY rotation.
     pub fn ry(&mut self, q: usize, angle: impl Into<Angle>) -> &mut Self {
-        self.push(Gate::new(GateKind::Ry, vec![q], vec![angle.into()]))
+        self.push(Gate::new(GateKind::Ry, &[q], &[angle.into()]))
     }
 
     /// Appends an RZ rotation.
     pub fn rz(&mut self, q: usize, angle: impl Into<Angle>) -> &mut Self {
-        self.push(Gate::new(GateKind::Rz, vec![q], vec![angle.into()]))
+        self.push(Gate::new(GateKind::Rz, &[q], &[angle.into()]))
     }
 
     /// Appends a phase gate.
     pub fn p(&mut self, q: usize, angle: impl Into<Angle>) -> &mut Self {
-        self.push(Gate::new(GateKind::P, vec![q], vec![angle.into()]))
+        self.push(Gate::new(GateKind::P, &[q], &[angle.into()]))
     }
 
     /// Appends a CNOT with control `c` and target `t`.
     pub fn cx(&mut self, c: usize, t: usize) -> &mut Self {
-        self.push(Gate::new(GateKind::Cx, vec![c, t], vec![]))
+        self.push(Gate::new(GateKind::Cx, &[c, t], &[]))
     }
 
     /// Appends a CZ.
     pub fn cz(&mut self, a: usize, b: usize) -> &mut Self {
-        self.push(Gate::new(GateKind::Cz, vec![a, b], vec![]))
+        self.push(Gate::new(GateKind::Cz, &[a, b], &[]))
     }
 
     /// Appends a SWAP.
     pub fn swap(&mut self, a: usize, b: usize) -> &mut Self {
-        self.push(Gate::new(GateKind::Swap, vec![a, b], vec![]))
+        self.push(Gate::new(GateKind::Swap, &[a, b], &[]))
     }
 
     /// Appends an RZZ interaction.
     pub fn rzz(&mut self, a: usize, b: usize, angle: impl Into<Angle>) -> &mut Self {
-        self.push(Gate::new(GateKind::Rzz, vec![a, b], vec![angle.into()]))
+        self.push(Gate::new(GateKind::Rzz, &[a, b], &[angle.into()]))
     }
 
     // ------- statistics -------
 
     /// Number of single-qubit gates.
     pub fn count_1q(&self) -> usize {
-        self.gates.iter().filter(|g| g.kind.arity() == 1).count()
+        self.gates.iter().filter(|g| g.kind().arity() == 1).count()
     }
 
     /// Number of two-qubit gates.
     pub fn count_2q(&self) -> usize {
-        self.gates.iter().filter(|g| g.kind.arity() == 2).count()
+        self.gates.iter().filter(|g| g.kind().arity() == 2).count()
     }
 
     /// Total gate count.
@@ -171,13 +183,20 @@ impl Circuit {
         self.gates.is_empty()
     }
 
+    /// Number of leading gates that are the same, operand for operand, in
+    /// `self` and `other`.
+    pub fn shared_prefix(&self, other: &Circuit) -> usize {
+        let pairs = self.gates.iter().zip(&other.gates);
+        pairs.take_while(|(a, b)| a == b).count()
+    }
+
     /// Circuit depth: the longest chain of gates sharing qubits (as-late-as-
     /// possible scheduling over qubit wires).
     pub fn depth(&self) -> usize {
         let mut wire_depth = vec![0usize; self.n_qubits];
         for g in &self.gates {
-            let d = g.qubits.iter().map(|&q| wire_depth[q]).max().unwrap_or(0) + 1;
-            for &q in &g.qubits {
+            let d = g.qubits().iter().map(|&q| wire_depth[q]).max().unwrap_or(0) + 1;
+            for &q in g.qubits() {
                 wire_depth[q] = d;
             }
         }
@@ -201,8 +220,7 @@ impl Circuit {
     }
 
     /// Lowers the circuit against a parameter vector into the simulator's
-    /// instruction set ([`FusedOp`]). CX and RZ stay symbolic so their
-    /// dedicated kernels — and the [`fuse`] pass — can exploit them.
+    /// instruction set ([`FusedOp`]), gate by gate ([`Gate::bind_op`]).
     ///
     /// # Panics
     ///
@@ -215,17 +233,7 @@ impl Circuit {
             self.n_params,
             params.len()
         );
-        self.gates
-            .iter()
-            .map(|g| match g.kind {
-                GateKind::Cx => FusedOp::Cx(g.qubits[0], g.qubits[1]),
-                GateKind::Rz => FusedOp::Rz(g.angles[0].resolve(params), g.qubits[0]),
-                _ => match g.resolve(params) {
-                    ResolvedGate::One(u, q) => FusedOp::One(u, q),
-                    ResolvedGate::Two(u, a, b) => FusedOp::Two(u, a, b),
-                },
-            })
-            .collect()
+        self.gates.iter().map(|g| g.bind_op(params)).collect()
     }
 
     /// Runs the circuit noise-free from `|0…0⟩` and returns the final state.
@@ -262,9 +270,7 @@ impl Circuit {
     pub fn extend(&mut self, other: &Circuit) -> &mut Self {
         assert_eq!(self.n_qubits, other.n_qubits, "register sizes differ");
         self.n_params = self.n_params.max(other.n_params);
-        for g in &other.gates {
-            self.gates.push(g.clone());
-        }
+        self.gates.extend_from_slice(&other.gates);
         self
     }
 }
@@ -360,6 +366,17 @@ mod tests {
         a.extend(&b);
         assert_eq!(a.len(), 2);
         assert_eq!(a.n_params(), 2);
+    }
+
+    #[test]
+    fn shared_prefix_stops_at_the_first_differing_operand() {
+        let mut a = Circuit::new(2, 1);
+        a.h(0).cx(0, 1).rz(1, ParamId(0)).sx(0);
+        let mut b = Circuit::new(2, 1);
+        b.h(0).cx(0, 1).rz(1, 0.5).sx(0);
+        assert_eq!(a.shared_prefix(&b), 2);
+        assert_eq!(a.shared_prefix(&a), 4);
+        assert_eq!(a.shared_prefix(&Circuit::new(2, 1)), 0);
     }
 
     #[test]

@@ -93,11 +93,11 @@ pub fn decompose_to_basis(circuit: &Circuit) -> Circuit {
 }
 
 fn rz_gate(q: usize, angle: Angle) -> Gate {
-    Gate::new(GateKind::Rz, vec![q], vec![angle])
+    Gate::new(GateKind::Rz, &[q], &[angle])
 }
 
 fn sx_gate(q: usize) -> Gate {
-    Gate::new(GateKind::Sx, vec![q], vec![])
+    Gate::new(GateKind::Sx, &[q], &[])
 }
 
 /// Appends `U3(θ, φ, λ)` as `RZ(φ+π) · SX · RZ(θ+π) · SX · RZ(λ)` (the
@@ -123,11 +123,11 @@ fn push_h_basis(out: &mut Circuit, q: usize) {
 }
 
 fn decompose_gate(gate: &Gate, out: &mut Circuit) {
-    let q = gate.qubits[0];
-    match gate.kind {
+    let q = gate.qubits()[0];
+    match gate.kind() {
         // Already in basis.
         GateKind::Rz | GateKind::Sx | GateKind::X | GateKind::Cx => {
-            out.push(gate.clone());
+            out.push(*gate);
         }
         // Phase-family gates are RZ up to global phase.
         GateKind::Z => {
@@ -146,11 +146,11 @@ fn decompose_gate(gate: &Gate, out: &mut Circuit) {
             out.push(rz_gate(q, Angle::constant(-PI / 4.0)));
         }
         GateKind::P => {
-            out.push(rz_gate(q, gate.angles[0]));
+            out.push(rz_gate(q, gate.angles()[0]));
         }
         // Y = RZ(π) · X up to global phase.
         GateKind::Y => {
-            out.push(Gate::new(GateKind::X, vec![q], vec![]));
+            out.push(Gate::new(GateKind::X, &[q], &[]));
             out.push(rz_gate(q, Angle::constant(PI)));
         }
         // H = RZ(π/2) · SX · RZ(π/2) up to global phase (Qiskit's U2(0, π)).
@@ -159,15 +159,15 @@ fn decompose_gate(gate: &Gate, out: &mut Circuit) {
         }
         // RX(θ) = U3(θ, −π/2, π/2); RY(θ) = U3(θ, 0, 0).
         GateKind::Rx => {
-            push_u3(out, q, gate.angles[0], -PI / 2.0, PI / 2.0);
+            push_u3(out, q, gate.angles()[0], -PI / 2.0, PI / 2.0);
         }
         GateKind::Ry => {
-            push_u3(out, q, gate.angles[0], 0.0, 0.0);
+            push_u3(out, q, gate.angles()[0], 0.0, 0.0);
         }
         GateKind::U3 => {
             // General U3 with potentially parametric φ/λ: emit the ZXZXZ chain
             // with each RZ carrying its own (affine) angle.
-            let [theta, phi, lambda] = [gate.angles[0], gate.angles[1], gate.angles[2]];
+            let [theta, phi, lambda] = [gate.angles()[0], gate.angles()[1], gate.angles()[2]];
             out.push(rz_gate(q, lambda));
             out.push(sx_gate(q));
             out.push(rz_gate(
@@ -190,32 +190,32 @@ fn decompose_gate(gate: &Gate, out: &mut Circuit) {
         }
         // RZZ(θ) a,b = CX(a,b) · RZ_b(θ) · CX(a,b).
         GateKind::Rzz => {
-            let (a, b) = (gate.qubits[0], gate.qubits[1]);
-            out.push(Gate::new(GateKind::Cx, vec![a, b], vec![]));
-            out.push(rz_gate(b, gate.angles[0]));
-            out.push(Gate::new(GateKind::Cx, vec![a, b], vec![]));
+            let (a, b) = (gate.qubits()[0], gate.qubits()[1]);
+            out.push(Gate::new(GateKind::Cx, &[a, b], &[]));
+            out.push(rz_gate(b, gate.angles()[0]));
+            out.push(Gate::new(GateKind::Cx, &[a, b], &[]));
         }
         // CZ a,b = H_b · CX(a,b) · H_b.
         GateKind::Cz => {
-            let (a, b) = (gate.qubits[0], gate.qubits[1]);
+            let (a, b) = (gate.qubits()[0], gate.qubits()[1]);
             push_h_basis(out, b);
-            out.push(Gate::new(GateKind::Cx, vec![a, b], vec![]));
+            out.push(Gate::new(GateKind::Cx, &[a, b], &[]));
             push_h_basis(out, b);
         }
         // SWAP = 3 CNOTs.
         GateKind::Swap => {
-            let (a, b) = (gate.qubits[0], gate.qubits[1]);
-            out.push(Gate::new(GateKind::Cx, vec![a, b], vec![]));
-            out.push(Gate::new(GateKind::Cx, vec![b, a], vec![]));
-            out.push(Gate::new(GateKind::Cx, vec![a, b], vec![]));
+            let (a, b) = (gate.qubits()[0], gate.qubits()[1]);
+            out.push(Gate::new(GateKind::Cx, &[a, b], &[]));
+            out.push(Gate::new(GateKind::Cx, &[b, a], &[]));
+            out.push(Gate::new(GateKind::Cx, &[a, b], &[]));
         }
         // CRZ(θ) c,t = RZ_t(θ/2) · CX · RZ_t(−θ/2) · CX.
         GateKind::Crz => {
-            let (c, t) = (gate.qubits[0], gate.qubits[1]);
+            let (c, t) = (gate.qubits()[0], gate.qubits()[1]);
             let half = Angle {
-                coeff: gate.angles[0].coeff / 2.0,
-                param: gate.angles[0].param,
-                offset: gate.angles[0].offset / 2.0,
+                coeff: gate.angles()[0].coeff / 2.0,
+                param: gate.angles()[0].param,
+                offset: gate.angles()[0].offset / 2.0,
             };
             let neg_half = Angle {
                 coeff: -half.coeff,
@@ -223,9 +223,9 @@ fn decompose_gate(gate: &Gate, out: &mut Circuit) {
                 offset: -half.offset,
             };
             out.push(rz_gate(t, half));
-            out.push(Gate::new(GateKind::Cx, vec![c, t], vec![]));
+            out.push(Gate::new(GateKind::Cx, &[c, t], &[]));
             out.push(rz_gate(t, neg_half));
-            out.push(Gate::new(GateKind::Cx, vec![c, t], vec![]));
+            out.push(Gate::new(GateKind::Cx, &[c, t], &[]));
         }
     }
 }
@@ -238,18 +238,20 @@ pub fn optimize(circuit: &Circuit) -> Circuit {
     let mut gates: Vec<Gate> = Vec::with_capacity(circuit.len());
     for gate in circuit.gates() {
         // Drop constant RZ(0 mod 2π).
-        if gate.kind == GateKind::Rz && !gate.angles[0].is_parametric() {
-            let v = gate.angles[0].offset.rem_euclid(2.0 * PI);
+        if gate.kind() == GateKind::Rz && !gate.angles()[0].is_parametric() {
+            let v = gate.angles()[0].offset.rem_euclid(2.0 * PI);
             if v.abs() < 1e-12 || (v - 2.0 * PI).abs() < 1e-12 {
                 continue;
             }
         }
         if let Some(last) = gates.last() {
             // Merge rz·rz on the same qubit.
-            if gate.kind == GateKind::Rz && last.kind == GateKind::Rz && last.qubits == gate.qubits
+            if gate.kind() == GateKind::Rz
+                && last.kind() == GateKind::Rz
+                && last.qubits() == gate.qubits()
             {
-                if let Some(merged) = merge_angles(last.angles[0], gate.angles[0]) {
-                    let q = gate.qubits[0];
+                if let Some(merged) = merge_angles(last.angles()[0], gate.angles()[0]) {
+                    let q = gate.qubits()[0];
                     gates.pop();
                     // Re-check identity after merging.
                     if !merged.is_parametric() {
@@ -263,24 +265,26 @@ pub fn optimize(circuit: &Circuit) -> Circuit {
                 }
             }
             // Cancel cx·cx on identical operands.
-            if gate.kind == GateKind::Cx && last.kind == GateKind::Cx && last.qubits == gate.qubits
+            if gate.kind() == GateKind::Cx
+                && last.kind() == GateKind::Cx
+                && last.qubits() == gate.qubits()
             {
                 gates.pop();
                 continue;
             }
             // Cancel x·x.
-            if gate.kind == GateKind::X && last.kind == GateKind::X && last.qubits == gate.qubits {
+            if gate.kind() == GateKind::X
+                && last.kind() == GateKind::X
+                && last.qubits() == gate.qubits()
+            {
                 gates.pop();
                 continue;
             }
         }
-        gates.push(gate.clone());
+        gates.push(*gate);
     }
-    let mut out = Circuit::new(circuit.n_qubits(), circuit.n_params());
-    for g in gates {
-        out.push(g);
-    }
-    out
+    // Every gate is one of `circuit`'s or an RZ merged from two of them.
+    Circuit::from_checked(circuit.n_qubits(), circuit.n_params(), gates)
 }
 
 fn merge_angles(a: Angle, b: Angle) -> Option<Angle> {
@@ -313,8 +317,8 @@ fn initial_layout(circuit: &Circuit, coupling: &CouplingMap) -> Vec<usize> {
     // Interaction weights between logical qubits.
     let mut weight = vec![vec![0usize; n]; n];
     for g in circuit.gates() {
-        if g.qubits.len() == 2 {
-            let (a, b) = (g.qubits[0], g.qubits[1]);
+        if g.qubits().len() == 2 {
+            let (a, b) = (g.qubits()[0], g.qubits()[1]);
             weight[a][b] += 1;
             weight[b][a] += 1;
         }
@@ -412,8 +416,8 @@ fn dependency_dag(circuit: &Circuit) -> (Vec<Vec<usize>>, Vec<usize>) {
     }
     let mut wires: Vec<WireState> = vec![WireState::default(); circuit.n_qubits()];
     for (g, gate) in circuit.gates().iter().enumerate() {
-        for (pos, &q) in gate.qubits.iter().enumerate() {
-            let class = comm_class(gate.kind, pos);
+        for (pos, &q) in gate.qubits().iter().enumerate() {
+            let class = comm_class(gate.kind(), pos);
             let wire = &mut wires[q];
             let same_run = wire.current_class == Some(class) && class != CommClass::General;
             if !same_run {
@@ -469,8 +473,7 @@ fn route(circuit: &Circuit, coupling: &CouplingMap) -> (Circuit, Vec<usize>, usi
                 indegree: &mut [usize],
                 emitted: &mut usize| {
         let gate = &gates[g];
-        let mapped: Vec<usize> = gate.qubits.iter().map(|&q| layout[q]).collect();
-        out.push(Gate::new(gate.kind, mapped, gate.angles.clone()));
+        out.push(gate.on(layout));
         *emitted += 1;
         for &s in &successors[g] {
             indegree[s] -= 1;
@@ -489,9 +492,9 @@ fn route(circuit: &Circuit, coupling: &CouplingMap) -> (Circuit, Vec<usize>, usi
             while i < ready.len() {
                 let g = ready[i];
                 let gate = &gates[g];
-                let executable = match gate.qubits.len() {
+                let executable = match gate.qubits().len() {
                     1 => true,
-                    2 => coupling.are_adjacent(layout[gate.qubits[0]], layout[gate.qubits[1]]),
+                    2 => coupling.are_adjacent(layout[gate.qubits()[0]], layout[gate.qubits()[1]]),
                     _ => unreachable!("IR has only 1- and 2-qubit gates"),
                 };
                 if executable {
@@ -518,7 +521,7 @@ fn route(circuit: &Circuit, coupling: &CouplingMap) -> (Circuit, Vec<usize>, usi
         // livelock, with a fallback walk along the closest pair's path).
         let blocked: Vec<(usize, usize)> = ready
             .iter()
-            .map(|&g| (layout[gates[g].qubits[0]], layout[gates[g].qubits[1]]))
+            .map(|&g| (layout[gates[g].qubits()[0]], layout[gates[g].qubits()[1]]))
             .collect();
         assert!(!blocked.is_empty(), "scheduler stalled with no ready gates");
         let cost = |d: &Vec<Vec<usize>>, pairs: &[(usize, usize)]| -> usize {
@@ -553,7 +556,7 @@ fn route(circuit: &Circuit, coupling: &CouplingMap) -> (Circuit, Vec<usize>, usi
         }
         match best {
             Some(((sa, sb), _)) => {
-                out.push(Gate::new(GateKind::Swap, vec![sa, sb], vec![]));
+                out.push(Gate::new(GateKind::Swap, &[sa, sb], &[]));
                 swaps += 1;
                 let (ia, ib) = (inverse[sa], inverse[sb]);
                 inverse.swap(sa, sb);
@@ -571,7 +574,7 @@ fn route(circuit: &Circuit, coupling: &CouplingMap) -> (Circuit, Vec<usize>, usi
                 let path = coupling.shortest_path(a, b).expect("connected map");
                 let mut pa = a;
                 for &next in &path[1..path.len() - 1] {
-                    out.push(Gate::new(GateKind::Swap, vec![pa, next], vec![]));
+                    out.push(Gate::new(GateKind::Swap, &[pa, next], &[]));
                     swaps += 1;
                     let (ia, ib) = (inverse[pa], inverse[next]);
                     inverse.swap(pa, next);
@@ -647,7 +650,7 @@ mod tests {
         assert_same_distribution(&qc, &basis, &[]);
         for g in basis.gates() {
             assert!(matches!(
-                g.kind,
+                g.kind(),
                 GateKind::Rz | GateKind::Sx | GateKind::X | GateKind::Cx
             ));
         }
@@ -671,17 +674,13 @@ mod tests {
             .cz(1, 2)
             .swap(0, 2)
             .rzz(0, 1, 0.55);
-        qc.push(Gate::new(GateKind::T, vec![0], vec![]));
-        qc.push(Gate::new(GateKind::Tdg, vec![1], vec![]));
-        qc.push(Gate::new(
-            GateKind::Crz,
-            vec![0, 2],
-            vec![Angle::constant(0.9)],
-        ));
+        qc.push(Gate::new(GateKind::T, &[0], &[]));
+        qc.push(Gate::new(GateKind::Tdg, &[1], &[]));
+        qc.push(Gate::new(GateKind::Crz, &[0, 2], &[Angle::constant(0.9)]));
         qc.push(Gate::new(
             GateKind::U3,
-            vec![1],
-            vec![
+            &[1],
+            &[
                 Angle::constant(0.4),
                 Angle::constant(1.2),
                 Angle::constant(-0.6),
@@ -748,8 +747,8 @@ mod tests {
         assert!(t.stats.swaps_inserted >= 1);
         // All cx must be between adjacent region qubits.
         for g in t.circuit.gates() {
-            if g.kind == GateKind::Cx {
-                assert!(t.region_coupling.are_adjacent(g.qubits[0], g.qubits[1]));
+            if g.kind() == GateKind::Cx {
+                assert!(t.region_coupling.are_adjacent(g.qubits()[0], g.qubits()[1]));
             }
         }
     }

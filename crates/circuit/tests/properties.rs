@@ -57,7 +57,7 @@ proptest! {
         prop_assert!(a.total_variation(&b) < 1e-8, "tv {}", a.total_variation(&b));
         // Basis alphabet only.
         for g in basis.gates() {
-            prop_assert!(matches!(g.kind,
+            prop_assert!(matches!(g.kind(),
                 GateKind::Rz | GateKind::Sx | GateKind::X | GateKind::Cx));
         }
     }
@@ -80,8 +80,8 @@ proptest! {
     fn routing_respects_coupling(circuit in arbitrary_circuit(4), theta in -3.0..3.0f64) {
         let t = transpile(&circuit, &CouplingMap::linear(4));
         for g in t.circuit.gates() {
-            if g.qubits.len() == 2 {
-                prop_assert!(t.region_coupling.are_adjacent(g.qubits[0], g.qubits[1]),
+            if g.qubits().len() == 2 {
+                prop_assert!(t.region_coupling.are_adjacent(g.qubits()[0], g.qubits()[1]),
                     "gate {:?} violates coupling", g);
             }
         }

@@ -7,7 +7,7 @@ use qoncord_circuit::transpile::TranspiledCircuit;
 use qoncord_sim::density::DensityMatrix;
 use qoncord_sim::dist::ProbDist;
 use qoncord_sim::noise::ReadoutError;
-use qoncord_sim::noisy::{self, DensityProgram};
+use qoncord_sim::noisy::{self, DensityProgram, ForkedProgram};
 use qoncord_sim::reference;
 use qoncord_sim::trajectory::{self, TrajectoryProgram};
 
@@ -188,6 +188,93 @@ impl SimulatedBackend {
             }
             BackendKind::Auto => unreachable!("resolved by effective_kind"),
         };
+        self.read_out(transpiled, physical)
+    }
+
+    /// Executes circuits that begin with the same `shared_gates` gates — a
+    /// VQE evaluation's measurement groups — and returns what
+    /// [`SimulatedBackend::run`] returns for each, bit for bit, circuit `g`
+    /// at seed `seed + g`.
+    ///
+    /// A density run binds, compiles and evolves the shared gates once
+    /// ([`SimulatedBackend::forked_program`]); every other kind, and a
+    /// [`reference::forced`] run, executes the circuits one by one.
+    ///
+    /// # Panics
+    ///
+    /// As for [`SimulatedBackend::run`] and
+    /// [`SimulatedBackend::forked_program`].
+    pub fn run_forked(
+        &self,
+        circuits: &[TranspiledCircuit],
+        shared_gates: usize,
+        params: &[f64],
+        seed: u64,
+    ) -> Vec<ProbDist> {
+        let density = circuits.first().is_some_and(|t| {
+            self.effective_kind(t.circuit.n_qubits()) == BackendKind::DensityMatrix
+        });
+        if !density || reference::forced() {
+            return circuits
+                .iter()
+                .enumerate()
+                .map(|(g, t)| self.run(t, params, seed.wrapping_add(g as u64)))
+                .collect();
+        }
+        self.forked_program(circuits, shared_gates, params)
+            .outcome_probabilities()
+            .into_iter()
+            .zip(circuits)
+            .map(|(physical, t)| self.read_out(t, physical))
+            .collect()
+    }
+
+    /// The density program [`SimulatedBackend::run_forked`] runs: the first
+    /// `shared_gates` gates of the first circuit as the trunk, the rest of
+    /// each circuit as its branch, under this backend's depolarizing rates.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `circuits` is empty, `params` does not match the circuits'
+    /// parameter count, the circuits differ in register size or parameter
+    /// count, or one has fewer than `shared_gates` gates. That the shared
+    /// gates are the same in every circuit is the caller's to establish
+    /// (debug builds check).
+    pub fn forked_program(
+        &self,
+        circuits: &[TranspiledCircuit],
+        shared_gates: usize,
+        params: &[f64],
+    ) -> ForkedProgram {
+        let first = &circuits[0].circuit;
+        assert_eq!(
+            params.len(),
+            first.n_params(),
+            "expected {} parameters, got {}",
+            first.n_params(),
+            params.len()
+        );
+        let shared = &first.gates()[..shared_gates];
+        let tails = circuits.iter().map(|t| {
+            assert!(
+                t.circuit.n_qubits() == first.n_qubits() && t.circuit.n_params() == params.len(),
+                "forked circuits differ in register or parameter count"
+            );
+            debug_assert!(
+                first.shared_prefix(&t.circuit) >= shared_gates,
+                "forked circuits differ within their shared gates"
+            );
+            let tail = &t.circuit.gates()[shared_gates..];
+            tail.iter().map(|gate| gate.bind_op(params))
+        });
+        let trunk = shared.iter().map(|gate| gate.bind_op(params));
+        let (dep_1q, dep_2q) = (self.noise.dep_1q, self.noise.dep_2q);
+        ForkedProgram::compile(first.n_qubits(), trunk, tails, dep_1q, dep_2q)
+    }
+
+    /// What a job sees of the device's physical outcome distribution:
+    /// readout error applied, routing permutation undone.
+    fn read_out(&self, transpiled: &TranspiledCircuit, physical: ProbDist) -> ProbDist {
         let physical = if self.noise.readout.mean_error() > 0.0 {
             physical.with_uniform_readout_error(self.noise.readout)
         } else {

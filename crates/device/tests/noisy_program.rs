@@ -2,7 +2,8 @@
 //! the circuits real jobs run: the transpiled 7-qubit QAOA and every H2
 //! measurement-group circuit, on both devices of the reference fleet. The
 //! light-cone read-out those runs take is pinned bitwise to the full-ρ run
-//! it is a subset of, and its tile count to the number the docs quote.
+//! it is a subset of, and its tile count to the number the docs quote; the
+//! forked run of the H2 groups is pinned bitwise to the runs one by one.
 //!
 //! `ScopedReference` flips a process-global switch, so the tests serialize.
 
@@ -100,12 +101,9 @@ fn windowed_outcome_is_bitwise_the_full_runs_diagonal_on_job_circuits() {
             let program = program_for(&backend, t);
             let mut full = DensityMatrix::zero_state(t.circuit.n_qubits());
             program.run(&mut full);
-            let bits = |d: ProbDist| -> Vec<u64> {
-                d.probabilities().iter().map(|p| p.to_bits()).collect()
-            };
             assert_eq!(
-                bits(program.outcome_probabilities()),
-                bits(full.probabilities()),
+                bits(&program.outcome_probabilities()),
+                bits(&full.probabilities()),
                 "{}, circuit {i}",
                 backend.calibration().name()
             );
@@ -170,5 +168,98 @@ fn density_backend_with_ideal_noise_equals_the_ideal_run() {
             d <= 1e-12,
             "circuit {i}: density vs statevector differ by {d}"
         );
+    }
+}
+
+/// The H2 measurement-group circuits of [`job_circuits`] and the length of
+/// the gate prefix they share.
+fn h2_groups(cal: &Calibration) -> (Vec<TranspiledCircuit>, usize) {
+    let groups = job_circuits(cal).split_off(1);
+    let shared = groups
+        .iter()
+        .map(|t| groups[0].circuit.shared_prefix(&t.circuit))
+        .min()
+        .expect("H2 has groups");
+    (groups, shared)
+}
+
+fn bits(d: &ProbDist) -> Vec<u64> {
+    d.probabilities().iter().map(|p| p.to_bits()).collect()
+}
+
+/// One forked run of the H2 groups returns, bit for bit, what five runs of
+/// the circuits one by one return — and under the reference switch it *is*
+/// those five runs, so it stays in their ≤ 1e-12 tier.
+#[test]
+fn forked_run_is_bitwise_the_runs_one_by_one_on_h2_groups() {
+    let _lock = exclusive();
+    for cal in [catalog::ibmq_toronto(), catalog::ibmq_kolkata()] {
+        let backend = SimulatedBackend::from_calibration(cal);
+        let (groups, shared) = h2_groups(backend.calibration());
+        for params in [[0.0; 3], [0.35, 0.45, 0.55], [-2.9, 1.7, 0.004]] {
+            let forked = backend.run_forked(&groups, shared, &params, 11);
+            assert_eq!(forked.len(), groups.len());
+            let seed_path = {
+                let _guard = ScopedReference::new();
+                backend.run_forked(&groups, shared, &params, 11)
+            };
+            for (g, t) in groups.iter().enumerate() {
+                let alone = backend.run(t, &params, 11 + g as u64);
+                let what = format!("{}, {params:?}, group {g}", backend.calibration().name());
+                assert_eq!(bits(&forked[g]), bits(&alone), "{what}");
+                let d = max_abs_diff(&forked[g], &seed_path[g]);
+                assert!(d <= 1e-12, "{what}: forked vs seed differ by {d}");
+            }
+        }
+    }
+}
+
+/// Shorter claims about the shared prefix are as good as the longest, and a
+/// trajectory backend falls back to one run per circuit at seeds `seed + g`.
+#[test]
+fn forked_run_holds_at_any_shared_length_and_on_the_trajectory_fallback() {
+    let _lock = exclusive();
+    let cal = catalog::ibmq_toronto();
+    let backend = SimulatedBackend::from_calibration(cal.clone());
+    let (groups, shared) = h2_groups(&cal);
+    let params = [0.35, 0.45, 0.55];
+    let longest = backend.run_forked(&groups, shared, &params, 0);
+    for shorter in [0, 1, shared / 2, shared - 1] {
+        assert_eq!(backend.run_forked(&groups, shorter, &params, 0), longest);
+    }
+    let trajectories = backend.with_kind(BackendKind::Trajectory { n_trajectories: 8 });
+    let forked = trajectories.run_forked(&groups, shared, &params, 40);
+    for (g, t) in groups.iter().enumerate() {
+        assert_eq!(forked[g], trajectories.run(t, &params, 40 + g as u64));
+    }
+    assert!(trajectories.run_forked(&[], 0, &[], 0).is_empty());
+}
+
+/// `transpile` is pinned gate for gate on the job circuits (FNV-1a of each
+/// circuit's `Debug` text, the same on both devices): a faster pass must
+/// emit the circuit the slower one did, angles to the last bit.
+#[test]
+fn transpiled_job_circuits_are_pinned() {
+    let pinned: [(usize, u64); 6] = [
+        (107, 0x35784b705d08164e),
+        (427, 0x6533d265754c005a),
+        (437, 0xe56b46928e70f6d0),
+        (437, 0xa7c42c977c0ddbb9),
+        (436, 0x5208c35846ef080b),
+        (437, 0x1ddaa64bdbb381f9),
+    ];
+    for cal in [catalog::ibmq_toronto(), catalog::ibmq_kolkata()] {
+        let found: Vec<(usize, u64)> = job_circuits(&cal)
+            .iter()
+            .map(|t| {
+                let fnv = format!("{:?}", t.circuit)
+                    .bytes()
+                    .fold(0xcbf29ce484222325u64, |h, b| {
+                        (h ^ u64::from(b)).wrapping_mul(0x100000001b3)
+                    });
+                (t.circuit.len(), fnv)
+            })
+            .collect();
+        assert_eq!(found, pinned, "{}", cal.name());
     }
 }

@@ -92,6 +92,31 @@
 //! their 16 384 tiles ([`DensityProgram::stats`]; `docs/ARCHITECTURE.md`
 //! has the per-block table).
 //!
+//! # Forked programs
+//!
+//! A VQE evaluation runs one ansatz under several measurement rotations:
+//! circuits that share a long gate prefix and differ in a short tail.
+//! [`ForkedProgram::compile`] scans the prefix once, copies the scan state
+//! per circuit and feeds each copy its tail. The slots below the first one
+//! any tail changed — folded an op into, or absorbed as a lone run — close
+//! into the *trunk*, which runs once; the rest close per circuit into its
+//! *branch*, which runs on a copy of the trunk's ρ. Slot order is sweep
+//! order and is kept: exchanging two sweeps on disjoint wires is exact on
+//! paper but rounds differently, so an unchanged slot behind a changed one
+//! still runs per branch.
+//!
+//! Each circuit thus runs exactly the steps of its own [`DensityProgram`],
+//! in the same order. Only the trunk's windows differ: the backward cone of
+//! a trunk step is taken over the trunk *and every branch*, a superset of
+//! the cone each circuit alone would give it. The tiles that adds lie
+//! inside the step's support and outside the circuit's own window, and by
+//! the argument above no later window of that circuit reads an entry of
+//! such a tile; the tiles of the own window see the same arithmetic on the
+//! same inputs. Every outcome probability therefore equals, bit for bit,
+//! the one the circuit's own program returns. On the five H₂/UCCSD
+//! measurement circuits the trunk holds 40 of each circuit's 43 sweeps
+//! ([`ForkedProgram::stats`]).
+//!
 //! # Determinism
 //!
 //! Compilation multiplies gate matrices, so a program matches the unfused
@@ -217,20 +242,27 @@ impl Window {
 
 /// The window of each step for a run that starts in `|0…0⟩` and is read on
 /// the diagonal: forward support for the rows, intersected with the
-/// backward cone for the row-to-column deltas.
-fn readout_windows(steps: &[Step]) -> Vec<Window> {
+/// backward cone for the row-to-column deltas. `before` holds the qubits of
+/// the steps that ran ahead of `steps` and `after` those of the steps still
+/// to come (both `0` for a whole program).
+fn readout_windows(steps: &[Step], before: usize, after: usize) -> Vec<Window> {
     let mut windows = vec![Window { rows: 0, deltas: 0 }; steps.len()];
-    let mut support = 0;
+    let mut support = before;
     for (window, step) in windows.iter_mut().zip(steps) {
         support |= step.qubits();
         window.rows = support & !step.qubits();
     }
-    let mut cone = 0;
+    let mut cone = after;
     for (window, step) in windows.iter_mut().zip(steps).rev() {
         cone |= step.qubits();
         window.deltas = window.rows & cone;
     }
     windows
+}
+
+/// Bitmask of the qubits any of `steps` acts on.
+fn qubits_of(steps: &[Step]) -> usize {
+    steps.iter().fold(0, |mask, step| mask | step.qubits())
 }
 
 /// The subsets of `mask` in ascending order.
@@ -423,6 +455,7 @@ impl WireOp {
 }
 
 /// A sweep under construction (the scan's slot, as in [`fuse::fuse`]).
+#[derive(Clone)]
 enum Slot {
     Wire {
         q: usize,
@@ -440,6 +473,7 @@ enum Slot {
 }
 
 /// A pair block's local op while its runs can still grow.
+#[derive(Clone, Copy)]
 enum Draft {
     Cx { control: usize },
     Run(usize, Run),
@@ -465,49 +499,8 @@ impl DensityProgram {
         dep_1q: f64,
         dep_2q: f64,
     ) -> Self {
-        assert!(
-            (0.0..=1.0).contains(&dep_1q) && (0.0..=1.0).contains(&dep_2q),
-            "probability must be in [0,1]"
-        );
-        let _prof = qoncord_prof::span("sim::dm::plan");
-        // Absorbed lone runs leave a `None` tombstone behind.
-        let mut slots: Vec<Option<Slot>> = Vec::new();
-        // Latest live slot touching each wire.
-        let mut last: Vec<Option<usize>> = vec![None; n_qubits];
-        for op in ops {
-            op.validate(n_qubits);
-            match op {
-                FusedOp::One(u, q) => push_1q(&mut slots, &mut last, q, RunGate::Mat(u)),
-                FusedOp::Rz(theta, q) => push_1q(&mut slots, &mut last, q, RunGate::Rz(theta)),
-                FusedOp::Two(_, a, b) | FusedOp::Cx(a, b) | FusedOp::Mono(_, _, a, b) => {
-                    push_2q(&mut slots, &mut last, op, a, b)
-                }
-            }
-        }
-        let (keep_1q, keep_2q) = (1.0 - dep_1q, 1.0 - dep_2q);
-        let steps = slots
-            .into_iter()
-            .flatten()
-            .map(|slot| match slot {
-                Slot::Wire { q, run } => Step::Wire {
-                    q,
-                    run: run.finish(keep_1q),
-                },
-                Slot::Pair {
-                    q0,
-                    q1,
-                    ops,
-                    channels_2q,
-                    ..
-                } => finish_pair(q0, q1, ops, keep_1q, keep_2q.powi(channels_2q)),
-            })
-            .collect::<Vec<_>>();
-        let windows = readout_windows(&steps);
-        DensityProgram {
-            n_qubits,
-            steps,
-            windows,
-        }
+        let no_tails: [[FusedOp; 0]; 0] = [];
+        ForkedProgram::compile(n_qubits, ops, no_tails, dep_1q, dep_2q).trunk
     }
 
     /// Number of sweeps a run performs.
@@ -526,7 +519,7 @@ impl DensityProgram {
                 .iter()
                 .map(|step| Window::full(dim, step.qubits()).tiles())
                 .sum(),
-            tiles_visited: self.windows.iter().map(|w| w.tiles()).sum(),
+            tiles_visited: self.tiles_visited(),
         }
     }
 
@@ -561,105 +554,346 @@ impl DensityProgram {
     /// form of this method.
     pub fn outcome_probabilities(&self) -> ProbDist {
         let mut rho = DensityMatrix::zero_state(self.n_qubits);
+        self.sweep_windows(&mut rho);
+        rho.probabilities()
+    }
+
+    /// Takes `rho` through every step's read-out window.
+    fn sweep_windows(&self, rho: &mut DensityMatrix) {
         let dim = 1usize << self.n_qubits;
         for (step, window) in self.steps.iter().zip(&self.windows) {
             step.sweep(rho.data_mut(), dim, *window);
         }
-        rho.probabilities()
+    }
+
+    fn tiles_visited(&self) -> u64 {
+        self.windows.iter().map(|w| w.tiles()).sum()
     }
 }
 
-/// Folds a one-qubit gate (and its channel) into the latest slot on its
-/// wire, or opens a lone run.
-fn push_1q(slots: &mut Vec<Option<Slot>>, last: &mut [Option<usize>], q: usize, gate: RunGate) {
-    let Some(j) = last[q] else {
-        last[q] = Some(slots.len());
-        slots.push(Some(Slot::Wire {
-            q,
-            run: Run::new(gate),
-        }));
-        return;
-    };
-    match slots[j].as_mut().expect("last[] points at a live slot") {
-        Slot::Wire { run, .. } => run.push(gate),
-        Slot::Pair { q0, ops, open, .. } => {
-            let w = usize::from(q != *q0);
-            match open[w] {
-                // Ops after the open run act on the other wire only, so the
-                // gate commutes back to it.
-                Some(i) => match &mut ops[i] {
-                    Draft::Run(_, run) => run.push(gate),
-                    _ => unreachable!("open[] points at a run"),
+/// Several noisy circuits that start with the same ops — a VQE evaluation's
+/// measurement-group circuits — compiled so the shared part is scanned,
+/// closed and evolved once (see the module docs, "Forked programs").
+///
+/// # Examples
+///
+/// ```
+/// use qoncord_sim::fuse::FusedOp;
+/// use qoncord_sim::gates;
+/// use qoncord_sim::noisy::{DensityProgram, ForkedProgram};
+///
+/// let trunk = [FusedOp::One(gates::h(), 0), FusedOp::Cx(0, 1), FusedOp::Cx(1, 2)];
+/// let tails = [vec![], vec![FusedOp::One(gates::h(), 2)]];
+/// let forked = ForkedProgram::compile(3, trunk, tails.clone(), 0.01, 0.05);
+/// // The last block is still open on wire 2, so each branch closes its own.
+/// assert_eq!(forked.stats().trunk_sweeps, 1);
+/// assert_eq!(forked.stats().branch_sweeps, [1, 1]);
+///
+/// let whole = trunk.into_iter().chain(tails[1].iter().copied());
+/// let alone = DensityProgram::compile(3, whole, 0.01, 0.05).outcome_probabilities();
+/// assert_eq!(forked.outcome_probabilities()[1], alone);
+/// ```
+#[derive(Debug, Clone)]
+pub struct ForkedProgram {
+    /// The sweeps every circuit shares; its windows keep what any branch
+    /// still reads.
+    trunk: DensityProgram,
+    /// Per circuit, the sweeps that follow the trunk.
+    branches: Vec<DensityProgram>,
+}
+
+/// How much of the circuits' work a [`ForkedProgram`] shares.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ForkStats {
+    /// Sweeps run once for all circuits.
+    pub trunk_sweeps: usize,
+    /// Per circuit, the sweeps run after the trunk.
+    pub branch_sweeps: Vec<usize>,
+    /// Tiles one read-out of all circuits visits.
+    pub tiles_visited: u64,
+    /// Tiles the circuits' own [`DensityProgram`]s would visit in total.
+    pub tiles_unforked: u64,
+}
+
+impl ForkedProgram {
+    /// Compiles the circuits `trunk ++ tail`, one per entry of `tails`,
+    /// with the rates of [`DensityProgram::compile`]. No tails leave the
+    /// trunk as the whole of one program.
+    ///
+    /// # Panics
+    ///
+    /// As for [`DensityProgram::compile`].
+    pub fn compile<T: IntoIterator<Item = FusedOp>>(
+        n_qubits: usize,
+        trunk: impl IntoIterator<Item = FusedOp>,
+        tails: impl IntoIterator<Item = T>,
+        dep_1q: f64,
+        dep_2q: f64,
+    ) -> Self {
+        assert!(
+            (0.0..=1.0).contains(&dep_1q) && (0.0..=1.0).contains(&dep_2q),
+            "probability must be in [0,1]"
+        );
+        let _prof = qoncord_prof::span("sim::dm::plan");
+        let mut scan = Scan::new(n_qubits);
+        for op in trunk {
+            scan.push(op);
+        }
+        let forks: Vec<Scan> = tails
+            .into_iter()
+            .map(|tail| {
+                let mut fork = scan.fork();
+                for op in tail {
+                    fork.push(op);
+                }
+                fork
+            })
+            .collect();
+        // Slot order is sweep order, and reordering even wire-disjoint
+        // sweeps changes rounding: the trunk ends at the first slot any
+        // tail changed, whatever follows it untouched runs per branch.
+        let fork_at = forks
+            .iter()
+            .map(|fork| fork.touched)
+            .fold(scan.end(), usize::min);
+        let keeps = (1.0 - dep_1q, 1.0 - dep_2q);
+        let trunk = scan.steps(0..fork_at, keeps);
+        let support = qubits_of(&trunk);
+        let branches: Vec<DensityProgram> = forks
+            .iter()
+            .map(|fork| {
+                let steps = fork.steps(fork_at..fork.end(), keeps);
+                DensityProgram {
+                    n_qubits,
+                    windows: readout_windows(&steps, support, 0),
+                    steps,
+                }
+            })
+            .collect();
+        let cone = branches
+            .iter()
+            .fold(0, |mask, branch| mask | qubits_of(&branch.steps));
+        let trunk = DensityProgram {
+            n_qubits,
+            windows: readout_windows(&trunk, 0, cone),
+            steps: trunk,
+        };
+        ForkedProgram { trunk, branches }
+    }
+
+    /// Per circuit, the outcome distribution its own
+    /// [`DensityProgram::outcome_probabilities`] returns, bit for bit: the
+    /// trunk is evolved once from `|0…0⟩` and each branch continues a copy.
+    pub fn outcome_probabilities(&self) -> Vec<ProbDist> {
+        let mut trunk = DensityMatrix::zero_state(self.trunk.n_qubits);
+        self.trunk.sweep_windows(&mut trunk);
+        self.branches
+            .iter()
+            .map(|branch| {
+                let mut rho = trunk.clone();
+                branch.sweep_windows(&mut rho);
+                rho.probabilities()
+            })
+            .collect()
+    }
+
+    /// Sweep and tile counts against the circuits compiled one by one;
+    /// exact, from the steps alone.
+    pub fn stats(&self) -> ForkStats {
+        let unforked = |branch: &DensityProgram| {
+            let steps = [&self.trunk.steps[..], &branch.steps[..]].concat();
+            readout_windows(&steps, 0, 0)
+                .iter()
+                .map(|w| w.tiles())
+                .sum::<u64>()
+        };
+        ForkStats {
+            trunk_sweeps: self.trunk.sweeps(),
+            branch_sweeps: self.branches.iter().map(|b| b.sweeps()).collect(),
+            tiles_visited: self.trunk.tiles_visited()
+                + self.branches.iter().map(|b| b.tiles_visited()).sum::<u64>(),
+            tiles_unforked: self.branches.iter().map(unforked).sum(),
+        }
+    }
+}
+
+/// The compile scan: ops go in one at a time and collect in slots, each a
+/// sweep under construction. A slot absorbs an op exactly when it is still
+/// the latest slot on every wire the op touches, so the scan can stop
+/// anywhere, be copied ([`Scan::fork`]) and carry on.
+struct Scan {
+    /// Program-order index of `slots[0]`: a fork leaves behind the slots no
+    /// later op can reach.
+    base: usize,
+    /// Slots in program order; absorbed lone runs leave a `None` tombstone.
+    slots: Vec<Option<Slot>>,
+    /// Latest live slot touching each wire, by program-order index.
+    last: Vec<Option<usize>>,
+    /// Lowest program-order index of a slot an op was folded into, or that
+    /// was absorbed, since the scan was made.
+    touched: usize,
+}
+
+impl Scan {
+    fn new(n_qubits: usize) -> Self {
+        Scan {
+            base: 0,
+            slots: Vec::new(),
+            last: vec![None; n_qubits],
+            touched: usize::MAX,
+        }
+    }
+
+    /// A copy that takes further ops without changing `self`. Only the
+    /// latest slot on a wire ever changes again, so the copy starts at the
+    /// earliest of those.
+    fn fork(&self) -> Scan {
+        let base = self.last.iter().flatten().copied().min();
+        let base = base.unwrap_or(self.end());
+        Scan {
+            base,
+            slots: self.slots[base - self.base..].to_vec(),
+            last: self.last.clone(),
+            touched: usize::MAX,
+        }
+    }
+
+    /// Program-order index the next new slot gets.
+    fn end(&self) -> usize {
+        self.base + self.slots.len()
+    }
+
+    /// The slot at program-order index `j`, marked as changed.
+    fn touch(&mut self, j: usize) -> &mut Option<Slot> {
+        self.touched = self.touched.min(j);
+        &mut self.slots[j - self.base]
+    }
+
+    /// Folds `op` and its channel into the slots.
+    fn push(&mut self, op: FusedOp) {
+        op.validate(self.last.len());
+        match op {
+            FusedOp::One(u, q) => self.push_1q(q, RunGate::Mat(u)),
+            FusedOp::Rz(theta, q) => self.push_1q(q, RunGate::Rz(theta)),
+            FusedOp::Two(_, a, b) | FusedOp::Cx(a, b) | FusedOp::Mono(_, _, a, b) => {
+                self.push_2q(op, a, b)
+            }
+        }
+    }
+
+    /// Closes the slots with program-order indices in `range` at survival
+    /// factors `(keep_1q, keep_2q)` per channel.
+    fn steps(&self, range: std::ops::Range<usize>, (keep_1q, keep_2q): (f64, f64)) -> Vec<Step> {
+        self.slots[range.start - self.base..range.end - self.base]
+            .iter()
+            .flatten()
+            .map(|slot| match slot {
+                Slot::Wire { q, run } => Step::Wire {
+                    q: *q,
+                    run: run.finish(keep_1q),
                 },
-                None => {
-                    open[w] = Some(ops.len());
-                    ops.push(Draft::Run(w, Run::new(gate)));
+                Slot::Pair {
+                    q0,
+                    q1,
+                    ops,
+                    channels_2q,
+                    ..
+                } => finish_pair(*q0, *q1, ops, keep_1q, keep_2q.powi(*channels_2q)),
+            })
+            .collect()
+    }
+
+    /// Folds a one-qubit gate (and its channel) into the latest slot on its
+    /// wire, or opens a lone run.
+    fn push_1q(&mut self, q: usize, gate: RunGate) {
+        let Some(j) = self.last[q] else {
+            self.last[q] = Some(self.end());
+            self.slots.push(Some(Slot::Wire {
+                q,
+                run: Run::new(gate),
+            }));
+            return;
+        };
+        match self
+            .touch(j)
+            .as_mut()
+            .expect("last[] points at a live slot")
+        {
+            Slot::Wire { run, .. } => run.push(gate),
+            Slot::Pair { q0, ops, open, .. } => {
+                let w = usize::from(q != *q0);
+                match open[w] {
+                    // Ops after the open run act on the other wire only, so
+                    // the gate commutes back to it.
+                    Some(i) => match &mut ops[i] {
+                        Draft::Run(_, run) => run.push(gate),
+                        _ => unreachable!("open[] points at a run"),
+                    },
+                    None => {
+                        open[w] = Some(ops.len());
+                        ops.push(Draft::Run(w, Run::new(gate)));
+                    }
                 }
             }
         }
     }
-}
 
-/// Folds a two-qubit op (and its channel) into the latest block on its
-/// pair, or opens a new block that absorbs the lone runs pending on its
-/// wires.
-fn push_2q(
-    slots: &mut Vec<Option<Slot>>,
-    last: &mut [Option<usize>],
-    op: FusedOp,
-    a: usize,
-    b: usize,
-) {
-    // One slot being the latest on both wires makes it a block on this pair.
-    if let (Some(j), true) = (last[a], last[a] == last[b]) {
-        if let Some(Slot::Pair {
-            q0,
-            ops,
-            open,
-            channels_2q,
-            ..
-        }) = slots[j].as_mut()
-        {
-            ops.push(draft_2q(op, *q0));
-            *open = [None; 2];
-            *channels_2q += 1;
-            return;
-        }
-    }
-    let mut ops = Vec::new();
-    for (w, q) in [a, b].into_iter().enumerate() {
-        // A lone run is the latest op on its wire, so it commutes forward
-        // to become the block's first op on that wire.
-        if let Some(k) = last[q] {
-            if let Some(Slot::Wire { run, .. }) = slots[k] {
-                ops.push(Draft::Run(w, run));
-                slots[k] = None;
+    /// Folds a two-qubit op (and its channel) into the latest block on its
+    /// pair, or opens a new block that absorbs the lone runs pending on its
+    /// wires.
+    fn push_2q(&mut self, op: FusedOp, a: usize, b: usize) {
+        // One slot being the latest on both wires makes it a block on this
+        // pair.
+        if let (Some(j), true) = (self.last[a], self.last[a] == self.last[b]) {
+            if let Some(Slot::Pair {
+                q0,
+                ops,
+                open,
+                channels_2q,
+                ..
+            }) = self.touch(j)
+            {
+                ops.push(draft_2q(op, *q0));
+                *open = [None; 2];
+                *channels_2q += 1;
+                return;
             }
         }
+        let mut ops = Vec::new();
+        for (w, q) in [a, b].into_iter().enumerate() {
+            // A lone run is the latest op on its wire, so it commutes
+            // forward to become the block's first op on that wire.
+            if let Some(k) = self.last[q] {
+                if let Some(Slot::Wire { run, .. }) = self.slots[k - self.base] {
+                    ops.push(Draft::Run(w, run));
+                    *self.touch(k) = None;
+                }
+            }
+        }
+        ops.push(draft_2q(op, a));
+        self.last[a] = Some(self.end());
+        self.last[b] = Some(self.end());
+        self.slots.push(Some(Slot::Pair {
+            q0: a,
+            q1: b,
+            ops,
+            open: [None; 2],
+            channels_2q: 1,
+        }));
     }
-    ops.push(draft_2q(op, a));
-    last[a] = Some(slots.len());
-    last[b] = Some(slots.len());
-    slots.push(Some(Slot::Pair {
-        q0: a,
-        q1: b,
-        ops,
-        open: [None; 2],
-        channels_2q: 1,
-    }));
 }
 
 /// Closes a pair block: resolves every CX into a renaming of the pair's
 /// basis states, points the remaining ops at the tile offsets the states
 /// then sit at, and emits the swaps that put each state back at its own
 /// offset.
-fn finish_pair(q0: usize, q1: usize, drafts: Vec<Draft>, keep_1q: f64, keep: f64) -> Step {
+fn finish_pair(q0: usize, q1: usize, drafts: &[Draft], keep_1q: f64, keep: f64) -> Step {
     let offsets = [0, 1 << q0, 1 << q1, 1 << q0 | 1 << q1];
     // seat[k]: the index into `offsets` where local state k currently sits.
     let mut seat = [0, 1, 2, 3];
     let ops = drafts
-        .into_iter()
-        .filter_map(|draft| match draft {
+        .iter()
+        .filter_map(|&draft| match draft {
             // CX exchanges the two states with the control bit set:
             // `control` alone and `3`.
             Draft::Cx { control } => {
@@ -1096,12 +1330,14 @@ mod tests {
     fn assert_outcome_is_the_full_runs_diagonal(program: &DensityProgram) {
         let mut rho = DensityMatrix::zero_state(program.n_qubits);
         program.run(&mut rho);
-        let bits =
-            |d: ProbDist| -> Vec<u64> { d.probabilities().iter().map(|p| p.to_bits()).collect() };
         assert_eq!(
-            bits(program.outcome_probabilities()),
-            bits(rho.probabilities())
+            bits(&program.outcome_probabilities()),
+            bits(&rho.probabilities())
         );
+    }
+
+    fn bits(d: &ProbDist) -> Vec<u64> {
+        d.probabilities().iter().map(|p| p.to_bits()).collect()
     }
 
     fn window(rows: usize, deltas: usize) -> Window {
@@ -1177,6 +1413,51 @@ mod tests {
         let program = DensityProgram::compile(3, wire_last, 0.01, 0.02);
         assert_eq!(program.windows, [window(0, 0), window(0b011, 0)]);
         assert_outcome_is_the_full_runs_diagonal(&program);
+    }
+
+    /// Each branch of the fork against its circuit compiled alone.
+    fn assert_fork_matches_own_programs(n: usize, trunk: &[FusedOp], tails: &[Vec<FusedOp>]) {
+        let forked = ForkedProgram::compile(n, trunk.iter().copied(), tails.to_vec(), 0.004, 0.03);
+        let outcomes = forked.outcome_probabilities();
+        assert_eq!(outcomes.len(), tails.len());
+        let mut tiles_unforked = 0;
+        for ((tail, outcome), &own_sweeps) in tails
+            .iter()
+            .zip(&outcomes)
+            .zip(&forked.stats().branch_sweeps)
+        {
+            let whole = trunk.iter().chain(tail).copied();
+            let alone = DensityProgram::compile(n, whole, 0.004, 0.03);
+            assert_eq!(bits(outcome), bits(&alone.outcome_probabilities()));
+            assert_eq!(forked.stats().trunk_sweeps + own_sweeps, alone.sweeps());
+            tiles_unforked += alone.stats().tiles_visited;
+        }
+        assert_eq!(forked.stats().tiles_unforked, tiles_unforked);
+    }
+
+    #[test]
+    fn trunk_ends_at_the_first_slot_a_tail_changes() {
+        // `mixed_program` closes into wire 3's lone run, then the blocks on
+        // (1,0), (2,1) and (2,0); the latter two are still open on wires 1
+        // and 0, 2 when the tails start.
+        let trunk = mixed_program();
+        let sweeps = |tails: &[Vec<FusedOp>]| {
+            assert_fork_matches_own_programs(4, &trunk, tails);
+            ForkedProgram::compile(4, trunk.iter().copied(), tails.to_vec(), 0.004, 0.03)
+                .stats()
+                .trunk_sweeps
+        };
+        let into_last_block = vec![FusedOp::One(gates::h(), 0), FusedOp::Cx(0, 2)];
+        let into_middle_block = vec![FusedOp::Rz(0.3, 1)];
+        let into_lone_run = vec![FusedOp::One(gates::sx(), 3)];
+        // Absorbs the lone run into a new block and leaves a tombstone.
+        let across = vec![FusedOp::Cx(3, 2), FusedOp::Rz(-0.2, 3)];
+        assert_eq!(sweeps(&[]), 4);
+        assert_eq!(sweeps(&[vec![], vec![]]), 4);
+        assert_eq!(sweeps(&[vec![], into_last_block.clone()]), 3);
+        assert_eq!(sweeps(&[into_last_block.clone(), into_middle_block]), 2);
+        assert_eq!(sweeps(&[into_last_block.clone(), into_lone_run]), 0);
+        assert_eq!(sweeps(&[across, vec![], into_last_block]), 0);
     }
 
     #[test]

@@ -18,7 +18,8 @@
 //!   to rounding. Noisy density programs (`qoncord_sim::noisy`) are in this
 //!   tier too, against the op-at-a-time evolution on the full ρ; their
 //!   light-cone read-out (`outcome_probabilities`) is pinned *bitwise* to
-//!   the diagonal of the full run it is a subset of. So are
+//!   the diagonal of the full run it is a subset of, and a forked program's
+//!   outcomes *bitwise* to those of its circuits compiled alone. So are
 //!   trajectory programs (`qoncord_sim::trajectory`), against the seed's
 //!   trajectory loop on every outcome probability. (The fusion plan they
 //!   patch — `fuse_traced`, crate-private — is proptested beside it in
@@ -36,7 +37,7 @@ use qoncord_sim::fuse::{self, FusedOp};
 use qoncord_sim::gates;
 use qoncord_sim::math::C64;
 use qoncord_sim::noise::NoiseChannel;
-use qoncord_sim::noisy::{evolve_unfused, DensityProgram};
+use qoncord_sim::noisy::{evolve_unfused, DensityProgram, ForkedProgram};
 use qoncord_sim::reference::{self, ScopedReference};
 use qoncord_sim::statevector::StateVector;
 use qoncord_sim::trajectory::{sample_unfused, TrajectoryProgram};
@@ -315,6 +316,43 @@ proptest! {
             evolve_unfused(&mut unfused, &ops, dep_1q, dep_2q);
             let d = max_prob_diff(&windowed, &unfused.probabilities());
             prop_assert!(d <= 1e-12, "{n} qubits, rates ({dep_1q}, {dep_2q}): diff {d} from unfused");
+        }
+    }
+
+    /// A forked program returns per circuit, bit for bit, the outcome of the
+    /// circuit compiled alone: random trunk, one to four random tails (empty
+    /// ones included; one-op trunks leave lone runs for a tail to absorb),
+    /// at 1, 2, 3 and 5 qubits.
+    #[test]
+    fn dm_forked_outcomes_are_bitwise_the_programs_compiled_alone(
+        trunk in noisy_program(),
+        tails in proptest::collection::vec(
+            proptest::collection::vec((0u8..9, 0..5usize, 0..5usize, -3.2..3.2f64), 0..12),
+            1..5,
+        ),
+        dep_1q in rate(),
+        dep_2q in rate(),
+    ) {
+        let _lock = exclusive();
+        for n in [1usize, 2, 3, 5] {
+            let trunk = to_noisy(n, &trunk);
+            let tails: Vec<Vec<FusedOp>> = tails.iter().map(|tail| to_noisy(n, tail)).collect();
+            let forked = ForkedProgram::compile(n, trunk.iter().copied(), tails.clone(), dep_1q, dep_2q);
+            let outcomes = forked.outcome_probabilities();
+            prop_assert_eq!(outcomes.len(), tails.len());
+            let stats = forked.stats();
+            for (b, (tail, outcome)) in tails.iter().zip(&outcomes).enumerate() {
+                let whole = trunk.iter().chain(tail).copied();
+                let alone = DensityProgram::compile(n, whole, dep_1q, dep_2q);
+                prop_assert_eq!(stats.trunk_sweeps + stats.branch_sweeps[b], alone.sweeps());
+                let alone = alone.outcome_probabilities();
+                for (i, (f, a)) in outcome.probabilities().iter().zip(alone.probabilities()).enumerate() {
+                    prop_assert!(
+                        f.to_bits() == a.to_bits(),
+                        "{n} qubits, rates ({dep_1q}, {dep_2q}), branch {b}, outcome {i}: forked {f:e} vs alone {a:e}"
+                    );
+                }
+            }
         }
     }
 

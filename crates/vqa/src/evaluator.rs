@@ -13,6 +13,7 @@ use qoncord_circuit::circuit::Circuit;
 use qoncord_circuit::transpile::{transpile, CircuitStats, TranspiledCircuit};
 use qoncord_device::noise_model::SimulatedBackend;
 use qoncord_sim::dist::ProbDist;
+use qoncord_sim::noisy::ForkStats;
 
 /// One objective evaluation's full result.
 #[derive(Debug, Clone)]
@@ -158,12 +159,21 @@ impl CostEvaluator for QaoaEvaluator {
 
 /// Evaluator for general Pauli-sum observables (VQE): one circuit execution
 /// per qubit-wise-commuting measurement group per evaluation.
+///
+/// The device is charged those [`VqeEvaluator::n_groups`] executions; the
+/// host simulates the gates the group circuits share — the ansatz, up to
+/// where routing lets a group's basis rotation in — once per evaluation
+/// ([`SimulatedBackend::run_forked`]).
 #[derive(Debug, Clone)]
 pub struct VqeEvaluator {
     hamiltonian: PauliSum,
     backend: SimulatedBackend,
-    /// Per group: member term indices and the transpiled ansatz+rotation.
-    groups: Vec<(Vec<usize>, TranspiledCircuit)>,
+    /// Per group, the member term indices.
+    members: Vec<Vec<usize>>,
+    /// Per group, the transpiled ansatz+rotation.
+    circuits: Vec<TranspiledCircuit>,
+    /// Length of the gate prefix all of `circuits` share.
+    shared_gates: usize,
     offset: f64,
     ground: f64,
     executions: u64,
@@ -175,7 +185,8 @@ impl VqeEvaluator {
     ///
     /// # Panics
     ///
-    /// Panics if the ansatz register mismatches the Hamiltonian.
+    /// Panics if the ansatz register mismatches the Hamiltonian, or the
+    /// Hamiltonian has no term to measure (identity terms only).
     pub fn new(
         hamiltonian: &PauliSum,
         ansatz: &Circuit,
@@ -187,20 +198,31 @@ impl VqeEvaluator {
             hamiltonian.n_qubits(),
             "ansatz register mismatch"
         );
-        let group_indices = hamiltonian.qubit_wise_commuting_groups();
-        let mut groups = Vec::with_capacity(group_indices.len());
-        for group in group_indices {
-            let mut circuit = ansatz.clone();
-            circuit.extend(&hamiltonian.group_rotation(&group));
-            let transpiled = transpile(&circuit, backend.calibration().coupling());
-            groups.push((group, transpiled));
-        }
+        let members = hamiltonian.qubit_wise_commuting_groups();
+        assert!(!members.is_empty(), "Hamiltonian has no term to measure");
+        let circuits: Vec<TranspiledCircuit> = members
+            .iter()
+            .map(|group| {
+                let mut circuit = ansatz.clone();
+                circuit.extend(&hamiltonian.group_rotation(group));
+                transpile(&circuit, backend.calibration().coupling())
+            })
+            .collect();
+        // Found on the circuits as routed, not assumed to be the ansatz: the
+        // router hoists a rotation's gates ahead of the ansatz's last ones.
+        let first = &circuits[0].circuit;
+        let shared_gates = circuits[1..]
+            .iter()
+            .map(|t| first.shared_prefix(&t.circuit))
+            .fold(first.len(), usize::min);
         VqeEvaluator {
             offset: hamiltonian.identity_offset(),
             ground: hamiltonian.exact_ground_energy(),
             hamiltonian: hamiltonian.clone(),
             backend,
-            groups,
+            members,
+            circuits,
+            shared_gates,
             executions: 0,
             seed,
         }
@@ -208,42 +230,60 @@ impl VqeEvaluator {
 
     /// Number of measurement groups (circuit executions per evaluation).
     pub fn n_groups(&self) -> usize {
-        self.groups.len()
+        self.circuits.len()
     }
 
     /// The observable being minimized.
     pub fn hamiltonian(&self) -> &PauliSum {
         &self.hamiltonian
     }
+
+    /// Length of the gate prefix the routed group circuits share: what an
+    /// evaluation binds, compiles and simulates once.
+    pub fn shared_gates(&self) -> usize {
+        self.shared_gates
+    }
+
+    /// How many of a density evaluation's sweeps and tiles that sharing
+    /// saves; the counts depend on no parameter value.
+    pub fn fork_stats(&self) -> ForkStats {
+        let params = vec![0.0; self.n_params()];
+        self.backend
+            .forked_program(&self.circuits, self.shared_gates, &params)
+            .stats()
+    }
 }
 
 impl CostEvaluator for VqeEvaluator {
     fn n_params(&self) -> usize {
-        self.groups[0].1.circuit.n_params()
+        self.circuits[0].circuit.n_params()
     }
 
     fn evaluate(&mut self, params: &[f64]) -> Evaluation {
         let _prof = qoncord_prof::span("vqa::eval::vqe");
+        // Execution `k` of this evaluator (from 1) runs at seed `seed + k`.
+        let mut dists = self.backend.run_forked(
+            &self.circuits,
+            self.shared_gates,
+            params,
+            self.seed.wrapping_add(1),
+        );
+        let n_groups = dists.len();
+        self.executions += n_groups as u64;
+        self.seed = self.seed.wrapping_add(n_groups as u64);
         let mut energy = self.offset;
         let mut entropy_sum = 0.0;
-        let mut first_dist: Option<ProbDist> = None;
-        for (members, transpiled) in &self.groups {
-            self.executions += 1;
-            self.seed = self.seed.wrapping_add(1);
-            let dist = self.backend.run(transpiled, params, self.seed);
+        for (members, dist) in self.members.iter().zip(&dists) {
             for &i in members {
                 let (coeff, string) = &self.hamiltonian.terms()[i];
-                energy += coeff * string.expectation_from_dist(&dist);
+                energy += coeff * string.expectation_from_dist(dist);
             }
             entropy_sum += dist.shannon_entropy();
-            if first_dist.is_none() {
-                first_dist = Some(dist);
-            }
         }
         Evaluation {
             expectation: energy,
-            entropy: entropy_sum / self.groups.len() as f64,
-            dist: first_dist.expect("at least one group"),
+            entropy: entropy_sum / n_groups as f64,
+            dist: dists.swap_remove(0),
         }
     }
 
@@ -261,9 +301,9 @@ impl CostEvaluator for VqeEvaluator {
 
     fn circuit_stats(&self) -> CircuitStats {
         // Representative stats: the largest group circuit.
-        self.groups
+        self.circuits
             .iter()
-            .map(|(_, t)| t.stats)
+            .map(|t| t.stats)
             .max_by_key(|s| s.n_1q + s.n_2q)
             .expect("at least one group")
     }
@@ -276,6 +316,7 @@ mod tests {
     use crate::uccsd;
     use crate::vqe;
     use qoncord_device::catalog;
+    use qoncord_device::noise_model::BackendKind;
 
     fn triangle() -> MaxCut {
         MaxCut::new(Graph::new(3, &[(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)]))
@@ -376,6 +417,107 @@ mod tests {
         let groups = eval.n_groups() as u64;
         eval.evaluate(&[0.0, 0.0, 0.0]);
         assert_eq!(eval.executions(), groups);
+    }
+
+    /// `evaluations` in a row the way the evaluator is specified: one
+    /// `backend.run` per group, execution `k` (from 1) at seed `seed + k`.
+    fn per_group_loop(
+        backend: &SimulatedBackend,
+        seed: u64,
+        evaluations: &[[f64; 3]],
+    ) -> Vec<(u64, u64, Vec<u64>)> {
+        let h = vqe::h2_hamiltonian();
+        let ansatz = uccsd::uccsd_h2_ansatz(vqe::h2_hartree_fock_state());
+        let mut execution = 0;
+        let mut results = Vec::new();
+        for params in evaluations {
+            let mut energy = h.identity_offset();
+            let mut entropy_sum = 0.0;
+            let mut dists = Vec::new();
+            for group in h.qubit_wise_commuting_groups() {
+                let mut circuit = ansatz.clone();
+                circuit.extend(&h.group_rotation(&group));
+                let transpiled = transpile(&circuit, backend.calibration().coupling());
+                execution += 1;
+                let dist = backend.run(&transpiled, params, seed.wrapping_add(execution));
+                for &i in &group {
+                    let (coeff, string) = &h.terms()[i];
+                    energy += coeff * string.expectation_from_dist(&dist);
+                }
+                entropy_sum += dist.shannon_entropy();
+                dists.push(dist);
+            }
+            let entropy = entropy_sum / dists.len() as f64;
+            results.push((energy.to_bits(), entropy.to_bits(), dist_bits(&dists[0])));
+        }
+        results
+    }
+
+    fn dist_bits(dist: &ProbDist) -> Vec<u64> {
+        dist.probabilities().iter().map(|p| p.to_bits()).collect()
+    }
+
+    /// Sharing the trunk changes host time only: on the density path, on
+    /// the trajectory path (where the seed of every execution matters) and
+    /// on the ideal path, every bit of every evaluation is the loop's.
+    #[test]
+    fn vqe_evaluation_is_bitwise_the_per_group_loop() {
+        let evaluations = [[0.0; 3], [0.35, 0.45, 0.55], [-2.9, 1.7, 0.004]];
+        let h = vqe::h2_hamiltonian();
+        let ansatz = uccsd::uccsd_h2_ansatz(vqe::h2_hartree_fock_state());
+        let trajectories = BackendKind::Trajectory { n_trajectories: 6 };
+        for backend in [
+            SimulatedBackend::from_calibration(catalog::ibmq_toronto()),
+            SimulatedBackend::from_calibration(catalog::ibmq_kolkata()),
+            SimulatedBackend::from_calibration(catalog::ibmq_toronto()).with_kind(trajectories),
+            SimulatedBackend::ideal(catalog::ibmq_kolkata()),
+        ] {
+            let seed = u64::MAX - 7; // the execution counter wraps mid-run
+            let expected = per_group_loop(&backend, seed, &evaluations);
+            let mut eval = VqeEvaluator::new(&h, &ansatz, backend, seed);
+            for (k, (params, expected)) in evaluations.iter().zip(expected).enumerate() {
+                let e = eval.evaluate(params);
+                let found = (
+                    e.expectation.to_bits(),
+                    e.entropy.to_bits(),
+                    dist_bits(&e.dist),
+                );
+                assert_eq!(found, expected, "{}, evaluation {k}", eval.device_name());
+                assert_eq!(eval.executions(), ((k + 1) * eval.n_groups()) as u64);
+            }
+        }
+    }
+
+    /// What forking saves on H2/UCCSD, the same on both fleet devices: the
+    /// five routed group circuits share their first 412 gates, and 40 of
+    /// each one's 43 sweeps run once instead of five times.
+    #[test]
+    fn h2_groups_share_412_gates_and_40_of_43_sweeps() {
+        let h = vqe::h2_hamiltonian();
+        let ansatz = uccsd::uccsd_h2_ansatz(vqe::h2_hartree_fock_state());
+        for cal in [catalog::ibmq_toronto(), catalog::ibmq_kolkata()] {
+            let name = cal.name().to_owned();
+            let eval = VqeEvaluator::new(&h, &ansatz, SimulatedBackend::from_calibration(cal), 0);
+            assert_eq!(eval.shared_gates(), 412, "{name}");
+            assert_eq!(
+                eval.fork_stats(),
+                ForkStats {
+                    trunk_sweeps: 40,
+                    branch_sweeps: vec![3; 5],
+                    tiles_visited: 705,
+                    tiles_unforked: 2965,
+                },
+                "{name}"
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "no term to measure")]
+    fn identity_only_hamiltonian_fails_closed_at_construction() {
+        let h = PauliSum::from_terms(&[(0.5, "II"), (-1.25, "II")]).expect("valid Pauli strings");
+        let backend = SimulatedBackend::ideal(catalog::ibmq_kolkata());
+        VqeEvaluator::new(&h, &Circuit::new(2, 0), backend, 0);
     }
 
     #[test]

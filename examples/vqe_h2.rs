@@ -8,6 +8,8 @@ use qoncord::core::cluster::SelectionPolicy;
 use qoncord::core::executor::VqeFactory;
 use qoncord::core::scheduler::{run_single_device, QoncordConfig, QoncordScheduler};
 use qoncord::device::catalog;
+use qoncord::device::noise_model::SimulatedBackend;
+use qoncord::vqa::evaluator::VqeEvaluator;
 use qoncord::vqa::{uccsd, vqe};
 
 fn main() {
@@ -23,6 +25,26 @@ fn main() {
         hamiltonian: hamiltonian.clone(),
         ansatz,
     };
+    // One evaluation charges the device an execution per measurement group;
+    // the host simulates the gates the routed group circuits share once.
+    let evaluator = VqeEvaluator::new(
+        &hamiltonian,
+        &factory.ansatz,
+        SimulatedBackend::from_calibration(catalog::ibmq_toronto()),
+        0,
+    );
+    let shared = evaluator.fork_stats();
+    let own: usize = shared.branch_sweeps.iter().sum();
+    println!(
+        "{} measurement groups share {} gates: {} sweeps once + {} of their own ({} tiles for {} apart)",
+        evaluator.n_groups(),
+        evaluator.shared_gates(),
+        shared.trunk_sweeps,
+        own,
+        shared.tiles_visited,
+        shared.tiles_unforked
+    );
+
     let iterations = 40;
     for (label, cal) in [
         ("LF (toronto)", catalog::ibmq_toronto()),
