@@ -17,14 +17,17 @@
 //!   insertion sequence. Every request of a tenant shares the same usage and
 //!   in-flight score terms, so this within-lane order never changes when
 //!   balances move.
-//! * A cross-tenant ordered index holds each lane's best request keyed by
-//!   its full score, so [`pop`](FairShareQueue::pop) is a first-entry read
-//!   plus an `O(log n)` removal, and a per-device ready index makes
-//!   [`pop_for_device`](FairShareQueue::pop_for_device) the same. Writes
-//!   (push, removal, usage charge or credit) only flag their tenant; the
-//!   ordered queries — the only readers of the index — first repost the
-//!   flagged tenants, so any number of writes to one tenant between two
-//!   reads cost one repost.
+//! * A per-device ready index holds each device lane's best request keyed
+//!   by its full score, so [`pop_for_device`](FairShareQueue::pop_for_device)
+//!   is a first-entry read plus an `O(log n)` removal. The cross-tenant index
+//!   over every lane's best, read only by [`pop`](FairShareQueue::pop) and
+//!   `pop_where`, is built on demand from the lanes' posted keys by the first
+//!   of them and kept by reposts from then on. Writes (push, removal, usage
+//!   charge or credit) only flag their tenant; the ordered queries first
+//!   repost the flagged tenants, so any number of writes to one tenant
+//!   between two reads cost one repost.
+//! * No insertion-order index is kept: [`pending`](FairShareQueue::pending)
+//!   sorts the queued requests by their insertion sequence, `O(n log n)`.
 //! * [`decay_usage`](FairShareQueue::decay_usage) keeps the seed's exact
 //!   arithmetic (`consumed *= factor` per tenant, so balances stay
 //!   bit-identical to the unindexed implementation) and merely marks the
@@ -53,7 +56,30 @@ use std::cell::RefCell;
 use std::cmp::{Ordering, Reverse};
 use std::collections::{BTreeMap, BinaryHeap, HashMap};
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::ops::Bound;
+
+/// FxHash's multiply-rotate step, for the maps every push and pop looks up
+/// (SipHash was a measured share of those); `finish` rotates so hashbrown's
+/// bucket bits come from the product's upper half. Not collision-resistant.
+#[derive(Default)]
+struct MulRotHasher(u64);
+
+impl Hasher for MulRotHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        bytes.iter().for_each(|&b| self.write_usize(b.into()));
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.0 = (self.0.rotate_left(5) ^ n as u64).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
+}
+
+type FastMap<K, V> = HashMap<K, V, BuildHasherDefault<MulRotHasher>>;
 
 /// Why a [`FairShareQueue`] accounting call rejected a parameter.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -146,6 +172,24 @@ impl Default for FairShareWeights {
             usage: 1.0,
             in_flight: 10.0,
             request_size: 0.5,
+        }
+    }
+}
+
+impl FairShareWeights {
+    fn score_of(&self, usage: UserUsage, requested_seconds: f64) -> f64 {
+        self.usage * usage.consumed_seconds
+            + self.in_flight * usage.jobs_in_flight as f64
+            + self.request_size * requested_seconds
+    }
+
+    /// The cross-tenant key of a request under the given score terms; its
+    /// tie-breaks are the within-lane key's.
+    fn cross_key(&self, usage: UserUsage, requested_seconds: f64, rk: ReqKey) -> CrossKey {
+        CrossKey {
+            score: Key::new(self.score_of(usage, requested_seconds)),
+            submitted: rk.submitted,
+            seq: rk.seq,
         }
     }
 }
@@ -282,7 +326,7 @@ struct TenantPostings {
 /// a `RefCell`.
 #[derive(Debug, Clone, Default)]
 struct DrainIndex {
-    by_device: HashMap<usize, BTreeMap<DrainKey, (f64, u32)>>,
+    by_device: FastMap<usize, BTreeMap<DrainKey, (f64, u32)>>,
     /// Parallel to `FairShareQueue::states`.
     tenants: Vec<TenantPostings>,
     /// Tenants whose balances or requests moved since their last re-key.
@@ -306,7 +350,7 @@ struct Lane {
 struct UserState {
     name: String,
     usage: UserUsage,
-    lanes: HashMap<Tag, Lane>,
+    lanes: FastMap<Tag, Lane>,
     /// Written to since its lanes were last posted (on
     /// `FairShareQueue::unposted`).
     unposted: bool,
@@ -328,23 +372,24 @@ struct UserState {
 /// // The light user's later submission dequeues first.
 /// assert_eq!(q.pop().unwrap().id, 1);
 /// ```
+///
+/// Its hash maps are only looked up, or iterated where the result is sorted
+/// by a unique key or order-insensitive: no iteration order reaches output.
 #[derive(Debug, Clone, Default)]
 pub struct FairShareQueue {
     weights: FairShareWeights,
     /// Tenant name → dense uid into `states`.
-    users: HashMap<String, usize>,
+    users: FastMap<String, usize>,
     states: Vec<UserState>,
     /// Request id → stored request + index coordinates.
-    entries: HashMap<usize, StoredRequest>,
-    /// Cross-tenant score index over every lane's best request.
-    ready_all: BTreeMap<CrossKey, (usize, Tag)>,
+    entries: FastMap<usize, StoredRequest>,
+    /// Cross-tenant index over every lane's best; built by the first untargeted pop.
+    ready_all: Option<BTreeMap<CrossKey, (usize, Tag)>>,
     /// Per-device score index over `Tag::Device` lane bests only.
-    ready_by_device: HashMap<usize, BTreeMap<CrossKey, usize>>,
-    /// Insertion-order view (seq → id) over every pending request.
-    insertion_all: BTreeMap<u64, usize>,
+    ready_by_device: FastMap<usize, BTreeMap<CrossKey, (usize, Tag)>>,
     /// Incrementally maintained per-device backlog: sum of queued
     /// `requested_seconds` charged to the device (dispatchable + holds).
-    backlog: HashMap<usize, f64>,
+    backlog: FastMap<usize, f64>,
     len: usize,
     seq: u64,
     /// Tenants whose posted lane bests predate a write; reposted by the
@@ -428,27 +473,11 @@ impl FairShareQueue {
         self.states.push(UserState {
             name: user.to_owned(),
             usage: UserUsage::default(),
-            lanes: HashMap::new(),
+            lanes: FastMap::default(),
             unposted: false,
         });
         self.drain.get_mut().tenants.push(TenantPostings::default());
         uid
-    }
-
-    fn score_of(&self, usage: UserUsage, requested_seconds: f64) -> f64 {
-        self.weights.usage * usage.consumed_seconds
-            + self.weights.in_flight * usage.jobs_in_flight as f64
-            + self.weights.request_size * requested_seconds
-    }
-
-    /// The cross-tenant key of a request under the given score terms; its
-    /// tie-breaks are the within-lane key's.
-    fn cross_key(&self, usage: UserUsage, requested_seconds: f64, rk: ReqKey) -> CrossKey {
-        CrossKey {
-            score: Key::new(self.score_of(usage, requested_seconds)),
-            submitted: rk.submitted,
-            seq: rk.seq,
-        }
     }
 
     fn req_key(&self, request: &QueuedRequest, seq: u64) -> ReqKey {
@@ -456,43 +485,6 @@ impl FairShareQueue {
             size: Key::new(self.weights.request_size * request.requested_seconds),
             submitted: Key::new(request.submitted_at),
             seq,
-        }
-    }
-
-    /// Re-derives the posted cross-tenant key for one lane: removes the old
-    /// posting, drops the lane if it emptied, otherwise posts its current
-    /// best under a key scored with the tenant's live usage.
-    fn repost_lane(&mut self, uid: usize, tag: Tag) {
-        let old = match self.states[uid].lanes.get(&tag) {
-            Some(lane) => lane.posted,
-            None => return,
-        };
-        if let Some(key) = old {
-            self.ready_all.remove(&key);
-            if let Tag::Device(d) = tag {
-                if let Some(ready) = self.ready_by_device.get_mut(&d) {
-                    ready.remove(&key);
-                }
-            }
-        }
-        let best = self.states[uid].lanes[&tag]
-            .requests
-            .first_key_value()
-            .map(|(&rk, &id)| (rk, id));
-        let Some((rk, id)) = best else {
-            self.states[uid].lanes.remove(&tag);
-            return;
-        };
-        let seconds = self.entries[&id].request.requested_seconds;
-        let key = self.cross_key(self.states[uid].usage, seconds, rk);
-        self.states[uid]
-            .lanes
-            .get_mut(&tag)
-            .expect("lane exists")
-            .posted = Some(key);
-        self.ready_all.insert(key, (uid, tag));
-        if let Tag::Device(d) = tag {
-            self.ready_by_device.entry(d).or_default().insert(key, uid);
         }
     }
 
@@ -512,12 +504,32 @@ impl FairShareQueue {
     }
 
     /// Reposts every lane of a tenant — needed whenever the tenant's usage
-    /// terms change, since those shift all of its lanes' posted scores.
+    /// terms change, since those shift all of its lanes' posted scores — and
+    /// drops the lanes that emptied.
     fn repost_user(&mut self, uid: usize) {
-        let tags: Vec<Tag> = self.states[uid].lanes.keys().copied().collect();
-        for tag in tags {
-            self.repost_lane(uid, tag);
-        }
+        let usage = self.states[uid].usage;
+        let mut lanes = std::mem::take(&mut self.states[uid].lanes);
+        lanes.retain(|&tag, lane| {
+            let old = lane.posted.take();
+            lane.posted = lane.requests.first_key_value().map(|(&rk, id)| {
+                let seconds = self.entries[id].request.requested_seconds;
+                self.weights.cross_key(usage, seconds, rk)
+            });
+            let ready = match tag {
+                Tag::Device(d) => Some(self.ready_by_device.entry(d).or_default()),
+                _ => None,
+            };
+            for index in [self.ready_all.as_mut(), ready].into_iter().flatten() {
+                if let Some(old) = old {
+                    index.remove(&old);
+                }
+                if let Some(key) = lane.posted {
+                    index.insert(key, (uid, tag));
+                }
+            }
+            lane.posted.is_some()
+        });
+        self.states[uid].lanes = lanes;
     }
 
     /// Brings the cross-tenant indexes up to date with the live state, as
@@ -562,7 +574,6 @@ impl FairShareQueue {
             *self.backlog.entry(d).or_insert(0.0) += request.requested_seconds;
             self.stats.backlog_refreshes += 1;
         }
-        self.insertion_all.insert(seq, request.id);
         let key = self.req_key(&request, seq);
         self.states[uid]
             .lanes
@@ -596,7 +607,6 @@ impl FairShareQueue {
         if let Some(lane) = self.states[uid].lanes.get_mut(&tag) {
             lane.requests.remove(&key);
         }
-        self.insertion_all.remove(&seq);
         if let Some(d) = tag.device() {
             if let Some(total) = self.backlog.get_mut(&d) {
                 *total -= request.requested_seconds;
@@ -691,11 +701,11 @@ impl FairShareQueue {
 
     /// Iterates the pending requests — every lane: untargeted, device-bound
     /// and holds — in insertion order, without popping. A request popped
-    /// and pushed again re-enters at the back.
+    /// and pushed again re-enters at the back. Sorts per call, `O(n log n)`.
     pub fn pending(&self) -> impl Iterator<Item = &QueuedRequest> {
-        self.insertion_all
-            .values()
-            .map(|id| &self.entries[id].request)
+        let mut stored: Vec<&StoredRequest> = self.entries.values().collect();
+        stored.sort_unstable_by_key(|s| s.seq);
+        stored.into_iter().map(|s| &s.request)
     }
 
     /// The incrementally maintained backlog of `device`: total requested
@@ -750,7 +760,20 @@ impl FairShareQueue {
 
     /// Fair-share score of a request: lower dequeues sooner.
     pub fn score(&self, request: &QueuedRequest) -> f64 {
-        self.score_of(self.usage(&request.user), request.requested_seconds)
+        self.weights
+            .score_of(self.usage(&request.user), request.requested_seconds)
+    }
+
+    /// The cross-tenant index, from the live key
+    /// [`ensure_fresh`](Self::ensure_fresh) leaves posted on every lane.
+    fn cross_index(states: &[UserState]) -> BTreeMap<CrossKey, (usize, Tag)> {
+        let mut index = BTreeMap::new();
+        for (uid, state) in states.iter().enumerate() {
+            for (&tag, lane) in &state.lanes {
+                index.insert(lane.posted.expect("a fresh lane is posted"), (uid, tag));
+            }
+        }
+        index
     }
 
     /// Dequeues the request with the lowest score (FIFO on ties) and
@@ -759,7 +782,10 @@ impl FairShareQueue {
     pub fn pop(&mut self) -> Option<QueuedRequest> {
         let _prof = qoncord_prof::span("fairshare::pop");
         self.ensure_fresh();
-        let (_, &(uid, tag)) = self.ready_all.first_key_value()?;
+        let ready_all = self
+            .ready_all
+            .get_or_insert_with(|| Self::cross_index(&self.states));
+        let (_, &(uid, tag)) = ready_all.first_key_value()?;
         let id = *self.states[uid].lanes[&tag]
             .requests
             .first_key_value()
@@ -775,7 +801,7 @@ impl FairShareQueue {
     pub fn pop_for_device(&mut self, device: usize) -> Option<QueuedRequest> {
         let _prof = qoncord_prof::span("fairshare::pop");
         self.ensure_fresh();
-        let (_, &uid) = self.ready_by_device.get(&device)?.first_key_value()?;
+        let (_, &(uid, _)) = self.ready_by_device.get(&device)?.first_key_value()?;
         let id = *self.states[uid].lanes[&Tag::Device(device)]
             .requests
             .first_key_value()
@@ -813,8 +839,11 @@ impl FairShareQueue {
     /// or [`pop_by_id`](Self::pop_by_id), which skip the walk entirely.
     pub fn pop_where(&mut self, pred: impl Fn(&QueuedRequest) -> bool) -> Option<QueuedRequest> {
         self.ensure_fresh();
+        let ready_all = self
+            .ready_all
+            .get_or_insert_with(|| Self::cross_index(&self.states));
         let mut frontier = BinaryHeap::new();
-        for (&key, &(uid, tag)) in &self.ready_all {
+        for (&key, &(uid, tag)) in ready_all.iter() {
             let (&req_key, &id) = self.states[uid].lanes[&tag]
                 .requests
                 .first_key_value()
@@ -833,7 +862,9 @@ impl FairShareQueue {
                 .map(|(&k, &i)| (k, i));
             if let Some((next_key, next_id)) = next {
                 let seconds = self.entries[&next_id].request.requested_seconds;
-                let cross = self.cross_key(self.states[uid].usage, seconds, next_key);
+                let cross = self
+                    .weights
+                    .cross_key(self.states[uid].usage, seconds, next_key);
                 frontier.push(Reverse((cross, uid, tag, next_key, next_id)));
             }
         }
@@ -902,15 +933,11 @@ impl FairShareQueue {
     /// Removes every request matching `pred` without running it, releasing
     /// the in-flight slots. Returns the cancelled requests in queue order —
     /// this is the release path when restart triage kills work whose
-    /// reservations are still queued. One ordered pass collects the victims;
-    /// each removal is an indexed delete, so no tail-shifting rescans.
+    /// reservations are still queued. One ordered pass over
+    /// [`pending`](Self::pending) collects the victims; each removal is an
+    /// indexed delete, so no tail-shifting rescans.
     pub fn cancel_where(&mut self, pred: impl Fn(&QueuedRequest) -> bool) -> Vec<QueuedRequest> {
-        let victims: Vec<usize> = self
-            .insertion_all
-            .values()
-            .filter(|id| pred(&self.entries[id].request))
-            .copied()
-            .collect();
+        let victims: Vec<usize> = self.pending().filter(|r| pred(r)).map(|r| r.id).collect();
         victims
             .into_iter()
             .filter_map(|id| {
@@ -1200,7 +1227,7 @@ impl FairShareQueue {
     ) -> impl Iterator<Item = (CrossKey, f64, Option<usize>)> + 'a {
         let mut max: Option<CrossKey> = None;
         requests.iter().map(move |&(rk, _, secs, device)| {
-            let key = self.cross_key(usage, secs, rk);
+            let key = self.weights.cross_key(usage, secs, rk);
             usage.jobs_in_flight = usage.jobs_in_flight.saturating_sub(1);
             let m = max.map_or(key, |prev| prev.max(key));
             max = Some(m);
@@ -1370,7 +1397,8 @@ impl FairShareQueue {
                 consumed_seconds: state.usage.consumed_seconds * decay_factor,
                 ..state.usage
             };
-            if self.cross_key(usage, self.entries[id].request.requested_seconds, rk) >= t {
+            let seconds = self.entries[id].request.requested_seconds;
+            if self.weights.cross_key(usage, seconds, rk) >= t {
                 continue;
             }
             self.tenant_requests_into(uid, &mut buf);

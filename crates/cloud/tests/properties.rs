@@ -371,8 +371,123 @@ fn projection_vs_oracle(
     (bits(&ahead), bits(&expect))
 }
 
+/// One op of `lazily_built_cross_index_matches_reference` on both queues,
+/// `tags` as in [`projection_vs_oracle`]. Codes 0–7 are what the engine
+/// does — device pushes and holds, device / id pops, cancellations, charges,
+/// a decaying decay, a pop-and-repush — and 8–10 what it never does: a free
+/// push, `pop` and `pop_where`.
+fn lazy_index_op(
+    q: &mut FairShareQueue,
+    rq: &mut ReferenceFairShareQueue,
+    tags: &mut HashMap<usize, (u8, usize)>,
+    next_id: &mut usize,
+    (code, a, b): (u8, u8, u8),
+) {
+    let d = b as usize % 3;
+    let id = a as usize % (*next_id).max(1);
+    let push = |q: &mut FairShareQueue, r: QueuedRequest, (kind, d): (u8, usize)| match kind {
+        0 => q.push(r),
+        1 => q.push_for_device(r, d),
+        _ => q.push_hold(r, d),
+    };
+    match code {
+        0 | 1 | 8 => {
+            let r = gen_req(*next_id, a, *next_id);
+            *next_id += 1;
+            let tag = (if code == 8 { 0 } else { code + 1 }, d);
+            push(q, r.clone(), tag).unwrap();
+            tags.insert(r.id, tag);
+            rq.push(r);
+        }
+        2 => {
+            let right = rq.pop_where(|r| tags.get(&r.id) == Some(&(1, d)));
+            prop_assert_eq!(q.pop_for_device(d), right);
+        }
+        3 => prop_assert_eq!(q.pop_by_id(id), rq.pop_where(|r| r.id == id)),
+        4 => {
+            let left: Vec<QueuedRequest> = q.cancel_by_id(id).into_iter().collect();
+            prop_assert_eq!(left, rq.cancel_where(|r| r.id == id));
+        }
+        5 => {
+            let user = format!("user-{}", b % 4);
+            q.record_usage(&user, (a % 60) as f64).unwrap();
+            rq.record_usage(&user, (a % 60) as f64).unwrap();
+        }
+        6 => {
+            let factor = [0.25, 0.5, 0.9][a as usize % 3];
+            q.decay_usage(factor).unwrap();
+            rq.decay_usage(factor).unwrap();
+        }
+        7 => {
+            let popped = q.pop_by_id(id);
+            prop_assert_eq!(&popped, &rq.pop_where(|r| r.id == id));
+            if let Some(r) = popped {
+                push(q, r.clone(), tags[&id]).unwrap();
+                rq.push(r);
+                let left: Vec<usize> = q.pending().map(|r| r.id).collect();
+                let right: Vec<usize> = rq.pending().map(|r| r.id).collect();
+                prop_assert_eq!(left, right, "a re-pushed request re-enters at the back");
+            }
+        }
+        9 => prop_assert_eq!(q.pop(), rq.pop()),
+        _ => {
+            let k = b as usize % 3;
+            prop_assert_eq!(
+                q.pop_where(|r| r.id % 3 == k),
+                rq.pop_where(|r| r.id % 3 == k)
+            );
+        }
+    }
+    prop_assert_eq!(q.len(), rq.len());
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// The cross-tenant index is built by the first untargeted pop from the
+    /// lanes' posted keys. Whatever a device-only history left behind —
+    /// device pushes and holds, device and id pops, cancellations, charges,
+    /// a decay epoch not yet rebuilt (`stale`) — that first `pop` /
+    /// `pop_where` must take what the reference takes, and reposts must keep
+    /// the index exact through the interleaved writes after it. `pending()`,
+    /// a sort by insertion sequence, must match the reference's insertion
+    /// order after every pop-and-repush.
+    #[test]
+    fn lazily_built_cross_index_matches_reference(
+        seed_balances in proptest::collection::vec(0.0..300.0f64, 4),
+        device_only in proptest::collection::vec((0..8u8, 0..255u8, 0..255u8), 0..40),
+        decay_before_first in 0..2u8,
+        first in (9..11u8, 0..255u8, 0..255u8),
+        after in proptest::collection::vec((0..11u8, 0..255u8, 0..255u8), 0..40),
+    ) {
+        let mut q = FairShareQueue::new();
+        let mut rq = ReferenceFairShareQueue::new();
+        for (user, balance) in seed_balances.iter().enumerate() {
+            q.record_usage(&format!("user-{user}"), *balance).unwrap();
+            rq.record_usage(&format!("user-{user}"), *balance).unwrap();
+        }
+        let mut tags = HashMap::new();
+        let mut next_id = 0;
+        for &op in &device_only {
+            lazy_index_op(&mut q, &mut rq, &mut tags, &mut next_id, op);
+        }
+        if decay_before_first == 1 {
+            lazy_index_op(&mut q, &mut rq, &mut tags, &mut next_id, (6, 1, 0));
+        }
+        for &op in std::iter::once(&first).chain(&after) {
+            lazy_index_op(&mut q, &mut rq, &mut tags, &mut next_id, op);
+        }
+        for user in 0..4 {
+            let name = format!("user-{user}");
+            let (iu, ru) = (q.usage(&name), rq.usage(&name));
+            prop_assert_eq!(iu.consumed_seconds.to_bits(), ru.consumed_seconds.to_bits());
+            prop_assert_eq!(iu.jobs_in_flight, ru.jobs_in_flight);
+        }
+        let pending_left: Vec<usize> = q.pending().map(|r| r.id).collect();
+        let pending_right: Vec<usize> = rq.pending().map(|r| r.id).collect();
+        prop_assert_eq!(pending_left, pending_right);
+        prop_assert_eq!(q.drain_ordered(), rq.drain_ordered());
+    }
 
     /// The indexed [`FairShareQueue`] and the retained seed implementation
     /// ([`ReferenceFairShareQueue`]) produce bit-identical behavior over

@@ -168,15 +168,15 @@ pub fn build_lane(
 /// (exploration first, fine-tuning last).
 ///
 /// Returns the ladder plus the rejected devices.
-pub fn build_lanes(
-    devices: &[Calibration],
+pub fn build_lanes<'a>(
+    devices: impl IntoIterator<Item = &'a Calibration>,
     factory: &dyn EvaluatorFactory,
     min_fidelity: f64,
     seed: u64,
 ) -> (Vec<DeviceLane>, Vec<RejectedDevice>) {
     let mut lanes = Vec::new();
     let mut rejected = Vec::new();
-    for (i, cal) in devices.iter().enumerate() {
+    for (i, cal) in devices.into_iter().enumerate() {
         match build_lane(
             cal,
             factory,

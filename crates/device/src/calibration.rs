@@ -7,6 +7,7 @@
 
 use qoncord_circuit::coupling::CouplingMap;
 use qoncord_circuit::transpile::CircuitStats;
+use std::sync::Arc;
 
 /// Which physical technology a device uses; governs speed/fidelity trade-offs
 /// (Sec. III-B1 of the paper).
@@ -36,10 +37,12 @@ pub enum Technology {
 ///     .build();
 /// assert_eq!(cal.n_qubits(), 3);
 /// ```
+///
+/// Name and coupling map are shared: a clone is two reference-count bumps.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Calibration {
-    name: String,
-    coupling: CouplingMap,
+    name: Arc<str>,
+    coupling: Arc<CouplingMap>,
     technology: Technology,
     /// Average single-qubit gate error rate (probability).
     error_1q: f64,
@@ -64,8 +67,8 @@ impl Calibration {
     pub fn builder(name: impl Into<String>, coupling: CouplingMap) -> CalibrationBuilder {
         CalibrationBuilder {
             cal: Calibration {
-                name: name.into(),
-                coupling,
+                name: name.into().into(),
+                coupling: Arc::new(coupling),
                 technology: Technology::Superconducting,
                 error_1q: 3e-4,
                 error_2q: 1e-2,
@@ -148,7 +151,7 @@ impl Calibration {
     /// Returns a copy renamed to `name`.
     pub fn renamed(&self, name: impl Into<String>) -> Calibration {
         let mut out = self.clone();
-        out.name = name.into();
+        out.name = name.into().into();
         out
     }
 }
@@ -277,10 +280,29 @@ mod tests {
         let _ = Calibration::builder("bad", CouplingMap::linear(2)).coherence_us(10.0, 50.0);
     }
 
+    // `Arc`, not `Rc`: sharing must keep the type `Send + Sync`, as it was
+    // with owned fields.
+    const _: () = {
+        const fn assert_send_sync<T: Send + Sync>() {}
+        assert_send_sync::<Calibration>()
+    };
+
     #[test]
     fn renamed_copies() {
-        let c = toy().renamed("toy2");
-        assert_eq!(c.name(), "toy2");
-        assert_eq!(c.error_2q(), toy().error_2q());
+        let c = toy();
+        let r = c.renamed("toy2");
+        assert_eq!(r.name(), "toy2");
+        assert_ne!(r, c);
+        assert_eq!(r.renamed("toy"), c, "every other field carried over");
+        assert!(std::ptr::eq(r.coupling(), c.coupling()));
+    }
+
+    #[test]
+    fn clones_share_the_coupling_and_equality_compares_contents() {
+        let a = toy();
+        assert!(std::ptr::eq(a.coupling(), a.clone().coupling()));
+        let b = toy();
+        assert!(!std::ptr::eq(a.coupling(), b.coupling()));
+        assert_eq!(a, b, "separately built from the same inputs");
     }
 }

@@ -184,8 +184,8 @@ impl Runner {
             cfg.exploration_max_iterations > 0,
             "exploration budget must be positive"
         );
-        let cals: Vec<Calibration> = selected.iter().map(|s| s.calibration.clone()).collect();
-        let (ladder, rejected) = build_lanes(&cals, factory, cfg.min_fidelity, cfg.seed);
+        let cals = selected.iter().map(|s| s.calibration);
+        let (ladder, rejected) = build_lanes(cals, factory, cfg.min_fidelity, cfg.seed);
         if ladder.is_empty() {
             return Err(rejected);
         }
