@@ -1,9 +1,8 @@
 //! The parametric circuit container and ideal (noise-free) execution.
 
-use crate::gate::{Gate, GateKind, ResolvedGate};
+use crate::gate::{Gate, GateKind};
 use crate::param::{Angle, ParamId};
 use qoncord_sim::fuse::{self, FusedOp};
-use qoncord_sim::reference;
 use qoncord_sim::statevector::StateVector;
 use std::fmt;
 
@@ -203,22 +202,6 @@ impl Circuit {
         wire_depth.into_iter().max().unwrap_or(0)
     }
 
-    /// Resolves every gate against a parameter vector.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `params.len() != n_params`.
-    pub fn bind(&self, params: &[f64]) -> Vec<ResolvedGate> {
-        assert_eq!(
-            params.len(),
-            self.n_params,
-            "expected {} parameters, got {}",
-            self.n_params,
-            params.len()
-        );
-        self.gates.iter().map(|g| g.resolve(params)).collect()
-    }
-
     /// Lowers the circuit against a parameter vector into the simulator's
     /// instruction set ([`FusedOp`]), gate by gate ([`Gate::bind_op`]).
     ///
@@ -239,25 +222,16 @@ impl Circuit {
     /// Runs the circuit noise-free from `|0…0⟩` and returns the final state.
     ///
     /// The gate sequence is run through [`fuse::fuse`] first, so a transpiled
-    /// layer issues far fewer amplitude sweeps than it has gates. When
-    /// [`reference::forced`] is set the seed path is replayed instead: one
-    /// matrix apply per gate through the scalar reference kernels.
+    /// layer issues far fewer amplitude sweeps than it has gates. The seed
+    /// path — one [`Gate::resolve`] and one `qoncord_sim::reference` kernel
+    /// per gate — is the caller's to run.
     ///
     /// # Panics
     ///
     /// Panics if `params.len() != n_params`.
     pub fn simulate_ideal(&self, params: &[f64]) -> StateVector {
         let mut sv = StateVector::zero_state(self.n_qubits);
-        if reference::forced() {
-            for rg in self.bind(params) {
-                match rg {
-                    ResolvedGate::One(u, q) => sv.apply_1q(&u, q),
-                    ResolvedGate::Two(u, a, b) => sv.apply_2q(&u, a, b),
-                }
-            }
-        } else {
-            sv.apply_ops(&fuse::fuse(self.n_qubits, self.bind_ops(params)));
-        }
+        sv.apply_ops(&fuse::fuse(self.n_qubits, self.bind_ops(params)));
         sv
     }
 
@@ -354,7 +328,7 @@ mod tests {
     fn bind_length_checked() {
         let mut qc = Circuit::new(1, 2);
         qc.rz(0, ParamId(0));
-        qc.bind(&[0.1]);
+        qc.bind_ops(&[0.1]);
     }
 
     #[test]

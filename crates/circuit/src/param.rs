@@ -9,7 +9,7 @@
 use std::fmt;
 
 /// Identifier of a trainable circuit parameter (an index into the parameter
-/// vector handed to [`crate::circuit::Circuit::bind`]).
+/// vector handed to [`crate::circuit::Circuit::bind_ops`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ParamId(pub usize);
 

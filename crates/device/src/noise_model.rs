@@ -4,12 +4,10 @@
 
 use crate::calibration::Calibration;
 use qoncord_circuit::transpile::TranspiledCircuit;
-use qoncord_sim::density::DensityMatrix;
 use qoncord_sim::dist::ProbDist;
 use qoncord_sim::noise::ReadoutError;
-use qoncord_sim::noisy::{self, DensityProgram, ForkedProgram};
-use qoncord_sim::reference;
-use qoncord_sim::trajectory::{self, TrajectoryProgram};
+use qoncord_sim::noisy::{DensityProgram, ForkedProgram};
+use qoncord_sim::trajectory::TrajectoryProgram;
 
 /// Gate-level noise parameters derived from a calibration: depolarizing
 /// probabilities per gate plus readout confusion.
@@ -169,8 +167,10 @@ impl SimulatedBackend {
     /// `seed` makes trajectory backends deterministic; density and ideal
     /// backends ignore it. A density run executes as a fused
     /// [`DensityProgram`] and a trajectory run as a [`TrajectoryProgram`],
-    /// each within 1e-12 of the seed's op-at-a-time evolution, which a
-    /// [`reference::forced`] run replays instead.
+    /// each within 1e-12 of the seed's op-at-a-time evolution
+    /// ([`qoncord_sim::noisy::evolve_unfused`],
+    /// [`qoncord_sim::trajectory::sample_unfused`]), which tests and the
+    /// `kernel_profile` benchmark call directly.
     ///
     /// # Panics
     ///
@@ -197,8 +197,8 @@ impl SimulatedBackend {
     /// at seed `seed + g`.
     ///
     /// A density run binds, compiles and evolves the shared gates once
-    /// ([`SimulatedBackend::forked_program`]); every other kind, and a
-    /// [`reference::forced`] run, executes the circuits one by one.
+    /// ([`SimulatedBackend::forked_program`]); every other kind executes the
+    /// circuits one by one.
     ///
     /// # Panics
     ///
@@ -214,7 +214,7 @@ impl SimulatedBackend {
         let density = circuits.first().is_some_and(|t| {
             self.effective_kind(t.circuit.n_qubits()) == BackendKind::DensityMatrix
         });
-        if !density || reference::forced() {
+        if !density {
             return circuits
                 .iter()
                 .enumerate()
@@ -302,19 +302,11 @@ impl SimulatedBackend {
         let n = transpiled.circuit.n_qubits();
         let ops = transpiled.circuit.bind_ops(params);
         let (dep_1q, dep_2q) = (self.noise.dep_1q, self.noise.dep_2q);
-        if reference::forced() {
-            // The seed path: one gate sweep and one channel sweep per op.
-            let mut rho = DensityMatrix::zero_state(n);
-            noisy::evolve_unfused(&mut rho, &ops, dep_1q, dep_2q);
-            rho.probabilities()
-        } else {
-            // Depolarizing noise lets gates fuse across their channels, and
-            // a run from |0…0⟩ that is only read on the diagonal skips the
-            // tiles outside each sweep's light cone (see
-            // `qoncord_sim::noisy`); the result matches the seed path to
-            // ≤ 1e-12, not bit-for-bit.
-            DensityProgram::compile(n, ops, dep_1q, dep_2q).outcome_probabilities()
-        }
+        // Depolarizing noise lets gates fuse across their channels, and a run
+        // from |0…0⟩ that is only read on the diagonal skips the tiles
+        // outside each sweep's light cone (see `qoncord_sim::noisy`); the
+        // result matches the seed path to ≤ 1e-12, not bit-for-bit.
+        DensityProgram::compile(n, ops, dep_1q, dep_2q).outcome_probabilities()
     }
 
     fn run_trajectories(
@@ -327,18 +319,12 @@ impl SimulatedBackend {
         let n = transpiled.circuit.n_qubits();
         let ops = transpiled.circuit.bind_ops(params);
         let (dep_1q, dep_2q) = (self.noise.dep_1q, self.noise.dep_2q);
-        if reference::forced() {
-            // The seed path: every trajectory replays every op unfused and
-            // samples a channel after it.
-            trajectory::sample_unfused(n, &ops, dep_1q, dep_2q, seed, n_trajectories)
-        } else {
-            // A depolarizing site draws one state-independent uniform, so
-            // every trajectory's Paulis are known before it runs: the
-            // noise-free stretches between them fuse, and equal or
-            // prefix-sharing trajectories are evolved once (see
-            // `qoncord_sim::trajectory`); ≤ 1e-12 from the seed path.
-            TrajectoryProgram::compile(n, ops, dep_1q, dep_2q).run(seed, n_trajectories)
-        }
+        // A depolarizing site draws one state-independent uniform, so every
+        // trajectory's Paulis are known before it runs: the noise-free
+        // stretches between them fuse, and equal or prefix-sharing
+        // trajectories are evolved once (see `qoncord_sim::trajectory`);
+        // ≤ 1e-12 from the seed path.
+        TrajectoryProgram::compile(n, ops, dep_1q, dep_2q).run(seed, n_trajectories)
     }
 }
 

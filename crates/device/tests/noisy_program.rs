@@ -4,26 +4,19 @@
 //! light-cone read-out those runs take is pinned bitwise to the full-ρ run
 //! it is a subset of, and its tile count to the number the docs quote; the
 //! forked run of the H2 groups is pinned bitwise to the runs one by one.
-//!
-//! `ScopedReference` flips a process-global switch, so the tests serialize.
 
+mod common;
+
+use common::as_run_reports;
 use qoncord_circuit::transpile::{transpile, TranspiledCircuit};
 use qoncord_device::calibration::Calibration;
 use qoncord_device::catalog;
 use qoncord_device::noise_model::{BackendKind, NoiseModel, SimulatedBackend};
 use qoncord_sim::density::DensityMatrix;
 use qoncord_sim::dist::ProbDist;
-use qoncord_sim::noisy::{DensityProgram, DensityStats};
-use qoncord_sim::reference::ScopedReference;
+use qoncord_sim::noisy::{evolve_unfused, DensityProgram, DensityStats};
 use qoncord_vqa::graph::Graph;
 use qoncord_vqa::{qaoa, uccsd, vqe};
-use std::sync::{Mutex, MutexGuard};
-
-static GLOBAL: Mutex<()> = Mutex::new(());
-
-fn exclusive() -> MutexGuard<'static, ()> {
-    GLOBAL.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 /// The QAOA circuit and the H2 ansatz extended by each measurement group's
 /// basis rotation, transpiled for `cal`.
@@ -57,15 +50,22 @@ fn max_abs_diff(a: &ProbDist, b: &ProbDist) -> f64 {
         .fold(0.0, f64::max)
 }
 
+/// What a density run of `t` on `backend` returns on the seed path: one
+/// gate sweep and one depolarizing sweep per op, then the same read-out.
+fn seed_run(backend: &SimulatedBackend, t: &TranspiledCircuit, params: &[f64]) -> ProbDist {
+    let noise = backend.noise();
+    let mut rho = DensityMatrix::zero_state(t.circuit.n_qubits());
+    let ops = t.circuit.bind_ops(params);
+    evolve_unfused(&mut rho, &ops, noise.dep_1q, noise.dep_2q);
+    as_run_reports(backend, t, rho.probabilities())
+}
+
 /// Runs every job circuit on `backend`, fused and as the seed would.
 fn assert_fused_matches_seed(backend: &SimulatedBackend, what: &str) {
     for (i, t) in job_circuits(backend.calibration()).iter().enumerate() {
         let params = params_for(t);
         let fused = backend.run(t, &params, 0);
-        let seed = {
-            let _guard = ScopedReference::new();
-            backend.run(t, &params, 0)
-        };
+        let seed = seed_run(backend, t, &params);
         let d = max_abs_diff(&fused, &seed);
         assert!(
             d <= 1e-12,
@@ -76,7 +76,6 @@ fn assert_fused_matches_seed(backend: &SimulatedBackend, what: &str) {
 
 #[test]
 fn fused_density_run_matches_the_seed_path_on_job_circuits() {
-    let _lock = exclusive();
     for cal in [catalog::ibmq_toronto(), catalog::ibmq_kolkata()] {
         let name = cal.name().to_owned();
         let backend = SimulatedBackend::from_calibration(cal).with_kind(BackendKind::DensityMatrix);
@@ -136,7 +135,6 @@ fn qaoa_readout_visits_6181_of_16384_tiles() {
 /// input, for either rate alone and for both.
 #[test]
 fn fully_depolarizing_and_zero_rates_match_the_seed_path() {
-    let _lock = exclusive();
     let cal = catalog::ibmq_toronto();
     let calibrated = NoiseModel::from_calibration(&cal);
     let saturated = calibrated.scaled(1e9, 1.0);
@@ -156,7 +154,6 @@ fn fully_depolarizing_and_zero_rates_match_the_seed_path() {
 
 #[test]
 fn density_backend_with_ideal_noise_equals_the_ideal_run() {
-    let _lock = exclusive();
     let cal = catalog::ibmq_kolkata();
     let ideal = SimulatedBackend::ideal(cal.clone());
     let density = SimulatedBackend::ideal(cal).with_kind(BackendKind::DensityMatrix);
@@ -188,26 +185,21 @@ fn bits(d: &ProbDist) -> Vec<u64> {
 }
 
 /// One forked run of the H2 groups returns, bit for bit, what five runs of
-/// the circuits one by one return — and under the reference switch it *is*
-/// those five runs, so it stays in their ≤ 1e-12 tier.
+/// the circuits one by one return, so it stays in their ≤ 1e-12 tier of the
+/// seed path.
 #[test]
 fn forked_run_is_bitwise_the_runs_one_by_one_on_h2_groups() {
-    let _lock = exclusive();
     for cal in [catalog::ibmq_toronto(), catalog::ibmq_kolkata()] {
         let backend = SimulatedBackend::from_calibration(cal);
         let (groups, shared) = h2_groups(backend.calibration());
         for params in [[0.0; 3], [0.35, 0.45, 0.55], [-2.9, 1.7, 0.004]] {
             let forked = backend.run_forked(&groups, shared, &params, 11);
             assert_eq!(forked.len(), groups.len());
-            let seed_path = {
-                let _guard = ScopedReference::new();
-                backend.run_forked(&groups, shared, &params, 11)
-            };
             for (g, t) in groups.iter().enumerate() {
                 let alone = backend.run(t, &params, 11 + g as u64);
                 let what = format!("{}, {params:?}, group {g}", backend.calibration().name());
                 assert_eq!(bits(&forked[g]), bits(&alone), "{what}");
-                let d = max_abs_diff(&forked[g], &seed_path[g]);
+                let d = max_abs_diff(&forked[g], &seed_run(&backend, t, &params));
                 assert!(d <= 1e-12, "{what}: forked vs seed differ by {d}");
             }
         }
@@ -218,7 +210,6 @@ fn forked_run_is_bitwise_the_runs_one_by_one_on_h2_groups() {
 /// trajectory backend falls back to one run per circuit at seeds `seed + g`.
 #[test]
 fn forked_run_holds_at_any_shared_length_and_on_the_trajectory_fallback() {
-    let _lock = exclusive();
     let cal = catalog::ibmq_toronto();
     let backend = SimulatedBackend::from_calibration(cal.clone());
     let (groups, shared) = h2_groups(&cal);

@@ -1,16 +1,19 @@
 //! The trajectory program against the seed's trajectory loop, in two tiers:
 //!
-//! * **bitwise** — `backend.run` under `ScopedReference`, `sample_unfused`
-//!   and an op-at-a-time replay of the program's pre-drawn patterns (one
-//!   trajectory at a time, identity sites skipped; no dedupe, fusion or
-//!   prefix sharing) agree on every bit of every probability;
-//! * **≤ 1e-12** — the default run (fused, deduped, prefix-shared) against
-//!   those.
+//! * **bitwise** — `sample_unfused` and an op-at-a-time replay of the
+//!   program's pre-drawn patterns (one trajectory at a time, identity sites
+//!   skipped; no dedupe, fusion or prefix sharing) agree on every bit of
+//!   every probability, and `backend.run` is the program's run read out;
+//! * **≤ 1e-12** — the program's run (fused, deduped, prefix-shared)
+//!   against those, and `backend.run` against the seed loop read out.
 //!
 //! Circuits: the transpiled 9-qubit QAOA on both devices of the reference
 //! fleet, and a 10-qubit op list with every `FusedOp` variant as a noise
-//! site. `ScopedReference` is process-global, so the tests serialize.
+//! site.
 
+mod common;
+
+use common::as_run_reports;
 use qoncord_circuit::transpile::{transpile, TranspiledCircuit};
 use qoncord_device::calibration::Calibration;
 use qoncord_device::catalog;
@@ -20,7 +23,6 @@ use qoncord_sim::fuse::FusedOp;
 use qoncord_sim::gates;
 use qoncord_sim::math::C64;
 use qoncord_sim::noise::NoiseChannel;
-use qoncord_sim::reference::ScopedReference;
 use qoncord_sim::statevector::StateVector;
 use qoncord_sim::trajectory::{
     apply_matrix, sample_unfused, Pattern, TrajectoryAccumulator, TrajectoryProgram,
@@ -28,13 +30,6 @@ use qoncord_sim::trajectory::{
 };
 use qoncord_vqa::graph::Graph;
 use qoncord_vqa::qaoa;
-use std::sync::{Mutex, MutexGuard};
-
-static GLOBAL: Mutex<()> = Mutex::new(());
-
-fn exclusive() -> MutexGuard<'static, ()> {
-    GLOBAL.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 fn qaoa_9(cal: &Calibration) -> (TranspiledCircuit, Vec<f64>) {
     let circuit = qaoa::build_circuit(&Graph::paper_graph_9(), 1);
@@ -159,24 +154,8 @@ fn assert_two_tiers(
     fast
 }
 
-/// `backend.run`'s tail: readout error, then the routing permutation undone.
-fn as_run_reports(
-    backend: &SimulatedBackend,
-    t: &TranspiledCircuit,
-    physical: ProbDist,
-) -> ProbDist {
-    let readout = backend.noise().readout;
-    let physical = if readout.mean_error() > 0.0 {
-        physical.with_uniform_readout_error(readout)
-    } else {
-        physical
-    };
-    ProbDist::new(t.remap_probabilities(physical.probabilities()))
-}
-
 #[test]
 fn qaoa_9_runs_pin_to_the_seed_loop_on_both_devices() {
-    let _lock = exclusive();
     for cal in [catalog::ibmq_toronto(), catalog::ibmq_kolkata()] {
         let name = cal.name().to_owned();
         let (t, params) = qaoa_9(&cal);
@@ -192,19 +171,16 @@ fn qaoa_9_runs_pin_to_the_seed_loop_on_both_devices() {
                 let what = format!("{name} x{factor}");
                 let fast = assert_two_tiers(n, &ops, rates, seed, 48, &what);
                 let seed_loop = sample_unfused(n, &ops, rates.0, rates.1, seed, 48);
-                let forced = {
-                    let _guard = ScopedReference::new();
-                    backend.run(&t, &params, seed)
-                };
-                assert_bits_eq(
-                    &forced,
+                let run = backend.run(&t, &params, seed);
+                assert_close(
+                    &run,
                     &as_run_reports(&backend, &t, seed_loop),
-                    &format!("{what}: forced run vs seed loop"),
+                    &format!("{what}: run vs seed loop"),
                 );
                 assert_bits_eq(
-                    &backend.run(&t, &params, seed),
+                    &run,
                     &as_run_reports(&backend, &t, fast),
-                    &format!("{what}: default run vs program"),
+                    &format!("{what}: run vs program"),
                 );
             }
         }
@@ -213,7 +189,6 @@ fn qaoa_9_runs_pin_to_the_seed_loop_on_both_devices() {
 
 #[test]
 fn every_op_variant_is_a_noise_site() {
-    let _lock = exclusive();
     let ops = mixed_10();
     for rates in [(0.004, 0.03), (0.05, 0.2)] {
         for seed in [3, u64::MAX - 1] {
@@ -226,7 +201,6 @@ fn every_op_variant_is_a_noise_site() {
 /// three sites in four, and `seed + t` wraps.
 #[test]
 fn edge_rates_trajectory_counts_and_seeds() {
-    let _lock = exclusive();
     let (t, params) = qaoa_9(&catalog::ibmq_toronto());
     let ops = t.circuit.bind_ops(&params);
     for rates in [
@@ -269,7 +243,6 @@ fn edge_rates_trajectory_counts_and_seeds() {
 /// (`ibmq_toronto`) and 702 (`ibmq_kolkata`).
 #[test]
 fn qaoa_9_run_patches_99_and_64_of_28_blocks() {
-    let _lock = exclusive();
     let counts = [
         (catalog::ibmq_toronto(), (44, 103, 99, 928, 943)),
         (catalog::ibmq_kolkata(), (37, 64, 64, 689, 702)),

@@ -925,28 +925,6 @@ impl LogHistogram {
         }
         Some(self.max)
     }
-
-    /// Folds every sample of `other` into `self`, bucket by bucket.
-    ///
-    /// Counts use saturating arithmetic so pooling many long-running
-    /// histograms can never wrap; the sum accumulates in `f64` (which
-    /// saturates to infinity by construction). Min/max take the pooled
-    /// extremes, and merging an empty histogram is a no-op. Used by the
-    /// `kernel_profile` bench to pool per-repetition span timings into
-    /// one distribution per sweep point.
-    pub fn merge(&mut self, other: &LogHistogram) {
-        if other.count == 0 {
-            return;
-        }
-        self.count = self.count.saturating_add(other.count);
-        self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-        self.underflow = self.underflow.saturating_add(other.underflow);
-        for (mine, theirs) in self.counts.iter_mut().zip(&other.counts) {
-            *mine = mine.saturating_add(*theirs);
-        }
-    }
 }
 
 /// Event-stream volume by kind, one counter per [`TraceEvent`] variant.
@@ -2215,53 +2193,6 @@ mod tests {
         h.record(f64::INFINITY);
         assert_eq!(h.count(), 3);
         assert!(h.mean().is_finite());
-    }
-
-    #[test]
-    fn histogram_merge_equals_recording_the_union() {
-        let samples_a = [0.0, 0.5, 2.0, 1e12];
-        let samples_b = [0.25, 3.0, 7.0];
-        let mut a = LogHistogram::new();
-        let mut b = LogHistogram::new();
-        let mut union = LogHistogram::new();
-        for v in samples_a {
-            a.record(v);
-            union.record(v);
-        }
-        for v in samples_b {
-            b.record(v);
-            union.record(v);
-        }
-        a.merge(&b);
-        assert_eq!(a, union, "merge is indistinguishable from pooled records");
-        // Merging an empty histogram changes nothing, in either direction.
-        let before = a.clone();
-        a.merge(&LogHistogram::new());
-        assert_eq!(a, before);
-        let mut empty = LogHistogram::new();
-        empty.merge(&before);
-        assert_eq!(empty, before);
-    }
-
-    #[test]
-    fn histogram_merge_saturates_instead_of_wrapping() {
-        let mut a = LogHistogram::new();
-        let mut b = LogHistogram::new();
-        a.record(1.0);
-        b.record(1.0);
-        // Forge near-overflow counters the way a pathological pooled run
-        // would accumulate them; the merge must clamp, not wrap.
-        a.count = u64::MAX - 1;
-        a.underflow = u64::MAX - 1;
-        a.counts[31] = u64::MAX - 1;
-        b.count = 5;
-        b.underflow = 5;
-        b.counts[31] = 5;
-        a.merge(&b);
-        assert_eq!(a.count, u64::MAX);
-        assert_eq!(a.underflow, u64::MAX);
-        assert_eq!(a.counts[31], u64::MAX);
-        assert!(a.mean().is_finite());
     }
 
     #[test]

@@ -8,8 +8,7 @@
 //! # Kernels and determinism
 //!
 //! Every per-op method here is a plain loop over `ρ` — the seed's scalar
-//! kernels, one copy in the crate, untouched by
-//! [`crate::reference::force`]. They are the per-op reference API:
+//! kernels, one copy in the crate. They are the per-op reference API:
 //! noisy jobs run compiled instead, as a [`crate::noisy::DensityProgram`]
 //! that regroups gates and depolarizing channels into far fewer sweeps and
 //! is pinned to an op-at-a-time evolution through this module

@@ -387,15 +387,7 @@ mod tests {
     fn apply_reference(n: usize, ops: &[FusedOp]) -> StateVector {
         let mut sv = StateVector::zero_state(n);
         for op in ops {
-            match *op {
-                FusedOp::One(u, q) => crate::reference::sv_apply_1q(&mut sv, &u, q),
-                FusedOp::Two(u, a, b) => crate::reference::sv_apply_2q(&mut sv, &u, a, b),
-                FusedOp::Cx(c, t) => crate::reference::sv_apply_cx(&mut sv, c, t),
-                FusedOp::Rz(th, q) => crate::reference::sv_apply_rz(&mut sv, th, q),
-                FusedOp::Mono(d, src, a, b) => {
-                    crate::reference::sv_apply_2q(&mut sv, &mono_to_mat4(&d, &src), a, b)
-                }
-            }
+            crate::reference::sv_apply_op(&mut sv, op);
         }
         sv
     }

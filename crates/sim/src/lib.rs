@@ -24,7 +24,7 @@
 //! - [`noisy`] — the same for noisy density runs: gates and their
 //!   depolarizing channels compiled into a few in-place sweeps.
 //! - [`mod@reference`] — the retained scalar seed kernels the fast paths are
-//!   differentially tested against (and a global switch to force them).
+//!   differentially tested against; callers reach them only directly.
 //!
 //! ## Example
 //!

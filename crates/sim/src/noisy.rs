@@ -139,9 +139,10 @@ use crate::fuse::{self, FusedOp};
 use crate::gates::{self, mat2_adjoint, mat2_mul, Mat2, Mat4};
 use crate::math::C64;
 
-/// The unfused noisy evolution the program is pinned against, and what a
-/// [`crate::reference::forced`] run replays: each op is one gate sweep
-/// followed by one depolarizing sweep at its arity's rate.
+/// The unfused noisy evolution the program is pinned against — the seed's
+/// density path, which tests and the `kernel_profile` benchmark call
+/// directly: each op is one gate sweep followed by one depolarizing sweep
+/// at its arity's rate.
 ///
 /// # Panics
 ///

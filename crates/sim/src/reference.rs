@@ -1,4 +1,4 @@
-//! The retained scalar statevector kernels and the reference-mode switch.
+//! The retained scalar statevector kernels.
 //!
 //! This module pins the seed implementations of the statevector gate
 //! kernels exactly as they shipped before the fast paths landed: plain
@@ -9,79 +9,27 @@
 //! density matrix has no second copy to pin: its per-op methods
 //! ([`crate::density`]) *are* the seed loops.
 //!
-//! Two ways to use them:
-//!
-//! - **Directly**: call [`sv_apply_1q`] and friends on a state — explicit,
-//!   no global state.
-//! - **Routed**: flip the process-global switch with [`force`] (or the RAII
-//!   [`ScopedReference`]) and every [`StateVector`] method dispatches to the
-//!   scalar kernels, `circuit::simulate_ideal` skips gate fusion, a noisy
-//!   density run skips its fused program ([`crate::noisy`]) and a trajectory
-//!   run its trajectory program ([`crate::trajectory`]) — this is how an
-//!   end-to-end run is replayed "as the seed would have computed it".
-//!
-//! The switch counts holds, so guards on different threads may overlap and
-//! be released in any order: routing stays forced while any of them lives.
-//! It is sound to flip between runs even with concurrent tests: for unfused
-//! op sequences the fast kernels are bit-identical to these reference
-//! kernels (pinned by the equivalence suite), so routing only changes
-//! *speed* except where fusion deliberately reorders floating-point ops
-//! behind an explicitly tolerance-checked boundary.
+//! There is one way in: call [`sv_apply_1q`] and friends on a state. No
+//! [`StateVector`] method reaches them; the seed tier of a whole run is the
+//! caller's to assemble from them, [`crate::noisy::evolve_unfused`] and
+//! [`crate::trajectory::sample_unfused`] (whose gates run here). For unfused
+//! op sequences the fast kernels are bit-identical to these (pinned by the
+//! equivalence suite).
 
+use crate::fuse::{self, FusedOp};
 use crate::gates::{Mat2, Mat4};
 use crate::math::C64;
 use crate::statevector::StateVector;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// Number of holds on reference routing. A count, not a flag: a guard that
-/// restored the flag it found would switch routing off under a guard made
-/// after it on another thread, and that one would then switch it on for good.
-static FORCE_REFERENCE: AtomicUsize = AtomicUsize::new(0);
-
-/// Takes (`true`) or releases (`false`) one hold on reference routing:
-/// every simulator kernel runs the scalar reference implementations while
-/// at least one hold is out, the default fast paths otherwise. Releasing
-/// with no hold out does nothing.
-pub fn force(on: bool) {
-    if on {
-        FORCE_REFERENCE.fetch_add(1, Ordering::Relaxed);
-    } else {
-        // `Err` is the count already at zero.
-        let _ = FORCE_REFERENCE
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| n.checked_sub(1));
-    }
-}
-
-/// Whether reference-mode routing is currently forced.
-pub fn forced() -> bool {
-    FORCE_REFERENCE.load(Ordering::Relaxed) > 0
-}
-
-/// RAII guard that holds reference-mode routing on for its lifetime.
-///
-/// ```
-/// let fast = qoncord_sim::reference::forced();
-/// {
-///     let _seed = qoncord_sim::reference::ScopedReference::new();
-///     assert!(qoncord_sim::reference::forced());
-/// }
-/// assert_eq!(qoncord_sim::reference::forced(), fast);
-/// ```
-#[derive(Debug)]
-pub struct ScopedReference(());
-
-impl ScopedReference {
-    /// Forces reference-mode routing until the guard drops.
-    #[allow(clippy::new_without_default)]
-    pub fn new() -> Self {
-        force(true);
-        ScopedReference(())
-    }
-}
-
-impl Drop for ScopedReference {
-    fn drop(&mut self) {
-        force(false);
+/// Applies one simulator op through its seed kernel; a monomial block runs
+/// as its dense matrix.
+pub(crate) fn sv_apply_op(sv: &mut StateVector, op: &FusedOp) {
+    match *op {
+        FusedOp::One(u, q) => sv_apply_1q(sv, &u, q),
+        FusedOp::Two(u, a, b) => sv_apply_2q(sv, &u, a, b),
+        FusedOp::Cx(c, t) => sv_apply_cx(sv, c, t),
+        FusedOp::Rz(theta, q) => sv_apply_rz(sv, theta, q),
+        FusedOp::Mono(d, src, a, b) => sv_apply_2q(sv, &fuse::mono_to_mat4(&d, &src), a, b),
     }
 }
 
@@ -96,10 +44,7 @@ impl Drop for ScopedReference {
 /// Panics if `q` is out of range.
 pub fn sv_apply_1q(sv: &mut StateVector, u: &Mat2, q: usize) {
     assert!(q < sv.n_qubits(), "qubit {q} out of range");
-    raw_sv_apply_1q(sv.amps_mut(), u, q);
-}
-
-pub(crate) fn raw_sv_apply_1q(amps: &mut [C64], u: &Mat2, q: usize) {
+    let amps = sv.amps_mut();
     let stride = 1 << q;
     let len = amps.len();
     let mut base = 0;
@@ -128,10 +73,7 @@ pub fn sv_apply_2q(sv: &mut StateVector, u: &Mat4, q0: usize, q1: usize) {
         q0 < sv.n_qubits() && q1 < sv.n_qubits(),
         "qubit out of range"
     );
-    raw_sv_apply_2q(sv.amps_mut(), u, q0, q1);
-}
-
-pub(crate) fn raw_sv_apply_2q(amps: &mut [C64], u: &Mat4, q0: usize, q1: usize) {
+    let amps = sv.amps_mut();
     let b0 = 1usize << q0;
     let b1 = 1usize << q1;
     let len = amps.len();
@@ -159,10 +101,7 @@ pub(crate) fn raw_sv_apply_2q(amps: &mut [C64], u: &Mat4, q0: usize, q1: usize) 
 pub fn sv_apply_cx(sv: &mut StateVector, c: usize, t: usize) {
     assert!(c != t, "CNOT needs distinct qubits");
     assert!(c < sv.n_qubits() && t < sv.n_qubits(), "qubit out of range");
-    raw_sv_apply_cx(sv.amps_mut(), c, t);
-}
-
-pub(crate) fn raw_sv_apply_cx(amps: &mut [C64], c: usize, t: usize) {
+    let amps = sv.amps_mut();
     let cb = 1usize << c;
     let tb = 1usize << t;
     for i in 0..amps.len() {
@@ -179,49 +118,11 @@ pub(crate) fn raw_sv_apply_cx(amps: &mut [C64], c: usize, t: usize) {
 /// Panics if `q` is out of range.
 pub fn sv_apply_rz(sv: &mut StateVector, theta: f64, q: usize) {
     assert!(q < sv.n_qubits(), "qubit {q} out of range");
-    raw_sv_apply_rz(sv.amps_mut(), theta, q);
-}
-
-pub(crate) fn raw_sv_apply_rz(amps: &mut [C64], theta: f64, q: usize) {
+    let amps = sv.amps_mut();
     let bit = 1usize << q;
     let lo = C64::cis(-theta / 2.0);
     let hi = C64::cis(theta / 2.0);
     for (i, a) in amps.iter_mut().enumerate() {
         *a *= if i & bit == 0 { lo } else { hi };
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use std::sync::mpsc::channel;
-
-    /// Two guards overlap on two threads and the first made is the first
-    /// released. A guard that restores the flag it found turns routing off
-    /// under the second guard, then leaves it on for the rest of the process.
-    #[test]
-    fn overlapping_guards_released_first_made_first_keep_routing_forced() {
-        let (first_made, wait_first_made) = channel();
-        let (second_made, wait_second_made) = channel();
-        let (first_released, wait_first_released) = channel();
-        std::thread::scope(|s| {
-            s.spawn(move || {
-                let first = ScopedReference::new();
-                first_made.send(()).unwrap();
-                wait_second_made.recv().unwrap();
-                assert!(forced());
-                drop(first);
-                first_released.send(()).unwrap();
-            });
-            s.spawn(move || {
-                wait_first_made.recv().unwrap();
-                let second = ScopedReference::new();
-                second_made.send(()).unwrap();
-                wait_first_released.recv().unwrap();
-                assert!(forced(), "released under a live guard");
-                drop(second);
-            });
-        });
-        assert!(!forced(), "stuck on after both guards dropped");
     }
 }

@@ -13,13 +13,12 @@
 //! is **bit-identical** to the reference sweep (but for the sign of exact
 //! zeros in [`StateVector::apply_2q`]'s two-term sweep). Every sweep is one plain
 //! loop on the calling thread (see "Why the simulator is single-threaded"
-//! in `docs/ARCHITECTURE.md`). Flipping [`crate::reference::force`] reroutes
-//! every method here through the scalar seed kernels.
+//! in `docs/ARCHITECTURE.md`). No method here reaches the seed kernels;
+//! a caller that wants them calls [`crate::reference`] directly.
 
-use crate::fuse::{self, FusedOp};
+use crate::fuse::FusedOp;
 use crate::gates::{Mat2, Mat4};
 use crate::math::C64;
-use crate::reference;
 
 /// The state of an `n`-qubit register as `2^n` complex amplitudes.
 ///
@@ -86,11 +85,7 @@ impl StateVector {
     pub fn apply_1q(&mut self, u: &Mat2, q: usize) {
         assert!(q < self.n_qubits, "qubit {q} out of range");
         let _prof = qoncord_prof::span("sim::sv::apply_1q");
-        if reference::forced() {
-            reference::raw_sv_apply_1q(&mut self.amps, u, q);
-        } else {
-            fast_apply_1q(&mut self.amps, u, q);
-        }
+        fast_apply_1q(&mut self.amps, u, q);
     }
 
     /// Applies a two-qubit gate to qubits `(q0, q1)`; the matrix acts on the
@@ -115,9 +110,7 @@ impl StateVector {
             "qubit out of range"
         );
         let _prof = qoncord_prof::span("sim::sv::apply_2q");
-        if reference::forced() {
-            reference::raw_sv_apply_2q(&mut self.amps, u, q0, q1);
-        } else if let Some(cols) = two_per_row(u) {
+        if let Some(cols) = two_per_row(u) {
             fast_apply_2q_two_term(&mut self.amps, u, &cols, q0, q1);
         } else {
             fast_apply_2q(&mut self.amps, u, q0, q1);
@@ -133,11 +126,7 @@ impl StateVector {
         assert!(c != t, "CNOT needs distinct qubits");
         assert!(c < self.n_qubits && t < self.n_qubits, "qubit out of range");
         let _prof = qoncord_prof::span("sim::sv::apply_cx");
-        if reference::forced() {
-            reference::raw_sv_apply_cx(&mut self.amps, c, t);
-        } else {
-            fast_apply_cx(&mut self.amps, c, t);
-        }
+        fast_apply_cx(&mut self.amps, c, t);
     }
 
     /// Fast path for RZ(θ) on `q`: multiplies the two half-spaces by
@@ -149,18 +138,12 @@ impl StateVector {
     pub fn apply_rz_fast(&mut self, theta: f64, q: usize) {
         assert!(q < self.n_qubits, "qubit {q} out of range");
         let _prof = qoncord_prof::span("sim::sv::apply_rz");
-        if reference::forced() {
-            reference::raw_sv_apply_rz(&mut self.amps, theta, q);
-        } else {
-            fast_apply_rz(&mut self.amps, theta, q);
-        }
+        fast_apply_rz(&mut self.amps, theta, q);
     }
 
     /// Applies a monomial two-qubit block (see [`FusedOp::Mono`]): pair
     /// basis state `k` takes phase `d[k]` from source state `src[k]` — four
-    /// complex multiplies per quartet instead of a dense `Mat4` sweep. Under
-    /// [`reference::forced`] the block is expanded to its dense matrix and
-    /// replayed through the scalar seed kernel.
+    /// complex multiplies per quartet instead of a dense `Mat4` sweep.
     ///
     /// # Panics
     ///
@@ -169,11 +152,7 @@ impl StateVector {
     fn apply_mono(&mut self, d: &[C64; 4], src: &[u8; 4], q0: usize, q1: usize) {
         FusedOp::Mono(*d, *src, q0, q1).validate(self.n_qubits);
         let _prof = qoncord_prof::span("sim::sv::apply_mono");
-        if reference::forced() {
-            reference::raw_sv_apply_2q(&mut self.amps, &fuse::mono_to_mat4(d, src), q0, q1);
-        } else {
-            fast_apply_2q_mono(&mut self.amps, d, src, q0, q1);
-        }
+        fast_apply_2q_mono(&mut self.amps, d, src, q0, q1);
     }
 
     /// Applies one simulator op (the [`crate::fuse`] instruction set),
@@ -265,7 +244,7 @@ pub(crate) fn expand(i: usize, bit: usize) -> usize {
 /// Blocked single-qubit sweep over pair indices: pair `p` maps to the
 /// amplitude pair `(i0, i0 | stride)` with `i0 = expand(p, q)`, so the inner
 /// loop is branch-free and walks two contiguous streams. Arithmetic is
-/// expression-identical to [`reference::sv_apply_1q`].
+/// expression-identical to [`crate::reference::sv_apply_1q`].
 fn fast_apply_1q(amps: &mut [C64], u: &Mat2, q: usize) {
     let stride = 1usize << q;
     for p in 0..amps.len() >> 1 {
@@ -281,7 +260,7 @@ fn fast_apply_1q(amps: &mut [C64], u: &Mat2, q: usize) {
 /// Blocked two-qubit sweep over quarter indices: anchor construction sorts
 /// the bit positions (correct for `q0 > q1`), while the offset bits `b0`,
 /// `b1` follow the argument order so the matrix still acts on `|q1 q0⟩`.
-/// Arithmetic is expression-identical to [`reference::sv_apply_2q`].
+/// Arithmetic is expression-identical to [`crate::reference::sv_apply_2q`].
 fn fast_apply_2q(amps: &mut [C64], u: &Mat4, q0: usize, q1: usize) {
     let b0 = 1usize << q0;
     let b1 = 1usize << q1;
@@ -385,7 +364,7 @@ fn mono_sweep<const S0: usize, const S1: usize, const S2: usize, const S3: usize
 
 /// Blocked CNOT: enumerates exactly the indices with the control bit set and
 /// target bit clear (a quarter of the register) instead of scanning all of
-/// it, then swaps — the same swaps as [`reference::sv_apply_cx`].
+/// it, then swaps — the same swaps as [`crate::reference::sv_apply_cx`].
 fn fast_apply_cx(amps: &mut [C64], c: usize, t: usize) {
     let cb = 1usize << c;
     let tb = 1usize << t;
@@ -397,7 +376,7 @@ fn fast_apply_cx(amps: &mut [C64], c: usize, t: usize) {
 }
 
 /// Elementwise RZ phase sweep; each amplitude gets the same single multiply
-/// as [`reference::sv_apply_rz`].
+/// as [`crate::reference::sv_apply_rz`].
 fn fast_apply_rz(amps: &mut [C64], theta: f64, q: usize) {
     let bit = 1usize << q;
     let lo = C64::cis(-theta / 2.0);
@@ -514,7 +493,7 @@ mod tests {
 #[cfg(test)]
 mod fast_path_tests {
     use super::*;
-    use crate::gates;
+    use crate::{fuse, gates, reference};
 
     #[test]
     fn cx_fast_matches_matrix_form() {

@@ -10,8 +10,9 @@
 //!
 //! The circuit-level driver lives here too, in two tiers like
 //! [`crate::noisy`]. [`sample_unfused`] is the seed loop — every trajectory
-//! replays every op and calls [`apply_stochastic`] after it — and what a
-//! [`crate::reference::forced`] run executes. Jobs run a
+//! replays every op on the seed kernels ([`crate::reference`]) and calls
+//! [`apply_stochastic`] after it — which tests and the `kernel_profile`
+//! benchmark call directly. Jobs run a
 //! [`TrajectoryProgram`]: a depolarizing site consumes one uniform whatever
 //! the state is, so it first draws every trajectory's *pattern* — the
 //! `(op index, branch)` pairs that drew a non-identity Pauli — in the
@@ -35,6 +36,7 @@ use crate::gates::{self, Mat2, Mat4};
 use crate::linalg::Matrix;
 use crate::math::C64;
 use crate::noise::NoiseChannel;
+use crate::reference;
 use crate::statevector::StateVector;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -216,8 +218,9 @@ impl TrajectoryAccumulator {
 
 /// The seed's circuit-level loop, the oracle [`TrajectoryProgram`] is pinned
 /// against: trajectory `t` seeds its own RNG with `seed + t` (wrapping),
-/// applies every op unfused and samples the op's depolarizing channel after
-/// it. A zero rate inserts no channel and draws no uniform.
+/// applies every op unfused through its seed kernel and samples the op's
+/// depolarizing channel after it. A zero rate inserts no channel and draws
+/// no uniform.
 ///
 /// # Panics
 ///
@@ -239,7 +242,7 @@ pub fn sample_unfused(
         let mut rng = StdRng::seed_from_u64(seed.wrapping_add(t as u64));
         let mut sv = StateVector::zero_state(n_qubits);
         for op in ops {
-            sv.apply_op(op);
+            reference::sv_apply_op(&mut sv, op);
             match *op {
                 FusedOp::One(_, q) | FusedOp::Rz(_, q) => {
                     if dep_1q > 0.0 {

@@ -26,9 +26,6 @@
 //!   `src/fuse.rs`; the two-term and monomial sweeps in `src/statevector.rs`.)
 //! * **Fail-closed:** out-of-range or coinciding qubit indices panic in every
 //!   build profile, not just debug.
-//!
-//! Every test here may flip the process-global reference switch, so they
-//! all serialize on one mutex.
 
 use proptest::prelude::*;
 use qoncord_sim::density::DensityMatrix;
@@ -38,16 +35,9 @@ use qoncord_sim::gates;
 use qoncord_sim::math::C64;
 use qoncord_sim::noise::NoiseChannel;
 use qoncord_sim::noisy::{evolve_unfused, DensityProgram, ForkedProgram};
-use qoncord_sim::reference::{self, ScopedReference};
+use qoncord_sim::reference;
 use qoncord_sim::statevector::StateVector;
 use qoncord_sim::trajectory::{sample_unfused, TrajectoryProgram};
-use std::sync::{Mutex, MutexGuard};
-
-static GLOBAL: Mutex<()> = Mutex::new(());
-
-fn exclusive() -> MutexGuard<'static, ()> {
-    GLOBAL.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 /// Random gate program encoded as opcodes, decoded by [`to_fused`].
 fn program(n: usize, len: usize) -> impl Strategy<Value = Vec<(u8, usize, usize, f64)>> {
@@ -147,10 +137,9 @@ fn run_dm(n: usize, ops: &[FusedOp]) -> DensityMatrix {
     rho
 }
 
-/// `|ψ⟩⟨ψ|` of the pure state the *reference statevector kernels* evolve
-/// from `|0…0⟩` — an oracle for the density kernels that shares no code
-/// with them.
-fn lifted_reference(n: usize, ops: &[FusedOp]) -> DensityMatrix {
+/// The state the scalar seed kernels (`qoncord_sim::reference`) evolve from
+/// `|0…0⟩`, one op at a time; a monomial block runs as its dense matrix.
+fn run_reference(n: usize, ops: &[FusedOp]) -> StateVector {
     let mut sv = StateVector::zero_state(n);
     for op in ops {
         match op {
@@ -163,7 +152,13 @@ fn lifted_reference(n: usize, ops: &[FusedOp]) -> DensityMatrix {
             }
         }
     }
-    DensityMatrix::from_statevector(&sv)
+    sv
+}
+
+/// `|ψ⟩⟨ψ|` of [`run_reference`]'s state — an oracle for the density
+/// kernels that shares no code with them.
+fn lifted_reference(n: usize, ops: &[FusedOp]) -> DensityMatrix {
+    DensityMatrix::from_statevector(&run_reference(n, ops))
 }
 
 fn assert_bits_eq(a: &[C64], b: &[C64], what: &str) {
@@ -198,13 +193,9 @@ proptest! {
     /// bit-identical when the op sequence is unchanged.
     #[test]
     fn sv_fast_matches_reference_bitwise(ops in program(5, 24)) {
-        let _lock = exclusive();
         let ops = to_fused(5, &ops);
         let fast = run_sv(5, &ops);
-        let reference = {
-            let _guard = ScopedReference::new();
-            run_sv(5, &ops)
-        };
+        let reference = run_reference(5, &ops);
         assert_bits_eq(fast.amplitudes(), reference.amplitudes(), "sv fast vs reference");
     }
 
@@ -212,13 +203,9 @@ proptest! {
     /// pre-multiplies matrices, which reorders floating-point ops).
     #[test]
     fn sv_fused_matches_reference_in_max_norm(ops in program(6, 32)) {
-        let _lock = exclusive();
         let ops = to_fused(6, &ops);
         let fused = run_sv(6, &fuse::fuse(6, ops.iter().copied()));
-        let reference = {
-            let _guard = ScopedReference::new();
-            run_sv(6, &ops)
-        };
+        let reference = run_reference(6, &ops);
         let d = max_norm_diff(fused.amplitudes(), reference.amplitudes());
         prop_assert!(d <= 1e-12, "max-norm diff {d}");
     }
@@ -227,7 +214,6 @@ proptest! {
     /// the reference statevector kernels compute, at 2, 3 and 4 qubits.
     #[test]
     fn dm_ops_match_lifted_reference_statevector(ops in program(4, 16)) {
-        let _lock = exclusive();
         for n in [2usize, 3, 4] {
             let ops = to_fused(n, &ops);
             let d = max_norm_diff(
@@ -247,7 +233,6 @@ proptest! {
         q0 in 0..3usize,
         step in 1..3usize,
     ) {
-        let _lock = exclusive();
         let q1 = (q0 + step) % 3;
         let mut start = run_dm(3, &to_fused(3, &ops));
         start.apply_depolarizing_1q(0.1, q1);
@@ -273,7 +258,6 @@ proptest! {
         dep_1q in rate(),
         dep_2q in rate(),
     ) {
-        let _lock = exclusive();
         for n in [1usize, 2, 3, 5] {
             let ops = to_noisy(n, &ops);
             let mut fused = scrambled(n);
@@ -296,7 +280,6 @@ proptest! {
         dep_1q in rate(),
         dep_2q in rate(),
     ) {
-        let _lock = exclusive();
         for n in [1usize, 2, 3, 5] {
             let ops = to_noisy(n, &ops);
             let program = DensityProgram::compile(n, ops.iter().copied(), dep_1q, dep_2q);
@@ -333,7 +316,6 @@ proptest! {
         dep_1q in rate(),
         dep_2q in rate(),
     ) {
-        let _lock = exclusive();
         for n in [1usize, 2, 3, 5] {
             let trunk = to_noisy(n, &trunk);
             let tails: Vec<Vec<FusedOp>> = tails.iter().map(|tail| to_noisy(n, tail)).collect();
@@ -368,7 +350,6 @@ proptest! {
         seed in 0..u64::MAX,
         n_trajectories in 1u32..40,
     ) {
-        let _lock = exclusive();
         for n in [1usize, 2, 5] {
             let ops = to_noisy(n, &ops);
             let seed_loop = sample_unfused(n, &ops, dep_1q, dep_2q, seed, n_trajectories);
@@ -393,7 +374,6 @@ proptest! {
         dep_2q in rate(),
         seed in 0..u64::MAX,
     ) {
-        let _lock = exclusive();
         for n in [2usize, 5] {
             let ops = to_noisy(n, &ops);
             let blocks = fuse::fuse(n, ops.iter().copied()).len() as u64;
@@ -413,7 +393,6 @@ proptest! {
     /// ceiling the issue pins for the differential suite).
     #[test]
     fn sv_fused_matches_reference_at_12_qubits(ops in program(12, 20)) {
-        let _lock = exclusive();
         let ops = to_fused(12, &ops);
         let fused = run_sv(12, &fuse::fuse(12, ops.iter().copied()));
         let unfused = run_sv(12, &ops);
@@ -427,7 +406,6 @@ proptest! {
 /// anchor-enumeration edge case in the blocked fast path.
 #[test]
 fn sv_apply_2q_descending_qubit_order_matches_reference() {
-    let _lock = exclusive();
     let prep = [
         FusedOp::One(gates::h(), 0),
         FusedOp::One(gates::ry(0.7), 2),
@@ -438,21 +416,16 @@ fn sv_apply_2q_descending_qubit_order_matches_reference() {
         let mut fast = run_sv(4, &prep);
         fast.apply_2q(&gates::rzz(0.9), q0, q1);
         fast.apply_2q(&gates::cx(), q0, q1);
-        let mut reference = {
-            let _guard = ScopedReference::new();
-            let mut sv = run_sv(4, &prep);
-            sv.apply_2q(&gates::rzz(0.9), q0, q1);
-            sv.apply_2q(&gates::cx(), q0, q1);
-            sv
-        };
+        let mut ops = prep.to_vec();
+        ops.push(FusedOp::Two(gates::rzz(0.9), q0, q1));
+        ops.push(FusedOp::Two(gates::cx(), q0, q1));
         assert_bits_eq(
             fast.amplitudes(),
-            reference.amplitudes(),
+            run_reference(4, &ops).amplitudes(),
             &format!("apply_2q({q0},{q1})"),
         );
         // And the matrix form of CX with swapped args equals the dedicated
         // permutation kernel.
-        reference.apply_cx_fast(q0, q1);
         let mut via_kernel = fast.clone();
         via_kernel.apply_cx_fast(q0, q1);
         let mut via_matrix = fast;
@@ -467,7 +440,6 @@ fn sv_apply_2q_descending_qubit_order_matches_reference() {
 /// matrices that are not symmetric under swapping their qubits.
 #[test]
 fn dm_apply_2q_descending_qubit_order_matches_reference() {
-    let _lock = exclusive();
     for n in [2usize, 3, 4] {
         let prep: Vec<FusedOp> = (0..n)
             .map(|q| FusedOp::One(gates::u3(0.7 + q as f64, 0.3, -0.5), q))

@@ -7,16 +7,8 @@
 use proptest::prelude::*;
 use qoncord_circuit::circuit::Circuit;
 use qoncord_sim::math::C64;
-use qoncord_sim::reference::ScopedReference;
 use qoncord_sim::statevector::StateVector;
 use qoncord_vqa::pauli::{Pauli, PauliString, PauliSum};
-use std::sync::{Mutex, MutexGuard};
-
-static GLOBAL: Mutex<()> = Mutex::new(());
-
-fn exclusive() -> MutexGuard<'static, ()> {
-    GLOBAL.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 fn pauli(code: u8) -> Pauli {
     match code & 3 {
@@ -83,7 +75,6 @@ proptest! {
         raw in sum_strategy(4),
         ops in state_strategy(4),
     ) {
-        let _lock = exclusive();
         let h = build_sum(&raw);
         let sv = build_state(4, &ops);
         let dense = h.expectation_sv_reference(&sv);
@@ -93,6 +84,20 @@ proptest! {
         prop_assert!((unbatched - dense).abs() < 1e-10, "unbatched {unbatched} vs dense {dense}");
     }
 
+    /// The sequential scalar path stays within rounding of the batched
+    /// result.
+    #[test]
+    fn reference_mode_matches_batched(
+        raw in sum_strategy(4),
+        ops in state_strategy(4),
+    ) {
+        let h = build_sum(&raw);
+        let sv = build_state(4, &ops);
+        let fast = h.expectation_statevector(&sv);
+        let scalar = h.expectation_sv_unbatched(&sv);
+        prop_assert!((fast - scalar).abs() < 1e-12, "fast {fast} vs scalar {scalar}");
+    }
+
     /// Summing one batched sweep per QWC group (plus the identity offset)
     /// equals both the whole-Hamiltonian sweep and per-term evaluation.
     #[test]
@@ -100,7 +105,6 @@ proptest! {
         raw in sum_strategy(5),
         ops in state_strategy(5),
     ) {
-        let _lock = exclusive();
         let h = build_sum(&raw);
         let sv = build_state(5, &ops);
         let whole = h.expectation_statevector(&sv);
@@ -116,24 +120,6 @@ proptest! {
         prop_assert!((by_group - whole).abs() < 1e-10, "groups {by_group} vs whole {whole}");
         prop_assert!((per_term - whole).abs() < 1e-10, "terms {per_term} vs whole {whole}");
     }
-
-    /// Reference mode routes to the scalar path and stays within rounding of
-    /// the batched result.
-    #[test]
-    fn reference_mode_matches_batched(
-        raw in sum_strategy(4),
-        ops in state_strategy(4),
-    ) {
-        let _lock = exclusive();
-        let h = build_sum(&raw);
-        let sv = build_state(4, &ops);
-        let fast = h.expectation_statevector(&sv);
-        let forced = {
-            let _guard = ScopedReference::new();
-            h.expectation_statevector(&sv)
-        };
-        prop_assert!((fast - forced).abs() < 1e-12, "fast {fast} vs forced {forced}");
-    }
 }
 
 /// The batched sweep's floating-point summation order is part of its
@@ -146,7 +132,6 @@ proptest! {
 #[test]
 fn expectation_folds_per_chunk_partials_in_chunk_order() {
     const CHUNK: usize = 4096;
-    let _lock = exclusive();
     for n in [13usize, 14] {
         let mut ops: Vec<(u8, usize, f64)> =
             (0..n).map(|q| (1, q, 0.3 + 0.37 * q as f64)).collect();

@@ -1,47 +1,119 @@
 //! End-to-end determinism regression for the fast simulator kernels: the
 //! contended eight-tenant preemption scenario must produce the same
-//! training outcomes whether it runs on the fast kernels or the preserved
-//! scalar seed kernels (`qoncord_sim::reference`), and the same bits every
-//! time it runs.
+//! training outcomes whether its evaluators run the fused density programs
+//! jobs run or the seed's op-at-a-time evolution
+//! (`qoncord_sim::noisy::evolve_unfused`), and the same bits every time it
+//! runs.
 //!
 //! Two guarantees, at two strengths:
 //!
-//! * fast vs reference — *within tolerance*: the fast evaluation pipeline
-//!   batches Pauli sweeps, which reorders floating-point reductions, so
-//!   per-restart parameters and energies agree to 1e-9 but not bit-for-bit;
+//! * fast vs seed — *within tolerance*: fusion pre-multiplies gate
+//!   matrices, which reorders floating-point operations, so per-restart
+//!   parameters and energies agree to 1e-9 but not bit-for-bit;
 //! * run vs run — *bit-identical*: nothing in the stack depends on the
 //!   host (one engine thread, one simulator thread, seeded RNGs, ordered
 //!   maps), so the entire report (params, energies, event stream) repeats.
 
+use qoncord::circuit::transpile::{transpile, CircuitStats, TranspiledCircuit};
 use qoncord::cloud::policy::Policy;
-use qoncord::core::executor::QaoaFactory;
+use qoncord::core::executor::{EvaluatorFactory, QaoaFactory};
 use qoncord::core::scheduler::QoncordConfig;
+use qoncord::device::noise_model::{BackendKind, SimulatedBackend, AUTO_DENSITY_LIMIT};
 use qoncord::orchestrator::trace::{MemorySink, TraceHandle, TraceRecord};
 use qoncord::orchestrator::{
     two_lf_one_hf_fleet, DeadlineClass, Orchestrator, OrchestratorConfig, OrchestratorReport,
     PreemptionConfig, TenantJob,
 };
-use qoncord::sim::reference::ScopedReference;
-use qoncord::vqa::{graph::Graph, maxcut::MaxCut};
+use qoncord::sim::density::DensityMatrix;
+use qoncord::sim::dist::ProbDist;
+use qoncord::sim::noisy::evolve_unfused;
+use qoncord::vqa::evaluator::{CostEvaluator, Evaluation};
+use qoncord::vqa::{graph::Graph, maxcut::MaxCut, qaoa};
 use std::cell::RefCell;
 use std::rc::Rc;
-use std::sync::{Mutex, MutexGuard};
 
 const N_TENANTS: usize = 8;
 const N_RESTARTS: usize = 3;
 const URGENT: usize = 7;
+const LAYERS: usize = 1;
 
-/// The first test flips the process-global reference switch; serialize them.
-static GLOBAL: Mutex<()> = Mutex::new(());
-
-fn exclusive() -> MutexGuard<'static, ()> {
-    GLOBAL.lock().unwrap_or_else(|e| e.into_inner())
+fn problem() -> MaxCut {
+    MaxCut::new(Graph::paper_graph_7())
 }
 
-fn factory() -> QaoaFactory {
-    QaoaFactory {
-        problem: MaxCut::new(Graph::paper_graph_7()),
-        layers: 1,
+/// What a `QaoaEvaluator` evaluates on the fleet's density path, on the
+/// seed tier: the bound ops evolved op by op with a depolarizing sweep after
+/// each, then the backend's read-out (readout error, routing undone).
+struct SeedQaoa {
+    backend: SimulatedBackend,
+    transpiled: TranspiledCircuit,
+    diagonal: Vec<f64>,
+    ground: f64,
+    executions: u64,
+}
+
+/// The evaluator factory of the seed-tier run.
+fn seed_qaoa(backend: SimulatedBackend, _seed: u64) -> Box<dyn CostEvaluator> {
+    let problem = problem();
+    let transpiled = transpile(
+        &qaoa::build_circuit(problem.graph(), LAYERS),
+        backend.calibration().coupling(),
+    );
+    assert_eq!(backend.kind(), BackendKind::Auto);
+    assert!(
+        transpiled.circuit.n_qubits() <= AUTO_DENSITY_LIMIT,
+        "the fleet runs this register as a density matrix"
+    );
+    Box::new(SeedQaoa {
+        backend,
+        transpiled,
+        diagonal: problem.energy_diagonal(),
+        ground: problem.ground_energy(),
+        executions: 0,
+    })
+}
+
+impl CostEvaluator for SeedQaoa {
+    fn n_params(&self) -> usize {
+        self.transpiled.circuit.n_params()
+    }
+
+    fn evaluate(&mut self, params: &[f64]) -> Evaluation {
+        self.executions += 1;
+        let circuit = &self.transpiled.circuit;
+        let noise = self.backend.noise();
+        let mut rho = DensityMatrix::zero_state(circuit.n_qubits());
+        let ops = circuit.bind_ops(params);
+        evolve_unfused(&mut rho, &ops, noise.dep_1q, noise.dep_2q);
+        let mut physical = rho.probabilities();
+        if noise.readout.mean_error() > 0.0 {
+            physical = physical.with_uniform_readout_error(noise.readout);
+        }
+        let logical = self
+            .transpiled
+            .remap_probabilities(physical.probabilities());
+        let dist = ProbDist::new(logical);
+        Evaluation {
+            expectation: dist.expectation_diagonal(&self.diagonal),
+            entropy: dist.shannon_entropy(),
+            dist,
+        }
+    }
+
+    fn executions(&self) -> u64 {
+        self.executions
+    }
+
+    fn device_name(&self) -> String {
+        self.backend.calibration().name().to_owned()
+    }
+
+    fn ground_energy(&self) -> f64 {
+        self.ground
+    }
+
+    fn circuit_stats(&self) -> CircuitStats {
+        self.transpiled.stats
     }
 }
 
@@ -54,10 +126,20 @@ fn training_config(tenant: usize) -> QoncordConfig {
     }
 }
 
-fn jobs() -> Vec<TenantJob> {
+/// The scenario's jobs, evaluated by `QaoaEvaluator` or, with `seed_tier`,
+/// by [`SeedQaoa`].
+fn jobs(seed_tier: bool) -> Vec<TenantJob> {
     (0..N_TENANTS)
         .map(|i| {
-            let job = TenantJob::new(i, format!("tenant-{i}"), 0.0, Box::new(factory()))
+            let factory: Box<dyn EvaluatorFactory> = if seed_tier {
+                Box::new(seed_qaoa)
+            } else {
+                Box::new(QaoaFactory {
+                    problem: problem(),
+                    layers: LAYERS,
+                })
+            };
+            let job = TenantJob::new(i, format!("tenant-{i}"), 0.0, factory)
                 .with_restarts(N_RESTARTS)
                 .with_config(training_config(i));
             if i == URGENT {
@@ -73,7 +155,7 @@ fn jobs() -> Vec<TenantJob> {
         .collect()
 }
 
-fn run() -> (OrchestratorReport, Vec<TraceRecord>) {
+fn run(seed_tier: bool) -> (OrchestratorReport, Vec<TraceRecord>) {
     let sink = Rc::new(RefCell::new(MemorySink::new()));
     let orchestrator = Orchestrator::new(
         OrchestratorConfig {
@@ -84,19 +166,15 @@ fn run() -> (OrchestratorReport, Vec<TraceRecord>) {
         },
         two_lf_one_hf_fleet(),
     );
-    let report = orchestrator.run(&jobs());
+    let report = orchestrator.run(&jobs(seed_tier));
     let records = sink.borrow().records().to_vec();
     (report, records)
 }
 
 #[test]
 fn fast_kernels_track_the_scalar_seed_run_within_tolerance() {
-    let _lock = exclusive();
-    let (fast, _) = run();
-    let (seed, _) = {
-        let _guard = ScopedReference::new();
-        run()
-    };
+    let (fast, _) = run(false);
+    let (seed, _) = run(true);
 
     assert_eq!(fast.jobs.len(), seed.jobs.len());
     for (a, b) in fast.jobs.iter().zip(&seed.jobs) {
@@ -137,9 +215,8 @@ fn fast_kernels_track_the_scalar_seed_run_within_tolerance() {
 
 #[test]
 fn running_twice_never_changes_a_single_bit_of_the_run() {
-    let _lock = exclusive();
-    let (base, base_records) = run();
-    let (report, records) = run();
+    let (base, base_records) = run(false);
+    let (report, records) = run(false);
     assert_eq!(records, base_records, "event stream diverged between runs");
     assert_eq!(report.trace, base.trace);
     assert_eq!(report.queue_ops, base.queue_ops);
