@@ -75,10 +75,7 @@ fn mixed_10() -> Vec<FusedOp> {
 /// op unfused, a fired site's channel matrix right after its op, nothing at
 /// the sites that drew the identity.
 fn replay(n: usize, ops: &[FusedOp], rates: (f64, f64), patterns: &[Pattern]) -> ProbDist {
-    let branches = |channel| match channel {
-        NoiseChannel::MixedUnitary { ops } => ops,
-        NoiseChannel::Kraus { .. } => unreachable!("depolarizing channels are mixed-unitary"),
-    };
+    let branches = |NoiseChannel::MixedUnitary { ops }| ops;
     let ch_1q = branches(NoiseChannel::depolarizing_1q(rates.0));
     let ch_2q = branches(NoiseChannel::depolarizing_2q(rates.1));
     let mut acc = TrajectoryAccumulator::new(n);

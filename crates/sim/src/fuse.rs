@@ -26,6 +26,12 @@
 //! ops with extra 1q gates on their own wires — what a trajectory's fired
 //! Paulis are — changes that block's matrix and nothing else of the plan.
 //!
+//! The scan (`Scan`) is written once and serves both simulator paths: it
+//! decides *where* an op lands, and a `Slot` rule decides what landing does.
+//! `FusedOp` is the rule above; [`crate::noisy`]'s density compile is the
+//! other, so a noisy program's sweeps fall exactly where this pass's blocks
+//! do.
+//!
 //! Fusion multiplies gate matrices, which reorders floating-point
 //! operations: fused evolution matches unfused evolution to ≤ 1e-12
 //! max-norm (pinned by the kernel-equivalence suite), not bit-for-bit.
@@ -92,7 +98,7 @@ impl FusedOp {
     }
 
     /// The single-qubit matrix of a 1q variant.
-    fn mat2(&self) -> Option<Mat2> {
+    pub(crate) fn mat2(&self) -> Option<Mat2> {
         match *self {
             FusedOp::One(u, _) => Some(u),
             FusedOp::Rz(theta, _) => Some(gates::rz(theta)),
@@ -100,13 +106,27 @@ impl FusedOp {
         }
     }
 
-    /// The two-qubit matrix of a 2q variant, in its own argument order.
-    fn mat4(&self) -> Option<Mat4> {
+    /// The operands of a 2q variant, in its own order.
+    pub(crate) fn pair(&self) -> Option<[usize; 2]> {
         match *self {
-            FusedOp::Two(u, _, _) => Some(u),
-            FusedOp::Cx(_, _) => Some(gates::cx()),
-            FusedOp::Mono(d, src, _, _) => Some(mono_to_mat4(&d, &src)),
+            FusedOp::Two(_, a, b) | FusedOp::Cx(a, b) | FusedOp::Mono(_, _, a, b) => Some([a, b]),
             _ => None,
+        }
+    }
+
+    /// The matrix of a 2q variant on the basis `|q1 q0⟩` of its pair, taken
+    /// with `q0` as the first qubit.
+    pub(crate) fn mat4_on(&self, q0: usize) -> Mat4 {
+        let (u, first) = match *self {
+            FusedOp::Two(u, a, _) => (u, a),
+            FusedOp::Cx(c, _) => (gates::cx(), c),
+            FusedOp::Mono(d, src, a, _) => (mono_to_mat4(&d, &src), a),
+            _ => unreachable!("a 1q op has no 4×4 matrix"),
+        };
+        if first == q0 {
+            u
+        } else {
+            mat4_swap_order(&u)
         }
     }
 }
@@ -163,7 +183,7 @@ fn mat4_mul(a: &Mat4, b: &Mat4) -> Mat4 {
 
 /// Re-expresses a 2q matrix given for qubit order `(a, b)` in the order
 /// `(b, a)`: conjugation by the basis-bit swap (index bits 0 ↔ 1).
-pub(crate) fn mat4_swap_order(m: &Mat4) -> Mat4 {
+fn mat4_swap_order(m: &Mat4) -> Mat4 {
     const P: [usize; 4] = [0, 2, 1, 3];
     let mut out = [[C64::ZERO; 4]; 4];
     for r in 0..4 {
@@ -231,30 +251,14 @@ pub(crate) fn fuse_traced(
     ops: impl IntoIterator<Item = FusedOp>,
 ) -> (Vec<FusedOp>, Vec<u32>) {
     let _prof = qoncord_prof::span("sim::fuse::plan");
-    // Ops merged into a later slot leave a `None` tombstone behind; the
-    // surviving sequence is the flattened slot vector.
-    let mut slots: Vec<Option<FusedOp>> = Vec::new();
-    // Slot of the last live op touching each wire (never a tombstone).
-    let mut last: Vec<Option<usize>> = vec![None; n_qubits];
-    // The slot each input op landed in, and `(tombstone, absorbing slot)`
-    // for every lone 1q slot a 2q op took over.
-    let mut owners: Vec<u32> = Vec::new();
-    let mut absorbed: Vec<(usize, usize)> = Vec::new();
-    for op in ops {
-        op.validate(n_qubits);
-        owners.push(match op {
-            FusedOp::One(..) | FusedOp::Rz(..) => fuse_1q(&mut slots, &mut last, op),
-            FusedOp::Two(..) | FusedOp::Cx(..) | FusedOp::Mono(..) => {
-                fuse_2q(&mut slots, &mut last, &mut absorbed, op)
-            }
-        } as u32);
-    }
+    let mut scan = Scan::new(n_qubits);
+    let mut owners: Vec<u32> = ops.into_iter().map(|op| scan.push(op) as u32).collect();
     // Final classification: merged blocks that came out monomial (SWAP
     // chains, ZZ-interaction blocks, and their products with RZ runs) take
     // the cheap permutation-with-phases kernel instead of a dense sweep.
     let mut blocks = Vec::new();
-    let mut block_of_slot = vec![0u32; slots.len()];
-    for (slot, index) in slots.iter().zip(&mut block_of_slot) {
+    let mut block_of_slot = vec![0u32; scan.slots.len()];
+    for (slot, index) in scan.slots.iter().zip(&mut block_of_slot) {
         if let Some(op) = *slot {
             *index = blocks.len() as u32;
             blocks.push(match op {
@@ -267,7 +271,7 @@ pub(crate) fn fuse_traced(
         }
     }
     // A 2q slot is never absorbed, so one hop reaches a live slot.
-    for (tombstone, by) in absorbed {
+    for (tombstone, by) in scan.absorbed {
         block_of_slot[tombstone] = block_of_slot[by];
     }
     for owner in &mut owners {
@@ -276,106 +280,186 @@ pub(crate) fn fuse_traced(
     (blocks, owners)
 }
 
-/// Folds a 1q op into the latest op on its wire, or emits it; returns the
-/// slot it landed in.
-fn fuse_1q(slots: &mut Vec<Option<FusedOp>>, last: &mut [Option<usize>], op: FusedOp) -> usize {
-    let q = match op {
-        FusedOp::One(_, q) | FusedOp::Rz(_, q) => q,
-        _ => unreachable!("fuse_1q only receives 1q ops"),
-    };
-    let Some(j) = last[q] else {
-        last[q] = Some(slots.len());
-        slots.push(Some(op));
-        return slots.len() - 1;
-    };
-    // `slots[j]` is the latest op touching q, so no intervening op acts on q
-    // and folding `op` (a left matrix factor) into slot j is order-preserving.
-    let prev = slots[j].expect("last[] points at a live slot");
-    slots[j] = Some(match (prev, op) {
-        (FusedOp::Rz(a, _), FusedOp::Rz(b, _)) => FusedOp::Rz(a + b, q),
-        _ => {
-            let u = op.mat2().expect("1q op");
-            match prev {
-                FusedOp::One(p, _) => FusedOp::One(mat2_mul(&u, &p), q),
-                FusedOp::Rz(th, _) => FusedOp::One(mat2_mul(&u, &gates::rz(th)), q),
-                FusedOp::Two(m, a, b) => FusedOp::Two(mat4_mul(&embed_on(&u, q, a, b), &m), a, b),
-                FusedOp::Cx(c, t) => {
-                    FusedOp::Two(mat4_mul(&embed_on(&u, q, c, t), &gates::cx()), c, t)
-                }
-                FusedOp::Mono(d, src, a, b) => FusedOp::Two(
-                    mat4_mul(&embed_on(&u, q, a, b), &mono_to_mat4(&d, &src)),
-                    a,
-                    b,
-                ),
-            }
-        }
-    });
-    j
+/// What landing in a [`Scan`] slot does to it. The scan decides *where* an op
+/// lands, from wires alone; the slot type decides what a fold computes.
+///
+/// Ops and lone slots come by reference: a `FusedOp` is 280 bytes, and
+/// moving them down each call made the density compile ~35 % slower.
+pub(crate) trait Slot: Clone {
+    /// A slot for a 1q op on a wire no slot touches yet.
+    fn open_1q(op: &FusedOp) -> Self;
+
+    /// A slot for a 2q op no slot is the latest on both wires of. `lone[i]`
+    /// is the lone slot pending on the op's `i`-th qubit: nothing after it
+    /// touches that wire, so it commutes forward and the new slot takes it
+    /// over (the scan leaves a tombstone in its place).
+    fn open_2q(op: &FusedOp, lone: [Option<&Self>; 2]) -> Self;
+
+    /// Whether the slot acts on one wire only.
+    fn is_lone(&self) -> bool;
+
+    /// Appends `op`, which acts inside the slot's wires and of which the
+    /// slot is the latest on every wire: a 1q op into any slot, a 2q op
+    /// into one on its pair.
+    fn fold(&mut self, op: &FusedOp);
 }
 
-/// Folds a 2q op into the latest op on its pair, or emits it (absorbing any
-/// pending lone 1q ops on its wires); returns the slot it landed in.
-fn fuse_2q(
-    slots: &mut Vec<Option<FusedOp>>,
-    last: &mut [Option<usize>],
-    absorbed: &mut Vec<(usize, usize)>,
-    op: FusedOp,
-) -> usize {
-    let (a, b) = match op {
-        FusedOp::Two(_, a, b) | FusedOp::Cx(a, b) | FusedOp::Mono(_, _, a, b) => (a, b),
-        _ => unreachable!("fuse_2q only receives 2q ops"),
-    };
-    // Same unordered pair at the latest slot touching either wire: multiply
-    // into one Mat4. `slots[j]` touching both wires at the max slot implies
-    // it is the latest op on both, so the in-place product is in order.
-    let j = match (last[a], last[b]) {
-        (Some(x), Some(y)) => Some(x.max(y)),
-        (x, None) => x,
-        (None, y) => y,
-    };
-    if let Some(j) = j {
-        let prev = slots[j].expect("last[] points at a live slot");
-        let pair = match prev {
-            FusedOp::Two(_, x, y) | FusedOp::Cx(x, y) | FusedOp::Mono(_, _, x, y) => Some((x, y)),
-            _ => None,
+/// The wire-tracking scan: ops go in one at a time and collect in slots, each
+/// a sweep under construction. A slot takes an op exactly when it is still
+/// the latest slot on every wire the op touches, so the scan can stop
+/// anywhere, be copied ([`Scan::fork`]) and carry on.
+pub(crate) struct Scan<S> {
+    /// Program-order index of `slots[0]`: a fork leaves behind the slots no
+    /// later op can reach.
+    base: usize,
+    /// Slots in program order; a lone slot a 2q op took over leaves a `None`
+    /// tombstone.
+    slots: Vec<Option<S>>,
+    /// Latest live slot touching each wire, by program-order index.
+    last: Vec<Option<usize>>,
+    /// Lowest program-order index of a slot an op was folded into, or that
+    /// was taken over, since the scan was made.
+    pub(crate) touched: usize,
+    /// `(tombstone, slot that took it over)`, by program-order index, since
+    /// the scan was made.
+    absorbed: Vec<(usize, usize)>,
+}
+
+impl<S: Slot> Scan<S> {
+    pub(crate) fn new(n_qubits: usize) -> Self {
+        Scan {
+            base: 0,
+            slots: Vec::new(),
+            last: vec![None; n_qubits],
+            touched: usize::MAX,
+            absorbed: Vec::new(),
+        }
+    }
+
+    /// A copy that takes further ops without changing `self`. Only the
+    /// latest slot on a wire ever changes again, so the copy starts at the
+    /// earliest of those.
+    pub(crate) fn fork(&self) -> Self {
+        let base = self.last.iter().flatten().copied().min();
+        let base = base.unwrap_or(self.end());
+        Scan {
+            base,
+            slots: self.slots[base - self.base..].to_vec(),
+            last: self.last.clone(),
+            touched: usize::MAX,
+            absorbed: Vec::new(),
+        }
+    }
+
+    /// Program-order index the next new slot gets.
+    pub(crate) fn end(&self) -> usize {
+        self.base + self.slots.len()
+    }
+
+    /// The live slots with program-order indices in `range`, in order.
+    pub(crate) fn live(&self, range: std::ops::Range<usize>) -> impl Iterator<Item = &S> {
+        self.slots[range.start - self.base..range.end - self.base]
+            .iter()
+            .flatten()
+    }
+
+    /// Lands `op` in a slot and returns that slot's program-order index.
+    ///
+    /// # Panics
+    ///
+    /// Panics (fail-closed) on an out-of-range or coinciding operand.
+    pub(crate) fn push(&mut self, op: FusedOp) -> usize {
+        op.validate(self.last.len());
+        let end = self.end();
+        let [a, b] = match op {
+            FusedOp::One(_, q) | FusedOp::Rz(_, q) => {
+                if let Some(j) = self.last[q] {
+                    return self.fold(j, &op);
+                }
+                self.last[q] = Some(end);
+                self.slots.push(Some(S::open_1q(&op)));
+                return end;
+            }
+            FusedOp::Two(_, a, b) | FusedOp::Cx(a, b) | FusedOp::Mono(_, _, a, b) => [a, b],
         };
-        if let Some((x, y)) = pair {
-            if (x == a && y == b) || (x == b && y == a) {
-                let n = op.mat4().expect("2q op");
-                let n = if (a, b) == (x, y) {
-                    n
-                } else {
-                    mat4_swap_order(&n)
-                };
-                let m = prev.mat4().expect("2q op");
-                slots[j] = Some(FusedOp::Two(mat4_mul(&n, &m), x, y));
-                return j;
-            }
+        // A slot latest on both wires touches both, so it is on this pair.
+        if let (Some(j), true) = (self.last[a], self.last[a] == self.last[b]) {
+            return self.fold(j, &op);
         }
+        let lone = [a, b].map(|q| {
+            self.last[q].filter(|&k| self.slots[k - self.base].as_ref().is_some_and(S::is_lone))
+        });
+        let slot = S::open_2q(
+            &op,
+            lone.map(|k| k.and_then(|k| self.slots[k - self.base].as_ref())),
+        );
+        for k in lone.into_iter().flatten() {
+            self.touched = self.touched.min(k);
+            self.absorbed.push((k, end));
+            self.slots[k - self.base] = None;
+        }
+        self.last[a] = Some(end);
+        self.last[b] = Some(end);
+        self.slots.push(Some(slot));
+        end
     }
-    // Emit. A pending *lone 1q* op on either wire commutes forward to this
-    // point (nothing after it touches its wire), so absorb it as a right
-    // matrix factor and tombstone its slot.
-    let pos = slots.len();
-    let mut fused: Option<Mat4> = None;
-    for x in [a, b] {
-        if let Some(k) = last[x] {
-            let pending = slots[k].expect("last[] points at a live slot");
-            if let Some(u) = pending.mat2() {
-                let m = fused.get_or_insert_with(|| op.mat4().expect("2q op"));
+
+    /// Folds `op` into the slot at program-order index `j`, the latest on
+    /// every wire `op` touches, so the fold keeps program order.
+    fn fold(&mut self, j: usize, op: &FusedOp) -> usize {
+        self.touched = self.touched.min(j);
+        let slot = self.slots[j - self.base].as_mut();
+        slot.expect("last[] points at a live slot").fold(op);
+        j
+    }
+}
+
+/// Fusion's rule: a slot is the product of its ops' matrices.
+impl Slot for FusedOp {
+    fn open_1q(op: &FusedOp) -> Self {
+        *op
+    }
+
+    /// Each lone op becomes a right matrix factor of the 2q op.
+    fn open_2q(op: &FusedOp, lone: [Option<&Self>; 2]) -> Self {
+        let [a, b] = op.pair().expect("2q op");
+        let mut fused: Option<Mat4> = None;
+        for (x, pending) in [a, b].into_iter().zip(lone) {
+            if let Some(u) = pending.and_then(|p| p.mat2()) {
+                let m = fused.get_or_insert_with(|| op.mat4_on(a));
                 *m = mat4_mul(m, &embed_on(&u, x, a, b));
-                slots[k] = None;
-                absorbed.push((k, pos));
             }
         }
+        match fused {
+            Some(m) => FusedOp::Two(m, a, b),
+            None => *op,
+        }
     }
-    last[a] = Some(pos);
-    last[b] = Some(pos);
-    slots.push(Some(match fused {
-        Some(m) => FusedOp::Two(m, a, b),
-        None => op,
-    }));
-    pos
+
+    fn is_lone(&self) -> bool {
+        self.mat2().is_some()
+    }
+
+    /// `op` becomes a left matrix factor; pure-RZ runs stay symbolic.
+    fn fold(&mut self, op: &FusedOp) {
+        let prev = &*self;
+        *self = match (prev, op) {
+            (&FusedOp::Rz(a, q), &FusedOp::Rz(b, _)) => FusedOp::Rz(a + b, q),
+            (_, &(FusedOp::One(_, q) | FusedOp::Rz(_, q))) => {
+                let u = op.mat2().expect("1q op");
+                match prev.pair() {
+                    None => FusedOp::One(mat2_mul(&u, &prev.mat2().expect("1q op")), q),
+                    Some([a, b]) => {
+                        FusedOp::Two(mat4_mul(&embed_on(&u, q, a, b), &prev.mat4_on(a)), a, b)
+                    }
+                }
+            }
+            _ => {
+                let [x, y] = prev.pair().expect("a 2q op folds into a 2q slot");
+                FusedOp::Two(mat4_mul(&op.mat4_on(x), &prev.mat4_on(x)), x, y)
+            }
+        };
+    }
 }
 
 #[cfg(test)]
@@ -614,7 +698,8 @@ mod tests {
         /// The traced scan over random op lists with every variant in both
         /// qubit orders: `owners` has one entry per input op, every block
         /// owns at least one, a block's members — fused alone, in input
-        /// order — reproduce it bitwise, and they act inside its wires.
+        /// order — reproduce it bitwise, and they act inside its wires. The
+        /// density compile's rule places the ops in as many sweeps.
         #[test]
         fn members_fused_alone_reproduce_their_block(
             program in proptest::collection::vec((0u8..9, 0..5usize, 0..5usize, -3.2..3.2f64), 0..60),
@@ -643,6 +728,8 @@ mod tests {
                 let (blocks, owners) = fuse_traced(n, ops.iter().copied());
                 proptest::prop_assert_eq!(bits(&fuse(n, ops.iter().copied())), bits(&blocks));
                 proptest::prop_assert_eq!(owners.len(), ops.len());
+                let density = crate::noisy::DensityProgram::compile(n, ops.iter().copied(), 0.004, 0.03);
+                proptest::prop_assert_eq!(density.sweeps(), blocks.len());
                 proptest::prop_assert!(owners.iter().all(|&b| (b as usize) < blocks.len()));
                 for (b, block) in blocks.iter().enumerate() {
                     let members: Vec<FusedOp> = ops

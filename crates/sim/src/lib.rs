@@ -11,16 +11,16 @@
 //!   ratios).
 //! - [`gates`] — standard single- and two-qubit gate matrices.
 //! - [`statevector`] — pure-state simulation (ideal executions).
-//! - [`density`] — exact mixed-state simulation with Kraus channels
-//!   (≤ ~10 qubits).
+//! - [`density`] — exact mixed-state simulation: the per-op seed loops,
+//!   closed-form depolarizing and a generic Kraus-sum channel (≤ 13 qubits).
 //! - [`trajectory`] — Monte-Carlo unraveling for larger registers
 //!   (the paper's 14-qubit study): the seed loop and the compiled
 //!   trajectory program jobs run.
-//! - [`noise`] — depolarizing / damping / thermal-relaxation channels and
-//!   classical readout error.
+//! - [`noise`] — depolarizing channels and classical readout error.
 //! - [`dist`] — outcome distributions with the statistics Qoncord's adaptive
 //!   convergence checker uses (Shannon entropy, Hellinger fidelity).
-//! - [`fuse`] — gate fusion collapsing adjacent gates into fewer sweeps.
+//! - [`fuse`] — gate fusion collapsing adjacent gates into fewer sweeps, and
+//!   the wire scan both fused paths plan with.
 //! - [`noisy`] — the same for noisy density runs: gates and their
 //!   depolarizing channels compiled into a few in-place sweeps.
 //! - [`mod@reference`] — the retained scalar seed kernels the fast paths are

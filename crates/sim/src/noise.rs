@@ -1,10 +1,10 @@
-//! Quantum noise channels.
+//! Quantum noise channels and classical readout error.
 //!
-//! Channels are represented either as explicit Kraus-operator sets or as
-//! mixed-unitary ensembles (probability-weighted unitaries). Mixed-unitary
-//! channels admit state-independent sampling, which the trajectory simulator
-//! exploits; general Kraus channels are sampled with state-dependent
-//! probabilities.
+//! Gate noise is depolarizing, the only kind a device's noise model builds.
+//! A channel is a mixed-unitary ensemble (probability-weighted Paulis), so
+//! the trajectory simulator samples it state-independently, and
+//! [`NoiseChannel::kraus_operators`] gives the same channel in Kraus form
+//! for the density oracles.
 
 use crate::linalg::Matrix;
 use crate::math::C64;
@@ -26,11 +26,6 @@ pub enum NoiseChannel {
     MixedUnitary {
         /// Probability-weighted unitaries.
         ops: Vec<(f64, Matrix)>,
-    },
-    /// General Kraus decomposition `ρ ↦ Σᵢ Kᵢ ρ Kᵢ†`.
-    Kraus {
-        /// The Kraus operators.
-        ops: Vec<Matrix>,
     },
 }
 
@@ -76,56 +71,6 @@ impl NoiseChannel {
         NoiseChannel::MixedUnitary { ops }
     }
 
-    /// Amplitude damping with decay probability `gamma` (models T1 decay).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `gamma` is outside `[0, 1]`.
-    pub fn amplitude_damping(gamma: f64) -> Self {
-        assert!((0.0..=1.0).contains(&gamma), "gamma must be in [0,1]");
-        let k0 = Matrix::from_rows(
-            2,
-            2,
-            &[
-                C64::ONE,
-                C64::ZERO,
-                C64::ZERO,
-                C64::real((1.0 - gamma).sqrt()),
-            ],
-        );
-        let k1 = Matrix::from_rows(
-            2,
-            2,
-            &[C64::ZERO, C64::real(gamma.sqrt()), C64::ZERO, C64::ZERO],
-        );
-        NoiseChannel::Kraus { ops: vec![k0, k1] }
-    }
-
-    /// Phase damping with dephasing probability `lambda` (models pure T2 loss).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lambda` is outside `[0, 1]`.
-    pub fn phase_damping(lambda: f64) -> Self {
-        assert!((0.0..=1.0).contains(&lambda), "lambda must be in [0,1]");
-        let k0 = Matrix::from_rows(
-            2,
-            2,
-            &[
-                C64::ONE,
-                C64::ZERO,
-                C64::ZERO,
-                C64::real((1.0 - lambda).sqrt()),
-            ],
-        );
-        let k1 = Matrix::from_rows(
-            2,
-            2,
-            &[C64::ZERO, C64::ZERO, C64::ZERO, C64::real(lambda.sqrt())],
-        );
-        NoiseChannel::Kraus { ops: vec![k0, k1] }
-    }
-
     /// Identity (no-op) channel on `n_qubits` qubits.
     pub fn identity(n_qubits: usize) -> Self {
         NoiseChannel::MixedUnitary {
@@ -135,10 +80,8 @@ impl NoiseChannel {
 
     /// Dimension of the Hilbert space the channel acts on (2 or 4).
     pub fn dim(&self) -> usize {
-        match self {
-            NoiseChannel::MixedUnitary { ops } => ops[0].1.rows(),
-            NoiseChannel::Kraus { ops } => ops[0].rows(),
-        }
+        let NoiseChannel::MixedUnitary { ops } = self;
+        ops[0].1.rows()
     }
 
     /// Number of qubits the channel acts on (1 or 2).
@@ -148,14 +91,11 @@ impl NoiseChannel {
 
     /// The channel's Kraus operators (mixed-unitary ops weighted by `√p`).
     pub fn kraus_operators(&self) -> Vec<Matrix> {
-        match self {
-            NoiseChannel::MixedUnitary { ops } => ops
-                .iter()
-                .filter(|(p, _)| *p > 0.0)
-                .map(|(p, u)| u.scale(p.sqrt()))
-                .collect(),
-            NoiseChannel::Kraus { ops } => ops.clone(),
-        }
+        let NoiseChannel::MixedUnitary { ops } = self;
+        ops.iter()
+            .filter(|(p, _)| *p > 0.0)
+            .map(|(p, u)| u.scale(p.sqrt()))
+            .collect()
     }
 }
 
@@ -244,14 +184,6 @@ mod tests {
         for p in [0.0, 0.001, 0.05, 0.5, 1.0] {
             assert_cptp(&NoiseChannel::depolarizing_1q(p), 1e-9);
             assert_cptp(&NoiseChannel::depolarizing_2q(p), 1e-9);
-        }
-    }
-
-    #[test]
-    fn damping_channels_are_cptp() {
-        for g in [0.0, 0.1, 0.9, 1.0] {
-            assert_cptp(&NoiseChannel::amplitude_damping(g), 1e-9);
-            assert_cptp(&NoiseChannel::phase_damping(g), 1e-9);
         }
     }
 

@@ -6,8 +6,9 @@
 //! channel `D_K(ρ) = Kρ + (1−K)·(I/d ⊗ Tr ρ)` (survival `K = 1−p`) only
 //! distinguishes "the identity component on its wires" from "everything
 //! else", and conjugation by a unitary on those wires preserves both. Two
-//! exact identities follow, and [`DensityProgram::compile`] is the noisy
-//! analogue of [`crate::fuse::fuse`]'s wire-tracking scan built on them:
+//! exact identities follow, and [`DensityProgram::compile`] is a `Slot` rule
+//! on [`crate::fuse`]'s wire-tracking scan built on them (the scan places
+//! every op where fusion would; the rule says what a merge computes):
 //!
 //! - **Covariance.** `D_K(UρU†) = U·D_K(ρ)·U†` for a unitary `U` on the
 //!   channel's wire, and `D_K ∘ D_K' = D_{KK'}`. A single-qubit run
@@ -96,8 +97,8 @@
 //!
 //! A VQE evaluation runs one ansatz under several measurement rotations:
 //! circuits that share a long gate prefix and differ in a short tail.
-//! [`ForkedProgram::compile`] scans the prefix once, copies the scan state
-//! per circuit and feeds each copy its tail. The slots below the first one
+//! [`ForkedProgram::compile`] scans the prefix once, forks the scan per
+//! circuit and feeds each fork its tail. The slots below the first one
 //! any tail changed — folded an op into, or absorbed as a lone run — close
 //! into the *trunk*, which runs once; the rest close per circuit into its
 //! *branch*, which runs on a copy of the trunk's ρ. Slot order is sweep
@@ -135,7 +136,7 @@
 
 use crate::density::DensityMatrix;
 use crate::dist::ProbDist;
-use crate::fuse::{self, FusedOp};
+use crate::fuse::{self, FusedOp, Scan, Slot as _};
 use crate::gates::{self, mat2_adjoint, mat2_mul, Mat2, Mat4};
 use crate::math::C64;
 
@@ -350,55 +351,40 @@ enum WireOp {
     Ptm([[f64; 3]; 3]),
 }
 
-/// A run while it can still absorb gates: the merged gate and how many
-/// channels followed its factors.
+/// A run while it can still absorb gates: the merged gate, a 1q
+/// [`FusedOp`] merged by fusion's own fold (so pure-RZ runs stay symbolic
+/// and keep the cheap phase kernel), and how many channels followed its
+/// factors.
 #[derive(Debug, Clone, Copy)]
 struct Run {
-    gate: RunGate,
+    gate: FusedOp,
     channels: i32,
 }
 
-/// Pure-RZ runs stay symbolic (angles add exactly) so they keep the cheap
-/// phase kernel, as in [`crate::fuse`].
-#[derive(Debug, Clone, Copy)]
-enum RunGate {
-    Rz(f64),
-    Mat(Mat2),
-}
-
 impl Run {
-    fn new(gate: RunGate) -> Self {
-        Run { gate, channels: 1 }
+    fn new(gate: &FusedOp) -> Self {
+        Run {
+            gate: *gate,
+            channels: 1,
+        }
     }
 
     /// Appends `gate` (a left matrix factor) and its channel.
-    fn push(&mut self, gate: RunGate) {
-        self.gate = match (self.gate, gate) {
-            (RunGate::Rz(a), RunGate::Rz(b)) => RunGate::Rz(a + b),
-            (prev, next) => RunGate::Mat(mat2_mul(&next.mat2(), &prev.mat2())),
-        };
+    fn push(&mut self, gate: &FusedOp) {
+        self.gate.fold(gate);
         self.channels += 1;
     }
 
     fn finish(self, keep_1q: f64) -> WireOp {
         let keep = keep_1q.powi(self.channels);
         match self.gate {
-            RunGate::Rz(theta) => WireOp::Phase {
+            FusedOp::Rz(theta, _) => WireOp::Phase {
                 upper: C64::cis(-theta).scale(keep),
                 lower: C64::cis(theta).scale(keep),
                 keep,
                 half_loss: 0.5 * (1.0 - keep),
             },
-            RunGate::Mat(u) => WireOp::Ptm(pauli_transfer(&u, 0.5 * keep)),
-        }
-    }
-}
-
-impl RunGate {
-    fn mat2(self) -> Mat2 {
-        match self {
-            RunGate::Rz(theta) => gates::rz(theta),
-            RunGate::Mat(u) => u,
+            gate => WireOp::Ptm(pauli_transfer(&gate.mat2().expect("1q run"), 0.5 * keep)),
         }
     }
 }
@@ -455,7 +441,10 @@ impl WireOp {
     }
 }
 
-/// A sweep under construction (the scan's slot, as in [`fuse::fuse`]).
+/// A sweep under construction: the density rule on [`fuse`]'s scan.
+// A run's gate is a `FusedOp`, sized for a 4×4 matrix; boxing it would buy
+// an allocation per lone run to shrink slots a compile holds a dozen of.
+#[allow(clippy::large_enum_variant)]
 #[derive(Clone)]
 enum Slot {
     Wire {
@@ -479,6 +468,78 @@ enum Draft {
     Cx { control: usize },
     Run(usize, Run),
     Dense(Mat4),
+}
+
+/// Each op brings its channel along: a 1q op joins a run, a 2q op a pair
+/// block, and a block takes over the lone runs pending on its wires as its
+/// first ops there.
+impl fuse::Slot for Slot {
+    fn open_1q(op: &FusedOp) -> Self {
+        let (FusedOp::One(_, q) | FusedOp::Rz(_, q)) = *op else {
+            unreachable!("open_1q receives 1q ops")
+        };
+        Slot::Wire {
+            q,
+            run: Run::new(op),
+        }
+    }
+
+    fn open_2q(op: &FusedOp, lone: [Option<&Self>; 2]) -> Self {
+        let [a, b] = op.pair().expect("2q op");
+        let mut ops = Vec::new();
+        for (w, slot) in lone.into_iter().enumerate() {
+            if let Some(Slot::Wire { run, .. }) = slot {
+                ops.push(Draft::Run(w, *run));
+            }
+        }
+        ops.push(draft_2q(op, a));
+        Slot::Pair {
+            q0: a,
+            q1: b,
+            ops,
+            open: [None; 2],
+            channels_2q: 1,
+        }
+    }
+
+    fn is_lone(&self) -> bool {
+        matches!(self, Slot::Wire { .. })
+    }
+
+    fn fold(&mut self, op: &FusedOp) {
+        match (self, op) {
+            (Slot::Wire { run, .. }, _) => run.push(op),
+            (Slot::Pair { q0, ops, open, .. }, &(FusedOp::One(_, q) | FusedOp::Rz(_, q))) => {
+                let w = usize::from(q != *q0);
+                match open[w] {
+                    // Ops after the open run act on the other wire only, so
+                    // the gate commutes back to it.
+                    Some(i) => match &mut ops[i] {
+                        Draft::Run(_, run) => run.push(op),
+                        _ => unreachable!("open[] points at a run"),
+                    },
+                    None => {
+                        open[w] = Some(ops.len());
+                        ops.push(Draft::Run(w, Run::new(op)));
+                    }
+                }
+            }
+            (
+                Slot::Pair {
+                    q0,
+                    ops,
+                    open,
+                    channels_2q,
+                    ..
+                },
+                _,
+            ) => {
+                ops.push(draft_2q(op, *q0));
+                *open = [None; 2];
+                *channels_2q += 1;
+            }
+        }
+    }
 }
 
 impl DensityProgram {
@@ -636,11 +697,11 @@ impl ForkedProgram {
             "probability must be in [0,1]"
         );
         let _prof = qoncord_prof::span("sim::dm::plan");
-        let mut scan = Scan::new(n_qubits);
+        let mut scan = Scan::<Slot>::new(n_qubits);
         for op in trunk {
             scan.push(op);
         }
-        let forks: Vec<Scan> = tails
+        let forks: Vec<Scan<Slot>> = tails
             .into_iter()
             .map(|tail| {
                 let mut fork = scan.fork();
@@ -658,12 +719,12 @@ impl ForkedProgram {
             .map(|fork| fork.touched)
             .fold(scan.end(), usize::min);
         let keeps = (1.0 - dep_1q, 1.0 - dep_2q);
-        let trunk = scan.steps(0..fork_at, keeps);
+        let trunk = steps(&scan, 0..fork_at, keeps);
         let support = qubits_of(&trunk);
         let branches: Vec<DensityProgram> = forks
             .iter()
             .map(|fork| {
-                let steps = fork.steps(fork_at..fork.end(), keeps);
+                let steps = steps(fork, fork_at..fork.end(), keeps);
                 DensityProgram {
                     n_qubits,
                     windows: readout_windows(&steps, support, 0),
@@ -718,170 +779,28 @@ impl ForkedProgram {
     }
 }
 
-/// The compile scan: ops go in one at a time and collect in slots, each a
-/// sweep under construction. A slot absorbs an op exactly when it is still
-/// the latest slot on every wire the op touches, so the scan can stop
-/// anywhere, be copied ([`Scan::fork`]) and carry on.
-struct Scan {
-    /// Program-order index of `slots[0]`: a fork leaves behind the slots no
-    /// later op can reach.
-    base: usize,
-    /// Slots in program order; absorbed lone runs leave a `None` tombstone.
-    slots: Vec<Option<Slot>>,
-    /// Latest live slot touching each wire, by program-order index.
-    last: Vec<Option<usize>>,
-    /// Lowest program-order index of a slot an op was folded into, or that
-    /// was absorbed, since the scan was made.
-    touched: usize,
-}
-
-impl Scan {
-    fn new(n_qubits: usize) -> Self {
-        Scan {
-            base: 0,
-            slots: Vec::new(),
-            last: vec![None; n_qubits],
-            touched: usize::MAX,
-        }
-    }
-
-    /// A copy that takes further ops without changing `self`. Only the
-    /// latest slot on a wire ever changes again, so the copy starts at the
-    /// earliest of those.
-    fn fork(&self) -> Scan {
-        let base = self.last.iter().flatten().copied().min();
-        let base = base.unwrap_or(self.end());
-        Scan {
-            base,
-            slots: self.slots[base - self.base..].to_vec(),
-            last: self.last.clone(),
-            touched: usize::MAX,
-        }
-    }
-
-    /// Program-order index the next new slot gets.
-    fn end(&self) -> usize {
-        self.base + self.slots.len()
-    }
-
-    /// The slot at program-order index `j`, marked as changed.
-    fn touch(&mut self, j: usize) -> &mut Option<Slot> {
-        self.touched = self.touched.min(j);
-        &mut self.slots[j - self.base]
-    }
-
-    /// Folds `op` and its channel into the slots.
-    fn push(&mut self, op: FusedOp) {
-        op.validate(self.last.len());
-        match op {
-            FusedOp::One(u, q) => self.push_1q(q, RunGate::Mat(u)),
-            FusedOp::Rz(theta, q) => self.push_1q(q, RunGate::Rz(theta)),
-            FusedOp::Two(_, a, b) | FusedOp::Cx(a, b) | FusedOp::Mono(_, _, a, b) => {
-                self.push_2q(op, a, b)
-            }
-        }
-    }
-
-    /// Closes the slots with program-order indices in `range` at survival
-    /// factors `(keep_1q, keep_2q)` per channel.
-    fn steps(&self, range: std::ops::Range<usize>, (keep_1q, keep_2q): (f64, f64)) -> Vec<Step> {
-        self.slots[range.start - self.base..range.end - self.base]
-            .iter()
-            .flatten()
-            .map(|slot| match slot {
-                Slot::Wire { q, run } => Step::Wire {
-                    q: *q,
-                    run: run.finish(keep_1q),
-                },
-                Slot::Pair {
-                    q0,
-                    q1,
-                    ops,
-                    channels_2q,
-                    ..
-                } => finish_pair(*q0, *q1, ops, keep_1q, keep_2q.powi(*channels_2q)),
-            })
-            .collect()
-    }
-
-    /// Folds a one-qubit gate (and its channel) into the latest slot on its
-    /// wire, or opens a lone run.
-    fn push_1q(&mut self, q: usize, gate: RunGate) {
-        let Some(j) = self.last[q] else {
-            self.last[q] = Some(self.end());
-            self.slots.push(Some(Slot::Wire {
-                q,
-                run: Run::new(gate),
-            }));
-            return;
-        };
-        match self
-            .touch(j)
-            .as_mut()
-            .expect("last[] points at a live slot")
-        {
-            Slot::Wire { run, .. } => run.push(gate),
-            Slot::Pair { q0, ops, open, .. } => {
-                let w = usize::from(q != *q0);
-                match open[w] {
-                    // Ops after the open run act on the other wire only, so
-                    // the gate commutes back to it.
-                    Some(i) => match &mut ops[i] {
-                        Draft::Run(_, run) => run.push(gate),
-                        _ => unreachable!("open[] points at a run"),
-                    },
-                    None => {
-                        open[w] = Some(ops.len());
-                        ops.push(Draft::Run(w, Run::new(gate)));
-                    }
-                }
-            }
-        }
-    }
-
-    /// Folds a two-qubit op (and its channel) into the latest block on its
-    /// pair, or opens a new block that absorbs the lone runs pending on its
-    /// wires.
-    fn push_2q(&mut self, op: FusedOp, a: usize, b: usize) {
-        // One slot being the latest on both wires makes it a block on this
-        // pair.
-        if let (Some(j), true) = (self.last[a], self.last[a] == self.last[b]) {
-            if let Some(Slot::Pair {
+/// Closes the slots of `scan` with program-order indices in `range` at
+/// survival factors `(keep_1q, keep_2q)` per channel.
+fn steps(
+    scan: &Scan<Slot>,
+    range: std::ops::Range<usize>,
+    (keep_1q, keep_2q): (f64, f64),
+) -> Vec<Step> {
+    scan.live(range)
+        .map(|slot| match slot {
+            Slot::Wire { q, run } => Step::Wire {
+                q: *q,
+                run: run.finish(keep_1q),
+            },
+            Slot::Pair {
                 q0,
+                q1,
                 ops,
-                open,
                 channels_2q,
                 ..
-            }) = self.touch(j)
-            {
-                ops.push(draft_2q(op, *q0));
-                *open = [None; 2];
-                *channels_2q += 1;
-                return;
-            }
-        }
-        let mut ops = Vec::new();
-        for (w, q) in [a, b].into_iter().enumerate() {
-            // A lone run is the latest op on its wire, so it commutes
-            // forward to become the block's first op on that wire.
-            if let Some(k) = self.last[q] {
-                if let Some(Slot::Wire { run, .. }) = self.slots[k - self.base] {
-                    ops.push(Draft::Run(w, run));
-                    *self.touch(k) = None;
-                }
-            }
-        }
-        ops.push(draft_2q(op, a));
-        self.last[a] = Some(self.end());
-        self.last[b] = Some(self.end());
-        self.slots.push(Some(Slot::Pair {
-            q0: a,
-            q1: b,
-            ops,
-            open: [None; 2],
-            channels_2q: 1,
-        }));
-    }
+            } => finish_pair(*q0, *q1, ops, keep_1q, keep_2q.powi(*channels_2q)),
+        })
+        .collect()
 }
 
 /// Closes a pair block: resolves every CX into a renaming of the pair's
@@ -945,21 +864,12 @@ fn finish_pair(q0: usize, q1: usize, drafts: &[Draft], keep_1q: f64, keep: f64) 
 
 /// Re-expresses a two-qubit op on the local wires of a block whose first
 /// qubit is `q0`.
-fn draft_2q(op: FusedOp, q0: usize) -> Draft {
-    let oriented = |u: Mat4, first: usize| {
-        Draft::Dense(if first == q0 {
-            u
-        } else {
-            fuse::mat4_swap_order(&u)
-        })
-    };
-    match op {
+fn draft_2q(op: &FusedOp, q0: usize) -> Draft {
+    match *op {
         FusedOp::Cx(c, _) => Draft::Cx {
             control: usize::from(c != q0),
         },
-        FusedOp::Two(u, a, _) => oriented(u, a),
-        FusedOp::Mono(d, src, a, _) => oriented(fuse::mono_to_mat4(&d, &src), a),
-        FusedOp::One(..) | FusedOp::Rz(..) => unreachable!("draft_2q only receives 2q ops"),
+        _ => Draft::Dense(op.mat4_on(q0)),
     }
 }
 
@@ -1497,7 +1407,7 @@ mod tests {
     #[should_panic(expected = "sweep outside ρ")]
     fn wire_window_on_its_own_bit_fails_closed() {
         let mut rho = DensityMatrix::zero_state(2);
-        let run = Run::new(RunGate::Rz(0.3)).finish(0.99);
+        let run = Run::new(&FusedOp::Rz(0.3, 1)).finish(0.99);
         sweep_wire(rho.data_mut(), 4, 1, &run, window(0b10, 0));
     }
 

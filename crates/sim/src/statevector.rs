@@ -208,16 +208,6 @@ impl StateVector {
         self.amps.iter().map(|a| a.norm_sq()).sum()
     }
 
-    /// Rescales amplitudes to unit norm.
-    pub fn normalize(&mut self) {
-        let n = self.norm_sq().sqrt();
-        if n > 0.0 {
-            for a in &mut self.amps {
-                *a = *a / n;
-            }
-        }
-    }
-
     /// Expectation of a diagonal observable given as per-basis-state values.
     ///
     /// # Panics

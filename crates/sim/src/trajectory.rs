@@ -1,7 +1,7 @@
 //! Monte-Carlo quantum-trajectory simulation.
 //!
 //! Instead of evolving a `4^n`-entry density matrix, a trajectory run evolves
-//! a statevector and *samples* one Kraus branch at every noise insertion.
+//! a statevector and *samples* one channel branch at every noise insertion.
 //! Averaging over trajectories yields an unbiased estimate of the exact
 //! density-matrix result; for mixed-unitary channels (depolarizing noise, the
 //! only gate noise the Qoncord paper's hypothetical 14-qubit devices use) the
@@ -41,13 +41,9 @@ use crate::statevector::StateVector;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// Samples one branch of `channel` and applies it to `sv` on `qubits`.
-///
-/// For [`NoiseChannel::MixedUnitary`] the branch is drawn from the fixed
-/// ensemble probabilities (an identity branch costs no sweep). For
-/// [`NoiseChannel::Kraus`] the branch
-/// probabilities are the state-dependent norms `‖Kᵢ|ψ⟩‖²` and the surviving
-/// branch is renormalized — the standard quantum-jump unraveling.
+/// Samples one branch of `channel` and applies it to `sv` on `qubits`. The
+/// branch is drawn from the fixed ensemble probabilities with one uniform;
+/// an identity branch costs no sweep.
 ///
 /// # Panics
 ///
@@ -63,39 +59,13 @@ pub fn apply_stochastic(
         qubits.len(),
         "channel arity does not match qubit list"
     );
-    match channel {
-        NoiseChannel::MixedUnitary { ops } => {
-            let branch = draw_branch(ops.iter().map(|(p, _)| *p), rng.random());
-            let chosen = &ops[branch].1;
-            // "No error" is by far the likeliest draw, and an identity sweep
-            // changes no probability bit: skip it.
-            if !is_identity(chosen) {
-                apply_matrix(sv, chosen, qubits);
-            }
-        }
-        NoiseChannel::Kraus { ops } => {
-            // Compute branch weights ‖Kᵢ|ψ⟩‖² lazily: clone per candidate.
-            let mut branches: Vec<(f64, StateVector)> = Vec::with_capacity(ops.len());
-            for k in ops {
-                let mut cand = sv.clone();
-                apply_matrix(&mut cand, k, qubits);
-                let w = cand.norm_sq();
-                branches.push((w, cand));
-            }
-            let total: f64 = branches.iter().map(|(w, _)| w).sum();
-            let r: f64 = rng.random::<f64>() * total;
-            let mut acc = 0.0;
-            let last = branches.len() - 1;
-            for (i, (w, cand)) in branches.into_iter().enumerate() {
-                acc += w;
-                if r < acc || i == last {
-                    let mut state = cand;
-                    state.normalize();
-                    *sv = state;
-                    return;
-                }
-            }
-        }
+    let NoiseChannel::MixedUnitary { ops } = channel;
+    let branch = draw_branch(ops.iter().map(|(p, _)| *p), rng.random());
+    let chosen = &ops[branch].1;
+    // "No error" is by far the likeliest draw, and an identity sweep changes
+    // no probability bit: skip it.
+    if !is_identity(chosen) {
+        apply_matrix(sv, chosen, qubits);
     }
 }
 
@@ -535,34 +505,6 @@ mod tests {
             "tv distance too large: {}",
             exact.total_variation(&approx)
         );
-    }
-
-    #[test]
-    fn kraus_sampling_preserves_normalization() {
-        let ch = NoiseChannel::amplitude_damping(0.4);
-        let mut rng = StdRng::seed_from_u64(3);
-        for _ in 0..50 {
-            let mut sv = StateVector::zero_state(1);
-            sv.apply_1q(&gates::h(), 0);
-            apply_stochastic(&mut sv, &ch, &[0], &mut rng);
-            assert!((sv.norm_sq() - 1.0).abs() < 1e-10);
-        }
-    }
-
-    #[test]
-    fn amplitude_damping_trajectories_match_exact_decay() {
-        let gamma = 0.35;
-        let ch = NoiseChannel::amplitude_damping(gamma);
-        let mut rng = StdRng::seed_from_u64(17);
-        let mut acc = TrajectoryAccumulator::new(1);
-        for _ in 0..6000 {
-            let mut sv = StateVector::basis_state(1, 1);
-            apply_stochastic(&mut sv, &ch, &[0], &mut rng);
-            acc.add(&sv);
-        }
-        let dist = acc.into_dist();
-        // P(1) should be 1 - gamma.
-        assert!((dist.probabilities()[1] - (1.0 - gamma)).abs() < 0.02);
     }
 
     #[test]
