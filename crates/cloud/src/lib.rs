@@ -46,8 +46,8 @@ pub use fairshare::{
 pub use job::{JobKind, JobOutcome, JobSpec};
 pub use policy::{
     estimate_feasibility, estimate_feasibility_decayed, merge_shard_results, place_job,
-    projected_dispatch_order, split_restarts, FeasibilityEstimate, Placement, Policy, QueueModel,
-    ShardPlacement, UsageDecayModel,
+    split_restarts, FeasibilityEstimate, Placement, Policy, QueueModel, ShardPlacement,
+    UsageDecayModel,
 };
 pub use reference::ReferenceFairShareQueue;
 pub use sim::{simulate, SimulationResult};

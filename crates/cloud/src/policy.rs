@@ -413,25 +413,6 @@ impl Default for UsageDecayModel {
     }
 }
 
-/// The order a [`FairShareQueue`]'s pending requests would pop in if every
-/// balance were first aged by `decay_factor` — computed analytically from
-/// the queue's balances and weights, without mutating (or popping) the
-/// queue.
-///
-/// This is the projection admission control ranks an arriving job's queue
-/// position with; a property test pins it to the queue's real
-/// [`pop`](FairShareQueue::pop) order. Scoring replays dispatch exactly:
-/// each projected pop releases its in-flight slot (recent-consumption
-/// balances change only when work *runs*, which a projection cannot
-/// observe), ties break FIFO on submission time.
-///
-/// # Panics
-///
-/// Panics if `decay_factor` lies outside `[0, 1]` or is not finite.
-pub fn projected_dispatch_order(queue: &FairShareQueue, decay_factor: f64) -> Vec<usize> {
-    queue.projected_pop_order(decay_factor)
-}
-
 /// The queue-side inputs of a decay-aware feasibility projection: the
 /// fair-share queue as it stands (whose per-request device tags supply the
 /// request-to-device mapping), the arriving job's hypothetical first
@@ -898,7 +879,7 @@ mod tests {
         q.push(req(1, "light", 5.0, 1.0)).unwrap();
         q.push(req(2, "light", 5.0, 2.0)).unwrap();
         q.push(req(3, "fresh", 5.0, 3.0)).unwrap();
-        let projected = projected_dispatch_order(&q, 1.0);
+        let projected = q.projected_pop_order(1.0);
         let drained: Vec<usize> = q.clone().drain_ordered().iter().map(|r| r.id).collect();
         assert_eq!(projected, drained);
         assert_eq!(projected[0], 3, "the unburdened tenant pops first");
@@ -913,7 +894,7 @@ mod tests {
         q.push(req(0, "a", 5.0, 1.0)).unwrap();
         q.push(req(1, "a", 5.0, 1.0)).unwrap();
         q.push(req(2, "a", 5.0, 1.0)).unwrap();
-        let projected = projected_dispatch_order(&q, 1.0);
+        let projected = q.projected_pop_order(1.0);
         let drained: Vec<usize> = q.clone().drain_ordered().iter().map(|r| r.id).collect();
         assert_eq!(projected, drained);
         assert_eq!(projected, vec![0, 1, 2]);
@@ -927,8 +908,8 @@ mod tests {
         q.record_usage("heavy", 1000.0).unwrap();
         q.push(req(0, "heavy", 5.0, 0.0)).unwrap();
         q.push(req(1, "light", 5.0, 1.0)).unwrap();
-        assert_eq!(projected_dispatch_order(&q, 1.0), vec![1, 0]);
-        assert_eq!(projected_dispatch_order(&q, 0.0), vec![0, 1]);
+        assert_eq!(q.projected_pop_order(1.0), vec![1, 0]);
+        assert_eq!(q.projected_pop_order(0.0), vec![0, 1]);
     }
 
     #[test]

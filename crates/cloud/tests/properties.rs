@@ -7,9 +7,7 @@
 use proptest::prelude::*;
 use qoncord_cloud::device::{hypothetical_fleet, CloudDevice};
 use qoncord_cloud::fairshare::{FairShareQueue, QueuedRequest};
-use qoncord_cloud::policy::{
-    merge_shard_results, projected_dispatch_order, split_restarts, Policy,
-};
+use qoncord_cloud::policy::{merge_shard_results, split_restarts, Policy};
 use qoncord_cloud::reference::ReferenceFairShareQueue;
 use qoncord_cloud::sim::simulate;
 use qoncord_cloud::workload::{generate_workload, WorkloadConfig};
@@ -260,10 +258,10 @@ proptest! {
 
     /// The decay-aware queue projection matches the fair-share queue's real
     /// pop order on random balances: ranking a *decayed copy* of the queue
-    /// analytically (`projected_dispatch_order`) yields exactly the ids the
-    /// queue itself would pop after `decay_usage` — the contract that lets
-    /// admission-time feasibility reason about queue position without
-    /// running the dispatcher.
+    /// analytically (`FairShareQueue::projected_pop_order`) yields exactly
+    /// the ids the queue itself would pop after `decay_usage` — the
+    /// contract that lets admission-time feasibility reason about queue
+    /// position without running the dispatcher.
     #[test]
     fn projected_queue_order_matches_pop_order(
         balances in proptest::collection::vec(0.0..500.0f64, 4),
@@ -287,7 +285,7 @@ proptest! {
             })
             .unwrap();
         }
-        let projected = projected_dispatch_order(&q, decay_factor);
+        let projected = q.projected_pop_order(decay_factor);
         let mut realized = q.clone();
         realized.decay_usage(decay_factor).unwrap();
         let popped: Vec<usize> = realized.drain_ordered().iter().map(|r| r.id).collect();

@@ -15,8 +15,11 @@
 //! earn a *negative* one, which is what eliminates false rejections.
 //!
 //! Denied jobs never realize a completion, so they contribute no error
-//! sample — but they are recorded in the model's history, which is how
-//! telemetry exposes the margin trajectory that produced each denial.
+//! sample — but each one still yields a [`MarginSnapshot`], which the
+//! engine emits as a calibration-update trace event. The report's
+//! calibration history is folded from those events, which is how telemetry
+//! exposes the margin trajectory that produced each denial. The model
+//! itself keeps only its error windows.
 //!
 //! [`AdmissionMode::Calibrated`](crate::admission::AdmissionMode::Calibrated)
 //! switches the engine from the static margin to this model.
@@ -111,8 +114,9 @@ pub struct MarginKey {
     pub class: ServiceClass,
 }
 
-/// One entry of the model's learning history: an ingested outcome and the
-/// margin its key carries *after* ingesting it.
+/// What the model reports for one ingested outcome: the outcome and the
+/// margin its key carries *after* ingesting it. The report's calibration
+/// history is these snapshots in ingestion order.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MarginSnapshot {
     /// Virtual time of the outcome (completion or denial).
@@ -150,15 +154,13 @@ pub struct MarginSnapshot {
 ///     model.record_completion(projected, key, projected, projected - 40.0);
 /// }
 /// assert!(model.margin_for(key) < -35.0);
-/// assert_eq!(model.history().len(), 10);
+/// assert_eq!(model.samples(key), 10);
 /// ```
 #[derive(Debug, Clone)]
 pub struct MarginModel {
     fallback_margin: f64,
     config: CalibrationConfig,
     windows: HashMap<MarginKey, VecDeque<f64>>,
-    history: Vec<MarginSnapshot>,
-    denials: u64,
 }
 
 impl MarginModel {
@@ -184,8 +186,6 @@ impl MarginModel {
             fallback_margin,
             config,
             windows: HashMap::new(),
-            history: Vec::new(),
-            denials: 0,
         }
     }
 
@@ -226,11 +226,10 @@ impl MarginModel {
     /// Ingests a completed job: `projected` is the completion the admission
     /// estimate promised, `realized` the virtual time it actually finished
     /// (SLA misses arrive through here too — a late completion *is* the
-    /// miss signal, as a large positive error). `time` stamps the history
-    /// entry.
+    /// miss signal, as a large positive error). `time` stamps the snapshot.
     ///
-    /// Returns the history entry the outcome produced (the flight recorder
-    /// emits it as a calibration-update event).
+    /// Returns the snapshot the outcome produced (the flight recorder emits
+    /// it as a calibration-update event).
     ///
     /// # Panics
     ///
@@ -241,7 +240,7 @@ impl MarginModel {
         key: MarginKey,
         projected: f64,
         realized: f64,
-    ) -> &MarginSnapshot {
+    ) -> MarginSnapshot {
         assert!(
             projected.is_finite() && realized.is_finite(),
             "completions must be finite times"
@@ -255,11 +254,10 @@ impl MarginModel {
     }
 
     /// Ingests a denied job. Denials carry no realized completion and feed
-    /// no error window; they are recorded in the history so telemetry can
-    /// correlate each denial with the margin that produced it. Returns the
-    /// history entry, like [`record_completion`](Self::record_completion).
-    pub fn record_denial(&mut self, time: f64, key: MarginKey) -> &MarginSnapshot {
-        self.denials += 1;
+    /// no error window; the returned snapshot lets telemetry correlate each
+    /// denial with the margin that produced it, like
+    /// [`record_completion`](Self::record_completion)'s.
+    pub fn record_denial(&self, time: f64, key: MarginKey) -> MarginSnapshot {
         self.snapshot(time, key, None)
     }
 
@@ -268,31 +266,14 @@ impl MarginModel {
         self.windows.get(&key).map_or(0, VecDeque::len)
     }
 
-    /// Denials ingested so far.
-    pub fn denials(&self) -> u64 {
-        self.denials
-    }
-
-    /// The full learning history, in ingestion order.
-    pub fn history(&self) -> &[MarginSnapshot] {
-        &self.history
-    }
-
-    /// Consumes the model into its history (end-of-run telemetry).
-    pub fn into_history(self) -> Vec<MarginSnapshot> {
-        self.history
-    }
-
-    fn snapshot(&mut self, time: f64, key: MarginKey, error: Option<f64>) -> &MarginSnapshot {
-        let snapshot = MarginSnapshot {
+    fn snapshot(&self, time: f64, key: MarginKey, error: Option<f64>) -> MarginSnapshot {
+        MarginSnapshot {
             time,
             key,
             error,
             margin: self.margin_for(key),
             samples: self.samples(key),
-        };
-        self.history.push(snapshot);
-        self.history.last().expect("just pushed")
+        }
     }
 }
 
@@ -372,16 +353,14 @@ mod tests {
     fn history_tracks_completions_and_denials() {
         let k = key(1, ServiceClass::Batch);
         let mut model = MarginModel::new(2.0, CalibrationConfig::default());
-        model.record_completion(5.0, k, 10.0, 16.0);
-        model.record_denial(6.0, k);
-        assert_eq!(model.denials(), 1);
-        let history = model.history();
-        assert_eq!(history.len(), 2);
-        assert_eq!(history[0].error, Some(6.0));
-        assert_eq!(history[0].samples, 1);
-        assert_eq!(history[1].error, None, "denials carry no error sample");
-        assert_eq!(history[1].samples, 1, "denials feed no window");
-        assert_eq!(history[1].margin, 2.0, "still on the fallback margin");
+        let completion = model.record_completion(5.0, k, 10.0, 16.0);
+        let denial = model.record_denial(6.0, k);
+        assert_eq!((completion.time, denial.time), (5.0, 6.0));
+        assert_eq!(completion.error, Some(6.0));
+        assert_eq!(completion.samples, 1);
+        assert_eq!(denial.error, None, "denials carry no error sample");
+        assert_eq!(denial.samples, 1, "denials feed no window");
+        assert_eq!(denial.margin, 2.0, "still on the fallback margin");
     }
 
     #[test]

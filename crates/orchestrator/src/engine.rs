@@ -176,7 +176,7 @@ pub struct OrchestratorConfig {
     /// Flight-recorder sink (detached by default): every engine decision is
     /// emitted as a [`TraceEvent`] to the attached
     /// [`TraceSink`](crate::trace::TraceSink). Detached or not, the engine
-    /// aggregates the stream into
+    /// folds the same stream into its report, including
     /// [`OrchestratorReport::trace`](crate::telemetry::OrchestratorReport).
     pub trace: TraceHandle,
 }
@@ -344,10 +344,6 @@ struct Sim<'a> {
     status: Vec<Option<JobStatus>>,
     /// Per job: the priority it actually runs at (0 after a downgrade).
     effective_priority: Vec<u32>,
-    /// Per job: the absolute deadline it carries post-admission.
-    deadlines: Vec<Option<f64>>,
-    /// Per job: the admission-time service estimate (for imminence checks).
-    service_estimate: Vec<f64>,
     /// Per job: outstanding fair-share credit granted for evicted-lease
     /// occupancy, charged back at completion so it cannot outlive the job.
     /// Decayed in lockstep with the queue balances (see `apply_decay`).
@@ -371,9 +367,11 @@ struct Sim<'a> {
     urgent: Vec<BTreeMap<u64, (usize, usize)>>,
     next_push: u64,
     /// The flight recorder: stamps every decision with the virtual clock
-    /// and a run-wide sequence number, aggregates metrics, forwards to the
-    /// configured sink — and accounts the report: job and fleet telemetry
-    /// are a fold of the emitted events, written nowhere else.
+    /// and a run-wide sequence number, forwards to the configured sink —
+    /// and accounts the report: job and fleet telemetry, the calibration
+    /// history and the trace summary are a fold of the emitted events,
+    /// written nowhere else. A job's deadline and admission estimate are
+    /// read back from it too.
     tracer: Tracer,
 }
 
@@ -439,8 +437,6 @@ impl<'a> Sim<'a> {
             margin_key: jobs.iter().map(|_| None).collect(),
             status: jobs.iter().map(|_| None).collect(),
             effective_priority: jobs.iter().map(|job| job.priority).collect(),
-            deadlines: jobs.iter().map(|_| None).collect(),
-            service_estimate: jobs.iter().map(|_| 0.0).collect(),
             eviction_credit: jobs.iter().map(|_| 0.0).collect(),
             priority_credit: jobs.iter().map(|_| 0.0).collect(),
             holds: jobs.iter().map(|_| HashMap::new()).collect(),
@@ -618,7 +614,6 @@ impl<'a> Sim<'a> {
             AdmissionMode::Calibrated => self.margins.margin_for(key),
             _ => self.config.admission.safety_margin,
         };
-        self.service_estimate[job] = estimate.service_seconds;
         let outcome = AdmissionController::new(self.config.admission).assess_with_margin(
             now,
             spec.deadline,
@@ -639,7 +634,7 @@ impl<'a> Sim<'a> {
         );
         match outcome.decision {
             AdmissionDecision::Reject => {
-                let snapshot = *self.margins.record_denial(now, key);
+                let snapshot = self.margins.record_denial(now, key);
                 self.tracer
                     .emit(now, TraceEvent::CalibrationUpdate { job, snapshot });
                 self.status[job] = Some(JobStatus::Denied {
@@ -653,7 +648,6 @@ impl<'a> Sim<'a> {
             AdmissionDecision::Downgrade => self.effective_priority[job] = 0,
             AdmissionDecision::Admit => {}
         }
-        self.deadlines[job] = outcome.deadline;
 
         let priority = self.effective_priority[job];
         if priority > 0 {
@@ -881,7 +875,7 @@ impl<'a> Sim<'a> {
     /// Whether `job`'s urgency can ever differ from `Urgency { 0, false }`,
     /// which preempts nothing. Both inputs are fixed by the end of `admit`.
     fn can_outrank(&self, job: usize) -> bool {
-        self.effective_priority[job] > 0 || self.deadlines[job].is_some()
+        self.effective_priority[job] > 0 || self.tracer.job(job).deadline.is_some()
     }
 
     fn batch_job(&self, id: usize) -> usize {
@@ -1026,7 +1020,7 @@ impl<'a> Sim<'a> {
                 tenant: self.jobs[job].tenant.clone(),
                 device,
                 priority: self.effective_priority[job],
-                deadline: self.deadlines[job],
+                deadline: self.tracer.job(job).deadline,
                 seconds,
                 checkpoint,
             },
@@ -1051,13 +1045,15 @@ impl<'a> Sim<'a> {
 
     /// How pressing `job`'s claim on a device is right now.
     fn urgency(&self, job: usize, now: f64) -> Urgency {
-        let deadline_imminent = match self.deadlines[job] {
-            None => false,
-            Some(deadline) => {
-                let done = self.tracer.job(job).busy_seconds();
-                let remaining = (self.service_estimate[job] - done).max(0.0);
+        let telemetry = self.tracer.job(job);
+        // A job carries a deadline only past an admission verdict, which
+        // also recorded the service estimate imminence is judged by.
+        let deadline_imminent = match (telemetry.deadline, telemetry.admission_estimate) {
+            (Some(deadline), Some(estimate)) => {
+                let remaining = (estimate.service_seconds - telemetry.busy_seconds()).max(0.0);
                 now + remaining + self.config.preemption.imminence_margin >= deadline
             }
+            _ => false,
         };
         Urgency {
             priority: self.effective_priority[job],
@@ -1218,7 +1214,7 @@ impl<'a> Sim<'a> {
                 self.margin_key[job],
                 self.tracer.job(job).admission_estimate,
             ) {
-                let snapshot = *self
+                let snapshot = self
                     .margins
                     .record_completion(now, key, estimate.completion, now);
                 self.tracer
@@ -1284,7 +1280,7 @@ impl<'a> Sim<'a> {
     }
 
     fn into_report(self) -> OrchestratorReport {
-        let (trace, accounted) = self.tracer.finish();
+        let accounted = self.tracer.finish();
         debug_assert_eq!(
             accounted.orphaned, 0,
             "the engine declares every job and device before naming it"
@@ -1294,8 +1290,6 @@ impl<'a> Sim<'a> {
             self.jobs.len(),
             "every job is admitted and resolved"
         );
-        let calibration = self.margins.into_history();
-        debug_assert_eq!(accounted.calibration, calibration);
         let jobs = accounted
             .jobs
             .into_iter()
@@ -1322,8 +1316,8 @@ impl<'a> Sim<'a> {
             fleet: accounted.fleet,
             tenant_usage,
             queue_ops: self.queue.stats(),
-            calibration,
-            trace,
+            calibration: accounted.calibration,
+            trace: accounted.trace,
             // Snapshot of whatever profiler the caller installed on this
             // thread; empty (and free) on unprofiled runs.
             perf: qoncord_prof::current_report(),

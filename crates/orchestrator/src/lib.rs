@@ -133,8 +133,8 @@ pub use telemetry::{
 };
 pub use trace::{
     chrome_export, chrome_export_with_profile, validate_chrome_trace, JsonlSink, LogHistogram,
-    MemorySink, MetricsSink, RingBufferSink, TraceEvent, TraceHandle, TraceRecord, TraceSink,
-    TraceSummary, CHROME_FLEET_PID, CHROME_JOBS_PID, CHROME_PROF_PID,
+    MemorySink, RingBufferSink, TraceEvent, TraceHandle, TraceRecord, TraceSink, TraceSummary,
+    CHROME_FLEET_PID, CHROME_JOBS_PID, CHROME_PROF_PID,
 };
 
 #[cfg(test)]

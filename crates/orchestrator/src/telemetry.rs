@@ -300,11 +300,11 @@ pub struct OrchestratorReport {
     pub queue_ops: qoncord_cloud::fairshare::QueueOpStats,
     /// The margin model's learning history, in ingestion order: one entry
     /// per completed (error sample) or denied (no sample) job, carrying the
-    /// per-tier margin in force after the outcome. Empty when no job
-    /// reached admission.
+    /// per-tier margin in force after the outcome, folded from the stream's
+    /// calibration-update events. Empty when no job reached admission.
     pub calibration: Vec<MarginSnapshot>,
-    /// The flight recorder's always-on aggregation of the run's event
-    /// stream: event counts, log-scale histograms of wait / turnaround /
+    /// Aggregates of the run's event stream, from the same fold as the
+    /// telemetry: event counts, log-scale histograms of wait / turnaround /
     /// queue depth / per-device backlog — populated whether or not a
     /// [`TraceSink`](crate::trace::TraceSink) was attached.
     pub trace: crate::trace::TraceSummary,

@@ -15,9 +15,10 @@
 //!
 //! The stream is **complete and lossless** by construction: the engine
 //! keeps no telemetry accumulators of its own — the per-job and fleet
-//! telemetry on its [`OrchestratorReport`] is a fold of the events it
-//! emits, and [`reconstruct_report`] is that same fold over a captured
-//! slice (the integration suite pins the two bit-for-bit, whatever sink is
+//! telemetry, the calibration history and the [`TraceSummary`] on its
+//! [`OrchestratorReport`] are one fold of the events it emits, and
+//! [`reconstruct_report`] is that same fold over a captured slice (the
+//! integration suite pins the two bit-for-bit, whatever sink is
 //! attached). It is also **deterministic**: the
 //! same configuration and seed produce a byte-identical JSONL serialization
 //! (see [`JsonlSink`]).
@@ -29,10 +30,6 @@
 //! - [`MemorySink`] — unbounded capture, for export and replay.
 //! - [`RingBufferSink`] — bounded capture that drops oldest-first.
 //! - [`JsonlSink`] — one JSON object per record, byte-deterministic.
-//! - [`MetricsSink`] — streaming aggregation: log-scale histograms of
-//!   wait, turnaround, queue depth, and per-device backlog. The engine
-//!   always feeds one internally, attached sink or not, and its aggregates
-//!   land on the report.
 //!
 //! Attach a sink through [`TraceHandle`] on
 //! [`OrchestratorConfig::trace`](crate::engine::OrchestratorConfig):
@@ -81,7 +78,7 @@ use crate::calibration::MarginSnapshot;
 use crate::telemetry::{DeviceTelemetry, FleetTelemetry, JobTelemetry, OrchestratorReport};
 use qoncord_cloud::policy::FeasibilityEstimate;
 use std::cell::RefCell;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::fmt::Write as _;
 use std::rc::Rc;
@@ -707,14 +704,14 @@ fn write_record_json(record: &TraceRecord, out: &mut String) {
 ///
 /// Cloning the handle shares the sink: keep one clone outside the config
 /// to read the capture back after the run. The default handle is detached
-/// (events go only to the engine's internal metrics aggregation).
+/// (events go only to the engine's own accounting fold).
 #[derive(Clone, Default)]
 pub struct TraceHandle {
     sink: Option<Rc<RefCell<dyn TraceSink>>>,
 }
 
 impl TraceHandle {
-    /// A detached handle (no sink; the engine still aggregates metrics).
+    /// A detached handle (no sink; the engine still accounts the report).
     pub fn none() -> Self {
         TraceHandle::default()
     }
@@ -751,11 +748,10 @@ impl PartialEq for TraceHandle {
 }
 
 /// The engine's internal emitter: stamps records with the decision
-/// sequence, feeds the always-on [`MetricsSink`] and the report's
-/// accounting fold, and forwards to the attached handle.
+/// sequence, feeds the report's accounting fold, and forwards to the
+/// attached handle.
 pub(crate) struct Tracer {
     handle: TraceHandle,
-    metrics: MetricsSink,
     report: ReportFold,
     seq: u64,
 }
@@ -764,7 +760,6 @@ impl Tracer {
     pub(crate) fn new(handle: TraceHandle) -> Self {
         Tracer {
             handle,
-            metrics: MetricsSink::new(),
             report: ReportFold::default(),
             seq: 0,
         }
@@ -777,7 +772,6 @@ impl Tracer {
             event,
         };
         self.seq += 1;
-        self.metrics.record(&record);
         self.report.apply(&record);
         self.handle.emit(&record);
     }
@@ -795,14 +789,14 @@ impl Tracer {
             .telemetry
     }
 
-    /// The stream's aggregates and the report accounted from it.
-    pub(crate) fn finish(self) -> (TraceSummary, ReconstructedReport) {
-        (self.metrics.into_summary(), self.report.finish())
+    /// The report accounted from the stream.
+    pub(crate) fn finish(self) -> ReconstructedReport {
+        self.report.finish()
     }
 }
 
 // ---------------------------------------------------------------------------
-// Histograms and the metrics sink
+// Histograms and the stream summary
 // ---------------------------------------------------------------------------
 
 /// Number of log-scale buckets in a [`LogHistogram`].
@@ -1009,9 +1003,10 @@ impl EventCounts {
     }
 }
 
-/// The aggregates the engine's always-on metrics pass distills from the
-/// event stream, surfaced as
-/// [`OrchestratorReport::trace`](crate::telemetry::OrchestratorReport).
+/// The aggregates the report's accounting fold distills from the event
+/// stream, surfaced as
+/// [`OrchestratorReport::trace`](crate::telemetry::OrchestratorReport) and
+/// [`ReconstructedReport::trace`].
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct TraceSummary {
     /// Event-stream volume by kind.
@@ -1028,123 +1023,6 @@ pub struct TraceSummary {
     /// The affected device's queued backlog seconds (batch requests +
     /// holds), sampled after every queue-mutating decision.
     pub device_backlog: LogHistogram,
-}
-
-/// Streaming aggregation sink: histograms of wait / turnaround / queue
-/// depth / per-device backlog and event counts.
-///
-/// The engine always runs one internally; attach your own (via
-/// [`TraceHandle::to`]) only to aggregate a filtered or replayed stream.
-#[derive(Debug, Clone, Default)]
-pub struct MetricsSink {
-    events: EventCounts,
-    wait: LogHistogram,
-    turnaround: LogHistogram,
-    queue_depth: LogHistogram,
-    device_backlog: LogHistogram,
-    depth: u64,
-    backlog: Vec<f64>,
-    queued_seconds: HashMap<usize, (usize, f64)>,
-    arrivals: HashMap<usize, f64>,
-    started: HashSet<usize>,
-}
-
-impl MetricsSink {
-    /// An empty sink.
-    pub fn new() -> Self {
-        MetricsSink::default()
-    }
-
-    fn into_summary(self) -> TraceSummary {
-        TraceSummary {
-            events: self.events,
-            wait: self.wait,
-            turnaround: self.turnaround,
-            queue_depth: self.queue_depth,
-            device_backlog: self.device_backlog,
-        }
-    }
-
-    /// The aggregates so far (cloned; the sink keeps accumulating).
-    pub fn summary(&self) -> TraceSummary {
-        self.clone().into_summary()
-    }
-
-    fn sample_queue(&mut self, device: usize) {
-        self.queue_depth.record(self.depth as f64);
-        self.device_backlog.record(self.backlog[device]);
-    }
-
-    fn enqueue(&mut self, reservation: usize, device: usize, seconds: f64) {
-        if self.backlog.len() <= device {
-            self.backlog.resize(device + 1, 0.0);
-        }
-        self.depth += 1;
-        self.backlog[device] += seconds;
-        self.queued_seconds.insert(reservation, (device, seconds));
-        self.sample_queue(device);
-    }
-
-    fn dequeue(&mut self, reservation: usize) {
-        if let Some((device, seconds)) = self.queued_seconds.remove(&reservation) {
-            self.depth = self.depth.saturating_sub(1);
-            self.backlog[device] = (self.backlog[device] - seconds).max(0.0);
-            self.sample_queue(device);
-        }
-    }
-}
-
-impl TraceSink for MetricsSink {
-    fn record(&mut self, record: &TraceRecord) {
-        self.events.count(&record.event);
-        match &record.event {
-            TraceEvent::Arrival { job, .. } => {
-                self.arrivals.insert(*job, record.time);
-            }
-            TraceEvent::QueuePush {
-                reservation,
-                device,
-                seconds,
-                ..
-            }
-            | TraceEvent::HoldPush {
-                reservation,
-                device,
-                seconds,
-                ..
-            } => {
-                self.enqueue(*reservation, *device, *seconds);
-            }
-            TraceEvent::HoldRelease { reservation, .. } => {
-                self.dequeue(*reservation);
-            }
-            TraceEvent::LeaseGrant { reservation, .. } => {
-                self.dequeue(*reservation);
-            }
-            TraceEvent::LeaseComplete {
-                job, granted_at, ..
-            } => {
-                if self.started.insert(*job) {
-                    let arrival = self.arrivals.get(job).copied().unwrap_or(*granted_at);
-                    self.wait.record(granted_at - arrival);
-                }
-            }
-            TraceEvent::JobComplete { job } => {
-                if let Some(arrival) = self.arrivals.get(job) {
-                    self.turnaround.record(record.time - arrival);
-                }
-            }
-            TraceEvent::DeviceDefined { .. }
-            | TraceEvent::ShardPlan { .. }
-            | TraceEvent::FilterRejected { .. }
-            | TraceEvent::AdmissionVerdict { .. }
-            | TraceEvent::PriorityCredit { .. }
-            | TraceEvent::StaleExpiry { .. }
-            | TraceEvent::Eviction { .. }
-            | TraceEvent::CalibrationUpdate { .. }
-            | TraceEvent::DecayEpoch { .. } => {}
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1852,6 +1730,9 @@ pub struct ReconstructedReport {
     /// The calibration history, rebuilt from
     /// [`TraceEvent::CalibrationUpdate`] snapshots.
     pub calibration: Vec<MarginSnapshot>,
+    /// Event counts and histograms of the stream. Every record is counted,
+    /// orphaned ones included.
+    pub trace: TraceSummary,
     /// Events skipped because they name a job or device whose `Arrival` /
     /// `DeviceDefined` the stream does not carry (0 for a complete capture;
     /// such jobs are absent from [`jobs`](Self::jobs)).
@@ -1862,19 +1743,23 @@ impl ReconstructedReport {
     /// Field-by-field comparison against an engine report. Every
     /// discrepancy is one human-readable line; an empty result means the
     /// rebuild matches bit-for-bit (telemetry, fleet accounting, status
-    /// kinds and denial payloads, calibration history).
+    /// kinds and denial payloads, calibration history, trace summary).
+    /// Jobs are compared pair by pair only when the job counts match; the
+    /// run-wide fields are compared always.
     pub fn diff(&self, report: &OrchestratorReport) -> Vec<String> {
         use crate::telemetry::JobStatus;
         let mut diffs = Vec::new();
-        if self.jobs.len() != report.jobs.len() {
+        let paired: &[_] = if self.jobs.len() == report.jobs.len() {
+            &report.jobs
+        } else {
             diffs.push(format!(
                 "job count: rebuilt {} vs engine {}",
                 self.jobs.len(),
                 report.jobs.len()
             ));
-            return diffs;
-        }
-        for (i, (mine, theirs)) in self.jobs.iter().zip(&report.jobs).enumerate() {
+            &[]
+        };
+        for (i, (mine, theirs)) in self.jobs.iter().zip(paired).enumerate() {
             if mine.id != theirs.id {
                 diffs.push(format!("job {i} id: {} vs {}", mine.id, theirs.id));
             }
@@ -1931,6 +1816,12 @@ impl ReconstructedReport {
                 report.calibration.len()
             ));
         }
+        if self.trace != report.trace {
+            diffs.push(format!(
+                "trace summary:\n  rebuilt {:?}\n  engine  {:?}",
+                self.trace, report.trace
+            ));
+        }
         diffs
     }
 }
@@ -1953,10 +1844,10 @@ pub fn reconstruct_report(records: &[TraceRecord]) -> ReconstructedReport {
 }
 
 /// The run's accounting as a fold over its event stream — the only writer
-/// of [`JobTelemetry`] and [`FleetTelemetry`]. The engine's [`Tracer`] feeds
-/// it every event as it is emitted, reads its decision inputs back from it
-/// and builds the report from it; [`reconstruct_report`] feeds it a
-/// captured slice.
+/// of [`JobTelemetry`], [`FleetTelemetry`], the calibration history and the
+/// [`TraceSummary`]. The engine's [`Tracer`] feeds it every event as it is
+/// emitted, reads its decision inputs back from it and builds the report
+/// from it; [`reconstruct_report`] feeds it a captured slice.
 #[derive(Debug, Default)]
 struct ReportFold {
     /// Per fleet index: the lease price, `None` until its `DeviceDefined`.
@@ -1966,11 +1857,17 @@ struct ReportFold {
     /// Per submission index: `None` until its `Arrival`.
     jobs: Vec<Option<ReconstructedJob>>,
     calibration: Vec<MarginSnapshot>,
+    summary: TraceSummary,
+    /// Queued reservations (batch requests and holds) → (device, seconds).
+    queued: HashMap<usize, (usize, f64)>,
+    /// Per fleet index: the queued seconds of `queued`.
+    backlog: Vec<f64>,
     orphaned: u64,
 }
 
 impl ReportFold {
     fn apply(&mut self, record: &TraceRecord) {
+        self.summary.events.count(&record.event);
         if self.account(record).is_none() {
             self.orphaned += 1;
         }
@@ -1980,17 +1877,35 @@ impl ReportFold {
         self.jobs.get(job)?.as_ref()
     }
 
-    fn job_mut(&mut self, job: usize) -> Option<&mut ReconstructedJob> {
-        self.jobs.get_mut(job)?.as_mut()
-    }
-
     /// The lease price of a declared device.
     fn cost_per_second(&self, device: usize) -> Option<f64> {
         self.device_cost.get(device).copied().flatten()
     }
 
-    /// Accounts one event; `None` (nothing touched) when it names a job or
-    /// device the stream has not declared.
+    fn sample_queue(&mut self, device: usize) {
+        self.summary.queue_depth.record(self.queued.len() as f64);
+        self.summary.device_backlog.record(self.backlog[device]);
+    }
+
+    fn enqueue(&mut self, reservation: usize, device: usize, seconds: f64) {
+        if self.backlog.len() <= device {
+            self.backlog.resize(device + 1, 0.0);
+        }
+        self.backlog[device] += seconds;
+        self.queued.insert(reservation, (device, seconds));
+        self.sample_queue(device);
+    }
+
+    fn dequeue(&mut self, reservation: usize) {
+        if let Some((device, seconds)) = self.queued.remove(&reservation) {
+            self.backlog[device] = (self.backlog[device] - seconds).max(0.0);
+            self.sample_queue(device);
+        }
+    }
+
+    /// Accounts one event; `None` when it names a job or device the stream
+    /// has not declared. Queue samples need neither, so they are taken
+    /// regardless; nothing else is touched.
     fn account(&mut self, record: &TraceRecord) -> Option<()> {
         match &record.event {
             TraceEvent::DeviceDefined {
@@ -2035,10 +1950,10 @@ impl ReportFold {
                 });
             }
             TraceEvent::ShardPlan { job, shards, .. } => {
-                self.job_mut(*job)?.telemetry.shards = *shards;
+                self.jobs.get_mut(*job)?.as_mut()?.telemetry.shards = *shards;
             }
             TraceEvent::FilterRejected { job, devices } => {
-                self.job_mut(*job)?.outcome =
+                self.jobs.get_mut(*job)?.as_mut()?.outcome =
                     ReconstructedOutcome::FilterRejected { devices: *devices };
             }
             TraceEvent::AdmissionVerdict {
@@ -2049,7 +1964,7 @@ impl ReportFold {
                 deadline,
                 assessed_deadline,
             } => {
-                let s = self.job_mut(*job)?;
+                let s = self.jobs.get_mut(*job)?.as_mut()?;
                 match decision {
                     AdmissionDecision::Reject => {
                         s.outcome = ReconstructedOutcome::Denied {
@@ -2072,13 +1987,28 @@ impl ReportFold {
                 s.telemetry.admission_estimate = Some(*estimate);
                 s.telemetry.admission_margin = *margin;
             }
+            TraceEvent::QueuePush {
+                reservation,
+                device,
+                seconds,
+                ..
+            }
+            | TraceEvent::HoldPush {
+                reservation,
+                device,
+                seconds,
+                ..
+            } => self.enqueue(*reservation, *device, *seconds),
+            TraceEvent::LeaseGrant { reservation, .. } => self.dequeue(*reservation),
             TraceEvent::HoldRelease {
+                reservation,
                 job,
                 seconds,
                 pruned,
                 ..
             } => {
-                let s = self.job_mut(*job)?;
+                self.dequeue(*reservation);
+                let s = self.jobs.get_mut(*job)?.as_mut()?;
                 if *pruned {
                     s.telemetry.released_reservations += 1;
                     s.telemetry.released_seconds += seconds;
@@ -2093,11 +2023,12 @@ impl ReportFold {
                 ..
             } => {
                 let cost_per_second = self.cost_per_second(*device)?;
-                let s = self.job_mut(*job)?;
+                let s = self.jobs.get_mut(*job)?.as_mut()?;
                 // Time-to-first-service: the grant that actually delivered
                 // compute, not a grant preemption later revoked.
                 if s.telemetry.first_start.is_none() {
                     s.telemetry.first_start = Some(*granted_at);
+                    self.summary.wait.record(granted_at - s.telemetry.arrival);
                 }
                 s.telemetry.device_seconds[*device] += seconds;
                 s.telemetry.executions += executions;
@@ -2114,7 +2045,7 @@ impl ReportFold {
                 ..
             } => {
                 self.cost_per_second(*device)?;
-                let s = self.job_mut(*job)?;
+                let s = self.jobs.get_mut(*job)?.as_mut()?;
                 s.telemetry.evictions += 1;
                 s.telemetry.wasted_seconds += burned_seconds;
                 s.telemetry.record_shard_waste(*shard, *burned_seconds);
@@ -2125,8 +2056,11 @@ impl ReportFold {
                 self.calibration.push(*snapshot);
             }
             TraceEvent::JobComplete { job } => {
-                let s = self.job_mut(*job)?;
+                let s = self.jobs.get_mut(*job)?.as_mut()?;
                 s.telemetry.completion = Some(record.time);
+                self.summary
+                    .turnaround
+                    .record(record.time - s.telemetry.arrival);
                 // The realized completion against the admission-time
                 // projection: an SLA miss reads as a large positive error.
                 if let Some(estimate) = s.telemetry.admission_estimate {
@@ -2136,9 +2070,6 @@ impl ReportFold {
             }
             TraceEvent::DecayEpoch { .. }
             | TraceEvent::PriorityCredit { .. }
-            | TraceEvent::QueuePush { .. }
-            | TraceEvent::HoldPush { .. }
-            | TraceEvent::LeaseGrant { .. }
             | TraceEvent::StaleExpiry { .. } => {}
         }
         Some(())
@@ -2152,6 +2083,7 @@ impl ReportFold {
                 makespan: self.makespan,
             },
             calibration: self.calibration,
+            trace: self.summary,
             orphaned: self.orphaned,
         }
     }
@@ -2246,7 +2178,6 @@ mod tests {
 
     #[test]
     fn metrics_sink_tracks_depth_and_backlog() {
-        let mut sink = MetricsSink::new();
         let events = vec![
             record(
                 0,
@@ -2310,10 +2241,7 @@ mod tests {
             ),
             record(5, 5.0, TraceEvent::JobComplete { job: 0 }),
         ];
-        for e in &events {
-            sink.record(e);
-        }
-        let summary = sink.into_summary();
+        let summary = reconstruct_report(&events).trace;
         assert_eq!(summary.events.queue_pushes, 1);
         assert_eq!(summary.events.total(), 6);
         assert_eq!(summary.wait.count(), 1);
@@ -2322,6 +2250,7 @@ mod tests {
         // Depth sampled at 1 after the push, 0 after the grant.
         assert_eq!(summary.queue_depth.count(), 2);
         assert_eq!(summary.queue_depth.max(), Some(1.0));
+        assert_eq!(summary.device_backlog.max(), Some(4.0));
     }
 
     /// A capture cut mid-preamble: device 0 and job 0 lost their

@@ -131,10 +131,32 @@ fn captured_stream_replays_into_the_report() {
     for run in [run_preemption, run_split] {
         let sink = Rc::new(RefCell::new(MemorySink::new()));
         let report = run(TraceHandle::to(sink.clone()));
-        let rebuilt = trace::reconstruct_report(sink.borrow().records());
+        let records = sink.borrow().records().to_vec();
+        let rebuilt = trace::reconstruct_report(&records);
         assert_eq!(rebuilt.orphaned, 0);
         let diff = rebuilt.diff(&report);
         assert!(diff.is_empty(), "{}", diff.join("\n"));
+
+        // A lost push moves nothing but the stream summary: the diff must
+        // still see it.
+        let without = |kind: &str| {
+            let at = records
+                .iter()
+                .position(|r| r.event.kind() == kind)
+                .expect("the run emits this event kind");
+            let mut lossy = records.clone();
+            lossy.remove(at);
+            trace::reconstruct_report(&lossy).diff(&report)
+        };
+        let diff = without("queue_push");
+        assert!(
+            diff.iter().any(|d| d.starts_with("trace summary")),
+            "{diff:?}"
+        );
+        // A lost arrival drops a job; the run-wide fields are still compared.
+        let diff = without("arrival");
+        assert!(diff.iter().any(|d| d.starts_with("job count")), "{diff:?}");
+        assert!(diff.iter().any(|d| d.starts_with("fleet")), "{diff:?}");
     }
 }
 
