@@ -4,34 +4,33 @@
 //! a job's priority reflects its user's recent resource consumption, the
 //! number of requests they have in flight, and the computation time they
 //! request — heavy users sink, light users float. This module implements
-//! that ordering for the queue simulator and standalone use.
+//! that ordering for the orchestrator's dispatcher, where every request is
+//! bound to a device: dispatchable work to the device that will run it, a
+//! provisional hold to the device whose backlog it reserves.
 //!
 //! # Indexed core
 //!
 //! The queue is indexed so the hot paths never scan every pending request:
 //!
 //! * Each tenant's requests live in per-*lane* ordered buckets (one lane per
-//!   placement tag: untargeted, bound to a device, or a provisional hold on
-//!   a device), keyed by the decay-invariant part of the fair-share score —
+//!   placement tag: bound to a device, or a provisional hold on a device),
+//!   keyed by the decay-invariant part of the fair-share score —
 //!   `request_size_weight * requested_seconds`, then submission time, then
 //!   insertion sequence. Every request of a tenant shares the same usage and
 //!   in-flight score terms, so this within-lane order never changes when
 //!   balances move.
 //! * A per-device ready index holds each device lane's best request keyed
 //!   by its full score, so [`pop_for_device`](FairShareQueue::pop_for_device)
-//!   is a first-entry read plus an `O(log n)` removal. The cross-tenant index
-//!   over every lane's best, read only by [`pop`](FairShareQueue::pop) and
-//!   `pop_where`, is built on demand from the lanes' posted keys by the first
-//!   of them and kept by reposts from then on. Writes (push, removal, usage
-//!   charge or credit) only flag their tenant; the ordered queries first
-//!   repost the flagged tenants, so any number of writes to one tenant
+//!   is a first-entry read plus an `O(log n)` removal. Writes (push, removal,
+//!   usage charge or credit) only flag their tenant; a device pop first
+//!   reposts the flagged tenants, so any number of writes to one tenant
 //!   between two reads cost one repost.
 //! * No insertion-order index is kept: [`pending`](FairShareQueue::pending)
 //!   sorts the queued requests by their insertion sequence, `O(n log n)`.
 //! * [`decay_usage`](FairShareQueue::decay_usage) keeps the seed's exact
 //!   arithmetic (`consumed *= factor` per tenant, so balances stay
 //!   bit-identical to the unindexed implementation) and merely marks the
-//!   cross-tenant index stale; the next ordered query performs one amortized
+//!   ready indexes stale; the next device pop performs one amortized
 //!   rebuild over the lanes instead of re-scoring on every comparison.
 //! * A per-device backlog summary (sum of queued `requested_seconds`) is
 //!   maintained incrementally on push/pop/cancel so admission projections
@@ -48,16 +47,17 @@
 //! implementation: pops pick the lowest score, FIFO on score ties, insertion
 //! order on full ties. The retained reference implementation in
 //! [`crate::reference`] pins that contract in the equivalence property
-//! tests. One deliberate boundary tightening: requests with non-finite
-//! `requested_seconds` or `submitted_at` are rejected at push time with a
-//! typed error instead of panicking inside the pop comparator.
+//! tests, which express a device pop as the reference's predicate pop over
+//! the requests bound to that device. One deliberate boundary tightening:
+//! requests with non-finite `requested_seconds` or `submitted_at` are
+//! rejected at push time with a typed error instead of panicking inside the
+//! pop comparator.
 
 use std::cell::RefCell;
 use std::cmp::{Ordering, Reverse};
 use std::collections::{BTreeMap, BinaryHeap, HashMap};
 use std::fmt;
 use std::hash::{BuildHasherDefault, Hasher};
-use std::ops::Bound;
 
 /// FxHash's multiply-rotate step, for the maps every push and pop looks up
 /// (SipHash was a measured share of those); `finish` rotates so hashbrown's
@@ -200,18 +200,18 @@ impl FairShareWeights {
 /// `index_rebuilds` growing with operation count instead of decay epochs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct QueueOpStats {
-    /// Requests enqueued (all tags: untargeted, device-bound, holds).
+    /// Requests enqueued, device-bound and holds alike (requeues included).
     pub pushes: u64,
-    /// Requests dequeued for execution (any pop flavor).
+    /// Requests dequeued for execution, by device or by id.
     pub pops: u64,
     /// Requests removed without running (cancellations).
     pub cancels: u64,
-    /// Amortized rebuilds of the cross-tenant score index. Exactly one per
-    /// ordered query that follows a decaying `decay_usage` call — if this
+    /// Amortized rebuilds of the per-device ready indexes. Exactly one per
+    /// device pop that follows a decaying `decay_usage` call — if this
     /// grows like `pops`, the lazy-rebuild optimization has regressed.
     pub index_rebuilds: u64,
     /// Incremental updates of the per-device backlog summary (one per
-    /// device-tagged push/pop/cancel; never a full queue walk).
+    /// push, pop and cancel; never a full queue walk).
     pub backlog_refreshes: u64,
     /// Queued requests whose drain-order key a fresh projection's lazy
     /// refresh recomputed: every request of each tenant written to since
@@ -259,8 +259,6 @@ impl Ord for Key {
 /// device's backlog it charges.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 enum Tag {
-    /// No device affinity; eligible for untargeted pops only.
-    Free,
     /// Dispatchable work bound to a device's ready set.
     Device(usize),
     /// Provisional reservation charged to a device's backlog but excluded
@@ -269,11 +267,10 @@ enum Tag {
 }
 
 impl Tag {
-    /// The device whose backlog this request charges, if any.
-    fn device(self) -> Option<usize> {
+    /// The device whose backlog this request charges.
+    fn device(self) -> usize {
         match self {
-            Tag::Free => None,
-            Tag::Device(d) | Tag::Hold(d) => Some(d),
+            Tag::Device(d) | Tag::Hold(d) => d,
         }
     }
 }
@@ -338,8 +335,8 @@ struct DrainIndex {
     walked: u64,
 }
 
-/// One tenant's ordered bucket of requests sharing a placement tag, plus
-/// the cross-tenant key its best member is currently posted under.
+/// One tenant's ordered bucket of requests sharing a placement tag, plus,
+/// for a device lane, the ready-index key its best member is posted under.
 #[derive(Debug, Clone, Default)]
 struct Lane {
     requests: BTreeMap<ReqKey, usize>,
@@ -365,12 +362,13 @@ struct UserState {
 ///
 /// let mut q = FairShareQueue::new();
 /// q.record_usage("heavy", 1000.0).unwrap();
-/// q.push(QueuedRequest { id: 0, user: "heavy".into(), requested_seconds: 5.0, submitted_at: 0.0 })
-///     .unwrap();
-/// q.push(QueuedRequest { id: 1, user: "light".into(), requested_seconds: 5.0, submitted_at: 1.0 })
-///     .unwrap();
+/// let req = |id: usize, user: &str| QueuedRequest {
+///     id, user: user.into(), requested_seconds: 5.0, submitted_at: id as f64,
+/// };
+/// q.push_for_device(req(0, "heavy"), 0).unwrap();
+/// q.push_for_device(req(1, "light"), 0).unwrap();
 /// // The light user's later submission dequeues first.
-/// assert_eq!(q.pop().unwrap().id, 1);
+/// assert_eq!(q.pop_for_device(0).unwrap().id, 1);
 /// ```
 ///
 /// Its hash maps are only looked up, or iterated where the result is sorted
@@ -383,19 +381,17 @@ pub struct FairShareQueue {
     states: Vec<UserState>,
     /// Request id → stored request + index coordinates.
     entries: FastMap<usize, StoredRequest>,
-    /// Cross-tenant index over every lane's best; built by the first untargeted pop.
-    ready_all: Option<BTreeMap<CrossKey, (usize, Tag)>>,
-    /// Per-device score index over `Tag::Device` lane bests only.
-    ready_by_device: FastMap<usize, BTreeMap<CrossKey, (usize, Tag)>>,
+    /// Per-device score index over `Tag::Device` lane bests → tenant uid.
+    ready_by_device: FastMap<usize, BTreeMap<CrossKey, usize>>,
     /// Incrementally maintained per-device backlog: sum of queued
     /// `requested_seconds` charged to the device (dispatchable + holds).
     backlog: FastMap<usize, f64>,
     len: usize,
     seq: u64,
     /// Tenants whose posted lane bests predate a write; reposted by the
-    /// next ordered query.
+    /// next device pop.
     unposted: Vec<usize>,
-    /// Set by a decaying `decay_usage`; cleared by the next ordered query's
+    /// Set by a decaying `decay_usage`; cleared by the next device pop's
     /// amortized index rebuild.
     stale: bool,
     stats: QueueOpStats,
@@ -489,7 +485,7 @@ impl FairShareQueue {
     }
 
     /// A tenant's balance or requests moved: flags it for the two lazy
-    /// indexes — the posted lane bests, re-derived by the next ordered query
+    /// indexes — the posted lane bests, re-derived by the next device pop
     /// ([`ensure_fresh`](Self::ensure_fresh)), and the drain index's next
     /// re-key — so a write costs no ordered-map operation until something
     /// reads the order.
@@ -503,43 +499,40 @@ impl FairShareQueue {
         }
     }
 
-    /// Reposts every lane of a tenant — needed whenever the tenant's usage
-    /// terms change, since those shift all of its lanes' posted scores — and
-    /// drops the lanes that emptied.
+    /// Reposts every device lane of a tenant — needed whenever the tenant's
+    /// usage terms change, since those shift all of its lanes' posted
+    /// scores — and drops the lanes of either tag that emptied. Hold lanes
+    /// are never posted: no pop reads them in score order.
     fn repost_user(&mut self, uid: usize) {
         let usage = self.states[uid].usage;
         let mut lanes = std::mem::take(&mut self.states[uid].lanes);
         lanes.retain(|&tag, lane| {
-            let old = lane.posted.take();
-            lane.posted = lane.requests.first_key_value().map(|(&rk, id)| {
-                let seconds = self.entries[id].request.requested_seconds;
-                self.weights.cross_key(usage, seconds, rk)
-            });
-            let ready = match tag {
-                Tag::Device(d) => Some(self.ready_by_device.entry(d).or_default()),
-                _ => None,
-            };
-            for index in [self.ready_all.as_mut(), ready].into_iter().flatten() {
-                if let Some(old) = old {
-                    index.remove(&old);
+            if let Tag::Device(d) = tag {
+                let ready = self.ready_by_device.entry(d).or_default();
+                if let Some(old) = lane.posted.take() {
+                    ready.remove(&old);
                 }
+                lane.posted = lane.requests.first_key_value().map(|(&rk, id)| {
+                    let seconds = self.entries[id].request.requested_seconds;
+                    self.weights.cross_key(usage, seconds, rk)
+                });
                 if let Some(key) = lane.posted {
-                    index.insert(key, (uid, tag));
+                    ready.insert(key, uid);
                 }
             }
-            lane.posted.is_some()
+            !lane.requests.is_empty()
         });
         self.states[uid].lanes = lanes;
     }
 
-    /// Brings the cross-tenant indexes up to date with the live state, as
-    /// the first step of every query that reads them: reposts the tenants
-    /// written to since the last one — or everyone, as the amortized rebuild
-    /// a decay epoch deferred. A posting is a function of the tenant's live
-    /// balance and lane contents alone, so however many writes a tenant
-    /// absorbed in between, one repost lands it where eager reposting would
-    /// have. The within-lane order is decay-invariant, so only the posted
-    /// lane-best keys need re-deriving.
+    /// Brings the ready indexes up to date with the live state, as the first
+    /// step of every device pop: reposts the tenants written to since the
+    /// last one — or everyone, as the amortized rebuild a decay epoch
+    /// deferred. A posting is a function of the tenant's live balance and
+    /// lane contents alone, so however many writes a tenant absorbed in
+    /// between, one repost lands it where eager reposting would have. The
+    /// within-lane order is decay-invariant, so only the posted lane-best
+    /// keys need re-deriving.
     fn ensure_fresh(&mut self) {
         let _rebuild = std::mem::take(&mut self.stale).then(|| {
             self.stats.index_rebuilds += 1;
@@ -555,8 +548,8 @@ impl FairShareQueue {
         self.unposted.clear();
     }
 
-    fn insert_request(&mut self, request: QueuedRequest, tag: Tag) -> Result<(), FairShareError> {
-        let _prof = qoncord_prof::span("fairshare::push");
+    /// The push-time checks: finite fields and an id not already queued.
+    fn admissible(&self, request: &QueuedRequest) -> Result<(), FairShareError> {
         if !(request.requested_seconds.is_finite() && request.submitted_at.is_finite()) {
             return Err(FairShareError::NonFiniteRequest {
                 requested_seconds: request.requested_seconds,
@@ -566,14 +559,18 @@ impl FairShareQueue {
         if self.entries.contains_key(&request.id) {
             return Err(FairShareError::DuplicateRequestId(request.id));
         }
+        Ok(())
+    }
+
+    fn insert_request(&mut self, request: QueuedRequest, tag: Tag) -> Result<(), FairShareError> {
+        let _prof = qoncord_prof::span("fairshare::push");
+        self.admissible(&request)?;
         let uid = self.uid_of(&request.user);
         self.states[uid].usage.jobs_in_flight += 1;
         let seq = self.seq;
         self.seq += 1;
-        if let Some(d) = tag.device() {
-            *self.backlog.entry(d).or_insert(0.0) += request.requested_seconds;
-            self.stats.backlog_refreshes += 1;
-        }
+        *self.backlog.entry(tag.device()).or_insert(0.0) += request.requested_seconds;
+        self.stats.backlog_refreshes += 1;
         let key = self.req_key(&request, seq);
         self.states[uid]
             .lanes
@@ -607,12 +604,10 @@ impl FairShareQueue {
         if let Some(lane) = self.states[uid].lanes.get_mut(&tag) {
             lane.requests.remove(&key);
         }
-        if let Some(d) = tag.device() {
-            if let Some(total) = self.backlog.get_mut(&d) {
-                *total -= request.requested_seconds;
-            }
-            self.stats.backlog_refreshes += 1;
+        if let Some(total) = self.backlog.get_mut(&tag.device()) {
+            *total -= request.requested_seconds;
         }
+        self.stats.backlog_refreshes += 1;
         let usage = &mut self.states[uid].usage;
         usage.jobs_in_flight = usage.jobs_in_flight.saturating_sub(1);
         self.len -= 1;
@@ -663,9 +658,8 @@ impl FairShareQueue {
     ///
     /// Balances are updated eagerly with the same `consumed *= factor`
     /// arithmetic as the reference implementation (keeping them
-    /// bit-identical); only the cross-tenant score index is deferred, via a
-    /// stale flag consumed by the next ordered query's single amortized
-    /// rebuild.
+    /// bit-identical); only the ready indexes are deferred, via a stale flag
+    /// consumed by the next device pop's single amortized rebuild.
     ///
     /// # Errors
     ///
@@ -699,9 +693,9 @@ impl FairShareQueue {
         self.states.iter().map(|s| (s.name.as_str(), s.usage))
     }
 
-    /// Iterates the pending requests — every lane: untargeted, device-bound
-    /// and holds — in insertion order, without popping. A request popped
-    /// and pushed again re-enters at the back. Sorts per call, `O(n log n)`.
+    /// Iterates the pending requests — device-bound and holds — in
+    /// insertion order, without popping. A request popped and pushed again
+    /// re-enters at the back. Sorts per call, `O(n log n)`.
     pub fn pending(&self) -> impl Iterator<Item = &QueuedRequest> {
         let mut stored: Vec<&StoredRequest> = self.entries.values().collect();
         stored.sort_unstable_by_key(|s| s.seq);
@@ -715,7 +709,9 @@ impl FairShareQueue {
         self.backlog.get(&device).copied().unwrap_or(0.0).max(0.0)
     }
 
-    /// Enqueues an untargeted request and bumps the user's in-flight count.
+    /// Enqueues a request into `device`'s ready set and bumps the user's
+    /// in-flight count: it charges that device's backlog and is eligible
+    /// for [`pop_for_device`](Self::pop_for_device).
     ///
     /// # Errors
     ///
@@ -723,17 +719,6 @@ impl FairShareQueue {
     /// `requested_seconds` or `submitted_at` is not finite, and
     /// [`FairShareError::DuplicateRequestId`] when its id is already queued;
     /// nothing is enqueued in either case.
-    pub fn push(&mut self, request: QueuedRequest) -> Result<(), FairShareError> {
-        self.insert_request(request, Tag::Free)
-    }
-
-    /// Enqueues a request into `device`'s ready set: it charges that
-    /// device's backlog and is eligible for
-    /// [`pop_for_device`](Self::pop_for_device).
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`push`](Self::push).
     pub fn push_for_device(
         &mut self,
         request: QueuedRequest,
@@ -743,13 +728,12 @@ impl FairShareQueue {
     }
 
     /// Enqueues a provisional hold on `device`: the request charges the
-    /// device's backlog and competes in untargeted pops, but is excluded
-    /// from the device's dispatch pops until released
-    /// ([`cancel_by_id`](Self::cancel_by_id)).
+    /// device's backlog but is excluded from the device's dispatch pops
+    /// until released ([`cancel_by_id`](Self::cancel_by_id)).
     ///
     /// # Errors
     ///
-    /// Same contract as [`push`](Self::push).
+    /// Same contract as [`push_for_device`](Self::push_for_device).
     pub fn push_hold(
         &mut self,
         request: QueuedRequest,
@@ -758,50 +742,14 @@ impl FairShareQueue {
         self.insert_request(request, Tag::Hold(device))
     }
 
-    /// Fair-share score of a request: lower dequeues sooner.
-    pub fn score(&self, request: &QueuedRequest) -> f64 {
-        self.weights
-            .score_of(self.usage(&request.user), request.requested_seconds)
-    }
-
-    /// The cross-tenant index, from the live key
-    /// [`ensure_fresh`](Self::ensure_fresh) leaves posted on every lane.
-    fn cross_index(states: &[UserState]) -> BTreeMap<CrossKey, (usize, Tag)> {
-        let mut index = BTreeMap::new();
-        for (uid, state) in states.iter().enumerate() {
-            for (&tag, lane) in &state.lanes {
-                index.insert(lane.posted.expect("a fresh lane is posted"), (uid, tag));
-            }
-        }
-        index
-    }
-
-    /// Dequeues the request with the lowest score (FIFO on ties) and
-    /// releases its in-flight slot. The caller should
-    /// [`record_usage`](Self::record_usage) once the job actually runs.
-    pub fn pop(&mut self) -> Option<QueuedRequest> {
-        let _prof = qoncord_prof::span("fairshare::pop");
-        self.ensure_fresh();
-        let ready_all = self
-            .ready_all
-            .get_or_insert_with(|| Self::cross_index(&self.states));
-        let (_, &(uid, tag)) = ready_all.first_key_value()?;
-        let id = *self.states[uid].lanes[&tag]
-            .requests
-            .first_key_value()
-            .expect("posted lane is non-empty")
-            .1;
-        self.stats.pops += 1;
-        self.remove_request(id)
-    }
-
     /// Dequeues the lowest-score dispatchable request bound to `device`
     /// (FIFO on ties), releasing its in-flight slot. Holds on the device
-    /// are not candidates.
+    /// are not candidates. The caller should
+    /// [`record_usage`](Self::record_usage) once the job actually runs.
     pub fn pop_for_device(&mut self, device: usize) -> Option<QueuedRequest> {
         let _prof = qoncord_prof::span("fairshare::pop");
         self.ensure_fresh();
-        let (_, &(uid, _)) = self.ready_by_device.get(&device)?.first_key_value()?;
+        let (_, &uid) = self.ready_by_device.get(&device)?.first_key_value()?;
         let id = *self.states[uid].lanes[&Tag::Device(device)]
             .requests
             .first_key_value()
@@ -828,142 +776,40 @@ impl FairShareQueue {
         Some(request)
     }
 
-    /// Dequeues the lowest-score request among those matching `pred` (FIFO
-    /// on ties), releasing its in-flight slot. Requests failing `pred` stay
-    /// queued.
-    ///
-    /// Candidates are visited in exact pop order by walking lane bests
-    /// through a small heap, so the cost is proportional to the number of
-    /// rejected candidates, not the queue length. Callers that can name
-    /// their target should prefer [`pop_for_device`](Self::pop_for_device)
-    /// or [`pop_by_id`](Self::pop_by_id), which skip the walk entirely.
-    pub fn pop_where(&mut self, pred: impl Fn(&QueuedRequest) -> bool) -> Option<QueuedRequest> {
-        self.ensure_fresh();
-        let ready_all = self
-            .ready_all
-            .get_or_insert_with(|| Self::cross_index(&self.states));
-        let mut frontier = BinaryHeap::new();
-        for (&key, &(uid, tag)) in ready_all.iter() {
-            let (&req_key, &id) = self.states[uid].lanes[&tag]
-                .requests
-                .first_key_value()
-                .expect("posted lane is non-empty");
-            frontier.push(Reverse((key, uid, tag, req_key, id)));
-        }
-        while let Some(Reverse((_, uid, tag, req_key, id))) = frontier.pop() {
-            if pred(&self.entries[&id].request) {
-                self.stats.pops += 1;
-                return self.remove_request(id);
-            }
-            let next = self.states[uid].lanes[&tag]
-                .requests
-                .range((Bound::Excluded(req_key), Bound::Unbounded))
-                .next()
-                .map(|(&k, &i)| (k, i));
-            if let Some((next_key, next_id)) = next {
-                let seconds = self.entries[&next_id].request.requested_seconds;
-                let cross = self
-                    .weights
-                    .cross_key(self.states[uid].usage, seconds, next_key);
-                frontier.push(Reverse((cross, uid, tag, next_key, next_id)));
-            }
-        }
-        None
-    }
-
-    /// Requeues a request whose granted device time was preempted before it
-    /// produced anything: the tenant is credited `burned_seconds` of
-    /// fair-share usage as compensation for the delay, so eviction victims
-    /// float back up the queue. The caller owns the credit's lifetime —
-    /// charge it back (via [`record_usage`](Self::record_usage)) once the
-    /// victim is made whole, or it becomes a permanent discount.
+    /// Requeues into `device`'s ready set a request whose granted device
+    /// time was preempted before it produced anything: the tenant is
+    /// credited `burned_seconds` of fair-share usage as compensation for the
+    /// delay, so eviction victims float back up the queue. The caller owns
+    /// the credit's lifetime — charge it back (via
+    /// [`record_usage`](Self::record_usage)) once the victim is made whole,
+    /// or it becomes a permanent discount.
     ///
     /// # Errors
     ///
     /// Returns [`FairShareError::InvalidSeconds`] when `burned_seconds` is
-    /// negative or not finite, plus [`push`](Self::push)'s errors for the
-    /// request itself; neither the credit nor the enqueue happens on any
-    /// rejection.
-    pub fn requeue_with_credit(
-        &mut self,
-        request: QueuedRequest,
-        burned_seconds: f64,
-    ) -> Result<(), FairShareError> {
-        self.requeue_impl(request, Tag::Free, burned_seconds)
-    }
-
-    /// [`requeue_with_credit`](Self::requeue_with_credit), but back into
-    /// `device`'s ready set — the eviction/requeue path of a dispatcher
-    /// whose reservations are device-bound.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`requeue_with_credit`](Self::requeue_with_credit).
+    /// negative or not finite, plus
+    /// [`push_for_device`](Self::push_for_device)'s errors for the request
+    /// itself; neither the credit nor the enqueue happens on any rejection.
     pub fn requeue_with_credit_for_device(
         &mut self,
         request: QueuedRequest,
         device: usize,
         burned_seconds: f64,
     ) -> Result<(), FairShareError> {
-        self.requeue_impl(request, Tag::Device(device), burned_seconds)
-    }
-
-    fn requeue_impl(
-        &mut self,
-        request: QueuedRequest,
-        tag: Tag,
-        burned_seconds: f64,
-    ) -> Result<(), FairShareError> {
         if !(burned_seconds.is_finite() && burned_seconds >= 0.0) {
             return Err(FairShareError::InvalidSeconds(burned_seconds));
         }
-        if !(request.requested_seconds.is_finite() && request.submitted_at.is_finite()) {
-            return Err(FairShareError::NonFiniteRequest {
-                requested_seconds: request.requested_seconds,
-                submitted_at: request.submitted_at,
-            });
-        }
-        if self.entries.contains_key(&request.id) {
-            return Err(FairShareError::DuplicateRequestId(request.id));
-        }
+        self.admissible(&request)?;
         self.credit_usage(&request.user, burned_seconds)?;
-        self.insert_request(request, tag)
-    }
-
-    /// Removes every request matching `pred` without running it, releasing
-    /// the in-flight slots. Returns the cancelled requests in queue order —
-    /// this is the release path when restart triage kills work whose
-    /// reservations are still queued. One ordered pass over
-    /// [`pending`](Self::pending) collects the victims; each removal is an
-    /// indexed delete, so no tail-shifting rescans.
-    pub fn cancel_where(&mut self, pred: impl Fn(&QueuedRequest) -> bool) -> Vec<QueuedRequest> {
-        let victims: Vec<usize> = self.pending().filter(|r| pred(r)).map(|r| r.id).collect();
-        victims
-            .into_iter()
-            .filter_map(|id| {
-                let request = self.remove_request(id)?;
-                self.stats.cancels += 1;
-                Some(request)
-            })
-            .collect()
-    }
-
-    /// Drains the queue in fair-share order.
-    pub fn drain_ordered(&mut self) -> Vec<QueuedRequest> {
-        let mut out = Vec::with_capacity(self.len);
-        while let Some(r) = self.pop() {
-            out.push(r);
-        }
-        out
+        self.insert_request(request, Tag::Device(device))
     }
 }
 
-/// A tenant snapshot inside a queue projection: mutable copies of the score
-/// terms plus the tenant's requests in within-lane order.
+/// A tenant snapshot inside the replay oracle: a mutable copy of its usage
+/// plus its requests in within-tenant drain order.
 #[derive(Debug, Default)]
 struct ProjectedUser {
-    consumed: f64,
-    in_flight: u32,
+    usage: UserUsage,
     /// `(order key, id, requested_seconds, charged device)` sorted by key.
     requests: Vec<(ReqKey, usize, f64, Option<usize>)>,
     cursor: usize,
@@ -978,7 +824,7 @@ impl FairShareQueue {
     fn tenant_requests_into(&self, uid: usize, buf: &mut Vec<(ReqKey, usize, f64, Option<usize>)>) {
         buf.clear();
         buf.extend(self.states[uid].lanes.iter().flat_map(|(tag, lane)| {
-            let device = tag.device();
+            let device = Some(tag.device());
             lane.requests.iter().map(move |(&key, &id)| {
                 (key, id, self.entries[&id].request.requested_seconds, device)
             })
@@ -986,132 +832,22 @@ impl FairShareQueue {
         buf.sort_unstable_by_key(|a| a.0);
     }
 
-    /// Snapshots every tenant for an analytic drain, indexed parallel to
-    /// the internal uid space.
-    fn projection_users(&self) -> Vec<ProjectedUser> {
-        self.states
-            .iter()
-            .enumerate()
-            .map(|(uid, state)| {
-                let mut requests = Vec::new();
-                self.tenant_requests_into(uid, &mut requests);
-                ProjectedUser {
-                    consumed: state.usage.consumed_seconds,
-                    in_flight: state.usage.jobs_in_flight,
-                    requests,
-                    cursor: 0,
-                }
-            })
-            .collect()
-    }
-
-    /// Replays the queue's pop loop analytically over tenant snapshots:
-    /// repeatedly takes the lowest-scored head, advances that tenant
-    /// (releasing its in-flight slot exactly like a real pop), and calls
-    /// `visit(id, requested_seconds, device)`; a `false` return stops the
-    /// drain. Only the popped tenant's head key changes per step, so a
-    /// standard binary heap with reinsertion replays the exact order in
-    /// `O(n log u)` instead of the old `O(n^2)` min-rescan.
-    fn projected_drain(
-        users: &mut [ProjectedUser],
-        weights: FairShareWeights,
-        mut visit: impl FnMut(usize, f64, Option<usize>) -> bool,
-    ) {
-        let head_key = |user: &ProjectedUser| {
-            let (key, _, secs, _) = user.requests[user.cursor];
-            CrossKey {
-                score: Key::new(
-                    weights.usage * user.consumed
-                        + weights.in_flight * user.in_flight as f64
-                        + weights.request_size * secs,
-                ),
-                submitted: key.submitted,
-                seq: key.seq,
-            }
-        };
-        let mut heap = BinaryHeap::new();
-        for (uid, user) in users.iter().enumerate() {
-            if user.cursor < user.requests.len() {
-                heap.push(Reverse((head_key(user), uid)));
-            }
-        }
-        while let Some(Reverse((_, uid))) = heap.pop() {
-            let user = &mut users[uid];
-            let (_, id, secs, device) = user.requests[user.cursor];
-            user.cursor += 1;
-            user.in_flight = user.in_flight.saturating_sub(1);
-            if !visit(id, secs, device) {
-                return;
-            }
-            let user = &users[uid];
-            if user.cursor < user.requests.len() {
-                heap.push(Reverse((head_key(user), uid)));
-            }
-        }
-    }
-
-    /// Projects the exact id order in which this queue would dispatch its
-    /// pending requests if drained right now, with all balances first aged
-    /// by `decay_factor` — without cloning or mutating the queue.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `decay_factor` is outside `[0, 1]` or not finite.
-    pub fn projected_pop_order(&self, decay_factor: f64) -> Vec<usize> {
-        assert!(
-            decay_factor.is_finite() && (0.0..=1.0).contains(&decay_factor),
-            "decay factor must lie in [0, 1], got {decay_factor}"
-        );
-        let _prof = qoncord_prof::span("fairshare::projection");
-        let mut users = self.projection_users();
-        for user in &mut users {
-            user.consumed *= decay_factor;
-        }
-        let mut order = Vec::with_capacity(self.len);
-        Self::projected_drain(&mut users, self.weights, |id, _, _| {
-            order.push(id);
-            true
-        });
-        order
-    }
-
     /// Projects the per-device backlog that would dispatch *ahead of*
     /// `probe` if it were pushed now: credits `probe_credit` seconds to the
     /// probe's tenant, ages every balance by `decay_factor`, virtually
-    /// enqueues the probe last, then replays the drain accumulating each
-    /// outranking request's `requested_seconds` against the device it is
-    /// charged to — all without cloning the queue. Index `d` of the result
-    /// is device `d`'s share; requests charged to devices `>= n_devices`
-    /// or to no device are dropped, matching the old projection's guard.
+    /// enqueues the probe last, then accumulates each outranking request's
+    /// `requested_seconds` against the device it is charged to — all
+    /// without cloning the queue. Only the devices an admission decision
+    /// prices accumulate: slot `d` of the result is device `d`'s share when
+    /// `devices` lists `d` and `d < n_devices`, and `0.0` otherwise. Each
+    /// device's sum is independent of every other device's, so a slot does
+    /// not depend on what else is listed. This is the rank query
+    /// [`crate::policy::estimate_feasibility_decayed`] rides.
     ///
     /// # Panics
     ///
     /// Panics when `decay_factor` is outside `[0, 1]`, `probe_credit` is
     /// negative or not finite, or the probe's fields are not finite.
-    pub fn projected_backlog_ahead(
-        &self,
-        probe: &QueuedRequest,
-        probe_credit: f64,
-        decay_factor: f64,
-        n_devices: usize,
-    ) -> Vec<f64> {
-        self.backlog_ahead_impl(probe, probe_credit, decay_factor, n_devices, None)
-    }
-
-    /// [`projected_backlog_ahead`](Self::projected_backlog_ahead) restricted
-    /// to the devices an admission decision actually prices: only devices
-    /// listed in `devices` accumulate (other slots of the returned vector
-    /// stay `0.0`). Each device's sum is independent of every other
-    /// device's, so the listed slots are bit-identical to the full
-    /// projection's — this is the rank-query entry point
-    /// [`crate::policy::estimate_feasibility_decayed`] rides, avoiding
-    /// accumulation work for the hundreds of fleet devices a placement never
-    /// touches.
-    ///
-    /// # Panics
-    ///
-    /// Same contract as
-    /// [`projected_backlog_ahead`](Self::projected_backlog_ahead).
     pub fn projected_backlog_for(
         &self,
         probe: &QueuedRequest,
@@ -1119,17 +855,6 @@ impl FairShareQueue {
         decay_factor: f64,
         n_devices: usize,
         devices: &[usize],
-    ) -> Vec<f64> {
-        self.backlog_ahead_impl(probe, probe_credit, decay_factor, n_devices, Some(devices))
-    }
-
-    fn backlog_ahead_impl(
-        &self,
-        probe: &QueuedRequest,
-        probe_credit: f64,
-        decay_factor: f64,
-        n_devices: usize,
-        only: Option<&[usize]>,
     ) -> Vec<f64> {
         assert!(
             decay_factor.is_finite() && (0.0..=1.0).contains(&decay_factor),
@@ -1144,11 +869,11 @@ impl FairShareQueue {
             "probe fields must be finite"
         );
         let _prof = qoncord_prof::span("fairshare::projection");
-        let fast = self.backlog_ahead_ranked(probe, probe_credit, decay_factor, n_devices, only);
+        let fast = self.backlog_ahead_ranked(probe, probe_credit, decay_factor, n_devices, devices);
         #[cfg(debug_assertions)]
         {
             let replay =
-                self.backlog_ahead_replay(probe, probe_credit, decay_factor, n_devices, only);
+                self.backlog_ahead_replay(probe, probe_credit, decay_factor, n_devices, devices);
             debug_assert!(
                 fast.len() == replay.len()
                     && fast
@@ -1162,11 +887,12 @@ impl FairShareQueue {
         fast
     }
 
-    /// The exact-replay oracle: heap-replays the whole drain over tenant
-    /// snapshots, exactly as dispatch would pop. Retained as the
-    /// `debug_assert` check on every
-    /// [`backlog_ahead_ranked`](Self::backlog_ahead_ranked) answer (and as
-    /// the reference the equivalence property tests pin against).
+    /// The exact-replay oracle: heap-replays the drain over tenant
+    /// snapshots, exactly as dispatch would pop, until the probe surfaces.
+    /// Only the popped tenant's head key changes per step, so a binary heap
+    /// with reinsertion replays the exact order in `O(n log u)`. Retained
+    /// as the `debug_assert` check on every
+    /// [`backlog_ahead_ranked`](Self::backlog_ahead_ranked) answer.
     // Only the debug-assert path calls it, so release builds see it as
     // dead; it must stay compiled so the oracle can't rot.
     #[cfg_attr(not(debug_assertions), allow(dead_code))]
@@ -1176,9 +902,19 @@ impl FairShareQueue {
         probe_credit: f64,
         decay_factor: f64,
         n_devices: usize,
-        only: Option<&[usize]>,
+        devices: &[usize],
     ) -> Vec<f64> {
-        let mut users = self.projection_users();
+        let mut users: Vec<ProjectedUser> = (0..self.states.len())
+            .map(|uid| {
+                let mut requests = Vec::new();
+                self.tenant_requests_into(uid, &mut requests);
+                ProjectedUser {
+                    usage: self.states[uid].usage,
+                    requests,
+                    cursor: 0,
+                }
+            })
+            .collect();
         let probe_uid = match self.users.get(&probe.user) {
             Some(&uid) => uid,
             None => {
@@ -1188,31 +924,46 @@ impl FairShareQueue {
         };
         // Same op order as the reference projection: credit, then decay,
         // then enqueue the probe (bumping its tenant's in-flight count).
-        users[probe_uid].consumed -= probe_credit;
+        users[probe_uid].usage.consumed_seconds -= probe_credit;
         for user in &mut users {
-            user.consumed *= decay_factor;
+            user.usage.consumed_seconds *= decay_factor;
         }
-        users[probe_uid].in_flight += 1;
-        let probe_key = self.req_key(probe, self.seq);
         let probe_user = &mut users[probe_uid];
+        probe_user.usage.jobs_in_flight += 1;
+        let probe_key = self.req_key(probe, self.seq);
         let at = probe_user
             .requests
             .partition_point(|(key, ..)| *key < probe_key);
         probe_user
             .requests
             .insert(at, (probe_key, probe.id, probe.requested_seconds, None));
+
+        let head_key = |user: &ProjectedUser| {
+            let (rk, _, secs, _) = user.requests[user.cursor];
+            self.weights.cross_key(user.usage, secs, rk)
+        };
+        let mut heap: BinaryHeap<_> = users
+            .iter()
+            .enumerate()
+            .filter(|(_, user)| !user.requests.is_empty())
+            .map(|(uid, user)| Reverse((head_key(user), uid)))
+            .collect();
         let mut ahead = vec![0.0; n_devices];
-        Self::projected_drain(&mut users, self.weights, |id, secs, device| {
+        while let Some(Reverse((_, uid))) = heap.pop() {
+            let user = &mut users[uid];
+            let (_, id, secs, device) = user.requests[user.cursor];
             if id == probe.id {
-                return false;
+                break;
             }
-            if let Some(d) = device {
-                if d < n_devices && only.is_none_or(|list| list.contains(&d)) {
-                    ahead[d] += secs;
-                }
+            user.cursor += 1;
+            user.usage.jobs_in_flight = user.usage.jobs_in_flight.saturating_sub(1);
+            if let Some(d) = device.filter(|d| *d < n_devices && devices.contains(d)) {
+                ahead[d] += secs;
             }
-            true
-        });
+            if user.cursor < user.requests.len() {
+                heap.push(Reverse((head_key(user), uid)));
+            }
+        }
         ahead
     }
 
@@ -1275,7 +1026,7 @@ impl FairShareQueue {
     }
 
     /// The fast path behind
-    /// [`projected_backlog_ahead`](Self::projected_backlog_ahead):
+    /// [`projected_backlog_for`](Self::projected_backlog_for):
     /// characterizes the outranking set directly instead of heap-replaying
     /// the whole drain.
     ///
@@ -1309,7 +1060,7 @@ impl FairShareQueue {
         probe_credit: f64,
         decay_factor: f64,
         n_devices: usize,
-        only: Option<&[usize]>,
+        devices: &[usize],
     ) -> Vec<f64> {
         let probe_uid = self.users.get(&probe.user).copied();
         let live = probe_uid.map_or(UserUsage::default(), |uid| self.states[uid].usage);
@@ -1320,9 +1071,9 @@ impl FairShareQueue {
             jobs_in_flight: live.jobs_in_flight + 1,
         };
         // Every listed device below `n_devices` is priced once, however
-        // often `only` names it; `None` lists them all.
-        let mut listed = vec![only.is_none(); n_devices];
-        for &d in only.unwrap_or_default() {
+        // often `devices` names it.
+        let mut listed = vec![false; n_devices];
+        for &d in devices {
             if let Some(slot) = listed.get_mut(d) {
                 *slot = true;
             }
@@ -1442,36 +1193,42 @@ mod tests {
     fn light_users_jump_heavy_users() {
         let mut q = FairShareQueue::new();
         q.record_usage("heavy", 500.0).unwrap();
-        q.push(req(0, "heavy", 10.0, 0.0)).unwrap();
-        q.push(req(1, "light", 10.0, 5.0)).unwrap();
-        assert_eq!(q.pop().unwrap().id, 1);
-        assert_eq!(q.pop().unwrap().id, 0);
+        q.push_for_device(req(0, "heavy", 10.0, 0.0), 0).unwrap();
+        q.push_for_device(req(1, "light", 10.0, 5.0), 0).unwrap();
+        assert_eq!(q.pop_for_device(0).unwrap().id, 1);
+        assert_eq!(q.pop_for_device(0).unwrap().id, 0);
     }
 
     #[test]
     fn fifo_breaks_ties() {
         let mut q = FairShareQueue::new();
-        q.push(req(0, "a", 10.0, 0.0)).unwrap();
-        q.push(req(1, "b", 10.0, 1.0)).unwrap();
-        assert_eq!(q.pop().unwrap().id, 0);
+        q.push_for_device(req(0, "a", 10.0, 0.0), 0).unwrap();
+        q.push_for_device(req(1, "b", 10.0, 1.0), 0).unwrap();
+        assert_eq!(q.pop_for_device(0).unwrap().id, 0);
     }
 
     #[test]
     fn many_in_flight_jobs_sink_priority() {
         let mut q = FairShareQueue::new();
         for i in 0..5 {
-            q.push(req(i, "spammer", 1.0, i as f64)).unwrap();
+            q.push_for_device(req(i, "spammer", 1.0, i as f64), 0)
+                .unwrap();
         }
-        q.push(req(99, "newcomer", 1.0, 10.0)).unwrap();
-        assert_eq!(q.pop().unwrap().id, 99, "single-job user goes first");
+        q.push_for_device(req(99, "newcomer", 1.0, 10.0), 0)
+            .unwrap();
+        assert_eq!(
+            q.pop_for_device(0).unwrap().id,
+            99,
+            "single-job user goes first"
+        );
     }
 
     #[test]
     fn larger_requests_sink() {
         let mut q = FairShareQueue::new();
-        q.push(req(0, "a", 1000.0, 0.0)).unwrap();
-        q.push(req(1, "b", 1.0, 1.0)).unwrap();
-        assert_eq!(q.pop().unwrap().id, 1);
+        q.push_for_device(req(0, "a", 1000.0, 0.0), 0).unwrap();
+        q.push_for_device(req(1, "b", 1.0, 1.0), 0).unwrap();
+        assert_eq!(q.pop_for_device(0).unwrap().id, 1);
     }
 
     #[test]
@@ -1479,10 +1236,10 @@ mod tests {
         let mut q = FairShareQueue::new();
         q.record_usage("reformed", 1000.0).unwrap();
         q.decay_usage(0.0).unwrap();
-        q.push(req(0, "reformed", 5.0, 0.0)).unwrap();
-        q.push(req(1, "fresh", 5.0, 1.0)).unwrap();
+        q.push_for_device(req(0, "reformed", 5.0, 0.0), 0).unwrap();
+        q.push_for_device(req(1, "fresh", 5.0, 1.0), 0).unwrap();
         // Equal usage now; FIFO decides.
-        assert_eq!(q.pop().unwrap().id, 0);
+        assert_eq!(q.pop_for_device(0).unwrap().id, 0);
     }
 
     #[test]
@@ -1492,13 +1249,13 @@ mod tests {
         let mut q = FairShareQueue::new();
         q.record_usage("reformed", 1000.0).unwrap();
         q.record_usage("steady", 10.0).unwrap();
-        q.push(req(0, "reformed", 5.0, 0.0)).unwrap();
-        q.push(req(1, "steady", 5.0, 1.0)).unwrap();
+        q.push_for_device(req(0, "reformed", 5.0, 0.0), 0).unwrap();
+        q.push_for_device(req(1, "steady", 5.0, 1.0), 0).unwrap();
         q.decay_usage(0.0).unwrap();
-        assert_eq!(q.pop().unwrap().id, 0, "post-decay order wins");
+        assert_eq!(q.pop_for_device(0).unwrap().id, 0, "post-decay order wins");
         assert_eq!(q.stats().index_rebuilds, 1);
         q.decay_usage(1.0).unwrap();
-        q.pop();
+        q.pop_for_device(0);
         assert_eq!(
             q.stats().index_rebuilds,
             1,
@@ -1509,9 +1266,9 @@ mod tests {
     #[test]
     fn pop_releases_in_flight_slot() {
         let mut q = FairShareQueue::new();
-        q.push(req(0, "a", 1.0, 0.0)).unwrap();
+        q.push_for_device(req(0, "a", 1.0, 0.0), 0).unwrap();
         assert_eq!(q.usage("a").jobs_in_flight, 1);
-        q.pop();
+        q.pop_for_device(0);
         assert_eq!(q.usage("a").jobs_in_flight, 0);
     }
 
@@ -1519,12 +1276,13 @@ mod tests {
     fn drain_returns_everything_in_order() {
         let mut q = FairShareQueue::new();
         q.record_usage("x", 100.0).unwrap();
-        q.push(req(0, "x", 1.0, 0.0)).unwrap();
-        q.push(req(1, "y", 1.0, 1.0)).unwrap();
-        q.push(req(2, "z", 1.0, 2.0)).unwrap();
-        let order: Vec<usize> = q.drain_ordered().iter().map(|r| r.id).collect();
-        assert_eq!(order.len(), 3);
-        assert_ne!(order[0], 0, "heavy user cannot be first");
+        q.push_for_device(req(0, "x", 1.0, 0.0), 0).unwrap();
+        q.push_for_device(req(1, "y", 1.0, 1.0), 0).unwrap();
+        q.push_for_device(req(2, "z", 1.0, 2.0), 0).unwrap();
+        let order: Vec<usize> = std::iter::from_fn(|| q.pop_for_device(0))
+            .map(|r| r.id)
+            .collect();
+        assert_eq!(order, [1, 2, 0], "heavy user last, FIFO among the rest");
         assert!(q.is_empty());
     }
 
@@ -1576,11 +1334,13 @@ mod tests {
     #[test]
     fn non_finite_request_rejected_at_push() {
         let mut q = FairShareQueue::new();
-        let err = q.push(req(0, "a", f64::NAN, 0.0)).unwrap_err();
+        let err = q
+            .push_for_device(req(0, "a", f64::NAN, 0.0), 0)
+            .unwrap_err();
         assert!(matches!(err, FairShareError::NonFiniteRequest { .. }));
         assert!(err.to_string().contains("finite"));
         assert!(matches!(
-            q.push(req(1, "a", 1.0, f64::INFINITY)),
+            q.push_hold(req(1, "a", 1.0, f64::INFINITY), 0),
             Err(FairShareError::NonFiniteRequest { .. })
         ));
         assert!(q.is_empty(), "rejected pushes must not enqueue");
@@ -1599,17 +1359,17 @@ mod tests {
     #[test]
     fn duplicate_request_id_rejected() {
         let mut q = FairShareQueue::new();
-        q.push(req(7, "a", 1.0, 0.0)).unwrap();
+        q.push_for_device(req(7, "a", 1.0, 0.0), 0).unwrap();
         assert_eq!(
-            q.push(req(7, "b", 2.0, 1.0)),
+            q.push_for_device(req(7, "b", 2.0, 1.0), 0),
             Err(FairShareError::DuplicateRequestId(7))
         );
         assert_eq!(q.len(), 1);
         assert_eq!(q.usage("b").jobs_in_flight, 0);
         // Once popped, the id is free again.
-        q.pop().unwrap();
-        q.push(req(7, "b", 2.0, 1.0)).unwrap();
-        assert_eq!(q.pop().unwrap().user, "b");
+        q.pop_for_device(0).unwrap();
+        q.push_for_device(req(7, "b", 2.0, 1.0), 0).unwrap();
+        assert_eq!(q.pop_for_device(0).unwrap().user, "b");
     }
 
     #[test]
@@ -1621,20 +1381,6 @@ mod tests {
     }
 
     #[test]
-    fn pop_where_skips_non_matching_requests() {
-        let mut q = FairShareQueue::new();
-        q.record_usage("heavy", 500.0).unwrap();
-        q.push(req(0, "heavy", 1.0, 0.0)).unwrap();
-        q.push(req(1, "light", 1.0, 1.0)).unwrap();
-        // Even though "light" has the better score, a filter on id 0 must
-        // return the heavy user's request and leave the other queued.
-        assert_eq!(q.pop_where(|r| r.id == 0).unwrap().id, 0);
-        assert_eq!(q.len(), 1);
-        assert!(q.pop_where(|r| r.id == 7).is_none());
-        assert_eq!(q.len(), 1, "non-matching pop leaves the queue intact");
-    }
-
-    #[test]
     fn requeue_with_credit_floats_the_victim() {
         let mut q = FairShareQueue::new();
         // Both tenants have identical history; the victim burned 40s of
@@ -1642,62 +1388,33 @@ mod tests {
         // an otherwise-equal earlier submission.
         q.record_usage("victim", 100.0).unwrap();
         q.record_usage("other", 100.0).unwrap();
-        q.push(req(0, "other", 10.0, 0.0)).unwrap();
-        q.requeue_with_credit(req(1, "victim", 10.0, 5.0), 40.0)
+        q.push_for_device(req(0, "other", 10.0, 0.0), 0).unwrap();
+        q.requeue_with_credit_for_device(req(1, "victim", 10.0, 5.0), 0, 40.0)
             .unwrap();
         assert_eq!(q.usage("victim").consumed_seconds, 60.0);
-        assert_eq!(q.pop().unwrap().id, 1);
+        assert_eq!(q.pop_for_device(0).unwrap().id, 1);
     }
 
     #[test]
     fn negative_burned_credit_rejected_with_typed_error() {
         let mut q = FairShareQueue::new();
         assert_eq!(
-            q.requeue_with_credit(req(0, "a", 1.0, 0.0), -1.0),
+            q.requeue_with_credit_for_device(req(0, "a", 1.0, 0.0), 0, -1.0),
             Err(FairShareError::InvalidSeconds(-1.0))
         );
         assert!(q.is_empty(), "a rejected requeue must not enqueue");
         assert_eq!(q.usage("a").jobs_in_flight, 0);
         // A bad request must not leave the credit behind either.
         assert!(matches!(
-            q.requeue_with_credit(req(0, "a", f64::NAN, 0.0), 5.0),
+            q.requeue_with_credit_for_device(req(0, "a", f64::NAN, 0.0), 0, 5.0),
             Err(FairShareError::NonFiniteRequest { .. })
         ));
-        assert_eq!(q.usage("a").consumed_seconds, 0.0);
-    }
-
-    #[test]
-    fn cancel_where_releases_in_flight_slots() {
-        let mut q = FairShareQueue::new();
-        for i in 0..4 {
-            q.push(req(i, "vqa", 10.0, i as f64)).unwrap();
-        }
-        q.push(req(9, "other", 10.0, 9.0)).unwrap();
-        assert_eq!(q.usage("vqa").jobs_in_flight, 4);
-        let cancelled = q.cancel_where(|r| r.user == "vqa" && r.id >= 2);
-        assert_eq!(cancelled.iter().map(|r| r.id).collect::<Vec<_>>(), [2, 3]);
-        assert_eq!(q.usage("vqa").jobs_in_flight, 2);
-        assert_eq!(q.len(), 3);
-        assert!(q.cancel_where(|r| r.id == 100).is_empty());
-    }
-
-    #[test]
-    fn cancel_where_preserves_insertion_order_across_users_and_devices() {
-        let mut q = FairShareQueue::new();
-        q.push(req(0, "a", 1.0, 0.0)).unwrap();
-        q.push_for_device(req(1, "b", 2.0, 1.0), 0).unwrap();
-        q.push_hold(req(2, "a", 3.0, 2.0), 1).unwrap();
-        q.push(req(3, "c", 4.0, 3.0)).unwrap();
-        q.push_for_device(req(4, "b", 5.0, 4.0), 1).unwrap();
-        let cancelled = q.cancel_where(|r| r.id != 3);
+        q.push_for_device(req(1, "a", 1.0, 0.0), 0).unwrap();
         assert_eq!(
-            cancelled.iter().map(|r| r.id).collect::<Vec<_>>(),
-            [0, 1, 2, 4],
-            "cancellations come back in insertion order"
+            q.requeue_with_credit_for_device(req(1, "a", 1.0, 0.0), 0, 5.0),
+            Err(FairShareError::DuplicateRequestId(1))
         );
-        assert_eq!(q.len(), 1);
-        assert_eq!(q.device_backlog(0), 0.0);
-        assert_eq!(q.device_backlog(1), 0.0);
+        assert_eq!(q.usage("a").consumed_seconds, 0.0);
     }
 
     #[test]
@@ -1705,12 +1422,11 @@ mod tests {
         let mut q = FairShareQueue::new();
         q.push_for_device(req(0, "a", 1.0, 0.0), 0).unwrap();
         q.push_for_device(req(1, "b", 1.0, 1.0), 1).unwrap();
-        q.push(req(2, "c", 1.0, 2.0)).unwrap();
-        assert_eq!(q.pop_for_device(1).unwrap().id, 1);
-        assert!(q.pop_for_device(1).is_none());
         assert_eq!(q.pop_for_device(0).unwrap().id, 0);
-        assert_eq!(q.len(), 1, "untargeted request survives device pops");
-        assert_eq!(q.pop().unwrap().id, 2);
+        assert!(q.pop_for_device(0).is_none());
+        assert!(q.pop_for_device(2).is_none(), "a device never pushed to");
+        assert_eq!(q.len(), 1, "device 1's request survives device 0's pops");
+        assert_eq!(q.pop_for_device(1).unwrap().id, 1);
     }
 
     #[test]
@@ -1719,8 +1435,8 @@ mod tests {
         q.record_usage("heavy", 500.0).unwrap();
         q.push_for_device(req(0, "heavy", 1.0, 0.0), 0).unwrap();
         q.push_for_device(req(1, "light", 1.0, 1.0), 0).unwrap();
-        // Same ordering contract as pop_where(device == 0) had: fair-share
-        // score decides, not insertion.
+        // Same ordering contract as the reference's predicate pop over the
+        // device's requests: fair-share score decides, not insertion.
         assert_eq!(q.pop_for_device(0).unwrap().id, 1);
         assert_eq!(q.pop_for_device(0).unwrap().id, 0);
     }
@@ -1748,11 +1464,42 @@ mod tests {
         assert_eq!(q.usage("a").jobs_in_flight, 0);
     }
 
+    /// Hold lanes are never posted, so only a repost drops one once it
+    /// empties: after any number of hold / release cycles, the next device
+    /// pop — whichever device, whatever it returns — leaves the tenant with
+    /// no lane at all.
+    #[test]
+    fn emptied_hold_lanes_are_dropped_by_the_next_pop() {
+        let mut q = FairShareQueue::new();
+        for id in 0..20 {
+            q.push_hold(req(id, "a", 3.0, id as f64), id % 3).unwrap();
+            q.cancel_by_id(id).unwrap();
+        }
+        assert_eq!(
+            q.states[0].lanes.len(),
+            3,
+            "emptied lanes wait for a repost"
+        );
+        assert!(q.pop_for_device(7).is_none());
+        assert!(q.states[0].lanes.is_empty(), "{:?}", q.states[0].lanes);
+        assert!(q.ready_by_device.is_empty(), "hold lanes are never posted");
+        for d in 0..3 {
+            assert_eq!(q.device_backlog(d), 0.0);
+        }
+        assert_eq!(q.usage("a").jobs_in_flight, 0);
+        // A device lane empties the same way once its last request pops.
+        q.push_for_device(req(99, "a", 1.0, 0.0), 0).unwrap();
+        assert_eq!(q.pop_for_device(0).unwrap().id, 99);
+        assert!(q.pop_for_device(0).is_none());
+        assert!(q.states[0].lanes.is_empty());
+        assert!(q.ready_by_device[&0].is_empty());
+    }
+
     #[test]
     fn pop_by_id_and_cancel_by_id_target_exactly_one_request() {
         let mut q = FairShareQueue::new();
-        q.push(req(0, "a", 1.0, 0.0)).unwrap();
-        q.push(req(1, "a", 1.0, 1.0)).unwrap();
+        q.push_for_device(req(0, "a", 1.0, 0.0), 0).unwrap();
+        q.push_for_device(req(1, "a", 1.0, 1.0), 0).unwrap();
         assert!(q.pop_by_id(5).is_none());
         assert_eq!(q.pop_by_id(1).unwrap().id, 1);
         assert!(q.cancel_by_id(1).is_none());
@@ -1763,7 +1510,7 @@ mod tests {
     #[test]
     fn pending_views_iterate_in_insertion_order() {
         let mut q = FairShareQueue::new();
-        q.push(req(0, "a", 3.0, 0.0)).unwrap();
+        q.push_for_device(req(0, "a", 3.0, 0.0), 1).unwrap();
         q.push_for_device(req(1, "b", 2.0, 1.0), 0).unwrap();
         q.push_hold(req(2, "a", 1.0, 2.0), 0).unwrap();
         q.push_for_device(req(3, "c", 4.0, 3.0), 0).unwrap();
@@ -1772,7 +1519,7 @@ mod tests {
         let again = q.pop_by_id(1).unwrap();
         q.push_for_device(again, 0).unwrap();
         assert_eq!(q.pending().map(|r| r.id).collect::<Vec<_>>(), [0, 2, 3, 1]);
-        // Holds and untargeted requests are not dispatch candidates.
+        // Holds and other devices' requests are not device 0's candidates.
         let mut dispatched: Vec<usize> =
             std::iter::from_fn(|| q.pop_for_device(0).map(|r| r.id)).collect();
         dispatched.sort_unstable();
@@ -1817,7 +1564,7 @@ mod tests {
         assert_eq!(popped, oracle.pop().unwrap());
         assert_eq!(popped.id, 2);
         assert_ne!(q.ready_by_device, posted);
-        while let Some(next) = oracle.pop() {
+        for next in oracle.drain_ordered() {
             assert_eq!(q.pop_for_device(0), Some(next));
         }
         assert!(q.pop_for_device(0).is_none());
@@ -1826,22 +1573,22 @@ mod tests {
     #[test]
     fn queue_op_stats_count_the_hot_paths() {
         let mut q = FairShareQueue::new();
-        q.push(req(0, "a", 1.0, 0.0)).unwrap();
+        q.push_for_device(req(0, "a", 1.0, 0.0), 1).unwrap();
         q.push_for_device(req(1, "b", 2.0, 1.0), 0).unwrap();
         q.push_hold(req(2, "c", 3.0, 1.5), 0).unwrap();
-        q.pop().unwrap();
+        q.pop_for_device(1).unwrap();
         q.pop_for_device(0).unwrap();
         q.cancel_by_id(2).unwrap();
         q.decay_usage(0.5).unwrap();
-        q.push(req(3, "a", 1.0, 2.0)).unwrap();
-        q.pop().unwrap();
+        q.push_for_device(req(3, "a", 1.0, 2.0), 1).unwrap();
+        q.pop_for_device(1).unwrap();
         let stats = q.stats();
         assert_eq!(stats.pushes, 4);
         assert_eq!(stats.pops, 3);
         assert_eq!(stats.cancels, 1);
         assert_eq!(stats.index_rebuilds, 1, "one amortized rebuild per epoch");
-        // Two device-tagged pushes + their two removals.
-        assert_eq!(stats.backlog_refreshes, 4);
+        // Every push and every removal charges a device: four + four.
+        assert_eq!(stats.backlog_refreshes, 8);
     }
 
     /// The drain index's cost model, pinned the way `index_rebuilds` pins
@@ -1877,7 +1624,7 @@ mod tests {
             project(&q, 1.0, &[0, 1]);
         }
         assert_eq!(q.stats().drain_rekeys, 2050, "no write, no re-key");
-        q.push(req(20_000, "t3", 1.0, 0.0)).unwrap();
+        q.push_hold(req(20_000, "t3", 1.0, 0.0), 1).unwrap();
         assert_eq!(project(&q, 1.0, &[0]).drain_rekeys, 2052, "t3's two");
         q.record_usage("whale", 1.0).unwrap();
         q.credit_usage("whale", 0.5).unwrap();
@@ -1899,20 +1646,6 @@ mod tests {
     }
 
     #[test]
-    fn projected_pop_order_matches_actual_drain() {
-        let mut q = FairShareQueue::new();
-        q.record_usage("heavy", 300.0).unwrap();
-        q.push(req(0, "heavy", 10.0, 0.0)).unwrap();
-        q.push_for_device(req(1, "light", 2.0, 1.0), 0).unwrap();
-        q.push_hold(req(2, "light", 5.0, 2.0), 1).unwrap();
-        q.push(req(3, "mid", 7.0, 3.0)).unwrap();
-        q.record_usage("mid", 50.0).unwrap();
-        let projected = q.projected_pop_order(1.0);
-        let actual: Vec<usize> = q.clone().drain_ordered().iter().map(|r| r.id).collect();
-        assert_eq!(projected, actual);
-    }
-
-    #[test]
     fn projected_backlog_ahead_charges_outranking_work_per_device() {
         let mut q = FairShareQueue::new();
         q.record_usage("probe-user", 1000.0).unwrap();
@@ -1921,10 +1654,13 @@ mod tests {
         q.push_hold(req(2, "c", 5.0, 2.0), 0).unwrap();
         let probe = req(99, "probe-user", 1.0, 3.0);
         // Heavy probe tenant: everything outranks it.
-        let ahead = q.projected_backlog_ahead(&probe, 0.0, 1.0, 2);
+        let ahead = q.projected_backlog_for(&probe, 0.0, 1.0, 2, &[0, 1]);
         assert_eq!(ahead, vec![15.0, 20.0]);
+        // Only the listed devices accumulate.
+        let ahead = q.projected_backlog_for(&probe, 0.0, 1.0, 2, &[1]);
+        assert_eq!(ahead, vec![0.0, 20.0]);
         // A large enough credit floats the probe ahead of everything.
-        let ahead = q.projected_backlog_ahead(&probe, 2000.0, 1.0, 2);
+        let ahead = q.projected_backlog_for(&probe, 2000.0, 1.0, 2, &[0, 1]);
         assert_eq!(ahead, vec![0.0, 0.0]);
         // The projection must leave the queue untouched.
         assert_eq!(q.len(), 3);

@@ -870,34 +870,54 @@ mod tests {
         }
     }
 
+    /// Device 0's seconds the projection ranks ahead of `probe`, next to
+    /// the seconds a decayed clone of `q` really pops from device 0 before
+    /// it once it is pushed there.
+    fn ahead_vs_drain(q: &FairShareQueue, probe: &QueuedRequest, factor: f64) -> (f64, f64) {
+        let projected = q.projected_backlog_for(probe, 0.0, factor, 1, &[0])[0];
+        let mut real = q.clone();
+        real.decay_usage(factor).unwrap();
+        real.push_for_device(probe.clone(), 0).unwrap();
+        let drained = std::iter::from_fn(|| real.pop_for_device(0))
+            .take_while(|r| r.id != probe.id)
+            .map(|r| r.requested_seconds)
+            .sum();
+        (projected, drained)
+    }
+
     #[test]
     fn projected_order_matches_real_drain() {
         let mut q = FairShareQueue::new();
         q.record_usage("heavy", 400.0).unwrap();
         q.record_usage("light", 10.0).unwrap();
-        q.push(req(0, "heavy", 5.0, 0.0)).unwrap();
-        q.push(req(1, "light", 5.0, 1.0)).unwrap();
-        q.push(req(2, "light", 5.0, 2.0)).unwrap();
-        q.push(req(3, "fresh", 5.0, 3.0)).unwrap();
-        let projected = q.projected_pop_order(1.0);
-        let drained: Vec<usize> = q.clone().drain_ordered().iter().map(|r| r.id).collect();
-        assert_eq!(projected, drained);
-        assert_eq!(projected[0], 3, "the unburdened tenant pops first");
+        // Powers of two, so a sum of seconds names the set popped first.
+        q.push_for_device(req(0, "heavy", 8.0, 0.0), 0).unwrap();
+        q.push_for_device(req(1, "light", 2.0, 1.0), 0).unwrap();
+        q.push_for_device(req(2, "light", 4.0, 2.0), 0).unwrap();
+        q.push_for_device(req(3, "fresh", 1.0, 3.0), 0).unwrap();
+        for user in ["heavy", "light", "fresh", "newcomer"] {
+            let (projected, drained) = ahead_vs_drain(&q, &req(9, user, 5.0, 4.0), 1.0);
+            assert_eq!(projected, drained, "probe from {user}");
+        }
+        let (ahead, _) = ahead_vs_drain(&q, &req(9, "newcomer", 5.0, 4.0), 1.0);
+        assert_eq!(ahead, 1.0, "only the unburdened tenant pops first");
     }
 
     #[test]
     fn projected_order_breaks_full_ties_by_insertion() {
-        // Identical user, size, and submission time: real dispatch pops in
-        // insertion order (min_by keeps the first of equals), and the
-        // projection must agree.
+        // Identical size and submission time, and "b"'s balance matches
+        // "a"'s three in-flight slots, so the probe ties with "a"'s first
+        // request on score and time: real dispatch pops in insertion order
+        // (min_by keeps the first of equals), and the projection must agree.
         let mut q = FairShareQueue::new();
-        q.push(req(0, "a", 5.0, 1.0)).unwrap();
-        q.push(req(1, "a", 5.0, 1.0)).unwrap();
-        q.push(req(2, "a", 5.0, 1.0)).unwrap();
-        let projected = q.projected_pop_order(1.0);
-        let drained: Vec<usize> = q.clone().drain_ordered().iter().map(|r| r.id).collect();
-        assert_eq!(projected, drained);
-        assert_eq!(projected, vec![0, 1, 2]);
+        q.record_usage("b", 20.0).unwrap();
+        q.push_for_device(req(0, "a", 5.0, 1.0), 0).unwrap();
+        q.push_for_device(req(1, "a", 5.0, 1.0), 0).unwrap();
+        q.push_for_device(req(2, "a", 5.0, 1.0), 0).unwrap();
+        for user in ["a", "b"] {
+            let probe = req(9, user, 5.0, 1.0);
+            assert_eq!(ahead_vs_drain(&q, &probe, 1.0), (15.0, 15.0), "{user}");
+        }
     }
 
     #[test]
@@ -906,10 +926,10 @@ mod tests {
         // its earlier submission outranks the light tenant's.
         let mut q = FairShareQueue::new();
         q.record_usage("heavy", 1000.0).unwrap();
-        q.push(req(0, "heavy", 5.0, 0.0)).unwrap();
-        q.push(req(1, "light", 5.0, 1.0)).unwrap();
-        assert_eq!(q.projected_pop_order(1.0), vec![1, 0]);
-        assert_eq!(q.projected_pop_order(0.0), vec![0, 1]);
+        q.push_for_device(req(0, "heavy", 5.0, 0.0), 0).unwrap();
+        let probe = req(1, "light", 5.0, 1.0);
+        assert_eq!(ahead_vs_drain(&q, &probe, 1.0), (0.0, 0.0));
+        assert_eq!(ahead_vs_drain(&q, &probe, 0.0), (5.0, 5.0));
     }
 
     #[test]

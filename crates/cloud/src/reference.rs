@@ -9,6 +9,13 @@
 //! one. It is *not* a production path — every pop rescans the whole queue
 //! and every cancellation shifts the pending tail.
 //!
+//! The seed knew nothing of devices, so its API is untargeted: one `push`,
+//! predicate pops and cancels. The indexed queue keeps only the
+//! device-bound calls the orchestrator makes, and the tests keep each
+//! request's device on the side and express a device pop as
+//! `pop_where` over the requests bound to that device — what the seed
+//! orchestrator did.
+//!
 //! Two deliberate contract differences versus the indexed queue, both on
 //! paths the oracle comparison never exercises: `push` is infallible (the
 //! seed accepted non-finite requests and panicked later inside the pop

@@ -15,16 +15,20 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
 
-/// Builds a queue holding `ids` as requests spread over a small user pool.
+/// Builds a queue holding `ids` as requests spread over a small user pool,
+/// each bound to device `id % 2`.
 fn queue_of(ids: &[usize]) -> FairShareQueue {
     let mut q = FairShareQueue::new();
     for &id in ids {
-        q.push(QueuedRequest {
-            id,
-            user: format!("user-{}", id % 3),
-            requested_seconds: 1.0 + id as f64,
-            submitted_at: id as f64,
-        })
+        q.push_for_device(
+            QueuedRequest {
+                id,
+                user: format!("user-{}", id % 3),
+                requested_seconds: 1.0 + id as f64,
+                submitted_at: id as f64,
+            },
+            id % 2,
+        )
         .expect("finite fields and unique ids");
     }
     q
@@ -104,30 +108,45 @@ proptest! {
         }
     }
 
-    /// `pop_where` with an all-rejecting predicate is a pure no-op: nothing
-    /// is returned, the queue keeps its length, and no in-flight slot is
+    /// A pop that finds nothing is a pure no-op: a device with nothing
+    /// queued, a device holding only a hold, and an id that is not queued
+    /// return nothing, the queue keeps its length, and no in-flight slot is
     /// released — and on an empty queue every operation is trivially inert.
     #[test]
     fn all_filtered_pop_and_cancel_are_noops(n in 0..24usize) {
         let ids: Vec<usize> = (0..n).collect();
         let mut q = queue_of(&ids);
+        prop_assert_eq!(total_in_flight(&q, 3) as usize, n, "push tracks in-flight");
+        let hold = QueuedRequest {
+            id: 100,
+            user: "user-0".into(),
+            requested_seconds: 2.0,
+            submitted_at: 0.0,
+        };
+        q.push_hold(hold, 3).unwrap();
         let in_flight_before = total_in_flight(&q, 3);
-        prop_assert_eq!(in_flight_before as usize, n, "push tracks in-flight");
+        prop_assert_eq!(in_flight_before as usize, n + 1, "a hold takes a slot");
 
-        prop_assert!(q.pop_where(|_| false).is_none());
-        prop_assert_eq!(q.len(), n);
-        prop_assert_eq!(total_in_flight(&q, 3), in_flight_before);
-
-        prop_assert!(q.cancel_where(|_| false).is_empty());
-        prop_assert_eq!(q.len(), n);
+        prop_assert!(q.pop_for_device(2).is_none(), "nothing queued");
+        prop_assert!(q.pop_for_device(3).is_none(), "only a hold queued");
+        prop_assert!(q.pop_by_id(n).is_none());
+        prop_assert!(q.cancel_by_id(n).is_none());
+        prop_assert_eq!(q.len(), n + 1);
         prop_assert_eq!(total_in_flight(&q, 3), in_flight_before);
 
         // Empty-queue edge: drain everything, then poke the empty queue.
-        while q.pop().is_some() {}
+        for d in 0..2 {
+            while q.pop_for_device(d).is_some() {
+                prop_assert_eq!(total_in_flight(&q, 3) as usize, q.len(), "one slot per pop");
+            }
+        }
+        prop_assert!(q.cancel_by_id(100).is_some(), "the hold outlives the drain");
         prop_assert!(q.is_empty());
-        prop_assert!(q.pop().is_none());
-        prop_assert!(q.pop_where(|_| true).is_none());
-        prop_assert!(q.cancel_where(|_| true).is_empty());
+        for d in 0..4 {
+            prop_assert!(q.pop_for_device(d).is_none());
+        }
+        prop_assert!(q.pop_by_id(0).is_none());
+        prop_assert!(q.cancel_by_id(100).is_none());
         prop_assert_eq!(total_in_flight(&q, 3), 0, "drain released every slot");
     }
 
@@ -138,25 +157,26 @@ proptest! {
         let ids: Vec<usize> = (0..n).collect();
         let mut q = queue_of(&ids);
         let target = pick % n;
-        let popped = q.pop_where(|r| r.id == target).expect("target is queued");
+        let popped = q.pop_by_id(target).expect("target is queued");
         prop_assert_eq!(popped.id, target);
         let len_after_pop = q.len();
         let in_flight_after_pop = total_in_flight(&q, 3);
+        prop_assert_eq!(in_flight_after_pop as usize, n - 1, "the pop released its slot once");
 
-        let cancelled = q.cancel_where(|r| r.id == target);
-        prop_assert!(cancelled.is_empty(), "the entry is gone already");
+        prop_assert!(q.cancel_by_id(target).is_none(), "the entry is gone already");
+        prop_assert!(q.pop_by_id(target).is_none());
         prop_assert_eq!(q.len(), len_after_pop);
         prop_assert_eq!(total_in_flight(&q, 3), in_flight_after_pop,
             "no double release of the popped slot");
 
-        // A second cancel of everything still accounts exactly once.
-        let swept = q.cancel_where(|_| true);
-        prop_assert_eq!(swept.len(), n - 1);
+        // Cancelling every id still accounts each queued one exactly once.
+        let swept = ids.iter().filter_map(|&id| q.cancel_by_id(id)).count();
+        prop_assert_eq!(swept, n - 1);
         prop_assert_eq!(total_in_flight(&q, 3), 0);
     }
 
-    /// Under any interleaving of pops and cancels, in-flight slots equal
-    /// the number of requests still pending.
+    /// Under any interleaving of device pops, id pops and cancels, in-flight
+    /// slots equal the number of requests still pending.
     #[test]
     fn in_flight_always_matches_pending(
         n in 0..24usize,
@@ -166,9 +186,9 @@ proptest! {
         let mut q = queue_of(&ids);
         for (op, arg) in ops {
             match op {
-                0 => { q.pop(); }
-                1 => { q.pop_where(|r| r.id % 4 == arg % 4); }
-                _ => { q.cancel_where(|r| r.id == arg); }
+                0 => { q.pop_for_device(arg % 3); }
+                1 => { q.pop_by_id(arg); }
+                _ => { q.cancel_by_id(arg); }
             }
             prop_assert_eq!(total_in_flight(&q, 3) as usize, q.len());
         }
@@ -256,12 +276,13 @@ proptest! {
         prop_assert_eq!(merge_shard_results(partial.iter().copied(), n_restarts), None);
     }
 
-    /// The decay-aware queue projection matches the fair-share queue's real
-    /// pop order on random balances: ranking a *decayed copy* of the queue
-    /// analytically (`FairShareQueue::projected_pop_order`) yields exactly
-    /// the ids the queue itself would pop after `decay_usage` — the
-    /// contract that lets admission-time feasibility reason about queue
-    /// position without running the dispatcher.
+    /// The decay-aware queue projection matches the fair-share queue's own
+    /// pop order on random balances: the seconds
+    /// `FairShareQueue::projected_backlog_for` ranks ahead of a probe are
+    /// exactly those a *decayed copy* of the queue pops from the device
+    /// before the probe, once pushed there — the contract that lets
+    /// admission-time feasibility reason about queue position without
+    /// running the dispatcher. Every probe tenant and size is tried.
     #[test]
     fn projected_queue_order_matches_pop_order(
         balances in proptest::collection::vec(0.0..500.0f64, 4),
@@ -269,27 +290,39 @@ proptest! {
         decay_tenths in 0..11u32,
     ) {
         let decay_factor = decay_tenths as f64 / 10.0;
+        let size = |s: u8| [1.0, 2.0, 5.0, 10.0][s as usize];
         let mut q = FairShareQueue::new();
         for (user, balance) in balances.iter().enumerate() {
             q.record_usage(&format!("user-{user}"), *balance).unwrap();
         }
-        for (id, (user, size)) in requests.iter().enumerate() {
-            q.push(QueuedRequest {
+        for (id, (user, s)) in requests.iter().enumerate() {
+            let r = QueuedRequest {
                 id,
                 user: format!("user-{user}"),
                 // Sizes from a small discrete set, submission times shared
                 // by consecutive triples: full score-and-time ties (which
                 // real dispatch breaks by insertion order) are reachable.
-                requested_seconds: [1.0, 2.0, 5.0, 10.0][*size as usize],
+                requested_seconds: size(*s),
                 submitted_at: (id / 3) as f64,
-            })
-            .unwrap();
+            };
+            q.push_for_device(r, 0).unwrap();
         }
-        let projected = q.projected_pop_order(decay_factor);
-        let mut realized = q.clone();
-        realized.decay_usage(decay_factor).unwrap();
-        let popped: Vec<usize> = realized.drain_ordered().iter().map(|r| r.id).collect();
-        prop_assert_eq!(projected, popped);
+        for (tenant, s) in (0..4).flat_map(|t| (0..4u8).map(move |s| (t, s))) {
+            let probe = QueuedRequest {
+                id: usize::MAX,
+                user: format!("user-{tenant}"),
+                requested_seconds: size(s),
+                submitted_at: (requests.len() / 3) as f64,
+            };
+            let projected = q.projected_backlog_for(&probe, 0.0, decay_factor, 1, &[0]);
+            let mut realized = q.clone();
+            realized.decay_usage(decay_factor).unwrap();
+            realized.push_for_device(probe.clone(), 0).unwrap();
+            let popped = std::iter::from_fn(|| realized.pop_for_device(0))
+                .take_while(|r| r.id != probe.id)
+                .fold(0.0, |sum, r| sum + r.requested_seconds);
+            prop_assert_eq!(projected[0].to_bits(), popped.to_bits(), "{:?}", probe);
+        }
     }
 
     /// Device schedules never overlap: committed busy time within any
@@ -330,10 +363,10 @@ fn gen_req(id: usize, byte: u8, clock: usize) -> QueuedRequest {
 /// One admission projection on the indexed queue next to the seed-style
 /// oracle — clone the reference queue, credit, decay, enqueue the probe, pop
 /// until it surfaces, charging each outranking request to its tagged device
-/// (`tags`: id → (0 free | 1 device | 2 hold, device)) — both as `to_bits`
-/// vectors over three devices. `mask` picks the priced devices: 0 prices all
-/// through the unfiltered entry point, otherwise that subset of devices,
-/// its first one named twice plus one out of range.
+/// (`tags`: id → (1 device | 2 hold, device)) — both as `to_bits` vectors
+/// over three devices. `mask` picks the priced devices: 0 all three,
+/// otherwise that subset; either is spelled with its first device named
+/// twice plus one out of range.
 fn projection_vs_oracle(
     q: &FairShareQueue,
     rq: &ReferenceFairShareQueue,
@@ -343,14 +376,11 @@ fn projection_vs_oracle(
     factor: f64,
     mask: u8,
 ) -> (Vec<u64>, Vec<u64>) {
-    let mut devices: Vec<usize> = (0..3).filter(|d| mask & (1 << d) != 0).collect();
-    let ahead = if let Some(&first) = devices.first() {
-        let spelled = [&devices[..], &[first, 3]].concat();
-        q.projected_backlog_for(probe, credit, factor, 3, &spelled)
-    } else {
-        devices = vec![0, 1, 2];
-        q.projected_backlog_ahead(probe, credit, factor, 3)
-    };
+    let devices: Vec<usize> = (0..3)
+        .filter(|d| mask == 0 || mask & (1 << d) != 0)
+        .collect();
+    let spelled = [&devices[..], &[devices[0], 3]].concat();
+    let ahead = q.projected_backlog_for(probe, credit, factor, 3, &spelled);
     let mut oracle = rq.clone();
     oracle.credit_usage(&probe.user, credit).unwrap();
     oracle.decay_usage(factor).unwrap();
@@ -360,8 +390,8 @@ fn projection_vs_oracle(
         if r.id == probe.id {
             break;
         }
-        let (kind, d) = tags[&r.id];
-        if kind != 0 && devices.contains(&d) {
+        let (_, d) = tags[&r.id];
+        if devices.contains(&d) {
             expect[d] += r.requested_seconds;
         }
     }
@@ -369,132 +399,21 @@ fn projection_vs_oracle(
     (bits(&ahead), bits(&expect))
 }
 
-/// One op of `lazily_built_cross_index_matches_reference` on both queues,
-/// `tags` as in [`projection_vs_oracle`]. Codes 0–7 are what the engine
-/// does — device pushes and holds, device / id pops, cancellations, charges,
-/// a decaying decay, a pop-and-repush — and 8–10 what it never does: a free
-/// push, `pop` and `pop_where`.
-fn lazy_index_op(
-    q: &mut FairShareQueue,
-    rq: &mut ReferenceFairShareQueue,
-    tags: &mut HashMap<usize, (u8, usize)>,
-    next_id: &mut usize,
-    (code, a, b): (u8, u8, u8),
-) {
-    let d = b as usize % 3;
-    let id = a as usize % (*next_id).max(1);
-    let push = |q: &mut FairShareQueue, r: QueuedRequest, (kind, d): (u8, usize)| match kind {
-        0 => q.push(r),
-        1 => q.push_for_device(r, d),
-        _ => q.push_hold(r, d),
-    };
-    match code {
-        0 | 1 | 8 => {
-            let r = gen_req(*next_id, a, *next_id);
-            *next_id += 1;
-            let tag = (if code == 8 { 0 } else { code + 1 }, d);
-            push(q, r.clone(), tag).unwrap();
-            tags.insert(r.id, tag);
-            rq.push(r);
-        }
-        2 => {
-            let right = rq.pop_where(|r| tags.get(&r.id) == Some(&(1, d)));
-            prop_assert_eq!(q.pop_for_device(d), right);
-        }
-        3 => prop_assert_eq!(q.pop_by_id(id), rq.pop_where(|r| r.id == id)),
-        4 => {
-            let left: Vec<QueuedRequest> = q.cancel_by_id(id).into_iter().collect();
-            prop_assert_eq!(left, rq.cancel_where(|r| r.id == id));
-        }
-        5 => {
-            let user = format!("user-{}", b % 4);
-            q.record_usage(&user, (a % 60) as f64).unwrap();
-            rq.record_usage(&user, (a % 60) as f64).unwrap();
-        }
-        6 => {
-            let factor = [0.25, 0.5, 0.9][a as usize % 3];
-            q.decay_usage(factor).unwrap();
-            rq.decay_usage(factor).unwrap();
-        }
-        7 => {
-            let popped = q.pop_by_id(id);
-            prop_assert_eq!(&popped, &rq.pop_where(|r| r.id == id));
-            if let Some(r) = popped {
-                push(q, r.clone(), tags[&id]).unwrap();
-                rq.push(r);
-                let left: Vec<usize> = q.pending().map(|r| r.id).collect();
-                let right: Vec<usize> = rq.pending().map(|r| r.id).collect();
-                prop_assert_eq!(left, right, "a re-pushed request re-enters at the back");
-            }
-        }
-        9 => prop_assert_eq!(q.pop(), rq.pop()),
-        _ => {
-            let k = b as usize % 3;
-            prop_assert_eq!(
-                q.pop_where(|r| r.id % 3 == k),
-                rq.pop_where(|r| r.id % 3 == k)
-            );
-        }
-    }
-    prop_assert_eq!(q.len(), rq.len());
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
-    /// The cross-tenant index is built by the first untargeted pop from the
-    /// lanes' posted keys. Whatever a device-only history left behind —
-    /// device pushes and holds, device and id pops, cancellations, charges,
-    /// a decay epoch not yet rebuilt (`stale`) — that first `pop` /
-    /// `pop_where` must take what the reference takes, and reposts must keep
-    /// the index exact through the interleaved writes after it. `pending()`,
-    /// a sort by insertion sequence, must match the reference's insertion
-    /// order after every pop-and-repush.
-    #[test]
-    fn lazily_built_cross_index_matches_reference(
-        seed_balances in proptest::collection::vec(0.0..300.0f64, 4),
-        device_only in proptest::collection::vec((0..8u8, 0..255u8, 0..255u8), 0..40),
-        decay_before_first in 0..2u8,
-        first in (9..11u8, 0..255u8, 0..255u8),
-        after in proptest::collection::vec((0..11u8, 0..255u8, 0..255u8), 0..40),
-    ) {
-        let mut q = FairShareQueue::new();
-        let mut rq = ReferenceFairShareQueue::new();
-        for (user, balance) in seed_balances.iter().enumerate() {
-            q.record_usage(&format!("user-{user}"), *balance).unwrap();
-            rq.record_usage(&format!("user-{user}"), *balance).unwrap();
-        }
-        let mut tags = HashMap::new();
-        let mut next_id = 0;
-        for &op in &device_only {
-            lazy_index_op(&mut q, &mut rq, &mut tags, &mut next_id, op);
-        }
-        if decay_before_first == 1 {
-            lazy_index_op(&mut q, &mut rq, &mut tags, &mut next_id, (6, 1, 0));
-        }
-        for &op in std::iter::once(&first).chain(&after) {
-            lazy_index_op(&mut q, &mut rq, &mut tags, &mut next_id, op);
-        }
-        for user in 0..4 {
-            let name = format!("user-{user}");
-            let (iu, ru) = (q.usage(&name), rq.usage(&name));
-            prop_assert_eq!(iu.consumed_seconds.to_bits(), ru.consumed_seconds.to_bits());
-            prop_assert_eq!(iu.jobs_in_flight, ru.jobs_in_flight);
-        }
-        let pending_left: Vec<usize> = q.pending().map(|r| r.id).collect();
-        let pending_right: Vec<usize> = rq.pending().map(|r| r.id).collect();
-        prop_assert_eq!(pending_left, pending_right);
-        prop_assert_eq!(q.drain_ordered(), rq.drain_ordered());
-    }
-
-    /// The indexed [`FairShareQueue`] and the retained seed implementation
+    /// The indexed [`FairShareQueue`], driven through the calls the engine
+    /// makes, and the retained seed implementation
     /// ([`ReferenceFairShareQueue`]) produce bit-identical behavior over
     /// random op interleavings: every pop and cancel returns the same
     /// requests, lengths track each other after every op, and the final
     /// balances match to the last bit (`f64::to_bits`). The reference queue
     /// has no device lanes, so the test keeps a side table of each id's tag
-    /// and expresses device pops as predicate pops — which is exactly what
-    /// the seed orchestrator did before the indexed API existed.
+    /// and expresses a device pop as a predicate pop over the requests bound
+    /// to that device — which is exactly what the seed orchestrator did
+    /// before the indexed API existed. A request popped and pushed again
+    /// must re-enter `pending()` at the back on both sides, and the run ends
+    /// by draining every device on both.
     ///
     /// A quarter of the ops are admission projections on the same mutating
     /// queue, each checked bit for bit against the seed-style oracle (clone
@@ -515,63 +434,55 @@ proptest! {
             q.record_usage(&format!("user-{user}"), *balance).unwrap();
             rq.record_usage(&format!("user-{user}"), *balance).unwrap();
         }
-        // id -> (kind, device): 0 = free, 1 = device-targeted, 2 = hold.
+        // id -> (kind, device): 1 = device-bound, 2 = hold.
         let mut tags: HashMap<usize, (u8, usize)> = HashMap::new();
+        let push = |q: &mut FairShareQueue, r: QueuedRequest, tag: (u8, usize)| match tag {
+            (1, d) => q.push_for_device(r, d),
+            (_, d) => q.push_hold(r, d),
+        };
         let mut next_id = 0usize;
         let mut clock = 0usize;
         for &(code, a, b) in &ops {
+            let d = b as usize % 3;
+            let id = a as usize % next_id.max(1);
             match code {
                 0..=2 => {
                     let r = gen_req(next_id, a, clock);
                     next_id += 1;
                     clock += 1;
-                    let d = b as usize % 3;
-                    match code {
-                        0 => {
-                            q.push(r.clone()).unwrap();
-                            tags.insert(r.id, (0, 0));
-                        }
-                        1 => {
-                            q.push_for_device(r.clone(), d).unwrap();
-                            tags.insert(r.id, (1, d));
-                        }
-                        _ => {
-                            q.push_hold(r.clone(), d).unwrap();
-                            tags.insert(r.id, (2, d));
-                        }
-                    }
+                    let tag = (if code == 2 { 2 } else { 1 }, d);
+                    push(&mut q, r.clone(), tag).unwrap();
+                    tags.insert(r.id, tag);
                     rq.push(r);
                 }
-                3 => prop_assert_eq!(q.pop(), rq.pop()),
-                4 => {
-                    let d = b as usize % 3;
-                    let left = q.pop_for_device(d);
+                3 | 4 => {
                     let right = rq.pop_where(|r| tags.get(&r.id) == Some(&(1, d)));
-                    prop_assert_eq!(left, right);
+                    prop_assert_eq!(q.pop_for_device(d), right);
                 }
                 5 => {
-                    let k = b as usize % 3;
-                    let left = q.pop_where(|r| r.id % 3 == k);
-                    let right = rq.pop_where(|r| r.id % 3 == k);
-                    prop_assert_eq!(left, right);
+                    let popped = q.pop_by_id(id);
+                    prop_assert_eq!(&popped, &rq.pop_where(|r| r.id == id));
+                    if let Some(r) = popped {
+                        push(&mut q, r.clone(), tags[&id]).unwrap();
+                        rq.push(r);
+                        let left: Vec<usize> = q.pending().map(|r| r.id).collect();
+                        let right: Vec<usize> = rq.pending().map(|r| r.id).collect();
+                        prop_assert_eq!(left, right, "a re-pushed request re-enters at the back");
+                    }
                 }
-                6 => {
-                    let id = a as usize % next_id.max(1);
-                    let left = q.pop_by_id(id);
-                    let right = rq.pop_where(|r| r.id == id);
-                    prop_assert_eq!(left, right);
-                }
+                6 => prop_assert_eq!(q.pop_by_id(id), rq.pop_where(|r| r.id == id)),
                 7 => {
-                    let id = a as usize % next_id.max(1);
                     let left: Vec<QueuedRequest> = q.cancel_by_id(id).into_iter().collect();
-                    let right = rq.cancel_where(|r| r.id == id);
-                    prop_assert_eq!(left, right);
+                    prop_assert_eq!(left, rq.cancel_where(|r| r.id == id));
                 }
                 8 => {
+                    // A batch of releases, one id at a time in queue order.
                     let k = b as usize % 4;
-                    let left = q.cancel_where(|r| r.id % 4 == k);
-                    let right = rq.cancel_where(|r| r.id % 4 == k);
-                    prop_assert_eq!(left, right);
+                    let victims: Vec<usize> =
+                        q.pending().filter(|r| r.id % 4 == k).map(|r| r.id).collect();
+                    let left: Vec<QueuedRequest> =
+                        victims.into_iter().filter_map(|id| q.cancel_by_id(id)).collect();
+                    prop_assert_eq!(left, rq.cancel_where(|r| r.id % 4 == k));
                 }
                 9 => {
                     let factor = (a % 11) as f64 / 10.0;
@@ -594,8 +505,8 @@ proptest! {
                     next_id += 1;
                     clock += 1;
                     let burned = (b % 30) as f64;
-                    tags.insert(r.id, (0, 0));
-                    q.requeue_with_credit(r.clone(), burned).unwrap();
+                    tags.insert(r.id, (1, d));
+                    q.requeue_with_credit_for_device(r.clone(), d, burned).unwrap();
                     rq.requeue_with_credit(r, burned).unwrap();
                 }
                 _ => {
@@ -627,20 +538,26 @@ proptest! {
         let pending_left: Vec<usize> = q.pending().map(|r| r.id).collect();
         let pending_right: Vec<usize> = rq.pending().map(|r| r.id).collect();
         prop_assert_eq!(pending_left, pending_right);
-        prop_assert_eq!(q.drain_ordered(), rq.drain_ordered());
+        for d in 0..3 {
+            let left: Vec<QueuedRequest> = std::iter::from_fn(|| q.pop_for_device(d)).collect();
+            let right: Vec<QueuedRequest> =
+                std::iter::from_fn(|| rq.pop_where(|r| tags.get(&r.id) == Some(&(1, d))))
+                    .collect();
+            prop_assert_eq!(left, right, "device {} drain", d);
+        }
+        prop_assert_eq!(q.len(), rq.len(), "only holds are left");
     }
-
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// [`FairShareQueue::projected_backlog_ahead`] — the clone-free
-    /// projection that admission control now consumes — matches a seed-style
-    /// oracle bit for bit: clone the reference queue, apply the same credit
-    /// and decay, enqueue the probe, and pop until it surfaces, charging
-    /// each outranking request to its tagged device. Holds charge backlog;
-    /// untargeted requests charge no device — on both sides.
+    /// [`FairShareQueue::projected_backlog_for`] over every device — the
+    /// clone-free projection that admission control now consumes — matches
+    /// a seed-style oracle bit for bit: clone the reference queue, apply the
+    /// same credit and decay, enqueue the probe, and pop until it surfaces,
+    /// charging each outranking request to its tagged device. Holds charge
+    /// their device's backlog like device-bound requests — on both sides.
     #[test]
     fn projected_backlog_matches_reference_clone_and_drain(
         seed_balances in proptest::collection::vec(0.0..300.0f64, 4),
@@ -658,7 +575,6 @@ proptest! {
             q.record_usage(&format!("user-{user}"), *balance).unwrap();
             rq.record_usage(&format!("user-{user}"), *balance).unwrap();
         }
-        let mut tags: HashMap<usize, usize> = HashMap::new();
         for (id, &(user, size, kind, dev)) in requests.iter().enumerate() {
             let r = QueuedRequest {
                 id,
@@ -666,17 +582,9 @@ proptest! {
                 requested_seconds: [1.0, 2.0, 5.0, 10.0][size as usize],
                 submitted_at: (id / 3) as f64,
             };
-            let d = dev as usize;
             match kind {
-                0 => q.push(r.clone()).unwrap(),
-                1 => {
-                    q.push_for_device(r.clone(), d).unwrap();
-                    tags.insert(id, d);
-                }
-                _ => {
-                    q.push_hold(r.clone(), d).unwrap();
-                    tags.insert(id, d);
-                }
+                0 | 1 => q.push_for_device(r.clone(), dev as usize).unwrap(),
+                _ => q.push_hold(r.clone(), dev as usize).unwrap(),
             }
             rq.push(r);
         }
@@ -686,7 +594,7 @@ proptest! {
             requested_seconds: 4.0,
             submitted_at: requests.len() as f64,
         };
-        let ahead = q.projected_backlog_ahead(&probe, credit, factor, n_devices);
+        let ahead = q.projected_backlog_for(&probe, credit, factor, n_devices, &[0, 1, 2]);
 
         let mut oracle = rq.clone();
         oracle.credit_usage(&probe.user, credit).unwrap();
@@ -697,9 +605,7 @@ proptest! {
             if r.id == probe.id {
                 break;
             }
-            if let Some(&d) = tags.get(&r.id) {
-                expect[d] += r.requested_seconds;
-            }
+            expect[requests[r.id].3 as usize] += r.requested_seconds;
         }
         let ahead_bits: Vec<u64> = ahead.iter().map(|v| v.to_bits()).collect();
         let expect_bits: Vec<u64> = expect.iter().map(|v| v.to_bits()).collect();
@@ -757,7 +663,7 @@ proptest! {
             requested_seconds: 5.0,
             submitted_at: 0.0,
         };
-        let ahead = q.projected_backlog_ahead(&probe, credit, factor, n_devices);
+        let ahead = q.projected_backlog_for(&probe, credit, factor, n_devices, &[0, 1, 2]);
 
         let mut oracle = rq.clone();
         oracle.credit_usage(&probe.user, credit).unwrap();
@@ -777,7 +683,7 @@ proptest! {
 
     /// [`FairShareQueue::projected_backlog_for`] restricted to an arbitrary
     /// device subset (duplicates allowed — membership, not iteration,
-    /// decides accumulation) agrees bitwise with the full projection on
+    /// decides accumulation) agrees bitwise with the all-device one on
     /// every listed device and reports exactly `0.0` for every unlisted
     /// one — the contract that lets admission price only a placement's
     /// devices without changing a single bit of the answer.
@@ -805,8 +711,7 @@ proptest! {
                 submitted_at: (id / 3) as f64,
             };
             match kind {
-                0 => q.push(r).unwrap(),
-                1 => q.push_for_device(r, dev as usize).unwrap(),
+                0 | 1 => q.push_for_device(r, dev as usize).unwrap(),
                 _ => q.push_hold(r, dev as usize).unwrap(),
             }
         }
@@ -822,7 +727,7 @@ proptest! {
         if let Some(&first) = devices.first() {
             devices.push(first);
         }
-        let full = q.projected_backlog_ahead(&probe, credit, factor, n_devices);
+        let full = q.projected_backlog_for(&probe, credit, factor, n_devices, &[0, 1, 2, 3]);
         let filtered = q.projected_backlog_for(&probe, credit, factor, n_devices, &devices);
         prop_assert_eq!(filtered.len(), full.len());
         for d in 0..n_devices {

@@ -1,6 +1,6 @@
 //! The admission projection's exact-replay oracle, run engine-shaped.
 //!
-//! `FairShareQueue::backlog_ahead_impl` `debug_assert`s every answer of the
+//! `FairShareQueue::projected_backlog_for` `debug_assert`s every answer of the
 //! drain-order index bitwise against a heap replay of the whole drain. The
 //! queue's own property tests drive that check with synthetic requests; this
 //! test drives it with the engine's: a burst of deadline jobs through
