@@ -1514,12 +1514,11 @@ pub mod json {
     }
 
     fn expect(bytes: &[u8], pos: &mut usize, c: u8) -> Result<(), String> {
-        if *pos < bytes.len() && bytes[*pos] == c {
-            *pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected '{}' at byte {}", c as char, *pos))
+        if bytes.get(*pos) != Some(&c) {
+            return Err(format!("expected '{}' at byte {}", c as char, *pos));
         }
+        *pos += 1;
+        Ok(())
     }
 
     fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
@@ -1542,12 +1541,11 @@ pub mod json {
         literal: &str,
         value: Value,
     ) -> Result<Value, String> {
-        if bytes[*pos..].starts_with(literal.as_bytes()) {
-            *pos += literal.len();
-            Ok(value)
-        } else {
-            Err(format!("invalid literal at byte {}", *pos))
+        if !bytes[*pos..].starts_with(literal.as_bytes()) {
+            return Err(format!("invalid literal at byte {}", *pos));
         }
+        *pos += literal.len();
+        Ok(value)
     }
 
     fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
@@ -1559,9 +1557,22 @@ pub mod json {
         }
         std::str::from_utf8(&bytes[start..*pos])
             .ok()
+            .filter(|s| is_number(s))
             .and_then(|s| s.parse::<f64>().ok())
             .map(Value::Number)
             .ok_or_else(|| format!("invalid number at byte {start}"))
+    }
+
+    /// JSON's number grammar, `-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?`.
+    fn is_number(s: &str) -> bool {
+        let digits = |d: &str| !d.is_empty() && d.bytes().all(|b| b.is_ascii_digit());
+        let s = s.strip_prefix('-').unwrap_or(s);
+        let (mantissa, exp) = s.split_once(['e', 'E']).unwrap_or((s, "0"));
+        let (int, frac) = mantissa.split_once('.').unwrap_or((mantissa, "0"));
+        digits(int)
+            && (int == "0" || !int.starts_with('0'))
+            && digits(frac)
+            && digits(exp.strip_prefix(['+', '-']).unwrap_or(exp))
     }
 
     fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
@@ -1577,9 +1588,7 @@ pub mod json {
                 Some(b'\\') => {
                     *pos += 1;
                     match bytes.get(*pos) {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
+                        Some(&c @ (b'"' | b'\\' | b'/')) => out.push(c as char),
                         Some(b'n') => out.push('\n'),
                         Some(b'r') => out.push('\r'),
                         Some(b't') => out.push('\t'),
@@ -1588,6 +1597,7 @@ pub mod json {
                         Some(b'u') => {
                             let hex = bytes
                                 .get(*pos + 1..*pos + 5)
+                                .filter(|h| h.iter().all(u8::is_ascii_hexdigit))
                                 .and_then(|h| std::str::from_utf8(h).ok())
                                 .and_then(|h| u32::from_str_radix(h, 16).ok())
                                 .ok_or_else(|| format!("bad \\u escape at byte {}", *pos))?;
@@ -1598,29 +1608,19 @@ pub mod json {
                     }
                     *pos += 1;
                 }
-                Some(&b) if b < 0x80 => {
-                    out.push(b as char);
-                    *pos += 1;
+                Some(&b) if b < 0x20 => {
+                    return Err(format!("raw control character at byte {}", *pos))
                 }
                 Some(_) => {
-                    // Multi-byte UTF-8 sequences pass through untouched.
-                    // Decode from a 4-byte window (the longest scalar) —
-                    // validating the whole remainder here would make
-                    // string parsing quadratic in the document size.
-                    let window = &bytes[*pos..(*pos + 4).min(bytes.len())];
-                    let prefix = match std::str::from_utf8(window) {
-                        Ok(s) => s,
-                        // The window may cut a *later* character short;
-                        // any valid prefix still holds the first one.
-                        Err(e) if e.valid_up_to() > 0 => {
-                            std::str::from_utf8(&window[..e.valid_up_to()])
-                                .expect("validated prefix")
-                        }
-                        Err(_) => return Err("invalid utf-8".to_owned()),
-                    };
-                    let c = prefix.chars().next().expect("non-empty remainder");
-                    out.push(c);
-                    *pos += c.len_utf8();
+                    // The run to the next quote, backslash or control byte:
+                    // ASCII bounds it, so it is whole characters of `input`.
+                    let run = *pos;
+                    let plain = |b: &u8| *b >= 0x20 && *b != b'"' && *b != b'\\';
+                    while bytes.get(*pos).is_some_and(plain) {
+                        *pos += 1;
+                    }
+                    let text = std::str::from_utf8(&bytes[run..*pos]).map_err(|_| "bad utf-8")?;
+                    out.push_str(text);
                 }
             }
         }
@@ -2438,6 +2438,58 @@ mod tests {
         assert!(
             validate_chrome_trace("{\"traceEvents\": [{\"ph\": \"X\", \"pid\": 1}]}").is_err(),
             "an X event without dur is structurally invalid"
+        );
+    }
+
+    #[test]
+    fn json_reader_rejects_numbers_outside_the_grammar() {
+        for text in [
+            "+1", ".5", "1.", "01", "-.5", "-", "1e", "1e+", "--1", "1.e3", "0x1", "[01]",
+        ] {
+            assert!(json::parse(text).is_err(), "{text:?} is not JSON");
+        }
+    }
+
+    #[test]
+    fn json_reader_rejects_raw_control_characters_and_bad_escapes() {
+        for text in [
+            "\"a\nb\"",
+            "\"\t\"",
+            "\"\u{0}\"",
+            "\"\u{1f}\"",
+            "\"\\u+abc\"",
+        ] {
+            assert!(json::parse(text).is_err(), "{text:?} is not JSON");
+        }
+    }
+
+    #[test]
+    fn json_reader_accepts_the_grammars_edge_forms() {
+        for (text, value) in [
+            ("-0", -0.0),
+            ("0", 0.0),
+            ("0.5", 0.5),
+            ("1e-3", 1e-3),
+            ("2E+10", 2e10),
+            ("-12.25e2", -1225.0),
+        ] {
+            assert_eq!(json::parse(text), Ok(json::Value::Number(value)), "{text}");
+        }
+        assert_eq!(
+            json::parse("\"é\\n\\u00e9\""),
+            Ok(json::Value::String("é\né".to_owned()))
+        );
+        assert_eq!(
+            json::parse("\"日本🚀\\\"x\""),
+            Ok(json::Value::String("日本🚀\"x".to_owned()))
+        );
+        assert_eq!(
+            json::parse("[0,-1,2.5e0]"),
+            Ok(json::Value::Array(vec![
+                json::Value::Number(0.0),
+                json::Value::Number(-1.0),
+                json::Value::Number(2.5),
+            ]))
         );
     }
 }

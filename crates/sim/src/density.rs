@@ -421,14 +421,6 @@ impl DensityMatrix {
             .collect();
         ProbDist::new(probs)
     }
-
-    /// Expectation of a diagonal observable.
-    pub fn expectation_diagonal(&self, diag: &[f64]) -> f64 {
-        assert_eq!(diag.len(), self.dim);
-        (0..self.dim)
-            .map(|i| self.data[i * self.dim + i].re * diag[i])
-            .sum()
-    }
 }
 
 fn matrix_to_mat2(m: &crate::linalg::Matrix) -> Mat2 {

@@ -168,25 +168,6 @@ impl Matrix {
         self.rows == self.cols && self.approx_eq(&self.adjoint(), tol)
     }
 
-    /// Matrix-vector product `A·v`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v.len() != self.cols()`.
-    pub fn mul_vec(&self, v: &[C64]) -> Vec<C64> {
-        assert_eq!(v.len(), self.cols, "vector length must match matrix cols");
-        let mut out = vec![C64::ZERO; self.rows];
-        for r in 0..self.rows {
-            let mut acc = C64::ZERO;
-            let row = &self.data[r * self.cols..(r + 1) * self.cols];
-            for (a, x) in row.iter().zip(v) {
-                acc += *a * *x;
-            }
-            out[r] = acc;
-        }
-        out
-    }
-
     /// Eigenvalues of a Hermitian matrix, ascending, via the cyclic Jacobi
     /// method on the equivalent `2n × 2n` real symmetric embedding.
     ///
@@ -472,14 +453,6 @@ mod tests {
     fn trace_sums_diagonal() {
         let m = Matrix::from_real(2, 2, &[1.0, 9.0, 9.0, 2.0]);
         assert_eq!(m.trace(), C64::real(3.0));
-    }
-
-    #[test]
-    fn mul_vec_matches_matrix_mul() {
-        let m = pauli_x();
-        let v = [C64::ONE, C64::ZERO];
-        let out = m.mul_vec(&v);
-        assert_eq!(out, vec![C64::ZERO, C64::ONE]);
     }
 
     #[test]

@@ -207,20 +207,6 @@ impl StateVector {
     pub fn norm_sq(&self) -> f64 {
         self.amps.iter().map(|a| a.norm_sq()).sum()
     }
-
-    /// Expectation of a diagonal observable given as per-basis-state values.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `diag.len() != 2^n`.
-    pub fn expectation_diagonal(&self, diag: &[f64]) -> f64 {
-        assert_eq!(diag.len(), self.amps.len());
-        self.amps
-            .iter()
-            .zip(diag)
-            .map(|(a, d)| a.norm_sq() * d)
-            .sum()
-    }
 }
 
 /// Inserts a zero bit at position `bit` of `i` (all higher bits shift up):
@@ -450,13 +436,6 @@ mod tests {
         let b = StateVector::basis_state(2, 2);
         assert_eq!(a.inner(&b), C64::ZERO);
         assert!((a.fidelity(&a) - 1.0).abs() < 1e-14);
-    }
-
-    #[test]
-    fn expectation_of_diagonal_z() {
-        // <Z0> on |1> is -1.
-        let sv = StateVector::basis_state(1, 1);
-        assert!((sv.expectation_diagonal(&[1.0, -1.0]) + 1.0).abs() < 1e-14);
     }
 
     #[test]

@@ -521,6 +521,14 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "ansatz register mismatch")]
+    fn vqe_evaluator_rejects_register_mismatch() {
+        let h = PauliSum::from_terms(&[(1.0, "ZZ")]).expect("valid Pauli strings");
+        let backend = SimulatedBackend::ideal(catalog::ibmq_kolkata());
+        VqeEvaluator::new(&h, &Circuit::new(3, 0), backend, 0);
+    }
+
+    #[test]
     fn evaluator_reports_device_and_stats() {
         let backend = SimulatedBackend::from_calibration(catalog::ibmq_toronto());
         let eval = QaoaEvaluator::new(&triangle(), 2, backend, 0);

@@ -1,6 +1,10 @@
 //! Pauli-string observables: construction, qubit-wise-commuting grouping,
 //! measurement-basis rotations, and exact matrices for ground-truth
 //! diagonalization.
+//!
+//! An energy is read only from measured distributions: one per QWC group,
+//! after its [`PauliSum::group_rotation`], through
+//! [`PauliString::expectation_from_dist`]. There is no state-side readout.
 
 use qoncord_circuit::circuit::Circuit;
 use qoncord_sim::dist::ProbDist;
@@ -43,48 +47,6 @@ impl fmt::Display for Pauli {
             Pauli::Z => "Z",
         })
     }
-}
-
-/// Bit-mask form of a Pauli string for masked amplitude sweeps.
-///
-/// Encodes the action `P|i⟩ = i^{y} · (−1)^{popcount(i & z)} · |i ⊕ x⟩`:
-/// `x` collects the X|Y positions (which basis bits flip), `z` the Z|Y
-/// positions (which bits contribute a sign), and `y` the number of Y factors
-/// (a global phase `i^y`). Expectations then reduce to one pass over the
-/// amplitudes per string — `O(2^n)` instead of the `O(4^n)` dense-matrix
-/// route — and strings sharing `x = 0` share a single `|ψ|²` sweep.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PauliMasks {
-    /// Bits where the string acts X or Y: the amplitude-index flip mask.
-    pub x: usize,
-    /// Bits where the string acts Z or Y: the sign-parity mask.
-    pub z: usize,
-    /// Number of Y factors mod 4: the global phase is `i^y_mod4`.
-    pub y_mod4: u8,
-}
-
-/// Real part of `i^y · s` without materialising the phase factor.
-fn re_i_pow(y_mod4: u8, s: C64) -> f64 {
-    match y_mod4 & 3 {
-        0 => s.re,
-        1 => -s.im,
-        2 => -s.re,
-        _ => s.im,
-    }
-}
-
-/// Width, in amplitudes, of the blocks the batched expectation sweeps walk:
-/// the cache blocking, and — because each block's partial sum is formed on
-/// its own and the partials are folded in block order — part of the
-/// floating-point summation order. Changing it changes result bits.
-const SWEEP_CHUNK: usize = 1 << 12;
-
-/// `0..items` as consecutive [`SWEEP_CHUNK`]-wide ranges (the last may be
-/// shorter).
-fn chunks(items: usize) -> impl Iterator<Item = std::ops::Range<usize>> {
-    (0..items)
-        .step_by(SWEEP_CHUNK)
-        .map(move |lo| lo..(lo + SWEEP_CHUNK).min(items))
 }
 
 /// A tensor product of single-qubit Paulis over `n` qubits
@@ -176,34 +138,13 @@ impl PauliString {
         self.ops.iter().all(|p| *p == Pauli::I)
     }
 
-    /// The bit-mask form of this string (see [`PauliMasks`]).
-    pub fn masks(&self) -> PauliMasks {
-        let mut x = 0usize;
-        let mut z = 0usize;
-        let mut y = 0u32;
-        for (q, p) in self.ops.iter().enumerate() {
-            match p {
-                Pauli::I => {}
-                Pauli::X => x |= 1 << q,
-                Pauli::Y => {
-                    x |= 1 << q;
-                    z |= 1 << q;
-                    y += 1;
-                }
-                Pauli::Z => z |= 1 << q,
-            }
-        }
-        PauliMasks {
-            x,
-            z,
-            y_mod4: (y % 4) as u8,
-        }
-    }
-
     /// Bit mask of qubits with non-identity operators.
     fn support_mask(&self) -> usize {
-        let m = self.masks();
-        m.x | m.z
+        self.ops
+            .iter()
+            .enumerate()
+            .filter(|(_, p)| **p != Pauli::I)
+            .fold(0, |mask, (q, _)| mask | 1 << q)
     }
 
     /// Eigenvalue (±1) of the *diagonalized* string on basis state `z`: the
@@ -417,191 +358,6 @@ impl PauliSum {
     pub fn exact_ground_energy(&self) -> f64 {
         self.matrix().min_eigenvalue_hermitian()
     }
-
-    /// Exact expectation `⟨ψ|H|ψ⟩` for a pure state.
-    ///
-    /// All terms are evaluated in batched masked sweeps over the amplitudes
-    /// (`O(T · 2^n)` total, with every diagonal term sharing one `|ψ|²`
-    /// sweep) instead of the `O(4^n)` dense-matrix route, which is retained
-    /// as [`PauliSum::expectation_sv_reference`]. The sequential scalar path
-    /// is [`PauliSum::expectation_sv_unbatched`]; the two differ only in
-    /// floating-point summation order (≤ 1e-12 in practice).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the state register size differs from the observable's.
-    pub fn expectation_statevector(&self, sv: &qoncord_sim::statevector::StateVector) -> f64 {
-        assert_eq!(
-            self.n_qubits,
-            sv.n_qubits(),
-            "observable acts on {} qubits but state register has {}",
-            self.n_qubits,
-            sv.n_qubits()
-        );
-        let _prof = qoncord_prof::span("vqa::pauli::expectation_sv");
-        let all: Vec<usize> = (0..self.terms.len()).collect();
-        self.expectation_sv_terms(&all, sv)
-    }
-
-    /// Expectation of the listed terms only, evaluated in one batched sweep.
-    ///
-    /// `group` holds indices into [`PauliSum::terms`] — typically one
-    /// qubit-wise-commuting group from
-    /// [`PauliSum::qubit_wise_commuting_groups`], though any index subset is
-    /// accepted. The result is the sum `Σ c_i ⟨ψ|P_i|ψ⟩` over the subset;
-    /// identity terms contribute their coefficient times `‖ψ‖²`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an out-of-range term index or a register-size mismatch.
-    pub fn expectation_sv_group(
-        &self,
-        group: &[usize],
-        sv: &qoncord_sim::statevector::StateVector,
-    ) -> f64 {
-        assert_eq!(
-            self.n_qubits,
-            sv.n_qubits(),
-            "observable acts on {} qubits but state register has {}",
-            self.n_qubits,
-            sv.n_qubits()
-        );
-        for &i in group {
-            assert!(i < self.terms.len(), "term index {i} out of range");
-        }
-        let _prof = qoncord_prof::span("vqa::pauli::expectation_sv");
-        self.expectation_sv_terms(group, sv)
-    }
-
-    /// Sequential per-term masked sweeps: the scalar reference axis for the
-    /// batched fast path. Same `O(T · 2^n)` mask algebra, but one full pass
-    /// per term with a plain left-to-right accumulator and no cross-term
-    /// batching — this is what the equivalence tests compare the fast path
-    /// against.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the state register size differs from the observable's.
-    pub fn expectation_sv_unbatched(&self, sv: &qoncord_sim::statevector::StateVector) -> f64 {
-        assert_eq!(
-            self.n_qubits,
-            sv.n_qubits(),
-            "observable acts on {} qubits but state register has {}",
-            self.n_qubits,
-            sv.n_qubits()
-        );
-        let amps = sv.amplitudes();
-        let mut total = 0.0;
-        for (c, p) in &self.terms {
-            let m = p.masks();
-            if m.x == 0 {
-                let mut acc = 0.0;
-                for (i, a) in amps.iter().enumerate() {
-                    if (i & m.z).count_ones() & 1 == 0 {
-                        acc += a.norm_sq();
-                    } else {
-                        acc -= a.norm_sq();
-                    }
-                }
-                total += c * acc;
-            } else {
-                let mut acc = C64::ZERO;
-                for (i, a) in amps.iter().enumerate() {
-                    let signed = if (i & m.z).count_ones() & 1 == 0 {
-                        *a
-                    } else {
-                        a.scale(-1.0)
-                    };
-                    acc += amps[i ^ m.x].conj() * signed;
-                }
-                total += c * re_i_pow(m.y_mod4, acc);
-            }
-        }
-        total
-    }
-
-    /// The seed `O(4^n)` dense-matrix expectation, kept as ground truth for
-    /// the differential equivalence tests (feasible only at small `n`).
-    pub fn expectation_sv_reference(&self, sv: &qoncord_sim::statevector::StateVector) -> f64 {
-        let hv = self.matrix().mul_vec(sv.amplitudes());
-        sv.amplitudes()
-            .iter()
-            .zip(&hv)
-            .map(|(a, b)| (a.conj() * *b).re)
-            .sum()
-    }
-
-    /// Batched masked sweeps over the listed terms, cache-blocked.
-    ///
-    /// Both sweeps walk the amplitudes in fixed [`SWEEP_CHUNK`]-wide chunks:
-    /// inside each chunk every term runs its own tight inner loop while the
-    /// chunk's amplitudes are hot in cache — a branch-free dependency chain
-    /// per term (the sign flip is a bitwise XOR of the f64 sign bit, exactly
-    /// `·(−1)`) instead of a per-amplitude scan over the term list. Diagonal
-    /// terms (`x == 0`, including identity) accumulate signed `|ψ_i|²`
-    /// series; off-diagonal terms accumulate
-    /// `conj(ψ[i⊕x]) · (−1)^{parity(i&z)} · ψ[i]`. Each chunk's partial is
-    /// formed on its own and the partials are folded in chunk order; that
-    /// order is part of the result's bits (pinned at 13 and 14 qubits in
-    /// `crates/vqa/tests/pauli_equivalence.rs`).
-    fn expectation_sv_terms(
-        &self,
-        group: &[usize],
-        sv: &qoncord_sim::statevector::StateVector,
-    ) -> f64 {
-        let amps = sv.amplitudes();
-        let mut diag: Vec<(f64, usize)> = Vec::new();
-        let mut offdiag: Vec<(f64, PauliMasks)> = Vec::new();
-        for &i in group {
-            let (c, p) = &self.terms[i];
-            let m = p.masks();
-            if m.x == 0 {
-                diag.push((*c, m.z));
-            } else {
-                offdiag.push((*c, m));
-            }
-        }
-        let sign_bit = |i: usize, z: usize| (((i & z).count_ones() as u64) & 1) << 63;
-        let mut total = 0.0;
-        if !diag.is_empty() {
-            let mut sum = 0.0f64;
-            for r in chunks(amps.len()) {
-                let mut acc = 0.0f64;
-                for &(c, z) in &diag {
-                    let mut t = 0.0f64;
-                    for i in r.clone() {
-                        let nsq = amps[i].norm_sq();
-                        t += f64::from_bits(nsq.to_bits() ^ sign_bit(i, z));
-                    }
-                    acc += c * t;
-                }
-                sum += acc;
-            }
-            total += sum;
-        }
-        if !offdiag.is_empty() {
-            let mut sums = vec![C64::ZERO; offdiag.len()];
-            for r in chunks(amps.len()) {
-                for (sum, &(_, m)) in sums.iter_mut().zip(&offdiag) {
-                    let mut t = C64::ZERO;
-                    for i in r.clone() {
-                        let psi = amps[i];
-                        let s = sign_bit(i, m.z);
-                        let signed = C64 {
-                            re: f64::from_bits(psi.re.to_bits() ^ s),
-                            im: f64::from_bits(psi.im.to_bits() ^ s),
-                        };
-                        t += amps[i ^ m.x].conj() * signed;
-                    }
-                    *sum += t;
-                }
-            }
-            for (&(c, m), s) in offdiag.iter().zip(sums) {
-                total += c * re_i_pow(m.y_mod4, s);
-            }
-        }
-        total
-    }
 }
 
 #[cfg(test)]
@@ -711,101 +467,16 @@ mod tests {
     }
 
     #[test]
-    fn expectation_statevector_matches_dist_for_diagonal() {
-        let h = PauliSum::from_terms(&[(1.0, "ZZ")]).unwrap();
-        let mut qc = Circuit::new(2, 0);
-        qc.h(0).cx(0, 1);
-        let sv = qc.simulate_ideal(&[]);
-        let by_matrix = h.expectation_statevector(&sv);
-        let d = ProbDist::new(sv.probabilities());
-        let by_dist = h.terms()[0].1.expectation_from_dist(&d);
-        assert!((by_matrix - by_dist).abs() < 1e-12);
-        assert!((by_matrix - 1.0).abs() < 1e-12, "Bell state has <ZZ> = 1");
-    }
-
-    #[test]
     fn identity_offset_accumulates() {
         let h = PauliSum::from_terms(&[(0.25, "II"), (0.5, "II"), (1.0, "ZZ")]).unwrap();
         assert!((h.identity_offset() - 0.75).abs() < 1e-12);
     }
 
     #[test]
-    fn masks_encode_flip_sign_and_phase() {
-        let m = PauliString::parse("XYZI").unwrap().masks();
+    fn support_mask_covers_every_non_identity_qubit() {
         // X on qubit 0, Y on qubit 1, Z on qubit 2 (string index = qubit).
-        assert_eq!(m.x, 0b011, "X|Y positions flip the index");
-        assert_eq!(m.z, 0b110, "Z|Y positions carry the sign");
-        assert_eq!(m.y_mod4, 1);
-        assert_eq!(PauliString::parse("XYZI").unwrap().support_mask(), 0b111);
-        assert_eq!(PauliString::identity(4).masks().x, 0);
-        assert_eq!(PauliString::identity(4).masks().z, 0);
-    }
-
-    #[test]
-    fn identity_only_sum_expectation_is_the_coefficient() {
-        // Edge case: no measurable term at all — must return c·‖ψ‖² = c,
-        // on both the batched and the unbatched path.
-        let h = PauliSum::from_terms(&[(0.75, "III")]).unwrap();
-        let mut qc = Circuit::new(3, 0);
-        qc.h(0).cx(0, 1).s(2);
-        let sv = qc.simulate_ideal(&[]);
-        assert!((h.expectation_statevector(&sv) - 0.75).abs() < 1e-12);
-        assert!((h.expectation_sv_unbatched(&sv) - 0.75).abs() < 1e-12);
-        assert!((h.expectation_sv_reference(&sv) - 0.75).abs() < 1e-12);
-    }
-
-    #[test]
-    fn batched_expectation_matches_dense_reference_with_y_terms() {
-        let h = PauliSum::from_terms(&[
-            (0.8, "XYZ"),
-            (-0.3, "YYI"),
-            (0.5, "ZIZ"),
-            (0.2, "III"),
-            (1.1, "IXI"),
-        ])
-        .unwrap();
-        let mut qc = Circuit::new(3, 0);
-        qc.h(0)
-            .cx(0, 1)
-            .ry(2, std::f64::consts::PI / 5.0)
-            .s(0)
-            .cx(1, 2);
-        let sv = qc.simulate_ideal(&[]);
-        let dense = h.expectation_sv_reference(&sv);
-        assert!((h.expectation_statevector(&sv) - dense).abs() < 1e-12);
-        assert!((h.expectation_sv_unbatched(&sv) - dense).abs() < 1e-12);
-    }
-
-    #[test]
-    fn group_sweep_matches_per_term_sum() {
-        let h = PauliSum::from_terms(&[(1.0, "ZZI"), (0.5, "IZZ"), (0.3, "XXI")]).unwrap();
-        let mut qc = Circuit::new(3, 0);
-        qc.h(0).cx(0, 1).cx(1, 2).s(1);
-        let sv = qc.simulate_ideal(&[]);
-        let groups = h.qubit_wise_commuting_groups();
-        let by_groups: f64 = groups
-            .iter()
-            .map(|g| h.expectation_sv_group(g, &sv))
-            .sum::<f64>()
-            + h.identity_offset();
-        let whole = h.expectation_statevector(&sv);
-        assert!((by_groups - whole).abs() < 1e-12, "{by_groups} vs {whole}");
-    }
-
-    #[test]
-    #[should_panic(expected = "state register")]
-    fn expectation_rejects_register_mismatch() {
-        let h = PauliSum::from_terms(&[(1.0, "ZZ")]).unwrap();
-        let qc = Circuit::new(3, 0);
-        let sv = qc.simulate_ideal(&[]);
-        h.expectation_statevector(&sv);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn group_sweep_rejects_bad_term_index() {
-        let h = PauliSum::from_terms(&[(1.0, "ZZ")]).unwrap();
-        let sv = Circuit::new(2, 0).simulate_ideal(&[]);
-        h.expectation_sv_group(&[3], &sv);
+        assert_eq!(PauliString::parse("XYZI").unwrap().support_mask(), 0b0111);
+        assert_eq!(PauliString::parse("IYIX").unwrap().support_mask(), 0b1010);
+        assert_eq!(PauliString::identity(4).support_mask(), 0);
     }
 }

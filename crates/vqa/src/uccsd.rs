@@ -142,7 +142,10 @@ pub fn two_local_ansatz(n_qubits: usize, reps: usize) -> Circuit {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::evaluator::{CostEvaluator, VqeEvaluator};
     use crate::vqe;
+    use qoncord_device::catalog;
+    use qoncord_device::noise_model::SimulatedBackend;
     use qoncord_sim::dist::ProbDist;
     use qoncord_sim::statevector::StateVector;
 
@@ -220,19 +223,18 @@ mod tests {
     #[test]
     fn uccsd_spans_the_ground_state() {
         // Coarse sweep over the double-excitation angle must dip below HF
-        // energy and approach the exact ground state.
+        // energy and approach the exact ground state. Energies are measured
+        // the way VQE jobs read them, on the ideal backend.
         let h = vqe::h2_hamiltonian();
         let hf = vqe::h2_hartree_fock_state();
         let ansatz = uccsd_h2_ansatz(hf);
-        let e_hf = {
-            let sv = ansatz.simulate_ideal(&[0.0, 0.0, 0.0]);
-            h.expectation_statevector(&sv)
-        };
+        let backend = SimulatedBackend::ideal(catalog::ibmq_kolkata());
+        let mut eval = VqeEvaluator::new(&h, &ansatz, backend, 0);
+        let e_hf = eval.evaluate(&[0.0, 0.0, 0.0]).expectation;
         let mut best = f64::INFINITY;
         for k in -40..=40 {
             let t2 = k as f64 * 0.05;
-            let sv = ansatz.simulate_ideal(&[0.0, 0.0, t2]);
-            best = best.min(h.expectation_statevector(&sv));
+            best = best.min(eval.evaluate(&[0.0, 0.0, t2]).expectation);
         }
         let ground = vqe::h2_ground_energy();
         assert!(best < e_hf - 1e-4, "double excitation lowers energy");
