@@ -32,10 +32,7 @@ fn engine_config(label: &str) -> OrchestratorConfig {
     };
     OrchestratorConfig {
         admission,
-        calibration: CalibrationConfig {
-            min_samples: 3,
-            ..CalibrationConfig::default()
-        },
+        calibration: CalibrationConfig { min_samples: 3 },
         ..OrchestratorConfig::default()
     }
 }

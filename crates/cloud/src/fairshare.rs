@@ -156,27 +156,25 @@ pub struct QueuedRequest {
 }
 
 /// Weights of the fair-share score; larger scores dequeue later.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FairShareWeights {
+pub(crate) struct Weights {
     /// Weight on the user's consumed device-seconds.
     pub usage: f64,
     /// Weight on the user's in-flight job count.
     pub in_flight: f64,
-    /// Weight on the requested computation time.
+    /// Weight on the requested computation time. Non-negative, so ordering
+    /// a tenant's requests by `request_size * requested_seconds` agrees with
+    /// full-score order, which the per-tenant index relies on.
     pub request_size: f64,
 }
 
-impl Default for FairShareWeights {
-    fn default() -> Self {
-        FairShareWeights {
-            usage: 1.0,
-            in_flight: 10.0,
-            request_size: 0.5,
-        }
-    }
-}
+/// The weights both queues (this one and [`crate::reference`]) score with.
+pub(crate) const WEIGHTS: Weights = Weights {
+    usage: 1.0,
+    in_flight: 10.0,
+    request_size: 0.5,
+};
 
-impl FairShareWeights {
+impl Weights {
     fn score_of(&self, usage: UserUsage, requested_seconds: f64) -> f64 {
         self.usage * usage.consumed_seconds
             + self.in_flight * usage.jobs_in_flight as f64
@@ -375,7 +373,6 @@ struct UserState {
 /// by a unique key or order-insensitive: no iteration order reaches output.
 #[derive(Debug, Clone, Default)]
 pub struct FairShareQueue {
-    weights: FairShareWeights,
     /// Tenant name → dense uid into `states`.
     users: FastMap<String, usize>,
     states: Vec<UserState>,
@@ -406,38 +403,9 @@ const _: () = {
 };
 
 impl FairShareQueue {
-    /// Creates an empty queue with default weights.
+    /// Creates an empty queue.
     pub fn new() -> Self {
         FairShareQueue::default()
-    }
-
-    /// Creates a queue with explicit weights.
-    ///
-    /// # Panics
-    ///
-    /// Panics when any weight is non-finite or `request_size` is negative:
-    /// the per-tenant index orders each tenant's requests by
-    /// `request_size * requested_seconds`, which must agree with full-score
-    /// order for the index to be sound.
-    pub fn with_weights(weights: FairShareWeights) -> Self {
-        assert!(
-            weights.usage.is_finite() && weights.in_flight.is_finite(),
-            "fair-share weights must be finite"
-        );
-        assert!(
-            weights.request_size.is_finite() && weights.request_size >= 0.0,
-            "request_size weight must be finite and non-negative"
-        );
-        FairShareQueue {
-            weights,
-            ..FairShareQueue::default()
-        }
-    }
-
-    /// The scoring weights this queue dequeues by (admission-time queue
-    /// projections must score with exactly these to predict pop order).
-    pub fn weights(&self) -> FairShareWeights {
-        self.weights
     }
 
     /// Number of pending requests.
@@ -478,7 +446,7 @@ impl FairShareQueue {
 
     fn req_key(&self, request: &QueuedRequest, seq: u64) -> ReqKey {
         ReqKey {
-            size: Key::new(self.weights.request_size * request.requested_seconds),
+            size: Key::new(WEIGHTS.request_size * request.requested_seconds),
             submitted: Key::new(request.submitted_at),
             seq,
         }
@@ -514,7 +482,7 @@ impl FairShareQueue {
                 }
                 lane.posted = lane.requests.first_key_value().map(|(&rk, id)| {
                     let seconds = self.entries[id].request.requested_seconds;
-                    self.weights.cross_key(usage, seconds, rk)
+                    WEIGHTS.cross_key(usage, seconds, rk)
                 });
                 if let Some(key) = lane.posted {
                     ready.insert(key, uid);
@@ -940,7 +908,7 @@ impl FairShareQueue {
 
         let head_key = |user: &ProjectedUser| {
             let (rk, _, secs, _) = user.requests[user.cursor];
-            self.weights.cross_key(user.usage, secs, rk)
+            WEIGHTS.cross_key(user.usage, secs, rk)
         };
         let mut heap: BinaryHeap<_> = users
             .iter()
@@ -978,7 +946,7 @@ impl FairShareQueue {
     ) -> impl Iterator<Item = (CrossKey, f64, Option<usize>)> + 'a {
         let mut max: Option<CrossKey> = None;
         requests.iter().map(move |&(rk, _, secs, device)| {
-            let key = self.weights.cross_key(usage, secs, rk);
+            let key = WEIGHTS.cross_key(usage, secs, rk);
             usage.jobs_in_flight = usage.jobs_in_flight.saturating_sub(1);
             let m = max.map_or(key, |prev| prev.max(key));
             max = Some(m);
@@ -1149,7 +1117,7 @@ impl FairShareQueue {
                 ..state.usage
             };
             let seconds = self.entries[id].request.requested_seconds;
-            if self.weights.cross_key(usage, seconds, rk) >= t {
+            if WEIGHTS.cross_key(usage, seconds, rk) >= t {
                 continue;
             }
             self.tenant_requests_into(uid, &mut buf);

@@ -40,9 +40,7 @@ pub mod sim;
 pub mod workload;
 
 pub use device::{hypothetical_fleet, CloudDevice};
-pub use fairshare::{
-    FairShareError, FairShareQueue, FairShareWeights, QueueOpStats, QueuedRequest,
-};
+pub use fairshare::{FairShareError, FairShareQueue, QueueOpStats, QueuedRequest};
 pub use job::{JobKind, JobOutcome, JobSpec};
 pub use policy::{
     estimate_feasibility, estimate_feasibility_decayed, merge_shard_results, place_job,

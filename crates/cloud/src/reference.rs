@@ -24,33 +24,19 @@
 
 use std::collections::HashMap;
 
-use crate::fairshare::{FairShareError, FairShareWeights, QueuedRequest, UserUsage};
+use crate::fairshare::{FairShareError, QueuedRequest, UserUsage, WEIGHTS};
 
 /// The original `O(n)`-per-op fair-share queue, retained as a reference.
 #[derive(Debug, Clone, Default)]
 pub struct ReferenceFairShareQueue {
-    weights: FairShareWeights,
     usage: HashMap<String, UserUsage>,
     pending: Vec<QueuedRequest>,
 }
 
 impl ReferenceFairShareQueue {
-    /// Creates an empty queue with default weights.
+    /// Creates an empty queue.
     pub fn new() -> Self {
         ReferenceFairShareQueue::default()
-    }
-
-    /// Creates a queue with explicit weights.
-    pub fn with_weights(weights: FairShareWeights) -> Self {
-        ReferenceFairShareQueue {
-            weights,
-            ..ReferenceFairShareQueue::default()
-        }
-    }
-
-    /// The scoring weights this queue dequeues by.
-    pub fn weights(&self) -> FairShareWeights {
-        self.weights
     }
 
     /// Number of pending requests.
@@ -143,9 +129,9 @@ impl ReferenceFairShareQueue {
     /// Fair-share score of a request: lower dequeues sooner.
     pub fn score(&self, request: &QueuedRequest) -> f64 {
         let usage = self.usage(&request.user);
-        self.weights.usage * usage.consumed_seconds
-            + self.weights.in_flight * usage.jobs_in_flight as f64
-            + self.weights.request_size * request.requested_seconds
+        WEIGHTS.usage * usage.consumed_seconds
+            + WEIGHTS.in_flight * usage.jobs_in_flight as f64
+            + WEIGHTS.request_size * request.requested_seconds
     }
 
     /// Dequeues the request with the lowest score (FIFO on ties) and

@@ -87,12 +87,11 @@ pub enum AdmissionMode {
     Downgrade,
     /// Refuse infeasible jobs outright; they never run.
     Reject,
-    /// Like [`Reject`](AdmissionMode::Reject), but the static
-    /// [`safety_margin`](AdmissionConfig::safety_margin) is replaced by the
-    /// per-tier/per-class margin a
+    /// Like [`Reject`](AdmissionMode::Reject), but the static margin of
+    /// zero is replaced by the per-tier/per-class margin a
     /// [`MarginModel`](crate::calibration::MarginModel) has learned from
-    /// realized estimate errors (the static margin remains the fallback
-    /// until the model has samples).
+    /// realized estimate errors (zero remains the fallback until the model
+    /// has samples).
     Calibrated,
 }
 
@@ -101,16 +100,15 @@ pub enum AdmissionMode {
 /// All margins in this module are **seconds of virtual time**: a margin of
 /// `m` demands the projected completion beat the deadline by at least `m`
 /// seconds (negative `m` tolerates projections up to `-m` seconds past it).
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// Outside [`AdmissionMode::Calibrated`] the margin is zero: the projection
+/// need only meet the deadline.
+///
+/// The default is admit-all with backlog-only (decay-blind) projections.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct AdmissionConfig {
     /// What to do with jobs whose deadline the projection says will be
     /// missed.
     pub mode: AdmissionMode,
-    /// Static safety margin, seconds: the projection must beat the deadline
-    /// by at least this much to count as feasible (absorbs estimate
-    /// error). Under [`AdmissionMode::Calibrated`] this is only the
-    /// fallback while the margin model is still warming up.
-    pub safety_margin: f64,
     /// Whether feasibility projections model the fair-share queue under
     /// virtual-time usage decay
     /// ([`estimate_feasibility_decayed`](qoncord_cloud::policy::estimate_feasibility_decayed)):
@@ -121,22 +119,8 @@ pub struct AdmissionConfig {
     pub decay_aware: bool,
 }
 
-/// The single source of the admission defaults: admit-all, a zero static
-/// margin, and backlog-only (decay-blind) projections.
-impl Default for AdmissionConfig {
-    fn default() -> Self {
-        AdmissionConfig {
-            mode: AdmissionMode::default(),
-            safety_margin: 0.0,
-            decay_aware: false,
-        }
-    }
-}
-
 impl AdmissionConfig {
-    /// A controller in the given mode with the default margin and
-    /// projection model — the literal `AdmissionConfig { mode, ..default }`
-    /// every call site used to spell out.
+    /// A controller in the given mode with the default projection model.
     pub fn with_mode(mode: AdmissionMode) -> Self {
         AdmissionConfig {
             mode,
@@ -150,7 +134,6 @@ impl AdmissionConfig {
         AdmissionConfig {
             mode: AdmissionMode::Calibrated,
             decay_aware: true,
-            ..AdmissionConfig::default()
         }
     }
 }
@@ -193,9 +176,8 @@ pub struct AdmissionOutcome {
     pub assessed_deadline: Option<f64>,
     /// The load projection the verdict was based on.
     pub estimate: FeasibilityEstimate,
-    /// The safety margin (seconds) the feasibility check applied — the
-    /// static configuration value, or the learned per-tier margin under
-    /// [`AdmissionMode::Calibrated`].
+    /// The margin (seconds) the feasibility check applied — zero, or the
+    /// learned per-tier margin under [`AdmissionMode::Calibrated`].
     pub margin: f64,
 }
 
@@ -221,8 +203,8 @@ pub struct AdmissionOutcome {
 /// assert_eq!(ok.deadline, Some(40.0));
 /// let late = ctl.assess(0.0, Some(Deadline::At(25.0)), estimate);
 /// assert_eq!(late.decision, AdmissionDecision::Reject);
-/// // A learned margin overrides the static one per assessment: −10s of
-/// // margin (projections known to run 10s hot) admits the t=25 deadline.
+/// // A learned margin overrides the zero one per assessment: −10s of
+/// // margin (projections known to run 10s cold) admits the t=25 deadline.
 /// let relearned = ctl.assess_with_margin(0.0, Some(Deadline::At(25.0)), estimate, -10.0);
 /// assert_eq!(relearned.decision, AdmissionDecision::Admit);
 /// assert_eq!(relearned.margin, -10.0);
@@ -240,15 +222,14 @@ impl AdmissionController {
 
     /// Assesses one arriving job: `deadline` is the job's submitted SLA (if
     /// any), `arrival` its submission time, and `estimate` the fleet-load
-    /// projection of its placements. Feasibility uses the configured static
-    /// [`safety_margin`](AdmissionConfig::safety_margin).
+    /// projection of its placements. Feasibility uses a margin of zero.
     pub fn assess(
         &self,
         arrival: f64,
         deadline: Option<Deadline>,
         estimate: FeasibilityEstimate,
     ) -> AdmissionOutcome {
-        self.assess_with_margin(arrival, deadline, estimate, self.config.safety_margin)
+        self.assess_with_margin(arrival, deadline, estimate, 0.0)
     }
 
     /// Assesses one arriving job under an explicit safety `margin`
@@ -360,24 +341,18 @@ mod tests {
     }
 
     #[test]
-    fn safety_margin_tightens_feasibility() {
-        let ctl = |margin| {
-            AdmissionController::new(AdmissionConfig {
-                mode: AdmissionMode::Reject,
-                safety_margin: margin,
-                ..AdmissionConfig::default()
-            })
-        };
+    fn margin_tightens_feasibility() {
+        let ctl = AdmissionController::new(AdmissionConfig::with_mode(AdmissionMode::Reject));
         let est = estimate(10.0, 10.0, 0.0); // completes at 20
         let deadline = Some(Deadline::At(25.0));
+        let assess = |margin| ctl.assess_with_margin(0.0, deadline, est, margin);
+        assert_eq!(assess(0.0).decision, AdmissionDecision::Admit);
         assert_eq!(
-            ctl(0.0).assess(0.0, deadline, est).decision,
-            AdmissionDecision::Admit
+            assess(0.0),
+            ctl.assess(0.0, deadline, est),
+            "assess is margin 0"
         );
-        assert_eq!(
-            ctl(10.0).assess(0.0, deadline, est).decision,
-            AdmissionDecision::Reject
-        );
+        assert_eq!(assess(10.0).decision, AdmissionDecision::Reject);
     }
 
     #[test]

@@ -8,11 +8,11 @@
 //! [`MarginModel`] closes the loop instead: every completed job contributes
 //! one *estimate error* sample — realized completion minus the projection
 //! recorded at admission — keyed by the job's device tier and service
-//! class, and the margin applied to the next arrival of that key is a
-//! sliding-window quantile (P90 by default) of those errors. Tiers whose
-//! projections run hot earn a positive margin; tiers whose projections run
-//! cold (e.g. because restart triage prunes most of the projected work)
-//! earn a *negative* one, which is what eliminates false rejections.
+//! class, and the margin applied to the next arrival of that key is the
+//! P90 of the key's last 64 errors. Tiers whose projections run hot earn a
+//! positive margin; tiers whose projections run cold (e.g. because restart
+//! triage prunes most of the projected work) earn a *negative* one, which
+//! is what eliminates false rejections.
 //!
 //! Denied jobs never realize a completion, so they contribute no error
 //! sample — but each one still yields a [`MarginSnapshot`], which the
@@ -22,36 +22,33 @@
 //! itself keeps only its error windows.
 //!
 //! [`AdmissionMode::Calibrated`](crate::admission::AdmissionMode::Calibrated)
-//! switches the engine from the static margin to this model.
+//! switches the engine from the static margin of zero to this model.
 
 use std::collections::{HashMap, VecDeque};
 
 use crate::admission::Deadline;
 
+/// The error quantile a margin tracks: it absorbs the 90th-percentile
+/// estimate error of the key's recent jobs.
+const QUANTILE: f64 = 0.9;
+
+/// Sliding-window length per key: only the most recent `WINDOW` error
+/// samples of a key inform its margin, so the model tracks drift instead of
+/// averaging over the whole run.
+const WINDOW: usize = 64;
+
 /// Tuning of the [`MarginModel`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CalibrationConfig {
-    /// The error quantile the margin tracks, in `(0, 1]`. 0.9 means the
-    /// margin absorbs the 90th-percentile estimate error of the key's
-    /// recent jobs.
-    pub quantile: f64,
-    /// Sliding-window length per key: only the most recent `window` error
-    /// samples of a key inform its margin, so the model tracks drift
-    /// instead of averaging over the whole run.
-    pub window: usize,
     /// Samples a key needs before its learned margin is trusted. Below
     /// this, the model falls back to the tier's pooled samples, then to
-    /// all samples, then to the static fallback margin.
+    /// all samples, then to a margin of zero.
     pub min_samples: usize,
 }
 
 impl Default for CalibrationConfig {
     fn default() -> Self {
-        CalibrationConfig {
-            quantile: 0.9,
-            window: 64,
-            min_samples: 4,
-        }
+        CalibrationConfig { min_samples: 4 }
     }
 }
 
@@ -144,9 +141,9 @@ pub struct MarginSnapshot {
 /// };
 ///
 /// let key = MarginKey { tier: 0, class: ServiceClass::Batch };
-/// let mut model = MarginModel::new(5.0, CalibrationConfig::default());
-/// // Until enough outcomes arrive, the static fallback margin applies.
-/// assert_eq!(model.margin_for(key), 5.0);
+/// let mut model = MarginModel::new(CalibrationConfig::default());
+/// // Until enough outcomes arrive, the margin is zero.
+/// assert_eq!(model.margin_for(key), 0.0);
 /// // Ten jobs complete ~40s *earlier* than projected: the estimates are
 /// // systematically pessimistic, and the learned margin goes negative.
 /// for job in 0..10 {
@@ -158,42 +155,30 @@ pub struct MarginSnapshot {
 /// ```
 #[derive(Debug, Clone)]
 pub struct MarginModel {
-    fallback_margin: f64,
     config: CalibrationConfig,
     windows: HashMap<MarginKey, VecDeque<f64>>,
 }
 
 impl MarginModel {
-    /// Creates a model that answers `fallback_margin` (the static margin,
-    /// seconds) until a key has accumulated enough samples.
+    /// Creates a model that answers a margin of zero until a key has
+    /// accumulated enough samples.
     ///
     /// # Panics
     ///
-    /// Panics if the quantile lies outside `(0, 1]`, the window is empty,
-    /// `min_samples` is zero, or the fallback margin is not finite.
-    pub fn new(fallback_margin: f64, config: CalibrationConfig) -> Self {
-        assert!(
-            config.quantile > 0.0 && config.quantile <= 1.0,
-            "quantile must lie in (0, 1]"
-        );
-        assert!(config.window > 0, "window must hold at least one sample");
+    /// Panics if `min_samples` is zero.
+    pub fn new(config: CalibrationConfig) -> Self {
         assert!(config.min_samples > 0, "min_samples must be positive");
-        assert!(
-            fallback_margin.is_finite(),
-            "fallback margin must be finite"
-        );
         MarginModel {
-            fallback_margin,
             config,
             windows: HashMap::new(),
         }
     }
 
     /// The safety margin (seconds, possibly negative) admission should
-    /// apply to a job of `key` right now: the configured quantile of the
-    /// key's error window, falling back to the tier's pooled windows, then
-    /// to all windows, then to the static fallback margin — whichever first
-    /// holds at least [`CalibrationConfig::min_samples`] samples.
+    /// apply to a job of `key` right now: the P90 of the key's error
+    /// window, falling back to the tier's pooled windows, then to all
+    /// windows, then to zero — whichever first holds at least
+    /// [`CalibrationConfig::min_samples`] samples.
     pub fn margin_for(&self, key: MarginKey) -> f64 {
         let exact: Vec<f64> = self
             .windows
@@ -201,7 +186,7 @@ impl MarginModel {
             .map(|w| w.iter().copied().collect())
             .unwrap_or_default();
         if exact.len() >= self.config.min_samples {
-            return quantile(exact, self.config.quantile);
+            return quantile(exact, QUANTILE);
         }
         let tier: Vec<f64> = self
             .windows
@@ -210,7 +195,7 @@ impl MarginModel {
             .flat_map(|(_, w)| w.iter().copied())
             .collect();
         if tier.len() >= self.config.min_samples {
-            return quantile(tier, self.config.quantile);
+            return quantile(tier, QUANTILE);
         }
         let all: Vec<f64> = self
             .windows
@@ -218,9 +203,9 @@ impl MarginModel {
             .flat_map(|w| w.iter().copied())
             .collect();
         if all.len() >= self.config.min_samples {
-            return quantile(all, self.config.quantile);
+            return quantile(all, QUANTILE);
         }
-        self.fallback_margin
+        0.0
     }
 
     /// Ingests a completed job: `projected` is the completion the admission
@@ -247,7 +232,7 @@ impl MarginModel {
         );
         let window = self.windows.entry(key).or_default();
         window.push_back(realized - projected);
-        while window.len() > self.config.window {
+        while window.len() > WINDOW {
             window.pop_front();
         }
         self.snapshot(time, key, Some(realized - projected))
@@ -298,15 +283,15 @@ mod tests {
     #[test]
     fn fallback_until_min_samples_then_quantile() {
         let k = key(0, ServiceClass::Batch);
-        let mut model = MarginModel::new(7.5, CalibrationConfig::default());
-        assert_eq!(model.margin_for(k), 7.5);
+        let mut model = MarginModel::new(CalibrationConfig::default());
+        assert_eq!(model.margin_for(k), 0.0);
         for i in 0..3 {
-            model.record_completion(i as f64, k, 10.0, 10.0 + i as f64);
+            model.record_completion(i as f64, k, 10.0, 15.0 + i as f64);
         }
-        assert_eq!(model.margin_for(k), 7.5, "3 samples < min_samples=4");
-        model.record_completion(3.0, k, 10.0, 13.0);
-        // Errors {0, 1, 2, 3}: P90 nearest-rank = 3.
-        assert_eq!(model.margin_for(k), 3.0);
+        assert_eq!(model.margin_for(k), 0.0, "3 samples < min_samples=4");
+        model.record_completion(3.0, k, 10.0, 18.0);
+        // Errors {5, 6, 7, 8}: P90 nearest-rank = 8.
+        assert_eq!(model.margin_for(k), 8.0);
     }
 
     #[test]
@@ -314,7 +299,7 @@ mod tests {
         let lf = key(0, ServiceClass::Batch);
         let lf_probe = key(0, ServiceClass::BestEffort);
         let hf = key(1, ServiceClass::Interactive);
-        let mut model = MarginModel::new(0.0, CalibrationConfig::default());
+        let mut model = MarginModel::new(CalibrationConfig::default());
         for i in 0..8 {
             model.record_completion(i as f64, lf, 100.0, 130.0); // +30 hot
             model.record_completion(i as f64, hf, 100.0, 90.0); // -10 cold
@@ -330,29 +315,30 @@ mod tests {
     #[test]
     fn sliding_window_forgets_old_bias() {
         let k = key(0, ServiceClass::Absolute);
-        let mut model = MarginModel::new(
-            0.0,
-            CalibrationConfig {
-                window: 4,
-                min_samples: 2,
-                ..CalibrationConfig::default()
-            },
-        );
-        for i in 0..10 {
+        let mut model = MarginModel::new(CalibrationConfig::default());
+        for i in 0..WINDOW + 6 {
             model.record_completion(i as f64, k, 50.0, 90.0); // +40 era
         }
+        assert_eq!(model.samples(k), WINDOW, "the window holds 64 samples");
         assert_eq!(model.margin_for(k), 40.0);
-        for i in 10..14 {
+        for i in 0..WINDOW - 1 {
             model.record_completion(i as f64, k, 50.0, 45.0); // -5 era
         }
-        assert_eq!(model.samples(k), 4);
-        assert_eq!(model.margin_for(k), -5.0, "the +40 era has aged out");
+        // One +40 sample is left: P90 of {−5×63, +40} is still −5.
+        assert_eq!(model.margin_for(k), -5.0);
+        model.record_completion(0.0, k, 50.0, 45.0);
+        assert_eq!(model.samples(k), WINDOW);
+        let window = &model.windows[&k];
+        assert!(
+            window.iter().all(|&e| e == -5.0),
+            "the +40 era has aged out"
+        );
     }
 
     #[test]
     fn history_tracks_completions_and_denials() {
         let k = key(1, ServiceClass::Batch);
-        let mut model = MarginModel::new(2.0, CalibrationConfig::default());
+        let mut model = MarginModel::new(CalibrationConfig::default());
         let completion = model.record_completion(5.0, k, 10.0, 16.0);
         let denial = model.record_denial(6.0, k);
         assert_eq!((completion.time, denial.time), (5.0, 6.0));
@@ -360,7 +346,7 @@ mod tests {
         assert_eq!(completion.samples, 1);
         assert_eq!(denial.error, None, "denials carry no error sample");
         assert_eq!(denial.samples, 1, "denials feed no window");
-        assert_eq!(denial.margin, 2.0, "still on the fallback margin");
+        assert_eq!(denial.margin, 0.0, "still on the zero fallback");
     }
 
     #[test]
@@ -388,21 +374,9 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "quantile")]
-    fn invalid_quantile_rejected() {
-        MarginModel::new(
-            0.0,
-            CalibrationConfig {
-                quantile: 0.0,
-                ..CalibrationConfig::default()
-            },
-        );
-    }
-
-    #[test]
     #[should_panic(expected = "finite")]
     fn non_finite_completion_rejected() {
-        let mut model = MarginModel::new(0.0, CalibrationConfig::default());
+        let mut model = MarginModel::new(CalibrationConfig::default());
         model.record_completion(0.0, key(0, ServiceClass::Batch), f64::NAN, 1.0);
     }
 }

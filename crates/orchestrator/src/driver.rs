@@ -51,6 +51,9 @@ use std::collections::VecDeque;
 /// fixed per-iteration cost); used to size reservations before they run.
 pub(crate) const EXECUTIONS_PER_BATCH_ESTIMATE: f64 = SPSA_EXECUTIONS_PER_ITERATION as f64;
 
+/// Shots per circuit execution, used to price batch durations.
+const SHOTS: u64 = 1000;
+
 /// A fleet device handed to a job's ladder construction.
 #[derive(Debug, Clone)]
 pub(crate) struct SelectedDevice<'a> {
@@ -84,21 +87,14 @@ pub(crate) struct Lane {
 }
 
 impl Lane {
-    fn bind(
-        lane: DeviceLane,
-        tier: usize,
-        worker: usize,
-        fleet_index: usize,
-        speed: f64,
-        shots: u64,
-    ) -> Self {
+    fn bind(lane: DeviceLane, tier: usize, worker: usize, fleet_index: usize, speed: f64) -> Self {
         let stats = lane.evaluator.circuit_stats();
         Lane {
             tier,
             worker,
             fleet_index,
             device_name: lane.calibration.name().to_owned(),
-            secs_per_execution: lane.calibration.execution_time_s(&stats, shots) / speed,
+            secs_per_execution: lane.calibration.execution_time_s(&stats, SHOTS) / speed,
             evaluator: lane.evaluator,
             p_correct: lane.p_correct,
         }
@@ -177,7 +173,6 @@ impl Runner {
         n_restarts: usize,
         factory: &dyn EvaluatorFactory,
         selected: &[SelectedDevice],
-        shots: u64,
     ) -> Result<Self, Vec<RejectedDevice>> {
         assert!(n_restarts > 0, "need at least one restart");
         assert!(
@@ -197,7 +192,7 @@ impl Runner {
                     .iter()
                     .find(|s| s.calibration.name() == lane.calibration.name())
                     .expect("every ladder lane was built from a selected device");
-                Lane::bind(lane, tier, 0, device.fleet_index, device.speed, shots)
+                Lane::bind(lane, tier, 0, device.fleet_index, device.speed)
             })
             .collect();
         assert!(
@@ -240,7 +235,6 @@ impl Runner {
         plans: [&TierPlan; 2],
         factory: &dyn EvaluatorFactory,
         fleet: &[FleetDevice],
-        shots: u64,
     ) -> Result<Box<Self>, Box<Self>> {
         debug_assert_eq!(self.n_tiers, 2, "splitting plans two-rung ladders");
         // Build every twin first, so a failure hands the runner back intact.
@@ -270,7 +264,6 @@ impl Runner {
                         worker,
                         *device,
                         fleet[*device].speed(),
-                        shots,
                     ),
                 };
                 self.lanes.push(lane);
@@ -666,7 +659,7 @@ mod tests {
             .run(&devices, &factory(), 5)
             .unwrap();
 
-        let driver = Runner::new(cfg, 5, &factory(), &selected(), 1000).unwrap();
+        let driver = Runner::new(cfg, 5, &factory(), &selected()).unwrap();
         assert!(driver.is_multi_device());
         assert_eq!(driver.shard_count(), 1, "an unsplit job is one shard");
         let batched = drain(driver);
@@ -717,7 +710,7 @@ mod tests {
                 speed: 1.0,
             })
             .collect();
-        let driver = Runner::new(cfg, 3, &factory(), &selected, 1000).unwrap();
+        let driver = Runner::new(cfg, 3, &factory(), &selected).unwrap();
         assert_eq!(driver.shard_count(), 1);
         let batched = drain(driver);
 
@@ -753,7 +746,7 @@ mod tests {
             calibration: &kolkata,
             speed: 1.0,
         }];
-        let driver = Runner::new(cfg, 3, &factory(), &one, 1000).unwrap();
+        let driver = Runner::new(cfg, 3, &factory(), &one).unwrap();
         assert!(!driver.is_multi_device());
         let batched = drain(driver);
         assert_eq!(batched.best_expectation(), closed.best_expectation());
@@ -766,7 +759,7 @@ mod tests {
             selection: qoncord_core::SelectionPolicy::TopK(2),
             ..small_config()
         };
-        let mut driver = Runner::new(cfg, 6, &factory(), &selected(), 1000).unwrap();
+        let mut driver = Runner::new(cfg, 6, &factory(), &selected()).unwrap();
         let mut triages = 0;
         let mut pruned_total = 0;
         while !driver.ready_shards().is_empty() {
@@ -781,7 +774,7 @@ mod tests {
 
     #[test]
     fn checkpoint_advances_with_batches() {
-        let mut driver = Runner::new(small_config(), 2, &factory(), &selected(), 1000).unwrap();
+        let mut driver = Runner::new(small_config(), 2, &factory(), &selected()).unwrap();
         assert_eq!(driver.shard_checkpoint(0).phase.iteration, 0);
         driver.execute_batch(0);
         let ckpt = driver.shard_checkpoint(0).phase;
@@ -792,7 +785,7 @@ mod tests {
 
     #[test]
     fn per_fleet_execution_times_follow_the_ladder() {
-        let driver = Runner::new(small_config(), 2, &factory(), &selected(), 1000).unwrap();
+        let driver = Runner::new(small_config(), 2, &factory(), &selected()).unwrap();
         let secs = driver.seconds_per_execution_by_fleet(12);
         assert!(secs[4] > 0.0, "exploration device priced");
         assert!(secs[9] > 0.0, "fine-tune device priced");
@@ -805,7 +798,7 @@ mod tests {
             min_fidelity: 0.999,
             ..small_config()
         };
-        let err = match Runner::new(cfg, 2, &factory(), &selected(), 1000) {
+        let err = match Runner::new(cfg, 2, &factory(), &selected()) {
             Err(rejected) => rejected,
             Ok(_) => panic!("expected every device to be rejected"),
         };
@@ -817,8 +810,8 @@ mod tests {
         let cfg = small_config();
         let mut fast = selected();
         fast[0].speed = 2.0;
-        let mut a = Runner::new(cfg.clone(), 2, &factory(), &selected(), 1000).unwrap();
-        let mut b = Runner::new(cfg, 2, &factory(), &fast, 1000).unwrap();
+        let mut a = Runner::new(cfg.clone(), 2, &factory(), &selected()).unwrap();
+        let mut b = Runner::new(cfg, 2, &factory(), &fast).unwrap();
         let da = a.execute_batch(0).duration;
         let db = b.execute_batch(0).duration;
         assert!((da / db - 2.0).abs() < 1e-9, "2x speed halves duration");

@@ -40,8 +40,8 @@
 //! [`AdmissionMode::Calibrated`](crate::admission::AdmissionMode)
 //! the engine also closes the estimate loop: every completion feeds its
 //! realized-vs-projected error into a
-//! [`MarginModel`], and the static safety
-//! margin is replaced by the learned per-tier/per-class error quantile.
+//! [`MarginModel`], and the static margin of zero is replaced by the
+//! learned per-tier/per-class error quantile.
 //!
 //! # Splitting and fairness
 //!
@@ -52,10 +52,9 @@
 //! fairness guards run underneath: every [`UsageDecayConfig`] epoch of
 //! virtual time ages all tenants' fair-share balances (so past-heavy
 //! tenants recover priority in the production dispatch path, not just in
-//! the fig12 queue simulator), and
-//! [`PreemptionConfig::eviction_cap`] grants a job eviction immunity once
-//! it has been evicted that many times, bounding how hard a stream of
-//! urgent arrivals can starve one victim.
+//! the fig12 queue simulator), and a job evicted `EVICTION_CAP` (8) times
+//! holds its remaining leases with eviction immunity, bounding how hard a
+//! stream of urgent arrivals can starve one victim.
 
 use crate::admission::{AdmissionConfig, AdmissionController, AdmissionDecision, AdmissionMode};
 use crate::calibration::{CalibrationConfig, MarginKey, MarginModel, ServiceClass};
@@ -68,7 +67,7 @@ use crate::split::{self, SplitConfig};
 use crate::telemetry::{JobRecord, JobStatus, OrchestratorReport, TenantUsage};
 use crate::trace::{TraceEvent, TraceHandle, Tracer};
 use qoncord_cloud::device::CloudDevice;
-use qoncord_cloud::fairshare::{FairShareQueue, FairShareWeights, QueuedRequest};
+use qoncord_cloud::fairshare::{FairShareQueue, QueuedRequest};
 use qoncord_cloud::policy::{
     estimate_feasibility, estimate_feasibility_decayed, place_job, Placement, Policy, QueueModel,
 };
@@ -78,45 +77,31 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::{BTreeMap, HashMap, HashSet};
 
-/// Default preemption budget: evictions a job absorbs before its remaining
-/// leases gain eviction immunity.
-const DEFAULT_EVICTION_CAP: u32 = 8;
+/// Anti-starvation preemption budget: once a job has suffered this many
+/// lease evictions, its remaining leases gain eviction immunity, so a
+/// stream of urgent arrivals cannot re-evict the same victim without bound.
+const EVICTION_CAP: u32 = 8;
+
+/// Device-seconds of fair-share usage credit granted per priority level,
+/// so higher-priority jobs dequeue sooner.
+const PRIORITY_CREDIT: f64 = 50.0;
+
+/// Seed of the placement RNG (only randomized policies consume it).
+const PLACEMENT_SEED: u64 = 0x09C0;
 
 /// Tuning of lease preemption.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct PreemptionConfig {
     /// Whether urgent batch requests may evict running leases at all.
     /// Disabled, the engine only ever waits for a lease to expire — the
     /// pre-lease-manager behavior.
     pub enabled: bool,
-    /// Extra seconds of headroom when judging deadline imminence: a job
-    /// counts as imminent once `now + remaining service estimate + margin`
-    /// reaches its deadline.
-    pub imminence_margin: f64,
-    /// Anti-starvation preemption budget: once a job has suffered this many
-    /// lease evictions, its remaining leases gain eviction immunity, so a
-    /// stream of urgent arrivals cannot re-evict the same victim without
-    /// bound. `None` restores the unbounded pre-budget behavior.
-    pub eviction_cap: Option<u32>,
-}
-
-impl Default for PreemptionConfig {
-    fn default() -> Self {
-        PreemptionConfig {
-            enabled: false,
-            imminence_margin: 0.0,
-            eviction_cap: Some(DEFAULT_EVICTION_CAP),
-        }
-    }
 }
 
 impl PreemptionConfig {
-    /// Preemption switched on with default margins and eviction budget.
+    /// Preemption switched on.
     pub fn enabled() -> Self {
-        PreemptionConfig {
-            enabled: true,
-            ..PreemptionConfig::default()
-        }
+        PreemptionConfig { enabled: true }
     }
 }
 
@@ -143,28 +128,19 @@ pub struct OrchestratorConfig {
     /// fine-tuning device; [`Policy::BestFidelity`] is the HF-only
     /// baseline; the other policies place single-device ladders.
     pub policy: Policy,
-    /// Fair-share weights of the dispatch queue.
-    pub weights: FairShareWeights,
-    /// Shots per circuit execution, used to price batch durations.
-    pub shots: u64,
-    /// Device-seconds of fair-share usage credit granted per priority
-    /// level, so higher-priority jobs dequeue sooner.
-    pub priority_credit: f64,
-    /// Lease-preemption tuning (disabled by default).
+    /// Lease preemption (disabled by default).
     pub preemption: PreemptionConfig,
     /// Deadline-aware admission control (admit-all by default).
     pub admission: AdmissionConfig,
-    /// Margin-model tuning for [`AdmissionMode::Calibrated`] (quantile,
-    /// window, warm-up threshold). Outcomes feed the model in every mode —
-    /// the estimate-error telemetry is always recorded — but only the
-    /// calibrated mode *applies* the learned margins.
+    /// Margin-model warm-up for [`AdmissionMode::Calibrated`]. Outcomes
+    /// feed the model in every mode — the estimate-error telemetry is
+    /// always recorded — but only the calibrated mode *applies* the learned
+    /// margins.
     pub calibration: CalibrationConfig,
     /// QuSplit-style restart splitting (disabled by default).
     pub split: SplitConfig,
     /// Virtual-time fair-share usage decay (disabled by default).
     pub decay: UsageDecayConfig,
-    /// Seed of the placement RNG (only randomized policies consume it).
-    pub seed: u64,
     /// Accepted and **ignored**: the engine is single-threaded at every
     /// value (the sharded executor this field once sized was measured and
     /// deleted — "Why the engine is single-threaded" in
@@ -185,15 +161,11 @@ impl Default for OrchestratorConfig {
     fn default() -> Self {
         OrchestratorConfig {
             policy: Policy::Qoncord,
-            weights: FairShareWeights::default(),
-            shots: 1000,
-            priority_credit: 50.0,
             preemption: PreemptionConfig::default(),
             admission: AdmissionConfig::default(),
             calibration: CalibrationConfig::default(),
             split: SplitConfig::default(),
             decay: UsageDecayConfig::default(),
-            seed: 0x09C0,
             shards: 1,
             trace: TraceHandle::default(),
         }
@@ -336,7 +308,7 @@ struct Sim<'a> {
     margins: MarginModel,
     /// Per fleet device: its quality tier (rank of its advertised fidelity
     /// among the fleet's distinct values, 0 = lowest) — one axis of the
-    /// calibration key.
+    /// calibration key, and the set of devices a split tier fans out over.
     device_tier: Vec<usize>,
     /// Per job: the calibration key its admission used (None until
     /// admission, and for jobs rejected by the fidelity filter).
@@ -425,14 +397,14 @@ impl<'a> Sim<'a> {
             config,
             fleet,
             jobs,
-            rng: StdRng::seed_from_u64(config.seed),
-            queue: FairShareQueue::with_weights(config.weights),
+            rng: StdRng::seed_from_u64(PLACEMENT_SEED),
+            queue: FairShareQueue::new(),
             leases: LeaseLedger::new(fleet.len()),
             events,
             drivers: jobs.iter().map(|_| None).collect(),
             in_flight: jobs.iter().map(|_| HashSet::new()).collect(),
             decay_epochs: 0,
-            margins: MarginModel::new(config.admission.safety_margin, config.calibration),
+            margins: MarginModel::new(config.calibration),
             device_tier,
             margin_key: jobs.iter().map(|_| None).collect(),
             status: jobs.iter().map(|_| None).collect(),
@@ -554,21 +526,29 @@ impl<'a> Sim<'a> {
                 });
             }
         }
-        let runner =
-            match split::build_runner(spec, &selected, self.fleet, &views, self.config, now) {
-                Err(rejected) => {
-                    self.tracer.emit(
-                        now,
-                        TraceEvent::FilterRejected {
-                            job,
-                            devices: rejected.len(),
-                        },
-                    );
-                    self.status[job] = Some(JobStatus::Rejected { rejected });
-                    return;
-                }
-                Ok(runner) => runner,
-            };
+        let built = split::build_runner(
+            spec,
+            &selected,
+            self.fleet,
+            &views,
+            &self.device_tier,
+            self.config.split.enabled,
+            now,
+        );
+        let runner = match built {
+            Err(rejected) => {
+                self.tracer.emit(
+                    now,
+                    TraceEvent::FilterRejected {
+                        job,
+                        devices: rejected.len(),
+                    },
+                );
+                self.status[job] = Some(JobStatus::Rejected { rejected });
+                return;
+            }
+            Ok(runner) => runner,
+        };
         self.tracer.emit(
             now,
             TraceEvent::ShardPlan {
@@ -612,7 +592,7 @@ impl<'a> Sim<'a> {
         self.margin_key[job] = Some(key);
         let margin = match self.config.admission.mode {
             AdmissionMode::Calibrated => self.margins.margin_for(key),
-            _ => self.config.admission.safety_margin,
+            _ => 0.0,
         };
         let outcome = AdmissionController::new(self.config.admission).assess_with_margin(
             now,
@@ -654,7 +634,7 @@ impl<'a> Sim<'a> {
             // Priorities enter fair-share as usage credit scoped to the
             // job's lifetime: granted on admission, charged back at
             // completion so it cannot leak onto later jobs.
-            let credit = priority as f64 * self.config.priority_credit;
+            let credit = priority as f64 * PRIORITY_CREDIT;
             self.queue
                 .credit_usage(&spec.tenant, credit)
                 .expect("priority credit is finite and non-negative");
@@ -745,7 +725,7 @@ impl<'a> Sim<'a> {
         // work its credited requests will in fact outrank. The queue's own
         // device tags supply the request-to-device mapping the old path
         // rebuilt from the reservation and hold tables per decision.
-        let credit = self.jobs[job].priority as f64 * self.config.priority_credit;
+        let credit = self.jobs[job].priority as f64 * PRIORITY_CREDIT;
         estimate_feasibility_decayed(
             priced,
             &committed_views,
@@ -1017,10 +997,7 @@ impl<'a> Sim<'a> {
         let lease = self.leases.grant(
             LeaseTerms {
                 job,
-                tenant: self.jobs[job].tenant.clone(),
                 device,
-                priority: self.effective_priority[job],
-                deadline: self.tracer.job(job).deadline,
                 seconds,
                 checkpoint,
             },
@@ -1051,7 +1028,7 @@ impl<'a> Sim<'a> {
         let deadline_imminent = match (telemetry.deadline, telemetry.admission_estimate) {
             (Some(deadline), Some(estimate)) => {
                 let remaining = (estimate.service_seconds - telemetry.busy_seconds()).max(0.0);
-                now + remaining + self.config.preemption.imminence_margin >= deadline
+                now + remaining >= deadline
             }
             _ => false,
         };
@@ -1084,13 +1061,8 @@ impl<'a> Sim<'a> {
         {
             return;
         }
-        // Anti-starvation preemption budget: a job that has already been
-        // evicted `cap` times holds its remaining leases with immunity, so
-        // a stream of urgent arrivals cannot re-evict it without bound.
-        if let Some(cap) = self.config.preemption.eviction_cap {
-            if self.tracer.job(holder_job).evictions >= cap as usize {
-                return;
-            }
+        if self.tracer.job(holder_job).evictions >= EVICTION_CAP as usize {
+            return;
         }
         self.evict(device, now);
         let request = self
@@ -1137,7 +1109,7 @@ impl<'a> Sim<'a> {
             .requeue_with_credit_for_device(
                 QueuedRequest {
                     id,
-                    user: evicted.lease.tenant.clone(),
+                    user: self.jobs[victim].tenant.clone(),
                     requested_seconds: evicted.lease.seconds,
                     submitted_at: now,
                 },

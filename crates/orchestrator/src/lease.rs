@@ -1,8 +1,8 @@
 //! Preemptible device (sub-)leases.
 //!
 //! Every granted batch of the orchestration engine is an explicit [`Lease`]:
-//! who holds which device, at what priority, against which deadline, and —
-//! because the batch's real compute is deferred to the lease's expiry — the
+//! which job holds which device, for how long, and — because the batch's
+//! real compute is deferred to the lease's expiry — the
 //! [`ShardCheckpoint`] of the holder's optimizer state at grant time. A job
 //! split QuSplit-style holds several such leases concurrently (one per
 //! shard), which is why the checkpoint also names the shard and restart the
@@ -42,10 +42,7 @@ use qoncord_core::phase::ShardCheckpoint;
 /// let lease = Lease {
 ///     id: 7,
 ///     job: 2,
-///     tenant: "alice".to_owned(),
 ///     device: 0,
-///     priority: 1,
-///     deadline: Some(40.0),
 ///     granted_at: 10.0,
 ///     expires_at: 16.0,
 ///     seconds: 6.0,
@@ -73,18 +70,11 @@ pub struct Lease {
     /// Unique, monotonically increasing lease id (never reused, so a stale
     /// completion event for an evicted lease is detectable).
     pub id: u64,
-    /// Index of the holding job.
+    /// Index of the holding job (its tenant and urgency live with the job:
+    /// preemption decisions evaluate them at decision time).
     pub job: usize,
-    /// Tenant of the holding job (fair-share identity).
-    pub tenant: String,
     /// Fleet device the lease occupies.
     pub device: usize,
-    /// Effective dispatch priority of the holder, as of the grant (a
-    /// snapshot of the terms — live preemption decisions re-evaluate the
-    /// holder's urgency at decision time).
-    pub priority: u32,
-    /// Absolute deadline of the holder at grant time, if it has an SLA.
-    pub deadline: Option<f64>,
     /// Virtual time the lease was granted.
     pub granted_at: f64,
     /// Virtual time the granted batch completes if not evicted.
@@ -152,14 +142,8 @@ pub struct EvictedLease {
 pub struct LeaseTerms {
     /// Index of the job being granted.
     pub job: usize,
-    /// Its tenant.
-    pub tenant: String,
     /// Fleet device to occupy.
     pub device: usize,
-    /// Effective dispatch priority.
-    pub priority: u32,
-    /// Absolute deadline, if the job has an SLA.
-    pub deadline: Option<f64>,
     /// Device-seconds the batch needs.
     pub seconds: f64,
     /// The job's optimizer state at grant time, tagged with the shard and
@@ -211,10 +195,7 @@ impl LeaseLedger {
         let lease = Lease {
             id,
             job: terms.job,
-            tenant: terms.tenant,
             device: terms.device,
-            priority: terms.priority,
-            deadline: terms.deadline,
             granted_at: now,
             expires_at: now + terms.seconds,
             seconds: terms.seconds,
@@ -251,13 +232,10 @@ impl LeaseLedger {
 mod tests {
     use super::*;
 
-    fn terms(job: usize, device: usize, priority: u32, seconds: f64) -> LeaseTerms {
+    fn terms(job: usize, device: usize, seconds: f64) -> LeaseTerms {
         LeaseTerms {
             job,
-            tenant: format!("tenant-{job}"),
             device,
-            priority,
-            deadline: None,
             seconds,
             checkpoint: ShardCheckpoint {
                 shard: 0,
@@ -274,7 +252,7 @@ mod tests {
     #[test]
     fn grant_complete_round_trip() {
         let mut ledger = LeaseLedger::new(2);
-        let id = ledger.grant(terms(0, 1, 0, 5.0), 10.0).id;
+        let id = ledger.grant(terms(0, 1, 5.0), 10.0).id;
         assert!(ledger.active(0).is_none());
         assert_eq!(ledger.active(1).unwrap().expires_at, 15.0);
         let done = ledger.complete(1, id).expect("live lease completes");
@@ -286,7 +264,7 @@ mod tests {
     #[test]
     fn eviction_burns_held_time_and_staleness_is_detected() {
         let mut ledger = LeaseLedger::new(1);
-        let id = ledger.grant(terms(3, 0, 0, 10.0), 100.0).id;
+        let id = ledger.grant(terms(3, 0, 10.0), 100.0).id;
         let evicted = ledger.evict(0, 104.0);
         assert_eq!(evicted.lease.id, id);
         assert_eq!(evicted.burned_seconds, 4.0);
@@ -294,7 +272,7 @@ mod tests {
         // The stale completion event for the evicted lease is a no-op...
         assert_eq!(ledger.complete(0, id), None);
         // ...even when another lease has since taken the device.
-        let id2 = ledger.grant(terms(4, 0, 2, 3.0), 104.0).id;
+        let id2 = ledger.grant(terms(4, 0, 3.0), 104.0).id;
         assert_eq!(ledger.complete(0, id), None);
         assert_eq!(
             ledger.active(0).unwrap().id,
@@ -308,8 +286,8 @@ mod tests {
     #[should_panic(expected = "already leased")]
     fn double_grant_rejected() {
         let mut ledger = LeaseLedger::new(1);
-        ledger.grant(terms(0, 0, 0, 1.0), 0.0);
-        ledger.grant(terms(1, 0, 0, 1.0), 0.5);
+        ledger.grant(terms(0, 0, 1.0), 0.0);
+        ledger.grant(terms(1, 0, 1.0), 0.5);
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //! - [`job`] — tenant job specs (arrival, priority, deadline, restarts,
 //!   workload).
 //! - [`fleet`] — the shared fleet: calibrations + market metadata.
-//! - [`lease`] — explicit device leases: priority, deadline, checkpointed
+//! - [`lease`] — explicit device leases: holder, duration, checkpointed
 //!   optimizer state, and the one-active-lease-per-device ledger that
 //!   grants, completes and evicts them.
 //! - [`admission`] — deadline-aware admission control: feasibility

@@ -22,19 +22,22 @@
 //! of a tier share a calibration model (the twin fleets of
 //! [`crate::fleet`]), a split run therefore reproduces the unsplit run's
 //! final energy and parameters for every restart bit for bit — only the
-//! timing (and therefore the fleet makespan) changes. On tiers mixing
-//! *different* calibrations, splitting instead trades per-restart fidelity
-//! for throughput, which is the QuSplit knob; widen
-//! [`SplitConfig::tier_tolerance`] to opt into that.
+//! timing (and therefore the fleet makespan) changes. A tier is the
+//! engine's one definition of it — devices of exactly equal advertised
+//! fidelity, the same rank the calibration key uses — so a job never splits
+//! across devices of different quality.
 
 use crate::driver::{Runner, SelectedDevice, TierPlan};
-use crate::engine::OrchestratorConfig;
 use crate::fleet::FleetDevice;
 use crate::job::TenantJob;
 use qoncord_cloud::device::CloudDevice;
 use qoncord_cloud::policy::split_restarts;
 use qoncord_core::executor::RejectedDevice;
 use qoncord_vqa::restart::executions_for_iterations;
+
+/// Widest fan-out of one tier: the live-load planner may choose fewer
+/// shards, never more.
+const MAX_FANOUT: usize = 4;
 
 /// Tuning of QuSplit-style restart splitting.
 ///
@@ -44,44 +47,20 @@ use qoncord_vqa::restart::executions_for_iterations;
 /// use qoncord_orchestrator::SplitConfig;
 ///
 /// assert!(!SplitConfig::default().enabled, "splitting is opt-in");
-/// let split = SplitConfig::enabled();
-/// assert!(split.enabled);
-/// assert_eq!(split.max_fanout, 4);
-/// assert!(split.tier_tolerance < 1e-6, "default admits only twin devices");
+/// assert!(SplitConfig::enabled().enabled);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct SplitConfig {
     /// Whether multi-device jobs may fan their restarts across same-tier
     /// devices at all. Disabled, every job runs as a single shard, one
     /// lease at a time.
     pub enabled: bool,
-    /// Upper bound on the per-tier fan-out width (the live-load planner may
-    /// choose less).
-    pub max_fanout: usize,
-    /// How far apart two devices' advertised fidelities may lie and still
-    /// count as the same tier. The tight default admits only twin devices,
-    /// which keeps split results bit-identical to unsplit runs; widen it to
-    /// trade per-restart fidelity for throughput.
-    pub tier_tolerance: f64,
-}
-
-impl Default for SplitConfig {
-    fn default() -> Self {
-        SplitConfig {
-            enabled: false,
-            max_fanout: 4,
-            tier_tolerance: 1e-9,
-        }
-    }
 }
 
 impl SplitConfig {
-    /// Splitting switched on with the default fan-out bound and tier band.
+    /// Splitting switched on.
     pub fn enabled() -> Self {
-        SplitConfig {
-            enabled: true,
-            ..SplitConfig::default()
-        }
+        SplitConfig { enabled: true }
     }
 }
 
@@ -90,6 +69,9 @@ impl SplitConfig {
 /// splitting is enabled and the live-load plan fans at least one tier wider
 /// than a single device.
 ///
+/// `tiers` ranks each fleet device's advertised fidelity (the engine's
+/// `device_tiers`); a tier's shards go only to devices of its rank.
+///
 /// Returns the rejected-device list when no device survives the fidelity
 /// filter (same contract as [`Runner::new`]).
 pub(crate) fn build_runner(
@@ -97,7 +79,8 @@ pub(crate) fn build_runner(
     selected: &[SelectedDevice],
     fleet: &[FleetDevice],
     views: &[CloudDevice],
-    config: &OrchestratorConfig,
+    tiers: &[usize],
+    split: bool,
     now: f64,
 ) -> Result<Box<Runner>, Vec<RejectedDevice>> {
     let _prof = qoncord_prof::span("engine::build_runner");
@@ -106,23 +89,20 @@ pub(crate) fn build_runner(
         spec.n_restarts,
         spec.factory.as_ref(),
         selected,
-        config.shots,
     )?);
-    let split = &config.split;
     // Deeper ladders stay unsplit; splitting models the paper's two-tier
     // exploration/fine-tuning pipeline.
-    if !split.enabled || runner.lanes.len() != 2 || spec.n_restarts < 2 {
+    if !split || runner.lanes.len() != 2 || spec.n_restarts < 2 {
         return Ok(runner);
     }
     let (explore, finetune) = (&runner.lanes[0], &runner.lanes[1]);
     let explore_plan = plan_tier(
-        fleet,
         views,
+        tiers,
         explore.fleet_index,
         spec.n_restarts,
         executions_for_iterations(spec.config.exploration_max_iterations) as f64
             * explore.secs_per_execution,
-        split,
         now,
     );
     // Only triage survivors ever fine-tune, so the fine-tuning tier is
@@ -131,13 +111,12 @@ pub(crate) fn build_runner(
     // receive work.
     let max_survivors = spec.config.selection.max_survivors(spec.n_restarts);
     let finetune_plan = plan_tier(
-        fleet,
         views,
+        tiers,
         finetune.fleet_index,
         max_survivors,
         executions_for_iterations(spec.config.finetune_max_iterations) as f64
             * finetune.secs_per_execution,
-        split,
         now,
     );
     if explore_plan.len() < 2 && finetune_plan.len() < 2 {
@@ -145,42 +124,36 @@ pub(crate) fn build_runner(
     }
     let plans = [&explore_plan, &finetune_plan];
     Ok(runner
-        .fan_out(plans, spec.factory.as_ref(), fleet, config.shots)
+        .fan_out(plans, spec.factory.as_ref(), fleet)
         .unwrap_or_else(|unsplit| unsplit))
 }
 
 /// Plans one tier's shard devices from live load: candidates are the fleet
-/// devices whose advertised fidelity sits within the configured tolerance
-/// of the tier's primary device, and
+/// devices of the primary device's tier, and
 /// [`qoncord_cloud::policy::split_restarts`] deals the restarts across the
 /// least-loaded of them. Returns `(fleet device, restart indices)` pairs —
-/// never empty, because the primary sits inside its own band.
+/// never empty, because the primary is in its own tier.
 fn plan_tier(
-    fleet: &[FleetDevice],
     views: &[CloudDevice],
+    tiers: &[usize],
     primary: usize,
     n_restarts: usize,
     seconds_per_restart: f64,
-    split: &SplitConfig,
     now: f64,
 ) -> TierPlan {
-    let anchor = fleet[primary].advertised_fidelity();
     let candidates: Vec<CloudDevice> = views
         .iter()
         .enumerate()
-        .filter(|(i, _)| (fleet[*i].advertised_fidelity() - anchor).abs() <= split.tier_tolerance)
+        .filter(|(i, _)| tiers[*i] == tiers[primary])
         .map(|(_, v)| v.clone())
         .collect();
-    let tier_floor = candidates
-        .iter()
-        .map(|d| d.fidelity())
-        .fold(f64::INFINITY, f64::min);
+    let tier_fidelity = views[primary].fidelity();
     split_restarts(
         &candidates,
-        tier_floor,
+        tier_fidelity,
         n_restarts,
         seconds_per_restart,
-        split.max_fanout,
+        MAX_FANOUT,
         now,
     )
     .into_iter()
@@ -233,12 +206,11 @@ mod tests {
             spec.n_restarts,
             spec.factory.as_ref(),
             &selected,
-            1000,
         )
         .expect("twin fleet passes the fidelity filter");
         let (explore, finetune) = plans(spec.n_restarts);
         Box::new(ladder)
-            .fan_out([&explore, &finetune], spec.factory.as_ref(), &fleet, 1000)
+            .fan_out([&explore, &finetune], spec.factory.as_ref(), &fleet)
             .ok()
             .unwrap()
     }

@@ -74,7 +74,6 @@ fn replay_oracle_agrees_with_every_admission_of_a_burst() {
         admission: AdmissionConfig {
             mode: AdmissionMode::Reject,
             decay_aware: true,
-            ..AdmissionConfig::default()
         },
         preemption: PreemptionConfig::enabled(),
         decay: UsageDecayConfig::every(1.5, 0.9),

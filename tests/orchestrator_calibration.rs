@@ -118,10 +118,7 @@ fn run(
     let orchestrator = Orchestrator::new(
         OrchestratorConfig {
             admission: mode_config,
-            calibration: CalibrationConfig {
-                min_samples: 2,
-                ..CalibrationConfig::default()
-            },
+            calibration: CalibrationConfig { min_samples: 2 },
             ..OrchestratorConfig::default()
         },
         fleet,

@@ -10,11 +10,13 @@ use qoncord::cloud::policy::Policy;
 use qoncord::core::executor::QaoaFactory;
 use qoncord::core::scheduler::{QoncordConfig, QoncordScheduler};
 use qoncord::device::catalog;
+use qoncord::device::noise_model::SimulatedBackend;
 use qoncord::orchestrator::trace::{MemorySink, TraceEvent, TraceHandle};
 use qoncord::orchestrator::{
     two_lf_one_hf_fleet, DeadlineClass, FleetDevice, Orchestrator, OrchestratorConfig,
     OrchestratorReport, PreemptionConfig, TenantJob,
 };
+use qoncord::vqa::evaluator::{CostEvaluator, QaoaEvaluator};
 use qoncord::vqa::{graph::Graph, maxcut::MaxCut};
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -156,33 +158,41 @@ fn preempted_jobs_resume_bit_identically_and_urgent_arrivals_wait_less() {
     assert!(preemptive.sla_attainment().is_some());
 }
 
-/// The override's tie-break, by hand, on one device. Priority credit is
-/// zero, so every tenant's first request scores the same and fair-share
-/// falls through to submission time, then push order. The holder H arrives
-/// first and is granted the idle device at a priority nobody below can
-/// evict; the rest arrive together while it runs and queue in push order:
+/// The override's tie-break, by hand, on one device. Every job is one
+/// batch of three executions, and the device is slowed so each execution
+/// takes exactly 8 s (a power-of-two scaling, so every balance below is
+/// exact): a batch lasts 24 s. Priority 3 grants 150 s of credit, priority
+/// 5 grants 250 s; both are charged back, with the batch's 24 s, when the
+/// job completes. The six jobs share three tenants:
 ///
-/// * W — priority 3, deadline far off (not imminent): the fair-share winner
-///   when H expires,
-/// * Z — priority 0, no deadline,
-/// * A, B — priority 3, deadlines far off,
-/// * C — priority 3, deadline all but due (imminent).
+/// * H — tenant `hb`, priority 5: arrives first and is granted the idle
+///   device at a priority nobody below can evict;
+/// * W — tenant `wc`, priority 3, deadline far off (not imminent);
+/// * Z — tenant `za`, priority 0, no deadline;
+/// * A — tenant `za`, priority 3, deadline far off;
+/// * B — tenant `hb`, priority 3, deadline far off;
+/// * C — tenant `wc`, priority 3, deadline all but due (imminent).
 ///
-/// Every job is one batch. At H's expiry the winner is W; only C may
-/// preempt it, so C runs and W is pushed again — to the back of the queue,
-/// behind Z, A and B. Z is the next fair-share winner, and the equally
-/// urgent A, B and W all outrank it: the earliest in push order takes the
-/// device, and that is A, because W's second push is the one that counts.
-/// B and then W follow as fair-share winners nobody outranks, Z last.
+/// W to C arrive together while H runs and queue in push order. At H's
+/// expiry `wc` carries two credits and is lightest, so W (its earlier
+/// request) is the fair-share winner; only C may preempt it, so C runs and
+/// W is pushed again — to the back of the queue. C's completion charges
+/// its credit back to `wc`, which leaves `za` (one credit, two requests)
+/// lightest: Z is the winner, and the equally urgent A, B and W all
+/// outrank it. The earliest in push order takes the device, and that is A,
+/// because W's second push is the one that counts. Then `hb` and `wc`
+/// balance to the bit, so B, queued before W's second push, goes first,
+/// and W follows; Z is last.
 #[test]
 fn an_overridden_winner_requeues_behind_its_equally_urgent_peers() {
     let [h, w, z, a, b, c] = [0, 1, 2, 3, 4, 5];
-    let job = |id: usize, arrival: f64| {
+    let problem = MaxCut::new(Graph::new(3, &[(0, 1, 1.0), (1, 2, 1.0)]));
+    let job = |id: usize, tenant: &str, arrival: f64| {
         let factory = QaoaFactory {
-            problem: MaxCut::new(Graph::new(3, &[(0, 1, 1.0), (1, 2, 1.0)])),
+            problem: problem.clone(),
             layers: 1,
         };
-        let mut job = TenantJob::new(id, format!("tenant-{id}"), 0.0, Box::new(factory))
+        let mut job = TenantJob::new(id, tenant, 0.0, Box::new(factory))
             .with_restarts(1)
             .with_config(QoncordConfig {
                 // One rung, so one phase of the combined budget: one batch.
@@ -196,24 +206,36 @@ fn an_overridden_winner_requeues_behind_its_equally_urgent_peers() {
     };
     let far = 1e6;
     let jobs = vec![
-        job(h, 0.0).with_priority(5),
-        job(w, 1e-6).with_priority(3).with_deadline(far),
-        job(z, 1e-6),
-        job(a, 1e-6).with_priority(3).with_deadline(far),
-        job(b, 1e-6).with_priority(3).with_deadline(far),
-        job(c, 1e-6).with_priority(3).with_deadline(2e-6),
+        job(h, "hb", 0.0).with_priority(5),
+        job(w, "wc", 1e-6).with_priority(3).with_deadline(far),
+        job(z, "za", 1e-6),
+        job(a, "za", 1e-6).with_priority(3).with_deadline(far),
+        job(b, "hb", 1e-6).with_priority(3).with_deadline(far),
+        job(c, "wc", 1e-6).with_priority(3).with_deadline(2e-6),
     ];
     let sink = Rc::new(RefCell::new(MemorySink::new()));
     let config = OrchestratorConfig {
         preemption: PreemptionConfig::enabled(),
-        priority_credit: 0.0,
         trace: TraceHandle::to(sink.clone()),
         ..OrchestratorConfig::default()
     };
-    let fleet = vec![FleetDevice::new(catalog::ibmq_kolkata())];
+    let kolkata = catalog::ibmq_kolkata();
+    let evaluator = QaoaEvaluator::new(
+        &problem,
+        1,
+        SimulatedBackend::from_calibration(kolkata.clone()),
+        0,
+    );
+    let execution_seconds = kolkata.execution_time_s(&evaluator.circuit_stats(), 1000);
+    let fleet = vec![FleetDevice::new(kolkata)
+        .with_speed(execution_seconds / 8.0)
+        .expect("positive speed")];
     let report = Orchestrator::new(config, fleet).run(&jobs);
     assert_eq!(report.completed(), jobs.len());
     assert_eq!(report.total_evictions(), 0, "nobody outranks a holder");
+    for job in &report.jobs {
+        assert_eq!(job.telemetry.busy_seconds(), 24.0);
+    }
 
     let grants: Vec<usize> = sink
         .borrow()
