@@ -62,7 +62,6 @@ fn main() {
         vqa_ratio: 0.6,
         mean_interarrival: 0.4,
         seed: args.seed ^ TRACE_SALT,
-        ..WorkloadConfig::default()
     });
     let replay = ReplayConfig {
         tenants: 4,

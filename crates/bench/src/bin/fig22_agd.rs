@@ -8,7 +8,7 @@ use qoncord_device::catalog;
 use qoncord_device::noise_model::SimulatedBackend;
 use qoncord_vqa::agd::agd_epoch;
 use qoncord_vqa::evaluator::{CostEvaluator, QaoaEvaluator};
-use qoncord_vqa::optimizer::{Optimizer, Spsa};
+use qoncord_vqa::optimizer::Spsa;
 use qoncord_vqa::{graph::Graph, maxcut::MaxCut};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -29,11 +29,9 @@ fn main() {
     let mut spsa = Spsa::default();
     let mut rng = StdRng::seed_from_u64(args.seed);
     let mut params = initial.clone();
-    let mut best = f64::INFINITY;
     for _ in 0..iterations {
         let mut objective = |p: &[f64]| sync_eval.evaluate(p).expectation;
-        let out = spsa.step(&mut params, &mut objective, &mut rng);
-        best = best.min(out.objective);
+        spsa.step(&mut params, &mut objective, &mut rng);
     }
     let sync_final = sync_eval.evaluate(&params).expectation;
     let sync_execs = sync_eval.executions();

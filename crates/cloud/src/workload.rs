@@ -7,6 +7,10 @@ use crate::job::{JobKind, JobSpec};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+/// Minimum per-circuit execution time, seconds; the maximum is 3× this
+/// (the paper's empirical variation).
+const MIN_SECONDS_PER_CIRCUIT: f64 = 0.05;
+
 /// Parameters of the pseudo-workload generator.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WorkloadConfig {
@@ -17,9 +21,6 @@ pub struct WorkloadConfig {
     pub vqa_ratio: f64,
     /// Mean inter-arrival time, seconds.
     pub mean_interarrival: f64,
-    /// Minimum per-circuit execution time, seconds; the maximum is 3× this
-    /// (the paper's empirical variation).
-    pub min_seconds_per_circuit: f64,
     /// RNG seed.
     pub seed: u64,
 }
@@ -30,7 +31,6 @@ impl Default for WorkloadConfig {
             n_jobs: 1000,
             vqa_ratio: 0.5,
             mean_interarrival: 1.0,
-            min_seconds_per_circuit: 0.05,
             seed: 0xC10D,
         }
     }
@@ -71,8 +71,7 @@ pub fn generate_workload(config: &WorkloadConfig) -> Vec<JobSpec> {
         clock += -config.mean_interarrival * u.ln();
         let is_vqa = rng.random::<f64>() < config.vqa_ratio;
         // Sec. V-F: execution times vary 3× between min and max.
-        let seconds_per_circuit =
-            config.min_seconds_per_circuit * (1.0 + 2.0 * rng.random::<f64>());
+        let seconds_per_circuit = MIN_SECONDS_PER_CIRCUIT * (1.0 + 2.0 * rng.random::<f64>());
         let kind = if is_vqa {
             JobKind::RuntimeSession {
                 n_batches: rng.random_range(5..=15),

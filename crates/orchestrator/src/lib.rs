@@ -37,8 +37,8 @@
 //!   bounded by an anti-starvation eviction budget, virtual-time usage
 //!   decay, and pruning-aware cancellation of reservations when restart
 //!   triage kills work mid-flight. One thread pops events in
-//!   `(time, seq)` order; parallelism lives below it, in the simulator's
-//!   `sim::par` kernels.
+//!   `(time, seq)` order, and the simulator below it is single-threaded
+//!   too.
 //! - [`split`] — QuSplit-style restart splitting: one job's restarts
 //!   fanned across same-tier devices as concurrent sub-leases (fan-out
 //!   width chosen from live load), with merges bit-identical to the
@@ -133,8 +133,8 @@ pub use telemetry::{
 };
 pub use trace::{
     chrome_export, chrome_export_with_profile, validate_chrome_trace, JsonlSink, LogHistogram,
-    MemorySink, RingBufferSink, TraceEvent, TraceHandle, TraceRecord, TraceSink, TraceSummary,
-    CHROME_FLEET_PID, CHROME_JOBS_PID, CHROME_PROF_PID,
+    MemorySink, TraceEvent, TraceHandle, TraceRecord, TraceSink, TraceSummary, CHROME_FLEET_PID,
+    CHROME_JOBS_PID, CHROME_PROF_PID,
 };
 
 #[cfg(test)]

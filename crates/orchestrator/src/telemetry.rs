@@ -387,7 +387,8 @@ impl OrchestratorReport {
 
     /// The margin trajectory of one device tier, as `(virtual time, margin
     /// seconds)` points in ingestion order across all service classes —
-    /// the per-tier learning curve the calibration bench plots.
+    /// the per-tier learning curve. (The `admission_calibration` bin
+    /// writes its curve from [`calibration`](Self::calibration) directly.)
     pub fn margin_history(&self, tier: usize) -> Vec<(f64, f64)> {
         self.calibration
             .iter()

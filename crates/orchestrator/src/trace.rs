@@ -27,8 +27,7 @@
 //!
 //! [`TraceSink`] is the pluggable consumer interface. Provided sinks:
 //!
-//! - [`MemorySink`] — unbounded capture, for export and replay.
-//! - [`RingBufferSink`] — bounded capture that drops oldest-first.
+//! - [`MemorySink`] — in-memory capture, for export and replay.
 //! - [`JsonlSink`] — one JSON object per record, byte-deterministic.
 //!
 //! Attach a sink through [`TraceHandle`] on
@@ -78,7 +77,7 @@ use crate::calibration::MarginSnapshot;
 use crate::telemetry::{DeviceTelemetry, FleetTelemetry, JobTelemetry, OrchestratorReport};
 use qoncord_cloud::policy::FeasibilityEstimate;
 use std::cell::RefCell;
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::fmt;
 use std::fmt::Write as _;
 use std::rc::Rc;
@@ -354,7 +353,7 @@ pub trait TraceSink {
     fn record(&mut self, record: &TraceRecord);
 }
 
-/// Unbounded in-memory capture, for post-run export and replay.
+/// In-memory capture of every record, for post-run export and replay.
 #[derive(Debug, Clone, Default)]
 pub struct MemorySink {
     records: Vec<TraceRecord>,
@@ -375,62 +374,6 @@ impl MemorySink {
 impl TraceSink for MemorySink {
     fn record(&mut self, record: &TraceRecord) {
         self.records.push(record.clone());
-    }
-}
-
-/// Bounded in-memory capture: keeps the most recent `capacity` records,
-/// dropping oldest-first once full — the black-box flight recorder for
-/// long runs where only the tail matters.
-#[derive(Debug, Clone)]
-pub struct RingBufferSink {
-    buffer: VecDeque<TraceRecord>,
-    capacity: usize,
-    dropped: u64,
-}
-
-impl RingBufferSink {
-    /// A ring holding at most `capacity` records.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    pub fn with_capacity(capacity: usize) -> Self {
-        assert!(capacity > 0, "ring buffer capacity must be positive");
-        RingBufferSink {
-            buffer: VecDeque::with_capacity(capacity),
-            capacity,
-            dropped: 0,
-        }
-    }
-
-    /// Records currently held, oldest first.
-    pub fn records(&self) -> Vec<TraceRecord> {
-        self.buffer.iter().cloned().collect()
-    }
-
-    /// Records evicted to make room (total over the sink's lifetime).
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// Records currently held.
-    pub fn len(&self) -> usize {
-        self.buffer.len()
-    }
-
-    /// Whether nothing has been recorded yet.
-    pub fn is_empty(&self) -> bool {
-        self.buffer.is_empty()
-    }
-}
-
-impl TraceSink for RingBufferSink {
-    fn record(&mut self, record: &TraceRecord) {
-        if self.buffer.len() == self.capacity {
-            self.buffer.pop_front();
-            self.dropped += 1;
-        }
-        self.buffer.push_back(record.clone());
     }
 }
 
@@ -1831,7 +1774,7 @@ impl ReconstructedReport {
 /// additions in the same order, so every rebuilt float is bit-identical to
 /// the engine's.
 ///
-/// A capture that lost its head (the tail of a [`RingBufferSink`]) still
+/// A capture that lost its head (any suffix of a full capture) still
 /// replays: events naming a job or device whose `Arrival` /
 /// `DeviceDefined` is not in `records` are skipped and counted in
 /// [`ReconstructedReport::orphaned`].
@@ -2125,18 +2068,6 @@ mod tests {
         h.record(f64::INFINITY);
         assert_eq!(h.count(), 3);
         assert!(h.mean().is_finite());
-    }
-
-    #[test]
-    fn ring_buffer_drops_oldest_first_and_keeps_the_tail_intact() {
-        let mut sink = RingBufferSink::with_capacity(3);
-        for seq in 0..10u64 {
-            sink.record(&record(seq, seq as f64, TraceEvent::JobComplete { job: 0 }));
-        }
-        assert_eq!(sink.len(), 3);
-        assert_eq!(sink.dropped(), 7);
-        let seqs: Vec<u64> = sink.records().iter().map(|r| r.seq).collect();
-        assert_eq!(seqs, vec![7, 8, 9], "tail survives in order");
     }
 
     #[test]

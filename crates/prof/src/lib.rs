@@ -13,11 +13,11 @@
 //! ## Install model
 //!
 //! Nothing is recorded until a [`Profiler`] is *installed* on the current
-//! thread. Instrumented code calls [`span`] unconditionally; with no
-//! profiler installed (or an installed one disabled) the call returns an
+//! thread; that is the only way profiling is off. Instrumented code calls
+//! [`span`] unconditionally; with no profiler installed the call returns an
 //! inert guard without reading the clock, touching the registry, or
-//! allocating — the near-zero disabled path the engine's determinism and
-//! overhead guards assert.
+//! allocating — the near-zero off path the engine's determinism guard
+//! asserts.
 //!
 //! ```
 //! use qoncord_prof::{folded_export, span, Profiler};
@@ -43,7 +43,7 @@
 //!   observes.
 //! - Labels are `&'static str` and must not contain `';'` — that is the
 //!   folded-stack path separator.
-//! - Recording a span never branches on recorded data, so enabling the
+//! - Recording a span never branches on recorded data, so installing the
 //!   profiler cannot change the control flow of instrumented code.
 
 #![warn(missing_docs)]
@@ -52,7 +52,6 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::marker::PhantomData;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
@@ -107,14 +106,12 @@ struct Registry {
 }
 
 struct Inner {
-    enabled: bool,
-    started: AtomicU64,
     epoch: Instant,
     registry: Mutex<Registry>,
 }
 
 /// A shareable wall-clock span profiler: a thread-safe registry of folded
-/// span paths plus an enable switch and a cheap span counter.
+/// span paths.
 ///
 /// Cloning is shallow (an [`Arc`] bump); clones observe the same registry.
 /// Spans are only recorded on threads where the profiler is
@@ -127,10 +124,7 @@ pub struct Profiler {
 
 impl std::fmt::Debug for Profiler {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Profiler")
-            .field("enabled", &self.is_enabled())
-            .field("spans_started", &self.spans_started())
-            .finish()
+        f.debug_struct("Profiler").finish_non_exhaustive()
     }
 }
 
@@ -152,32 +146,15 @@ struct Frame {
 }
 
 impl Profiler {
-    /// Creates an enabled profiler; its epoch (the zero point of span start
+    /// Creates a profiler; its epoch (the zero point of span start
     /// offsets) is the moment of creation.
     pub fn new() -> Self {
-        Profiler::with_enabled(true)
-    }
-
-    /// Creates a profiler whose enable switch is off: it can be installed
-    /// without recording anything.
-    pub fn disabled() -> Self {
-        Profiler::with_enabled(false)
-    }
-
-    fn with_enabled(enabled: bool) -> Self {
         Profiler {
             inner: Arc::new(Inner {
-                enabled,
-                started: AtomicU64::new(0),
                 epoch: Instant::now(),
                 registry: Mutex::new(Registry::default()),
             }),
         }
-    }
-
-    /// Whether spans opened now would be recorded (on installed threads).
-    pub fn is_enabled(&self) -> bool {
-        self.inner.enabled
     }
 
     /// Installs this profiler as the current thread's span recipient,
@@ -189,12 +166,6 @@ impl Profiler {
             prev,
             _not_send: PhantomData,
         }
-    }
-
-    /// Total spans ever started against this profiler — the cheap counter
-    /// the disabled-path guard asserts stays at zero.
-    pub fn spans_started(&self) -> u64 {
-        self.inner.started.load(Ordering::Relaxed)
     }
 
     fn lock(&self) -> MutexGuard<'_, Registry> {
@@ -325,9 +296,9 @@ pub fn current_report() -> ProfileReport {
 /// Opens a scoped wall-clock span named `label` against the thread's
 /// installed profiler; timing stops when the returned guard drops.
 ///
-/// With no profiler installed — or the installed one disabled — this
-/// returns an inert guard without reading the clock or touching any
-/// registry: instrumented hot loops pay only a thread-local load.
+/// With no profiler installed this returns an inert guard without reading
+/// the clock or touching any registry: instrumented hot loops pay only a
+/// thread-local load.
 ///
 /// `label` must not contain `';'` (the folded-stack separator).
 pub fn span(label: &'static str) -> SpanGuard {
@@ -338,10 +309,6 @@ pub fn span(label: &'static str) -> SpanGuard {
     let Some(profiler) = current() else {
         return SpanGuard { active: None };
     };
-    if !profiler.is_enabled() {
-        return SpanGuard { active: None };
-    }
-    profiler.inner.started.fetch_add(1, Ordering::Relaxed);
     let parent = STACK.with(|s| s.borrow().last().map(|f| f.path).unwrap_or(ROOT));
     let path = profiler.intern(parent, label);
     STACK.with(|s| s.borrow_mut().push(Frame { path, child_ns: 0 }));
@@ -521,7 +488,6 @@ mod tests {
         assert!(outer.self_ns() >= 200_000, "self = {}", outer.self_ns());
         assert!(outer.total_ns >= outer.self_ns() + inner.total_ns);
         assert_eq!(report.total_spans(), 3);
-        assert_eq!(profiler.spans_started(), 3);
         assert_eq!(report.spans.len(), 3);
         assert_eq!(report.dropped_spans, 0);
     }
@@ -531,18 +497,6 @@ mod tests {
         assert!(current().is_none());
         let guard = span("unrecorded");
         assert!(guard.active.is_none());
-    }
-
-    #[test]
-    fn disabled_profiler_records_nothing() {
-        let profiler = Profiler::disabled();
-        let _session = profiler.install();
-        {
-            let guard = span("off");
-            assert!(guard.active.is_none());
-        }
-        assert_eq!(profiler.spans_started(), 0);
-        assert!(profiler.report().is_empty());
     }
 
     #[test]
@@ -559,8 +513,8 @@ mod tests {
         }
         assert_eq!(a.report().entries[0].path, vec!["outer-work"]);
         assert_eq!(b.report().entries[0].path, vec!["inner-work"]);
-        assert_eq!(a.spans_started(), 1);
-        assert_eq!(b.spans_started(), 1);
+        assert_eq!(a.report().total_spans(), 1);
+        assert_eq!(b.report().total_spans(), 1);
     }
 
     #[test]

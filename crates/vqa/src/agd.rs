@@ -9,7 +9,7 @@
 //! parameters together and shards the *phases* instead.
 
 use crate::evaluator::CostEvaluator;
-use crate::optimizer::{Optimizer, Spsa};
+use crate::optimizer::Spsa;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -86,7 +86,6 @@ mod tests {
     use crate::evaluator::QaoaEvaluator;
     use crate::graph::Graph;
     use crate::maxcut::MaxCut;
-    use crate::optimizer::Optimizer;
     use qoncord_device::catalog;
     use qoncord_device::noise_model::SimulatedBackend;
 

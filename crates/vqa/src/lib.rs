@@ -50,6 +50,6 @@ pub mod vqe;
 pub use evaluator::{CostEvaluator, Evaluation, QaoaEvaluator, VqeEvaluator};
 pub use graph::Graph;
 pub use maxcut::MaxCut;
-pub use optimizer::{Optimizer, Spsa, SpsaConfig};
+pub use optimizer::Spsa;
 pub use pauli::{Pauli, PauliString, PauliSum};
 pub use restart::{IterationRecord, Trace, TrainingResult};

@@ -1,4 +1,4 @@
-//! Classical optimizers for VQA training loops.
+//! The classical optimizer of the VQA training loops.
 //!
 //! The paper uses Qiskit's SPSA (Simultaneous Perturbation Stochastic
 //! Approximation); [`Spsa`] reproduces that algorithm with the standard Spall
@@ -7,68 +7,25 @@
 use rand::rngs::StdRng;
 use rand::Rng;
 
-/// One optimizer iteration's outcome.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct StepOutcome {
-    /// The optimizer's estimate of the objective at the current iterate.
-    pub objective: f64,
-    /// Objective evaluations consumed by this step.
-    pub evaluations: u32,
-}
-
-/// An iterative minimizer driven one step at a time.
-///
-/// Step-wise control is what lets Qoncord pause a run, migrate it to another
-/// device, and resume — the whole point of the framework.
-pub trait Optimizer {
-    /// Performs one iteration, mutating `params` in place. The closure
-    /// evaluates the (noisy) objective.
-    fn step(
-        &mut self,
-        params: &mut [f64],
-        objective: &mut dyn FnMut(&[f64]) -> f64,
-        rng: &mut StdRng,
-    ) -> StepOutcome;
-
-    /// Resets internal schedules (iteration counters, moments).
-    fn reset(&mut self);
-}
-
-/// Configuration of [`Spsa`] (defaults follow Qiskit's implementation).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SpsaConfig {
-    /// Initial step-size numerator `a`.
-    pub a: f64,
-    /// Initial perturbation magnitude `c`.
-    pub c: f64,
-    /// Step-size stability constant `A`.
-    pub big_a: f64,
-    /// Step-size decay exponent `α`.
-    pub alpha: f64,
-    /// Perturbation decay exponent `γ`.
-    pub gamma: f64,
-}
-
-impl Default for SpsaConfig {
-    fn default() -> Self {
-        SpsaConfig {
-            a: 0.2,
-            c: 0.15,
-            big_a: 10.0,
-            alpha: 0.602,
-            gamma: 0.101,
-        }
-    }
-}
+// Spall's gain schedule at Qiskit's defaults: step size
+// `a / (k + 1 + A)^α`, perturbation `c / (k + 1)^γ`.
+const A: f64 = 0.2;
+const C: f64 = 0.15;
+const BIG_A: f64 = 10.0;
+const ALPHA: f64 = 0.602;
+const GAMMA: f64 = 0.101;
 
 /// Simultaneous Perturbation Stochastic Approximation (Spall 1992), the
 /// paper's optimizer. Two objective evaluations per iteration regardless of
 /// dimension.
 ///
+/// Step-wise control is what lets Qoncord pause a run, migrate it to another
+/// device, and resume — the whole point of the framework.
+///
 /// # Examples
 ///
 /// ```
-/// use qoncord_vqa::optimizer::{Optimizer, Spsa};
+/// use qoncord_vqa::optimizer::Spsa;
 /// use rand::rngs::StdRng;
 /// use rand::SeedableRng;
 ///
@@ -81,42 +38,24 @@ impl Default for SpsaConfig {
 /// }
 /// assert!(quadratic(&params) < 0.2);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Spsa {
-    config: SpsaConfig,
     k: u64,
 }
 
 impl Spsa {
-    /// Creates SPSA with explicit configuration.
-    pub fn new(config: SpsaConfig) -> Self {
-        Spsa { config, k: 0 }
-    }
-
-    /// Current iteration count.
-    pub fn iteration(&self) -> u64 {
-        self.k
-    }
-}
-
-impl Default for Spsa {
-    fn default() -> Self {
-        Spsa::new(SpsaConfig::default())
-    }
-}
-
-impl Optimizer for Spsa {
-    fn step(
+    /// Performs one iteration, mutating `params` in place. The closure
+    /// evaluates the (noisy) objective.
+    pub fn step(
         &mut self,
         params: &mut [f64],
         objective: &mut dyn FnMut(&[f64]) -> f64,
         rng: &mut StdRng,
-    ) -> StepOutcome {
+    ) {
         let _prof = qoncord_prof::span("vqa::spsa_step");
         let k = self.k as f64;
-        let cfg = &self.config;
-        let ak = cfg.a / (k + 1.0 + cfg.big_a).powf(cfg.alpha);
-        let ck = cfg.c / (k + 1.0).powf(cfg.gamma);
+        let ak = A / (k + 1.0 + BIG_A).powf(ALPHA);
+        let ck = C / (k + 1.0).powf(GAMMA);
         // Rademacher perturbation.
         let delta: Vec<f64> = (0..params.len())
             .map(|_| if rng.random::<bool>() { 1.0 } else { -1.0 })
@@ -130,14 +69,6 @@ impl Optimizer for Spsa {
             *p -= ak * g_scale / d;
         }
         self.k += 1;
-        StepOutcome {
-            objective: 0.5 * (y_plus + y_minus),
-            evaluations: 2,
-        }
-    }
-
-    fn reset(&mut self) {
-        self.k = 0;
     }
 }
 
@@ -172,10 +103,46 @@ mod tests {
             count += 1;
             sphere(p)
         };
-        let out = spsa.step(&mut params, &mut f, &mut rng);
-        assert_eq!(out.evaluations, 2);
+        spsa.step(&mut params, &mut f, &mut rng);
         assert_eq!(count, 2);
-        assert_eq!(spsa.iteration(), 1);
+    }
+
+    #[test]
+    fn steps_apply_the_paper_gains_bitwise() {
+        let tilted = |p: &[f64]| sphere(p) + p[0];
+        let mut spsa = Spsa::default();
+        let mut params = vec![0.7, -1.3, 2.1, 0.05];
+        let mut rng = StdRng::seed_from_u64(11);
+        let mut draw = rng.clone();
+        // Qiskit's gains: a = 0.2, A = 10, α = 0.602, c = 0.15, γ = 0.101.
+        let gains = [
+            (0.2 / 11.0f64.powf(0.602), 0.15),
+            (0.2 / 12.0f64.powf(0.602), 0.15 / 2.0f64.powf(0.101)),
+        ];
+        for (ak, ck) in gains {
+            let start = params.clone();
+            let mut probes = Vec::new();
+            let mut f = |p: &[f64]| {
+                probes.push(p.to_vec());
+                tilted(p)
+            };
+            spsa.step(&mut params, &mut f, &mut rng);
+
+            let delta: Vec<f64> = (0..start.len())
+                .map(|_| if draw.random::<bool>() { 1.0 } else { -1.0 })
+                .collect();
+            let plus: Vec<f64> = start.iter().zip(&delta).map(|(p, d)| p + ck * d).collect();
+            let minus: Vec<f64> = start.iter().zip(&delta).map(|(p, d)| p - ck * d).collect();
+            let g = (tilted(&plus) - tilted(&minus)) / (2.0 * ck);
+            assert_eq!(probes, vec![plus, minus]);
+            let expected: Vec<u64> = start
+                .iter()
+                .zip(&delta)
+                .map(|(p, d)| (p - ak * g / d).to_bits())
+                .collect();
+            let got: Vec<u64> = params.iter().map(|p| p.to_bits()).collect();
+            assert_eq!(got, expected);
+        }
     }
 
     #[test]
@@ -189,16 +156,5 @@ mod tests {
             spsa.step(&mut params, &mut f, &mut rng);
         }
         assert!(sphere(&params) < 0.3, "residual {}", sphere(&params));
-    }
-
-    #[test]
-    fn reset_restarts_schedule() {
-        let mut spsa = Spsa::default();
-        let mut params = vec![1.0];
-        let mut rng = StdRng::seed_from_u64(0);
-        let mut f = |p: &[f64]| sphere(p);
-        spsa.step(&mut params, &mut f, &mut rng);
-        spsa.reset();
-        assert_eq!(spsa.iteration(), 0);
     }
 }

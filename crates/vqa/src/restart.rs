@@ -3,7 +3,7 @@
 //! 13–18.
 
 use crate::evaluator::CostEvaluator;
-use crate::optimizer::Optimizer;
+use crate::optimizer::Spsa;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::f64::consts::TAU;
@@ -105,7 +105,7 @@ pub fn executions_for_iterations(iterations: usize) -> u64 {
 /// paused, interleaved with other tenants, and resumed.
 pub fn train_step(
     evaluator: &mut dyn CostEvaluator,
-    optimizer: &mut dyn Optimizer,
+    optimizer: &mut Spsa,
     params: &mut [f64],
     iteration: usize,
     rng: &mut StdRng,
@@ -131,7 +131,7 @@ pub fn train_step(
 /// checker as `stop`.
 pub fn train(
     evaluator: &mut dyn CostEvaluator,
-    optimizer: &mut dyn Optimizer,
+    optimizer: &mut Spsa,
     mut params: Vec<f64>,
     max_iterations: usize,
     rng: &mut StdRng,
@@ -169,7 +169,6 @@ mod tests {
     use crate::evaluator::QaoaEvaluator;
     use crate::graph::Graph;
     use crate::maxcut::MaxCut;
-    use crate::optimizer::Spsa;
     use qoncord_device::catalog;
     use qoncord_device::noise_model::SimulatedBackend;
 

@@ -1,14 +1,16 @@
 #!/bin/sh
 # Config knobs nobody sets: for every `pub` field of every `pub struct
 # *Config` under crates/*/src, look in every *other* file's non-test code for
-# a write — `field: <expression>` (a struct literal) or `.field =`. A field
-# with none prints as `file:line Struct.field (unset)`; the last line is
-# `knobs N, unset K`. Files are cut the way scripts/nontest_loc.sh cuts them
-# (non-test code ends at the first `#[cfg(test)]`), and everything under
-# tests/ and examples/ is test code. It is a floor, not a proof: a field name
-# another struct or a local shares counts as set as soon as that one is
-# written, and a field set only through `Struct { field }` shorthand prints
-# as unset. Report-only; CI prints it next to scripts/pub_callers.sh.
+# a write — `field: <expression>` (a struct literal), `.field =`, or the
+# shorthand `Struct { field, .. }`: a line holding only `field,` or `{ field,`
+# on one line. A field with none prints as `file:line Struct.field (unset)`;
+# the last line is `knobs N, unset K`. Files are cut the way
+# scripts/nontest_loc.sh cuts them (non-test code ends at the first
+# `#[cfg(test)]`), and everything under tests/ and examples/ is test code. It
+# is a floor, not a proof: a field name another struct or a local shares
+# counts as set as soon as that one is written, and so does a call argument
+# of that name alone on its line. Report-only; CI prints it next to
+# scripts/pub_callers.sh.
 set -eu
 cd "$(dirname "$0")/.."
 cut=$(mktemp -d)
@@ -27,7 +29,7 @@ find crates/*/src -name '*.rs' | sort | xargs awk '
     s != "" && match($0, /^    pub [a-z0-9_]+:/) { print FILENAME, FNR, s, substr($0, 9, RLENGTH - 9) }
 ' | while read -r file line struct field; do
     if find . -name '*.rs' ! -path "./$file" -exec cat {} + |
-        grep -E "(^|[^A-Za-z0-9_.])$field:([^:]|\$)|\.$field *=([^=]|\$)" |
+        grep -E "(^|[^A-Za-z0-9_.])$field:([^:]|\$)|\.$field *=([^=]|\$)|^[[:space:]]*$field,[[:space:]]*\$|\{ *$field," |
         grep -vqE "(^|[^A-Za-z0-9_.])$field: *$ty"; then
         echo set
     else

@@ -7,7 +7,7 @@ use qoncord::cloud::policy::Policy;
 use qoncord::core::executor::QaoaFactory;
 use qoncord::core::scheduler::QoncordConfig;
 use qoncord::core::SelectionPolicy;
-use qoncord::orchestrator::trace::{self, MemorySink, RingBufferSink, TraceHandle, TraceRecord};
+use qoncord::orchestrator::trace::{self, JsonlSink, MemorySink, TraceHandle, TraceRecord};
 use qoncord::orchestrator::{
     two_lf_one_hf_fleet, two_lf_two_hf_fleet, DeadlineClass, Orchestrator, OrchestratorConfig,
     OrchestratorReport, PreemptionConfig, SplitConfig, TenantJob,
@@ -114,15 +114,16 @@ fn report_does_not_depend_on_the_attached_sink() {
         let detached = run(TraceHandle::none());
         assert_eq!(detached.completed(), 8);
         let memory = Rc::new(RefCell::new(MemorySink::new()));
-        let ring = Rc::new(RefCell::new(RingBufferSink::with_capacity(64)));
+        let jsonl = Rc::new(RefCell::new(JsonlSink::new()));
         let on_memory = run(TraceHandle::to(memory.clone()));
-        let on_ring = run(TraceHandle::to(ring.clone()));
-        assert!(
-            ring.borrow().dropped() > 0,
-            "the ring must be smaller than the stream"
+        let on_jsonl = run(TraceHandle::to(jsonl.clone()));
+        assert_eq!(
+            jsonl.borrow().as_str().lines().count(),
+            memory.borrow().records().len(),
+            "both sinks saw the whole stream"
         );
         assert_eq!(fingerprint(&detached), fingerprint(&on_memory));
-        assert_eq!(fingerprint(&detached), fingerprint(&on_ring));
+        assert_eq!(fingerprint(&detached), fingerprint(&on_jsonl));
     }
 }
 
@@ -160,9 +161,9 @@ fn captured_stream_replays_into_the_report() {
     }
 }
 
-/// The tail `ring_buffer_capture_equals_the_tail_of_the_full_capture`
-/// (`tests/orchestrator_trace.rs`) pins: the last 64 records of the
-/// preemption trace, long after the `DeviceDefined` / `Arrival` preamble.
+/// A capture that lost its head, as a bounded flight recorder would keep
+/// it: the last 64 records of the preemption trace, long after the
+/// `DeviceDefined` / `Arrival` preamble.
 #[test]
 fn ring_buffer_tail_replays_with_its_unattributable_events_counted() {
     let full = captured(run_preemption);

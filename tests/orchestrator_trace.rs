@@ -12,7 +12,7 @@ use qoncord::core::SelectionPolicy;
 use qoncord::device::catalog;
 use qoncord::orchestrator::trace::json::Value;
 use qoncord::orchestrator::trace::{
-    self, JsonlSink, MemorySink, RingBufferSink, TraceHandle, CHROME_FLEET_PID, CHROME_JOBS_PID,
+    self, JsonlSink, MemorySink, TraceHandle, CHROME_FLEET_PID, CHROME_JOBS_PID,
 };
 use qoncord::orchestrator::{
     two_lf_one_hf_fleet, two_lf_two_hf_fleet, DeadlineClass, FleetDevice, Orchestrator,
@@ -211,27 +211,6 @@ fn jsonl_capture_is_byte_identical_across_identical_runs() {
     assert!(
         completions.windows(2).any(|w| w[0] == w[1]),
         "no two lease completions share a timestamp: the scenario stopped being lockstep"
-    );
-}
-
-#[test]
-fn ring_buffer_capture_equals_the_tail_of_the_full_capture() {
-    let full = Rc::new(RefCell::new(MemorySink::new()));
-    run_preemption(TraceHandle::to(full.clone()));
-    let full = full.borrow().records().to_vec();
-
-    let capacity = 64;
-    let ring = Rc::new(RefCell::new(RingBufferSink::with_capacity(capacity)));
-    run_preemption(TraceHandle::to(ring.clone()));
-    let ring = ring.borrow();
-
-    assert!(full.len() > capacity, "trace must overflow the ring");
-    assert_eq!(ring.len(), capacity);
-    assert_eq!(ring.dropped(), (full.len() - capacity) as u64);
-    assert_eq!(
-        ring.records(),
-        full[full.len() - capacity..],
-        "the ring drops oldest-first and keeps the newest records intact"
     );
 }
 
