@@ -169,11 +169,6 @@ impl ConvergenceChecker {
             .map(|&(e, _)| e)
             .min_by(|a, b| a.partial_cmp(b).expect("finite expectations"))
     }
-
-    /// Clears the history (e.g. when migrating to a new device).
-    pub fn reset(&mut self) {
-        self.history.clear();
-    }
 }
 
 #[cfg(test)]
@@ -247,15 +242,6 @@ mod tests {
             }
         }
         assert!(relaxed_at.unwrap() < strict_at.unwrap());
-    }
-
-    #[test]
-    fn reset_clears_history() {
-        let mut c = ConvergenceChecker::new(ConvergenceConfig::relaxed());
-        feed(&mut c, &[(-1.0, 1.0); 10]);
-        c.reset();
-        assert!(c.is_empty());
-        assert_eq!(c.status(), ConvergenceStatus::Continue);
     }
 
     #[test]
