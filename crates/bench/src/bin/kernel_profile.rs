@@ -6,7 +6,8 @@
 //!
 //! - `fast_vs_reference`: a 14-qubit QAOA evaluation on the ideal backend;
 //! - `fast_vs_reference_density`: a 7-qubit noisy density run, the path
-//!   every orchestrated job up to 8 qubits takes;
+//!   every orchestrated job up to 8 qubits takes, plus what compiling its
+//!   program costs against re-binding it;
 //! - `fast_vs_reference_trajectory`: a 14-qubit trajectory run, the path
 //!   above that.
 //!
@@ -29,6 +30,7 @@ use qoncord_device::catalog;
 use qoncord_device::noise_model::{SimulatedBackend, AUTO_TRAJECTORIES};
 use qoncord_sim::density::DensityMatrix;
 use qoncord_sim::dist::ProbDist;
+use qoncord_sim::fuse::FusedOp;
 use qoncord_sim::noisy::{evolve_unfused, DensityProgram};
 use qoncord_sim::reference;
 use qoncord_sim::statevector::StateVector;
@@ -90,6 +92,21 @@ fn interleaved_medians(
         ref_t.push(t0.elapsed().as_secs_f64());
     }
     (median(fast_t), median(ref_t))
+}
+
+/// Median microseconds of one call of `f`, over `rounds` rounds of `batch`
+/// calls each (a call too short to time alone).
+fn median_us(rounds: usize, batch: usize, mut f: impl FnMut()) -> f64 {
+    let per_call: Vec<f64> = (0..rounds)
+        .map(|_| {
+            let t0 = Instant::now();
+            for _ in 0..batch {
+                f();
+            }
+            t0.elapsed().as_secs_f64() / batch as f64
+        })
+        .collect();
+    median(per_call) * 1e6
 }
 
 /// Largest difference between two outcome distributions.
@@ -171,19 +188,37 @@ fn toronto_qaoa(graph: &Graph) -> (SimulatedBackend, TranspiledCircuit) {
 
 /// The same axis on the path every noisy job takes: one density-matrix run
 /// of the transpiled 7-qubit QAOA (p = 1) under `ibmq_toronto` noise, the
-/// fused density program ([`qoncord_sim::noisy`]) against the seed's
-/// op-at-a-time evolution ([`evolve_unfused`]). The cross-check is the
-/// largest difference between the two outcome distributions.
-/// `tiles_visited` of `tiles_full` is how much of ρ the program's
-/// light-cone read-out touches.
+/// fused density program ([`qoncord_sim::noisy`]) of a prepared executable,
+/// as an evaluator holds it, against the seed's op-at-a-time evolution
+/// ([`evolve_unfused`]). The cross-check is the largest difference between
+/// the two outcome distributions. `tiles_visited` of `tiles_full` is how
+/// much of ρ the program's light-cone read-out touches. `compile_us` binds
+/// every gate and compiles the program, what each run paid before programs
+/// were held; `rebind_us` binds the parametric gates and re-binds the
+/// `steps_rebound` sweeps that hold one, what each run pays now.
 fn fast_vs_reference_density(runs: usize) -> (String, f64) {
     let (backend, transpiled) = toronto_qaoa(&Graph::paper_graph_7());
     let qubits = transpiled.circuit.n_qubits();
     let params = params_for(&transpiled);
-    let ops = transpiled.circuit.bind_ops(&params);
-    let gates = ops.len();
+    let gates = transpiled.circuit.gates();
     let noise = *backend.noise();
-    let stats = DensityProgram::compile(qubits, ops, noise.dep_1q, noise.dep_2q).stats();
+    let marked = || {
+        gates
+            .iter()
+            .map(|g| (g.bind_op(&params), g.is_parametric()))
+    };
+    let compile =
+        || DensityProgram::compile_parametric(qubits, marked(), noise.dep_1q, noise.dep_2q);
+    let mut program = compile();
+    let stats = program.stats();
+    let parametric: Vec<_> = gates.iter().filter(|g| g.is_parametric()).collect();
+    let compile_us = median_us(runs, 100, || {
+        black_box(compile());
+    });
+    let rebind_us = median_us(runs, 100, || {
+        let ops: Vec<FusedOp> = parametric.iter().map(|g| g.bind_op(&params)).collect();
+        program.rebind(black_box(&ops));
+    });
     let seed_run = || {
         let mut rho = DensityMatrix::zero_state(qubits);
         let ops = transpiled.circuit.bind_ops(&params);
@@ -191,7 +226,9 @@ fn fast_vs_reference_density(runs: usize) -> (String, f64) {
         read_out(&backend, &transpiled, rho.probabilities())
     };
 
-    let fast = backend.run(&transpiled, &params, 0);
+    let mut prepared = backend.prepare(vec![transpiled.clone()], gates.len());
+    let fast = prepared.run(&params, 0).swap_remove(0);
+    assert_eq!(fast, backend.run(&transpiled, &params, 0));
     let max_abs_diff = max_abs_diff(&fast, &seed_run());
     assert!(
         max_abs_diff <= 1e-12,
@@ -201,7 +238,7 @@ fn fast_vs_reference_density(runs: usize) -> (String, f64) {
     let (fast_s, reference_s) = interleaved_medians(
         runs,
         || {
-            black_box(backend.run(&transpiled, &params, 0));
+            black_box(prepared.run(&params, 0));
         },
         || {
             black_box(seed_run());
@@ -211,13 +248,16 @@ fn fast_vs_reference_density(runs: usize) -> (String, f64) {
     let speedup = reference_s / fast_s.max(1e-12);
     let json = format!(
         "  \"fast_vs_reference_density\": {{\"qubits\": {qubits}, \"layers\": 1, \
-         \"device\": \"ibmq_toronto\", \"gates\": {gates}, \"sweeps\": {}, \
-         \"tiles_visited\": {}, \"tiles_full\": {}, \
+         \"device\": \"ibmq_toronto\", \"gates\": {}, \"sweeps\": {}, \
+         \"tiles_visited\": {}, \"tiles_full\": {}, \"steps_rebound\": {}, \
+         \"compile_us\": {compile_us:.2}, \"rebind_us\": {rebind_us:.2}, \
          \"evals\": {runs}, \"reference_ms\": {:.3}, \"fast_ms\": {:.3}, \
          \"speedup\": {:.2}, \"max_abs_diff\": {:.3e}}}",
+        gates.len(),
         stats.sweeps,
         stats.tiles_visited,
         stats.tiles_full,
+        stats.steps_rebound,
         reference_s * 1e3,
         fast_s * 1e3,
         speedup,
@@ -323,6 +363,9 @@ fn main() {
             "sweeps",
             "tiles_visited",
             "tiles_full",
+            "steps_rebound",
+            "compile_us",
+            "rebind_us",
             "trajectories",
             "distinct_patterns",
             "fired_sites",

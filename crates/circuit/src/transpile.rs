@@ -61,20 +61,33 @@ impl TranspiledCircuit {
     ///
     /// Panics if `probs.len() != 2^n_region`.
     pub fn remap_probabilities(&self, probs: &[f64]) -> Vec<f64> {
-        let n = self.logical_to_region.len();
         assert_eq!(probs.len(), 1usize << self.circuit.n_qubits());
-        let mut out = vec![0.0; 1usize << n];
-        for (idx, &p) in probs.iter().enumerate() {
-            let mut logical = 0usize;
-            for (l, &r) in self.logical_to_region.iter().enumerate() {
-                if idx & (1 << r) != 0 {
-                    logical |= 1 << l;
-                }
-            }
-            out[logical] += p;
-        }
-        out
+        remap_to_logical(&self.logical_to_region, probs)
     }
+}
+
+/// [`TranspiledCircuit::remap_probabilities`] for a circuit whose final
+/// layout is `logical_to_region`, given apart from the circuit.
+///
+/// # Panics
+///
+/// Panics if a region qubit of the layout indexes past `probs`.
+pub fn remap_to_logical(logical_to_region: &[usize], probs: &[f64]) -> Vec<f64> {
+    assert!(
+        logical_to_region.iter().all(|&r| 1usize << r < probs.len()),
+        "layout outside the register"
+    );
+    let mut out = vec![0.0; 1usize << logical_to_region.len()];
+    for (idx, &p) in probs.iter().enumerate() {
+        let mut logical = 0usize;
+        for (l, &r) in logical_to_region.iter().enumerate() {
+            if idx & (1 << r) != 0 {
+                logical |= 1 << l;
+            }
+        }
+        out[logical] += p;
+    }
+    out
 }
 
 /// Decomposes a circuit into the `{rz, sx, x, cx}` basis, preserving

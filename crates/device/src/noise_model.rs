@@ -3,10 +3,12 @@
 //! Qiskit's fake-backend + Aer pipeline.
 
 use crate::calibration::Calibration;
-use qoncord_circuit::transpile::TranspiledCircuit;
+use qoncord_circuit::gate::Gate;
+use qoncord_circuit::transpile::{remap_to_logical, TranspiledCircuit};
 use qoncord_sim::dist::ProbDist;
+use qoncord_sim::fuse::FusedOp;
 use qoncord_sim::noise::ReadoutError;
-use qoncord_sim::noisy::{DensityProgram, ForkedProgram};
+use qoncord_sim::noisy::{ForkStats, ForkedProgram};
 use qoncord_sim::trajectory::TrajectoryProgram;
 
 /// Gate-level noise parameters derived from a calibration: depolarizing
@@ -165,10 +167,11 @@ impl SimulatedBackend {
     /// routing permutation undone).
     ///
     /// `seed` makes trajectory backends deterministic; density and ideal
-    /// backends ignore it. A density run executes as a fused
-    /// [`DensityProgram`] and a trajectory run as a [`TrajectoryProgram`],
-    /// each within 1e-12 of the seed's op-at-a-time evolution
-    /// ([`qoncord_sim::noisy::evolve_unfused`],
+    /// backends ignore it. A density run prepares the circuit as an
+    /// [`Executable`] would and runs it once, as a fused
+    /// [`qoncord_sim::noisy::DensityProgram`]; a trajectory run executes as
+    /// a [`TrajectoryProgram`]. Each is within 1e-12 of the seed's
+    /// op-at-a-time evolution ([`qoncord_sim::noisy::evolve_unfused`],
     /// [`qoncord_sim::trajectory::sample_unfused`]), which tests and the
     /// `kernel_profile` benchmark call directly.
     ///
@@ -182,105 +185,72 @@ impl SimulatedBackend {
                 let sv = transpiled.circuit.simulate_ideal(params);
                 ProbDist::new(sv.probabilities())
             }
-            BackendKind::DensityMatrix => self.run_density(transpiled, params),
+            BackendKind::DensityMatrix => {
+                let circuit = std::slice::from_ref(transpiled);
+                let mut plan = DensityPlan::compile(self, circuit, transpiled.circuit.len());
+                plan.outcome_probabilities(params).swap_remove(0)
+            }
             BackendKind::Trajectory { n_trajectories } => {
                 self.run_trajectories(transpiled, params, n_trajectories, seed)
             }
             BackendKind::Auto => unreachable!("resolved by effective_kind"),
         };
-        self.read_out(transpiled, physical)
+        self.read_out(&transpiled.logical_to_region, physical)
     }
 
-    /// Executes circuits that begin with the same `shared_gates` gates — a
-    /// VQE evaluation's measurement groups — and returns what
-    /// [`SimulatedBackend::run`] returns for each, bit for bit, circuit `g`
-    /// at seed `seed + g`.
-    ///
-    /// A density run binds, compiles and evolves the shared gates once
-    /// ([`SimulatedBackend::forked_program`]); every other kind executes the
-    /// circuits one by one.
+    /// Prepares circuits that begin with the same `shared_gates` gates — a
+    /// VQE evaluation's measurement groups, or one circuit with all its
+    /// gates shared — for repeated runs on this backend.
     ///
     /// # Panics
     ///
-    /// As for [`SimulatedBackend::run`] and
-    /// [`SimulatedBackend::forked_program`].
-    pub fn run_forked(
-        &self,
-        circuits: &[TranspiledCircuit],
-        shared_gates: usize,
-        params: &[f64],
-        seed: u64,
-    ) -> Vec<ProbDist> {
-        let density = circuits.first().is_some_and(|t| {
-            self.effective_kind(t.circuit.n_qubits()) == BackendKind::DensityMatrix
-        });
-        if !density {
-            return circuits
-                .iter()
-                .enumerate()
-                .map(|(g, t)| self.run(t, params, seed.wrapping_add(g as u64)))
-                .collect();
+    /// Panics if the circuits differ in register size or parameter count,
+    /// or one of them does not begin with the first one's `shared_gates`
+    /// gates.
+    pub fn prepare(&self, circuits: Vec<TranspiledCircuit>, shared_gates: usize) -> Executable {
+        let first = circuits.first().map(|t| &t.circuit);
+        let n_params = first.map_or(0, |c| c.n_params());
+        if let Some(first) = first {
+            assert!(shared_gates <= first.len(), "more shared gates than gates");
+            for t in &circuits[1..] {
+                assert!(
+                    t.circuit.n_qubits() == first.n_qubits()
+                        && t.circuit.n_params() == first.n_params(),
+                    "prepared circuits differ in register or parameter count"
+                );
+                assert!(
+                    first.shared_prefix(&t.circuit) >= shared_gates,
+                    "prepared circuits differ within their shared gates"
+                );
+            }
         }
-        self.forked_program(circuits, shared_gates, params)
-            .outcome_probabilities()
-            .into_iter()
-            .zip(circuits)
-            .map(|(physical, t)| self.read_out(t, physical))
-            .collect()
-    }
-
-    /// The density program [`SimulatedBackend::run_forked`] runs: the first
-    /// `shared_gates` gates of the first circuit as the trunk, the rest of
-    /// each circuit as its branch, under this backend's depolarizing rates.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `circuits` is empty, `params` does not match the circuits'
-    /// parameter count, the circuits differ in register size or parameter
-    /// count, or one has fewer than `shared_gates` gates. That the shared
-    /// gates are the same in every circuit is the caller's to establish
-    /// (debug builds check).
-    pub fn forked_program(
-        &self,
-        circuits: &[TranspiledCircuit],
-        shared_gates: usize,
-        params: &[f64],
-    ) -> ForkedProgram {
-        let first = &circuits[0].circuit;
-        assert_eq!(
-            params.len(),
-            first.n_params(),
-            "expected {} parameters, got {}",
-            first.n_params(),
-            params.len()
-        );
-        let shared = &first.gates()[..shared_gates];
-        let tails = circuits.iter().map(|t| {
-            assert!(
-                t.circuit.n_qubits() == first.n_qubits() && t.circuit.n_params() == params.len(),
-                "forked circuits differ in register or parameter count"
-            );
-            debug_assert!(
-                first.shared_prefix(&t.circuit) >= shared_gates,
-                "forked circuits differ within their shared gates"
-            );
-            let tail = &t.circuit.gates()[shared_gates..];
-            tail.iter().map(|gate| gate.bind_op(params))
-        });
-        let trunk = shared.iter().map(|gate| gate.bind_op(params));
-        let (dep_1q, dep_2q) = (self.noise.dep_1q, self.noise.dep_2q);
-        ForkedProgram::compile(first.n_qubits(), trunk, tails, dep_1q, dep_2q)
+        let density =
+            first.is_some_and(|c| self.effective_kind(c.n_qubits()) == BackendKind::DensityMatrix);
+        let plan = if density {
+            Plan::Density(DensityPlan::compile(self, &circuits, shared_gates))
+        } else {
+            Plan::Circuits(circuits)
+        };
+        Executable {
+            backend: self.clone(),
+            n_params,
+            plan,
+        }
     }
 
     /// What a job sees of the device's physical outcome distribution:
-    /// readout error applied, routing permutation undone.
-    fn read_out(&self, transpiled: &TranspiledCircuit, physical: ProbDist) -> ProbDist {
+    /// readout error applied, routing permutation undone
+    /// ([`TranspiledCircuit::logical_to_region`]).
+    fn read_out(&self, logical_to_region: &[usize], physical: ProbDist) -> ProbDist {
         let physical = if self.noise.readout.mean_error() > 0.0 {
             physical.with_uniform_readout_error(self.noise.readout)
         } else {
             physical
         };
-        ProbDist::new(transpiled.remap_probabilities(physical.probabilities()))
+        ProbDist::new(remap_to_logical(
+            logical_to_region,
+            physical.probabilities(),
+        ))
     }
 
     fn effective_kind(&self, n_qubits: usize) -> BackendKind {
@@ -296,17 +266,6 @@ impl SimulatedBackend {
             }
             other => other,
         }
-    }
-
-    fn run_density(&self, transpiled: &TranspiledCircuit, params: &[f64]) -> ProbDist {
-        let n = transpiled.circuit.n_qubits();
-        let ops = transpiled.circuit.bind_ops(params);
-        let (dep_1q, dep_2q) = (self.noise.dep_1q, self.noise.dep_2q);
-        // Depolarizing noise lets gates fuse across their channels, and a run
-        // from |0…0⟩ that is only read on the diagonal skips the tiles
-        // outside each sweep's light cone (see `qoncord_sim::noisy`); the
-        // result matches the seed path to ≤ 1e-12, not bit-for-bit.
-        DensityProgram::compile(n, ops, dep_1q, dep_2q).outcome_probabilities()
     }
 
     fn run_trajectories(
@@ -325,6 +284,169 @@ impl SimulatedBackend {
         // trajectories are evolved once (see `qoncord_sim::trajectory`);
         // ≤ 1e-12 from the seed path.
         TrajectoryProgram::compile(n, ops, dep_1q, dep_2q).run(seed, n_trajectories)
+    }
+}
+
+/// Circuits prepared once for repeated runs on one backend
+/// ([`SimulatedBackend::prepare`]): what an evaluator holds in place of its
+/// transpiled circuits.
+///
+/// On a density backend that is one [`ForkedProgram`] over the circuits
+/// (the shared gates as its trunk), the gates that read a parameter, and
+/// each circuit's read-out layout. A run binds those gates only and re-binds
+/// the program's steps that hold one ([`ForkedProgram::rebind`]), which is
+/// bit for bit the program a fresh compile at the new parameters gives. Ideal
+/// and trajectory backends plan per run, so there it keeps the circuits.
+///
+/// # Examples
+///
+/// ```
+/// use qoncord_circuit::{transpile::transpile, Circuit};
+/// use qoncord_device::catalog;
+/// use qoncord_device::noise_model::SimulatedBackend;
+///
+/// let backend = SimulatedBackend::from_calibration(catalog::ibmq_toronto());
+/// let mut qc = Circuit::new(2, 1);
+/// qc.h(0).cx(0, 1).rz(1, qoncord_circuit::param::ParamId(0));
+/// let t = transpile(&qc, backend.calibration().coupling());
+/// let mut prepared = backend.prepare(vec![t.clone()], t.circuit.len());
+/// for theta in [0.1, 0.7] {
+///     let dists = prepared.run(&[theta], 7);
+///     assert_eq!(dists, vec![backend.run(&t, &[theta], 7)]);
+/// }
+/// ```
+#[derive(Debug, Clone)]
+pub struct Executable {
+    backend: SimulatedBackend,
+    n_params: usize,
+    plan: Plan,
+}
+
+#[derive(Debug, Clone)]
+enum Plan {
+    Density(DensityPlan),
+    Circuits(Vec<TranspiledCircuit>),
+}
+
+impl Executable {
+    /// Runs every circuit at `params` and returns what
+    /// [`SimulatedBackend::run`] returns for each, bit for bit, circuit `g`
+    /// at seed `seed + g`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `params` does not match the circuits' parameter count.
+    pub fn run(&mut self, params: &[f64], seed: u64) -> Vec<ProbDist> {
+        let backend = &self.backend;
+        match &mut self.plan {
+            Plan::Density(plan) => {
+                let physical = plan.outcome_probabilities(params);
+                let layouts = plan.layouts.iter();
+                physical
+                    .into_iter()
+                    .zip(layouts)
+                    .map(|(dist, layout)| backend.read_out(layout, dist))
+                    .collect()
+            }
+            Plan::Circuits(circuits) => circuits
+                .iter()
+                .enumerate()
+                .map(|(g, t)| backend.run(t, params, seed.wrapping_add(g as u64)))
+                .collect(),
+        }
+    }
+
+    /// The backend the circuits were prepared for.
+    pub fn backend(&self) -> &SimulatedBackend {
+        &self.backend
+    }
+
+    /// Number of trainable parameters the circuits take.
+    pub fn n_params(&self) -> usize {
+        self.n_params
+    }
+
+    /// How the density program shares and re-binds its sweeps; `None` on a
+    /// backend that plans per run. The counts depend on no parameter value.
+    pub fn fork_stats(&self) -> Option<ForkStats> {
+        match &self.plan {
+            Plan::Density(plan) => Some(plan.program.stats()),
+            Plan::Circuits(_) => None,
+        }
+    }
+}
+
+/// A density program compiled once, with what each run binds and reads out.
+#[derive(Debug, Clone)]
+struct DensityPlan {
+    program: ForkedProgram,
+    n_params: usize,
+    /// The gates that read a parameter, in the order the program's rebind
+    /// takes their ops: the shared gates', then each circuit's own.
+    parametric: Vec<Gate>,
+    /// Per circuit, the region qubit holding each logical qubit.
+    layouts: Vec<Vec<usize>>,
+}
+
+impl DensityPlan {
+    /// Compiles `circuits` under `backend`'s rates with the first
+    /// `shared_gates` gates as the trunk. The program's steps depend on
+    /// gate kinds and wires only, so it is compiled at θ = 0.
+    fn compile(
+        backend: &SimulatedBackend,
+        circuits: &[TranspiledCircuit],
+        shared_gates: usize,
+    ) -> Self {
+        let first = &circuits[0].circuit;
+        let zeros = vec![0.0; first.n_params()];
+        // A gate with a parameter in any angle, even at coefficient 0,
+        // binds afresh: its angle may still read the parameter's sign.
+        let reads_param = |gate: &Gate| gate.angles().iter().any(|a| a.param.is_some());
+        let marked = |gate: &Gate| (gate.bind_op(&zeros), reads_param(gate));
+        let shared = &first.gates()[..shared_gates];
+        let tails = circuits.iter().map(|t| &t.circuit.gates()[shared_gates..]);
+        let parametric = shared
+            .iter()
+            .chain(tails.clone().flatten())
+            .filter(|gate| reads_param(gate))
+            .copied()
+            .collect();
+        let (dep_1q, dep_2q) = (backend.noise.dep_1q, backend.noise.dep_2q);
+        let program = ForkedProgram::compile_parametric(
+            first.n_qubits(),
+            shared.iter().map(marked),
+            tails.map(|tail| tail.iter().map(marked)),
+            dep_1q,
+            dep_2q,
+        );
+        DensityPlan {
+            program,
+            n_params: first.n_params(),
+            parametric,
+            layouts: circuits
+                .iter()
+                .map(|t| t.logical_to_region.clone())
+                .collect(),
+        }
+    }
+
+    /// Re-binds the program at `params` and returns each circuit's physical
+    /// outcome distribution.
+    fn outcome_probabilities(&mut self, params: &[f64]) -> Vec<ProbDist> {
+        assert_eq!(
+            params.len(),
+            self.n_params,
+            "expected {} parameters, got {}",
+            self.n_params,
+            params.len()
+        );
+        let ops: Vec<FusedOp> = self.parametric.iter().map(|g| g.bind_op(params)).collect();
+        self.program.rebind(&ops);
+        // Depolarizing noise lets gates fuse across their channels, and a run
+        // from |0…0⟩ that is only read on the diagonal skips the tiles
+        // outside each sweep's light cone (see `qoncord_sim::noisy`); the
+        // result matches the seed path to ≤ 1e-12, not bit-for-bit.
+        self.program.outcome_probabilities()
     }
 }
 

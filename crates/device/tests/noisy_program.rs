@@ -3,7 +3,8 @@
 //! measurement-group circuit, on both devices of the reference fleet. The
 //! light-cone read-out those runs take is pinned bitwise to the full-ρ run
 //! it is a subset of, and its tile count to the number the docs quote; the
-//! forked run of the H2 groups is pinned bitwise to the runs one by one.
+//! prepared, forked run of the H2 groups is pinned bitwise to the runs one
+//! by one.
 
 mod common;
 
@@ -14,7 +15,7 @@ use qoncord_device::catalog;
 use qoncord_device::noise_model::{BackendKind, NoiseModel, SimulatedBackend};
 use qoncord_sim::density::DensityMatrix;
 use qoncord_sim::dist::ProbDist;
-use qoncord_sim::noisy::{evolve_unfused, DensityProgram, DensityStats};
+use qoncord_sim::noisy::{evolve_unfused, DensityProgram, DensityStats, ForkStats};
 use qoncord_vqa::graph::Graph;
 use qoncord_vqa::{qaoa, uccsd, vqe};
 
@@ -83,11 +84,13 @@ fn fused_density_run_matches_the_seed_path_on_job_circuits() {
     }
 }
 
-/// The program `backend` compiles for `t`.
+/// The program `backend` compiles for `t`, its parametric gates marked.
 fn program_for(backend: &SimulatedBackend, t: &TranspiledCircuit) -> DensityProgram {
     let noise = backend.noise();
-    let ops = t.circuit.bind_ops(&params_for(t));
-    DensityProgram::compile(t.circuit.n_qubits(), ops, noise.dep_1q, noise.dep_2q)
+    let params = params_for(t);
+    let gates = t.circuit.gates().iter();
+    let ops = gates.map(|g| (g.bind_op(&params), g.is_parametric()));
+    DensityProgram::compile_parametric(t.circuit.n_qubits(), ops, noise.dep_1q, noise.dep_2q)
 }
 
 /// Skipping the tiles outside each sweep's light cone changes no bit of any
@@ -112,21 +115,45 @@ fn windowed_outcome_is_bitwise_the_full_runs_diagonal_on_job_circuits() {
 
 /// The 7-qubit QAOA routes to the same 16 blocks on both fleet devices;
 /// in light-cone order the read-out visits 1, 4, 64 × 4, 256 × 3, 128, 64,
-/// 64, 32, 64, 64 and 32 of each block's 1024 tiles.
+/// 64, 32, 64, 64 and 32 of each block's 1024 tiles. Its 18 parametric
+/// gates sit in 11 of the 16 blocks, which is all an evaluation
+/// recomputes; the prepared executable runs the same program.
 #[test]
 fn qaoa_readout_visits_1477_of_16384_tiles() {
     for cal in [catalog::ibmq_toronto(), catalog::ibmq_kolkata()] {
         let backend = SimulatedBackend::from_calibration(cal);
         let qaoa = &job_circuits(backend.calibration())[0];
+        let name = backend.calibration().name();
+        assert_eq!(
+            qaoa.circuit
+                .gates()
+                .iter()
+                .filter(|g| g.is_parametric())
+                .count(),
+            18,
+            "{name}"
+        );
         assert_eq!(
             program_for(&backend, qaoa).stats(),
             DensityStats {
                 sweeps: 16,
                 tiles_full: 16_384,
                 tiles_visited: 1477,
+                steps_rebound: 11,
             },
-            "{}",
-            backend.calibration().name()
+            "{name}"
+        );
+        let prepared = backend.prepare(vec![qaoa.clone()], qaoa.circuit.len());
+        assert_eq!(
+            prepared.fork_stats(),
+            Some(ForkStats {
+                trunk_sweeps: 16,
+                branch_sweeps: vec![0],
+                tiles_visited: 1477,
+                tiles_unforked: 1477,
+                steps_rebound: 11,
+            }),
+            "{name}"
         );
     }
 }
@@ -184,16 +211,17 @@ fn bits(d: &ProbDist) -> Vec<u64> {
     d.probabilities().iter().map(|p| p.to_bits()).collect()
 }
 
-/// One forked run of the H2 groups returns, bit for bit, what five runs of
-/// the circuits one by one return, so it stays in their ≤ 1e-12 tier of the
-/// seed path.
+/// One forked run of the prepared H2 groups returns, bit for bit, what five
+/// runs of the circuits one by one return, so it stays in their ≤ 1e-12 tier
+/// of the seed path. The groups are prepared once and re-bound per point.
 #[test]
 fn forked_run_is_bitwise_the_runs_one_by_one_on_h2_groups() {
     for cal in [catalog::ibmq_toronto(), catalog::ibmq_kolkata()] {
         let backend = SimulatedBackend::from_calibration(cal);
         let (groups, shared) = h2_groups(backend.calibration());
+        let mut prepared = backend.prepare(groups.clone(), shared);
         for params in [[0.0; 3], [0.35, 0.45, 0.55], [-2.9, 1.7, 0.004]] {
-            let forked = backend.run_forked(&groups, shared, &params, 11);
+            let forked = prepared.run(&params, 11);
             assert_eq!(forked.len(), groups.len());
             for (g, t) in groups.iter().enumerate() {
                 let alone = backend.run(t, &params, 11 + g as u64);
@@ -214,16 +242,31 @@ fn forked_run_holds_at_any_shared_length_and_on_the_trajectory_fallback() {
     let backend = SimulatedBackend::from_calibration(cal.clone());
     let (groups, shared) = h2_groups(&cal);
     let params = [0.35, 0.45, 0.55];
-    let longest = backend.run_forked(&groups, shared, &params, 0);
+    let longest = backend.prepare(groups.clone(), shared).run(&params, 0);
     for shorter in [0, 1, shared / 2, shared - 1] {
-        assert_eq!(backend.run_forked(&groups, shorter, &params, 0), longest);
+        assert_eq!(
+            backend.prepare(groups.clone(), shorter).run(&params, 0),
+            longest
+        );
     }
     let trajectories = backend.with_kind(BackendKind::Trajectory { n_trajectories: 8 });
-    let forked = trajectories.run_forked(&groups, shared, &params, 40);
+    let forked = trajectories
+        .prepare(groups.clone(), shared)
+        .run(&params, 40);
     for (g, t) in groups.iter().enumerate() {
         assert_eq!(forked[g], trajectories.run(t, &params, 40 + g as u64));
     }
-    assert!(trajectories.run_forked(&[], 0, &[], 0).is_empty());
+    assert!(trajectories.prepare(Vec::new(), 0).run(&[], 0).is_empty());
+}
+
+/// That the circuits share their first `shared_gates` gates is checked once,
+/// when they are prepared, in every build profile.
+#[test]
+#[should_panic(expected = "differ within their shared gates")]
+fn preparing_circuits_that_differ_within_their_shared_gates_fails_closed() {
+    let cal = catalog::ibmq_toronto();
+    let (groups, shared) = h2_groups(&cal);
+    SimulatedBackend::from_calibration(cal).prepare(groups, shared + 1);
 }
 
 /// `transpile` is pinned gate for gate on the job circuits (FNV-1a of each

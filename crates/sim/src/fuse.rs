@@ -40,6 +40,7 @@
 
 use crate::gates::{self, mat2_mul, Mat2, Mat4};
 use crate::math::C64;
+use std::borrow::Borrow;
 
 /// One simulator instruction: the common currency between circuit lowering,
 /// the fusion pass, and [`crate::statevector::StateVector::apply_ops`].
@@ -251,7 +252,7 @@ pub(crate) fn fuse_traced(
     ops: impl IntoIterator<Item = FusedOp>,
 ) -> (Vec<FusedOp>, Vec<u32>) {
     let _prof = qoncord_prof::span("sim::fuse::plan");
-    let mut scan = Scan::new(n_qubits);
+    let mut scan = Scan::<FusedOp>::new(n_qubits);
     let mut owners: Vec<u32> = ops.into_iter().map(|op| scan.push(op) as u32).collect();
     // Final classification: merged blocks that came out monomial (SWAP
     // chains, ZZ-interaction blocks, and their products with RZ runs) take
@@ -286,14 +287,18 @@ pub(crate) fn fuse_traced(
 /// Ops and lone slots come by reference: a `FusedOp` is 280 bytes, and
 /// moving them down each call made the density compile ~35 % slower.
 pub(crate) trait Slot: Clone {
+    /// What the scan feeds the rule: an op, plus whatever the rule keeps
+    /// about it. The scan reads the wires of the borrowed [`FusedOp`] only.
+    type Op: Borrow<FusedOp>;
+
     /// A slot for a 1q op on a wire no slot touches yet.
-    fn open_1q(op: &FusedOp) -> Self;
+    fn open_1q(op: &Self::Op) -> Self;
 
     /// A slot for a 2q op no slot is the latest on both wires of. `lone[i]`
     /// is the lone slot pending on the op's `i`-th qubit: nothing after it
     /// touches that wire, so it commutes forward and the new slot takes it
     /// over (the scan leaves a tombstone in its place).
-    fn open_2q(op: &FusedOp, lone: [Option<&Self>; 2]) -> Self;
+    fn open_2q(op: &Self::Op, lone: [Option<&Self>; 2]) -> Self;
 
     /// Whether the slot acts on one wire only.
     fn is_lone(&self) -> bool;
@@ -301,7 +306,7 @@ pub(crate) trait Slot: Clone {
     /// Appends `op`, which acts inside the slot's wires and of which the
     /// slot is the latest on every wire: a 1q op into any slot, a 2q op
     /// into one on its pair.
-    fn fold(&mut self, op: &FusedOp);
+    fn fold(&mut self, op: &Self::Op);
 }
 
 /// The wire-tracking scan: ops go in one at a time and collect in slots, each
@@ -368,10 +373,11 @@ impl<S: Slot> Scan<S> {
     /// # Panics
     ///
     /// Panics (fail-closed) on an out-of-range or coinciding operand.
-    pub(crate) fn push(&mut self, op: FusedOp) -> usize {
-        op.validate(self.last.len());
+    pub(crate) fn push(&mut self, op: S::Op) -> usize {
+        let fused: &FusedOp = op.borrow();
+        fused.validate(self.last.len());
         let end = self.end();
-        let [a, b] = match op {
+        let [a, b] = match *fused {
             FusedOp::One(_, q) | FusedOp::Rz(_, q) => {
                 if let Some(j) = self.last[q] {
                     return self.fold(j, &op);
@@ -406,7 +412,7 @@ impl<S: Slot> Scan<S> {
 
     /// Folds `op` into the slot at program-order index `j`, the latest on
     /// every wire `op` touches, so the fold keeps program order.
-    fn fold(&mut self, j: usize, op: &FusedOp) -> usize {
+    fn fold(&mut self, j: usize, op: &S::Op) -> usize {
         self.touched = self.touched.min(j);
         let slot = self.slots[j - self.base].as_mut();
         slot.expect("last[] points at a live slot").fold(op);
@@ -416,6 +422,8 @@ impl<S: Slot> Scan<S> {
 
 /// Fusion's rule: a slot is the product of its ops' matrices.
 impl Slot for FusedOp {
+    type Op = FusedOp;
+
     fn open_1q(op: &FusedOp) -> Self {
         *op
     }

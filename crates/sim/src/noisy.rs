@@ -139,6 +139,32 @@
 //! measurement circuits the trunk holds 40 of each circuit's 43 sweeps
 //! ([`ForkedProgram::stats`]).
 //!
+//! # Rebinding
+//!
+//! What a compile builds depends on the ops' variants and qubits only,
+//! never on their angles: which slot each op lands in, the runs and the
+//! order their ops fold in, a block's CX seating and swaps, the light-cone
+//! order, the windows and a fork's trunk. The numbers are the one part
+//! that does not: a run's `WireOp`, computed from its ops' matrices, and
+//! a dense local's seated matrix. A variational job evaluates one circuit
+//! at many parameter points, so [`DensityProgram::compile_parametric`]
+//! takes each op with a flag saying whether a later
+//! [`DensityProgram::rebind`] replaces it. For every lone run and local op
+//! that holds a flagged op, the program records where its numbers come
+//! from: the run's ops in fold order (a fixed one by value, a flagged one
+//! by its index among the flagged ops), or the dense op's index and the
+//! seating the block's CX renaming gave it. A rebind recomputes those and
+//! nothing else, through the compile's own `Run::new`, `push`, `finish`
+//! and seating on the same ops in the same order, so the program is then
+//! bit for bit the one a fresh compile of the new ops gives. A rebound op
+//! keeps the variant and the qubits, in order, of the op it replaces: the
+//! slots and seats rest on them, so a rebind that changes either panics.
+//! The transpiled 7-qubit QAOA holds its 18 parametric gates of 107 in 11
+//! of its 16 sweeps ([`DensityStats::steps_rebound`]); the H₂/UCCSD
+//! evaluation's forked program re-binds 16 sweeps for its 12
+//! ([`ForkStats::steps_rebound`], a step each branch runs counted per
+//! branch).
+//!
 //! # Determinism
 //!
 //! Compilation multiplies gate matrices and reorders sweeps on disjoint
@@ -161,6 +187,7 @@ use crate::dist::ProbDist;
 use crate::fuse::{self, FusedOp, Scan, Slot as _};
 use crate::gates::{self, mat2_adjoint, mat2_mul, Mat2, Mat4};
 use crate::math::C64;
+use std::borrow::Borrow;
 
 /// The unfused noisy evolution the program is pinned against — the seed's
 /// density path, which tests and the `kernel_profile` benchmark call
@@ -217,6 +244,14 @@ pub struct DensityProgram {
     steps: Vec<Step>,
     /// Per step, the tiles [`DensityProgram::outcome_probabilities`] visits.
     windows: Vec<Window>,
+    /// Survival factor of one single-qubit channel, for re-closing runs.
+    keep_1q: f64,
+    /// Per local op or lone run that holds a parametric op, in step order:
+    /// where it sits and where a rebind finds its numbers.
+    sources: Vec<(Place, Source)>,
+    /// Per parametric op, in the order a rebind passes them, what the
+    /// compile saw of it. Empty in a fork's branches: the trunk checks.
+    shapes: Vec<Shape>,
 }
 
 /// How much of ρ a program's read-out run touches, counted from its
@@ -231,6 +266,8 @@ pub struct DensityStats {
     pub tiles_full: u64,
     /// Tiles [`DensityProgram::outcome_probabilities`] visits.
     pub tiles_visited: u64,
+    /// Sweeps [`DensityProgram::rebind`] recomputes a local op of.
+    pub steps_rebound: usize,
 }
 
 /// The tiles one sweep visits: row anchors are the subsets of `rows`, and
@@ -374,6 +411,19 @@ impl Step {
         }
     }
 
+    /// The merged run of a lone-wire step (`local` is `None`) or of its
+    /// pair block's local op `local`.
+    fn run_mut(&mut self, local: Option<usize>) -> &mut WireOp {
+        match (self, local) {
+            (Step::Wire { run, .. }, None) => run,
+            (Step::Pair { ops, .. }, Some(i)) => match &mut ops[i] {
+                Local::Wire { run, .. } => run,
+                Local::Dense(_) => unreachable!("a run's source names a run"),
+            },
+            _ => unreachable!("a lone wire's run has no local index"),
+        }
+    }
+
     /// Takes the tiles of `window` through the step.
     fn sweep(&self, data: &mut [C64], dim: usize, window: Window) {
         match self {
@@ -456,6 +506,145 @@ impl Run {
             gate => WireOp::Ptm(pauli_transfer(&gate.mat2().expect("1q run"), 0.5 * keep)),
         }
     }
+
+    /// The run of `members` on wire `q`, folded as the compile folded them,
+    /// with parametric op `k` taken from `params[k]`.
+    fn replay(q: usize, members: &[Member], params: &[FusedOp]) -> Self {
+        let mut ops = members.iter().map(|m| m.op(q, params));
+        let mut run = Run::new(&ops.next().expect("a run has a member"));
+        for op in ops {
+            run.push(&op);
+        }
+        run
+    }
+}
+
+/// An op as the density rule takes it from the scan: for a parametric op,
+/// also its index among the parametric ops the compile saw.
+struct Marked {
+    op: FusedOp,
+    param: Option<usize>,
+}
+
+impl Borrow<FusedOp> for Marked {
+    fn borrow(&self) -> &FusedOp {
+        &self.op
+    }
+}
+
+/// One op of a run, as a rebind replays it.
+#[derive(Debug, Clone, Copy)]
+enum Member {
+    /// A fixed RZ, by its angle.
+    Rz(f64),
+    /// A fixed single-qubit unitary.
+    One(Mat2),
+    /// Parametric op `k`, which every rebind supplies afresh.
+    Param(usize),
+}
+
+impl Member {
+    fn of(op: &Marked) -> Self {
+        match (op.param, &op.op) {
+            (Some(k), _) => Member::Param(k),
+            (None, &FusedOp::Rz(theta, _)) => Member::Rz(theta),
+            (None, &FusedOp::One(u, _)) => Member::One(u),
+            _ => unreachable!("a run holds 1q ops"),
+        }
+    }
+
+    fn op(self, q: usize, params: &[FusedOp]) -> FusedOp {
+        match self {
+            Member::Rz(theta) => FusedOp::Rz(theta, q),
+            Member::One(u) => FusedOp::One(u, q),
+            Member::Param(k) => params[k],
+        }
+    }
+}
+
+/// A run under compile: its arithmetic, and the ops it holds in fold order.
+#[derive(Clone)]
+struct Tracked {
+    run: Run,
+    members: Vec<Member>,
+}
+
+impl Tracked {
+    fn new(op: &Marked) -> Self {
+        Tracked {
+            run: Run::new(&op.op),
+            members: vec![Member::of(op)],
+        }
+    }
+
+    fn push(&mut self, op: &Marked) {
+        self.run.push(&op.op);
+        self.members.push(Member::of(op));
+    }
+
+    /// What a rebind needs to redo the run on wire `q`; `None` when no
+    /// member is parametric.
+    fn source(&self, q: usize) -> Option<Source> {
+        let parametric = self.members.iter().any(|m| matches!(m, Member::Param(_)));
+        parametric.then(|| Source::Run {
+            q,
+            members: self.members.clone(),
+        })
+    }
+}
+
+/// Where a rebind finds the numbers of one lone run or local op that holds
+/// a parametric op.
+#[derive(Debug, Clone)]
+enum Source {
+    /// A merged run on wire `q`: its members in fold order.
+    Run { q: usize, members: Vec<Member> },
+    /// A dense two-qubit local: parametric op `k` on the block whose first
+    /// qubit is `q0`, seated where the block's CX renaming put its states.
+    Dense {
+        k: usize,
+        q0: usize,
+        seat: [usize; 4],
+    },
+}
+
+/// What a rebind may not change about a parametric op: the variant and the
+/// operands, in order. The compile's slots, seats and windows rest on them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Shape {
+    One(usize),
+    Rz(usize),
+    Two(usize, usize),
+    Cx(usize, usize),
+    Mono(usize, usize),
+}
+
+impl Shape {
+    fn of(op: &FusedOp) -> Self {
+        match *op {
+            FusedOp::One(_, q) => Shape::One(q),
+            FusedOp::Rz(_, q) => Shape::Rz(q),
+            FusedOp::Two(_, a, b) => Shape::Two(a, b),
+            FusedOp::Cx(a, b) => Shape::Cx(a, b),
+            FusedOp::Mono(_, _, a, b) => Shape::Mono(a, b),
+        }
+    }
+}
+
+/// Where a rebound run or local op sits: a step, and the index of the local
+/// op in a pair block (`None` for a lone run's step).
+#[derive(Debug, Clone, Copy)]
+struct Place {
+    step: usize,
+    local: Option<usize>,
+}
+
+/// A step closed by the compile, with the sources of its parametric local
+/// ops by [`Place::local`].
+#[derive(Debug, Clone)]
+struct Closed {
+    step: Step,
+    sources: Vec<(Option<usize>, Source)>,
 }
 
 /// `scale · R(U)`, where `R_ij = ½·Tr(σ_i·U·σ_j·U†)` is the rotation `U`
@@ -518,7 +707,7 @@ impl WireOp {
 enum Slot {
     Wire {
         q: usize,
-        run: Run,
+        run: Tracked,
     },
     Pair {
         q0: usize,
@@ -531,34 +720,37 @@ enum Slot {
     },
 }
 
-/// A pair block's local op while its runs can still grow.
-#[derive(Clone, Copy)]
+/// A pair block's local op while its runs can still grow; a dense op keeps
+/// its parametric index.
+#[derive(Clone)]
 enum Draft {
     Cx { control: usize },
-    Run(usize, Run),
-    Dense(Mat4),
+    Run(usize, Tracked),
+    Dense(Mat4, Option<usize>),
 }
 
 /// Each op brings its channel along: a 1q op joins a run, a 2q op a pair
 /// block, and a block takes over the lone runs pending on its wires as its
 /// first ops there.
 impl fuse::Slot for Slot {
-    fn open_1q(op: &FusedOp) -> Self {
-        let (FusedOp::One(_, q) | FusedOp::Rz(_, q)) = *op else {
+    type Op = Marked;
+
+    fn open_1q(op: &Marked) -> Self {
+        let (FusedOp::One(_, q) | FusedOp::Rz(_, q)) = op.op else {
             unreachable!("open_1q receives 1q ops")
         };
         Slot::Wire {
             q,
-            run: Run::new(op),
+            run: Tracked::new(op),
         }
     }
 
-    fn open_2q(op: &FusedOp, lone: [Option<&Self>; 2]) -> Self {
-        let [a, b] = op.pair().expect("2q op");
+    fn open_2q(op: &Marked, lone: [Option<&Self>; 2]) -> Self {
+        let [a, b] = op.op.pair().expect("2q op");
         let mut ops = Vec::new();
         for (w, slot) in lone.into_iter().enumerate() {
             if let Some(Slot::Wire { run, .. }) = slot {
-                ops.push(Draft::Run(w, *run));
+                ops.push(Draft::Run(w, run.clone()));
             }
         }
         ops.push(draft_2q(op, a));
@@ -575,8 +767,8 @@ impl fuse::Slot for Slot {
         matches!(self, Slot::Wire { .. })
     }
 
-    fn fold(&mut self, op: &FusedOp) {
-        match (self, op) {
+    fn fold(&mut self, op: &Marked) {
+        match (self, &op.op) {
             (Slot::Wire { run, .. }, _) => run.push(op),
             (Slot::Pair { q0, ops, open, .. }, &(FusedOp::One(_, q) | FusedOp::Rz(_, q))) => {
                 let w = usize::from(q != *q0);
@@ -589,7 +781,7 @@ impl fuse::Slot for Slot {
                     },
                     None => {
                         open[w] = Some(ops.len());
-                        ops.push(Draft::Run(w, Run::new(op)));
+                        ops.push(Draft::Run(w, Tracked::new(op)));
                     }
                 }
             }
@@ -630,8 +822,104 @@ impl DensityProgram {
         dep_1q: f64,
         dep_2q: f64,
     ) -> Self {
-        let no_tails: [[FusedOp; 0]; 0] = [];
-        ForkedProgram::compile(n_qubits, ops, no_tails, dep_1q, dep_2q).trunk
+        let ops = ops.into_iter().map(|op| (op, false));
+        Self::compile_parametric(n_qubits, ops, dep_1q, dep_2q)
+    }
+
+    /// [`DensityProgram::compile`] of `(op, parametric)` pairs: the
+    /// parametric ops, in order, are what [`DensityProgram::rebind`] later
+    /// replaces.
+    ///
+    /// # Panics
+    ///
+    /// As for [`DensityProgram::compile`].
+    pub fn compile_parametric(
+        n_qubits: usize,
+        ops: impl IntoIterator<Item = (FusedOp, bool)>,
+        dep_1q: f64,
+        dep_2q: f64,
+    ) -> Self {
+        let no_tails: [[(FusedOp, bool); 0]; 0] = [];
+        ForkedProgram::compile_parametric(n_qubits, ops, no_tails, dep_1q, dep_2q).trunk
+    }
+
+    /// Replaces the parametric ops with `ops`, in the order the compile saw
+    /// them, and recomputes the local ops and lone runs that hold one (see
+    /// the module docs, "Rebinding"). The program is then, bit for bit, the
+    /// one the same ops would compile to.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ops` does not hold one op per parametric op, or an op's
+    /// variant or qubits differ from those of the op it replaces.
+    pub fn rebind(&mut self, ops: &[FusedOp]) {
+        let _prof = qoncord_prof::span("sim::dm::rebind");
+        self.check_shapes(ops);
+        self.rebind_sources(ops);
+    }
+
+    /// Fails closed unless `ops` replace the parametric ops one for one,
+    /// each with its variant and qubits.
+    fn check_shapes(&self, ops: &[FusedOp]) {
+        assert_eq!(
+            ops.len(),
+            self.shapes.len(),
+            "rebind takes one op per parametric op"
+        );
+        for (op, shape) in ops.iter().zip(&self.shapes) {
+            let found = Shape::of(op);
+            assert!(
+                found == *shape,
+                "rebound op {found:?} differs in kind or qubits from the compiled {shape:?}"
+            );
+        }
+    }
+
+    /// Recomputes every local op and lone run that holds a parametric op,
+    /// through the compile's own `Run` and seating arithmetic.
+    fn rebind_sources(&mut self, params: &[FusedOp]) {
+        for (place, source) in &self.sources {
+            let step = &mut self.steps[place.step];
+            match (source, step, place.local) {
+                (Source::Run { q, members }, step, local) => {
+                    let run = Run::replay(*q, members, params).finish(self.keep_1q);
+                    *step.run_mut(local) = run;
+                }
+                (&Source::Dense { k, q0, seat }, Step::Pair { ops, .. }, Some(i)) => {
+                    ops[i] = Local::Dense(seated(&params[k].mat4_on(q0), &seat));
+                }
+                _ => unreachable!("a dense local sits in a pair block"),
+            }
+        }
+    }
+
+    /// A program running `closed` in order, read out after steps on the
+    /// qubits `before` and ahead of steps on the qubits `after`.
+    fn assemble(
+        n_qubits: usize,
+        closed: Vec<Closed>,
+        before: usize,
+        after: usize,
+        keep_1q: f64,
+    ) -> Self {
+        let mut steps = Vec::with_capacity(closed.len());
+        let mut sources = Vec::new();
+        for (step, c) in closed.into_iter().enumerate() {
+            let placed = c.sources.into_iter().map(|(local, source)| {
+                let place = Place { step, local };
+                (place, source)
+            });
+            sources.extend(placed);
+            steps.push(c.step);
+        }
+        DensityProgram {
+            n_qubits,
+            windows: readout_windows(&steps, before, after),
+            steps,
+            keep_1q,
+            sources,
+            shapes: Vec::new(),
+        }
     }
 
     /// Number of sweeps a run performs.
@@ -651,7 +939,14 @@ impl DensityProgram {
                 .map(|step| Window::full(dim, step.qubits()).tiles())
                 .sum(),
             tiles_visited: self.tiles_visited(),
+            steps_rebound: self.steps_rebound(),
         }
+    }
+
+    fn steps_rebound(&self) -> usize {
+        let mut steps: Vec<usize> = self.sources.iter().map(|(place, _)| place.step).collect();
+        steps.dedup();
+        steps.len()
     }
 
     /// Evolves `rho` through the program: any ρ in, every entry of the
@@ -744,6 +1039,9 @@ pub struct ForkStats {
     pub tiles_visited: u64,
     /// Tiles the circuits' own [`DensityProgram`]s would visit in total.
     pub tiles_unforked: u64,
+    /// Sweeps [`ForkedProgram::rebind`] recomputes a local op of, counting
+    /// a trunk step a branch runs once per such branch.
+    pub steps_rebound: usize,
 }
 
 impl ForkedProgram {
@@ -761,21 +1059,54 @@ impl ForkedProgram {
         dep_1q: f64,
         dep_2q: f64,
     ) -> Self {
+        let fixed = |op| (op, false);
+        let tails = tails.into_iter().map(|tail| tail.into_iter().map(fixed));
+        Self::compile_parametric(
+            n_qubits,
+            trunk.into_iter().map(fixed),
+            tails,
+            dep_1q,
+            dep_2q,
+        )
+    }
+
+    /// [`ForkedProgram::compile`] of `(op, parametric)` pairs: the
+    /// parametric ops — the trunk's in order, then each tail's — are what
+    /// [`ForkedProgram::rebind`] later replaces.
+    ///
+    /// # Panics
+    ///
+    /// As for [`DensityProgram::compile`].
+    pub fn compile_parametric<T: IntoIterator<Item = (FusedOp, bool)>>(
+        n_qubits: usize,
+        trunk: impl IntoIterator<Item = (FusedOp, bool)>,
+        tails: impl IntoIterator<Item = T>,
+        dep_1q: f64,
+        dep_2q: f64,
+    ) -> Self {
         assert!(
             (0.0..=1.0).contains(&dep_1q) && (0.0..=1.0).contains(&dep_2q),
             "probability must be in [0,1]"
         );
         let _prof = qoncord_prof::span("sim::dm::plan");
+        let mut shapes = Vec::new();
+        let mut mark = |(op, parametric): (FusedOp, bool)| {
+            let param = parametric.then(|| {
+                shapes.push(Shape::of(&op));
+                shapes.len() - 1
+            });
+            Marked { op, param }
+        };
         let mut scan = Scan::<Slot>::new(n_qubits);
         for op in trunk {
-            scan.push(op);
+            scan.push(mark(op));
         }
         let forks: Vec<Scan<Slot>> = tails
             .into_iter()
             .map(|tail| {
                 let mut fork = scan.fork();
                 for op in tail {
-                    fork.push(op);
+                    fork.push(mark(op));
                 }
                 fork
             })
@@ -789,8 +1120,8 @@ impl ForkedProgram {
         let keeps = (1.0 - dep_1q, 1.0 - dep_2q);
         let mut trunk_order = LightCone::default();
         let mut trunk = Vec::new();
-        for (i, step) in steps(&scan, 0..fork_at, keeps).enumerate() {
-            trunk.insert(trunk_order.fold(i, step.qubits()), step);
+        for (i, closed) in steps(&scan, 0..fork_at, keeps).enumerate() {
+            trunk.insert(trunk_order.fold(i, closed.step.qubits()), closed);
         }
         let trunk_len = trunk.len();
         // A step can pass only the trailing run of steps that each brought
@@ -798,16 +1129,16 @@ impl ForkedProgram {
         // `folded` holds its order from `reach` on, and its own steps.
         let reach = trunk_order.placed.iter().rposition(|p| p.fresh == 0);
         let reach = reach.map_or(0, |i| i + 1);
-        let folded: Vec<(Vec<Placed>, Vec<Step>)> = forks
+        let folded: Vec<(Vec<Placed>, Vec<Closed>)> = forks
             .iter()
             .map(|fork| {
-                let own: Vec<Step> = steps(fork, fork_at..fork.end(), keeps).collect();
+                let own: Vec<Closed> = steps(fork, fork_at..fork.end(), keeps).collect();
                 let mut order = LightCone {
                     placed: trunk_order.placed[reach..].to_vec(),
                     support: trunk_order.support,
                 };
-                for (i, step) in own.iter().enumerate() {
-                    order.fold(trunk_len + i, step.qubits());
+                for (i, closed) in own.iter().enumerate() {
+                    order.fold(trunk_len + i, closed.step.qubits());
                 }
                 (order.placed, own)
             })
@@ -820,52 +1151,70 @@ impl ForkedProgram {
             .fold(trunk_len - reach, usize::min)
             + reach;
         let displaced = trunk.split_off(shared);
-        let support = qubits_of(&trunk);
+        let support = trunk.iter().fold(0, |mask, c| mask | c.step.qubits());
+        let keep_1q = keeps.0;
         let branches: Vec<DensityProgram> = folded
             .into_iter()
             .map(|(placed, own)| {
                 // Trunk steps keep their order, a circuit's own ones may not.
                 let mut displaced = displaced.iter();
-                let mut own: Vec<Option<Step>> = own.into_iter().map(Some).collect();
-                let steps: Vec<Step> = placed[shared - reach..]
+                let mut own: Vec<Option<Closed>> = own.into_iter().map(Some).collect();
+                let steps: Vec<Closed> = placed[shared - reach..]
                     .iter()
                     .map(|p| match p.step.checked_sub(trunk_len) {
                         None => displaced.next().expect("placed once").clone(),
                         Some(i) => own[i].take().expect("placed once"),
                     })
                     .collect();
-                DensityProgram {
-                    n_qubits,
-                    windows: readout_windows(&steps, support, 0),
-                    steps,
-                }
+                DensityProgram::assemble(n_qubits, steps, support, 0, keep_1q)
             })
             .collect();
         let cone = branches
             .iter()
             .fold(0, |mask, branch| mask | qubits_of(&branch.steps));
         let trunk = DensityProgram {
-            n_qubits,
-            windows: readout_windows(&trunk, 0, cone),
-            steps: trunk,
+            shapes,
+            ..DensityProgram::assemble(n_qubits, trunk, 0, cone, keep_1q)
         };
         ForkedProgram { trunk, branches }
     }
 
+    /// [`DensityProgram::rebind`] for every circuit at once: the trunk's
+    /// parametric ops, then each tail's, in the order the compile saw them.
+    ///
+    /// # Panics
+    ///
+    /// As for [`DensityProgram::rebind`].
+    pub fn rebind(&mut self, ops: &[FusedOp]) {
+        let _prof = qoncord_prof::span("sim::dm::rebind");
+        self.trunk.check_shapes(ops);
+        self.trunk.rebind_sources(ops);
+        for branch in &mut self.branches {
+            branch.rebind_sources(ops);
+        }
+    }
+
     /// Per circuit, the outcome distribution its own
     /// [`DensityProgram::outcome_probabilities`] returns, bit for bit: the
-    /// trunk is evolved once from `|0…0⟩` and each branch continues a copy.
+    /// trunk is evolved once from `|0…0⟩` and each branch continues a copy
+    /// (the last branch continues the trunk's ρ itself).
     pub fn outcome_probabilities(&self) -> Vec<ProbDist> {
         let mut trunk = DensityMatrix::zero_state(self.trunk.n_qubits);
         self.trunk.sweep_windows(&mut trunk);
-        self.branches
+        let Some((last, rest)) = self.branches.split_last() else {
+            return Vec::new();
+        };
+        let mut outcomes: Vec<ProbDist> = rest
             .iter()
             .map(|branch| {
                 let mut rho = trunk.clone();
                 branch.sweep_windows(&mut rho);
                 rho.probabilities()
             })
-            .collect()
+            .collect();
+        last.sweep_windows(&mut trunk);
+        outcomes.push(trunk.probabilities());
+        outcomes
     }
 
     /// Sweep and tile counts against the circuits compiled one by one;
@@ -884,6 +1233,12 @@ impl ForkedProgram {
             tiles_visited: self.trunk.tiles_visited()
                 + self.branches.iter().map(|b| b.tiles_visited()).sum::<u64>(),
             tiles_unforked: self.branches.iter().map(unforked).sum(),
+            steps_rebound: self.trunk.steps_rebound()
+                + self
+                    .branches
+                    .iter()
+                    .map(|b| b.steps_rebound())
+                    .sum::<usize>(),
         }
     }
 }
@@ -894,11 +1249,18 @@ fn steps(
     scan: &Scan<Slot>,
     range: std::ops::Range<usize>,
     (keep_1q, keep_2q): (f64, f64),
-) -> impl Iterator<Item = Step> + '_ {
+) -> impl Iterator<Item = Closed> + '_ {
     scan.live(range).map(move |slot| match slot {
-        Slot::Wire { q, run } => Step::Wire {
-            q: *q,
-            run: run.finish(keep_1q),
+        Slot::Wire { q, run } => Closed {
+            step: Step::Wire {
+                q: *q,
+                run: run.run.finish(keep_1q),
+            },
+            sources: run
+                .source(*q)
+                .map(|source| (None, source))
+                .into_iter()
+                .collect(),
         },
         Slot::Pair {
             q0,
@@ -914,38 +1276,38 @@ fn steps(
 /// basis states, points the remaining ops at the tile offsets the states
 /// then sit at, and emits the swaps that put each state back at its own
 /// offset.
-fn finish_pair(q0: usize, q1: usize, drafts: &[Draft], keep_1q: f64, keep: f64) -> Step {
+fn finish_pair(q0: usize, q1: usize, drafts: &[Draft], keep_1q: f64, keep: f64) -> Closed {
     let offsets = [0, 1 << q0, 1 << q1, 1 << q0 | 1 << q1];
     // seat[k]: the index into `offsets` where local state k currently sits.
     let mut seat = [0, 1, 2, 3];
-    let ops = drafts
-        .iter()
-        .filter_map(|&draft| match draft {
+    let mut ops = Vec::new();
+    let mut sources = Vec::new();
+    for draft in drafts {
+        let source = match draft {
             // CX exchanges the two states with the control bit set:
             // `control` alone and `3`.
             Draft::Cx { control } => {
                 seat.swap(1 << control, 3);
-                None
+                continue;
             }
             Draft::Run(w, run) => {
                 let (bit, other) = (1 << w, 2 >> w);
                 let at = |k: usize| offsets[seat[k]];
-                Some(Local::Wire {
+                ops.push(Local::Wire {
                     pairs: [[at(0), at(bit)], [at(other), at(3)]],
-                    run: run.finish(keep_1q),
-                })
+                    run: run.run.finish(keep_1q),
+                });
+                run.source([q0, q1][*w])
             }
-            Draft::Dense(u) => {
-                let mut seated = u;
-                for k in 0..4 {
-                    for l in 0..4 {
-                        seated[seat[k]][seat[l]] = u[k][l];
-                    }
-                }
-                Some(Local::Dense(seated))
+            Draft::Dense(u, param) => {
+                ops.push(Local::Dense(seated(u, &seat)));
+                param.map(|k| Source::Dense { k, q0, seat })
             }
-        })
-        .collect();
+        };
+        if let Some(source) = source {
+            sources.push((Some(ops.len() - 1), source));
+        }
+    }
     // Settle state k at index k by swapping it with whatever sits there.
     let mut swaps = Vec::new();
     for k in 0..4 {
@@ -960,23 +1322,36 @@ fn finish_pair(q0: usize, q1: usize, drafts: &[Draft], keep_1q: f64, keep: f64) 
             seat[k] = k;
         }
     }
-    Step::Pair {
+    let step = Step::Pair {
         q0,
         q1,
         ops,
         keep,
         swaps,
+    };
+    Closed { step, sources }
+}
+
+/// `u` on the pair's local states, re-indexed to the offsets `seat` puts
+/// them at.
+fn seated(u: &Mat4, seat: &[usize; 4]) -> Mat4 {
+    let mut seated = *u;
+    for k in 0..4 {
+        for l in 0..4 {
+            seated[seat[k]][seat[l]] = u[k][l];
+        }
     }
+    seated
 }
 
 /// Re-expresses a two-qubit op on the local wires of a block whose first
 /// qubit is `q0`.
-fn draft_2q(op: &FusedOp, q0: usize) -> Draft {
-    match *op {
+fn draft_2q(op: &Marked, q0: usize) -> Draft {
+    match op.op {
         FusedOp::Cx(c, _) => Draft::Cx {
             control: usize::from(c != q0),
         },
-        _ => Draft::Dense(op.mat4_on(q0)),
+        _ => Draft::Dense(op.op.mat4_on(q0), op.param),
     }
 }
 
@@ -1379,6 +1754,7 @@ mod tests {
                 sweeps: 3,
                 tiles_full: 3 * 16,
                 tiles_visited: 1 + 2 + 4,
+                steps_rebound: 0,
             }
         );
 
@@ -1598,6 +1974,62 @@ mod tests {
         let mut rho = DensityMatrix::zero_state(2);
         let run = Run::new(&FusedOp::Rz(0.3, 1)).finish(0.99);
         sweep_wire(rho.data_mut(), 4, 1, &run, window(0b10, 0));
+    }
+
+    /// `mixed_program` with its RZ and rotation ops parametric.
+    fn parametric_mixed_program() -> Vec<(FusedOp, bool)> {
+        let parametric = |op: &FusedOp| match op {
+            FusedOp::Rz(..) | FusedOp::Two(..) | FusedOp::Mono(..) => true,
+            FusedOp::One(u, _) => *u != gates::h() && *u != gates::sx() && *u != gates::t(),
+            _ => false,
+        };
+        mixed_program()
+            .into_iter()
+            .map(|op| (op, parametric(&op)))
+            .collect()
+    }
+
+    #[test]
+    fn rebinding_recomputes_only_the_steps_holding_a_parametric_op() {
+        let marked = parametric_mixed_program();
+        let mut program = DensityProgram::compile_parametric(4, marked.clone(), 0.004, 0.03);
+        // Wire 3's lone run is fixed but for its RZ; every block holds one.
+        assert_eq!(program.stats().steps_rebound, 4);
+        let same: Vec<FusedOp> = marked.iter().filter(|m| m.1).map(|m| m.0).collect();
+        let before = program.outcome_probabilities();
+        program.rebind(&same);
+        assert_eq!(bits(&program.outcome_probabilities()), bits(&before));
+        let fixed = marked
+            .iter()
+            .map(|&(op, _)| (op, op == FusedOp::Rz(2.1, 3)));
+        let program = DensityProgram::compile_parametric(4, fixed, 0.004, 0.03);
+        assert_eq!(program.stats().steps_rebound, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "differs in kind or qubits")]
+    fn rebinding_an_op_of_another_kind_fails_closed() {
+        let ops = [(FusedOp::Rz(0.3, 0), true), (FusedOp::Cx(0, 1), false)];
+        let mut program = DensityProgram::compile_parametric(2, ops, 0.01, 0.02);
+        program.rebind(&[FusedOp::One(gates::rz(0.3), 0)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "differs in kind or qubits")]
+    fn rebinding_an_op_on_other_qubits_fails_closed() {
+        let ops = [
+            (FusedOp::Cx(0, 1), false),
+            (FusedOp::Two(gates::rzz(0.4), 0, 1), true),
+        ];
+        let mut forked = ForkedProgram::compile_parametric(2, ops, [vec![]], 0.01, 0.02);
+        forked.rebind(&[FusedOp::Two(gates::rzz(0.4), 1, 0)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "one op per parametric op")]
+    fn rebinding_too_few_ops_fails_closed() {
+        let ops = [(FusedOp::Rz(0.3, 0), true), (FusedOp::Rz(0.1, 1), true)];
+        DensityProgram::compile_parametric(2, ops, 0.01, 0.02).rebind(&[FusedOp::Rz(0.2, 0)]);
     }
 
     #[test]

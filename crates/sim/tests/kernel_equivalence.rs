@@ -18,8 +18,9 @@
 //!   to rounding. Noisy density programs (`qoncord_sim::noisy`) are in this
 //!   tier too, against the op-at-a-time evolution on the full ρ; their
 //!   light-cone read-out (`outcome_probabilities`) is pinned *bitwise* to
-//!   the diagonal of the full run it is a subset of, and a forked program's
-//!   outcomes *bitwise* to those of its circuits compiled alone. So are
+//!   the diagonal of the full run it is a subset of, a forked program's
+//!   outcomes *bitwise* to those of its circuits compiled alone, and a
+//!   re-bound program *bitwise* to a fresh compile at its new ops. So are
 //!   trajectory programs (`qoncord_sim::trajectory`), against the seed's
 //!   trajectory loop on every outcome probability. (The fusion plan they
 //!   patch — `fuse_traced`, crate-private — is proptested beside it in
@@ -114,6 +115,73 @@ fn scrambled(n: usize) -> DensityMatrix {
         rho.apply_cx_fast(q - 1, q);
     }
     rho
+}
+
+/// An opcode program at two parameter points: the ops `rebinds` marks are
+/// parametric and take its angle at the second point; the rest stay fixed.
+struct TwoPoints {
+    at_1: Vec<FusedOp>,
+    at_2: Vec<FusedOp>,
+    parametric: Vec<bool>,
+    /// The parametric ops at each point, in order.
+    params_1: Vec<FusedOp>,
+    params_2: Vec<FusedOp>,
+}
+
+impl TwoPoints {
+    /// The ops at the first point with their marks, as a rebindable compile
+    /// takes them.
+    fn marked(&self) -> Vec<(FusedOp, bool)> {
+        self.at_1
+            .iter()
+            .copied()
+            .zip(self.parametric.iter().copied())
+            .collect()
+    }
+}
+
+/// [`TwoPoints`] of `ops` decoded by [`to_noisy`]; op `i` reads
+/// `rebinds[(offset + i) % len]`.
+fn two_points(
+    n: usize,
+    ops: &[(u8, usize, usize, f64)],
+    rebinds: &[(f64, u8)],
+    offset: usize,
+) -> TwoPoints {
+    let mut two = TwoPoints {
+        at_1: to_noisy(n, ops),
+        at_2: Vec::new(),
+        parametric: Vec::new(),
+        params_1: Vec::new(),
+        params_2: Vec::new(),
+    };
+    for (i, (&(code, a, b, _), &op_1)) in ops.iter().zip(&two.at_1).enumerate() {
+        let (angle, mark) = rebinds[(offset + i) % rebinds.len()];
+        let parametric = mark == 1;
+        let op_2 = if parametric {
+            to_noisy(n, &[(code, a, b, angle)])[0]
+        } else {
+            op_1
+        };
+        if parametric {
+            two.params_1.push(op_1);
+            two.params_2.push(op_2);
+        }
+        two.at_2.push(op_2);
+        two.parametric.push(parametric);
+    }
+    two
+}
+
+fn entry_bits(rho: &DensityMatrix) -> Vec<(u64, u64)> {
+    dm_entries(rho)
+        .iter()
+        .map(|z| (z.re.to_bits(), z.im.to_bits()))
+        .collect()
+}
+
+fn prob_bits(dist: &ProbDist) -> Vec<u64> {
+    dist.probabilities().iter().map(|p| p.to_bits()).collect()
 }
 
 fn dm_entries(rho: &DensityMatrix) -> Vec<C64> {
@@ -334,6 +402,72 @@ proptest! {
                         "{n} qubits, rates ({dep_1q}, {dep_2q}), branch {b}, outcome {i}: forked {f:e} vs alone {a:e}"
                     );
                 }
+            }
+        }
+    }
+
+    /// A program compiled at θ₁ and re-bound to θ₂ is, bit for bit, the
+    /// program compiled at θ₂: every entry of a full run and every windowed
+    /// outcome, and again after a second rebind back to θ₁; and a forked
+    /// program re-bound likewise returns a fresh fork's outcomes. Half the
+    /// ops, of every variant, are parametric; a fixed op keeps its θ₁.
+    #[test]
+    fn dm_rebound_program_is_bitwise_a_fresh_compile(
+        trunk in noisy_program(),
+        tails in proptest::collection::vec(
+            proptest::collection::vec((0u8..9, 0..5usize, 0..5usize, -3.2..3.2f64), 0..12),
+            1..5,
+        ),
+        rebinds in proptest::collection::vec((-3.2..3.2f64, 0u8..2), 64..65),
+        dep_1q in rate(),
+        dep_2q in rate(),
+    ) {
+        for n in [1usize, 2, 3, 5] {
+            let ops = two_points(n, &trunk, &rebinds, 0);
+            let mut rebound = DensityProgram::compile_parametric(n, ops.marked(), dep_1q, dep_2q);
+            for (to, ops_at) in [(&ops.params_2, &ops.at_2), (&ops.params_1, &ops.at_1)] {
+                rebound.rebind(to);
+                let fresh = DensityProgram::compile(n, ops_at.iter().copied(), dep_1q, dep_2q);
+                let (mut a, mut b) = (scrambled(n), scrambled(n));
+                rebound.run(&mut a);
+                fresh.run(&mut b);
+                prop_assert!(entry_bits(&a) == entry_bits(&b), "{n} qubits: full runs differ");
+                let (a, b) = (rebound.outcome_probabilities(), fresh.outcome_probabilities());
+                prop_assert!(prob_bits(&a) == prob_bits(&b), "{n} qubits: outcomes differ");
+                prop_assert_eq!(rebound.stats().tiles_visited, fresh.stats().tiles_visited);
+            }
+
+            let tails: Vec<TwoPoints> = tails
+                .iter()
+                .scan(trunk.len(), |offset, tail| {
+                    let ops = two_points(n, tail, &rebinds, *offset);
+                    *offset += tail.len();
+                    Some(ops)
+                })
+                .collect();
+            let mut forked = ForkedProgram::compile_parametric(
+                n,
+                ops.marked(),
+                tails.iter().map(TwoPoints::marked),
+                dep_1q,
+                dep_2q,
+            );
+            let params: Vec<FusedOp> = std::iter::once(&ops)
+                .chain(&tails)
+                .flat_map(|t| t.params_2.iter().copied())
+                .collect();
+            forked.rebind(&params);
+            let fresh = ForkedProgram::compile(
+                n,
+                ops.at_2.iter().copied(),
+                tails.iter().map(|t| t.at_2.clone()),
+                dep_1q,
+                dep_2q,
+            );
+            let (a, b) = (forked.outcome_probabilities(), fresh.outcome_probabilities());
+            prop_assert_eq!(a.len(), b.len());
+            for (branch, (a, b)) in a.iter().zip(&b).enumerate() {
+                prop_assert!(prob_bits(a) == prob_bits(b), "{n} qubits, branch {branch}: outcomes differ");
             }
         }
     }

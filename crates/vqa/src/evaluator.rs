@@ -11,7 +11,7 @@ use crate::pauli::PauliSum;
 use crate::qaoa;
 use qoncord_circuit::circuit::Circuit;
 use qoncord_circuit::transpile::{transpile, CircuitStats, TranspiledCircuit};
-use qoncord_device::noise_model::SimulatedBackend;
+use qoncord_device::noise_model::{Executable, SimulatedBackend};
 use qoncord_sim::dist::ProbDist;
 use qoncord_sim::noisy::ForkStats;
 
@@ -71,8 +71,9 @@ pub trait CostEvaluator: Send {
 #[derive(Debug, Clone)]
 pub struct QaoaEvaluator {
     problem: MaxCut,
-    backend: SimulatedBackend,
-    transpiled: TranspiledCircuit,
+    /// The transpiled circuit, prepared for its backend.
+    executable: Executable,
+    stats: CircuitStats,
     diagonal: Vec<f64>,
     ground: f64,
     executions: u64,
@@ -101,12 +102,13 @@ impl QaoaEvaluator {
     ) -> Self {
         assert_eq!(circuit.n_qubits(), problem.n_qubits(), "register mismatch");
         let transpiled = transpile(circuit, backend.calibration().coupling());
+        let (gates, stats) = (transpiled.circuit.len(), transpiled.stats);
         QaoaEvaluator {
             diagonal: problem.energy_diagonal(),
             ground: problem.ground_energy(),
             problem: problem.clone(),
-            backend,
-            transpiled,
+            executable: backend.prepare(vec![transpiled], gates),
+            stats,
             executions: 0,
             seed,
         }
@@ -119,20 +121,20 @@ impl QaoaEvaluator {
 
     /// The backing simulated device.
     pub fn backend(&self) -> &SimulatedBackend {
-        &self.backend
+        self.executable.backend()
     }
 }
 
 impl CostEvaluator for QaoaEvaluator {
     fn n_params(&self) -> usize {
-        self.transpiled.circuit.n_params()
+        self.executable.n_params()
     }
 
     fn evaluate(&mut self, params: &[f64]) -> Evaluation {
         let _prof = qoncord_prof::span("vqa::eval::qaoa");
         self.executions += 1;
         self.seed = self.seed.wrapping_add(1);
-        let dist = self.backend.run(&self.transpiled, params, self.seed);
+        let dist = self.executable.run(params, self.seed).swap_remove(0);
         Evaluation {
             expectation: dist.expectation_diagonal(&self.diagonal),
             entropy: dist.shannon_entropy(),
@@ -145,7 +147,7 @@ impl CostEvaluator for QaoaEvaluator {
     }
 
     fn device_name(&self) -> String {
-        self.backend.calibration().name().to_owned()
+        self.backend().calibration().name().to_owned()
     }
 
     fn ground_energy(&self) -> f64 {
@@ -153,7 +155,7 @@ impl CostEvaluator for QaoaEvaluator {
     }
 
     fn circuit_stats(&self) -> CircuitStats {
-        self.transpiled.stats
+        self.stats
     }
 }
 
@@ -163,17 +165,18 @@ impl CostEvaluator for QaoaEvaluator {
 /// The device is charged those [`VqeEvaluator::n_groups`] executions; the
 /// host simulates the gates the group circuits share — the ansatz, up to
 /// where routing lets a group's basis rotation in — once per evaluation
-/// ([`SimulatedBackend::run_forked`]).
+/// (an [`Executable`] over all the group circuits).
 #[derive(Debug, Clone)]
 pub struct VqeEvaluator {
     hamiltonian: PauliSum,
-    backend: SimulatedBackend,
     /// Per group, the member term indices.
     members: Vec<Vec<usize>>,
-    /// Per group, the transpiled ansatz+rotation.
-    circuits: Vec<TranspiledCircuit>,
-    /// Length of the gate prefix all of `circuits` share.
+    /// Per group, the transpiled ansatz+rotation, prepared for the backend.
+    executable: Executable,
+    /// Length of the gate prefix all the group circuits share.
     shared_gates: usize,
+    /// Stats of the largest group circuit.
+    stats: CircuitStats,
     offset: f64,
     ground: f64,
     executions: u64,
@@ -215,14 +218,20 @@ impl VqeEvaluator {
             .iter()
             .map(|t| first.shared_prefix(&t.circuit))
             .fold(first.len(), usize::min);
+        // Representative stats: the largest group circuit.
+        let stats = circuits
+            .iter()
+            .map(|t| t.stats)
+            .max_by_key(|s| s.n_1q + s.n_2q)
+            .expect("at least one group");
         VqeEvaluator {
             offset: hamiltonian.identity_offset(),
             ground: hamiltonian.exact_ground_energy(),
             hamiltonian: hamiltonian.clone(),
-            backend,
             members,
-            circuits,
+            executable: backend.prepare(circuits, shared_gates),
             shared_gates,
+            stats,
             executions: 0,
             seed,
         }
@@ -230,7 +239,7 @@ impl VqeEvaluator {
 
     /// Number of measurement groups (circuit executions per evaluation).
     pub fn n_groups(&self) -> usize {
-        self.circuits.len()
+        self.members.len()
     }
 
     /// The observable being minimized.
@@ -239,35 +248,28 @@ impl VqeEvaluator {
     }
 
     /// Length of the gate prefix the routed group circuits share: what an
-    /// evaluation binds, compiles and simulates once.
+    /// evaluation simulates once.
     pub fn shared_gates(&self) -> usize {
         self.shared_gates
     }
 
     /// How many of a density evaluation's sweeps and tiles that sharing
-    /// saves; the counts depend on no parameter value.
-    pub fn fork_stats(&self) -> ForkStats {
-        let params = vec![0.0; self.n_params()];
-        self.backend
-            .forked_program(&self.circuits, self.shared_gates, &params)
-            .stats()
+    /// saves, and how many sweeps it re-binds, read off the held program;
+    /// `None` off the density path.
+    pub fn fork_stats(&self) -> Option<ForkStats> {
+        self.executable.fork_stats()
     }
 }
 
 impl CostEvaluator for VqeEvaluator {
     fn n_params(&self) -> usize {
-        self.circuits[0].circuit.n_params()
+        self.executable.n_params()
     }
 
     fn evaluate(&mut self, params: &[f64]) -> Evaluation {
         let _prof = qoncord_prof::span("vqa::eval::vqe");
         // Execution `k` of this evaluator (from 1) runs at seed `seed + k`.
-        let mut dists = self.backend.run_forked(
-            &self.circuits,
-            self.shared_gates,
-            params,
-            self.seed.wrapping_add(1),
-        );
+        let mut dists = self.executable.run(params, self.seed.wrapping_add(1));
         let n_groups = dists.len();
         self.executions += n_groups as u64;
         self.seed = self.seed.wrapping_add(n_groups as u64);
@@ -292,7 +294,7 @@ impl CostEvaluator for VqeEvaluator {
     }
 
     fn device_name(&self) -> String {
-        self.backend.calibration().name().to_owned()
+        self.executable.backend().calibration().name().to_owned()
     }
 
     fn ground_energy(&self) -> f64 {
@@ -300,12 +302,7 @@ impl CostEvaluator for VqeEvaluator {
     }
 
     fn circuit_stats(&self) -> CircuitStats {
-        // Representative stats: the largest group circuit.
-        self.circuits
-            .iter()
-            .map(|t| t.stats)
-            .max_by_key(|s| s.n_1q + s.n_2q)
-            .expect("at least one group")
+        self.stats
     }
 }
 
@@ -457,12 +454,25 @@ mod tests {
         dist.probabilities().iter().map(|p| p.to_bits()).collect()
     }
 
-    /// Sharing the trunk changes host time only: on the density path, on
-    /// the trajectory path (where the seed of every execution matters) and
-    /// on the ideal path, every bit of every evaluation is the loop's.
+    /// A sequence of parameter points that revisits one, repeats one back
+    /// to back, and moves one parameter at a time, as SPSA and a restart do.
+    const POINTS: [[f64; 3]; 7] = [
+        [0.0; 3],
+        [0.35, 0.45, 0.55],
+        [-2.9, 1.7, 0.004],
+        [-2.9, 1.7, 0.004],
+        [-2.9, 1.7, -0.004],
+        [0.35, 0.45, 0.55],
+        [0.0; 3],
+    ];
+
+    /// Sharing the trunk and re-binding one held program change host time
+    /// only: on the density path, on the trajectory path (where the seed of
+    /// every execution matters) and on the ideal path, every bit of every
+    /// evaluation in a sequence is the loop's.
     #[test]
     fn vqe_evaluation_is_bitwise_the_per_group_loop() {
-        let evaluations = [[0.0; 3], [0.35, 0.45, 0.55], [-2.9, 1.7, 0.004]];
+        let evaluations = POINTS;
         let h = vqe::h2_hamiltonian();
         let ansatz = uccsd::uccsd_h2_ansatz(vqe::h2_hartree_fock_state());
         let trajectories = BackendKind::Trajectory { n_trajectories: 6 };
@@ -488,9 +498,48 @@ mod tests {
         }
     }
 
+    /// The QAOA twin of the test above: one held, re-bound program against
+    /// a fresh `backend.run` per evaluation, execution `k` at `seed + k`.
+    #[test]
+    fn qaoa_evaluation_is_bitwise_the_per_run_loop() {
+        let problem = MaxCut::new(Graph::paper_graph_7());
+        let circuit = qaoa::build_circuit(problem.graph(), 2);
+        let trajectories = BackendKind::Trajectory { n_trajectories: 6 };
+        for backend in [
+            SimulatedBackend::from_calibration(catalog::ibmq_toronto()),
+            SimulatedBackend::from_calibration(catalog::ibmq_kolkata()),
+            SimulatedBackend::from_calibration(catalog::ibmq_toronto()).with_kind(trajectories),
+            SimulatedBackend::ideal(catalog::ibmq_kolkata()),
+        ] {
+            let seed = u64::MAX - 3; // the execution counter wraps mid-run
+            let transpiled = transpile(&circuit, backend.calibration().coupling());
+            let mut eval = QaoaEvaluator::new(&problem, 2, backend.clone(), seed);
+            for (k, point) in POINTS.iter().enumerate() {
+                let params = [point[0], point[1], point[2], -point[0]];
+                let seed_k = seed.wrapping_add(k as u64 + 1);
+                let dist = backend.run(&transpiled, &params, seed_k);
+                let expected = (
+                    dist.expectation_diagonal(&problem.energy_diagonal())
+                        .to_bits(),
+                    dist.shannon_entropy().to_bits(),
+                    dist_bits(&dist),
+                );
+                let e = eval.evaluate(&params);
+                let found = (
+                    e.expectation.to_bits(),
+                    e.entropy.to_bits(),
+                    dist_bits(&e.dist),
+                );
+                assert_eq!(found, expected, "{}, evaluation {k}", eval.device_name());
+            }
+        }
+    }
+
     /// What forking saves on H2/UCCSD, the same on both fleet devices: the
     /// five routed group circuits share their first 412 gates, and 40 of
-    /// each one's 43 sweeps run once instead of five times.
+    /// each one's 43 sweeps run once instead of five times. An evaluation
+    /// re-binds the 16 sweeps that hold one of the ansatz's 12 parametric
+    /// gates, counting a step each branch runs once per branch.
     #[test]
     fn h2_groups_share_412_gates_and_40_of_43_sweeps() {
         let h = vqe::h2_hamiltonian();
@@ -501,12 +550,13 @@ mod tests {
             assert_eq!(eval.shared_gates(), 412, "{name}");
             assert_eq!(
                 eval.fork_stats(),
-                ForkStats {
+                Some(ForkStats {
                     trunk_sweeps: 40,
                     branch_sweeps: vec![3; 5],
                     tiles_visited: 705,
                     tiles_unforked: 2965,
-                },
+                    steps_rebound: 16,
+                }),
                 "{name}"
             );
         }

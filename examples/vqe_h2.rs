@@ -33,7 +33,9 @@ fn main() {
         SimulatedBackend::from_calibration(catalog::ibmq_toronto()),
         0,
     );
-    let shared = evaluator.fork_stats();
+    let shared = evaluator
+        .fork_stats()
+        .expect("a 4-qubit run is a density program");
     let own: usize = shared.branch_sweeps.iter().sum();
     println!(
         "{} measurement groups share {} gates: {} sweeps once + {} of their own ({} tiles for {} apart)",
