@@ -226,7 +226,7 @@ fn fast_vs_reference_density(runs: usize) -> (String, f64) {
         read_out(&backend, &transpiled, rho.probabilities())
     };
 
-    let mut prepared = backend.prepare(vec![transpiled.clone()], gates.len());
+    let mut prepared = backend.prepare(std::slice::from_ref(&transpiled), gates.len());
     let fast = prepared.run(&params, 0).swap_remove(0);
     assert_eq!(fast, backend.run(&transpiled, &params, 0));
     let max_abs_diff = max_abs_diff(&fast, &seed_run());

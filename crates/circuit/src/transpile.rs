@@ -324,8 +324,9 @@ fn merge_angles(a: Angle, b: Angle) -> Option<Angle> {
 
 /// Chooses an initial logical→physical placement that greedily maximizes
 /// the number of interacting logical pairs mapped to adjacent physical
-/// qubits (a lightweight stand-in for SABRE's layout pass).
-fn initial_layout(circuit: &Circuit, coupling: &CouplingMap) -> Vec<usize> {
+/// qubits (a lightweight stand-in for SABRE's layout pass). `dist` is the
+/// map's all-pairs distance table.
+fn initial_layout(circuit: &Circuit, coupling: &CouplingMap, dist: &[Vec<usize>]) -> Vec<usize> {
     let n = circuit.n_qubits();
     // Interaction weights between logical qubits.
     let mut weight = vec![vec![0usize; n]; n];
@@ -360,7 +361,7 @@ fn initial_layout(circuit: &Circuit, coupling: &CouplingMap) -> Vec<usize> {
                     score += 10 * w;
                 } else {
                     // Penalize distance to placed partners.
-                    let d = coupling.distances_from(phys)[layout[partner]] as i64;
+                    let d = dist[phys][layout[partner]] as i64;
                     score -= d * w;
                 }
             }
@@ -413,14 +414,29 @@ fn comm_class(kind: GateKind, position: usize) -> CommClass {
     }
 }
 
+/// The routing dependency DAG in compressed form: gate `g`'s successors are
+/// `targets[offsets[g]..offsets[g + 1]]`, ascending.
+struct Dag {
+    offsets: Vec<usize>,
+    targets: Vec<usize>,
+}
+
+impl Dag {
+    fn successors(&self, g: usize) -> &[usize] {
+        &self.targets[self.offsets[g]..self.offsets[g + 1]]
+    }
+}
+
 /// Builds the commutation-aware dependency DAG: gate `g` depends on the
 /// gates of the immediately preceding commutation run on each of its qubits.
-/// Returns `(successors, indegree)`.
-fn dependency_dag(circuit: &Circuit) -> (Vec<Vec<usize>>, Vec<usize>) {
+/// Returns the DAG and each gate's indegree.
+fn dependency_dag(circuit: &Circuit) -> (Dag, Vec<usize>) {
     let n_gates = circuit.len();
-    let mut successors: Vec<Vec<usize>> = vec![Vec::new(); n_gates];
+    // Edges `(dep, g)` in discovery order, so ascending in `g`.
+    let mut edges: Vec<(usize, usize)> = Vec::new();
     let mut indegree = vec![0usize; n_gates];
-    // Per qubit: the current commutation run and the previous run.
+    // Per qubit: the current commutation run and the previous run. A new
+    // run recycles the previous run's buffer.
     #[derive(Clone, Default)]
     struct WireState {
         current: Vec<usize>,
@@ -429,24 +445,41 @@ fn dependency_dag(circuit: &Circuit) -> (Vec<Vec<usize>>, Vec<usize>) {
     }
     let mut wires: Vec<WireState> = vec![WireState::default(); circuit.n_qubits()];
     for (g, gate) in circuit.gates().iter().enumerate() {
+        let first_edge = edges.len();
         for (pos, &q) in gate.qubits().iter().enumerate() {
             let class = comm_class(gate.kind(), pos);
             let wire = &mut wires[q];
             let same_run = wire.current_class == Some(class) && class != CommClass::General;
             if !same_run {
-                wire.previous = std::mem::take(&mut wire.current);
+                std::mem::swap(&mut wire.previous, &mut wire.current);
+                wire.current.clear();
                 wire.current_class = Some(class);
             }
             for &dep in &wire.previous {
-                if dep != g && !successors[dep].contains(&g) {
-                    successors[dep].push(g);
+                if dep != g && !edges[first_edge..].iter().any(|&(d, _)| d == dep) {
+                    edges.push((dep, g));
                     indegree[g] += 1;
                 }
             }
             wire.current.push(g);
         }
     }
-    (successors, indegree)
+    // Counting sort by `dep`: stable, so each gate's successors stay in
+    // discovery order.
+    let mut offsets = vec![0usize; n_gates + 1];
+    for &(dep, _) in &edges {
+        offsets[dep + 1] += 1;
+    }
+    for g in 0..n_gates {
+        offsets[g + 1] += offsets[g];
+    }
+    let mut fill = offsets[..n_gates].to_vec();
+    let mut targets = vec![0usize; edges.len()];
+    for &(dep, g) in &edges {
+        targets[fill[dep]] = g;
+        fill[dep] += 1;
+    }
+    (Dag { offsets, targets }, indegree)
 }
 
 /// Routes a basis circuit onto `coupling` with a SABRE-style scheduler:
@@ -465,19 +498,21 @@ fn route(circuit: &Circuit, coupling: &CouplingMap) -> (Circuit, Vec<usize>, usi
     // Precompute all-pairs distances.
     let dist: Vec<Vec<usize>> = (0..n).map(|q| coupling.distances_from(q)).collect();
     // layout[l] = physical position of logical qubit l.
-    let mut layout: Vec<usize> = initial_layout(circuit, coupling);
+    let mut layout: Vec<usize> = initial_layout(circuit, coupling, &dist);
     // inverse[p] = logical qubit at physical position p.
     let mut inverse: Vec<usize> = vec![0; n];
     for (logical, &phys) in layout.iter().enumerate() {
         inverse[phys] = logical;
     }
-    let (successors, mut indegree) = dependency_dag(circuit);
+    let (dag, mut indegree) = dependency_dag(circuit);
     let gates = circuit.gates();
     let mut ready: Vec<usize> = (0..gates.len()).filter(|&g| indegree[g] == 0).collect();
     ready.sort_unstable();
     let mut out = Circuit::new(n, circuit.n_params());
     let mut swaps = 0usize;
     let mut emitted = 0usize;
+    // The positions of the blocked ready gates, refilled each time routing stalls.
+    let mut blocked: Vec<(usize, usize)> = Vec::new();
 
     let emit = |g: usize,
                 out: &mut Circuit,
@@ -488,7 +523,7 @@ fn route(circuit: &Circuit, coupling: &CouplingMap) -> (Circuit, Vec<usize>, usi
         let gate = &gates[g];
         out.push(gate.on(layout));
         *emitted += 1;
-        for &s in &successors[g] {
+        for &s in dag.successors(g) {
             indegree[s] -= 1;
             if indegree[s] == 0 {
                 ready.push(s);
@@ -532,15 +567,14 @@ fn route(circuit: &Circuit, coupling: &CouplingMap) -> (Circuit, Vec<usize>, usi
         // 2. All ready gates are blocked 2q gates: pick the SWAP minimizing
         // the summed ready-gate distance (strictly improving to avoid
         // livelock, with a fallback walk along the closest pair's path).
-        let blocked: Vec<(usize, usize)> = ready
-            .iter()
-            .map(|&g| (layout[gates[g].qubits()[0]], layout[gates[g].qubits()[1]]))
-            .collect();
+        blocked.clear();
+        blocked.extend(
+            ready
+                .iter()
+                .map(|&g| (layout[gates[g].qubits()[0]], layout[gates[g].qubits()[1]])),
+        );
         assert!(!blocked.is_empty(), "scheduler stalled with no ready gates");
-        let cost = |d: &Vec<Vec<usize>>, pairs: &[(usize, usize)]| -> usize {
-            pairs.iter().map(|&(a, b)| d[a][b]).sum()
-        };
-        let base_cost = cost(&dist, &blocked);
+        let base_cost: usize = blocked.iter().map(|&(a, b)| dist[a][b]).sum();
         // Candidate swaps: coupling edges touching a qubit of a blocked pair.
         let mut best: Option<((usize, usize), usize)> = None;
         for &(ea, eb) in coupling.edges() {
@@ -560,9 +594,7 @@ fn route(circuit: &Circuit, coupling: &CouplingMap) -> (Circuit, Vec<usize>, usi
                     p
                 }
             };
-            let new_pairs: Vec<(usize, usize)> =
-                blocked.iter().map(|&(a, b)| (remap(a), remap(b))).collect();
-            let c = cost(&dist, &new_pairs);
+            let c: usize = blocked.iter().map(|&(a, b)| dist[remap(a)][remap(b)]).sum();
             if c < base_cost && best.map(|(_, bc)| c < bc).unwrap_or(true) {
                 best = Some(((ea, eb), c));
             }

@@ -1,10 +1,12 @@
 //! Device lanes: the pairing of a calibration, a workload evaluator, and a
 //! P_correct estimate that the scheduler's device ladder is built from.
 
+use qoncord_circuit::coupling::CouplingMap;
+use qoncord_circuit::transpile::CircuitStats;
 use qoncord_device::calibration::Calibration;
 use qoncord_device::fidelity;
 use qoncord_device::noise_model::SimulatedBackend;
-use qoncord_vqa::evaluator::CostEvaluator;
+use qoncord_vqa::evaluator::{CostEvaluator, RoutedWorkload};
 use std::fmt;
 
 /// Builds a workload evaluator bound to a specific backend.
@@ -14,6 +16,18 @@ use std::fmt;
 pub trait EvaluatorFactory {
     /// Creates an evaluator running on `backend`, seeded with `seed`.
     fn make(&self, backend: SimulatedBackend, seed: u64) -> Box<dyn CostEvaluator>;
+
+    /// Routes the workload onto `coupling` once for every device of a ladder
+    /// that has that map: the footprint the fidelity filter reads, and what
+    /// each rung it keeps binds ([`RoutedWorkload::bind`]). A binding must be
+    /// bit for bit what [`make`](Self::make) builds on that device.
+    ///
+    /// `Err(TooSmall)` when the workload's register does not fit the map.
+    /// `None`, the default, for a factory that only makes evaluators: its
+    /// ladder calls `make` on every device instead.
+    fn route(&self, _coupling: &CouplingMap) -> Option<Result<RoutedWorkload, RejectionReason>> {
+        None
+    }
 }
 
 impl<F> EvaluatorFactory for F
@@ -23,6 +37,20 @@ where
     fn make(&self, backend: SimulatedBackend, seed: u64) -> Box<dyn CostEvaluator> {
         self(backend, seed)
     }
+}
+
+/// The route of an `n_qubits` workload onto `coupling`, or `TooSmall` when
+/// the register does not fit.
+fn fitted(
+    n_qubits: usize,
+    coupling: &CouplingMap,
+    route: impl FnOnce() -> RoutedWorkload,
+) -> Option<Result<RoutedWorkload, RejectionReason>> {
+    Some(if coupling.n_qubits() < n_qubits {
+        Err(RejectionReason::TooSmall)
+    } else {
+        Ok(route())
+    })
 }
 
 /// Factory for QAOA Max-Cut evaluators.
@@ -43,6 +71,12 @@ impl EvaluatorFactory for QaoaFactory {
             seed,
         ))
     }
+
+    fn route(&self, coupling: &CouplingMap) -> Option<Result<RoutedWorkload, RejectionReason>> {
+        fitted(self.problem.n_qubits(), coupling, || {
+            RoutedWorkload::qaoa(&self.problem, self.layers, coupling)
+        })
+    }
 }
 
 /// Factory for VQE evaluators.
@@ -62,6 +96,12 @@ impl EvaluatorFactory for VqeFactory {
             backend,
             seed,
         ))
+    }
+
+    fn route(&self, coupling: &CouplingMap) -> Option<Result<RoutedWorkload, RejectionReason>> {
+        fitted(self.ansatz.n_qubits(), coupling, || {
+            RoutedWorkload::vqe(&self.hamiltonian, &self.ansatz, coupling)
+        })
     }
 }
 
@@ -127,43 +167,97 @@ impl fmt::Display for RejectedDevice {
     }
 }
 
-/// Binds the workload to one device: instantiates its evaluator there,
-/// estimates P_correct from the device's own transpiled footprint, and
-/// applies the `min_fidelity` filter — one rung of [`build_lanes`], also
-/// what binds a same-tier twin of an existing rung.
+/// Binds the workload on each `(device, seed)` in turn, lazily: each item
+/// is the device's rung, or why the device was rejected (too small, or an
+/// estimate below `min_fidelity`). What [`build_lanes`] builds a ladder
+/// from, and what binds the same-tier twins of a ladder's rungs.
 ///
-/// # Errors
-///
-/// Returns the rejection when the device is too small to transpile onto or
-/// its estimate falls below `min_fidelity`.
-pub fn build_lane(
+/// A factory that routes ([`EvaluatorFactory::route`]) is routed once per
+/// distinct coupling map among the devices; the filter reads that footprint
+/// and only the devices it keeps are bound. The routes live as long as the
+/// iterator. Any other factory makes an evaluator on every device and is
+/// filtered on it; a panic while making one rejects the device as too
+/// small.
+pub fn bind_rungs<'a, I>(
+    rungs: I,
+    factory: &'a dyn EvaluatorFactory,
+    min_fidelity: f64,
+) -> impl Iterator<Item = Result<DeviceLane, RejectedDevice>> + 'a
+where
+    I: IntoIterator<Item = (&'a Calibration, u64)>,
+    I::IntoIter: 'a,
+{
+    let mut routes: Vec<(&CouplingMap, Result<RoutedWorkload, RejectionReason>)> = Vec::new();
+    rungs.into_iter().map(move |(cal, seed)| {
+        let coupling = cal.coupling();
+        let k = match routes.iter().position(|(map, _)| *map == coupling) {
+            Some(k) => k,
+            None => match factory.route(coupling) {
+                Some(routed) => {
+                    routes.push((coupling, routed));
+                    routes.len() - 1
+                }
+                None => return make_lane(cal, factory, min_fidelity, seed),
+            },
+        };
+        let routed = routes[k].1.as_ref().map_err(|&r| rejection(cal, r))?;
+        let p_correct = filter(cal, &routed.circuit_stats(), min_fidelity)?;
+        let backend = SimulatedBackend::from_calibration(cal.clone());
+        Ok(DeviceLane {
+            calibration: cal.clone(),
+            evaluator: routed.bind(backend, seed),
+            p_correct,
+        })
+    })
+}
+
+/// A rung of a factory that does not route: makes the evaluator on the
+/// device, then filters on its footprint.
+fn make_lane(
     cal: &Calibration,
     factory: &dyn EvaluatorFactory,
     min_fidelity: f64,
     seed: u64,
 ) -> Result<DeviceLane, RejectedDevice> {
-    let reject = |reason| RejectedDevice {
-        device: cal.name().to_owned(),
-        reason,
-    };
     let backend = SimulatedBackend::from_calibration(cal.clone());
     // Evaluator construction panics on a device too small to transpile
     // onto; that is a rejection, not an abort.
     let evaluator =
         std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| factory.make(backend, seed)))
-            .map_err(|_| reject(RejectionReason::TooSmall))?;
-    let estimate = fidelity::p_correct(cal, &evaluator.circuit_stats());
-    if estimate < min_fidelity {
-        return Err(reject(RejectionReason::BelowMinFidelity { estimate }));
-    }
+            .map_err(|_| rejection(cal, RejectionReason::TooSmall))?;
+    let p_correct = filter(cal, &evaluator.circuit_stats(), min_fidelity)?;
     Ok(DeviceLane {
         calibration: cal.clone(),
         evaluator,
-        p_correct: estimate,
+        p_correct,
     })
 }
 
-/// Builds the device ladder for a workload: one [`build_lane`] per device
+/// The Eq. 1 estimate of a workload with footprint `stats` on `cal`, or
+/// the rejection when it falls below `min_fidelity`.
+fn filter(
+    cal: &Calibration,
+    stats: &CircuitStats,
+    min_fidelity: f64,
+) -> Result<f64, RejectedDevice> {
+    let estimate = fidelity::p_correct(cal, stats);
+    if estimate < min_fidelity {
+        return Err(rejection(
+            cal,
+            RejectionReason::BelowMinFidelity { estimate },
+        ));
+    }
+    Ok(estimate)
+}
+
+fn rejection(cal: &Calibration, reason: RejectionReason) -> RejectedDevice {
+    RejectedDevice {
+        device: cal.name().to_owned(),
+        reason,
+    }
+}
+
+/// Builds the device ladder for a workload: [`bind_rungs`] over the devices
 /// (device `i` seeded `seed + 1009 i`), sorted ascending by fidelity
 /// (exploration first, fine-tuning last).
 ///
@@ -174,15 +268,14 @@ pub fn build_lanes<'a>(
     min_fidelity: f64,
     seed: u64,
 ) -> (Vec<DeviceLane>, Vec<RejectedDevice>) {
+    let rungs = devices
+        .into_iter()
+        .enumerate()
+        .map(|(i, cal)| (cal, seed.wrapping_add(i as u64 * 1009)));
     let mut lanes = Vec::new();
     let mut rejected = Vec::new();
-    for (i, cal) in devices.into_iter().enumerate() {
-        match build_lane(
-            cal,
-            factory,
-            min_fidelity,
-            seed.wrapping_add(i as u64 * 1009),
-        ) {
+    for rung in bind_rungs(rungs, factory, min_fidelity) {
+        match rung {
             Ok(lane) => lanes.push(lane),
             Err(rejection) => rejected.push(rejection),
         }
@@ -239,13 +332,11 @@ mod tests {
 
     #[test]
     fn too_small_devices_rejected() {
-        // A 7-qubit problem cannot fit a 3-qubit hypothetical device.
+        // A 7-qubit problem cannot fit a 3-qubit hypothetical device; the
+        // route says so as a value, nothing panics.
         let small = catalog::hypothetical_depolarizing("tiny", 3, 0.001, 0.001);
         let devices = vec![small, catalog::ibmq_kolkata()];
-        let prev = std::panic::take_hook();
-        std::panic::set_hook(Box::new(|_| {})); // silence expected panic
         let (lanes, rejected) = build_lanes(&devices, &factory(1), 0.0, 1);
-        std::panic::set_hook(prev);
         assert_eq!(lanes.len(), 1);
         assert_eq!(rejected[0].reason, RejectionReason::TooSmall);
     }

@@ -200,14 +200,16 @@ impl SimulatedBackend {
 
     /// Prepares circuits that begin with the same `shared_gates` gates — a
     /// VQE evaluation's measurement groups, or one circuit with all its
-    /// gates shared — for repeated runs on this backend.
+    /// gates shared — for repeated runs on this backend. The circuits are
+    /// only read, so one routed set prepares on every device that shares its
+    /// coupling map; a backend that plans per run keeps a copy.
     ///
     /// # Panics
     ///
     /// Panics if the circuits differ in register size or parameter count,
     /// or one of them does not begin with the first one's `shared_gates`
     /// gates.
-    pub fn prepare(&self, circuits: Vec<TranspiledCircuit>, shared_gates: usize) -> Executable {
+    pub fn prepare(&self, circuits: &[TranspiledCircuit], shared_gates: usize) -> Executable {
         let first = circuits.first().map(|t| &t.circuit);
         let n_params = first.map_or(0, |c| c.n_params());
         if let Some(first) = first {
@@ -227,9 +229,9 @@ impl SimulatedBackend {
         let density =
             first.is_some_and(|c| self.effective_kind(c.n_qubits()) == BackendKind::DensityMatrix);
         let plan = if density {
-            Plan::Density(DensityPlan::compile(self, &circuits, shared_gates))
+            Plan::Density(DensityPlan::compile(self, circuits, shared_gates))
         } else {
-            Plan::Circuits(circuits)
+            Plan::Circuits(circuits.to_vec())
         };
         Executable {
             backend: self.clone(),
@@ -309,7 +311,7 @@ impl SimulatedBackend {
 /// let mut qc = Circuit::new(2, 1);
 /// qc.h(0).cx(0, 1).rz(1, qoncord_circuit::param::ParamId(0));
 /// let t = transpile(&qc, backend.calibration().coupling());
-/// let mut prepared = backend.prepare(vec![t.clone()], t.circuit.len());
+/// let mut prepared = backend.prepare(std::slice::from_ref(&t), t.circuit.len());
 /// for theta in [0.1, 0.7] {
 ///     let dists = prepared.run(&[theta], 7);
 ///     assert_eq!(dists, vec![backend.run(&t, &[theta], 7)]);

@@ -143,7 +143,7 @@ fn qaoa_readout_visits_1477_of_16384_tiles() {
             },
             "{name}"
         );
-        let prepared = backend.prepare(vec![qaoa.clone()], qaoa.circuit.len());
+        let prepared = backend.prepare(std::slice::from_ref(qaoa), qaoa.circuit.len());
         assert_eq!(
             prepared.fork_stats(),
             Some(ForkStats {
@@ -219,7 +219,7 @@ fn forked_run_is_bitwise_the_runs_one_by_one_on_h2_groups() {
     for cal in [catalog::ibmq_toronto(), catalog::ibmq_kolkata()] {
         let backend = SimulatedBackend::from_calibration(cal);
         let (groups, shared) = h2_groups(backend.calibration());
-        let mut prepared = backend.prepare(groups.clone(), shared);
+        let mut prepared = backend.prepare(&groups, shared);
         for params in [[0.0; 3], [0.35, 0.45, 0.55], [-2.9, 1.7, 0.004]] {
             let forked = prepared.run(&params, 11);
             assert_eq!(forked.len(), groups.len());
@@ -242,21 +242,16 @@ fn forked_run_holds_at_any_shared_length_and_on_the_trajectory_fallback() {
     let backend = SimulatedBackend::from_calibration(cal.clone());
     let (groups, shared) = h2_groups(&cal);
     let params = [0.35, 0.45, 0.55];
-    let longest = backend.prepare(groups.clone(), shared).run(&params, 0);
+    let longest = backend.prepare(&groups, shared).run(&params, 0);
     for shorter in [0, 1, shared / 2, shared - 1] {
-        assert_eq!(
-            backend.prepare(groups.clone(), shorter).run(&params, 0),
-            longest
-        );
+        assert_eq!(backend.prepare(&groups, shorter).run(&params, 0), longest);
     }
     let trajectories = backend.with_kind(BackendKind::Trajectory { n_trajectories: 8 });
-    let forked = trajectories
-        .prepare(groups.clone(), shared)
-        .run(&params, 40);
+    let forked = trajectories.prepare(&groups, shared).run(&params, 40);
     for (g, t) in groups.iter().enumerate() {
         assert_eq!(forked[g], trajectories.run(t, &params, 40 + g as u64));
     }
-    assert!(trajectories.prepare(Vec::new(), 0).run(&[], 0).is_empty());
+    assert!(trajectories.prepare(&[], 0).run(&[], 0).is_empty());
 }
 
 /// That the circuits share their first `shared_gates` gates is checked once,
@@ -266,7 +261,7 @@ fn forked_run_holds_at_any_shared_length_and_on_the_trajectory_fallback() {
 fn preparing_circuits_that_differ_within_their_shared_gates_fails_closed() {
     let cal = catalog::ibmq_toronto();
     let (groups, shared) = h2_groups(&cal);
-    SimulatedBackend::from_calibration(cal).prepare(groups, shared + 1);
+    SimulatedBackend::from_calibration(cal).prepare(&groups, shared + 1);
 }
 
 /// `transpile` is pinned gate for gate on the job circuits (FNV-1a of each

@@ -33,7 +33,7 @@
 use crate::fleet::FleetDevice;
 use qoncord_cloud::policy::merge_shard_results;
 use qoncord_core::executor::{
-    build_lane, build_lanes, DeviceLane, EvaluatorFactory, RejectedDevice,
+    bind_rungs, build_lanes, DeviceLane, EvaluatorFactory, RejectedDevice,
 };
 use qoncord_core::phase::{PhaseCheckpoint, PhaseRunner, ShardCheckpoint};
 use qoncord_core::scheduler::{
@@ -223,6 +223,8 @@ impl Runner {
     /// `plans[t]` lists rung `t`'s `(fleet device, restarts)` shards. The
     /// rung's already-built lane serves the shard planned on its device;
     /// every other shard gets a fresh lane, seeded like the rung it twins.
+    /// The twins bind the way the ladder's rungs did ([`bind_rungs`]), so
+    /// twins that share a coupling map share one route.
     /// Fine-tuning shards start empty — the rung-0 barrier deals them the
     /// survivors.
     ///
@@ -237,18 +239,19 @@ impl Runner {
         fleet: &[FleetDevice],
     ) -> Result<Box<Self>, Box<Self>> {
         debug_assert_eq!(self.n_tiers, 2, "splitting plans two-rung ladders");
-        // Build every twin first, so a failure hands the runner back intact.
-        let mut twins = Vec::new();
-        for (plan, primary) in plans.iter().zip(&self.lanes) {
-            let seed = self.cfg.seed.wrapping_add(primary.tier as u64 * 1009);
-            for &(device, _) in plan.iter().filter(|(d, _)| *d != primary.fleet_index) {
-                let calibration = fleet[device].calibration();
-                match build_lane(calibration, factory, self.cfg.min_fidelity, seed) {
-                    Ok(lane) => twins.push(lane),
-                    Err(_) => return Err(self),
-                }
-            }
-        }
+        // Bind every twin first, so a failure hands the runner back intact.
+        let seed = self.cfg.seed;
+        let rungs = plans.iter().zip(&self.lanes).flat_map(|(plan, primary)| {
+            let seed = seed.wrapping_add(primary.tier as u64 * 1009);
+            plan.iter()
+                .filter(|(d, _)| *d != primary.fleet_index)
+                .map(move |&(device, _)| (fleet[device].calibration(), seed))
+        });
+        let twins: Result<Vec<DeviceLane>, _> =
+            bind_rungs(rungs, factory, self.cfg.min_fidelity).collect();
+        let Ok(twins) = twins else {
+            return Err(self);
+        };
         let mut twins = twins.into_iter();
         self.workers.clear();
         for (plan, primary) in plans.iter().zip(std::mem::take(&mut self.lanes)) {

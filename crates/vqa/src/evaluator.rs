@@ -10,6 +10,7 @@ use crate::maxcut::MaxCut;
 use crate::pauli::PauliSum;
 use crate::qaoa;
 use qoncord_circuit::circuit::Circuit;
+use qoncord_circuit::coupling::CouplingMap;
 use qoncord_circuit::transpile::{transpile, CircuitStats, TranspiledCircuit};
 use qoncord_device::noise_model::{Executable, SimulatedBackend};
 use qoncord_sim::dist::ProbDist;
@@ -81,37 +82,15 @@ pub struct QaoaEvaluator {
 }
 
 impl QaoaEvaluator {
-    /// Builds the `layers`-deep QAOA evaluator for `problem` on `backend`.
+    /// Builds the `layers`-deep QAOA evaluator for `problem` on `backend`:
+    /// routes it onto the backend's coupling map, then binds it there.
     /// `seed` drives trajectory noise.
-    pub fn new(problem: &MaxCut, layers: usize, backend: SimulatedBackend, seed: u64) -> Self {
-        let circuit = qaoa::build_circuit(problem.graph(), layers);
-        Self::from_circuit(problem, &circuit, backend, seed)
-    }
-
-    /// Builds an evaluator from an explicit ansatz circuit (must act on the
-    /// problem's register).
     ///
     /// # Panics
     ///
-    /// Panics if the circuit size mismatches the problem.
-    fn from_circuit(
-        problem: &MaxCut,
-        circuit: &Circuit,
-        backend: SimulatedBackend,
-        seed: u64,
-    ) -> Self {
-        assert_eq!(circuit.n_qubits(), problem.n_qubits(), "register mismatch");
-        let transpiled = transpile(circuit, backend.calibration().coupling());
-        let (gates, stats) = (transpiled.circuit.len(), transpiled.stats);
-        QaoaEvaluator {
-            diagonal: problem.energy_diagonal(),
-            ground: problem.ground_energy(),
-            problem: problem.clone(),
-            executable: backend.prepare(vec![transpiled], gates),
-            stats,
-            executions: 0,
-            seed,
-        }
+    /// Panics if the device has fewer qubits than the problem.
+    pub fn new(problem: &MaxCut, layers: usize, backend: SimulatedBackend, seed: u64) -> Self {
+        QaoaRoute::new(problem, layers, backend.calibration().coupling()).bind(backend, seed)
     }
 
     /// The underlying Max-Cut problem.
@@ -184,57 +163,22 @@ pub struct VqeEvaluator {
 }
 
 impl VqeEvaluator {
-    /// Builds a VQE evaluator for `hamiltonian` with the given ansatz.
+    /// Builds a VQE evaluator for `hamiltonian` with the given ansatz on
+    /// `backend`: routes it onto the backend's coupling map, then binds it
+    /// there.
     ///
     /// # Panics
     ///
-    /// Panics if the ansatz register mismatches the Hamiltonian, or the
-    /// Hamiltonian has no term to measure (identity terms only).
+    /// Panics if the ansatz register mismatches the Hamiltonian, the
+    /// Hamiltonian has no term to measure (identity terms only), or the
+    /// device has fewer qubits than the ansatz.
     pub fn new(
         hamiltonian: &PauliSum,
         ansatz: &Circuit,
         backend: SimulatedBackend,
         seed: u64,
     ) -> Self {
-        assert_eq!(
-            ansatz.n_qubits(),
-            hamiltonian.n_qubits(),
-            "ansatz register mismatch"
-        );
-        let members = hamiltonian.qubit_wise_commuting_groups();
-        assert!(!members.is_empty(), "Hamiltonian has no term to measure");
-        let circuits: Vec<TranspiledCircuit> = members
-            .iter()
-            .map(|group| {
-                let mut circuit = ansatz.clone();
-                circuit.extend(&hamiltonian.group_rotation(group));
-                transpile(&circuit, backend.calibration().coupling())
-            })
-            .collect();
-        // Found on the circuits as routed, not assumed to be the ansatz: the
-        // router hoists a rotation's gates ahead of the ansatz's last ones.
-        let first = &circuits[0].circuit;
-        let shared_gates = circuits[1..]
-            .iter()
-            .map(|t| first.shared_prefix(&t.circuit))
-            .fold(first.len(), usize::min);
-        // Representative stats: the largest group circuit.
-        let stats = circuits
-            .iter()
-            .map(|t| t.stats)
-            .max_by_key(|s| s.n_1q + s.n_2q)
-            .expect("at least one group");
-        VqeEvaluator {
-            offset: hamiltonian.identity_offset(),
-            ground: hamiltonian.exact_ground_energy(),
-            hamiltonian: hamiltonian.clone(),
-            members,
-            executable: backend.prepare(circuits, shared_gates),
-            shared_gates,
-            stats,
-            executions: 0,
-            seed,
-        }
+        VqeRoute::new(hamiltonian, ansatz, backend.calibration().coupling()).bind(backend, seed)
     }
 
     /// Number of measurement groups (circuit executions per evaluation).
@@ -306,6 +250,187 @@ impl CostEvaluator for VqeEvaluator {
     }
 }
 
+/// A workload routed onto one coupling map: its transpiled circuits and
+/// everything an evaluator reads off them, before any device is chosen.
+///
+/// Transpiling reads the coupling map only, so the devices of one ladder
+/// that share a map bind ([`RoutedWorkload::bind`]) from one route, and
+/// their P_correct filter reads [`RoutedWorkload::circuit_stats`] before
+/// anything is compiled. A bind is exactly the evaluator
+/// [`QaoaEvaluator::new`] / [`VqeEvaluator::new`] builds on that device,
+/// which are themselves a route and a bind. Nothing keeps a route once its
+/// ladder is built.
+///
+/// # Examples
+///
+/// ```
+/// use qoncord_vqa::evaluator::{CostEvaluator, QaoaEvaluator, RoutedWorkload};
+/// use qoncord_vqa::{graph::Graph, maxcut::MaxCut};
+/// use qoncord_device::catalog;
+/// use qoncord_device::noise_model::SimulatedBackend;
+///
+/// let problem = MaxCut::new(Graph::paper_graph_7());
+/// let (toronto, kolkata) = (catalog::ibmq_toronto(), catalog::ibmq_kolkata());
+/// assert_eq!(toronto.coupling(), kolkata.coupling());
+/// let routed = RoutedWorkload::qaoa(&problem, 1, kolkata.coupling());
+/// for cal in [toronto, kolkata] {
+///     let backend = SimulatedBackend::from_calibration(cal);
+///     let mut bound = routed.bind(backend.clone(), 7);
+///     let mut built = QaoaEvaluator::new(&problem, 1, backend, 7);
+///     assert_eq!(bound.evaluate(&[0.4, 0.3]).dist, built.evaluate(&[0.4, 0.3]).dist);
+/// }
+/// ```
+#[derive(Debug, Clone)]
+pub struct RoutedWorkload(Route);
+
+#[derive(Debug, Clone)]
+enum Route {
+    Qaoa(QaoaRoute),
+    Vqe(VqeRoute),
+}
+
+impl RoutedWorkload {
+    /// Routes the `layers`-deep QAOA circuit for `problem` onto `coupling`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the map has fewer qubits than the problem.
+    pub fn qaoa(problem: &MaxCut, layers: usize, coupling: &CouplingMap) -> Self {
+        RoutedWorkload(Route::Qaoa(QaoaRoute::new(problem, layers, coupling)))
+    }
+
+    /// Routes every measurement group of `hamiltonian` under `ansatz` onto
+    /// `coupling`.
+    ///
+    /// # Panics
+    ///
+    /// As [`VqeEvaluator::new`].
+    pub fn vqe(hamiltonian: &PauliSum, ansatz: &Circuit, coupling: &CouplingMap) -> Self {
+        RoutedWorkload(Route::Vqe(VqeRoute::new(hamiltonian, ansatz, coupling)))
+    }
+
+    /// The statistics every binding reports as
+    /// [`CostEvaluator::circuit_stats`].
+    pub fn circuit_stats(&self) -> CircuitStats {
+        match &self.0 {
+            Route::Qaoa(route) => route.circuit.stats,
+            Route::Vqe(route) => route.stats,
+        }
+    }
+
+    /// Prepares the routed circuits for `backend` (whose coupling map must
+    /// be the one routed onto): the evaluator the workload's `new` builds
+    /// there at `seed`.
+    pub fn bind(&self, backend: SimulatedBackend, seed: u64) -> Box<dyn CostEvaluator> {
+        match &self.0 {
+            Route::Qaoa(route) => Box::new(route.bind(backend, seed)),
+            Route::Vqe(route) => Box::new(route.bind(backend, seed)),
+        }
+    }
+}
+
+/// What [`QaoaEvaluator`] reads off its routed circuit.
+#[derive(Debug, Clone)]
+struct QaoaRoute {
+    problem: MaxCut,
+    circuit: TranspiledCircuit,
+    diagonal: Vec<f64>,
+    ground: f64,
+}
+
+impl QaoaRoute {
+    fn new(problem: &MaxCut, layers: usize, coupling: &CouplingMap) -> Self {
+        let circuit = qaoa::build_circuit(problem.graph(), layers);
+        QaoaRoute {
+            problem: problem.clone(),
+            circuit: transpile(&circuit, coupling),
+            diagonal: problem.energy_diagonal(),
+            ground: problem.ground_energy(),
+        }
+    }
+
+    fn bind(&self, backend: SimulatedBackend, seed: u64) -> QaoaEvaluator {
+        let gates = self.circuit.circuit.len();
+        QaoaEvaluator {
+            problem: self.problem.clone(),
+            executable: backend.prepare(std::slice::from_ref(&self.circuit), gates),
+            stats: self.circuit.stats,
+            diagonal: self.diagonal.clone(),
+            ground: self.ground,
+            executions: 0,
+            seed,
+        }
+    }
+}
+
+/// What [`VqeEvaluator`] reads off its routed group circuits.
+#[derive(Debug, Clone)]
+struct VqeRoute {
+    hamiltonian: PauliSum,
+    members: Vec<Vec<usize>>,
+    circuits: Vec<TranspiledCircuit>,
+    shared_gates: usize,
+    stats: CircuitStats,
+    offset: f64,
+    ground: f64,
+}
+
+impl VqeRoute {
+    fn new(hamiltonian: &PauliSum, ansatz: &Circuit, coupling: &CouplingMap) -> Self {
+        assert_eq!(
+            ansatz.n_qubits(),
+            hamiltonian.n_qubits(),
+            "ansatz register mismatch"
+        );
+        let members = hamiltonian.qubit_wise_commuting_groups();
+        assert!(!members.is_empty(), "Hamiltonian has no term to measure");
+        let circuits: Vec<TranspiledCircuit> = members
+            .iter()
+            .map(|group| {
+                let mut circuit = ansatz.clone();
+                circuit.extend(&hamiltonian.group_rotation(group));
+                transpile(&circuit, coupling)
+            })
+            .collect();
+        // Found on the circuits as routed, not assumed to be the ansatz: the
+        // router hoists a rotation's gates ahead of the ansatz's last ones.
+        let first = &circuits[0].circuit;
+        let shared_gates = circuits[1..]
+            .iter()
+            .map(|t| first.shared_prefix(&t.circuit))
+            .fold(first.len(), usize::min);
+        // Representative stats: the largest group circuit.
+        let stats = circuits
+            .iter()
+            .map(|t| t.stats)
+            .max_by_key(|s| s.n_1q + s.n_2q)
+            .expect("at least one group");
+        VqeRoute {
+            offset: hamiltonian.identity_offset(),
+            ground: hamiltonian.exact_ground_energy(),
+            hamiltonian: hamiltonian.clone(),
+            members,
+            circuits,
+            shared_gates,
+            stats,
+        }
+    }
+
+    fn bind(&self, backend: SimulatedBackend, seed: u64) -> VqeEvaluator {
+        VqeEvaluator {
+            hamiltonian: self.hamiltonian.clone(),
+            members: self.members.clone(),
+            executable: backend.prepare(&self.circuits, self.shared_gates),
+            shared_gates: self.shared_gates,
+            stats: self.stats,
+            offset: self.offset,
+            ground: self.ground,
+            executions: 0,
+            seed,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -334,7 +459,7 @@ mod tests {
         let problem = triangle();
         let circuit = qaoa::build_circuit(problem.graph(), 1);
         let backend = SimulatedBackend::ideal(catalog::ibmq_kolkata());
-        let mut eval = QaoaEvaluator::from_circuit(&problem, &circuit, backend, 0);
+        let mut eval = QaoaEvaluator::new(&problem, 1, backend, 0);
         let params = [0.7, 0.35];
         let direct = {
             let d = ProbDist::new(circuit.simulate_ideal(&params).probabilities());
