@@ -2423,4 +2423,419 @@ mod tests {
             ]))
         );
     }
+
+    /// One record of each of the 16 event kinds, with a string that needs
+    /// escaping, `None`s written as `null` and non-integer floats.
+    fn one_record_per_event_kind() -> Vec<TraceRecord> {
+        use crate::calibration::{MarginKey, ServiceClass};
+        let estimate = FeasibilityEstimate {
+            queue_seconds: 0.5,
+            service_seconds: 2.25,
+            completion: 3.125,
+        };
+        let events = vec![
+            TraceEvent::DeviceDefined {
+                device: 0,
+                name: "lf \"east\"\\\n\t\u{1}é".into(),
+                tier: 1,
+                speed: 1.5,
+                cost_per_second: 0.1,
+            },
+            TraceEvent::Arrival {
+                job: 3,
+                id: 41,
+                tenant: "alice".into(),
+                priority: 2,
+            },
+            TraceEvent::ShardPlan {
+                job: 3,
+                shards: 2,
+                devices: vec![0, 2],
+            },
+            TraceEvent::FilterRejected { job: 4, devices: 3 },
+            TraceEvent::AdmissionVerdict {
+                job: 3,
+                decision: AdmissionDecision::Downgrade,
+                estimate,
+                margin: Some(1.5),
+                deadline: None,
+                assessed_deadline: Some(10.0),
+            },
+            TraceEvent::PriorityCredit {
+                job: 3,
+                credit: 100.0,
+            },
+            TraceEvent::QueuePush {
+                reservation: 7,
+                job: 3,
+                shard: 1,
+                device: 2,
+                seconds: 4.5,
+                requeued: true,
+            },
+            TraceEvent::HoldPush {
+                reservation: 8,
+                job: 3,
+                restart: 1,
+                device: 0,
+                seconds: 0.3,
+            },
+            TraceEvent::HoldRelease {
+                reservation: 8,
+                job: 3,
+                restart: 1,
+                device: 0,
+                seconds: 0.3,
+                pruned: false,
+            },
+            TraceEvent::LeaseGrant {
+                lease: 5,
+                reservation: 7,
+                job: 3,
+                shard: 1,
+                device: 2,
+                seconds: 4.5,
+                expires_at: 1e21,
+            },
+            TraceEvent::LeaseComplete {
+                lease: 5,
+                job: 3,
+                shard: 1,
+                device: 2,
+                granted_at: 6.0,
+                seconds: 4.5,
+                executions: 30,
+                finished: false,
+            },
+            TraceEvent::StaleExpiry {
+                lease: 4,
+                device: 1,
+            },
+            TraceEvent::Eviction {
+                lease: 6,
+                job: 3,
+                shard: 0,
+                device: 1,
+                burned_seconds: 0.75,
+                credit: 1e-7,
+            },
+            TraceEvent::CalibrationUpdate {
+                job: 3,
+                snapshot: MarginSnapshot {
+                    time: 12.0,
+                    key: MarginKey {
+                        tier: 1,
+                        class: ServiceClass::Interactive,
+                    },
+                    error: None,
+                    margin: 2.5,
+                    samples: 4,
+                },
+            },
+            TraceEvent::DecayEpoch {
+                crossed: 2,
+                factor: 0.81,
+            },
+            TraceEvent::JobComplete { job: 3 },
+        ];
+        events
+            .into_iter()
+            .enumerate()
+            .map(|(i, event)| record(i as u64, i as f64 * 0.75, event))
+            .collect()
+    }
+
+    #[test]
+    fn jsonl_lines_are_pinned_per_event_kind() {
+        let mut sink = JsonlSink::new();
+        for r in one_record_per_event_kind() {
+            sink.record(&r);
+        }
+        let expected = [
+            r#"{"t":0,"seq":0,"ev":"device_defined","device":0,"name":"lf \"east\"\\\n\t\u0001é","tier":1,"speed":1.5,"cost_per_second":0.1}"#,
+            r#"{"t":0.75,"seq":1,"ev":"arrival","job":3,"id":41,"tenant":"alice","priority":2}"#,
+            r#"{"t":1.5,"seq":2,"ev":"shard_plan","job":3,"shards":2,"devices":[0,2]}"#,
+            r#"{"t":2.25,"seq":3,"ev":"filter_rejected","job":4,"devices":3}"#,
+            r#"{"t":3,"seq":4,"ev":"admission_verdict","job":3,"decision":"downgrade","queue_seconds":0.5,"service_seconds":2.25,"projected_completion":3.125,"margin":1.5,"deadline":null,"assessed_deadline":10}"#,
+            r#"{"t":3.75,"seq":5,"ev":"priority_credit","job":3,"credit":100}"#,
+            r#"{"t":4.5,"seq":6,"ev":"queue_push","reservation":7,"job":3,"shard":1,"device":2,"seconds":4.5,"requeued":true}"#,
+            r#"{"t":5.25,"seq":7,"ev":"hold_push","reservation":8,"job":3,"restart":1,"device":0,"seconds":0.3}"#,
+            r#"{"t":6,"seq":8,"ev":"hold_release","reservation":8,"job":3,"restart":1,"device":0,"seconds":0.3,"pruned":false}"#,
+            r#"{"t":6.75,"seq":9,"ev":"lease_grant","lease":5,"reservation":7,"job":3,"shard":1,"device":2,"seconds":4.5,"expires_at":1000000000000000000000}"#,
+            r#"{"t":7.5,"seq":10,"ev":"lease_complete","lease":5,"job":3,"shard":1,"device":2,"granted_at":6,"seconds":4.5,"executions":30,"finished":false}"#,
+            r#"{"t":8.25,"seq":11,"ev":"stale_expiry","lease":4,"device":1}"#,
+            r#"{"t":9,"seq":12,"ev":"eviction","lease":6,"job":3,"shard":0,"device":1,"burned_seconds":0.75,"credit":0.0000001}"#,
+            r#"{"t":9.75,"seq":13,"ev":"calibration_update","job":3,"tier":1,"class":"interactive","error":null,"margin":2.5,"samples":4}"#,
+            r#"{"t":10.5,"seq":14,"ev":"decay_epoch","crossed":2,"factor":0.81}"#,
+            r#"{"t":11.25,"seq":15,"ev":"job_complete","job":3}"#,
+        ];
+        let lines: Vec<&str> = sink.as_str().lines().collect();
+        assert_eq!(lines, expected);
+        assert!(sink.as_str().ends_with('\n'));
+    }
+
+    /// A run touching every Chrome emitter: device and job metadata, the
+    /// admission verdict, both queue-depth counters, a lease completion, an
+    /// eviction's slice and instant, a filter rejection, a job completion,
+    /// and a lease of a job the capture never declared.
+    fn one_record_per_chrome_emitter() -> Vec<TraceRecord> {
+        let estimate = FeasibilityEstimate {
+            queue_seconds: 0.0,
+            service_seconds: 2.5,
+            completion: 2.75,
+        };
+        let events = [
+            (
+                0.0,
+                TraceEvent::DeviceDefined {
+                    device: 0,
+                    name: "lf \"east\"".into(),
+                    tier: 0,
+                    speed: 1.0,
+                    cost_per_second: 1.0,
+                },
+            ),
+            (
+                0.0,
+                TraceEvent::DeviceDefined {
+                    device: 1,
+                    name: "hf".into(),
+                    tier: 1,
+                    speed: 2.0,
+                    cost_per_second: 3.0,
+                },
+            ),
+            (
+                0.0,
+                TraceEvent::Arrival {
+                    job: 0,
+                    id: 7,
+                    tenant: "ali\\ce".into(),
+                    priority: 0,
+                },
+            ),
+            (
+                0.125,
+                TraceEvent::Arrival {
+                    job: 1,
+                    id: 8,
+                    tenant: "bob".into(),
+                    priority: 2,
+                },
+            ),
+            (
+                0.25,
+                TraceEvent::Arrival {
+                    job: 2,
+                    id: 9,
+                    tenant: "carol".into(),
+                    priority: 0,
+                },
+            ),
+            (0.25, TraceEvent::FilterRejected { job: 2, devices: 2 }),
+            (
+                0.0,
+                TraceEvent::AdmissionVerdict {
+                    job: 0,
+                    decision: AdmissionDecision::Admit,
+                    estimate,
+                    margin: None,
+                    deadline: None,
+                    assessed_deadline: None,
+                },
+            ),
+            (
+                0.125,
+                TraceEvent::AdmissionVerdict {
+                    job: 1,
+                    decision: AdmissionDecision::Downgrade,
+                    estimate,
+                    margin: Some(1.0),
+                    deadline: None,
+                    assessed_deadline: Some(2.0),
+                },
+            ),
+            (
+                0.125,
+                TraceEvent::QueuePush {
+                    reservation: 0,
+                    job: 0,
+                    shard: 0,
+                    device: 0,
+                    seconds: 2.5,
+                    requeued: false,
+                },
+            ),
+            (
+                0.125,
+                TraceEvent::HoldPush {
+                    reservation: 1,
+                    job: 1,
+                    restart: 0,
+                    device: 1,
+                    seconds: 1.5,
+                },
+            ),
+            (
+                0.5,
+                TraceEvent::LeaseGrant {
+                    lease: 0,
+                    reservation: 0,
+                    job: 0,
+                    shard: 0,
+                    device: 0,
+                    seconds: 2.5,
+                    expires_at: 3.0,
+                },
+            ),
+            (
+                0.5,
+                TraceEvent::HoldRelease {
+                    reservation: 1,
+                    job: 1,
+                    restart: 0,
+                    device: 1,
+                    seconds: 1.5,
+                    pruned: true,
+                },
+            ),
+            (
+                0.5,
+                TraceEvent::QueuePush {
+                    reservation: 2,
+                    job: 1,
+                    shard: 1,
+                    device: 1,
+                    seconds: 1.0,
+                    requeued: false,
+                },
+            ),
+            (
+                0.75,
+                TraceEvent::LeaseGrant {
+                    lease: 1,
+                    reservation: 2,
+                    job: 1,
+                    shard: 1,
+                    device: 1,
+                    seconds: 1.0,
+                    expires_at: 1.75,
+                },
+            ),
+            (
+                1.0,
+                TraceEvent::Eviction {
+                    lease: 1,
+                    job: 1,
+                    shard: 1,
+                    device: 1,
+                    burned_seconds: 0.25,
+                    credit: 0.25,
+                },
+            ),
+            (
+                1.0,
+                TraceEvent::QueuePush {
+                    reservation: 3,
+                    job: 1,
+                    shard: 1,
+                    device: 1,
+                    seconds: 1.0,
+                    requeued: true,
+                },
+            ),
+            (
+                1.75,
+                TraceEvent::StaleExpiry {
+                    lease: 1,
+                    device: 1,
+                },
+            ),
+            (
+                2.0,
+                TraceEvent::DecayEpoch {
+                    crossed: 1,
+                    factor: 0.5,
+                },
+            ),
+            (
+                3.0,
+                TraceEvent::LeaseComplete {
+                    lease: 0,
+                    job: 0,
+                    shard: 0,
+                    device: 0,
+                    granted_at: 0.5,
+                    seconds: 2.5,
+                    executions: 5,
+                    finished: true,
+                },
+            ),
+            (3.0, TraceEvent::JobComplete { job: 0 }),
+            (
+                3.5,
+                TraceEvent::LeaseComplete {
+                    lease: 9,
+                    job: 5,
+                    shard: 0,
+                    device: 1,
+                    granted_at: 3.25,
+                    seconds: 0.25,
+                    executions: 1,
+                    finished: false,
+                },
+            ),
+        ];
+        events
+            .into_iter()
+            .enumerate()
+            .map(|(i, (time, event))| record(i as u64, time, event))
+            .collect()
+    }
+
+    #[test]
+    fn chrome_export_is_pinned_per_emitter() {
+        let records = one_record_per_chrome_emitter();
+        assert_eq!(
+            chrome_export(&records),
+            include_str!(concat!(
+                env!("CARGO_MANIFEST_DIR"),
+                "/tests/fixtures/chrome_export.json"
+            ))
+        );
+        let entry = |path: Vec<&'static str>| qoncord_prof::ProfileEntry {
+            path,
+            count: 1,
+            total_ns: 2_000,
+            min_ns: 2_000,
+            max_ns: 2_000,
+            child_ns: 0,
+        };
+        let perf = qoncord_prof::ProfileReport {
+            entries: vec![
+                entry(vec!["engine::run"]),
+                entry(vec!["engine::run", "sim::\"sv\"::apply_1q"]),
+            ],
+            spans: vec![
+                qoncord_prof::ProfileSpan {
+                    entry: 0,
+                    start_ns: 1_500,
+                    dur_ns: 2_000_250,
+                },
+                qoncord_prof::ProfileSpan {
+                    entry: 1,
+                    start_ns: 2_000,
+                    dur_ns: 7,
+                },
+            ],
+            dropped_spans: 3,
+        };
+        assert_eq!(
+            chrome_export_with_profile(&records, &perf),
+            include_str!(concat!(
+                env!("CARGO_MANIFEST_DIR"),
+                "/tests/fixtures/chrome_export_with_profile.json"
+            ))
+        );
+    }
 }
