@@ -24,16 +24,16 @@ pub enum ConvergenceStatus {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ConvergenceConfig {
     /// Number of trailing iterations that must be flat.
-    pub window: usize,
+    pub(crate) window: usize,
     /// Maximum expectation-value range within the window to count as flat.
-    pub expectation_tolerance: f64,
+    pub(crate) expectation_tolerance: f64,
     /// Maximum entropy range (bits) within the window to count as flat.
-    pub entropy_tolerance: f64,
+    pub(crate) entropy_tolerance: f64,
     /// Minimum iterations before saturation may be declared.
-    pub min_iterations: usize,
+    pub(crate) min_iterations: usize,
     /// When `false`, only the expectation is checked (the ablation of
     /// DESIGN.md item 1; the paper argues this terminates prematurely).
-    pub joint: bool,
+    pub(crate) joint: bool,
 }
 
 impl ConvergenceConfig {
@@ -249,6 +249,24 @@ mod tests {
         let mut c = ConvergenceChecker::new(ConvergenceConfig::relaxed());
         feed(&mut c, &[(-1.0, 1.0), (-4.0, 1.5), (-2.0, 1.2)]);
         assert_eq!(c.best_expectation(), Some(-4.0));
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// A monotone-improving expectation never saturates the strict checker
+        /// when improvements exceed the tolerance each step.
+        #[test]
+        fn improving_signal_never_saturates(start in -1.0..0.0f64, n in 20..60usize) {
+            let cfg = ConvergenceConfig::strict();
+            let step = cfg.expectation_tolerance * 1.5;
+            let mut checker = ConvergenceChecker::new(cfg);
+            let mut status = ConvergenceStatus::Continue;
+            for i in 0..n {
+                status = checker.observe(start - step * i as f64, 2.0);
+            }
+            proptest::prop_assert_eq!(status, ConvergenceStatus::Continue);
+        }
     }
 
     #[test]

@@ -385,18 +385,6 @@ impl OrchestratorReport {
         self.fleet.total_wasted_seconds()
     }
 
-    /// The margin trajectory of one device tier, as `(virtual time, margin
-    /// seconds)` points in ingestion order across all service classes —
-    /// the per-tier learning curve. (The `admission_calibration` bin
-    /// writes its curve from [`calibration`](Self::calibration) directly.)
-    pub fn margin_history(&self, tier: usize) -> Vec<(f64, f64)> {
-        self.calibration
-            .iter()
-            .filter(|s| s.key.tier == tier)
-            .map(|s| (s.time, s.margin))
-            .collect()
-    }
-
     /// Mean absolute realized estimate error over completed jobs (`None`
     /// when nothing completed with a recorded projection).
     pub fn mean_abs_estimate_error(&self) -> Option<f64> {

@@ -9,7 +9,7 @@ set -eu
 cd "$(dirname "$0")/.."
 mkdir -p target
 for workload in noisy_fleet traj_fleet admit_burst engine_churn; do
-    cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml --target-dir target --bin e2e -- \
+    cargo run --release --locked --offline --quiet --manifest-path benchmark/Cargo.toml --target-dir target --bin e2e -- \
         --workload "$workload" --seconds 2 > "target/e2e_$workload.out"
     tail -n 1 "target/e2e_$workload.out" | grep -q '"correct": true'
     echo "## $workload"

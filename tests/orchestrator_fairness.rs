@@ -5,9 +5,9 @@
 //!
 //! Timing in these tests is made exact by normalizing device speed so one
 //! circuit execution costs exactly 1 virtual second (an SPSA batch = 3 s),
-//! and by using convergence checkers that never saturate early.
+//! and by keeping every restart shorter than the convergence checker's
+//! patience, so no job saturates early.
 
-use qoncord_core::convergence::ConvergenceConfig;
 use qoncord_core::executor::QaoaFactory;
 use qoncord_core::scheduler::QoncordConfig;
 use qoncord_device::catalog;
@@ -48,32 +48,45 @@ fn normalized_single_lf_fleet() -> Vec<FleetDevice> {
         .expect("positive normalization speed")]
 }
 
-/// A checker that never saturates, so batch counts equal the budgets.
-fn never_saturates() -> ConvergenceConfig {
-    ConvergenceConfig {
-        window: 2,
-        expectation_tolerance: 0.0,
-        entropy_tolerance: 0.0,
-        min_iterations: 1_000_000,
-        joint: true,
-    }
-}
+/// The longest phase the default (strict) convergence checker never ends
+/// early: it declares nothing before its 15th iteration. A single-device
+/// ladder runs each restart as one phase, so a job made of restarts this
+/// short runs exactly its batch budget.
+const MAX_PHASE_ITERATIONS: usize = 14;
 
 /// A job running exactly `iterations` SPSA batches (3 s each) on the
-/// single-device ladder.
+/// single-device ladder, as the fewest equal restarts of at most
+/// [`MAX_PHASE_ITERATIONS`] batches.
 fn timed_job(id: usize, tenant: &str, arrival: f64, iterations: usize) -> TenantJob {
-    assert!(iterations >= 2, "split across the two phase budgets");
+    let restarts = iterations.div_ceil(MAX_PHASE_ITERATIONS);
+    assert_eq!(
+        iterations % restarts,
+        0,
+        "restarts split the batches evenly"
+    );
+    let per_restart = iterations / restarts;
+    assert!(per_restart >= 2, "split across the two phase budgets");
     let cfg = QoncordConfig {
-        exploration_max_iterations: iterations / 2,
-        finetune_max_iterations: iterations - iterations / 2,
-        relaxed: never_saturates(),
-        strict: never_saturates(),
+        exploration_max_iterations: per_restart / 2,
+        finetune_max_iterations: per_restart - per_restart / 2,
         seed: 7 + id as u64,
         ..QoncordConfig::default()
     };
     TenantJob::new(id, tenant, arrival, factory())
-        .with_restarts(1)
+        .with_restarts(restarts)
         .with_config(cfg)
+}
+
+/// Checks that job `i` of `report` ran all `iterations[i]` of its batches.
+fn assert_full_budgets(report: &OrchestratorReport, iterations: &[usize]) {
+    for (job, &n) in report.jobs.iter().zip(iterations) {
+        assert_eq!(
+            job.telemetry.busy_seconds(),
+            3.0 * n as f64,
+            "job {}",
+            job.id
+        );
+    }
 }
 
 /// The decay arena: tenant "heavy" burns 60 s of device time early, tenant
@@ -94,6 +107,7 @@ fn decay_contest(decay: UsageDecayConfig) -> OrchestratorReport {
     ];
     let report = Orchestrator::new(config, normalized_single_lf_fleet()).run(&jobs);
     assert_eq!(report.completed(), 5);
+    assert_full_budgets(&report, &[20, 2, 4, 4, 4]);
     report
 }
 
@@ -150,7 +164,7 @@ fn eviction_storm(preemption: PreemptionConfig) -> OrchestratorReport {
         preemption,
         ..OrchestratorConfig::default()
     };
-    let mut jobs = vec![timed_job(0, "victim", 0.0, 40)];
+    let mut jobs = vec![timed_job(0, "victim", 0.0, 42)];
     for k in 0..URGENT_ARRIVALS {
         jobs.push(
             timed_job(1 + k, &format!("urgent-{k}"), 1.0 + 10.0 * k as f64, 2).with_priority(2),
@@ -158,6 +172,7 @@ fn eviction_storm(preemption: PreemptionConfig) -> OrchestratorReport {
     }
     let report = Orchestrator::new(config, normalized_single_lf_fleet()).run(&jobs);
     assert_eq!(report.completed(), 1 + URGENT_ARRIVALS);
+    assert_full_budgets(&report, &[42, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2]);
     report
 }
 
@@ -219,6 +234,7 @@ fn decayed_priority_credit_unwinds_exactly() {
         let jobs = vec![timed_job(0, "tenant", 0.0, 20).with_priority(priority)];
         let report = Orchestrator::new(config, normalized_single_lf_fleet()).run(&jobs);
         assert_eq!(report.completed(), 1);
+        assert_full_budgets(&report, &[20]);
         report
     };
     let boosted = run(2);
