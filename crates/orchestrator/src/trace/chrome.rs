@@ -71,6 +71,7 @@ fn chrome_export_impl(
     // Job identity (tenant, submitted id) from the arrival events, and
     // queue depth recomputed from the reservation lifecycle.
     let mut job_label: HashMap<usize, String> = HashMap::new();
+    let mut depth: i64 = 0;
     for record in records {
         match &record.event {
             TraceEvent::DeviceDefined { device, name, .. } => {
@@ -93,7 +94,6 @@ fn chrome_export_impl(
             .unwrap_or_else(|| format!("job {job}"))
     };
 
-    let mut depth: i64 = 0;
     let mut job_span_start: HashMap<usize, f64> = HashMap::new();
     for record in records {
         let ts = us(record.time);
@@ -159,8 +159,7 @@ fn chrome_export_impl(
                 }
             }
             TraceEvent::FilterRejected { job, .. } => {
-                let name = "rejected by fidelity filter";
-                events.instant((CHROME_JOBS_PID, *job), ts, name);
+                events.instant((CHROME_JOBS_PID, *job), ts, "rejected by fidelity filter")
             }
             _ => {}
         }
@@ -175,11 +174,9 @@ fn chrome_export_impl(
                 &[("path", &entry.folded_path().as_str())],
             );
         }
-        if perf.dropped_spans > 0 {
-            let name = format!(
-                "{} spans dropped past the retention cap",
-                perf.dropped_spans
-            );
+        let dropped = perf.dropped_spans;
+        if dropped > 0 {
+            let name = format!("{dropped} spans dropped past the retention cap");
             events.instant((CHROME_PROF_PID, 0), 0.0, &name);
         }
     }
@@ -209,9 +206,8 @@ impl Events {
     fn metadata(&mut self, pid: u64, tid: usize, which: &str, name: &str) {
         self.push(|e| {
             e.field("ph", "M").field("pid", pid).field("tid", tid);
-            e.field("name", which).object("args", |a| {
-                a.field("name", name);
-            });
+            e.field("name", which);
+            e.object("args", |a| fields(a, &[("name", &name)]));
         });
     }
 

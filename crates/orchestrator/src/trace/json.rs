@@ -260,19 +260,24 @@ pub(crate) trait ToJson {
 impl ToJson for str {
     fn write_json(&self, out: &mut String) {
         out.push('"');
-        for c in self.chars() {
-            match c {
-                '"' => out.push_str("\\\""),
-                '\\' => out.push_str("\\\\"),
-                '\n' => out.push_str("\\n"),
-                '\r' => out.push_str("\\r"),
-                '\t' => out.push_str("\\t"),
-                c if (c as u32) < 0x20 => {
-                    let _ = write!(out, "\\u{:04x}", c as u32);
+        let mut rest = self;
+        let special = |b| b == b'"' || b == b'\\' || b < b' ';
+        while let Some(at) = rest.bytes().position(special) {
+            out.push_str(&rest[..at]);
+            // An ASCII byte, so `at` and `at + 1` are character boundaries.
+            match rest.as_bytes()[at] {
+                b'"' => out.push_str("\\\""),
+                b'\\' => out.push_str("\\\\"),
+                b'\n' => out.push_str("\\n"),
+                b'\r' => out.push_str("\\r"),
+                b'\t' => out.push_str("\\t"),
+                c => {
+                    let _ = write!(out, "\\u{c:04x}");
                 }
-                c => out.push(c),
             }
+            rest = &rest[at + 1..];
         }
+        out.push_str(rest);
         out.push('"');
     }
 }
@@ -355,11 +360,13 @@ impl Object<'_> {
         self
     }
 
+    /// Keys are this crate's own field names, so they are not escaped.
     fn key(&mut self, key: &str) {
         if !std::mem::take(&mut self.empty) {
             self.out.push(',');
         }
-        key.write_json(self.out);
-        self.out.push(':');
+        self.out.push('"');
+        self.out.push_str(key);
+        self.out.push_str("\":");
     }
 }
