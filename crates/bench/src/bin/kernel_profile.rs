@@ -5,11 +5,18 @@
 //! results before the timings are trusted:
 //!
 //! - `fast_vs_reference`: a 14-qubit QAOA evaluation on the ideal backend;
-//! - `fast_vs_reference_density`: a 7-qubit noisy density run, the path
-//!   every orchestrated job up to 8 qubits takes, plus what compiling its
-//!   program costs against re-binding it;
+//! - `fast_vs_reference_density` (p = 1) and `fast_vs_reference_density_p3`
+//!   (p = 3, the depth of the paper's Figs. 8 and 13–20): a 7-qubit noisy
+//!   density run, the path every orchestrated job up to 8 qubits takes,
+//!   plus what compiling its program costs against re-binding it;
 //! - `fast_vs_reference_trajectory`: a 14-qubit trajectory run, the path
 //!   above that.
+//!
+//! `density_vs_trajectory` then times the two noisy paths against each
+//! other where `BackendKind::Auto` picks between them by register width:
+//! the 9-qubit QAOA at p = 1 and p = 3, each path prepared as an evaluator
+//! holds it, beside the work each program counts (density tiles visited,
+//! trajectory sweeps and the amplitudes they walk).
 //!
 //! Both sides of an axis go through the same read-out. What the kernels
 //! cost inside real runs is the e2e benchmark's per-layer probes
@@ -27,7 +34,7 @@ use qoncord_bench::{require_keys, ExperimentArgs};
 use qoncord_circuit::transpile::{transpile, TranspiledCircuit};
 use qoncord_circuit::ResolvedGate;
 use qoncord_device::catalog;
-use qoncord_device::noise_model::{SimulatedBackend, AUTO_TRAJECTORIES};
+use qoncord_device::noise_model::{BackendKind, SimulatedBackend, AUTO_TRAJECTORIES};
 use qoncord_sim::density::DensityMatrix;
 use qoncord_sim::dist::ProbDist;
 use qoncord_sim::fuse::FusedOp;
@@ -109,6 +116,9 @@ fn median_us(rounds: usize, batch: usize, mut f: impl FnMut()) -> f64 {
     median(per_call) * 1e6
 }
 
+/// The seed of every trajectory run.
+const SEED: u64 = 0;
+
 /// Largest difference between two outcome distributions.
 fn max_abs_diff(a: &ProbDist, b: &ProbDist) -> f64 {
     a.probabilities()
@@ -178,16 +188,17 @@ fn fast_vs_reference(evals: usize) -> (String, f64) {
     (json, speedup)
 }
 
-/// The p = 1 QAOA of `graph` transpiled for `ibmq_toronto`, and the noisy
-/// backend it runs on.
-fn toronto_qaoa(graph: &Graph) -> (SimulatedBackend, TranspiledCircuit) {
+/// The depth-`layers` QAOA of `graph` transpiled for `ibmq_toronto`, and
+/// the noisy backend it runs on.
+fn toronto_qaoa(graph: &Graph, layers: usize) -> (SimulatedBackend, TranspiledCircuit) {
     let calibration = catalog::ibmq_toronto();
-    let transpiled = transpile(&qaoa::build_circuit(graph, 1), calibration.coupling());
+    let transpiled = transpile(&qaoa::build_circuit(graph, layers), calibration.coupling());
     (SimulatedBackend::from_calibration(calibration), transpiled)
 }
 
 /// The same axis on the path every noisy job takes: one density-matrix run
-/// of the transpiled 7-qubit QAOA (p = 1) under `ibmq_toronto` noise, the
+/// of the transpiled 7-qubit QAOA (depth `layers`, emitted as `key`) under
+/// `ibmq_toronto` noise, the
 /// fused density program ([`qoncord_sim::noisy`]) of a prepared executable,
 /// as an evaluator holds it, against the seed's op-at-a-time evolution
 /// ([`evolve_unfused`]). The cross-check is the largest difference between
@@ -196,8 +207,8 @@ fn toronto_qaoa(graph: &Graph) -> (SimulatedBackend, TranspiledCircuit) {
 /// every gate and compiles the program, what each run paid before programs
 /// were held; `rebind_us` binds the parametric gates and re-binds the
 /// `steps_rebound` sweeps that hold one, what each run pays now.
-fn fast_vs_reference_density(runs: usize) -> (String, f64) {
-    let (backend, transpiled) = toronto_qaoa(&Graph::paper_graph_7());
+fn fast_vs_reference_density(key: &str, layers: usize, runs: usize) -> (String, f64) {
+    let (backend, transpiled) = toronto_qaoa(&Graph::paper_graph_7(), layers);
     let qubits = transpiled.circuit.n_qubits();
     let params = params_for(&transpiled);
     let gates = transpiled.circuit.gates();
@@ -247,7 +258,7 @@ fn fast_vs_reference_density(runs: usize) -> (String, f64) {
 
     let speedup = reference_s / fast_s.max(1e-12);
     let json = format!(
-        "  \"fast_vs_reference_density\": {{\"qubits\": {qubits}, \"layers\": 1, \
+        "  \"{key}\": {{\"qubits\": {qubits}, \"layers\": {layers}, \
          \"device\": \"ibmq_toronto\", \"gates\": {}, \"sweeps\": {}, \
          \"tiles_visited\": {}, \"tiles_full\": {}, \"steps_rebound\": {}, \
          \"compile_us\": {compile_us:.2}, \"rebind_us\": {rebind_us:.2}, \
@@ -273,10 +284,11 @@ fn fast_vs_reference_density(runs: usize) -> (String, f64) {
 /// fired Paulis, deduped, prefix-shared) against the seed's loop
 /// ([`sample_unfused`]). `ops_applied` is the program's sweep count,
 /// against `gates × trajectories` gate sweeps (plus the fired channels) in
-/// the loop.
+/// the loop; `amplitudes_swept` is what those sweeps walk, each on the
+/// qubits touched so far, where the full register is `ops_applied ×
+/// 2^qubits`.
 fn fast_vs_reference_trajectory(runs: usize) -> (String, f64) {
-    const SEED: u64 = 0;
-    let (backend, transpiled) = toronto_qaoa(&Graph::paper_graph_14());
+    let (backend, transpiled) = toronto_qaoa(&Graph::paper_graph_14(), 1);
     let qubits = transpiled.circuit.n_qubits();
     let params = params_for(&transpiled);
     let ops = transpiled.circuit.bind_ops(&params);
@@ -314,7 +326,7 @@ fn fast_vs_reference_trajectory(runs: usize) -> (String, f64) {
         "  \"fast_vs_reference_trajectory\": {{\"qubits\": {qubits}, \"layers\": 1, \
          \"device\": \"ibmq_toronto\", \"gates\": {gates}, \"trajectories\": {}, \
          \"distinct_patterns\": {}, \"fired_sites\": {}, \"blocks\": {}, \
-         \"patched_blocks\": {}, \"ops_applied\": {}, \
+         \"patched_blocks\": {}, \"ops_applied\": {}, \"amplitudes_swept\": {}, \
          \"evals\": {runs}, \"reference_ms\": {:.3}, \"fast_ms\": {:.3}, \
          \"speedup\": {:.2}, \"max_abs_diff\": {:.3e}}}",
         stats.trajectories,
@@ -323,6 +335,7 @@ fn fast_vs_reference_trajectory(runs: usize) -> (String, f64) {
         stats.blocks,
         stats.patched_blocks,
         stats.ops_applied,
+        stats.amplitudes_swept,
         reference_s * 1e3,
         fast_s * 1e3,
         speedup,
@@ -331,21 +344,95 @@ fn fast_vs_reference_trajectory(runs: usize) -> (String, f64) {
     (json, speedup)
 }
 
+/// One evaluation of the transpiled 9-qubit QAOA (depth `layers`) under
+/// `ibmq_toronto` noise on each noisy path, prepared as an evaluator holds
+/// it: the density program (light-cone read-out, `tiles_visited` of
+/// `tiles_full`) against 48 trajectories (`ops_applied` sweeps walking
+/// `amplitudes_swept` amplitudes). Each path is checked bitwise against its
+/// `backend.run` first; `tv_distance` between the two is the trajectories'
+/// sampling error. Returns the row and density time over trajectory time.
+fn density_vs_trajectory(layers: usize, runs: usize) -> (String, f64) {
+    let (backend, transpiled) = toronto_qaoa(&Graph::paper_graph_9(), layers);
+    let qubits = transpiled.circuit.n_qubits();
+    let params = params_for(&transpiled);
+    let ops = transpiled.circuit.bind_ops(&params);
+    let gates = ops.len();
+    let noise = *backend.noise();
+    let (dep_1q, dep_2q) = (noise.dep_1q, noise.dep_2q);
+    let tiles = DensityProgram::compile(qubits, ops.iter().copied(), dep_1q, dep_2q).stats();
+    let mut program = TrajectoryProgram::compile(qubits, ops, dep_1q, dep_2q);
+    program.run(SEED, AUTO_TRAJECTORIES);
+    let sweeps = program.stats();
+
+    let density = backend.clone().with_kind(BackendKind::DensityMatrix);
+    let trajectory = backend.with_kind(BackendKind::Trajectory {
+        n_trajectories: AUTO_TRAJECTORIES,
+    });
+    let circuit = std::slice::from_ref(&transpiled);
+    let mut density_prepared = density.prepare(circuit, transpiled.circuit.len());
+    let mut trajectory_prepared = trajectory.prepare(circuit, transpiled.circuit.len());
+    let exact = density_prepared.run(&params, SEED).swap_remove(0);
+    let sampled = trajectory_prepared.run(&params, SEED).swap_remove(0);
+    assert_eq!(exact, density.run(&transpiled, &params, SEED));
+    assert_eq!(sampled, trajectory.run(&transpiled, &params, SEED));
+
+    let (density_s, trajectory_s) = interleaved_medians(
+        runs,
+        || {
+            black_box(density_prepared.run(&params, SEED));
+        },
+        || {
+            black_box(trajectory_prepared.run(&params, SEED));
+        },
+    );
+
+    let json = format!(
+        "    {{\"qubits\": {qubits}, \"layers\": {layers}, \"device\": \"ibmq_toronto\", \
+         \"gates\": {gates}, \"tiles_visited\": {}, \"tiles_full\": {}, \
+         \"trajectories\": {AUTO_TRAJECTORIES}, \"ops_applied\": {}, \
+         \"amplitudes_swept\": {}, \"evals\": {runs}, \"density_ms\": {:.3}, \
+         \"trajectory_ms\": {:.3}, \"tv_distance\": {:.3e}}}",
+        tiles.tiles_visited,
+        tiles.tiles_full,
+        sweeps.ops_applied,
+        sweeps.amplitudes_swept,
+        density_s * 1e3,
+        trajectory_s * 1e3,
+        exact.total_variation(&sampled),
+    );
+    (json, density_s / trajectory_s.max(1e-12))
+}
+
 fn main() {
     let args = ExperimentArgs::parse();
 
     let (fvr_json, speedup) = fast_vs_reference(args.scale(3, 9));
     println!("14-qubit QAOA evaluation, fast vs reference kernels: {speedup:.2}x");
-    let (fvr_density_json, speedup) = fast_vs_reference_density(args.scale(9, 51));
+    let density_runs = args.scale(9, 51);
+    let (fvr_density_json, speedup) =
+        fast_vs_reference_density("fast_vs_reference_density", 1, density_runs);
     println!("7-qubit noisy QAOA density run, fused program vs reference kernels: {speedup:.2}x");
+    let (fvr_density_p3_json, speedup) =
+        fast_vs_reference_density("fast_vs_reference_density_p3", 3, density_runs);
+    println!("7-qubit p = 3 density run, fused program vs reference kernels: {speedup:.2}x");
     let (fvr_trajectory_json, speedup) = fast_vs_reference_trajectory(args.scale(3, 9));
     println!("14-qubit noisy QAOA trajectory run, program vs reference loop: {speedup:.2}x");
+    let rows: Vec<String> = [1, 3]
+        .into_iter()
+        .map(|layers| {
+            let (row, ratio) = density_vs_trajectory(layers, args.scale(3, 15));
+            println!("9-qubit p = {layers} noisy QAOA, density / 48 trajectories: {ratio:.2}x");
+            row
+        })
+        .collect();
 
     let json = format!(
         "{{\n  \"experiment\": \"kernel_profile\",\n  \"mode\": \"{}\",\n  \
-         \"seed\": {},\n{fvr_json},\n{fvr_density_json},\n{fvr_trajectory_json}\n}}\n",
+         \"seed\": {},\n{fvr_json},\n{fvr_density_json},\n{fvr_density_p3_json},\n\
+         {fvr_trajectory_json},\n  \"density_vs_trajectory\": [\n{}\n  ]\n}}\n",
         if args.paper { "paper" } else { "quick" },
         args.seed,
+        rows.join(",\n"),
     );
     require_keys(
         &json,
@@ -355,7 +442,9 @@ fn main() {
             "seed",
             "fast_vs_reference",
             "fast_vs_reference_density",
+            "fast_vs_reference_density_p3",
             "fast_vs_reference_trajectory",
+            "density_vs_trajectory",
             "qubits",
             "layers",
             "device",
@@ -372,6 +461,10 @@ fn main() {
             "blocks",
             "patched_blocks",
             "ops_applied",
+            "amplitudes_swept",
+            "density_ms",
+            "trajectory_ms",
+            "tv_distance",
             "evals",
             "reference_ms",
             "fast_ms",

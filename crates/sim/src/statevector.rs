@@ -83,9 +83,7 @@ impl StateVector {
     ///
     /// Panics if `q` is out of range.
     pub fn apply_1q(&mut self, u: &Mat2, q: usize) {
-        assert!(q < self.n_qubits, "qubit {q} out of range");
-        let _prof = qoncord_prof::span("sim::sv::apply_1q");
-        fast_apply_1q(&mut self.amps, u, q);
+        self.apply_op(&FusedOp::One(*u, q));
     }
 
     /// Applies a two-qubit gate to qubits `(q0, q1)`; the matrix acts on the
@@ -104,17 +102,7 @@ impl StateVector {
     ///
     /// Panics if the qubits coincide or are out of range.
     pub fn apply_2q(&mut self, u: &Mat4, q0: usize, q1: usize) {
-        assert!(q0 != q1, "two-qubit gate needs distinct qubits");
-        assert!(
-            q0 < self.n_qubits && q1 < self.n_qubits,
-            "qubit out of range"
-        );
-        let _prof = qoncord_prof::span("sim::sv::apply_2q");
-        if let Some(cols) = two_per_row(u) {
-            fast_apply_2q_two_term(&mut self.amps, u, &cols, q0, q1);
-        } else {
-            fast_apply_2q(&mut self.amps, u, q0, q1);
-        }
+        self.apply_op(&FusedOp::Two(*u, q0, q1));
     }
 
     /// Fast path for CNOT (control `c`, target `t`): swaps amplitude pairs.
@@ -123,10 +111,7 @@ impl StateVector {
     ///
     /// Panics if the qubits coincide or are out of range.
     pub fn apply_cx_fast(&mut self, c: usize, t: usize) {
-        assert!(c != t, "CNOT needs distinct qubits");
-        assert!(c < self.n_qubits && t < self.n_qubits, "qubit out of range");
-        let _prof = qoncord_prof::span("sim::sv::apply_cx");
-        fast_apply_cx(&mut self.amps, c, t);
+        self.apply_op(&FusedOp::Cx(c, t));
     }
 
     /// Fast path for RZ(θ) on `q`: multiplies the two half-spaces by
@@ -136,38 +121,64 @@ impl StateVector {
     ///
     /// Panics if `q` is out of range.
     pub fn apply_rz_fast(&mut self, theta: f64, q: usize) {
-        assert!(q < self.n_qubits, "qubit {q} out of range");
-        let _prof = qoncord_prof::span("sim::sv::apply_rz");
-        fast_apply_rz(&mut self.amps, theta, q);
-    }
-
-    /// Applies a monomial two-qubit block (see [`FusedOp::Mono`]): pair
-    /// basis state `k` takes phase `d[k]` from source state `src[k]` — four
-    /// complex multiplies per quartet instead of a dense `Mat4` sweep.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the qubits coincide or are out of range, or `src` is not a
-    /// permutation of the pair basis.
-    fn apply_mono(&mut self, d: &[C64; 4], src: &[u8; 4], q0: usize, q1: usize) {
-        FusedOp::Mono(*d, *src, q0, q1).validate(self.n_qubits);
-        let _prof = qoncord_prof::span("sim::sv::apply_mono");
-        fast_apply_2q_mono(&mut self.amps, d, src, q0, q1);
+        self.apply_op(&FusedOp::Rz(theta, q));
     }
 
     /// Applies one simulator op (the [`crate::fuse`] instruction set),
-    /// routing each variant to its dedicated kernel.
+    /// routing each variant to its dedicated kernel. A monomial block (see
+    /// [`FusedOp::Mono`]) takes phase `d[k]` for pair basis state `k` from
+    /// source state `src[k]` — four complex multiplies per quartet instead
+    /// of a dense `Mat4` sweep.
     ///
     /// # Panics
     ///
-    /// Panics if an operand qubit is out of range.
+    /// Panics if an operand qubit is out of range, two operands coincide,
+    /// or a monomial's `src` is not a permutation of the pair basis.
     pub fn apply_op(&mut self, op: &FusedOp) {
+        self.apply_op_within(op, self.n_qubits);
+    }
+
+    /// [`Self::apply_op`] on the first `2^width` amplitudes only: the
+    /// sub-register of qubits `0..width`, which must hold every operand.
+    /// Where every amplitude at or above `2^width` is an exact zero (qubits
+    /// `width..` still |0⟩), this leaves the state [`Self::apply_op`] would,
+    /// but for the sign of those zeros: each quartet it visits computes the
+    /// same expression from the same inputs, and a quartet it skips reads
+    /// only zeros.
+    ///
+    /// # Panics
+    ///
+    /// As for [`Self::apply_op`], with `width` for the register size; and if
+    /// `width` exceeds it.
+    pub(crate) fn apply_op_within(&mut self, op: &FusedOp, width: usize) {
+        assert!(width <= self.n_qubits, "sweep wider than the register");
+        op.validate(width);
+        let amps = &mut self.amps[..1 << width];
         match op {
-            FusedOp::One(u, q) => self.apply_1q(u, *q),
-            FusedOp::Two(u, a, b) => self.apply_2q(u, *a, *b),
-            FusedOp::Cx(c, t) => self.apply_cx_fast(*c, *t),
-            FusedOp::Rz(theta, q) => self.apply_rz_fast(*theta, *q),
-            FusedOp::Mono(d, src, a, b) => self.apply_mono(d, src, *a, *b),
+            FusedOp::One(u, q) => {
+                let _prof = qoncord_prof::span("sim::sv::apply_1q");
+                fast_apply_1q(amps, u, *q);
+            }
+            FusedOp::Two(u, q0, q1) => {
+                let _prof = qoncord_prof::span("sim::sv::apply_2q");
+                if let Some(cols) = two_per_row(u) {
+                    fast_apply_2q_two_term(amps, u, &cols, *q0, *q1);
+                } else {
+                    fast_apply_2q(amps, u, *q0, *q1);
+                }
+            }
+            FusedOp::Cx(c, t) => {
+                let _prof = qoncord_prof::span("sim::sv::apply_cx");
+                fast_apply_cx(amps, *c, *t);
+            }
+            FusedOp::Rz(theta, q) => {
+                let _prof = qoncord_prof::span("sim::sv::apply_rz");
+                fast_apply_rz(amps, *theta, *q);
+            }
+            FusedOp::Mono(d, src, q0, q1) => {
+                let _prof = qoncord_prof::span("sim::sv::apply_mono");
+                fast_apply_2q_mono(amps, d, src, *q0, *q1);
+            }
         }
     }
 

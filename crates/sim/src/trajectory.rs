@@ -26,6 +26,19 @@
 //! evolution up to the block where they part (one live state per trie
 //! level).
 //!
+//! Each block sweeps only the amplitudes that can be non-zero. Fusion folds
+//! a qubit's first gates into the first 2q block on its wire, so late
+//! blocks are often the first to touch a qubit (on the transpiled 9-qubit
+//! QAOA, blocks 20, 21 and 25 of 28). The plan relabels the qubits in the
+//! order its blocks first touch them; block `j` then runs on the first
+//! `2^width[j]` amplitudes, `width[j]` being the number of qubits blocks
+//! `0..=j` touch, and every amplitude above is an untouched exact zero. A
+//! patched block is relabelled the same way after its re-fusion, the sums
+//! are accumulated on the relabelled basis and put back in order once per
+//! run. Each visited quartet computes what it would on the full register,
+//! and a skipped one would only have written ±0, which `norm_sq` squares
+//! away: the run is bit for bit the full-register replay of its plan.
+//!
 //! Replaying the patterns op-at-a-time is bit-identical to
 //! [`sample_unfused`]; fusion reorders floating-point products, so the
 //! program matches it to ≤ 1e-12 on every probability.
@@ -169,6 +182,18 @@ impl TrajectoryAccumulator {
         self.count += count;
     }
 
+    /// Moves the sums of states whose qubit `q` was relabelled `label[q]`
+    /// back to the original basis order (each sum keeps its bits).
+    fn unlabel(&mut self, label: &[usize]) {
+        // Original index `i` is relabelled index `at[i]`, built bit by bit
+        // from `i` without its lowest set bit.
+        let mut at = vec![0usize; self.sums.len()];
+        for i in 1..at.len() {
+            at[i] = at[i & (i - 1)] | 1 << label[i.trailing_zeros() as usize];
+        }
+        self.sums = at.iter().map(|&j| self.sums[j]).collect();
+    }
+
     /// Number of trajectories accumulated so far.
     pub fn count(&self) -> u64 {
         self.count
@@ -249,13 +274,78 @@ pub struct TrajectoryStats {
     pub distinct_patterns: u64,
     /// Non-identity Paulis drawn, over all trajectories.
     pub fired_sites: u64,
-    /// Amplitude sweeps executed; the seed loop's count is `ops ×
-    /// trajectories` gate sweeps plus one per fired site.
+    /// Ops swept: blocks and patched blocks, each one sweep. The seed
+    /// loop's count is `ops × trajectories` gate sweeps plus one per fired
+    /// site.
     pub ops_applied: u64,
+    /// Amplitudes those sweeps walked: `Σ 2^width` over them, where a
+    /// block's width is the number of qubits it and the blocks before it
+    /// touch (at most `ops_applied × 2^n`).
+    pub amplitudes_swept: u64,
     /// Blocks in the run's fusion plan of the noise-free op list.
     pub blocks: u64,
     /// Blocks re-fused with fired Paulis in them, over all trie nodes.
     pub patched_blocks: u64,
+}
+
+/// A run's fusion plan of the noise-free op list, its qubits relabelled in
+/// the order the blocks first touch them: after block `j`, qubits
+/// `0..width[j]` are the only ones any block has touched, so every other
+/// qubit is still |0⟩ and every amplitude at or above `2^width[j]` an exact
+/// zero. Block `j` sweeps the first `2^width[j]` amplitudes only.
+struct Plan {
+    /// [`fuse_traced`]'s blocks, relabelled.
+    blocks: Vec<FusedOp>,
+    /// The block each op of the list ended in.
+    owners: Vec<u32>,
+    /// Qubit `q`'s label; untouched qubits take the top labels, in order.
+    label: Vec<usize>,
+    /// Per block, the qubits it and the blocks before it touch.
+    width: Vec<usize>,
+}
+
+impl Plan {
+    fn new(n_qubits: usize, ops: impl IntoIterator<Item = FusedOp>) -> Self {
+        let (blocks, owners) = fuse_traced(n_qubits, ops);
+        let mut label = vec![None; n_qubits];
+        let mut touched = 0;
+        let mut first_touch = |q: usize, touched: &mut usize| {
+            *label[q].get_or_insert_with(|| {
+                *touched += 1;
+                *touched - 1
+            })
+        };
+        let mut width = Vec::with_capacity(blocks.len());
+        let blocks = blocks
+            .iter()
+            .map(|block| {
+                let block = relabel(block, |q| first_touch(q, &mut touched));
+                width.push(touched);
+                block
+            })
+            .collect();
+        let label = (0..n_qubits)
+            .map(|q| first_touch(q, &mut touched))
+            .collect();
+        Plan {
+            blocks,
+            owners,
+            label,
+            width,
+        }
+    }
+}
+
+/// `op` with every qubit `q` replaced by `label(q)`; matrices and operand
+/// order stay, so each quartet computes what it did on the old labels.
+fn relabel(op: &FusedOp, mut label: impl FnMut(usize) -> usize) -> FusedOp {
+    match *op {
+        FusedOp::One(u, q) => FusedOp::One(u, label(q)),
+        FusedOp::Rz(theta, q) => FusedOp::Rz(theta, label(q)),
+        FusedOp::Two(u, a, b) => FusedOp::Two(u, label(a), label(b)),
+        FusedOp::Cx(c, t) => FusedOp::Cx(label(c), label(t)),
+        FusedOp::Mono(d, src, a, b) => FusedOp::Mono(d, src, label(a), label(b)),
+    }
 }
 
 /// A circuit with a depolarizing channel after every op, compiled for
@@ -356,7 +446,8 @@ impl TrajectoryProgram {
     /// The average over the trajectories with the fired sites `drawn`.
     fn average(&mut self, drawn: &[Pattern]) -> ProbDist {
         let span = qoncord_prof::span("sim::sv::traj_plan");
-        let (blocks, owners) = fuse_traced(self.n_qubits, self.ops.iter().copied());
+        let plan = Plan::new(self.n_qubits, self.ops.iter().copied());
+        let owners = &plan.owners;
         // Each pattern in block coordinates: its fired sites grouped by the
         // block that owns their op, blocks ascending (the order of execution).
         let to_blocks = |pattern: &Pattern| -> BlockPattern {
@@ -370,13 +461,14 @@ impl TrajectoryProgram {
         drop(span);
         self.stats = TrajectoryStats {
             fired_sites: drawn.iter().map(|p| p.len() as u64).sum(),
-            blocks: blocks.len() as u64,
+            blocks: plan.blocks.len() as u64,
             ..TrajectoryStats::default()
         };
         let mut acc = TrajectoryAccumulator::new(self.n_qubits);
         let start = StateVector::zero_state(self.n_qubits);
-        self.subtree(&mut acc, (&blocks, &owners), &patterns, 0, start, 0);
+        self.subtree(&mut acc, &plan, &patterns, 0, start, 0);
         self.stats.trajectories = acc.count();
+        acc.unlabel(&plan.label);
         acc.into_dist()
     }
 
@@ -386,13 +478,12 @@ impl TrajectoryProgram {
     fn subtree(
         &mut self,
         acc: &mut TrajectoryAccumulator,
-        plan: (&[FusedOp], &[u32]),
+        plan: &Plan,
         group: &[BlockPattern],
         depth: usize,
         mut sv: StateVector,
         mut from: usize,
     ) {
-        let (blocks, owners) = plan;
         // Patterns with nothing left to share take `sv` to the end of the
         // circuit: a group of equal patterns, or those that end here (they
         // sort first but go last: the forks need `sv`).
@@ -406,41 +497,52 @@ impl TrajectoryProgram {
             let patch = &first[depth];
             let (children, others) = rest.split_at(rest.partition_point(|p| p[depth] == *patch));
             let block = patch.0 as usize;
-            self.sweep(&mut sv, &blocks[from..block]);
+            self.sweep(&mut sv, plan, from..block);
             from = block;
             let mut child = sv.clone();
-            self.sweep_patched(&mut child, owners, patch);
+            self.sweep_patched(&mut child, plan, patch);
             self.subtree(acc, plan, children, depth + 1, child, block + 1);
             rest = others;
         }
         if let Some(pattern) = same.first() {
             for patch in &pattern[depth..] {
-                self.sweep(&mut sv, &blocks[from..patch.0 as usize]);
-                self.sweep_patched(&mut sv, owners, patch);
+                self.sweep(&mut sv, plan, from..patch.0 as usize);
+                self.sweep_patched(&mut sv, plan, patch);
                 from = patch.0 as usize + 1;
             }
-            self.sweep(&mut sv, &blocks[from..]);
+            self.sweep(&mut sv, plan, from..plan.blocks.len());
             self.stats.distinct_patterns += 1;
             acc.add_weighted(&sv, same.len() as u64);
         }
     }
 
-    fn sweep(&mut self, sv: &mut StateVector, ops: &[FusedOp]) {
-        self.stats.ops_applied += ops.len() as u64;
-        sv.apply_ops(ops);
+    /// Applies the plan's blocks `range`, each on its own width.
+    fn sweep(&mut self, sv: &mut StateVector, plan: &Plan, range: std::ops::Range<usize>) {
+        for (block, &width) in plan.blocks[range.clone()].iter().zip(&plan.width[range]) {
+            self.apply(sv, block, width);
+        }
+    }
+
+    /// Sweeps `op` over the first `2^width` amplitudes, and counts it.
+    fn apply(&mut self, sv: &mut StateVector, op: &FusedOp, width: usize) {
+        self.stats.ops_applied += 1;
+        self.stats.amplitudes_swept += 1 << width;
+        sv.apply_op_within(op, width);
     }
 
     /// Applies block `patch.0` with the fired Paulis of `patch.1` in it: the
-    /// block's members re-fused with each Pauli after its op. Merge legality
-    /// in [`fuse_traced`] depends on wires only and a Pauli acts on its own
-    /// op's wires, so the circuit-with-Paulis has the ideal plan's blocks and
-    /// only this one's matrix differs.
-    fn sweep_patched(&mut self, sv: &mut StateVector, owners: &[u32], patch: &(u32, Pattern)) {
+    /// block's members re-fused with each Pauli after its op, then relabelled
+    /// as the plan's blocks are. Merge legality in [`fuse_traced`] depends on
+    /// wires only and a Pauli acts on its own op's wires, so the
+    /// circuit-with-Paulis has the ideal plan's blocks and only this one's
+    /// matrix differs: it sweeps the block's width.
+    fn sweep_patched(&mut self, sv: &mut StateVector, plan: &Plan, patch: &(u32, Pattern)) {
+        let block = patch.0 as usize;
         let fused = {
             let _prof = qoncord_prof::span("sim::sv::traj_plan");
             let mut fired = patch.1.iter().peekable();
             let mut members = Vec::new();
-            for i in (0..self.ops.len()).filter(|&i| owners[i] == patch.0) {
+            for i in (0..self.ops.len()).filter(|&i| plan.owners[i] == patch.0) {
                 members.push(self.ops[i]);
                 if let Some(&entry) = fired.next_if(|e| e.0 as usize == i) {
                     members.extend(self.paulis(entry));
@@ -449,7 +551,9 @@ impl TrajectoryProgram {
             fuse(self.n_qubits, members)
         };
         self.stats.patched_blocks += 1;
-        self.sweep(sv, &fused);
+        for op in &fused {
+            self.apply(sv, &relabel(op, |q| plan.label[q]), plan.width[block]);
+        }
     }
 
     /// The Pauli a fired site applies after its op. Branch `4a + c` of the
@@ -633,5 +737,159 @@ mod tests {
         assert_eq!((stats.distinct_patterns, stats.patched_blocks), (4, 4));
         // Blocks 0–2 once (block 0 patched), then block 3 four ways.
         assert_eq!(stats.ops_applied, 3 + 4);
+    }
+
+    /// What [`TrajectoryProgram::average`] computes, with no relabelling,
+    /// no sweep widths and no trie: every distinct pattern runs the plan of
+    /// [`fuse_traced`] from `|0…0⟩` on the full register — a block with
+    /// fired sites re-fused from its members and their Paulis, any other as
+    /// planned — and its outcome is added, with its multiplicity, in the
+    /// order the trie adds them (ascending, but after every pattern it is a
+    /// proper prefix of).
+    fn replay_plan(program: &TrajectoryProgram, drawn: &[Pattern]) -> ProbDist {
+        let n = program.n_qubits;
+        let (blocks, owners) = fuse_traced(n, program.ops.iter().copied());
+        let in_block = |pattern: &Pattern, b: usize| -> Pattern {
+            let of_b = pattern
+                .iter()
+                .filter(|e| owners[e.0 as usize] as usize == b);
+            of_b.copied().collect()
+        };
+        let order = |pattern: &Pattern| {
+            let patches = (0..blocks.len()).map(|b| (b, in_block(pattern, b)));
+            let patches = patches.filter(|(_, fired)| !fired.is_empty());
+            let end = (1u8, (usize::MAX, Pattern::new()));
+            patches
+                .map(|patch| (0u8, patch))
+                .chain([end])
+                .collect::<Vec<_>>()
+        };
+        let mut sorted: Vec<_> = drawn.iter().map(|p| (order(p), p)).collect();
+        sorted.sort_by(|a, b| a.0.cmp(&b.0));
+        let mut acc = TrajectoryAccumulator::new(n);
+        for same in sorted.chunk_by(|a, b| a.0 == b.0) {
+            let pattern = same[0].1;
+            let mut sv = StateVector::zero_state(n);
+            for (b, block) in blocks.iter().enumerate() {
+                let fired = in_block(pattern, b);
+                if fired.is_empty() {
+                    sv.apply_op(block);
+                    continue;
+                }
+                let mut members = Vec::new();
+                for (i, op) in program.ops.iter().enumerate() {
+                    if owners[i] as usize == b {
+                        members.push(*op);
+                        let at_i = fired.iter().filter(|e| e.0 as usize == i);
+                        at_i.for_each(|&e| members.extend(program.paulis(e)));
+                    }
+                }
+                sv.apply_ops(&fuse(n, members));
+            }
+            acc.add_weighted(&sv, same.len() as u64);
+        }
+        acc.into_dist()
+    }
+
+    /// A depolarizing rate: exactly 0, low, or fully depolarizing.
+    fn rate() -> impl proptest::strategy::Strategy<Value = f64> {
+        use proptest::strategy::Just;
+        proptest::prop_oneof![Just(0.0), 0.0..0.3f64, Just(1.0)]
+    }
+
+    fn prob_bits(dist: &ProbDist) -> Vec<u64> {
+        dist.probabilities().iter().map(|p| p.to_bits()).collect()
+    }
+
+    /// Five qubits, 4 never touched. Blocks: CX(1, 2); CX(2, 3) with the
+    /// list's first op, an H on 3, absorbed; CX(0, 1) with an RZ on 0
+    /// absorbed. Qubits are first touched in the order 1, 2, 3, 0.
+    fn late_first_touches() -> Vec<FusedOp> {
+        vec![
+            FusedOp::One(gates::h(), 3),
+            FusedOp::Cx(1, 2),
+            FusedOp::Rz(0.8, 0),
+            FusedOp::Cx(2, 3),
+            FusedOp::Cx(0, 1),
+            FusedOp::One(gates::u3(0.3, 0.2, -0.5), 2),
+        ]
+    }
+
+    #[test]
+    fn traj_plan_labels_qubits_in_first_touch_order() {
+        let plan = Plan::new(5, late_first_touches());
+        assert_eq!(plan.owners, [1, 0, 2, 1, 2, 1]);
+        assert_eq!(plan.label, [3, 0, 1, 2, 4]);
+        assert_eq!(plan.width, [2, 3, 4]);
+        let wires: Vec<_> = plan.blocks.iter().map(FusedOp::pair).collect();
+        assert_eq!(wires, [Some([0, 1]), Some([1, 2]), Some([3, 0])]);
+    }
+
+    #[test]
+    fn traj_late_first_touches_are_bitwise_a_full_register_replay() {
+        let ops = late_first_touches();
+        for (dep_1q, dep_2q) in [(0.0, 0.0), (0.05, 0.2), (1.0, 1.0)] {
+            let mut program = TrajectoryProgram::compile(5, ops.iter().copied(), dep_1q, dep_2q);
+            let drawn = program.draw(3, 40);
+            let fast = program.average(&drawn);
+            assert_eq!(prob_bits(&fast), prob_bits(&replay_plan(&program, &drawn)));
+            let stats = program.stats();
+            assert!(stats.amplitudes_swept <= stats.ops_applied << 4);
+        }
+        // With no noise: blocks of widths 2, 3 and 4, one run.
+        let mut ideal = TrajectoryProgram::compile(5, ops, 0.0, 0.0);
+        ideal.run(0, 8);
+        assert_eq!(ideal.stats().amplitudes_swept, 4 + 8 + 16);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(32))]
+
+        /// [`TrajectoryProgram::average`] is, bit for bit on every
+        /// probability, [`replay_plan`]: relabelling, sweep widths and trie
+        /// sharing change no bit. The op lists mix every variant in both
+        /// qubit orders and leave qubit `hole` out (so labels above it are
+        /// not their qubits), and the rates run up to 1.
+        #[test]
+        fn traj_average_is_bitwise_a_full_register_replay_of_its_plan(
+            program in proptest::collection::vec((0u8..9, 0..5usize, 0..5usize, -3.2..3.2f64), 0..40),
+            hole in 0..6usize,
+            dep_1q in rate(),
+            dep_2q in rate(),
+            seed in 0..u64::MAX,
+            n_trajectories in 1u32..40,
+        ) {
+            for n in [3usize, 4, 6] {
+                let hole = hole % n;
+                let wire = |q: usize| q + (q >= hole) as usize;
+                let ops: Vec<FusedOp> = program
+                    .iter()
+                    .map(|&(op, a, b, angle)| {
+                        let (a, b) = (a % (n - 1), b % (n - 1));
+                        let b = if a == b { (a + 1) % (n - 1) } else { b };
+                        let (a, b) = (wire(a), wire(b));
+                        match op {
+                            0 => FusedOp::One(gates::h(), a),
+                            1 => FusedOp::One(gates::u3(angle, 0.4, -1.1), a),
+                            2 | 3 => FusedOp::Rz(angle, a),
+                            4..=6 => FusedOp::Cx(a, b),
+                            7 => FusedOp::Two(gates::crz(angle), a, b),
+                            _ => FusedOp::Mono(
+                                [C64::cis(angle), C64::I, C64::cis(-angle), C64::ONE],
+                                [2, 0, 3, 1],
+                                a,
+                                b,
+                            ),
+                        }
+                    })
+                    .collect();
+                let mut traj = TrajectoryProgram::compile(n, ops.iter().copied(), dep_1q, dep_2q);
+                let drawn = traj.draw(seed, n_trajectories);
+                let fast = traj.average(&drawn);
+                proptest::prop_assert_eq!(prob_bits(&fast), prob_bits(&replay_plan(&traj, &drawn)));
+                let stats = traj.stats();
+                proptest::prop_assert!(stats.amplitudes_swept <= stats.ops_applied << (n - 1));
+            }
+        }
     }
 }

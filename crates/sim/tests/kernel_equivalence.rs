@@ -501,6 +501,8 @@ proptest! {
     /// A trajectory run's counters follow its plan: one fusion of the
     /// noise-free op list (`blocks`), at most one re-fused block per fired
     /// site, and with no noise exactly the plan's sweeps and nothing patched.
+    /// Block `j` sweeps `2^width[j]` amplitudes, `width[j]` the qubits blocks
+    /// `0..=j` touch, never more than the full register's `2^n`.
     #[test]
     fn sv_trajectory_counters_follow_the_plan(
         ops in noisy_program(),
@@ -510,16 +512,32 @@ proptest! {
     ) {
         for n in [2usize, 5] {
             let ops = to_noisy(n, &ops);
-            let blocks = fuse::fuse(n, ops.iter().copied()).len() as u64;
+            let plan = fuse::fuse(n, ops.iter().copied());
+            let blocks = plan.len() as u64;
+            let mut touched = vec![false; n];
+            let swept_by_plan: u64 = plan
+                .iter()
+                .map(|block| {
+                    let (a, b) = match *block {
+                        FusedOp::One(_, q) | FusedOp::Rz(_, q) => (q, q),
+                        FusedOp::Two(_, a, b) | FusedOp::Cx(a, b) | FusedOp::Mono(_, _, a, b) => (a, b),
+                    };
+                    (touched[a], touched[b]) = (true, true);
+                    1 << touched.iter().filter(|&&t| t).count()
+                })
+                .sum();
             let mut program = TrajectoryProgram::compile(n, ops.iter().copied(), dep_1q, dep_2q);
             program.run(seed, 12);
             let stats = program.stats();
             prop_assert_eq!(stats.blocks, blocks);
             prop_assert!(stats.patched_blocks <= stats.fired_sites);
             prop_assert!(stats.ops_applied >= blocks);
+            prop_assert!(stats.amplitudes_swept <= stats.ops_applied << n);
             let mut ideal = TrajectoryProgram::compile(n, ops.iter().copied(), 0.0, 0.0);
             ideal.run(seed, 12);
             prop_assert_eq!((ideal.stats().ops_applied, ideal.stats().patched_blocks), (blocks, 0));
+            prop_assert_eq!(ideal.stats().amplitudes_swept, swept_by_plan);
+            prop_assert!(swept_by_plan <= blocks << n);
         }
     }
 
