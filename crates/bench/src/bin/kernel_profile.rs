@@ -24,6 +24,10 @@
 //! `circuit.transpile_us`, `cloud.push_ns`, …); this binary says only what
 //! those cannot: how far the fast path is from the seed's.
 //!
+//! Every number is timed on the build of the statevector sweeps this CPU
+//! runs (`qoncord_sim::sweep_build`: `avx2` or `baseline`), which the JSON
+//! records as `sweep_build`.
+//!
 //! Emits `BENCH_kernels.json` in the working directory (the repo root
 //! under `cargo run`); the binary self-checks the JSON's schema through
 //! [`qoncord_bench::require_keys`] before writing.
@@ -405,6 +409,8 @@ fn density_vs_trajectory(layers: usize, runs: usize) -> (String, f64) {
 
 fn main() {
     let args = ExperimentArgs::parse();
+    let sweep_build = qoncord_sim::sweep_build();
+    println!("statevector sweeps: {sweep_build} build");
 
     let (fvr_json, speedup) = fast_vs_reference(args.scale(3, 9));
     println!("14-qubit QAOA evaluation, fast vs reference kernels: {speedup:.2}x");
@@ -428,8 +434,9 @@ fn main() {
 
     let json = format!(
         "{{\n  \"experiment\": \"kernel_profile\",\n  \"mode\": \"{}\",\n  \
-         \"seed\": {},\n{fvr_json},\n{fvr_density_json},\n{fvr_density_p3_json},\n\
-         {fvr_trajectory_json},\n  \"density_vs_trajectory\": [\n{}\n  ]\n}}\n",
+         \"seed\": {},\n  \"sweep_build\": \"{sweep_build}\",\n{fvr_json},\n\
+         {fvr_density_json},\n{fvr_density_p3_json},\n{fvr_trajectory_json},\n  \
+         \"density_vs_trajectory\": [\n{}\n  ]\n}}\n",
         if args.paper { "paper" } else { "quick" },
         args.seed,
         rows.join(",\n"),
@@ -440,6 +447,7 @@ fn main() {
             "experiment",
             "mode",
             "seed",
+            "sweep_build",
             "fast_vs_reference",
             "fast_vs_reference_density",
             "fast_vs_reference_density_p3",

@@ -61,4 +61,4 @@ pub use dist::ProbDist;
 pub use linalg::Matrix;
 pub use math::C64;
 pub use noise::{NoiseChannel, ReadoutError};
-pub use statevector::StateVector;
+pub use statevector::{sweep_build, StateVector};

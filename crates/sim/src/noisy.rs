@@ -174,8 +174,10 @@
 //! thread, so the same program on the same ρ gives the same bits every
 //! time, windowed or full.
 //!
-//! The sweeps reach ρ through `RawRho`, the workspace's only `unsafe`
-//! (forbidden in every other crate, denied in the rest of this one).
+//! The sweeps reach ρ through `RawRho`, the workspace's only unchecked
+//! memory access (`unsafe` is forbidden in every other crate and denied in
+//! the rest of this one, but for the guarded call into the statevector's
+//! AVX2 build in `statevector.rs`).
 //! Bounds-checked forms cost `noisy_fleet` 16–20 % of its `wall_s`;
 //! `docs/ARCHITECTURE.md`, "Why the simulator is single-threaded", has the
 //! table.

@@ -15,6 +15,16 @@
 //! loop on the calling thread (see "Why the simulator is single-threaded"
 //! in `docs/ARCHITECTURE.md`). No method here reaches the seed kernels;
 //! a caller that wants them calls [`crate::reference`] directly.
+//!
+//! The sweeps are built twice from one source: `sweep` (the `match` over
+//! [`FusedOp`] with every kernel it calls inlined) is compiled once for the
+//! crate's target and once more inside `sweep_avx2`, a
+//! `#[target_feature(enable = "avx2")]` function; a CPU with AVX2 runs the
+//! second ([`crate::sweep_build`] says which). The two builds agree bit for
+//! bit: FMA stays off and Rust never contracts `a * b + c`, so AVX2 changes
+//! only how many of the same IEEE adds and multiplies one instruction does,
+//! in the same order (`sv_avx2_build_is_bitwise_the_baseline_build`). That
+//! guarded call is this crate's only `unsafe` outside `noisy.rs`.
 
 use crate::fuse::FusedOp;
 use crate::gates::{Mat2, Mat4};
@@ -153,33 +163,7 @@ impl StateVector {
     pub(crate) fn apply_op_within(&mut self, op: &FusedOp, width: usize) {
         assert!(width <= self.n_qubits, "sweep wider than the register");
         op.validate(width);
-        let amps = &mut self.amps[..1 << width];
-        match op {
-            FusedOp::One(u, q) => {
-                let _prof = qoncord_prof::span("sim::sv::apply_1q");
-                fast_apply_1q(amps, u, *q);
-            }
-            FusedOp::Two(u, q0, q1) => {
-                let _prof = qoncord_prof::span("sim::sv::apply_2q");
-                if let Some(cols) = two_per_row(u) {
-                    fast_apply_2q_two_term(amps, u, &cols, *q0, *q1);
-                } else {
-                    fast_apply_2q(amps, u, *q0, *q1);
-                }
-            }
-            FusedOp::Cx(c, t) => {
-                let _prof = qoncord_prof::span("sim::sv::apply_cx");
-                fast_apply_cx(amps, *c, *t);
-            }
-            FusedOp::Rz(theta, q) => {
-                let _prof = qoncord_prof::span("sim::sv::apply_rz");
-                fast_apply_rz(amps, *theta, *q);
-            }
-            FusedOp::Mono(d, src, q0, q1) => {
-                let _prof = qoncord_prof::span("sim::sv::apply_mono");
-                fast_apply_2q_mono(amps, d, src, *q0, *q1);
-            }
-        }
+        sweep_fastest(&mut self.amps[..1 << width], op);
     }
 
     /// Applies an op sequence in order (typically the output of
@@ -220,6 +204,75 @@ impl StateVector {
     }
 }
 
+/// Which build of the statevector sweeps every [`StateVector`] op runs on
+/// this CPU: `"avx2"` or `"baseline"` (see the module docs).
+pub fn sweep_build() -> &'static str {
+    #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+    if std::is_x86_feature_detected!("avx2") {
+        return "avx2";
+    }
+    "baseline"
+}
+
+/// [`sweep`] on the fastest build this CPU runs: [`sweep_avx2`] if it has
+/// AVX2 (std caches the detection), the crate's own build otherwise.
+#[inline(always)]
+fn sweep_fastest(amps: &mut [C64], op: &FusedOp) {
+    #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+    if std::is_x86_feature_detected!("avx2") {
+        // SAFETY: `sweep_avx2` enables AVX2 only, which this CPU was just
+        // detected to support.
+        #[allow(unsafe_code)]
+        unsafe {
+            sweep_avx2(amps, op)
+        };
+        return;
+    }
+    sweep(amps, op);
+}
+
+/// [`sweep`] compiled for AVX2. Every kernel is `#[inline(always)]`, so the
+/// whole dispatch is built again here with 256-bit registers (a kernel left
+/// out of line would run its baseline build from here); without FMA
+/// the adds and multiplies are the same IEEE operations in the same order,
+/// only more of them per instruction, so the bits are [`sweep`]'s.
+#[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+#[target_feature(enable = "avx2")]
+fn sweep_avx2(amps: &mut [C64], op: &FusedOp) {
+    sweep(amps, op);
+}
+
+/// Routes a validated `op` to its kernel over all of `amps`.
+#[inline(always)]
+fn sweep(amps: &mut [C64], op: &FusedOp) {
+    match op {
+        FusedOp::One(u, q) => {
+            let _prof = qoncord_prof::span("sim::sv::apply_1q");
+            fast_apply_1q(amps, u, *q);
+        }
+        FusedOp::Two(u, q0, q1) => {
+            let _prof = qoncord_prof::span("sim::sv::apply_2q");
+            if let Some(cols) = two_per_row(u) {
+                fast_apply_2q_two_term(amps, u, &cols, *q0, *q1);
+            } else {
+                fast_apply_2q(amps, u, *q0, *q1);
+            }
+        }
+        FusedOp::Cx(c, t) => {
+            let _prof = qoncord_prof::span("sim::sv::apply_cx");
+            fast_apply_cx(amps, *c, *t);
+        }
+        FusedOp::Rz(theta, q) => {
+            let _prof = qoncord_prof::span("sim::sv::apply_rz");
+            fast_apply_rz(amps, *theta, *q);
+        }
+        FusedOp::Mono(d, src, q0, q1) => {
+            let _prof = qoncord_prof::span("sim::sv::apply_mono");
+            fast_apply_2q_mono(amps, d, src, *q0, *q1);
+        }
+    }
+}
+
 /// Inserts a zero bit at position `bit` of `i` (all higher bits shift up):
 /// maps a dense anchor counter onto the indices with that bit clear, letting
 /// kernels enumerate sweep anchors branch-free.
@@ -232,6 +285,7 @@ pub(crate) fn expand(i: usize, bit: usize) -> usize {
 /// amplitude pair `(i0, i0 | stride)` with `i0 = expand(p, q)`, so the inner
 /// loop is branch-free and walks two contiguous streams. Arithmetic is
 /// expression-identical to [`crate::reference::sv_apply_1q`].
+#[inline(always)]
 fn fast_apply_1q(amps: &mut [C64], u: &Mat2, q: usize) {
     let stride = 1usize << q;
     for p in 0..amps.len() >> 1 {
@@ -248,6 +302,7 @@ fn fast_apply_1q(amps: &mut [C64], u: &Mat2, q: usize) {
 /// the bit positions (correct for `q0 > q1`), while the offset bits `b0`,
 /// `b1` follow the argument order so the matrix still acts on `|q1 q0⟩`.
 /// Arithmetic is expression-identical to [`crate::reference::sv_apply_2q`].
+#[inline(always)]
 fn fast_apply_2q(amps: &mut [C64], u: &Mat4, q0: usize, q1: usize) {
     let b0 = 1usize << q0;
     let b1 = 1usize << q1;
@@ -267,6 +322,7 @@ fn fast_apply_2q(amps: &mut [C64], u: &Mat4, q0: usize, q1: usize) {
 
 /// The columns (ascending) of `u`'s non-zeros when every row has exactly
 /// two. Zero-tests are exact, as in fusion's monomial classification.
+#[inline(always)]
 fn two_per_row(u: &Mat4) -> Option<[[usize; 2]; 4]> {
     let mut cols = [[0; 2]; 4];
     for r in 0..4 {
@@ -281,6 +337,7 @@ fn two_per_row(u: &Mat4) -> Option<[[usize; 2]; 4]> {
 
 /// [`fast_apply_2q`] with only the terms in columns `cols` (from
 /// [`two_per_row`]): 8 complex multiplies per quartet for 16.
+#[inline(always)]
 fn fast_apply_2q_two_term(
     amps: &mut [C64],
     u: &Mat4,
@@ -310,6 +367,7 @@ fn fast_apply_2q_two_term(
 /// their order are the same in all of them. Only ever reached from fused
 /// programs (fusion's matrix products already reorder floating-point ops),
 /// so the contract is ≤ 1e-12 max-norm vs reference.
+#[inline(always)]
 fn fast_apply_2q_mono(amps: &mut [C64], d: &[C64; 4], src: &[u8; 4], q0: usize, q1: usize) {
     macro_rules! sweep_for {
         ($([$a:literal $b:literal $c:literal $d:literal])*) => {
@@ -328,6 +386,7 @@ fn fast_apply_2q_mono(amps: &mut [C64], d: &[C64; 4], src: &[u8; 4], q0: usize, 
 }
 
 /// [`fast_apply_2q_mono`] for the source permutation `[S0, S1, S2, S3]`.
+#[inline(always)]
 fn mono_sweep<const S0: usize, const S1: usize, const S2: usize, const S3: usize>(
     amps: &mut [C64],
     d: &[C64; 4],
@@ -352,6 +411,7 @@ fn mono_sweep<const S0: usize, const S1: usize, const S2: usize, const S3: usize
 /// Blocked CNOT: enumerates exactly the indices with the control bit set and
 /// target bit clear (a quarter of the register) instead of scanning all of
 /// it, then swaps — the same swaps as [`crate::reference::sv_apply_cx`].
+#[inline(always)]
 fn fast_apply_cx(amps: &mut [C64], c: usize, t: usize) {
     let cb = 1usize << c;
     let tb = 1usize << t;
@@ -364,6 +424,7 @@ fn fast_apply_cx(amps: &mut [C64], c: usize, t: usize) {
 
 /// Elementwise RZ phase sweep; each amplitude gets the same single multiply
 /// as [`crate::reference::sv_apply_rz`].
+#[inline(always)]
 fn fast_apply_rz(amps: &mut [C64], theta: f64, q: usize) {
     let bit = 1usize << q;
     let lo = C64::cis(-theta / 2.0);
@@ -474,6 +535,8 @@ mod tests {
 mod fast_path_tests {
     use super::*;
     use crate::{fuse, gates, reference};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn cx_fast_matches_matrix_form() {
@@ -630,6 +693,88 @@ mod fast_path_tests {
                 }
             }
             assert_two_term_equals_dense(&m);
+        }
+    }
+
+    /// A complex number with both parts uniform in `[-1, 1)`.
+    fn random_c64(rng: &mut StdRng) -> C64 {
+        C64::new(rng.random_range(-1.0..1.0), rng.random_range(-1.0..1.0))
+    }
+
+    /// A random unit-norm state of `width` qubits, with a few exact zeros
+    /// of either sign among its amplitudes.
+    fn random_state(rng: &mut StdRng, width: usize) -> Vec<C64> {
+        let mut amps: Vec<C64> = (0..1usize << width).map(|_| random_c64(rng)).collect();
+        let norm = amps.iter().map(|a| a.norm_sq()).sum::<f64>().sqrt();
+        amps.iter_mut().for_each(|a| *a = *a * (1.0 / norm));
+        for zero in [C64::ZERO, C64::new(-0.0, 0.0), C64::new(0.0, -0.0)] {
+            let at = rng.random_range(0..amps.len());
+            amps[at] = zero;
+        }
+        amps
+    }
+
+    /// Every kernel [`sweep`] reaches, on random distinct qubits below
+    /// `width`: a 1q block, a dense and a two-term 2q block, CX, RZ, and a
+    /// monomial block for each of the 24 source permutations.
+    fn every_kernel(rng: &mut StdRng, width: usize) -> Vec<FusedOp> {
+        let pair = |rng: &mut StdRng| {
+            let q0 = rng.random_range(0..width);
+            (q0, (q0 + rng.random_range(1..width)) % width)
+        };
+        fn mat<const N: usize>(rng: &mut StdRng) -> [C64; N] {
+            std::array::from_fn(|_| random_c64(rng))
+        }
+        let ((a, b), (c, d), (e, f)) = (pair(rng), pair(rng), pair(rng));
+        let mut two_term = [[C64::ZERO; 4]; 4];
+        for row in &mut two_term {
+            let c0 = rng.random_range(0..4);
+            row[c0] = random_c64(rng);
+            row[(c0 + rng.random_range(1..4)) % 4] = random_c64(rng);
+        }
+        assert!(two_per_row(&two_term).is_some());
+        let mut ops = vec![
+            FusedOp::One([mat(rng), mat(rng)], a),
+            FusedOp::Two([mat(rng), mat(rng), mat(rng), mat(rng)], b, a),
+            FusedOp::Two(two_term, e, f),
+            FusedOp::Cx(c, d),
+            FusedOp::Rz(rng.random_range(-3.2..3.2), d),
+        ];
+        for code in 0..256u32 {
+            let src = [code & 3, code >> 2 & 3, code >> 4 & 3, code >> 6].map(|s| s as u8);
+            if (0..4).all(|k| src.contains(&k)) {
+                let (q0, q1) = pair(rng);
+                ops.push(FusedOp::Mono(mat(rng), src, q0, q1));
+            }
+        }
+        ops
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(32))]
+
+        /// The AVX2 build of the sweeps leaves every amplitude bit the
+        /// baseline build leaves. [`sweep`] is called as compiled into the
+        /// test (baseline), [`sweep_fastest`] on an AVX2 host is
+        /// [`sweep_avx2`]; without AVX2 there is nothing to compare. The
+        /// fast-vs-`reference` suites pin what both builds compute.
+        #[test]
+        fn sv_avx2_build_is_bitwise_the_baseline_build(seed in 0..u64::MAX) {
+            if crate::sweep_build() != "avx2" {
+                println!("skipped: this CPU has no AVX2, so only the baseline build runs");
+                return;
+            }
+            let mut rng = StdRng::seed_from_u64(seed);
+            for width in 2..=10 {
+                let start = random_state(&mut rng, width);
+                for op in every_kernel(&mut rng, width) {
+                    let mut baseline = start.clone();
+                    let mut avx2 = start.clone();
+                    sweep(&mut baseline, &op);
+                    sweep_fastest(&mut avx2, &op);
+                    proptest::prop_assert_eq!(bits(&avx2), bits(&baseline), "{:?} at width {}", op, width);
+                }
+            }
         }
     }
 

@@ -298,6 +298,10 @@ struct Plan {
     blocks: Vec<FusedOp>,
     /// The block each op of the list ended in.
     owners: Vec<u32>,
+    /// Block `b`'s member ops, ascending, are
+    /// `members[starts[b]..starts[b + 1]]` (the inverse of `owners`).
+    starts: Vec<usize>,
+    members: Vec<u32>,
     /// Qubit `q`'s label; untouched qubits take the top labels, in order.
     label: Vec<usize>,
     /// Per block, the qubits it and the blocks before it touch.
@@ -307,6 +311,12 @@ struct Plan {
 impl Plan {
     fn new(n_qubits: usize, ops: impl IntoIterator<Item = FusedOp>) -> Self {
         let (blocks, owners) = fuse_traced(n_qubits, ops);
+        // A stable sort keeps each block's members in op order.
+        let mut members: Vec<u32> = (0..owners.len() as u32).collect();
+        members.sort_by_key(|&i| owners[i as usize]);
+        let starts = (0..=blocks.len())
+            .map(|b| members.partition_point(|&i| (owners[i as usize] as usize) < b))
+            .collect();
         let mut label = vec![None; n_qubits];
         let mut touched = 0;
         let mut first_touch = |q: usize, touched: &mut usize| {
@@ -330,6 +340,8 @@ impl Plan {
         Plan {
             blocks,
             owners,
+            starts,
+            members,
             label,
             width,
         }
@@ -542,7 +554,8 @@ impl TrajectoryProgram {
             let _prof = qoncord_prof::span("sim::sv::traj_plan");
             let mut fired = patch.1.iter().peekable();
             let mut members = Vec::new();
-            for i in (0..self.ops.len()).filter(|&i| plan.owners[i] == patch.0) {
+            for &i in &plan.members[plan.starts[block]..plan.starts[block + 1]] {
+                let i = i as usize;
                 members.push(self.ops[i]);
                 if let Some(&entry) = fired.next_if(|e| e.0 as usize == i) {
                     members.extend(self.paulis(entry));
@@ -819,6 +832,8 @@ mod tests {
     fn traj_plan_labels_qubits_in_first_touch_order() {
         let plan = Plan::new(5, late_first_touches());
         assert_eq!(plan.owners, [1, 0, 2, 1, 2, 1]);
+        assert_eq!(plan.starts, [0, 1, 4, 6]);
+        assert_eq!(plan.members, [1, 0, 3, 5, 2, 4]);
         assert_eq!(plan.label, [3, 0, 1, 2, 4]);
         assert_eq!(plan.width, [2, 3, 4]);
         let wires: Vec<_> = plan.blocks.iter().map(FusedOp::pair).collect();
