@@ -24,9 +24,10 @@
 //! `circuit.transpile_us`, `cloud.push_ns`, …); this binary says only what
 //! those cannot: how far the fast path is from the seed's.
 //!
-//! Every number is timed on the build of the statevector sweeps this CPU
-//! runs (`qoncord_sim::sweep_build`: `avx2` or `baseline`), which the JSON
-//! records as `sweep_build`.
+//! Every fast-path number is timed on the build of the statevector and
+//! density sweeps this CPU runs (`qoncord_sim::sweep_build`: `avx2` or
+//! `baseline`, the same for both families), which the JSON records as
+//! `sweep_build`.
 //!
 //! Emits `BENCH_kernels.json` in the working directory (the repo root
 //! under `cargo run`); the binary self-checks the JSON's schema through
@@ -410,7 +411,7 @@ fn density_vs_trajectory(layers: usize, runs: usize) -> (String, f64) {
 fn main() {
     let args = ExperimentArgs::parse();
     let sweep_build = qoncord_sim::sweep_build();
-    println!("statevector sweeps: {sweep_build} build");
+    println!("statevector and density sweeps: {sweep_build} build");
 
     let (fvr_json, speedup) = fast_vs_reference(args.scale(3, 9));
     println!("14-qubit QAOA evaluation, fast vs reference kernels: {speedup:.2}x");

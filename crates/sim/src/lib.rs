@@ -61,4 +61,27 @@ pub use dist::ProbDist;
 pub use linalg::Matrix;
 pub use math::C64;
 pub use noise::{NoiseChannel, ReadoutError};
-pub use statevector::{sweep_build, StateVector};
+pub use statevector::StateVector;
+
+/// Which build of the sweeps runs on this CPU: `"avx2"` or `"baseline"`.
+/// Both sweep families are built twice from one source and pick the same
+/// way, so the answer holds for every [`StateVector`] op and every
+/// [`noisy::DensityProgram`] sweep (see the [`statevector`] and [`noisy`]
+/// module docs).
+pub fn sweep_build() -> &'static str {
+    if avx2() {
+        "avx2"
+    } else {
+        "baseline"
+    }
+}
+
+/// Whether this CPU has AVX2, so that the sweeps run their AVX2 build (std
+/// caches the detection). Always false off x86.
+#[inline]
+pub(crate) fn avx2() -> bool {
+    #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+    return std::is_x86_feature_detected!("avx2");
+    #[cfg(not(any(target_arch = "x86", target_arch = "x86_64")))]
+    false
+}

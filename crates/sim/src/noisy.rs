@@ -180,7 +180,21 @@
 //! AVX2 build in `statevector.rs`).
 //! Bounds-checked forms cost `noisy_fleet` 16–20 % of its `wall_s`;
 //! `docs/ARCHITECTURE.md`, "Why the simulator is single-threaded", has the
-//! table.
+//! table. The module's other `unsafe` is the call into the AVX2 build of
+//! the sweeps, made only on a CPU detected to have AVX2.
+//!
+//! # Two builds, one source
+//!
+//! As the statevector's are, the sweeps are built twice: `step_sweep` (the
+//! `match` over `Step` with every kernel under it inlined) is compiled
+//! once for the crate's target and once more inside `step_sweep_avx2`, a
+//! `#[target_feature(enable = "avx2")]` function; every run, windowed or
+//! full, goes through `Step::sweep`, which picks the second on a CPU with
+//! AVX2 ([`crate::sweep_build`] says which). FMA stays off, so both do the
+//! same IEEE adds and multiplies in the same order and the bits are equal
+//! (`dm_avx2_build_is_bitwise_the_baseline_build`). A kernel under the
+//! `match` that is not inlined (`#[inline(always)]`; `array::from_fn` is
+//! not) runs its baseline build from the AVX2 one.
 
 #![allow(unsafe_code)]
 
@@ -426,18 +440,43 @@ impl Step {
         }
     }
 
-    /// Takes the tiles of `window` through the step.
+    /// Takes the tiles of `window` through the step, on [`step_sweep_avx2`]
+    /// if this CPU has AVX2 and on [`step_sweep`] otherwise.
     fn sweep(&self, data: &mut [C64], dim: usize, window: Window) {
-        match self {
-            Step::Wire { q, run } => sweep_wire(data, dim, *q, run, window),
-            Step::Pair {
-                q0,
-                q1,
-                ops,
-                keep,
-                swaps,
-            } => sweep_pair(data, dim, [*q0, *q1], ops, *keep, swaps, window),
+        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+        if crate::avx2() {
+            // SAFETY: `step_sweep_avx2` enables AVX2 only, which this CPU
+            // was detected to support.
+            unsafe { step_sweep_avx2(self, data, dim, window) };
+            return;
         }
+        step_sweep(self, data, dim, window);
+    }
+}
+
+/// [`step_sweep`] compiled for AVX2. Every kernel under it is
+/// `#[inline(always)]`, so the whole dispatch is built again here with
+/// 256-bit registers (a kernel left out of line would run its baseline
+/// build from here); without FMA the adds and multiplies are the same IEEE
+/// operations in the same order, so the bits are [`step_sweep`]'s.
+#[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+#[target_feature(enable = "avx2")]
+fn step_sweep_avx2(step: &Step, data: &mut [C64], dim: usize, window: Window) {
+    step_sweep(step, data, dim, window);
+}
+
+/// Routes `step` to its kernel over the tiles of `window`.
+#[inline(always)]
+fn step_sweep(step: &Step, data: &mut [C64], dim: usize, window: Window) {
+    match step {
+        Step::Wire { q, run } => sweep_wire(data, dim, *q, run, window),
+        Step::Pair {
+            q0,
+            q1,
+            ops,
+            keep,
+            swaps,
+        } => sweep_pair(data, dim, [*q0, *q1], ops, *keep, swaps, window),
     }
 }
 
@@ -1370,6 +1409,7 @@ impl RawRho {
     ///
     /// `i` must be below the length of the slice `self` was made from, and
     /// that borrow must still be live.
+    #[inline(always)]
     unsafe fn get(self, i: usize) -> C64 {
         *self.0.add(i)
     }
@@ -1379,6 +1419,7 @@ impl RawRho {
     /// # Safety
     ///
     /// As for [`RawRho::get`].
+    #[inline(always)]
     unsafe fn set(self, i: usize, v: C64) {
         *self.0.add(i) = v;
     }
@@ -1388,6 +1429,7 @@ impl RawRho {
     /// # Safety
     ///
     /// As for [`RawRho::get`], for both indices.
+    #[inline(always)]
     unsafe fn swap(self, i: usize, j: usize) {
         let a = self.get(i);
         self.set(i, self.get(j));
@@ -1416,6 +1458,7 @@ unsafe fn wire_at(ptr: RawRho, run: &WireOp, rows: [usize; 2], cols: [usize; 2])
 }
 
 /// One lone run over the `2 × 2` sub-blocks of wire `q` inside `window`.
+#[inline(always)]
 fn sweep_wire(data: &mut [C64], dim: usize, q: usize, run: &WireOp, window: Window) {
     let _prof = qoncord_prof::span("sim::dm::apply_wire");
     let bit = 1usize << q;
@@ -1442,6 +1485,7 @@ fn sweep_wire(data: &mut [C64], dim: usize, q: usize, run: &WireOp, window: Wind
 /// One pair block on `(q0, q1)` over the tiles of `window`: each strip goes
 /// through all of `ops`, the merged channel and the net permutation before
 /// the next strip starts.
+#[inline(always)]
 fn sweep_pair(
     data: &mut [C64],
     dim: usize,
@@ -1542,16 +1586,23 @@ impl Strip {
     /// # Safety
     ///
     /// As for [`Strip::wire`].
+    #[inline(always)]
     unsafe fn dense(self, u: &Mat4) {
         let rows = self.offsets.map(|o| self.row_at(o));
         for c in self.anchors() {
             let cols = self.offsets.map(|o| c | o);
             let t = rows.map(|row| cols.map(|col| self.ptr.get(row + col)));
-            let left: [[C64; 4]; 4] = std::array::from_fn(|k| {
-                std::array::from_fn(|c| {
-                    u[k][0] * t[0][c] + u[k][1] * t[1][c] + u[k][2] * t[2][c] + u[k][3] * t[3][c]
-                })
-            });
+            // A loop, not `array::from_fn`: that stays out of line, so the
+            // AVX2 build would run this product at baseline.
+            let mut left = [[C64::ZERO; 4]; 4];
+            for k in 0..4 {
+                for c in 0..4 {
+                    left[k][c] = u[k][0] * t[0][c]
+                        + u[k][1] * t[1][c]
+                        + u[k][2] * t[2][c]
+                        + u[k][3] * t[3][c];
+                }
+            }
             for (r, row) in rows.into_iter().enumerate() {
                 for (k, col) in cols.into_iter().enumerate() {
                     let v = left[r][0] * u[k][0].conj()
@@ -1570,6 +1621,7 @@ impl Strip {
     /// # Safety
     ///
     /// As for [`Strip::wire`].
+    #[inline(always)]
     unsafe fn depolarize(self, keep: f64) {
         let mixed_scale = 0.25 * (1.0 - keep);
         let rows = self.offsets.map(|o| self.row_at(o));
@@ -1595,6 +1647,7 @@ impl Strip {
     /// # Safety
     ///
     /// As for [`Strip::wire`], with `a` and `b` among `offsets`.
+    #[inline(always)]
     unsafe fn swap(self, a: usize, b: usize) {
         let (ra, rb) = (self.row_at(a), self.row_at(b));
         for c in self.anchors() {
@@ -1614,6 +1667,8 @@ impl Strip {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn max_diff(a: &DensityMatrix, b: &DensityMatrix) -> f64 {
         let dim = 1usize << a.n_qubits();
@@ -2051,5 +2106,147 @@ mod tests {
     fn register_size_mismatch_fails_closed() {
         let mut rho = DensityMatrix::zero_state(3);
         DensityProgram::compile(2, [FusedOp::Cx(0, 1)], 0.0, 0.0).run(&mut rho);
+    }
+
+    /// A random program for [`dm_avx2_build_is_bitwise_the_baseline_build`]
+    /// on `n` qubits. Two-qubit ops stay on the first `paired` wires (a
+    /// CX-heavy mix of every `FusedOp` kind), and each wire above them is
+    /// lone: alternately RZ-only (a `Phase` run) and general (a `Ptm` run).
+    /// Each rate is exactly 0 (a pair's `keep == 1`) in half the cases.
+    fn build_pin_program(rng: &mut StdRng, n: usize) -> DensityProgram {
+        let paired = if n >= 4 {
+            n - 2
+        } else if n >= 2 && rng.random_bool(0.5) {
+            n
+        } else {
+            0
+        };
+        let angle = |rng: &mut StdRng| rng.random_range(-3.2..3.2);
+        let u3 = |rng: &mut StdRng| gates::u3(angle(rng), angle(rng), angle(rng));
+        let ops: Vec<FusedOp> = (0..rng.random_range(1..32))
+            .map(|_| {
+                let q = rng.random_range(0..n);
+                if q >= paired {
+                    return if (q - paired) % 2 == 0 {
+                        FusedOp::Rz(angle(rng), q)
+                    } else {
+                        FusedOp::One(u3(rng), q)
+                    };
+                }
+                let p = (q + rng.random_range(1..paired)) % paired;
+                match rng.random_range(0..8) {
+                    0 => FusedOp::One(u3(rng), q),
+                    1 => FusedOp::Rz(angle(rng), q),
+                    2..=4 => FusedOp::Cx(q, p),
+                    5 => FusedOp::Two(gates::crz(angle(rng)), q, p),
+                    6 => FusedOp::Two(gates::rzz(angle(rng)), q, p),
+                    _ => FusedOp::Mono(
+                        [C64::cis(angle(rng)), C64::I, C64::cis(angle(rng)), C64::ONE],
+                        [2, 0, 3, 1],
+                        q,
+                        p,
+                    ),
+                }
+            })
+            .collect();
+        let mut rate = || {
+            if rng.random_bool(0.5) {
+                0.0
+            } else {
+                rng.random_range(0.0..0.2)
+            }
+        };
+        let (dep_1q, dep_2q) = (rate(), rate());
+        DensityProgram::compile(n, ops, dep_1q, dep_2q)
+    }
+
+    /// A dense `n`-qubit ρ with every entry random (not a state: the
+    /// sweeps are linear and never look), and a few exact zeros of either
+    /// sign among them.
+    fn random_rho(rng: &mut StdRng, n: usize) -> Vec<C64> {
+        let mut part = || rng.random_range(-1.0..1.0);
+        let mut data: Vec<C64> = (0..1usize << (2 * n))
+            .map(|_| C64::new(part(), part()))
+            .collect();
+        for zero in [C64::ZERO, C64::new(-0.0, 0.0), C64::new(0.0, -0.0)] {
+            let at = rng.random_range(0..data.len());
+            data[at] = zero;
+        }
+        data
+    }
+
+    fn same_bits(a: &[C64], b: &[C64]) -> bool {
+        let bits = |v: &C64| [v.re.to_bits(), v.im.to_bits()];
+        a.len() == b.len() && a.iter().zip(b).all(|(a, b)| bits(a) == bits(b))
+    }
+
+    #[test]
+    fn dm_avx2_pin_reaches_every_step_shape() {
+        // Phase wire, Ptm wire, pair with a local wire, with a dense op,
+        // with keep < 1, with keep == 1, with swaps.
+        let mut seen = [false; 7];
+        let mut rng = StdRng::seed_from_u64(11);
+        for n in (1..=7).cycle().take(70) {
+            for step in &build_pin_program(&mut rng, n).steps {
+                match step {
+                    Step::Wire { run, .. } => seen[matches!(run, WireOp::Ptm(_)) as usize] = true,
+                    Step::Pair {
+                        ops, keep, swaps, ..
+                    } => {
+                        for op in ops {
+                            seen[2 + matches!(op, Local::Dense(_)) as usize] = true;
+                        }
+                        seen[4 + (*keep == 1.0) as usize] = true;
+                        seen[6] |= !swaps.is_empty();
+                    }
+                }
+            }
+        }
+        assert_eq!(seen, [true; 7]);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(32))]
+
+        /// The AVX2 build of the step sweeps leaves every entry bit the
+        /// baseline build leaves, after every step of a program run on its
+        /// full windows and on its read-out windows. [`step_sweep`] is
+        /// called as compiled into the test (baseline), and [`Step::sweep`]
+        /// on an AVX2 host is [`step_sweep_avx2`]; without AVX2 there is
+        /// nothing to compare. The program-vs-unfused suites pin what both
+        /// builds compute.
+        #[test]
+        fn dm_avx2_build_is_bitwise_the_baseline_build(seed in 0..u64::MAX) {
+            if crate::sweep_build() != "avx2" {
+                println!("skipped: this CPU has no AVX2, so only the baseline build runs");
+                return;
+            }
+            let mut rng = StdRng::seed_from_u64(seed);
+            for n in 1..=7 {
+                let program = build_pin_program(&mut rng, n);
+                let dim = 1usize << n;
+                let start = random_rho(&mut rng, n);
+                for readout in [false, true] {
+                    let mut baseline = start.clone();
+                    let mut avx2 = start.clone();
+                    for (step, &window) in program.steps.iter().zip(&program.windows) {
+                        let window = if readout {
+                            window
+                        } else {
+                            Window::full(dim, step.qubits())
+                        };
+                        step_sweep(step, &mut baseline, dim, window);
+                        step.sweep(&mut avx2, dim, window);
+                        proptest::prop_assert!(
+                            same_bits(&avx2, &baseline),
+                            "{:?} on {} qubits, {:?}",
+                            step,
+                            n,
+                            window
+                        );
+                    }
+                }
+            }
+        }
     }
 }

@@ -24,7 +24,8 @@
 //! bit: FMA stays off and Rust never contracts `a * b + c`, so AVX2 changes
 //! only how many of the same IEEE adds and multiplies one instruction does,
 //! in the same order (`sv_avx2_build_is_bitwise_the_baseline_build`). That
-//! guarded call is this crate's only `unsafe` outside `noisy.rs`.
+//! guarded call is this crate's only `unsafe` outside `noisy.rs`, whose
+//! density sweeps are built twice the same way.
 
 use crate::fuse::FusedOp;
 use crate::gates::{Mat2, Mat4};
@@ -204,23 +205,13 @@ impl StateVector {
     }
 }
 
-/// Which build of the statevector sweeps every [`StateVector`] op runs on
-/// this CPU: `"avx2"` or `"baseline"` (see the module docs).
-pub fn sweep_build() -> &'static str {
-    #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-    if std::is_x86_feature_detected!("avx2") {
-        return "avx2";
-    }
-    "baseline"
-}
-
 /// [`sweep`] on the fastest build this CPU runs: [`sweep_avx2`] if it has
-/// AVX2 (std caches the detection), the crate's own build otherwise.
+/// AVX2, the crate's own build otherwise.
 #[inline(always)]
 fn sweep_fastest(amps: &mut [C64], op: &FusedOp) {
     #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-    if std::is_x86_feature_detected!("avx2") {
-        // SAFETY: `sweep_avx2` enables AVX2 only, which this CPU was just
+    if crate::avx2() {
+        // SAFETY: `sweep_avx2` enables AVX2 only, which this CPU was
         // detected to support.
         #[allow(unsafe_code)]
         unsafe {
