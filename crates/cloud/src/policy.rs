@@ -196,9 +196,9 @@ pub fn place_job(
             // Exploration: least-busy device in the lower fidelity half.
             // Fine-tune: least-busy device within 5 % of the fleet's best
             // fidelity (the paper's "the high-fidelity device").
-            let explore_dev =
-                least_busy_among(devices, now, |d| d.fidelity() <= median_fidelity(devices))
-                    .unwrap_or_else(|| least_busy(devices, now));
+            let median = median_fidelity(devices);
+            let explore_dev = least_busy_among(devices, now, |d| d.fidelity() <= median)
+                .unwrap_or_else(|| least_busy(devices, now));
             let max_fidelity = devices.iter().map(|d| d.fidelity()).fold(0.0_f64, f64::max);
             let finetune_dev =
                 least_busy_among(devices, now, |d| d.fidelity() >= 0.95 * max_fidelity)

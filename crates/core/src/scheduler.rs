@@ -8,7 +8,7 @@ use crate::executor::{build_lanes, DeviceLane, EvaluatorFactory, RejectedDevice}
 use crate::phase::PhaseRunner;
 use qoncord_device::calibration::Calibration;
 use qoncord_device::fidelity::MIN_FIDELITY_THRESHOLD;
-use qoncord_vqa::restart::{executions_for_iterations, random_initial_points, Trace};
+use qoncord_vqa::restart::{random_initial_points, Trace};
 use std::fmt;
 
 /// Error returned when scheduling cannot proceed.
@@ -78,22 +78,6 @@ impl Default for QoncordConfig {
             entropy_gate_slack: 0.15,
             seed: 0xC0C0,
         }
-    }
-}
-
-impl QoncordConfig {
-    /// A-priori estimate of the total circuit executions an `n_restarts` job
-    /// will consume: every restart explores and (on a multi-device ladder)
-    /// fine-tunes to its full iteration budget, at SPSA's fixed per-iteration
-    /// execution cost. Triage pruning and convergence-driven early exits only
-    /// shrink the real footprint, so this bounds it from above — the number
-    /// placement and deadline-admission decisions size a job by before any
-    /// circuit has run.
-    pub fn estimated_total_executions(&self, n_restarts: usize) -> u64 {
-        n_restarts as u64
-            * executions_for_iterations(
-                self.exploration_max_iterations + self.finetune_max_iterations,
-            )
     }
 }
 

@@ -47,12 +47,16 @@ use qoncord_vqa::restart::{
 };
 use std::collections::VecDeque;
 
-/// A-priori estimate of the circuit executions one batch consumes (SPSA's
-/// fixed per-iteration cost); used to size reservations before they run.
-pub(crate) const EXECUTIONS_PER_BATCH_ESTIMATE: f64 = SPSA_EXECUTIONS_PER_ITERATION as f64;
-
 /// Shots per circuit execution, used to price batch durations.
 const SHOTS: u64 = 1000;
+
+/// The circuit executions placement sizes an `n_restarts` job by before any
+/// device is chosen: every restart runs both phases' full budgets, an upper
+/// bound that triage and early convergence only shrink.
+pub(crate) fn circuit_estimate(cfg: &QoncordConfig, n_restarts: usize) -> u64 {
+    n_restarts as u64
+        * executions_for_iterations(cfg.exploration_max_iterations + cfg.finetune_max_iterations)
+}
 
 /// A fleet device handed to a job's ladder construction.
 #[derive(Debug, Clone)]
@@ -75,7 +79,7 @@ pub(crate) struct Lane {
     /// The worker (job shard) whose batches on this rung run here.
     worker: usize,
     /// Index of the device in the engine's fleet.
-    pub fleet_index: usize,
+    fleet_index: usize,
     /// The device name (report attribution).
     device_name: String,
     /// The workload evaluator bound to this device.
@@ -83,7 +87,7 @@ pub(crate) struct Lane {
     /// Estimated execution fidelity (Eq. 1).
     p_correct: f64,
     /// Wall-clock seconds one circuit execution occupies on the device.
-    pub secs_per_execution: f64,
+    secs_per_execution: f64,
 }
 
 impl Lane {
@@ -98,6 +102,16 @@ impl Lane {
             evaluator: lane.evaluator,
             p_correct: lane.p_correct,
         }
+    }
+
+    /// Device-seconds of `executions` circuit executions on this lane: the
+    /// one price of every estimate (lease, admission probe, holds, split
+    /// plans) and of the charge. Known divergence: estimates count
+    /// [`SPSA_EXECUTIONS_PER_ITERATION`] per iteration, but a VQE evaluation
+    /// runs and is charged `n_groups()` executions, so its batch costs more
+    /// than its lease (`vqe_batches_are_charged_per_group_but_priced_per_evaluation`).
+    fn seconds(&self, executions: u64) -> f64 {
+        executions as f64 * self.secs_per_execution
     }
 }
 
@@ -141,7 +155,7 @@ pub(crate) struct BatchResult {
 pub(crate) struct Runner {
     cfg: QoncordConfig,
     /// Rung-major; within a rung, shard order.
-    pub lanes: Vec<Lane>,
+    lanes: Vec<Lane>,
     workers: Vec<Worker>,
     n_tiers: usize,
     /// The rung being drained (`n_tiers` once the job is done).
@@ -317,12 +331,25 @@ impl Runner {
     /// restart `r`'s hold is booked on target `r % len`, mirroring how the
     /// tier barrier deals survivors across the rung's shards.
     pub(crate) fn finetune_hold_targets(&self) -> Vec<(usize, f64)> {
-        let executions = executions_for_iterations(self.cfg.finetune_max_iterations) as f64;
+        let executions = executions_for_iterations(self.cfg.finetune_max_iterations);
         self.lanes
             .iter()
             .filter(|l| l.tier == self.n_tiers - 1)
-            .map(|l| (l.fleet_index, executions * l.secs_per_execution))
+            .map(|l| (l.fleet_index, l.seconds(executions)))
             .collect()
+    }
+
+    /// `(fleet device, seconds of one restart's full phase)` on the
+    /// exploration and the fine-tuning rung, what a split deals restarts by;
+    /// `None` unless the ladder has exactly the two rungs a job splits over.
+    pub(crate) fn restart_seconds(&self) -> Option<[(usize, f64); 2]> {
+        let lanes: &[Lane; 2] = self.lanes.as_slice().try_into().ok()?;
+        let cfg = &self.cfg;
+        let budgets = [cfg.exploration_max_iterations, cfg.finetune_max_iterations];
+        Some(std::array::from_fn(|t| {
+            let executions = executions_for_iterations(budgets[t]);
+            (lanes[t].fleet_index, lanes[t].seconds(executions))
+        }))
     }
 
     /// Wall-clock seconds one circuit execution takes per fleet device (0.0
@@ -331,7 +358,7 @@ impl Runner {
     pub(crate) fn seconds_per_execution_by_fleet(&self, n_devices: usize) -> Vec<f64> {
         let mut secs = vec![0.0; n_devices];
         for lane in &self.lanes {
-            secs[lane.fleet_index] = lane.secs_per_execution;
+            secs[lane.fleet_index] = lane.seconds(1);
         }
         secs
     }
@@ -363,8 +390,8 @@ impl Runner {
     pub(crate) fn estimated_next_seconds(&self, shard: usize) -> f64 {
         let (_, lane, stage) = self.pending(shard);
         match stage {
-            Stage::Probe => lane.secs_per_execution,
-            Stage::Train(_) => EXECUTIONS_PER_BATCH_ESTIMATE * lane.secs_per_execution,
+            Stage::Probe => lane.seconds(1),
+            Stage::Train(_) => lane.seconds(SPSA_EXECUTIONS_PER_ITERATION),
         }
     }
 
@@ -468,7 +495,7 @@ impl Runner {
         let lane = &self.lanes[lane_idx];
         BatchResult {
             fleet_index: lane.fleet_index,
-            duration: executions as f64 * lane.secs_per_execution,
+            duration: lane.seconds(executions),
             executions,
             pruned,
             finished: self.tier == self.n_tiers,
@@ -645,7 +672,10 @@ mod tests {
             assert!(!driver.shard_checkpoint(0).phase.params.is_empty());
             let estimate = driver.estimated_next_seconds(0);
             let result = driver.execute_batch(0);
-            assert!((result.duration - estimate).abs() < 1e-9);
+            assert_eq!(
+                result.duration, estimate,
+                "a QAOA batch is charged its price"
+            );
             assert!(result.duration > 0.0);
             assert!(result.executions > 0);
             batches += 1;
@@ -806,6 +836,39 @@ mod tests {
             Ok(_) => panic!("expected every device to be rejected"),
         };
         assert_eq!(err.len(), 2);
+    }
+
+    #[test]
+    fn vqe_batches_are_charged_per_group_but_priced_per_evaluation() {
+        // The one known divergence of the price (`Lane::seconds`): a VQE
+        // evaluation runs one circuit per measurement group, so a training
+        // batch charges `n_groups()` times the executions its lease was
+        // priced at. Pricing an evaluation by its circuits flips this test.
+        use qoncord_core::executor::VqeFactory;
+        use qoncord_device::SimulatedBackend;
+        use qoncord_vqa::{uccsd, vqe, VqeEvaluator};
+
+        let h2 = VqeFactory {
+            hamiltonian: vqe::h2_hamiltonian(),
+            ansatz: uccsd::uccsd_h2_ansatz(vqe::h2_hartree_fock_state()),
+        };
+        let toronto = SimulatedBackend::from_calibration(catalog::ibmq_toronto());
+        let groups = VqeEvaluator::new(&h2.hamiltonian, &h2.ansatz, toronto, 0).n_groups() as u64;
+        assert_eq!(groups, 5, "H2 measures five qubit-wise commuting groups");
+        let cfg = QoncordConfig {
+            min_fidelity: 0.0,
+            ..small_config()
+        };
+        let mut driver = Runner::new(cfg, 2, &h2, &selected()).unwrap();
+        assert!(driver.is_multi_device(), "both devices pass a zero floor");
+        let estimate = driver.estimated_next_seconds(0);
+        let result = driver.execute_batch(0);
+        let price = |executions| driver.lanes[0].seconds(executions);
+        assert_eq!(estimate, price(SPSA_EXECUTIONS_PER_ITERATION));
+        assert_eq!(result.executions, groups * SPSA_EXECUTIONS_PER_ITERATION);
+        assert_eq!(result.duration, price(result.executions));
+        // 15·s and 5·(3·s) round an ulp apart, so the ratio is not exact.
+        assert!((result.duration / estimate - groups as f64).abs() < 1e-12);
     }
 
     #[test]

@@ -58,7 +58,7 @@
 
 use crate::admission::{AdmissionConfig, AdmissionController, AdmissionDecision, AdmissionMode};
 use crate::calibration::{CalibrationConfig, MarginKey, MarginModel, ServiceClass};
-use crate::driver::{Runner, SelectedDevice, EXECUTIONS_PER_BATCH_ESTIMATE};
+use crate::driver::{circuit_estimate, Runner, SelectedDevice};
 use crate::events::{Event, EventQueue};
 use crate::fleet::FleetDevice;
 use crate::job::TenantJob;
@@ -507,11 +507,10 @@ impl<'a> Sim<'a> {
         let views = self.placement_views(now);
         // The policy only steers device choice here; circuit counts are an
         // a-priori estimate of the job's footprint.
-        let circuit_estimate = spec.config.estimated_total_executions(spec.n_restarts);
         let placements = place_job(
             self.config.policy,
             &views,
-            circuit_estimate.max(1),
+            circuit_estimate(&spec.config, spec.n_restarts).max(1),
             true,
             now,
             &mut self.rng,
@@ -581,7 +580,9 @@ impl<'a> Sim<'a> {
             .collect();
         let assess_prof = qoncord_prof::span("engine::assess");
         let estimate = if self.config.admission.decay_aware {
-            self.estimate_decay_aware(job, &priced, &secs, ladder_entry, now)
+            // Shard 0's pending batch is the job's first, on the entry rung.
+            let first_batch = runner.estimated_next_seconds(0);
+            self.estimate_decay_aware(job, &priced, &secs, first_batch, now)
         } else {
             estimate_feasibility(&priced, &views, &secs, now)
         };
@@ -696,7 +697,7 @@ impl<'a> Sim<'a> {
         job: usize,
         priced: &[Placement],
         secs: &[f64],
-        ladder_entry: usize,
+        first_batch: f64,
         now: f64,
     ) -> qoncord_cloud::policy::FeasibilityEstimate {
         let committed_views: Vec<CloudDevice> = self
@@ -715,7 +716,7 @@ impl<'a> Sim<'a> {
         let probe = QueuedRequest {
             id: usize::MAX,
             user: self.jobs[job].tenant.clone(),
-            requested_seconds: EXECUTIONS_PER_BATCH_ESTIMATE * secs[ladder_entry],
+            requested_seconds: first_batch,
             submitted_at: now,
         };
         // If the job is admitted, its priority enters fair-share as usage

@@ -33,7 +33,6 @@ use crate::job::TenantJob;
 use qoncord_cloud::device::CloudDevice;
 use qoncord_cloud::policy::split_restarts;
 use qoncord_core::executor::RejectedDevice;
-use qoncord_vqa::restart::executions_for_iterations;
 
 /// Widest fan-out of one tier: the live-load planner may choose fewer
 /// shards, never more.
@@ -90,35 +89,21 @@ pub(crate) fn build_runner(
         spec.factory.as_ref(),
         selected,
     )?);
-    // Deeper ladders stay unsplit; splitting models the paper's two-tier
-    // exploration/fine-tuning pipeline.
-    if !split || runner.lanes.len() != 2 || spec.n_restarts < 2 {
+    if !split || spec.n_restarts < 2 {
         return Ok(runner);
     }
-    let (explore, finetune) = (&runner.lanes[0], &runner.lanes[1]);
-    let explore_plan = plan_tier(
-        views,
-        tiers,
-        explore.fleet_index,
-        spec.n_restarts,
-        executions_for_iterations(spec.config.exploration_max_iterations) as f64
-            * explore.secs_per_execution,
-        now,
-    );
+    // Deeper ladders stay unsplit; splitting models the paper's two-tier
+    // exploration/fine-tuning pipeline.
+    let Some([explore, finetune]) = runner.restart_seconds() else {
+        return Ok(runner);
+    };
+    let explore_plan = plan_tier(views, tiers, explore, spec.n_restarts, now);
     // Only triage survivors ever fine-tune, so the fine-tuning tier is
     // fanned for the selection policy's survivor bound, not the raw
     // restart count — a TopK(2) job must not build shards that can never
     // receive work.
     let max_survivors = spec.config.selection.max_survivors(spec.n_restarts);
-    let finetune_plan = plan_tier(
-        views,
-        tiers,
-        finetune.fleet_index,
-        max_survivors,
-        executions_for_iterations(spec.config.finetune_max_iterations) as f64
-            * finetune.secs_per_execution,
-        now,
-    );
+    let finetune_plan = plan_tier(views, tiers, finetune, max_survivors, now);
     if explore_plan.len() < 2 && finetune_plan.len() < 2 {
         return Ok(runner);
     }
@@ -131,14 +116,14 @@ pub(crate) fn build_runner(
 /// Plans one tier's shard devices from live load: candidates are the fleet
 /// devices of the primary device's tier, and
 /// [`qoncord_cloud::policy::split_restarts`] deals the restarts across the
-/// least-loaded of them. Returns `(fleet device, restart indices)` pairs —
-/// never empty, because the primary is in its own tier.
+/// least-loaded of them at `seconds_per_restart` each. Returns `(fleet
+/// device, restart indices)` pairs — never empty, because the primary is in
+/// its own tier.
 fn plan_tier(
     views: &[CloudDevice],
     tiers: &[usize],
-    primary: usize,
+    (primary, seconds_per_restart): (usize, f64),
     n_restarts: usize,
-    seconds_per_restart: f64,
     now: f64,
 ) -> TierPlan {
     let candidates: Vec<CloudDevice> = views
