@@ -40,10 +40,10 @@ use qoncord_circuit::transpile::{transpile, TranspiledCircuit};
 use qoncord_circuit::ResolvedGate;
 use qoncord_device::catalog;
 use qoncord_device::noise_model::{BackendKind, SimulatedBackend, AUTO_TRAJECTORIES};
-use qoncord_sim::density::DensityMatrix;
+use qoncord_sim::density::{evolve_unfused, DensityMatrix};
 use qoncord_sim::dist::ProbDist;
 use qoncord_sim::fuse::FusedOp;
-use qoncord_sim::noisy::{evolve_unfused, DensityProgram};
+use qoncord_sim::noisy::DensityProgram;
 use qoncord_sim::reference;
 use qoncord_sim::statevector::StateVector;
 use qoncord_sim::trajectory::{sample_unfused, TrajectoryProgram};

@@ -56,10 +56,9 @@ pub struct QoncordConfig {
     pub strict: ConvergenceConfig,
     /// Restart triage policy after exploration (Sec. IV-H).
     pub selection: SelectionPolicy,
-    /// Check that entropy decreases when stepping up the ladder and skip the
-    /// tier otherwise (Sec. IV-F's device-transition test).
-    pub entropy_gate: bool,
-    /// Extra entropy a higher tier may add before being skipped, in bits.
+    /// Extra entropy a middle tier may add before being skipped, in bits:
+    /// the entropy gate (Sec. IV-F's device-transition test) probes every
+    /// tier but the first and last and skips one that looks noisier.
     pub entropy_gate_slack: f64,
     /// Base RNG seed (initial points, SPSA perturbations, trajectory noise).
     pub seed: u64,
@@ -74,7 +73,6 @@ impl Default for QoncordConfig {
             relaxed: ConvergenceConfig::relaxed(),
             strict: ConvergenceConfig::strict(),
             selection: SelectionPolicy::TopCluster,
-            entropy_gate: true,
             entropy_gate_slack: 0.15,
             seed: 0xC0C0,
         }
@@ -301,7 +299,7 @@ impl QoncordScheduler {
                 // Entropy gate: a higher tier must look *less* noisy at the
                 // current iterate, else skip it (Sec. IV-F); the final tier
                 // always runs so the strict check happens somewhere.
-                if cfg.entropy_gate && !is_final {
+                if !is_final {
                     let prev_entropy = report
                         .phases
                         .last()

@@ -171,7 +171,7 @@ impl SimulatedBackend {
     /// [`Executable`] would and runs it once, as a fused
     /// [`qoncord_sim::noisy::DensityProgram`]; a trajectory run executes as
     /// a [`TrajectoryProgram`]. Each is within 1e-12 of the seed's
-    /// op-at-a-time evolution ([`qoncord_sim::noisy::evolve_unfused`],
+    /// op-at-a-time evolution ([`qoncord_sim::density::evolve_unfused`],
     /// [`qoncord_sim::trajectory::sample_unfused`]), which tests and the
     /// `kernel_profile` benchmark call directly.
     ///

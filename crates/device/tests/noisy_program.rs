@@ -13,9 +13,9 @@ use qoncord_circuit::transpile::{transpile, TranspiledCircuit};
 use qoncord_device::calibration::Calibration;
 use qoncord_device::catalog;
 use qoncord_device::noise_model::{BackendKind, NoiseModel, SimulatedBackend};
-use qoncord_sim::density::DensityMatrix;
+use qoncord_sim::density::{evolve_unfused, DensityMatrix};
 use qoncord_sim::dist::ProbDist;
-use qoncord_sim::noisy::{evolve_unfused, DensityProgram, DensityStats, ForkStats};
+use qoncord_sim::noisy::{DensityProgram, DensityStats, ForkStats};
 use qoncord_vqa::graph::Graph;
 use qoncord_vqa::{qaoa, uccsd, vqe};
 

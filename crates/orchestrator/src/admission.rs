@@ -5,9 +5,8 @@
 //! model ([`qoncord_cloud::policy::estimate_feasibility`] over the same
 //! placements the dispatch policy chose). The [`AdmissionController`] then
 //! compares the projection against the job's service-level deadline and
-//! either admits the job, *downgrades* it to best-effort (deadline and
-//! priority stripped, so an unkeepable promise is renegotiated instead of
-//! silently broken), or *rejects* it outright — EFaaS-style QoS for the
+//! either admits the job or *rejects* it outright, so an unkeepable promise
+//! is refused instead of silently broken — EFaaS-style QoS for the
 //! fair-share queue.
 //!
 //! Deadlines are absolute virtual times, specified either directly
@@ -82,9 +81,6 @@ pub enum AdmissionMode {
     /// (the pre-admission-control behavior).
     #[default]
     AdmitAll,
-    /// Admit infeasible jobs as best-effort: deadline and priority are
-    /// stripped, and the downgrade is recorded in telemetry.
-    Downgrade,
     /// Refuse infeasible jobs outright; they never run.
     Reject,
     /// Like [`Reject`](AdmissionMode::Reject), but the static margin of
@@ -149,8 +145,6 @@ impl AdmissionConfig {
 pub enum AdmissionDecision {
     /// Run with the resolved deadline (or no deadline at all).
     Admit,
-    /// Run, but as best-effort: the deadline was unkeepable.
-    Downgrade,
     /// Do not run.
     Reject,
 }
@@ -160,7 +154,6 @@ impl AdmissionDecision {
     pub fn as_str(&self) -> &'static str {
         match self {
             AdmissionDecision::Admit => "admit",
-            AdmissionDecision::Downgrade => "downgrade",
             AdmissionDecision::Reject => "reject",
         }
     }
@@ -174,8 +167,7 @@ pub struct AdmissionOutcome {
     /// The verdict.
     pub decision: AdmissionDecision,
     /// The deadline the job carries forward: the resolved deadline when
-    /// admitted with one, `None` when the job had none or was downgraded
-    /// to best-effort.
+    /// admitted with one, `None` when the job had none or was rejected.
     pub deadline: Option<f64>,
     /// The resolved deadline that was assessed, regardless of verdict
     /// (`None` only for deadline-free jobs).
@@ -263,15 +255,11 @@ impl AdmissionController {
         let decision = match self.config.mode {
             AdmissionMode::AdmitAll => AdmissionDecision::Admit,
             _ if feasible => AdmissionDecision::Admit,
-            AdmissionMode::Downgrade => AdmissionDecision::Downgrade,
             AdmissionMode::Reject | AdmissionMode::Calibrated => AdmissionDecision::Reject,
         };
         AdmissionOutcome {
             decision,
-            deadline: match decision {
-                AdmissionDecision::Admit => Some(deadline),
-                AdmissionDecision::Downgrade | AdmissionDecision::Reject => None,
-            },
+            deadline: (decision == AdmissionDecision::Admit).then_some(deadline),
             assessed_deadline: Some(deadline),
             estimate,
             margin,
@@ -311,7 +299,6 @@ mod tests {
     fn feasible_deadlines_admit_in_every_mode() {
         for mode in [
             AdmissionMode::AdmitAll,
-            AdmissionMode::Downgrade,
             AdmissionMode::Reject,
             AdmissionMode::Calibrated,
         ] {
@@ -323,7 +310,7 @@ mod tests {
     }
 
     #[test]
-    fn infeasible_deadline_downgrades_or_rejects_by_mode() {
+    fn infeasible_deadline_admits_or_rejects_by_mode() {
         let hopeless = estimate(50.0, 20.0, 0.0); // completes at 70
         let deadline = Some(Deadline::At(60.0));
         let admit_all = AdmissionController::default().assess(0.0, deadline, hopeless);
@@ -334,16 +321,11 @@ mod tests {
             "AdmitAll keeps the SLA on record"
         );
 
-        let downgrade =
-            AdmissionController::new(AdmissionConfig::with_mode(AdmissionMode::Downgrade))
-                .assess(0.0, deadline, hopeless);
-        assert_eq!(downgrade.decision, AdmissionDecision::Downgrade);
-        assert_eq!(downgrade.deadline, None, "downgrade strips the SLA");
-        assert_eq!(downgrade.assessed_deadline, Some(60.0));
-
         let reject = AdmissionController::new(AdmissionConfig::with_mode(AdmissionMode::Reject))
             .assess(0.0, deadline, hopeless);
         assert_eq!(reject.decision, AdmissionDecision::Reject);
+        assert_eq!(reject.deadline, None, "a rejected job carries no SLA");
+        assert_eq!(reject.assessed_deadline, Some(60.0));
     }
 
     #[test]

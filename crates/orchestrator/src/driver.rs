@@ -564,7 +564,7 @@ impl Runner {
             .iter()
             .position(|l| l.worker == worker && l.tier == tier)
             .expect("restarts are dealt only to workers with a lane on the rung");
-        let stage = if self.cfg.entropy_gate && 0 < tier && tier < self.n_tiers - 1 {
+        let stage = if 0 < tier && tier < self.n_tiers - 1 {
             Stage::Probe
         } else {
             Stage::Train(self.phase(tier, restart))
@@ -721,7 +721,6 @@ mod tests {
             exploration_max_iterations: 6,
             finetune_max_iterations: 5,
             selection: qoncord_core::SelectionPolicy::All,
-            entropy_gate: true,
             entropy_gate_slack: -0.05,
             seed: 23,
             ..QoncordConfig::default()

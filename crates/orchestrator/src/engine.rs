@@ -30,11 +30,10 @@
 //! Jobs carrying a [`Deadline`](crate::admission::Deadline) are assessed on
 //! arrival: [`estimate_feasibility`] projects their completion from the
 //! current fleet load over the same placements the dispatch policy chose,
-//! and the [`AdmissionController`] admits, downgrades to best-effort, or
-//! rejects per [`AdmissionConfig`]. With
-//! [`AdmissionConfig::decay_aware`], the projection instead models the
-//! fair-share queue the way dispatch will run it
-//! ([`estimate_feasibility_decayed`]): queued work the arrival outranks
+//! and the [`AdmissionController`] admits or rejects per
+//! [`AdmissionConfig`]. With [`AdmissionConfig::decay_aware`], the
+//! projection instead models the fair-share queue the way dispatch will run
+//! it ([`estimate_feasibility_decayed`]): queued work the arrival outranks
 //! does not delay it, and usage-decay epochs projected to pass before its
 //! start re-rank the queue. Under
 //! [`AdmissionMode::Calibrated`](crate::admission::AdmissionMode)
@@ -314,7 +313,7 @@ struct Sim<'a> {
     /// admission, and for jobs rejected by the fidelity filter).
     margin_key: Vec<Option<MarginKey>>,
     status: Vec<Option<JobStatus>>,
-    /// Per job: the priority it actually runs at (0 after a downgrade).
+    /// Per job: the priority it runs at, as submitted.
     effective_priority: Vec<u32>,
     /// Per job: outstanding fair-share credit granted for evicted-lease
     /// occupancy, charged back at completion so it cannot outlive the job.
@@ -613,21 +612,17 @@ impl<'a> Sim<'a> {
                 assessed_deadline: outcome.assessed_deadline,
             },
         );
-        match outcome.decision {
-            AdmissionDecision::Reject => {
-                let snapshot = self.margins.record_denial(now, key);
-                self.tracer
-                    .emit(now, TraceEvent::CalibrationUpdate { job, snapshot });
-                self.status[job] = Some(JobStatus::Denied {
-                    estimate,
-                    deadline: outcome
-                        .assessed_deadline
-                        .expect("only deadline jobs are denied"),
-                });
-                return;
-            }
-            AdmissionDecision::Downgrade => self.effective_priority[job] = 0,
-            AdmissionDecision::Admit => {}
+        if outcome.decision == AdmissionDecision::Reject {
+            let snapshot = self.margins.record_denial(now, key);
+            self.tracer
+                .emit(now, TraceEvent::CalibrationUpdate { job, snapshot });
+            self.status[job] = Some(JobStatus::Denied {
+                estimate,
+                deadline: outcome
+                    .assessed_deadline
+                    .expect("only deadline jobs are denied"),
+            });
+            return;
         }
 
         let priority = self.effective_priority[job];

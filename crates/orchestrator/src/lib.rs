@@ -23,9 +23,9 @@
 //!   grants, completes and evicts them.
 //! - [`admission`] — deadline-aware admission control: feasibility
 //!   projections from fleet load decide whether a job's SLA is keepable,
-//!   downgrading or rejecting it otherwise. Projections can be
-//!   *decay-aware*: queue position is modeled the way fair-share dispatch
-//!   under virtual-time usage decay will actually order it.
+//!   rejecting it otherwise. Projections can be *decay-aware*: queue
+//!   position is modeled the way fair-share dispatch under virtual-time
+//!   usage decay will actually order it.
 //! - [`calibration`] — the closed loop behind
 //!   [`AdmissionMode::Calibrated`](admission::AdmissionMode):
 //!   realized-vs-projected completion errors per device tier and service
@@ -451,25 +451,6 @@ mod tests {
         }
         let sla = report.tenant_sla();
         assert_eq!(sla[0].denied, 1);
-    }
-
-    #[test]
-    fn admission_downgrade_runs_best_effort() {
-        let orch = Orchestrator::new(
-            OrchestratorConfig {
-                admission: AdmissionConfig::with_mode(AdmissionMode::Downgrade),
-                ..OrchestratorConfig::default()
-            },
-            two_lf_one_hf_fleet(),
-        );
-        let report = orch.run(&[job(0, 0.0, 1).with_deadline(1e-9).with_priority(4)]);
-        assert_eq!(report.completed(), 1);
-        let t = &report.jobs[0].telemetry;
-        assert!(t.downgraded);
-        assert_eq!(t.deadline, None, "the unkeepable SLA was stripped");
-        assert_eq!(t.sla_met(), None);
-        assert_eq!(report.sla_attainment(), None);
-        assert_eq!(report.tenant_sla()[0].downgraded, 1);
     }
 
     #[test]

@@ -37,10 +37,10 @@ pub struct JobTelemetry {
     /// When the last batch completed (None if the job never finished).
     pub completion: Option<f64>,
     /// Absolute deadline the job ran under, post-admission (None for
-    /// best-effort jobs, including downgraded ones).
+    /// best-effort jobs).
     pub deadline: Option<f64>,
-    /// Whether admission control stripped an unkeepable deadline and ran
-    /// the job as best-effort.
+    /// Always `false`: admission no longer strips a deadline. Kept only
+    /// because the end-to-end benchmark still reads it.
     pub downgraded: bool,
     /// The admission-time projection of the job's completion from fleet
     /// load (recorded for every job that reached admission).
@@ -186,8 +186,7 @@ pub struct JobRecord {
     pub id: usize,
     /// Submitting tenant.
     pub tenant: String,
-    /// Dispatch priority (as submitted; see
-    /// [`JobTelemetry::downgraded`] for jobs admission stripped it from).
+    /// Dispatch priority, as submitted.
     pub priority: u32,
     /// How the job ended.
     pub status: JobStatus,
@@ -256,7 +255,7 @@ pub struct TenantSla {
     pub met: usize,
     /// Jobs admission control denied outright.
     pub denied: usize,
-    /// Jobs admitted only after their deadline was stripped.
+    /// Always `0`: the count of [`JobTelemetry::downgraded`] jobs.
     pub downgraded: usize,
     /// Lease evictions the tenant's jobs suffered.
     pub evictions: usize,

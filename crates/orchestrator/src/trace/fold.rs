@@ -281,10 +281,6 @@ impl ReportFold {
                             deadline: (*assessed_deadline)?,
                         };
                     }
-                    AdmissionDecision::Downgrade => {
-                        s.telemetry.downgraded = true;
-                        s.telemetry.deadline = *deadline;
-                    }
                     AdmissionDecision::Admit => {
                         s.telemetry.deadline = *deadline;
                     }

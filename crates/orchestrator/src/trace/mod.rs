@@ -173,7 +173,7 @@ pub enum TraceEvent {
     AdmissionVerdict {
         /// Submission index.
         job: usize,
-        /// Admit, downgrade, or reject.
+        /// Admit or reject.
         decision: AdmissionDecision,
         /// The completion projection the deadline was judged against.
         estimate: FeasibilityEstimate,
@@ -182,7 +182,7 @@ pub enum TraceEvent {
         /// deadline-free jobs, which are never judged).
         margin: Option<f64>,
         /// The deadline the job carries forward (`None` for best-effort
-        /// and downgraded jobs).
+        /// and rejected jobs).
         deadline: Option<f64>,
         /// The resolved deadline the verdict assessed (`None` for
         /// deadline-free jobs).
@@ -1111,7 +1111,7 @@ mod tests {
             TraceEvent::FilterRejected { job: 4, devices: 3 },
             TraceEvent::AdmissionVerdict {
                 job: 3,
-                decision: AdmissionDecision::Downgrade,
+                decision: AdmissionDecision::Reject,
                 estimate,
                 margin: Some(1.5),
                 deadline: None,
@@ -1212,7 +1212,7 @@ mod tests {
             r#"{"t":0.75,"seq":1,"ev":"arrival","job":3,"id":41,"tenant":"alice","priority":2}"#,
             r#"{"t":1.5,"seq":2,"ev":"shard_plan","job":3,"shards":2,"devices":[0,2]}"#,
             r#"{"t":2.25,"seq":3,"ev":"filter_rejected","job":4,"devices":3}"#,
-            r#"{"t":3,"seq":4,"ev":"admission_verdict","job":3,"decision":"downgrade","queue_seconds":0.5,"service_seconds":2.25,"projected_completion":3.125,"margin":1.5,"deadline":null,"assessed_deadline":10}"#,
+            r#"{"t":3,"seq":4,"ev":"admission_verdict","job":3,"decision":"reject","queue_seconds":0.5,"service_seconds":2.25,"projected_completion":3.125,"margin":1.5,"deadline":null,"assessed_deadline":10}"#,
             r#"{"t":3.75,"seq":5,"ev":"priority_credit","job":3,"credit":100}"#,
             r#"{"t":4.5,"seq":6,"ev":"queue_push","reservation":7,"job":3,"shard":1,"device":2,"seconds":4.5,"requeued":true}"#,
             r#"{"t":5.25,"seq":7,"ev":"hold_push","reservation":8,"job":3,"restart":1,"device":0,"seconds":0.3}"#,
@@ -1304,7 +1304,7 @@ mod tests {
                 0.125,
                 TraceEvent::AdmissionVerdict {
                     job: 1,
-                    decision: AdmissionDecision::Downgrade,
+                    decision: AdmissionDecision::Reject,
                     estimate,
                     margin: Some(1.0),
                     deadline: None,

@@ -12,7 +12,7 @@
 //! noisy jobs run compiled instead, as a [`crate::noisy::DensityProgram`]
 //! that regroups gates and depolarizing channels into far fewer sweeps and
 //! is pinned to an op-at-a-time evolution through this module
-//! ([`crate::noisy::evolve_unfused`]) to ≤ 1e-12, not bit-for-bit.
+//! ([`evolve_unfused`]) to ≤ 1e-12, not bit-for-bit.
 
 use crate::dist::ProbDist;
 use crate::fuse::{self, FusedOp};
@@ -420,6 +420,26 @@ impl DensityMatrix {
             .map(|i| self.data[i * self.dim + i].re.max(0.0))
             .collect();
         ProbDist::new(probs)
+    }
+}
+
+/// The unfused noisy evolution [`crate::noisy::DensityProgram`] is pinned
+/// against — the seed's density path, which tests and the `kernel_profile`
+/// benchmark call directly: each op is one gate sweep followed by one
+/// depolarizing sweep at its arity's rate.
+///
+/// # Panics
+///
+/// Panics if an operand qubit is out of range or a rate is outside `[0, 1]`.
+pub fn evolve_unfused(rho: &mut DensityMatrix, ops: &[FusedOp], dep_1q: f64, dep_2q: f64) {
+    for op in ops {
+        rho.apply_op(op);
+        match *op {
+            FusedOp::One(_, q) | FusedOp::Rz(_, q) => rho.apply_depolarizing_1q(dep_1q, q),
+            FusedOp::Two(_, a, b) | FusedOp::Cx(a, b) | FusedOp::Mono(_, _, a, b) => {
+                rho.apply_depolarizing_2q(dep_2q, a, b)
+            }
+        }
     }
 }
 

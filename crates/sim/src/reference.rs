@@ -11,7 +11,7 @@
 //!
 //! There is one way in: call [`sv_apply_1q`] and friends on a state. No
 //! [`StateVector`] method reaches them; the seed tier of a whole run is the
-//! caller's to assemble from them, [`crate::noisy::evolve_unfused`] and
+//! caller's to assemble from them, [`crate::density::evolve_unfused`] and
 //! [`crate::trajectory::sample_unfused`] (whose gates run here). For unfused
 //! op sequences the fast kernels are bit-identical to these (pinned by the
 //! equivalence suite).

@@ -24,7 +24,7 @@
 //! bit: FMA stays off and Rust never contracts `a * b + c`, so AVX2 changes
 //! only how many of the same IEEE adds and multiplies one instruction does,
 //! in the same order (`sv_avx2_build_is_bitwise_the_baseline_build`). That
-//! guarded call is this crate's only `unsafe` outside `noisy.rs`, whose
+//! guarded call is this crate's only `unsafe` outside `noisy/sweep.rs`, whose
 //! density sweeps are built twice the same way.
 
 use crate::fuse::FusedOp;

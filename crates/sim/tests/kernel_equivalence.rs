@@ -29,13 +29,13 @@
 //!   build profile, not just debug.
 
 use proptest::prelude::*;
-use qoncord_sim::density::DensityMatrix;
+use qoncord_sim::density::{evolve_unfused, DensityMatrix};
 use qoncord_sim::dist::ProbDist;
 use qoncord_sim::fuse::{self, FusedOp};
 use qoncord_sim::gates;
 use qoncord_sim::math::C64;
 use qoncord_sim::noise::NoiseChannel;
-use qoncord_sim::noisy::{evolve_unfused, DensityProgram, ForkedProgram};
+use qoncord_sim::noisy::{DensityProgram, ForkedProgram};
 use qoncord_sim::reference;
 use qoncord_sim::statevector::StateVector;
 use qoncord_sim::trajectory::{sample_unfused, TrajectoryProgram};

@@ -2,7 +2,7 @@
 //! contended eight-tenant preemption scenario must produce the same
 //! training outcomes whether its evaluators run the fused density programs
 //! jobs run or the seed's op-at-a-time evolution
-//! (`qoncord_sim::noisy::evolve_unfused`), and the same bits every time it
+//! (`qoncord_sim::density::evolve_unfused`), and the same bits every time it
 //! runs.
 //!
 //! Two guarantees, at two strengths:
@@ -24,9 +24,8 @@ use qoncord::orchestrator::{
     two_lf_one_hf_fleet, DeadlineClass, Orchestrator, OrchestratorConfig, OrchestratorReport,
     PreemptionConfig, TenantJob,
 };
-use qoncord::sim::density::DensityMatrix;
+use qoncord::sim::density::{evolve_unfused, DensityMatrix};
 use qoncord::sim::dist::ProbDist;
-use qoncord::sim::noisy::evolve_unfused;
 use qoncord::vqa::evaluator::{CostEvaluator, Evaluation};
 use qoncord::vqa::{graph::Graph, maxcut::MaxCut, qaoa};
 use std::cell::RefCell;
