@@ -102,18 +102,21 @@ impl CloudDevice {
         start
     }
 
+    /// Merges touching neighbors in place: `kept` intervals survive at the
+    /// front, each absorbing the later ones that start before it ends.
     fn coalesce(&mut self) {
-        let mut merged: Vec<(f64, f64)> = Vec::with_capacity(self.busy.len());
-        for &(s, e) in &self.busy {
-            if let Some(last) = merged.last_mut() {
-                if s <= last.1 + 1e-12 {
-                    last.1 = last.1.max(e);
-                    continue;
-                }
+        let mut kept = 0;
+        for i in 0..self.busy.len() {
+            let (s, e) = self.busy[i];
+            if kept > 0 && s <= self.busy[kept - 1].1 + 1e-12 {
+                let last = &mut self.busy[kept - 1];
+                last.1 = last.1.max(e);
+            } else {
+                self.busy[kept] = (s, e);
+                kept += 1;
             }
-            merged.push((s, e));
         }
-        self.busy = merged;
+        self.busy.truncate(kept);
     }
 
     /// Records `n` completed circuit executions.

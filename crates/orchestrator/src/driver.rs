@@ -364,10 +364,16 @@ impl Runner {
     }
 
     /// Shards that currently have a pending batch to schedule.
+    #[cfg(test)]
     pub(crate) fn ready_shards(&self) -> Vec<usize> {
         (0..self.workers.len())
-            .filter(|&w| self.workers[w].active.is_some())
+            .filter(|&w| self.shard_ready(w))
             .collect()
+    }
+
+    /// Whether `shard` currently has a pending batch to schedule.
+    pub(crate) fn shard_ready(&self, shard: usize) -> bool {
+        self.workers[shard].active.is_some()
     }
 
     /// `shard`'s pending batch: `(restart, lane, stage)`.

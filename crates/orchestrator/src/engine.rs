@@ -744,22 +744,17 @@ impl<'a> Sim<'a> {
     /// schedulable sub-leases.
     fn enqueue_ready_batches(&mut self, job: usize, now: f64) {
         let _prof = qoncord_prof::span("engine::enqueue");
-        let ready: Vec<(usize, usize, f64)> = {
+        let shards = self.drivers[job].as_ref().expect("active runner").shard_count();
+        // Nothing below advances the runner (compute waits for lease
+        // expiry), so each shard's readiness reads the same inside the loop
+        // as before it.
+        for shard in 0..shards {
             let runner = self.drivers[job].as_ref().expect("active runner");
-            runner
-                .ready_shards()
-                .into_iter()
-                .filter(|shard| !self.in_flight[job].contains(shard))
-                .map(|shard| {
-                    (
-                        shard,
-                        runner.shard_device(shard),
-                        runner.estimated_next_seconds(shard),
-                    )
-                })
-                .collect()
-        };
-        for (shard, device, seconds) in ready {
+            if !runner.shard_ready(shard) || self.in_flight[job].contains(&shard) {
+                continue;
+            }
+            let device = runner.shard_device(shard);
+            let seconds = runner.estimated_next_seconds(shard);
             self.in_flight[job].insert(shard);
             let id = self.next_id();
             self.reservations.insert(

@@ -41,6 +41,9 @@ const GAMMA: f64 = 0.101;
 #[derive(Debug, Clone, Default)]
 pub struct Spsa {
     k: u64,
+    /// Reused by every step: the perturbation signs, then the perturbed
+    /// point, `params.len()` of each.
+    scratch: Vec<f64>,
 }
 
 impl Spsa {
@@ -57,15 +60,22 @@ impl Spsa {
         let ak = A / (k + 1.0 + BIG_A).powf(ALPHA);
         let ck = C / (k + 1.0).powf(GAMMA);
         // Rademacher perturbation.
-        let delta: Vec<f64> = (0..params.len())
-            .map(|_| if rng.random::<bool>() { 1.0 } else { -1.0 })
-            .collect();
-        let plus: Vec<f64> = params.iter().zip(&delta).map(|(p, d)| p + ck * d).collect();
-        let minus: Vec<f64> = params.iter().zip(&delta).map(|(p, d)| p - ck * d).collect();
-        let y_plus = objective(&plus);
-        let y_minus = objective(&minus);
+        let n = params.len();
+        self.scratch.clear();
+        self.scratch
+            .extend((0..n).map(|_| if rng.random::<bool>() { 1.0 } else { -1.0 }));
+        self.scratch.resize(2 * n, 0.0);
+        let (delta, point) = self.scratch.split_at_mut(n);
+        for ((x, p), d) in point.iter_mut().zip(&*params).zip(&*delta) {
+            *x = p + ck * d;
+        }
+        let y_plus = objective(point);
+        for ((x, p), d) in point.iter_mut().zip(&*params).zip(&*delta) {
+            *x = p - ck * d;
+        }
+        let y_minus = objective(point);
         let g_scale = (y_plus - y_minus) / (2.0 * ck);
-        for (p, d) in params.iter_mut().zip(&delta) {
+        for (p, d) in params.iter_mut().zip(&*delta) {
             *p -= ak * g_scale / d;
         }
         self.k += 1;
