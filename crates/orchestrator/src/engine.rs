@@ -74,7 +74,7 @@ use qoncord_cloud::policy::{
 use qoncord_core::phase::ShardCheckpoint;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashSet};
 
 /// Anti-starvation preemption budget: once a job has suffered this many
 /// lease evictions, its remaining leases gain eviction immunity, so a
@@ -261,33 +261,45 @@ impl Orchestrator {
     }
 }
 
-enum Reservation {
-    /// A granted-on-pop batch request of one job shard.
-    Batch {
-        job: usize,
-        shard: usize,
-        device: usize,
-        seconds: f64,
-        /// For a batch requeued by eviction: the evicted sub-lease's
-        /// recorded checkpoint. The grant path verifies (in debug builds)
-        /// that the shard resumes from exactly this state.
-        resume: Option<ShardCheckpoint>,
-        /// Its key in `Sim::urgent[device]` while it is queued there.
-        urgent_order: Option<u64>,
-    },
-    /// A provisional hold for a restart's future fine-tuning block; never
-    /// granted, released (or silently converted) at triage. The owning job
-    /// and restart live in `Sim::holds`.
-    Hold,
+/// Where a job shard's one pending batch is: a shard never has more than
+/// one batch in the system.
+enum Pending {
+    /// Nothing queued or leased.
+    Idle,
+    /// A granted-on-pop batch request, queued under its reservation id.
+    Queued(QueuedBatch),
+    /// Granted: a lease runs it until expiry or eviction.
+    Leased,
 }
 
-/// Determinism invariant (audited; keep it that way): the hash-keyed
-/// collections below (`in_flight`, `holds`, `reservations`) are only ever
-/// accessed by key or membership — never iterated in an order that can
-/// reach events, telemetry sums, or trace output. The one iteration,
-/// `resolve_holds`, sorts by restart index first. Anything order-sensitive
-/// must either sort before iterating or use an ordered container, or the
-/// `(time, seq)` replay in `run_loop` stops being byte-stable across runs.
+/// A queued batch request of one job shard.
+struct QueuedBatch {
+    id: usize,
+    device: usize,
+    seconds: f64,
+    /// For a batch requeued by eviction: the shard's checkpoint taken at
+    /// eviction. The grant path verifies (in debug builds) that the shard
+    /// resumes from exactly this state.
+    resume: Option<ShardCheckpoint>,
+    /// Its key in `Sim::urgent[device]` while it is queued there.
+    urgent_order: Option<u64>,
+}
+
+/// A provisional hold for one restart's future fine-tuning block: never
+/// granted, released (or silently converted) at triage.
+struct Hold {
+    id: usize,
+    device: usize,
+    seconds: f64,
+}
+
+/// Determinism invariant (audited; keep it that way): no collection below is
+/// keyed by hash. Per-job and per-reservation state is dense and indexed,
+/// and every walk over it — holds in restart order, shards in index order,
+/// urgent requests in push order — is in an order fixed by the run itself,
+/// so the `(time, seq)` replay in `run_loop` is byte-stable across runs.
+/// A new hash-keyed collection may only be looked up, never iterated in an
+/// order that can reach events, telemetry sums or trace output.
 struct Sim<'a> {
     config: &'a OrchestratorConfig,
     fleet: &'a [FleetDevice],
@@ -297,9 +309,9 @@ struct Sim<'a> {
     leases: LeaseLedger,
     events: EventQueue,
     drivers: Vec<Option<Box<Runner>>>,
-    /// Per job: shards with a queued batch request or active lease (a shard
-    /// never has more than one pending batch in the system).
-    in_flight: Vec<HashSet<usize>>,
+    /// Per job, per shard: its pending batch, queued or leased (empty until
+    /// admission and again after completion).
+    pending: Vec<Vec<Pending>>,
     /// Decay epochs already applied to the fair-share balances.
     decay_epochs: u64,
     /// The closed calibration loop: realized-vs-projected completion errors
@@ -323,11 +335,11 @@ struct Sim<'a> {
     /// decayed in lockstep — charging back the undecayed grant would turn
     /// the decayed portion into phantom consumption against the tenant.
     priority_credit: Vec<f64>,
-    /// Per job: restart index → (reservation id, fleet device, estimated
-    /// seconds).
-    holds: Vec<HashMap<usize, (usize, usize, f64)>>,
-    reservations: HashMap<usize, Reservation>,
-    next_reservation: usize,
+    /// Per job, indexed by restart: its provisional fine-tuning holds (empty
+    /// for single-device jobs and after triage).
+    holds: Vec<Vec<Hold>>,
+    /// Per reservation id (ids are issued densely from 0): the owning job.
+    owner: Vec<u32>,
     /// Per device, in the order they were pushed: the queued batch requests
     /// `(reservation, job)` that can ever outrank another request — those
     /// of a job with a positive priority or a deadline, both fixed at
@@ -375,6 +387,10 @@ impl<'a> Sim<'a> {
         for (j, job) in jobs.iter().enumerate() {
             events.push(job.arrival, Event::Arrival(j));
         }
+        assert!(
+            u32::try_from(jobs.len()).is_ok(),
+            "job indices must fit the reservation owner table"
+        );
         let device_tier = device_tiers(fleet);
         let mut tracer = Tracer::new(config.trace.clone());
         // Run preamble: the fleet's identity, so every trace consumer can
@@ -401,7 +417,7 @@ impl<'a> Sim<'a> {
             leases: LeaseLedger::new(fleet.len()),
             events,
             drivers: jobs.iter().map(|_| None).collect(),
-            in_flight: jobs.iter().map(|_| HashSet::new()).collect(),
+            pending: jobs.iter().map(|_| Vec::new()).collect(),
             decay_epochs: 0,
             margins: MarginModel::new(config.calibration),
             device_tier,
@@ -410,9 +426,8 @@ impl<'a> Sim<'a> {
             effective_priority: jobs.iter().map(|job| job.priority).collect(),
             eviction_credit: jobs.iter().map(|_| 0.0).collect(),
             priority_credit: jobs.iter().map(|_| 0.0).collect(),
-            holds: jobs.iter().map(|_| HashMap::new()).collect(),
-            reservations: HashMap::new(),
-            next_reservation: 0,
+            holds: jobs.iter().map(|_| Vec::new()).collect(),
+            owner: Vec::new(),
             urgent: vec![BTreeMap::new(); fleet.len()],
             next_push: 0,
             tracer,
@@ -644,10 +659,10 @@ impl<'a> Sim<'a> {
             // the survivors; triage converts survivors and releases the
             // rest.
             let targets = runner.finetune_hold_targets();
+            self.holds[job].reserve_exact(spec.n_restarts);
             for restart in 0..spec.n_restarts {
                 let (hold_device, hold_seconds) = targets[restart % targets.len()];
-                let id = self.next_id();
-                self.reservations.insert(id, Reservation::Hold);
+                let id = self.next_id(job);
                 self.queue
                     .push_hold(
                         QueuedRequest {
@@ -659,7 +674,11 @@ impl<'a> Sim<'a> {
                         hold_device,
                     )
                     .expect("reservation ids are unique and hold estimates finite");
-                self.holds[job].insert(restart, (id, hold_device, hold_seconds));
+                self.holds[job].push(Hold {
+                    id,
+                    device: hold_device,
+                    seconds: hold_seconds,
+                });
                 self.tracer.emit(
                     now,
                     TraceEvent::HoldPush {
@@ -672,13 +691,15 @@ impl<'a> Sim<'a> {
                 );
             }
         }
+        self.pending[job] = (0..runner.shard_count()).map(|_| Pending::Idle).collect();
         self.drivers[job] = Some(runner);
         self.enqueue_ready_batches(job, now);
     }
 
-    fn next_id(&mut self) -> usize {
-        let id = self.next_reservation;
-        self.next_reservation += 1;
+    /// Issues the next reservation id, owned by `job`.
+    fn next_id(&mut self, job: usize) -> usize {
+        let id = self.owner.len();
+        self.owner.push(job as u32);
         id
     }
 
@@ -750,24 +771,19 @@ impl<'a> Sim<'a> {
         // as before it.
         for shard in 0..shards {
             let runner = self.drivers[job].as_ref().expect("active runner");
-            if !runner.shard_ready(shard) || self.in_flight[job].contains(&shard) {
+            if !runner.shard_ready(shard) || !matches!(self.pending[job][shard], Pending::Idle) {
                 continue;
             }
             let device = runner.shard_device(shard);
             let seconds = runner.estimated_next_seconds(shard);
-            self.in_flight[job].insert(shard);
-            let id = self.next_id();
-            self.reservations.insert(
+            let id = self.next_id(job);
+            self.pending[job][shard] = Pending::Queued(QueuedBatch {
                 id,
-                Reservation::Batch {
-                    job,
-                    shard,
-                    device,
-                    seconds,
-                    resume: None,
-                    urgent_order: None,
-                },
-            );
+                device,
+                seconds,
+                resume: None,
+                urgent_order: None,
+            });
             self.queue
                 .push_for_device(
                     QueuedRequest {
@@ -827,16 +843,14 @@ impl<'a> Sim<'a> {
         if !self.can_outrank(job) {
             return;
         }
-        let Some(Reservation::Batch {
-            device,
-            urgent_order,
-            ..
-        }) = self.reservations.get_mut(&id)
-        else {
-            unreachable!("pushed requests are batch reservations");
+        let shard = self
+            .queued_shard(job, id)
+            .expect("pushed requests are queued batch reservations");
+        let Pending::Queued(batch) = &mut self.pending[job][shard] else {
+            unreachable!("queued_shard found a queued batch");
         };
-        let index = &mut self.urgent[*device];
-        if let Some(stale) = urgent_order.replace(self.next_push) {
+        let index = &mut self.urgent[batch.device];
+        if let Some(stale) = batch.urgent_order.replace(self.next_push) {
             index.remove(&stale);
         }
         index.insert(self.next_push, (id, job));
@@ -849,11 +863,17 @@ impl<'a> Sim<'a> {
         self.effective_priority[job] > 0 || self.tracer.job(job).deadline.is_some()
     }
 
-    fn batch_job(&self, id: usize) -> usize {
-        let Some(Reservation::Batch { job, .. }) = self.reservations.get(&id) else {
-            unreachable!("dispatched requests are batch reservations");
-        };
-        *job
+    /// The job that owns reservation `id`.
+    fn owner(&self, id: usize) -> usize {
+        self.owner[id] as usize
+    }
+
+    /// The shard of `job` whose queued batch request is reservation `id`,
+    /// `None` when `id` is not one (a hold, or a granted request).
+    fn queued_shard(&self, job: usize, id: usize) -> Option<usize> {
+        self.pending[job]
+            .iter()
+            .position(|p| matches!(p, Pending::Queued(batch) if batch.id == id))
     }
 
     /// Every queued batch request on `device` as `(reservation, job)`, in
@@ -861,14 +881,14 @@ impl<'a> Sim<'a> {
     /// `urgent_override` read before the urgent index; retained as its
     /// debug-build oracle.
     fn queued_batches_on(&self, device: usize) -> impl Iterator<Item = (usize, usize)> + '_ {
-        self.queue
-            .pending()
-            .filter_map(move |request| match self.reservations.get(&request.id) {
-                Some(Reservation::Batch { job, device: d, .. }) if *d == device => {
-                    Some((request.id, *job))
-                }
-                _ => None,
-            })
+        self.queue.pending().filter_map(move |request| {
+            let job = self.owner(request.id);
+            let shard = self.queued_shard(job, request.id)?;
+            let Pending::Queued(batch) = &self.pending[job][shard] else {
+                unreachable!("queued_shard found a queued batch");
+            };
+            (batch.device == device).then_some((request.id, job))
+        })
     }
 
     /// The request among `candidates` — `(reservation, job)` in push order —
@@ -880,7 +900,7 @@ impl<'a> Sim<'a> {
         candidates: impl Iterator<Item = (usize, usize)>,
         now: f64,
     ) -> Option<usize> {
-        let winner_urgency = self.urgency(self.batch_job(winner.id), now);
+        let winner_urgency = self.urgency(self.owner(winner.id), now);
         let mut pick: Option<(usize, Urgency)> = None;
         for (id, job) in candidates {
             // The popped winner is still indexed; it is not queued.
@@ -939,7 +959,7 @@ impl<'a> Sim<'a> {
         self.queue
             .push_for_device(winner, device)
             .expect("the popped winner re-enqueues cleanly");
-        self.index_urgent(self.batch_job(winner_id), winner_id);
+        self.index_urgent(self.owner(winner_id), winner_id);
         self.queue
             .pop_by_id(id)
             .expect("override candidate is queued")
@@ -951,16 +971,19 @@ impl<'a> Sim<'a> {
     /// progress.
     fn grant(&mut self, request: QueuedRequest, now: f64) {
         let _prof = qoncord_prof::span("engine::grant");
-        let Some(Reservation::Batch {
-            job,
-            shard,
+        let job = self.owner(request.id);
+        let shard = self
+            .queued_shard(job, request.id)
+            .expect("granted requests are queued batch reservations");
+        let Pending::Queued(QueuedBatch {
             device,
             seconds,
             resume,
             urgent_order,
-        }) = self.reservations.remove(&request.id)
+            ..
+        }) = std::mem::replace(&mut self.pending[job][shard], Pending::Leased)
         else {
-            unreachable!("granted requests are batch reservations");
+            unreachable!("queued_shard found a queued batch");
         };
         if let Some(order) = urgent_order {
             self.urgent[device].remove(&order);
@@ -1084,18 +1107,14 @@ impl<'a> Sim<'a> {
                 credit: evicted.burned_seconds,
             },
         );
-        let id = self.next_id();
-        self.reservations.insert(
+        let id = self.next_id(victim);
+        self.pending[victim][shard] = Pending::Queued(QueuedBatch {
             id,
-            Reservation::Batch {
-                job: victim,
-                shard,
-                device,
-                seconds: evicted.lease.seconds,
-                resume: Some(evicted.lease.checkpoint),
-                urgent_order: None,
-            },
-        );
+            device,
+            seconds: evicted.lease.seconds,
+            resume: Some(evicted.lease.checkpoint),
+            urgent_order: None,
+        });
         self.queue
             .requeue_with_credit_for_device(
                 QueuedRequest {
@@ -1133,7 +1152,7 @@ impl<'a> Sim<'a> {
         };
         let job = lease.job;
         let shard = lease.shard();
-        self.in_flight[job].remove(&shard);
+        self.pending[job][shard] = Pending::Idle;
         // The batch's real compute runs now, at its virtual completion.
         let result = self.drivers[job]
             .as_mut()
@@ -1166,9 +1185,10 @@ impl<'a> Sim<'a> {
         }
         if result.finished {
             debug_assert!(
-                self.in_flight[job].is_empty(),
+                self.pending[job].iter().all(|p| matches!(p, Pending::Idle)),
                 "a finished job has no shard in flight"
             );
+            self.pending[job] = Vec::new();
             // Close the calibration loop: the realized completion against
             // the admission-time projection is one estimate-error sample
             // for the job's (tier, class) key — an SLA miss arrives here as
@@ -1216,16 +1236,10 @@ impl<'a> Sim<'a> {
     /// Resolves every provisional hold of `job` at triage: holds of pruned
     /// restarts are released back to the fleet (and counted); holds of
     /// survivors are converted into the real batch requests that follow.
-    /// Holds resolve in restart order — the hold map is unordered, and both
-    /// the trace's determinism contract and the released-seconds sum need a
-    /// canonical order.
+    /// Holds resolve in restart order, the order they are stored in.
     fn resolve_holds(&mut self, job: usize, pruned: &[usize], now: f64) {
-        let pruned: HashSet<usize> = pruned.iter().copied().collect();
-        let mut holds: Vec<(usize, (usize, usize, f64))> =
-            std::mem::take(&mut self.holds[job]).into_iter().collect();
-        holds.sort_by_key(|(restart, _)| *restart);
-        for (restart, (id, device, seconds)) in holds {
-            self.reservations.remove(&id);
+        let holds = std::mem::take(&mut self.holds[job]);
+        for (restart, Hold { id, device, seconds }) in holds.into_iter().enumerate() {
             let cancelled = self.queue.cancel_by_id(id);
             debug_assert!(cancelled.is_some(), "hold was queued exactly once");
             self.tracer.emit(
