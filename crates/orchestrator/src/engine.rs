@@ -19,8 +19,8 @@
 //! **evicted** — the device is handed to a more urgent tenant immediately,
 //! the recalled batch re-enters the fair-share queue with usage credit for
 //! the occupancy the eviction burned, and the victim later resumes from the
-//! [`PhaseRunner`](qoncord_core::phase::PhaseRunner) checkpoint the lease
-//! recorded. Results are bit-identical to an uncontended run; only wasted
+//! [`PhaseRunner`](qoncord_core::phase::PhaseRunner) checkpoint taken at
+//! eviction. Results are bit-identical to an uncontended run; only wasted
 //! occupancy (telemetry: wasted-work seconds) is lost. Preemption is decided
 //! by [`Urgency::may_preempt`] whenever a batch request queues behind a
 //! running lease.
@@ -995,14 +995,14 @@ impl<'a> Sim<'a> {
             "granted request {} is still in an urgent index",
             request.id
         );
-        let checkpoint = self.drivers[job]
-            .as_ref()
-            .expect("granted job is active")
-            .shard_checkpoint(shard);
         if let Some(expected) = resume {
             // An evicted batch must resume from exactly the optimizer state
-            // its recalled sub-lease recorded, on the same shard and
-            // restart — the losslessness contract.
+            // its recalled sub-lease left, on the same shard and restart —
+            // the losslessness contract.
+            let checkpoint = self.drivers[job]
+                .as_ref()
+                .expect("granted job is active")
+                .shard_checkpoint(shard);
             debug_assert!(
                 expected == checkpoint,
                 "evicted shard resumed from a different state than its lease checkpoint"
@@ -1012,8 +1012,8 @@ impl<'a> Sim<'a> {
             LeaseTerms {
                 job,
                 device,
+                shard,
                 seconds,
-                checkpoint,
             },
             now,
         );
@@ -1089,12 +1089,17 @@ impl<'a> Sim<'a> {
     /// Recalls the running lease on `device`: the burned occupancy is
     /// accounted as wasted work, and the victim's batch re-enters the
     /// fair-share queue with usage credit for it. The victim's driver was
-    /// never advanced (compute is deferred), so it will resume from the
-    /// lease's checkpoint bit-identically.
+    /// never advanced (compute is deferred), so the checkpoint taken here is
+    /// the state the lease was granted in, and the victim resumes from it
+    /// bit-identically.
     fn evict(&mut self, device: usize, now: f64) {
         let evicted = self.leases.evict(device, now);
         let victim = evicted.lease.job;
-        let shard = evicted.lease.shard();
+        let shard = evicted.lease.shard;
+        let checkpoint = self.drivers[victim]
+            .as_ref()
+            .expect("evicted job is active")
+            .shard_checkpoint(shard);
         self.eviction_credit[victim] += evicted.burned_seconds;
         self.tracer.emit(
             now,
@@ -1112,7 +1117,7 @@ impl<'a> Sim<'a> {
             id,
             device,
             seconds: evicted.lease.seconds,
-            resume: Some(evicted.lease.checkpoint),
+            resume: Some(checkpoint),
             urgent_order: None,
         });
         self.queue
@@ -1151,7 +1156,7 @@ impl<'a> Sim<'a> {
             return;
         };
         let job = lease.job;
-        let shard = lease.shard();
+        let shard = lease.shard;
         self.pending[job][shard] = Pending::Idle;
         // The batch's real compute runs now, at its virtual completion.
         let result = self.drivers[job]

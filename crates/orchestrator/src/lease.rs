@@ -1,18 +1,19 @@
 //! Preemptible device (sub-)leases.
 //!
 //! Every granted batch of the orchestration engine is an explicit [`Lease`]:
-//! which job holds which device, for how long, and — because the batch's
-//! real compute is deferred to the lease's expiry — the
-//! [`ShardCheckpoint`] of the holder's optimizer state at grant time. A job
-//! split QuSplit-style holds several such leases concurrently (one per
-//! shard), which is why the checkpoint also names the shard and restart the
-//! lease serves. A
-//! lease can therefore be *evicted* before it expires: the device is handed
-//! to a more urgent tenant, the recalled batch re-enters the fair-share
-//! queue carrying the lease's checkpoint, and when it is re-granted the
-//! engine verifies (in debug builds) that the victim resumes from exactly
-//! that state — bit-identically to a run that was never preempted. The only
-//! cost of an eviction is the wasted occupancy between grant and recall,
+//! which job holds which device, for how long, and for which shard — a job
+//! split QuSplit-style holds several such leases concurrently, one per
+//! shard. Because the batch's real compute is deferred to the lease's
+//! expiry, the holder's optimizer state does not move while the lease runs,
+//! and a lease can be *evicted* before it expires: the device is handed to
+//! a more urgent tenant, and the engine takes the shard's
+//! [`ShardCheckpoint`](qoncord_core::phase::ShardCheckpoint) *at eviction*
+//! (the state it was granted in, since nothing ran in between). The
+//! recalled batch re-enters the fair-share queue carrying that checkpoint,
+//! and when it is re-granted the engine verifies (in debug builds) that the
+//! victim resumes from exactly that state — bit-identically to a run that
+//! was never preempted. The only cost of an eviction is the wasted
+//! occupancy between grant and recall,
 //! which [`LeaseLedger::evict`] returns as
 //! [`EvictedLease::burned_seconds`]; totals are the trace fold's job
 //! ([`crate::trace`]), the ledger keeps none.
@@ -27,8 +28,6 @@
 //! `StaleExpiry`, and `Eviction` events, so a device's occupancy can be
 //! replayed or rendered as a Perfetto timeline after the fact.
 
-use qoncord_core::phase::ShardCheckpoint;
-
 /// One granted device reservation: a batch occupying a fleet device between
 /// [`granted_at`](Lease::granted_at) and [`expires_at`](Lease::expires_at),
 /// preemptible until it expires.
@@ -36,34 +35,21 @@ use qoncord_core::phase::ShardCheckpoint;
 /// # Examples
 ///
 /// ```
-/// use qoncord_core::phase::{PhaseCheckpoint, ShardCheckpoint};
 /// use qoncord_orchestrator::lease::Lease;
 ///
 /// let lease = Lease {
 ///     id: 7,
 ///     job: 2,
 ///     device: 0,
+///     shard: 1,
 ///     granted_at: 10.0,
 ///     expires_at: 16.0,
 ///     seconds: 6.0,
-///     checkpoint: ShardCheckpoint {
-///         shard: 1,
-///         restart: 3,
-///         phase: PhaseCheckpoint {
-///             params: vec![0.4, 1.3],
-///             iteration: 5,
-///             executions: 15,
-///         },
-///     },
 /// };
 /// // Two seconds in, four seconds of the batch remain and two would be
 /// // wasted if the lease were evicted now.
 /// assert_eq!(lease.remaining(12.0), 4.0);
 /// assert_eq!(lease.held(12.0), 2.0);
-/// // The checkpoint records which shard/restart the sub-lease serves and
-/// // where the holder's phase was at grant time.
-/// assert_eq!(lease.shard(), 1);
-/// assert_eq!(lease.checkpoint.phase.iteration, 5);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct Lease {
@@ -75,24 +61,19 @@ pub struct Lease {
     pub job: usize,
     /// Fleet device the lease occupies.
     pub device: usize,
+    /// Shard of the holding job this sub-lease serves (0 for unsplit jobs).
+    /// The shard's optimizer state is not recorded here: it cannot change
+    /// before the lease expires, so an eviction reads it off the job then.
+    pub shard: usize,
     /// Virtual time the lease was granted.
     pub granted_at: f64,
     /// Virtual time the granted batch completes if not evicted.
     pub expires_at: f64,
     /// Device-seconds the granted batch occupies.
     pub seconds: f64,
-    /// The holder's optimizer state at grant time, tagged with the shard
-    /// and restart this sub-lease serves — what the job resumes from if the
-    /// lease is recalled.
-    pub checkpoint: ShardCheckpoint,
 }
 
 impl Lease {
-    /// Shard of the holding job this sub-lease serves (0 for unsplit jobs).
-    pub fn shard(&self) -> usize {
-        self.checkpoint.shard
-    }
-
     /// Seconds of the granted batch still outstanding at `now`.
     pub fn remaining(&self, now: f64) -> f64 {
         (self.expires_at - now).max(0.0)
@@ -144,11 +125,10 @@ pub struct LeaseTerms {
     pub job: usize,
     /// Fleet device to occupy.
     pub device: usize,
+    /// Shard of the job the sub-lease serves.
+    pub shard: usize,
     /// Device-seconds the batch needs.
     pub seconds: f64,
-    /// The job's optimizer state at grant time, tagged with the shard and
-    /// restart the sub-lease serves.
-    pub checkpoint: ShardCheckpoint,
 }
 
 /// The book of record for device leases: one active lease per device, and
@@ -196,10 +176,10 @@ impl LeaseLedger {
             id,
             job: terms.job,
             device: terms.device,
+            shard: terms.shard,
             granted_at: now,
             expires_at: now + terms.seconds,
             seconds: terms.seconds,
-            checkpoint: terms.checkpoint,
         };
         self.active[terms.device] = Some(lease);
         self.active[terms.device].as_ref().expect("just granted")
@@ -236,16 +216,8 @@ mod tests {
         LeaseTerms {
             job,
             device,
+            shard: 0,
             seconds,
-            checkpoint: ShardCheckpoint {
-                shard: 0,
-                restart: 0,
-                phase: qoncord_core::phase::PhaseCheckpoint {
-                    params: vec![0.1],
-                    iteration: 0,
-                    executions: 0,
-                },
-            },
         }
     }
 

@@ -18,9 +18,9 @@
 //! - [`job`] — tenant job specs (arrival, priority, deadline, restarts,
 //!   workload).
 //! - [`fleet`] — the shared fleet: calibrations + market metadata.
-//! - [`lease`] — explicit device leases: holder, duration, checkpointed
-//!   optimizer state, and the one-active-lease-per-device ledger that
-//!   grants, completes and evicts them.
+//! - [`lease`] — explicit device leases: holder, shard, duration, and the
+//!   one-active-lease-per-device ledger that grants, completes and evicts
+//!   them (the engine checkpoints an evicted shard at eviction).
 //! - [`admission`] — deadline-aware admission control: feasibility
 //!   projections from fleet load decide whether a job's SLA is keepable,
 //!   rejecting it otherwise. Projections can be *decay-aware*: queue
@@ -100,6 +100,7 @@
 //! assert!(!report.calibration.is_empty());
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod driver;
