@@ -119,6 +119,12 @@ impl CloudDevice {
         self.busy.truncate(kept);
     }
 
+    /// Drops every committed busy interval, keeping the buffer, so one
+    /// device view can be reloaded per decision without allocating.
+    pub fn clear_schedule(&mut self) {
+        self.busy.clear();
+    }
+
     /// Records `n` completed circuit executions.
     pub fn record_circuits(&mut self, n: u64) {
         self.completed_circuits += n;

@@ -317,6 +317,11 @@ struct Sim<'a> {
     /// The closed calibration loop: realized-vs-projected completion errors
     /// per (tier, service class), and the learned margins they imply.
     margins: MarginModel,
+    /// Per fleet device: a load view for the placement policy and the
+    /// feasibility projections, reloaded by `refresh_views` per decision
+    /// (one buffer for the run instead of a fresh fleet of views per
+    /// arrival).
+    views: Vec<CloudDevice>,
     /// Per fleet device: its quality tier (rank of its advertised fidelity
     /// among the fleet's distinct values, 0 = lowest) — one axis of the
     /// calibration key, and the set of devices a split tier fans out over.
@@ -420,6 +425,11 @@ impl<'a> Sim<'a> {
             pending: jobs.iter().map(|_| Vec::new()).collect(),
             decay_epochs: 0,
             margins: MarginModel::new(config.calibration),
+            views: fleet
+                .iter()
+                .enumerate()
+                .map(|(i, d)| CloudDevice::new(i, d.advertised_fidelity(), d.speed()))
+                .collect(),
             device_tier,
             margin_key: jobs.iter().map(|_| None).collect(),
             status: jobs.iter().map(|_| None).collect(),
@@ -487,28 +497,29 @@ impl<'a> Sim<'a> {
         }
     }
 
-    /// Live load views for the placement policy: one [`CloudDevice`] per
-    /// fleet device whose schedule carries the device's estimated backlog
-    /// (running lease + queued batch work).
-    fn placement_views(&self, now: f64) -> Vec<CloudDevice> {
-        self.fleet
-            .iter()
-            .enumerate()
-            .map(|(i, d)| {
-                let mut view = CloudDevice::new(i, d.advertised_fidelity(), d.speed());
-                let backlog = self.queue.device_backlog(i)
-                    + self.leases.active(i).map_or(0.0, |l| l.remaining(now));
-                if backlog > 0.0 {
-                    view.schedule(now, backlog);
-                }
-                view
-            })
-            .collect()
+    /// Reloads `views` with live loads: each fleet device's schedule carries
+    /// its estimated backlog — the running lease's remainder plus, when
+    /// `queued`, the device's queued batch work (the placement views), or
+    /// the lease alone (the committed views of the decay-aware projection).
+    fn refresh_views(&mut self, now: f64, queued: bool) {
+        for (i, view) in self.views.iter_mut().enumerate() {
+            view.clear_schedule();
+            let remaining = self.leases.active(i).map_or(0.0, |l| l.remaining(now));
+            let backlog = if queued {
+                self.queue.device_backlog(i) + remaining
+            } else {
+                remaining
+            };
+            if backlog > 0.0 {
+                view.schedule(now, backlog);
+            }
+        }
     }
 
     fn admit(&mut self, job: usize, now: f64) {
         let _prof = qoncord_prof::span("engine::admit");
-        let spec = &self.jobs[job];
+        let jobs = self.jobs;
+        let spec = &jobs[job];
         self.tracer.emit(
             now,
             TraceEvent::Arrival {
@@ -518,12 +529,12 @@ impl<'a> Sim<'a> {
                 priority: spec.priority,
             },
         );
-        let views = self.placement_views(now);
+        self.refresh_views(now, true);
         // The policy only steers device choice here; circuit counts are an
         // a-priori estimate of the job's footprint.
         let placements = place_job(
             self.config.policy,
-            &views,
+            &self.views,
             circuit_estimate(&spec.config, spec.n_restarts).max(1),
             true,
             now,
@@ -543,7 +554,7 @@ impl<'a> Sim<'a> {
             spec,
             &selected,
             self.fleet,
-            &views,
+            &self.views,
             &self.device_tier,
             self.config.split.enabled,
             now,
@@ -598,7 +609,7 @@ impl<'a> Sim<'a> {
             let first_batch = runner.estimated_next_seconds(0);
             self.estimate_decay_aware(job, &priced, &secs, first_batch, now)
         } else {
-            estimate_feasibility(&priced, &views, &secs, now)
+            estimate_feasibility(&priced, &self.views, &secs, now)
         };
         let key = MarginKey {
             tier: self.device_tier[ladder_entry],
@@ -707,28 +718,16 @@ impl<'a> Sim<'a> {
     /// plus only the queued (ungranted) work the job is projected to rank
     /// *behind* under fair-share dispatch — with balances aged by the decay
     /// epochs projected to pass before its start — instead of every
-    /// device's whole backlog.
+    /// device's whole backlog. Reloads `views` with the committed loads.
     fn estimate_decay_aware(
-        &self,
+        &mut self,
         job: usize,
         priced: &[Placement],
         secs: &[f64],
         first_batch: f64,
         now: f64,
     ) -> qoncord_cloud::policy::FeasibilityEstimate {
-        let committed_views: Vec<CloudDevice> = self
-            .fleet
-            .iter()
-            .enumerate()
-            .map(|(i, d)| {
-                let mut view = CloudDevice::new(i, d.advertised_fidelity(), d.speed());
-                let remaining = self.leases.active(i).map_or(0.0, |l| l.remaining(now));
-                if remaining > 0.0 {
-                    view.schedule(now, remaining);
-                }
-                view
-            })
-            .collect();
+        self.refresh_views(now, false);
         let probe = QueuedRequest {
             id: usize::MAX,
             user: self.jobs[job].tenant.clone(),
@@ -745,7 +744,7 @@ impl<'a> Sim<'a> {
         let credit = self.jobs[job].priority as f64 * PRIORITY_CREDIT;
         estimate_feasibility_decayed(
             priced,
-            &committed_views,
+            &self.views,
             secs,
             now,
             QueueModel {
