@@ -764,7 +764,10 @@ impl<'a> Sim<'a> {
     /// schedulable sub-leases.
     fn enqueue_ready_batches(&mut self, job: usize, now: f64) {
         let _prof = qoncord_prof::span("engine::enqueue");
-        let shards = self.drivers[job].as_ref().expect("active runner").shard_count();
+        let shards = self.drivers[job]
+            .as_ref()
+            .expect("active runner")
+            .shard_count();
         // Nothing below advances the runner (compute waits for lease
         // expiry), so each shard's readiness reads the same inside the loop
         // as before it.
@@ -1243,7 +1246,15 @@ impl<'a> Sim<'a> {
     /// Holds resolve in restart order, the order they are stored in.
     fn resolve_holds(&mut self, job: usize, pruned: &[usize], now: f64) {
         let holds = std::mem::take(&mut self.holds[job]);
-        for (restart, Hold { id, device, seconds }) in holds.into_iter().enumerate() {
+        for (
+            restart,
+            Hold {
+                id,
+                device,
+                seconds,
+            },
+        ) in holds.into_iter().enumerate()
+        {
             let cancelled = self.queue.cancel_by_id(id);
             debug_assert!(cancelled.is_some(), "hold was queued exactly once");
             self.tracer.emit(
