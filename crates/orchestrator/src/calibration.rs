@@ -21,10 +21,18 @@
 //! exposes the margin trajectory that produced each denial. The model
 //! itself keeps only its error windows.
 //!
+//! Each window is also kept sorted as samples enter and leave it, so a
+//! key's own margin — what every warmed-up admission and every completion
+//! snapshot reads — is one index, not a sort. Only the pooled fallbacks,
+//! read while a key has fewer than `min_samples` samples, still collect and
+//! sort. Either way the result is bitwise the nearest-rank [`quantile`] of
+//! the samples in arrival order.
+//!
 //! [`AdmissionMode::Calibrated`](crate::admission::AdmissionMode::Calibrated)
 //! switches the engine from the static margin of zero to this model.
 
-use std::collections::{HashMap, VecDeque};
+use std::cmp::Ordering;
+use std::collections::VecDeque;
 
 use crate::admission::Deadline;
 
@@ -156,7 +164,60 @@ pub struct MarginSnapshot {
 #[derive(Debug, Clone)]
 pub struct MarginModel {
     config: CalibrationConfig,
-    windows: HashMap<MarginKey, VecDeque<f64>>,
+    /// One window per key, in the order the keys were first fed (a handful
+    /// of tiers times five classes: a scan beats a hash).
+    windows: Vec<(MarginKey, Window)>,
+}
+
+/// One key's last [`WINDOW`] error samples, in arrival order and sorted.
+#[derive(Debug, Clone)]
+struct Window {
+    arrivals: VecDeque<f64>,
+    /// `arrivals` in the order a stable sort by `partial_cmp` puts them:
+    /// ascending, and samples that compare equal (`-0.0` and `0.0`
+    /// included) in arrival order.
+    sorted: Vec<f64>,
+}
+
+fn cmp(a: &f64, b: &f64) -> Ordering {
+    a.partial_cmp(b).expect("finite errors")
+}
+
+impl Window {
+    fn new() -> Self {
+        Window {
+            arrivals: VecDeque::with_capacity(WINDOW),
+            sorted: Vec::with_capacity(WINDOW),
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.arrivals.len()
+    }
+
+    /// Adds `error`, dropping the oldest sample once the window is full.
+    fn push(&mut self, error: f64) {
+        if self.arrivals.len() == WINDOW {
+            let oldest = self.arrivals.pop_front().expect("a full window");
+            // The oldest sample arrived before every sample that compares
+            // equal to it, so it is the first of them in `sorted`.
+            let at = self
+                .sorted
+                .partition_point(|x| cmp(x, &oldest) == Ordering::Less);
+            self.sorted.remove(at);
+        }
+        self.arrivals.push_back(error);
+        // The newest sample goes after every sample that compares equal.
+        let at = self
+            .sorted
+            .partition_point(|x| cmp(x, &error) != Ordering::Greater);
+        self.sorted.insert(at, error);
+    }
+
+    /// [`quantile`] of the window, read off `sorted`.
+    fn quantile(&self, q: f64) -> f64 {
+        self.sorted[nearest_rank(self.sorted.len(), q)]
+    }
 }
 
 impl MarginModel {
@@ -170,8 +231,12 @@ impl MarginModel {
         assert!(config.min_samples > 0, "min_samples must be positive");
         MarginModel {
             config,
-            windows: HashMap::new(),
+            windows: Vec::new(),
         }
+    }
+
+    fn window(&self, key: MarginKey) -> Option<&Window> {
+        self.windows.iter().find(|(k, _)| *k == key).map(|(_, w)| w)
     }
 
     /// The safety margin (seconds, possibly negative) admission should
@@ -180,27 +245,24 @@ impl MarginModel {
     /// windows, then to zero — whichever first holds at least
     /// [`CalibrationConfig::min_samples`] samples.
     pub fn margin_for(&self, key: MarginKey) -> f64 {
-        let exact: Vec<f64> = self
-            .windows
-            .get(&key)
-            .map(|w| w.iter().copied().collect())
-            .unwrap_or_default();
-        if exact.len() >= self.config.min_samples {
-            return quantile(exact, QUANTILE);
+        if let Some(exact) = self.window(key) {
+            if exact.len() >= self.config.min_samples {
+                return exact.quantile(QUANTILE);
+            }
         }
         let tier: Vec<f64> = self
             .windows
             .iter()
             .filter(|(k, _)| k.tier == key.tier)
-            .flat_map(|(_, w)| w.iter().copied())
+            .flat_map(|(_, w)| w.arrivals.iter().copied())
             .collect();
         if tier.len() >= self.config.min_samples {
             return quantile(tier, QUANTILE);
         }
         let all: Vec<f64> = self
             .windows
-            .values()
-            .flat_map(|w| w.iter().copied())
+            .iter()
+            .flat_map(|(_, w)| w.arrivals.iter().copied())
             .collect();
         if all.len() >= self.config.min_samples {
             return quantile(all, QUANTILE);
@@ -230,11 +292,14 @@ impl MarginModel {
             projected.is_finite() && realized.is_finite(),
             "completions must be finite times"
         );
-        let window = self.windows.entry(key).or_default();
-        window.push_back(realized - projected);
-        while window.len() > WINDOW {
-            window.pop_front();
-        }
+        let at = match self.windows.iter().position(|(k, _)| *k == key) {
+            Some(at) => at,
+            None => {
+                self.windows.push((key, Window::new()));
+                self.windows.len() - 1
+            }
+        };
+        self.windows[at].1.push(realized - projected);
         self.snapshot(time, key, Some(realized - projected))
     }
 
@@ -248,7 +313,7 @@ impl MarginModel {
 
     /// Error samples currently in `key`'s window.
     pub fn samples(&self, key: MarginKey) -> usize {
-        self.windows.get(&key).map_or(0, VecDeque::len)
+        self.window(key).map_or(0, Window::len)
     }
 
     fn snapshot(&self, time: f64, key: MarginKey, error: Option<f64>) -> MarginSnapshot {
@@ -266,9 +331,14 @@ impl MarginModel {
 /// pass pooled samples in any order).
 fn quantile(mut values: Vec<f64>, q: f64) -> f64 {
     debug_assert!(!values.is_empty(), "quantile of an empty sample set");
-    values.sort_by(|a, b| a.partial_cmp(b).expect("finite errors"));
-    let rank = (q * values.len() as f64).ceil() as usize;
-    values[rank.clamp(1, values.len()) - 1]
+    values.sort_by(cmp);
+    values[nearest_rank(values.len(), q)]
+}
+
+/// Index of the nearest-rank `q` quantile among `len` sorted samples.
+fn nearest_rank(len: usize, q: f64) -> usize {
+    let rank = (q * len as f64).ceil() as usize;
+    rank.clamp(1, len) - 1
 }
 
 #[cfg(test)]
@@ -328,7 +398,7 @@ mod tests {
         assert_eq!(model.margin_for(k), -5.0);
         model.record_completion(0.0, k, 50.0, 45.0);
         assert_eq!(model.samples(k), WINDOW);
-        let window = &model.windows[&k];
+        let window = &model.window(k).expect("a fed key").arrivals;
         assert!(
             window.iter().all(|&e| e == -5.0),
             "the +40 era has aged out"
@@ -371,6 +441,93 @@ mod tests {
         assert_eq!(quantile(vec![3.0, 1.0, 2.0], 0.5), 2.0);
         assert_eq!(quantile(vec![5.0], 0.9), 5.0);
         assert_eq!(quantile(vec![1.0, 2.0], 0.01), 1.0);
+    }
+
+    /// The sort-based margin, recomputed from plain arrival-order windows
+    /// (keys in first-fed order): the oracle for `margin_for`.
+    fn oracle_margin(windows: &[(MarginKey, VecDeque<f64>)], key: MarginKey, min: usize) -> f64 {
+        let pooled = |keep: &dyn Fn(&MarginKey) -> bool| -> Vec<f64> {
+            windows
+                .iter()
+                .filter(|(k, _)| keep(k))
+                .flat_map(|(_, w)| w.iter().copied())
+                .collect()
+        };
+        for values in [
+            pooled(&|k| *k == key),
+            pooled(&|k| k.tier == key.tier),
+            pooled(&|_| true),
+        ] {
+            if values.len() >= min {
+                return quantile(values, QUANTILE);
+            }
+        }
+        0.0
+    }
+
+    fn error_strategy() -> impl proptest::strategy::Strategy<Value = f64> {
+        use proptest::prelude::*;
+        // Mostly non-positive, so the P90 often lands among the zeros of
+        // both signs, where a sort's tie order shows in the bits.
+        prop_oneof![
+            Just(0.0),
+            Just(-0.0),
+            (-3..1i32).prop_map(f64::from),
+            -50.0..5.0f64,
+        ]
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// Completions that cross the 64-sample window, repeat errors and
+        /// mix `0.0` with `-0.0`: after every one, every key's margin is
+        /// bitwise the sort-based quantile of its window or fallback pool.
+        #[test]
+        fn sorted_windows_match_the_sort_based_quantile(
+            min_samples in 1..9usize,
+            steps in proptest::collection::vec((0..8usize, error_strategy()), 1..400),
+        ) {
+            // Key 0 takes half the completions, so it wraps its window.
+            let keys = [
+                key(0, ServiceClass::Batch),
+                key(0, ServiceClass::BestEffort),
+                key(1, ServiceClass::Interactive),
+                key(1, ServiceClass::Batch),
+            ];
+            let probes = [keys[0], keys[1], keys[2], keys[3], key(0, ServiceClass::Standard), key(7, ServiceClass::Absolute)];
+            let mut model = MarginModel::new(CalibrationConfig { min_samples });
+            let mut oracle: Vec<(MarginKey, VecDeque<f64>)> = Vec::new();
+            for (i, &(pick, error)) in steps.iter().enumerate() {
+                let k = keys[pick.saturating_sub(4)];
+                let snapshot = model.record_completion(i as f64, k, 0.0, error);
+                proptest::prop_assert_eq!(snapshot.error.map(f64::to_bits), Some(error.to_bits()));
+                let at = match oracle.iter().position(|(o, _)| *o == k) {
+                    Some(at) => at,
+                    None => {
+                        oracle.push((k, VecDeque::new()));
+                        oracle.len() - 1
+                    }
+                };
+                let window = &mut oracle[at].1;
+                window.push_back(error);
+                if window.len() > WINDOW {
+                    window.pop_front();
+                }
+                for probe in probes {
+                    let expected = oracle_margin(&oracle, probe, min_samples);
+                    proptest::prop_assert_eq!(
+                        model.margin_for(probe).to_bits(),
+                        expected.to_bits(),
+                        "step {}: margin of {:?}",
+                        i,
+                        probe
+                    );
+                    let samples = oracle.iter().find(|(o, _)| *o == probe).map_or(0, |(_, w)| w.len());
+                    proptest::prop_assert_eq!(model.samples(probe), samples);
+                }
+            }
+        }
     }
 
     #[test]
