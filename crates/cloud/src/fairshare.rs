@@ -345,7 +345,10 @@ struct Lane {
 struct UserState {
     name: String,
     usage: UserUsage,
-    lanes: FastMap<Tag, Lane>,
+    /// At most a few lanes per tenant (one per device it queues on, plus
+    /// holds), so a scan beats a hash. Their order is first-push order and
+    /// never reaches output: readers that merge lanes sort by a unique key.
+    lanes: Vec<(Tag, Lane)>,
     /// Written to since its lanes were last posted (on
     /// `FairShareQueue::unposted`).
     unposted: bool,
@@ -437,7 +440,7 @@ impl FairShareQueue {
         self.states.push(UserState {
             name: user.to_owned(),
             usage: UserUsage::default(),
-            lanes: FastMap::default(),
+            lanes: Vec::new(),
             unposted: false,
         });
         self.drain.get_mut().tenants.push(TenantPostings::default());
@@ -474,8 +477,8 @@ impl FairShareQueue {
     fn repost_user(&mut self, uid: usize) {
         let usage = self.states[uid].usage;
         let mut lanes = std::mem::take(&mut self.states[uid].lanes);
-        lanes.retain(|&tag, lane| {
-            if let Tag::Device(d) = tag {
+        lanes.retain_mut(|(tag, lane)| {
+            if let Tag::Device(d) = *tag {
                 let ready = self.ready_by_device.entry(d).or_default();
                 if let Some(old) = lane.posted.take() {
                     ready.remove(&old);
@@ -540,12 +543,15 @@ impl FairShareQueue {
         *self.backlog.entry(tag.device()).or_insert(0.0) += request.requested_seconds;
         self.stats.backlog_refreshes += 1;
         let key = self.req_key(&request, seq);
-        self.states[uid]
-            .lanes
-            .entry(tag)
-            .or_default()
-            .requests
-            .insert(key, request.id);
+        let lanes = &mut self.states[uid].lanes;
+        let at = match lanes.iter().position(|(t, _)| *t == tag) {
+            Some(at) => at,
+            None => {
+                lanes.push((tag, Lane::default()));
+                lanes.len() - 1
+            }
+        };
+        lanes[at].1.requests.insert(key, request.id);
         self.entries.insert(
             request.id,
             StoredRequest {
@@ -569,7 +575,7 @@ impl FairShareQueue {
             seq,
         } = self.entries.remove(&id)?;
         let key = self.req_key(&request, seq);
-        if let Some(lane) = self.states[uid].lanes.get_mut(&tag) {
+        if let Some((_, lane)) = self.states[uid].lanes.iter_mut().find(|(t, _)| *t == tag) {
             lane.requests.remove(&key);
         }
         if let Some(total) = self.backlog.get_mut(&tag.device()) {
@@ -718,7 +724,13 @@ impl FairShareQueue {
         let _prof = qoncord_prof::span("fairshare::pop");
         self.ensure_fresh();
         let (_, &uid) = self.ready_by_device.get(&device)?.first_key_value()?;
-        let id = *self.states[uid].lanes[&Tag::Device(device)]
+        let tag = Tag::Device(device);
+        let (_, lane) = self.states[uid]
+            .lanes
+            .iter()
+            .find(|(t, _)| *t == tag)
+            .expect("a posted lane exists");
+        let id = *lane
             .requests
             .first_key_value()
             .expect("posted lane is non-empty")
@@ -1108,8 +1120,8 @@ impl FairShareQueue {
             // Head test: min lane head by the decay-invariant key.
             let head = state
                 .lanes
-                .values()
-                .filter_map(|lane| lane.requests.first_key_value())
+                .iter()
+                .filter_map(|(_, lane)| lane.requests.first_key_value())
                 .min_by_key(|(&rk, _)| rk);
             let Some((&rk, id)) = head else { continue };
             let usage = UserUsage {
