@@ -295,6 +295,16 @@ fn sweep_pair(
         q0 != q1 && window.fits(dim, offsets[3]) && data.len() == dim * dim,
         "sweep outside ρ"
     );
+    // Once per step, not per tile: every offset the ops and swaps address
+    // is one of the tile's four, which is what the accesses below rely on.
+    let in_tile = |o: &usize| offsets.contains(o);
+    assert!(
+        ops.iter().all(|op| match op {
+            Local::Wire { pairs, .. } => pairs.iter().flatten().all(in_tile),
+            Local::Dense(_) => true,
+        }) && swaps.iter().flatten().all(in_tile),
+        "pair op outside its tile"
+    );
     let ptr = RawRho(data.as_mut_ptr());
     for row in subsets(window.rows) {
         let strip = Strip {
@@ -309,9 +319,9 @@ fn sweep_pair(
         // `window.deltas`; `fits` (asserted above) holds both masks and
         // `offsets[3]` below the power of two `dim` with the pair bits
         // clear in the masks, so every anchor is below `dim` with both pair
-        // bits clear. `data.len() == dim * dim` is asserted too, and
-        // `compile.rs`'s `finish_pair` — the only place `ops` and `swaps`
-        // are built — emits no offset outside `offsets`.
+        // bits clear. `data.len() == dim * dim` is asserted too, and so is
+        // that every offset in `ops`' wire pairs and in `swaps` is one of
+        // `offsets` (dense ops address `offsets` themselves).
         unsafe {
             for op in ops {
                 match op {
@@ -385,9 +395,15 @@ impl Strip {
         let rows = self.offsets.map(|o| self.row_at(o));
         for c in self.anchors() {
             let cols = self.offsets.map(|o| c | o);
-            let t = rows.map(|row| cols.map(|col| self.ptr.get(row + col)));
-            // A loop, not `array::from_fn`: that stays out of line, so the
-            // AVX2 build would run this product at baseline.
+            // Loops, not `array::map` / `array::from_fn`: those stay out of
+            // line, so the AVX2 build would run this gather and product at
+            // baseline.
+            let mut t = [[C64::ZERO; 4]; 4];
+            for r in 0..4 {
+                for k in 0..4 {
+                    t[r][k] = self.ptr.get(rows[r] + cols[k]);
+                }
+            }
             let mut left = [[C64::ZERO; 4]; 4];
             for k in 0..4 {
                 for c in 0..4 {
