@@ -5,7 +5,9 @@
 # every *other* `.rs` file under crates/ src/ tests/ examples/ benchmark/src.
 # Each file is cut the way scripts/nontest_loc.sh cuts it: a file under a
 # `tests/` directory is all test code, any other file is test code from its
-# first `#[cfg(test)]` on. An item no other file names prints as
+# first `#[cfg(test)]` on. Comment lines (`//`, `///`, `//!`) are dropped
+# from both cuts: a name in a doc comment or a link is not a caller. An item
+# no other file names prints as
 # `file:line kind name`, one only other files' test code names as
 # `file:line kind name (test-only)`. Last two lines: `uncalled N of M` and
 # `test-only N of M`. It is a floor, not a proof: a name two items share
@@ -21,12 +23,14 @@ for file in $files; do
     mkdir -p "$cuts/real/${file%/*}" "$cuts/test/${file%/*}"
     : >"$cuts/real/$file"
     case "$file" in
-    tests/* | */tests/*) cp "$file" "$cuts/test/$file" ;;
-    *) awk -v real="$cuts/real/$file" -v test="$cuts/test/$file" '
-           /^[[:space:]]*#\[cfg\(test\)\]/ { cut = 1 }
-           { print > (cut ? test : real) }
-       ' "$file" ;;
+    tests/* | */tests/*) cut=1 ;;
+    *) cut=0 ;;
     esac
+    awk -v cut="$cut" -v real="$cuts/real/$file" -v test="$cuts/test/$file" '
+        /^[[:space:]]*#\[cfg\(test\)\]/ { cut = 1 }
+        /^[[:space:]]*\/\// { next }
+        { print > (cut ? test : real) }
+    ' "$file"
     [ -e "$cuts/test/$file" ] || : >"$cuts/test/$file"
 done
 for file in $(find crates/*/src -name '*.rs' ! -path 'crates/bench/*' | sort); do
