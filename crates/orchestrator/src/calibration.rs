@@ -25,7 +25,7 @@
 //! key's own margin — what every warmed-up admission and every completion
 //! snapshot reads — is one index, not a sort. Only the pooled fallbacks,
 //! read while a key has fewer than `min_samples` samples, still collect and
-//! sort. Either way the result is bitwise the nearest-rank [`quantile`] of
+//! sort. Either way the result is bitwise the nearest-rank `quantile` of
 //! the samples in arrival order.
 //!
 //! [`AdmissionMode::Calibrated`](crate::admission::AdmissionMode::Calibrated)

@@ -392,10 +392,6 @@ impl<'a> Sim<'a> {
         for (j, job) in jobs.iter().enumerate() {
             events.push(job.arrival, Event::Arrival(j));
         }
-        assert!(
-            u32::try_from(jobs.len()).is_ok(),
-            "job indices must fit the reservation owner table"
-        );
         let device_tier = device_tiers(fleet);
         let mut tracer = Tracer::new(config.trace.clone());
         // Run preamble: the fleet's identity, so every trace consumer can
@@ -710,7 +706,8 @@ impl<'a> Sim<'a> {
     /// Issues the next reservation id, owned by `job`.
     fn next_id(&mut self, job: usize) -> usize {
         let id = self.owner.len();
-        self.owner.push(job as u32);
+        let job = u32::try_from(job).expect("job indices fit the owner table");
+        self.owner.push(job);
         id
     }
 

@@ -229,7 +229,6 @@ fn admit_burst() -> (OrchestratorConfig, Vec<TenantJob>) {
         admission: AdmissionConfig {
             mode: AdmissionMode::Reject,
             decay_aware: true,
-            ..AdmissionConfig::default()
         },
         decay: UsageDecayConfig::every(50.0, 0.9),
         ..OrchestratorConfig::default()
@@ -251,7 +250,7 @@ fn allocations_per_event(shape: (OrchestratorConfig, Vec<TenantJob>)) -> (u64, u
 /// percent above the counts they were set at: `engine_churn` 83 885 over
 /// 45 891 events (1.828) and `admit_burst` 66 247 over 24 991 (2.651). The
 /// engine before dense tables and allocation-free cycles read 3.892 and
-/// 5.610. One more allocation per lease grant (~0.27 per event) breaks
+/// 5.610. One more allocation per lease grant (0.24–0.27 per event) breaks
 /// either.
 const CHURN_BUDGET: f64 = 1.9;
 const BURST_BUDGET: f64 = 2.75;
