@@ -17,7 +17,6 @@
 ///     circuits_per_batch: 30,
 ///     inter_batch_delay: 1.0,
 /// };
-/// assert!(session.is_session());
 /// assert_eq!(session.total_circuits(), 300);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -51,12 +50,6 @@ impl JobKind {
                 ..
             } => n_batches as u64 * circuits_per_batch as u64,
         }
-    }
-
-    /// Returns `true` for runtime sessions (the VQA-style jobs Qoncord
-    /// phase-splits).
-    pub fn is_session(&self) -> bool {
-        matches!(self, JobKind::RuntimeSession { .. })
     }
 }
 
@@ -112,14 +105,12 @@ mod tests {
     fn totals() {
         let ind = JobKind::Independent { n_circuits: 7 };
         assert_eq!(ind.total_circuits(), 7);
-        assert!(!ind.is_session());
         let sess = JobKind::RuntimeSession {
             n_batches: 10,
             circuits_per_batch: 4,
             inter_batch_delay: 2.0,
         };
         assert_eq!(sess.total_circuits(), 40);
-        assert!(sess.is_session());
     }
 
     #[test]

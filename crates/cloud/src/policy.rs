@@ -241,12 +241,6 @@ pub struct FeasibilityEstimate {
 }
 
 impl FeasibilityEstimate {
-    /// Seconds of headroom left before `deadline` (negative when the job is
-    /// projected to miss it).
-    pub fn slack(&self, deadline: f64) -> f64 {
-        deadline - self.completion
-    }
-
     /// Whether the projected completion (inflated by `margin` seconds of
     /// safety) lands at or before `deadline`.
     ///
@@ -831,8 +825,6 @@ mod tests {
         assert_eq!(est.completion, 24.0);
         assert!(est.meets(24.0, 0.0));
         assert!(!est.meets(24.0, 1.0));
-        assert_eq!(est.slack(30.0), 6.0);
-        assert_eq!(est.slack(20.0), -4.0);
     }
 
     #[test]
@@ -856,9 +848,6 @@ mod tests {
         assert!(!est(f64::NAN).meets(f64::INFINITY, -1e9));
         assert!(!est(10.0).meets(f64::NAN, 0.0));
         assert!(!est(10.0).meets(20.0, f64::NAN));
-        // Slack mirrors the same orientation.
-        assert_eq!(est(15.0).slack(20.0), 5.0);
-        assert!(est(f64::NAN).slack(20.0).is_nan());
     }
 
     fn req(id: usize, user: &str, seconds: f64, at: f64) -> QueuedRequest {

@@ -152,7 +152,9 @@ mod tests {
             n_jobs: 50,
             ..WorkloadConfig::default()
         });
-        assert!(jobs.iter().all(|j| j.kind.is_session()));
+        assert!(jobs
+            .iter()
+            .all(|j| matches!(j.kind, JobKind::RuntimeSession { .. })));
     }
 
     #[test]

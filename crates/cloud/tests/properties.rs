@@ -7,7 +7,7 @@
 use proptest::prelude::*;
 use qoncord_cloud::device::{hypothetical_fleet, CloudDevice};
 use qoncord_cloud::fairshare::{FairShareQueue, QueuedRequest};
-use qoncord_cloud::policy::{merge_shard_results, split_restarts, Policy};
+use qoncord_cloud::policy::{merge_shard_results, place_job, split_restarts, Policy};
 use qoncord_cloud::reference::ReferenceFairShareQueue;
 use qoncord_cloud::sim::simulate;
 use qoncord_cloud::workload::{generate_workload, WorkloadConfig};
@@ -322,6 +322,43 @@ proptest! {
                 .take_while(|r| r.id != probe.id)
                 .fold(0.0, |sum, r| sum + r.requested_seconds);
             prop_assert_eq!(projected[0].to_bits(), popped.to_bits(), "{:?}", probe);
+        }
+    }
+
+    /// Every policy places a job on one or two devices, whatever the fleet:
+    /// the bound that caps an orchestrated job's device ladder at two rungs.
+    #[test]
+    fn every_policy_places_on_at_most_two_devices(
+        fleet in proptest::collection::vec(
+            (
+                0.05..1.0f64,
+                0.25..4.0f64,
+                proptest::collection::vec((0.0..20.0f64, 0.1..5.0f64), 0..4),
+            ),
+            1..13,
+        ),
+        vqa in 0..2u8,
+        total_circuits in 1..5000u64,
+        now in 0.0..25.0f64,
+        seed in 0..1000u64,
+    ) {
+        let devices: Vec<CloudDevice> = fleet
+            .iter()
+            .enumerate()
+            .map(|(id, (fidelity, speed, busy))| {
+                let mut device = CloudDevice::new(id, *fidelity, *speed);
+                for &(release, duration) in busy {
+                    device.schedule(release, duration);
+                }
+                device
+            })
+            .collect();
+        let mut rng = StdRng::seed_from_u64(seed);
+        for policy in Policy::all() {
+            let placements =
+                place_job(policy, &devices, total_circuits, vqa == 1, now, &mut rng);
+            prop_assert!((1..=2).contains(&placements.len()), "{policy:?}: {placements:?}");
+            prop_assert!(placements.iter().all(|p| p.device < devices.len()));
         }
     }
 

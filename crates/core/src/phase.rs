@@ -103,32 +103,6 @@ pub struct ShardCheckpoint {
     pub phase: PhaseCheckpoint,
 }
 
-impl ShardCheckpoint {
-    /// Serializes the checkpoint (shard and restart words followed by the
-    /// phase bytes of [`PhaseCheckpoint::to_bytes`]).
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(16);
-        out.extend_from_slice(&(self.shard as u64).to_le_bytes());
-        out.extend_from_slice(&(self.restart as u64).to_le_bytes());
-        out.extend_from_slice(&self.phase.to_bytes());
-        out
-    }
-
-    /// Deserializes a checkpoint written by [`to_bytes`](Self::to_bytes).
-    /// Returns `None` on truncated or malformed input.
-    pub fn from_bytes(bytes: &[u8]) -> Option<Self> {
-        let word = |i: usize| -> Option<[u8; 8]> { bytes.get(8 * i..8 * i + 8)?.try_into().ok() };
-        let shard = usize::try_from(u64::from_le_bytes(word(0)?)).ok()?;
-        let restart = usize::try_from(u64::from_le_bytes(word(1)?)).ok()?;
-        let phase = PhaseCheckpoint::from_bytes(bytes.get(16..)?)?;
-        Some(ShardCheckpoint {
-            shard,
-            restart,
-            phase,
-        })
-    }
-}
-
 /// One training phase driven batch-by-batch.
 ///
 /// # Examples
@@ -334,24 +308,6 @@ mod tests {
         let mut corrupt = bytes.clone();
         corrupt[16..24].copy_from_slice(&u64::MAX.to_le_bytes());
         assert_eq!(PhaseCheckpoint::from_bytes(&corrupt), None);
-    }
-
-    #[test]
-    fn shard_checkpoint_round_trips() {
-        let ckpt = ShardCheckpoint {
-            shard: 3,
-            restart: 7,
-            phase: PhaseCheckpoint {
-                params: vec![0.25, 1.5],
-                iteration: 4,
-                executions: 12,
-            },
-        };
-        let bytes = ckpt.to_bytes();
-        assert_eq!(ShardCheckpoint::from_bytes(&bytes), Some(ckpt));
-        assert_eq!(ShardCheckpoint::from_bytes(&bytes[..15]), None);
-        assert_eq!(ShardCheckpoint::from_bytes(&bytes[..bytes.len() - 1]), None);
-        assert_eq!(ShardCheckpoint::from_bytes(&[]), None);
     }
 
     #[test]

@@ -567,6 +567,50 @@ mod tests {
     }
 
     #[test]
+    fn entropy_gate_fires_and_skips_on_a_three_tier_ladder() {
+        // The gate (Sec. IV-F) probes only middle tiers, so only a ≥ 3-tier
+        // ladder reaches it. The negative slack demands a visibly cleaner
+        // middle tier; on this seed one restart's probe skips it and the
+        // others fine-tune there.
+        let cfg = QoncordConfig {
+            exploration_max_iterations: 6,
+            finetune_max_iterations: 5,
+            selection: SelectionPolicy::All,
+            entropy_gate_slack: -0.05,
+            seed: 23,
+            ..QoncordConfig::default()
+        };
+        let devices = [
+            catalog::ibmq_toronto(),
+            catalog::ibmq_mumbai(),
+            catalog::ibmq_kolkata(),
+        ];
+        let report = QoncordScheduler::new(cfg)
+            .run(&devices, &factory(), 3)
+            .unwrap();
+        assert_eq!(report.devices[1].device, "ibmq_mumbai");
+        let phase_counts: Vec<usize> = report.restarts.iter().map(|r| r.phases.len()).collect();
+        assert!(
+            phase_counts.contains(&3),
+            "a probe must fire: {phase_counts:?}"
+        );
+        assert!(
+            phase_counts.contains(&2),
+            "a probe must skip: {phase_counts:?}"
+        );
+        // Every survivor's probe runs on the middle tier, skipped or not, and
+        // no phase counts it.
+        let middle_phases: u64 = report
+            .restarts
+            .iter()
+            .flat_map(|r| &r.phases)
+            .filter(|p| p.device == "ibmq_mumbai")
+            .map(|p| p.executions)
+            .sum();
+        assert!(report.devices[1].executions > middle_phases);
+    }
+
+    #[test]
     fn deterministic_given_seed() {
         let scheduler = QoncordScheduler::new(small_config());
         let devices = [catalog::ibmq_toronto(), catalog::ibmq_kolkata()];

@@ -2,22 +2,26 @@
 //! (`qoncord_core::scheduler::QoncordScheduler::run`) one device batch at a
 //! time, so the engine can interleave many tenants on a shared fleet.
 //!
-//! Every classical decision — triage, entropy-gate skips, rung transitions —
-//! happens between batches and costs zero virtual time; every quantum batch
-//! (one SPSA iteration, or one entropy-gate probe evaluation) is surfaced to
-//! the engine as a device reservation.
+//! Every classical decision — triage, rung transitions — happens between
+//! batches and costs zero virtual time; every quantum batch (one SPSA
+//! iteration) is surfaced to the engine as a device reservation.
+//!
+//! The engine's placements name at most two devices, so a ladder has one
+//! rung (exploration and fine-tuning on one device) or two (exploration,
+//! then fine-tuning). The closed loop's entropy gate sits between the
+//! middle rungs of a deeper ladder, so no job the engine runs reaches it.
 //!
 //! One [`Runner`] serves every job; jobs differ only in the data it holds.
 //! `lanes` bind ladder rungs to fleet devices, and each lane belongs to one
 //! `worker` — a *shard* of the job, the unit the engine leases devices to:
 //!
 //! ```text
-//!            unsplit (L rungs)           split (2 rungs, k0 + k1 twins)
-//!            rung 0  rung 1 … rung L-1   rung 0     rung 1
-//! worker 0   lane 0  lane 1 … lane L-1   lane 0     —
-//! worker 1                               lane 1     —
-//! worker k0                              —          lane k0
-//! worker k0+1                            —          lane k0+1
+//!            unsplit           split (k0 + k1 twins)
+//!            rung 0  rung 1    rung 0     rung 1
+//! worker 0   lane 0  lane 1    lane 0     —
+//! worker 1                     lane 1     —
+//! worker k0                    —          lane k0
+//! worker k0+1                  —          lane k0+1
 //! ```
 //!
 //! A rung's restarts are dealt over the workers holding a lane on it; when
@@ -35,7 +39,7 @@ use qoncord_cloud::policy::merge_shard_results;
 use qoncord_core::executor::{
     bind_rungs, build_lanes, DeviceLane, EvaluatorFactory, RejectedDevice,
 };
-use qoncord_core::phase::{PhaseCheckpoint, PhaseRunner, ShardCheckpoint};
+use qoncord_core::phase::{PhaseRunner, ShardCheckpoint};
 use qoncord_core::scheduler::{
     exploration_seed, finetune_seed, DeviceUsage, QoncordConfig, QoncordReport, RestartReport,
 };
@@ -115,24 +119,14 @@ impl Lane {
     }
 }
 
-/// What a worker's pending batch is.
-// Nearly every pending batch is a `Train`; boxing it would buy an allocation
-// per phase to shrink a variant that is almost never the live one.
-#[allow(clippy::large_enum_variant)]
-enum Stage {
-    /// The entropy-gate probe evaluation before a middle rung's phase.
-    Probe,
-    /// One optimizer iteration of the phase itself.
-    Train(PhaseRunner),
-}
-
 /// One schedulable shard of a job.
 struct Worker {
     /// Restart indices dealt to this worker on the current rung and not
     /// yet started, front first.
     queue: VecDeque<usize>,
-    /// The restart whose batch is pending: `(restart, lane, stage)`.
-    active: Option<(usize, usize, Stage)>,
+    /// The restart whose batch is pending: `(restart, lane, phase)`; the
+    /// batch is the phase's next optimizer iteration.
+    active: Option<(usize, usize, PhaseRunner)>,
 }
 
 /// What one granted batch did, as the engine sees it.
@@ -171,9 +165,9 @@ pub(crate) struct Runner {
 }
 
 impl Runner {
-    /// Builds the job's device ladder over `selected` fleet devices as one
-    /// worker with a lane on every rung, positioned at the first
-    /// exploration batch.
+    /// Builds the job's device ladder over the one or two `selected` fleet
+    /// devices (a placement's) as one worker with a lane on every rung,
+    /// positioned at the first exploration batch.
     ///
     /// Returns the rejected-device list if no device survives the fidelity
     /// filter.
@@ -188,6 +182,7 @@ impl Runner {
         factory: &dyn EvaluatorFactory,
         selected: &[SelectedDevice],
     ) -> Result<Self, Vec<RejectedDevice>> {
+        debug_assert!(selected.len() <= 2, "a placement names at most two devices");
         assert!(n_restarts > 0, "need at least one restart");
         assert!(
             cfg.exploration_max_iterations > 0,
@@ -376,13 +371,13 @@ impl Runner {
         self.workers[shard].active.is_some()
     }
 
-    /// `shard`'s pending batch: `(restart, lane, stage)`.
-    fn pending(&self, shard: usize) -> (usize, &Lane, &Stage) {
-        let (restart, lane, stage) = self.workers[shard]
+    /// `shard`'s pending batch: `(restart, lane, phase)`.
+    fn pending(&self, shard: usize) -> (usize, &Lane, &PhaseRunner) {
+        let (restart, lane, phase) = self.workers[shard]
             .active
             .as_ref()
             .expect("shard has a pending batch");
-        (*restart, &self.lanes[*lane], stage)
+        (*restart, &self.lanes[*lane], phase)
     }
 
     /// Fleet device `shard`'s pending batch needs.
@@ -391,33 +386,19 @@ impl Runner {
     }
 
     /// Estimated device-seconds of `shard`'s pending batch (for fair-share
-    /// scoring): a probe is one execution, a training batch SPSA's fixed
-    /// per-iteration cost.
+    /// scoring): SPSA's fixed per-iteration cost.
     pub(crate) fn estimated_next_seconds(&self, shard: usize) -> f64 {
-        let (_, lane, stage) = self.pending(shard);
-        match stage {
-            Stage::Probe => lane.seconds(1),
-            Stage::Train(_) => lane.seconds(SPSA_EXECUTIONS_PER_ITERATION),
-        }
+        self.pending(shard).1.seconds(SPSA_EXECUTIONS_PER_ITERATION)
     }
 
     /// The optimizer state `shard` would resume from if its pending batch
-    /// were granted and then recalled: the active phase's checkpoint, or a
-    /// parameter-only snapshot around an entropy-gate probe (probes carry no
-    /// phase state of their own).
+    /// were granted and then recalled: the active phase's checkpoint.
     pub(crate) fn shard_checkpoint(&self, shard: usize) -> ShardCheckpoint {
-        let (restart, _, stage) = self.pending(shard);
+        let (restart, _, phase) = self.pending(shard);
         ShardCheckpoint {
             shard,
             restart,
-            phase: match stage {
-                Stage::Train(phase) => phase.checkpoint(),
-                Stage::Probe => PhaseCheckpoint {
-                    params: self.reports[restart].final_params.clone(),
-                    iteration: 0,
-                    executions: 0,
-                },
-            },
+            phase: phase.checkpoint(),
         }
     }
 
@@ -429,80 +410,48 @@ impl Runner {
     ///
     /// Panics if the shard has no pending batch.
     pub(crate) fn execute_batch(&mut self, shard: usize) -> BatchResult {
-        let (restart, lane_idx, stage) = self.workers[shard]
+        let (restart, lane_idx, mut phase) = self.workers[shard]
             .active
             .take()
             .expect("shard has a pending batch");
         let lane = &mut self.lanes[lane_idx];
-        let evaluator = lane.evaluator.as_mut();
-        let (executions, next) = match stage {
-            Stage::Probe => {
-                // Entropy gate (Sec. IV-F): one probe evaluation at the
-                // current iterate on the candidate rung; skip the rung if it
-                // looks noisier than where the restart left off.
-                let report = &self.reports[restart];
-                let before = evaluator.executions();
-                let probe = evaluator.evaluate(&report.final_params);
-                let executions = evaluator.executions() - before;
-                let prev_entropy = report
-                    .phases
-                    .last()
-                    .and_then(|p| p.trace.records.last())
-                    .map(|r| r.entropy);
-                let skip = matches!(prev_entropy, Some(prev)
-                    if probe.entropy > prev + self.cfg.entropy_gate_slack);
-                let tier = lane.tier;
-                (
-                    executions,
-                    (!skip).then(|| Stage::Train(self.phase(tier, restart))),
-                )
-            }
-            Stage::Train(mut phase) => {
-                let out = phase.step(evaluator);
-                if !out.finished {
-                    (out.executions, Some(Stage::Train(phase)))
-                } else {
-                    let (params, phase) = phase.finish(lane.device_name.clone());
-                    if lane.tier == 0 {
-                        let exploration_expectation =
-                            phase.trace.final_expectation().unwrap_or(f64::INFINITY);
-                        self.explored.push((
-                            restart,
-                            RestartReport {
-                                index: restart,
-                                initial_params: std::mem::take(&mut self.initials[restart]),
-                                final_params: params,
-                                phases: vec![phase],
-                                survived: true,
-                                exploration_expectation,
-                                final_expectation: exploration_expectation,
-                            },
-                        ));
-                    } else {
-                        let report = &mut self.reports[restart];
-                        report.final_params = params;
-                        if let Some(e) = phase.trace.final_expectation() {
-                            report.final_expectation = e;
-                        }
-                        report.phases.push(phase);
-                    }
-                    (out.executions, None)
-                }
-            }
-        };
+        let out = phase.step(lane.evaluator.as_mut());
         let mut pruned = None;
-        match next {
-            Some(stage) => self.workers[shard].active = Some((restart, lane_idx, stage)),
-            None => {
-                self.start_next_restart(shard);
-                pruned = self.tier_barrier();
+        if !out.finished {
+            self.workers[shard].active = Some((restart, lane_idx, phase));
+        } else {
+            let (params, phase) = phase.finish(lane.device_name.clone());
+            if lane.tier == 0 {
+                let exploration_expectation =
+                    phase.trace.final_expectation().unwrap_or(f64::INFINITY);
+                self.explored.push((
+                    restart,
+                    RestartReport {
+                        index: restart,
+                        initial_params: std::mem::take(&mut self.initials[restart]),
+                        final_params: params,
+                        phases: vec![phase],
+                        survived: true,
+                        exploration_expectation,
+                        final_expectation: exploration_expectation,
+                    },
+                ));
+            } else {
+                let report = &mut self.reports[restart];
+                report.final_params = params;
+                if let Some(e) = phase.trace.final_expectation() {
+                    report.final_expectation = e;
+                }
+                report.phases.push(phase);
             }
+            self.start_next_restart(shard);
+            pruned = self.tier_barrier();
         }
         let lane = &self.lanes[lane_idx];
         BatchResult {
             fleet_index: lane.fleet_index,
-            duration: lane.seconds(executions),
-            executions,
+            duration: lane.seconds(out.executions),
+            executions: out.executions,
             pruned,
             finished: self.tier == self.n_tiers,
         }
@@ -559,7 +508,7 @@ impl Runner {
     }
 
     /// Pops `worker`'s next queued restart into a pending batch on its lane
-    /// of the current rung; middle rungs open with the entropy-gate probe.
+    /// of the current rung.
     fn start_next_restart(&mut self, worker: usize) {
         let Some(restart) = self.workers[worker].queue.pop_front() else {
             return;
@@ -570,12 +519,7 @@ impl Runner {
             .iter()
             .position(|l| l.worker == worker && l.tier == tier)
             .expect("restarts are dealt only to workers with a lane on the rung");
-        let stage = if 0 < tier && tier < self.n_tiers - 1 {
-            Stage::Probe
-        } else {
-            Stage::Train(self.phase(tier, restart))
-        };
-        self.workers[worker].active = Some((restart, lane, stage));
+        self.workers[worker].active = Some((restart, lane, self.phase(tier, restart)));
     }
 
     /// The tier barrier: once the current rung has drained, slot rung 0's
@@ -716,60 +660,6 @@ mod tests {
             assert_eq!(a.device, b.device);
             assert_eq!(a.executions, b.executions);
         }
-    }
-
-    #[test]
-    fn three_rung_ladder_with_entropy_probes_matches_closed_loop() {
-        // Probes run only on middle rungs, so only a ≥ 3-rung ladder reaches
-        // them. The negative slack demands a visibly cleaner middle rung; on
-        // this seed restart 0's probe skips it and the other two train there.
-        let cfg = QoncordConfig {
-            exploration_max_iterations: 6,
-            finetune_max_iterations: 5,
-            selection: qoncord_core::SelectionPolicy::All,
-            entropy_gate_slack: -0.05,
-            seed: 23,
-            ..QoncordConfig::default()
-        };
-        let devices = [
-            catalog::ibmq_toronto(),
-            catalog::ibmq_mumbai(),
-            catalog::ibmq_kolkata(),
-        ];
-        let closed = QoncordScheduler::new(cfg.clone())
-            .run(&devices, &factory(), 3)
-            .unwrap();
-        let selected: Vec<SelectedDevice> = devices
-            .iter()
-            .enumerate()
-            .map(|(i, calibration)| SelectedDevice {
-                fleet_index: i,
-                calibration,
-                speed: 1.0,
-            })
-            .collect();
-        let driver = Runner::new(cfg, 3, &factory(), &selected).unwrap();
-        assert_eq!(driver.shard_count(), 1);
-        let batched = drain(driver);
-
-        let phase_counts: Vec<usize> = closed.restarts.iter().map(|r| r.phases.len()).collect();
-        assert!(
-            phase_counts.contains(&3),
-            "a probe must fire: {phase_counts:?}"
-        );
-        assert!(
-            phase_counts.contains(&2),
-            "a probe must skip: {phase_counts:?}"
-        );
-        assert_eq!(batched.restarts.len(), closed.restarts.len());
-        for (a, b) in batched.restarts.iter().zip(&closed.restarts) {
-            assert_eq!(a.survived, b.survived);
-            assert_eq!(a.final_params, b.final_params);
-            assert_eq!(a.final_expectation, b.final_expectation);
-            assert_eq!(a.phases.len(), b.phases.len());
-        }
-        // Per-device executions include the probes, which no phase counts.
-        assert_eq!(batched.devices, closed.devices);
     }
 
     #[test]

@@ -130,7 +130,7 @@ pub use replay::{replay_workload, ReplayConfig};
 pub use split::SplitConfig;
 pub use telemetry::{
     DeviceTelemetry, FleetTelemetry, JobRecord, JobStatus, JobTelemetry, OrchestratorReport,
-    TenantSla, TenantUsage,
+    TenantUsage,
 };
 pub use trace::{
     chrome_export, chrome_export_with_profile, validate_chrome_trace, JsonlSink, LogHistogram,
@@ -450,8 +450,6 @@ mod tests {
             }
             other => panic!("expected Denied, got {other:?}"),
         }
-        let sla = report.tenant_sla();
-        assert_eq!(sla[0].denied, 1);
     }
 
     #[test]

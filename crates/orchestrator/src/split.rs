@@ -92,8 +92,6 @@ pub(crate) fn build_runner(
     if !split || spec.n_restarts < 2 {
         return Ok(runner);
     }
-    // Deeper ladders stay unsplit; splitting models the paper's two-tier
-    // exploration/fine-tuning pipeline.
     let Some([explore, finetune]) = runner.restart_seconds() else {
         return Ok(runner);
     };

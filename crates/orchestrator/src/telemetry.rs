@@ -70,10 +70,6 @@ pub struct JobTelemetry {
     pub wasted_seconds: f64,
     /// Number of shards the job's restarts were fanned into (1 = unsplit).
     pub shards: usize,
-    /// Device-seconds of wasted eviction occupancy per shard, indexed by
-    /// shard id (shorter than `shards` when trailing shards were never
-    /// evicted). Sums to [`wasted_seconds`](Self::wasted_seconds).
-    pub shard_wasted_seconds: Vec<f64>,
 }
 
 impl JobTelemetry {
@@ -97,16 +93,7 @@ impl JobTelemetry {
             evictions: 0,
             wasted_seconds: 0.0,
             shards: 1,
-            shard_wasted_seconds: Vec::new(),
         }
-    }
-
-    /// Accounts `seconds` of evicted-lease occupancy against `shard`.
-    pub(crate) fn record_shard_waste(&mut self, shard: usize, seconds: f64) {
-        if self.shard_wasted_seconds.len() <= shard {
-            self.shard_wasted_seconds.resize(shard + 1, 0.0);
-        }
-        self.shard_wasted_seconds[shard] += seconds;
     }
 
     /// Seconds between submission and the first granted batch.
@@ -239,35 +226,6 @@ impl FleetTelemetry {
     /// Device-seconds evictions wasted across the fleet.
     pub fn total_wasted_seconds(&self) -> f64 {
         self.devices.iter().map(|d| d.wasted_seconds).sum()
-    }
-}
-
-/// Per-tenant service-quality rollup of a run.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TenantSla {
-    /// The tenant.
-    pub tenant: String,
-    /// Jobs the tenant submitted.
-    pub jobs: usize,
-    /// Jobs that ran under a deadline and completed.
-    pub with_deadline: usize,
-    /// Of those, jobs that met their deadline.
-    pub met: usize,
-    /// Jobs admission control denied outright.
-    pub denied: usize,
-    /// Always `0`: the count of [`JobTelemetry::downgraded`] jobs.
-    pub downgraded: usize,
-    /// Lease evictions the tenant's jobs suffered.
-    pub evictions: usize,
-    /// Device-seconds of the tenant's lease occupancy evictions wasted.
-    pub wasted_seconds: f64,
-}
-
-impl TenantSla {
-    /// Fraction of the tenant's deadline jobs that met their deadline
-    /// (`None` when it had none).
-    pub fn attainment(&self) -> Option<f64> {
-        (self.with_deadline > 0).then(|| self.met as f64 / self.with_deadline as f64)
     }
 }
 
@@ -407,39 +365,6 @@ impl OrchestratorReport {
         (!verdicts.is_empty())
             .then(|| verdicts.iter().filter(|&&m| m).count() as f64 / verdicts.len() as f64)
     }
-
-    /// Per-tenant service-quality rollups, in order of first submission.
-    pub fn tenant_sla(&self) -> Vec<TenantSla> {
-        let mut rollups: Vec<TenantSla> = Vec::new();
-        for job in &self.jobs {
-            let entry = match rollups.iter_mut().find(|t| t.tenant == job.tenant) {
-                Some(entry) => entry,
-                None => {
-                    rollups.push(TenantSla {
-                        tenant: job.tenant.clone(),
-                        jobs: 0,
-                        with_deadline: 0,
-                        met: 0,
-                        denied: 0,
-                        downgraded: 0,
-                        evictions: 0,
-                        wasted_seconds: 0.0,
-                    });
-                    rollups.last_mut().expect("just pushed")
-                }
-            };
-            entry.jobs += 1;
-            if let Some(met) = job.telemetry.sla_met() {
-                entry.with_deadline += 1;
-                entry.met += usize::from(met);
-            }
-            entry.denied += usize::from(job.status.is_denied());
-            entry.downgraded += usize::from(job.telemetry.downgraded);
-            entry.evictions += job.telemetry.evictions;
-            entry.wasted_seconds += job.telemetry.wasted_seconds;
-        }
-        rollups
-    }
 }
 
 #[cfg(test)]
@@ -498,11 +423,10 @@ mod tests {
 
     #[test]
     fn tenant_rollups_group_and_count() {
-        let record = |tenant: &str, deadline, completion, evictions| {
+        let record = |tenant: &str, deadline, completion| {
             let mut telemetry = JobTelemetry::new(0.0, 1);
             telemetry.deadline = deadline;
             telemetry.completion = completion;
-            telemetry.evictions = evictions;
             JobRecord {
                 id: 0,
                 tenant: tenant.into(),
@@ -520,9 +444,9 @@ mod tests {
         };
         let report = OrchestratorReport {
             jobs: vec![
-                record("a", Some(10.0), Some(8.0), 1),
-                record("b", None, Some(5.0), 0),
-                record("a", Some(10.0), Some(12.0), 2),
+                record("a", Some(10.0), Some(8.0)),
+                record("b", None, Some(5.0)),
+                record("a", Some(10.0), Some(12.0)),
             ],
             fleet: FleetTelemetry {
                 devices: vec![],
@@ -539,13 +463,6 @@ mod tests {
         };
         assert_eq!(report.tenant_balance("a"), 13.0);
         assert_eq!(report.tenant_balance("zzz"), 0.0);
-        let sla = report.tenant_sla();
-        assert_eq!(sla.len(), 2);
-        assert_eq!(sla[0].tenant, "a");
-        assert_eq!((sla[0].jobs, sla[0].with_deadline, sla[0].met), (2, 2, 1));
-        assert_eq!(sla[0].evictions, 3);
-        assert_eq!(sla[0].attainment(), Some(0.5));
-        assert_eq!(sla[1].attainment(), None);
         assert_eq!(report.sla_attainment(), Some(0.5));
     }
 

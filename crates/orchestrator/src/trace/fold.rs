@@ -340,7 +340,6 @@ impl ReportFold {
             }
             TraceEvent::Eviction {
                 job,
-                shard,
                 device,
                 burned_seconds,
                 ..
@@ -349,7 +348,6 @@ impl ReportFold {
                 let s = self.jobs.get_mut(*job)?.as_mut()?;
                 s.telemetry.evictions += 1;
                 s.telemetry.wasted_seconds += burned_seconds;
-                s.telemetry.record_shard_waste(*shard, *burned_seconds);
                 self.devices[*device].wasted_seconds += burned_seconds;
                 self.devices[*device].evictions += 1;
             }

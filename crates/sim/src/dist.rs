@@ -174,26 +174,6 @@ impl ProbDist {
     pub fn with_uniform_readout_error(&self, error: ReadoutError) -> ProbDist {
         self.with_readout_error(&vec![error; self.n_qubits])
     }
-
-    /// Mixes `self` toward `other` with weight `w`: `(1−w)·self + w·other`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if sizes differ or `w` is outside `[0, 1]`.
-    pub fn mix(&self, other: &ProbDist, w: f64) -> ProbDist {
-        assert_eq!(self.n_qubits, other.n_qubits);
-        assert!((0.0..=1.0).contains(&w), "weight must be in [0,1]");
-        let probs = self
-            .probs
-            .iter()
-            .zip(&other.probs)
-            .map(|(p, q)| (1.0 - w) * p + w * q)
-            .collect();
-        ProbDist {
-            n_qubits: self.n_qubits,
-            probs,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -265,14 +245,6 @@ mod tests {
         let by_diag = d.expectation_diagonal(&[1.0, -1.0, -1.0, 1.0]);
         assert!((by_fn - by_diag).abs() < 1e-14);
         assert!((by_fn - 1.0).abs() < 1e-14);
-    }
-
-    #[test]
-    fn mix_interpolates() {
-        let a = ProbDist::point_mass(1, 0);
-        let b = ProbDist::point_mass(1, 1);
-        let m = a.mix(&b, 0.25);
-        assert!((m.probabilities()[0] - 0.75).abs() < 1e-12);
     }
 
     #[test]

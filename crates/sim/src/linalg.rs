@@ -97,17 +97,6 @@ impl Matrix {
         out
     }
 
-    /// Transpose without conjugation.
-    pub fn transpose(&self) -> Matrix {
-        let mut out = Matrix::zeros(self.cols, self.rows);
-        for r in 0..self.rows {
-            for c in 0..self.cols {
-                out[(c, r)] = self[(r, c)];
-            }
-        }
-        out
-    }
-
     /// Kronecker (tensor) product `self ⊗ other`.
     pub fn kron(&self, other: &Matrix) -> Matrix {
         let mut out = Matrix::zeros(self.rows * other.rows, self.cols * other.cols);

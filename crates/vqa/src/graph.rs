@@ -113,14 +113,6 @@ impl Graph {
         &self.edges
     }
 
-    /// Node degree.
-    pub fn degree(&self, node: usize) -> usize {
-        self.edges
-            .iter()
-            .filter(|&&(a, b, _)| a == node || b == node)
-            .count()
-    }
-
     /// Returns `true` if every node is reachable from node 0.
     pub fn is_connected(&self) -> bool {
         if self.n_nodes == 0 {
@@ -167,13 +159,6 @@ mod tests {
         let max_edges = 40 * 39 / 2;
         let density = g.n_edges() as f64 / max_edges as f64;
         assert!((density - 0.5).abs() < 0.08, "density {density}");
-    }
-
-    #[test]
-    fn degree_counts_incident_edges() {
-        let g = Graph::new(3, &[(0, 1, 1.0), (1, 2, 1.0)]);
-        assert_eq!(g.degree(1), 2);
-        assert_eq!(g.degree(0), 1);
     }
 
     #[test]

@@ -6,18 +6,22 @@
 # on one line. A field with none prints as `file:line Struct.field (unset)`;
 # the last line is `knobs N, unset K`. Files are cut the way
 # scripts/nontest_loc.sh cuts them (non-test code ends at the first
-# `#[cfg(test)]`), and everything under tests/ and examples/ is test code. It
-# is a floor, not a proof: a field name another struct or a local shares
-# counts as set as soon as that one is written, and so does a call argument
-# of that name alone on its line. Report-only; CI prints it next to
-# scripts/pub_callers.sh.
+# `#[cfg(test)]` that opens a `mod`), and everything under tests/ and
+# examples/ is test code. It is a floor, not a proof: a field name another
+# struct or a local shares counts as set as soon as that one is written, and
+# so does a call argument of that name alone on its line. Report-only; CI
+# prints it next to scripts/pub_callers.sh.
 set -eu
 cd "$(dirname "$0")/.."
 cut=$(mktemp -d)
 trap 'rm -rf "$cut"' EXIT
 for file in $(find crates/*/src src benchmark/src -name '*.rs' | sort); do
     mkdir -p "$cut/${file%/*}"
-    awk '/^[[:space:]]*#\[cfg\(test\)\]/ { exit } { print }' "$file" >"$cut/$file"
+    awk '
+        held != "" { if (/^[[:space:]]*(pub(\([^)]*\))? )?mod /) exit; print held; held = "" }
+        /^[[:space:]]*#\[cfg\(test\)\]/ { held = $0; next }
+        { print }
+    ' "$file" >"$cut/$file"
 done
 cd "$cut"
 # A type annotation (`seed: u64,`, `fleet: &[FleetDevice])`, `let w: Vec<f64> =`)

@@ -13,17 +13,22 @@
 # traced repetition of each run, so the untraced repetitions `e2e` also
 # times are cut to `--seconds 1`.
 #
-#   scripts/e2e_layers.sh <parent e2e> <change e2e> <workload> [seed] [runs=5] [metric...]
+#   scripts/e2e_layers.sh <parent e2e> <change e2e> <workload> [seed] [runs=15] [metric...]
+#
+# Runs defaults to 15 a side: on a 2-vCPU host a layer's self-time spreads
+# so widely from one traced run to the next that about 15 runs a side are
+# needed before a ~20 % layer change lies outside the parent's IQR; 5 runs
+# a side resolve only much larger changes.
 #
 # The default metrics are run.evaluate_s, sim.dm_self_s, sim.sv_self_s,
 # vqa.self_s and circuit.self_s; naming any replaces them (seed and runs
 # must then be given; an empty seed is the default seed).
 set -eu
 [ $# -ge 3 ] || {
-    echo "usage: $0 <parent e2e binary> <change e2e binary> <workload> [seed] [runs=5] [metric...]" >&2
+    echo "usage: $0 <parent e2e binary> <change e2e binary> <workload> [seed] [runs=15] [metric...]" >&2
     exit 2
 }
-parent=$1 change=$2 workload=$3 seed=${4:-} runs=${5:-5}
+parent=$1 change=$2 workload=$3 seed=${4:-} runs=${5:-15}
 if [ $# -gt 5 ]; then shift 5; else set --; fi
 [ $# -gt 0 ] || set -- run.evaluate_s sim.dm_self_s sim.sv_self_s vqa.self_s circuit.self_s
 

@@ -5,14 +5,15 @@
 # every *other* `.rs` file under crates/ src/ tests/ examples/ benchmark/src.
 # Each file is cut the way scripts/nontest_loc.sh cuts it: a file under a
 # `tests/` directory is all test code, any other file is test code from its
-# first `#[cfg(test)]` on. Comment lines (`//`, `///`, `//!`) are dropped
+# first `#[cfg(test)]` that opens a `mod` on. Comment lines (`//`, `///`, `//!`) are dropped
 # from both cuts: a name in a doc comment or a link is not a caller. An item
 # no other file names prints as
 # `file:line kind name`, one only other files' test code names as
 # `file:line kind name (test-only)`. Last two lines: `uncalled N of M` and
 # `test-only N of M`. It is a floor, not a proof: a name two items share
 # (`new`, `len`) is called as soon as one of them is, and an item's own file
-# never counts. Report-only; CI prints it next to scripts/nontest_loc.sh
+# never counts. CI prints it next to scripts/nontest_loc.sh and fails when
+# either count exceeds the ceiling committed in .github/workflows/ci.yml
 # (ROADMAP items 4 and 13).
 set -eu
 cd "$(dirname "$0")/.."
@@ -27,7 +28,12 @@ for file in $files; do
     *) cut=0 ;;
     esac
     awk -v cut="$cut" -v real="$cuts/real/$file" -v test="$cuts/test/$file" '
-        /^[[:space:]]*#\[cfg\(test\)\]/ { cut = 1 }
+        held != "" {
+            if (/^[[:space:]]*(pub(\([^)]*\))? )?mod /) cut = 1
+            print held > (cut ? test : real)
+            held = ""
+        }
+        /^[[:space:]]*#\[cfg\(test\)\]/ { held = $0; next }
         /^[[:space:]]*\/\// { next }
         { print > (cut ? test : real) }
     ' "$file"

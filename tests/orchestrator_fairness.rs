@@ -203,10 +203,6 @@ fn eviction_cap_stops_unbounded_re_eviction_of_the_same_victim() {
     }
     assert!(victim.wasted_seconds > 0.0);
 
-    // Per-shard waste accounting stays consistent with the job totals.
-    let per_shard: f64 = victim.shard_wasted_seconds.iter().sum();
-    assert!((per_shard - victim.wasted_seconds).abs() < 1e-9);
-
     // Evictions never touch the numbers, only the timing.
     let calm = eviction_storm(PreemptionConfig::default());
     assert_eq!(calm.total_evictions(), 0);
