@@ -60,15 +60,6 @@ impl CouplingMap {
         CouplingMap::new(n_qubits, &edges)
     }
 
-    /// A ring (chain with the ends joined).
-    pub fn ring(n_qubits: usize) -> Self {
-        let mut edges: Vec<_> = (0..n_qubits - 1).map(|i| (i, i + 1)).collect();
-        if n_qubits > 2 {
-            edges.push((n_qubits - 1, 0));
-        }
-        CouplingMap::new(n_qubits, &edges)
-    }
-
     /// Full connectivity, as in IonQ trapped-ion systems.
     pub fn all_to_all(n_qubits: usize) -> Self {
         let mut edges = Vec::new();
@@ -293,7 +284,6 @@ mod tests {
             CouplingMap::guadalupe_16(),
             CouplingMap::nairobi_7(),
             CouplingMap::linear(5),
-            CouplingMap::ring(6),
             CouplingMap::all_to_all(4),
         ] {
             assert!(map.is_connected(), "{map:?} disconnected");

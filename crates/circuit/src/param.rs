@@ -71,15 +71,6 @@ impl Angle {
         }
     }
 
-    /// The affine form `coeff · θ[id] + offset`.
-    pub fn affine(id: ParamId, coeff: f64, offset: f64) -> Self {
-        Angle {
-            coeff,
-            param: Some(id),
-            offset,
-        }
-    }
-
     /// Evaluates the angle against a parameter vector.
     ///
     /// # Panics
@@ -143,12 +134,6 @@ mod tests {
         let a = Angle::param(ParamId(1));
         assert_eq!(a.resolve(&[0.0, 7.0]), 7.0);
         assert!(a.is_parametric());
-    }
-
-    #[test]
-    fn affine_combines_terms() {
-        let a = Angle::affine(ParamId(0), 2.0, -1.0);
-        assert_eq!(a.resolve(&[3.0]), 5.0);
     }
 
     #[test]

@@ -37,7 +37,7 @@ pub enum DeadlineClass {
 
 impl DeadlineClass {
     /// Allowed turnaround as a multiple of the job's service time.
-    pub fn multiplier(&self) -> f64 {
+    fn multiplier(&self) -> f64 {
         match self {
             DeadlineClass::Interactive => 2.0,
             DeadlineClass::Standard => 6.0,

@@ -46,10 +46,8 @@
 ///     expires_at: 16.0,
 ///     seconds: 6.0,
 /// };
-/// // Two seconds in, four seconds of the batch remain and two would be
-/// // wasted if the lease were evicted now.
+/// // Two seconds in, four seconds of the batch remain.
 /// assert_eq!(lease.remaining(12.0), 4.0);
-/// assert_eq!(lease.held(12.0), 2.0);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct Lease {
@@ -81,7 +79,7 @@ impl Lease {
 
     /// Seconds the lease has occupied the device by `now` — the work wasted
     /// if the lease is evicted at `now`.
-    pub fn held(&self, now: f64) -> f64 {
+    fn held(&self, now: f64) -> f64 {
         (now - self.granted_at).max(0.0)
     }
 }

@@ -59,7 +59,6 @@ impl fmt::Display for Pauli {
 ///
 /// let zz = PauliString::parse("ZZII").unwrap();
 /// assert_eq!(zz.n_qubits(), 4);
-/// assert_eq!(zz.eigenvalue(0b0001), -1.0); // qubit 0 flipped
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct PauliString {
@@ -145,17 +144,6 @@ impl PauliString {
             .enumerate()
             .filter(|(_, p)| **p != Pauli::I)
             .fold(0, |mask, (q, _)| mask | 1 << q)
-    }
-
-    /// Eigenvalue (±1) of the *diagonalized* string on basis state `z`: the
-    /// parity of set bits within the support. Valid after the measurement
-    /// rotation from `measurement_rotation` has been applied.
-    pub fn eigenvalue(&self, z: usize) -> f64 {
-        if (z & self.support_mask()).count_ones() & 1 == 0 {
-            1.0
-        } else {
-            -1.0
-        }
     }
 
     /// Returns `true` if `self` and `other` commute qubit-wise: at every
@@ -383,15 +371,6 @@ mod tests {
         assert_eq!(p.support(), vec![1, 3]);
         assert!(!p.is_identity());
         assert!(PauliString::identity(3).is_identity());
-    }
-
-    #[test]
-    fn eigenvalue_is_support_parity() {
-        let zz = PauliString::parse("ZZ").unwrap();
-        assert_eq!(zz.eigenvalue(0b00), 1.0);
-        assert_eq!(zz.eigenvalue(0b01), -1.0);
-        assert_eq!(zz.eigenvalue(0b10), -1.0);
-        assert_eq!(zz.eigenvalue(0b11), 1.0);
     }
 
     #[test]
