@@ -2,9 +2,9 @@
 //!
 //! Low-overhead wall-clock span profiling for every layer of the Qoncord
 //! workspace: scoped span timers ([`span`]/[`SpanGuard`]) feeding a
-//! thread-safe registry keyed by static labels ([`Profiler`]), nested spans
-//! producing folded-stack paths, and a [`ProfileReport`] aggregation with
-//! per-path count / total / min / max / self-vs-child wall time.
+//! single-threaded registry keyed by static labels ([`Profiler`]), nested
+//! spans producing folded-stack paths, and a [`ProfileReport`] aggregation
+//! with per-path count / total / min / max / self-vs-child wall time.
 //!
 //! The crate sits below `qoncord-sim`, `qoncord-circuit`, `qoncord-vqa`,
 //! `qoncord-cloud`, and the orchestrator so hot kernels in all of them can
@@ -42,36 +42,38 @@
 //!   usage guarantees this); the install guard must outlive every span it
 //!   observes.
 //! - Labels are `&'static str` and must not contain `';'` — that is the
-//!   folded-stack path separator.
+//!   folded-stack path separator. Labels are compared by content, so equal
+//!   strings at different addresses are one path.
+//! - Each profiler owns its stack of open spans: one installed under
+//!   another one's open span starts its own paths at the root.
 //! - Recording a span never branches on recorded data, so installing the
 //!   profiler cannot change the control flow of instrumented code.
 
 #![warn(missing_docs)]
 
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::fmt::Write as _;
-use std::marker::PhantomData;
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::rc::Rc;
 use std::time::Instant;
 
-/// Sentinel parent id for top-of-stack spans.
-const ROOT: u32 = u32::MAX;
+/// The root node: the parent of every top-of-stack span. It never closes.
+const ROOT: u32 = 0;
+
+/// The end of a child or sibling chain.
+const NONE: u32 = u32::MAX;
 
 /// Raw spans retained for timeline export; beyond this the registry keeps
 /// aggregates only and counts the overflow in
 /// [`ProfileReport::dropped_spans`].
 const SPAN_RETAIN_CAP: usize = 65_536;
 
-/// One interned path node: a static label under a parent path.
+/// One interned path — a static label under a parent path — with its
+/// children as a linked list and the aggregates of the spans closed on it.
 struct PathNode {
     label: &'static str,
     parent: u32,
-}
-
-/// Aggregate statistics of one path.
-#[derive(Clone, Copy)]
-struct PathStats {
+    first_child: u32,
+    next_sibling: u32,
     count: u64,
     total_ns: u64,
     min_ns: u64,
@@ -79,14 +81,20 @@ struct PathStats {
     child_ns: u64,
 }
 
-impl PathStats {
-    const EMPTY: PathStats = PathStats {
-        count: 0,
-        total_ns: 0,
-        min_ns: u64::MAX,
-        max_ns: 0,
-        child_ns: 0,
-    };
+impl PathNode {
+    fn new(label: &'static str, parent: u32, next_sibling: u32) -> Self {
+        PathNode {
+            label,
+            parent,
+            first_child: NONE,
+            next_sibling,
+            count: 0,
+            total_ns: 0,
+            min_ns: u64::MAX,
+            max_ns: 0,
+            child_ns: 0,
+        }
+    }
 }
 
 /// A raw retained span (offsets are nanoseconds since the profiler epoch).
@@ -96,30 +104,82 @@ struct RawSpan {
     dur_ns: u64,
 }
 
-#[derive(Default)]
+/// One open span.
+struct Frame {
+    path: u32,
+    child_ns: u64,
+}
+
+/// Everything one profiler records: the path tree, its own stack of open
+/// spans, and the retained raw spans.
 struct Registry {
+    epoch: Instant,
     nodes: Vec<PathNode>,
-    stats: Vec<PathStats>,
-    index: HashMap<(u32, &'static str), u32>,
+    stack: Vec<Frame>,
     spans: Vec<RawSpan>,
     dropped: u64,
 }
 
-struct Inner {
-    epoch: Instant,
-    registry: Mutex<Registry>,
+impl Registry {
+    /// Opens a span labelled `label` under the innermost open one,
+    /// interning its path on first sight.
+    fn open(&mut self, label: &'static str) {
+        let parent = self.stack.last().map_or(ROOT, |f| f.path);
+        let mut path = self.nodes[parent as usize].first_child;
+        while path != NONE && self.nodes[path as usize].label != label {
+            path = self.nodes[path as usize].next_sibling;
+        }
+        if path == NONE {
+            path = self.nodes.len() as u32;
+            let sibling = std::mem::replace(&mut self.nodes[parent as usize].first_child, path);
+            self.nodes.push(PathNode::new(label, parent, sibling));
+        }
+        self.stack.push(Frame { path, child_ns: 0 });
+    }
+
+    /// Closes the innermost open span, which started at `start`, and
+    /// credits its duration to its parent's child time.
+    fn close(&mut self, start: Instant, dur_ns: u64) {
+        let Some(frame) = self.stack.pop() else {
+            return;
+        };
+        if let Some(parent) = self.stack.last_mut() {
+            parent.child_ns += dur_ns;
+        }
+        let node = &mut self.nodes[frame.path as usize];
+        node.count += 1;
+        node.total_ns += dur_ns;
+        node.min_ns = node.min_ns.min(dur_ns);
+        node.max_ns = node.max_ns.max(dur_ns);
+        node.child_ns += frame.child_ns;
+        if self.spans.len() < SPAN_RETAIN_CAP {
+            self.spans.push(RawSpan {
+                path: frame.path,
+                start_ns: start.saturating_duration_since(self.epoch).as_nanos() as u64,
+                dur_ns,
+            });
+        } else {
+            self.dropped += 1;
+        }
+    }
 }
 
-/// A shareable wall-clock span profiler: a thread-safe registry of folded
-/// span paths.
+/// A wall-clock span profiler: a registry of folded span paths and its own
+/// stack of open spans, recording on the thread it is installed on.
 ///
-/// Cloning is shallow (an [`Arc`] bump); clones observe the same registry.
-/// Spans are only recorded on threads where the profiler is
+/// Cloning is shallow; clones observe the same registry. Spans are only
+/// recorded on threads where the profiler is
 /// [`install`](Profiler::install)ed, so concurrently running tests each
-/// profiling their own work never cross-pollute.
+/// profiling their own work never cross-pollute. A profiler never leaves
+/// the thread that made it:
+///
+/// ```compile_fail
+/// let profiler = qoncord_prof::Profiler::new();
+/// std::thread::spawn(move || drop(profiler));
+/// ```
 #[derive(Clone)]
 pub struct Profiler {
-    inner: Arc<Inner>,
+    registry: Rc<RefCell<Registry>>,
 }
 
 impl std::fmt::Debug for Profiler {
@@ -136,13 +196,6 @@ impl Default for Profiler {
 
 thread_local! {
     static CURRENT: RefCell<Option<Profiler>> = const { RefCell::new(None) };
-    static STACK: RefCell<Vec<Frame>> = const { RefCell::new(Vec::new()) };
-}
-
-/// One open span on the thread-local stack.
-struct Frame {
-    path: u32,
-    child_ns: u64,
 }
 
 impl Profiler {
@@ -150,10 +203,13 @@ impl Profiler {
     /// offsets) is the moment of creation.
     pub fn new() -> Self {
         Profiler {
-            inner: Arc::new(Inner {
+            registry: Rc::new(RefCell::new(Registry {
                 epoch: Instant::now(),
-                registry: Mutex::new(Registry::default()),
-            }),
+                nodes: vec![PathNode::new("", NONE, NONE)],
+                stack: Vec::new(),
+                spans: Vec::new(),
+                dropped: 0,
+            })),
         }
     }
 
@@ -162,57 +218,14 @@ impl Profiler {
     /// drop. The guard must outlive every span opened under it.
     pub fn install(&self) -> InstalledProfiler {
         let prev = CURRENT.with(|c| c.borrow_mut().replace(self.clone()));
-        InstalledProfiler {
-            prev,
-            _not_send: PhantomData,
-        }
-    }
-
-    fn lock(&self) -> MutexGuard<'_, Registry> {
-        // A panic mid-span must not cascade into a poisoned-mutex panic in
-        // a drop handler; the aggregates are plain counters, always valid.
-        self.inner
-            .registry
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-    }
-
-    fn intern(&self, parent: u32, label: &'static str) -> u32 {
-        let mut reg = self.lock();
-        if let Some(&id) = reg.index.get(&(parent, label)) {
-            return id;
-        }
-        let id = reg.nodes.len() as u32;
-        reg.nodes.push(PathNode { label, parent });
-        reg.stats.push(PathStats::EMPTY);
-        reg.index.insert((parent, label), id);
-        id
-    }
-
-    fn record(&self, path: u32, start_ns: u64, dur_ns: u64, child_ns: u64) {
-        let mut reg = self.lock();
-        let stats = &mut reg.stats[path as usize];
-        stats.count += 1;
-        stats.total_ns += dur_ns;
-        stats.min_ns = stats.min_ns.min(dur_ns);
-        stats.max_ns = stats.max_ns.max(dur_ns);
-        stats.child_ns += child_ns;
-        if reg.spans.len() < SPAN_RETAIN_CAP {
-            reg.spans.push(RawSpan {
-                path,
-                start_ns,
-                dur_ns,
-            });
-        } else {
-            reg.dropped += 1;
-        }
+        InstalledProfiler { prev }
     }
 
     /// Snapshots everything recorded so far as a [`ProfileReport`]:
     /// entries sorted by folded path (parents before their children), raw
     /// retained spans rebased onto entry indices.
     pub fn report(&self) -> ProfileReport {
-        let reg = self.lock();
+        let reg = self.registry.borrow();
         let full_path = |mut id: u32| -> Vec<&'static str> {
             let mut path = Vec::new();
             while id != ROOT {
@@ -225,36 +238,35 @@ impl Profiler {
         // Interned-but-never-closed paths (a span still open at snapshot
         // time) carry no samples and are omitted.
         let mut closed: Vec<(Vec<&'static str>, u32)> = (0..reg.nodes.len() as u32)
-            .filter(|&id| reg.stats[id as usize].count > 0)
+            .filter(|&id| reg.nodes[id as usize].count > 0)
             .map(|id| (full_path(id), id))
             .collect();
         closed.sort();
-        let mut entry_of: HashMap<u32, usize> = HashMap::new();
+        // Every retained span closed on its path, so each has an entry.
+        let mut entry_of = vec![0; reg.nodes.len()];
         let entries: Vec<ProfileEntry> = closed
             .into_iter()
             .enumerate()
             .map(|(i, (path, id))| {
-                entry_of.insert(id, i);
-                let s = reg.stats[id as usize];
+                entry_of[id as usize] = i;
+                let node = &reg.nodes[id as usize];
                 ProfileEntry {
                     path,
-                    count: s.count,
-                    total_ns: s.total_ns,
-                    min_ns: s.min_ns,
-                    max_ns: s.max_ns,
-                    child_ns: s.child_ns,
+                    count: node.count,
+                    total_ns: node.total_ns,
+                    min_ns: node.min_ns,
+                    max_ns: node.max_ns,
+                    child_ns: node.child_ns,
                 }
             })
             .collect();
         let spans: Vec<ProfileSpan> = reg
             .spans
             .iter()
-            .filter_map(|s| {
-                entry_of.get(&s.path).map(|&entry| ProfileSpan {
-                    entry,
-                    start_ns: s.start_ns,
-                    dur_ns: s.dur_ns,
-                })
+            .map(|s| ProfileSpan {
+                entry: entry_of[s.path as usize],
+                start_ns: s.start_ns,
+                dur_ns: s.dur_ns,
             })
             .collect();
         ProfileReport {
@@ -270,7 +282,6 @@ impl Profiler {
 /// the installing thread.
 pub struct InstalledProfiler {
     prev: Option<Profiler>,
-    _not_send: PhantomData<*const ()>,
 }
 
 impl Drop for InstalledProfiler {
@@ -280,17 +291,14 @@ impl Drop for InstalledProfiler {
     }
 }
 
-/// The profiler currently installed on this thread, if any.
-pub fn current() -> Option<Profiler> {
-    CURRENT.with(|c| c.borrow().clone())
-}
-
 /// Snapshot of the currently installed profiler's report; empty when no
 /// profiler is installed. This is how the orchestrator surfaces
 /// `OrchestratorReport::perf` without threading a handle through every
 /// layer.
 pub fn current_report() -> ProfileReport {
-    current().map(|p| p.report()).unwrap_or_default()
+    CURRENT
+        .with(|c| c.borrow().as_ref().map(Profiler::report))
+        .unwrap_or_default()
 }
 
 /// Opens a scoped wall-clock span named `label` against the thread's
@@ -306,22 +314,20 @@ pub fn span(label: &'static str) -> SpanGuard {
         !label.contains(';'),
         "span label {label:?} contains the folded-path separator ';'"
     );
-    let Some(profiler) = current() else {
+    let Some(profiler) = CURRENT.with(|c| c.borrow().clone()) else {
         return SpanGuard { active: None };
     };
-    let parent = STACK.with(|s| s.borrow().last().map(|f| f.path).unwrap_or(ROOT));
-    let path = profiler.intern(parent, label);
-    STACK.with(|s| s.borrow_mut().push(Frame { path, child_ns: 0 }));
+    profiler.registry.borrow_mut().open(label);
     SpanGuard {
         active: Some(ActiveSpan {
-            profiler,
+            registry: profiler.registry,
             start: Instant::now(),
         }),
     }
 }
 
 struct ActiveSpan {
-    profiler: Profiler,
+    registry: Rc<RefCell<Registry>>,
     start: Instant,
 }
 
@@ -334,26 +340,10 @@ pub struct SpanGuard {
 
 impl Drop for SpanGuard {
     fn drop(&mut self) {
-        let Some(active) = self.active.take() else {
-            return;
-        };
-        let dur_ns = active.start.elapsed().as_nanos() as u64;
-        let frame = STACK.with(|s| s.borrow_mut().pop());
-        let Some(frame) = frame else {
-            return; // Out-of-order drop; lose the sample rather than panic.
-        };
-        STACK.with(|s| {
-            if let Some(parent) = s.borrow_mut().last_mut() {
-                parent.child_ns += dur_ns;
-            }
-        });
-        let start_ns = active
-            .start
-            .saturating_duration_since(active.profiler.inner.epoch)
-            .as_nanos() as u64;
-        active
-            .profiler
-            .record(frame.path, start_ns, dur_ns, frame.child_ns);
+        if let Some(active) = &self.active {
+            let dur_ns = active.start.elapsed().as_nanos() as u64;
+            active.registry.borrow_mut().close(active.start, dur_ns);
+        }
     }
 }
 
@@ -494,7 +484,7 @@ mod tests {
 
     #[test]
     fn no_install_means_inert_guards() {
-        assert!(current().is_none());
+        assert!(CURRENT.with(|c| c.borrow().is_none()));
         let guard = span("unrecorded");
         assert!(guard.active.is_none());
     }
@@ -515,6 +505,36 @@ mod tests {
         assert_eq!(b.report().entries[0].path, vec!["inner-work"]);
         assert_eq!(a.report().total_spans(), 1);
         assert_eq!(b.report().total_spans(), 1);
+    }
+
+    #[test]
+    fn a_profiler_installed_inside_another_ones_span_keeps_its_own_paths() {
+        let a = Profiler::new();
+        let b = Profiler::new();
+        let _outer = a.install();
+        let _a_work = span("outer-work");
+        {
+            let _inner = b.install();
+            let _s = span("inner-work");
+        }
+        let paths: Vec<_> = b.report().entries.into_iter().map(|e| e.path).collect();
+        assert_eq!(paths, vec![vec!["inner-work"]]);
+    }
+
+    #[test]
+    fn equal_labels_at_different_addresses_are_one_path() {
+        let leaked: &'static str = String::from("kernel").leak();
+        let profiler = Profiler::new();
+        let _session = profiler.install();
+        {
+            let _k = span("kernel");
+        }
+        {
+            let _k = span(leaked);
+        }
+        let report = profiler.report();
+        assert_eq!(report.entries.len(), 1);
+        assert_eq!(report.entries[0].count, 2);
     }
 
     #[test]
