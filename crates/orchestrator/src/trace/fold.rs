@@ -172,6 +172,7 @@ pub(super) struct ReportFold {
 
 impl ReportFold {
     pub(super) fn apply(&mut self, record: &TraceRecord) {
+        let _prof = qoncord_prof::span("trace::fold");
         self.summary.events.count(&record.event);
         if self.account(record).is_none() {
             self.orphaned += 1;
