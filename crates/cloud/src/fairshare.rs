@@ -12,9 +12,9 @@
 //!
 //! The queue is indexed so the hot paths never scan every pending request:
 //!
-//! * Each tenant's requests live in per-*lane* ordered buckets (one lane per
+//! * Each tenant's requests live in per-*lane* sorted buckets (one lane per
 //!   placement tag: bound to a device, or a provisional hold on a device),
-//!   keyed by the decay-invariant part of the fair-share score —
+//!   ordered by the decay-invariant part of the fair-share score —
 //!   `request_size_weight * requested_seconds`, then submission time, then
 //!   insertion sequence. Every request of a tenant shares the same usage and
 //!   in-flight score terms, so this within-lane order never changes when
@@ -333,13 +333,33 @@ struct DrainIndex {
     walked: u64,
 }
 
-/// One tenant's ordered bucket of requests sharing a placement tag, plus,
-/// for a device lane, the ready-index key its best member is posted under.
-#[derive(Debug, Clone, Default)]
+/// One tenant's bucket of requests sharing a placement tag, sorted by
+/// [`ReqKey`] so the first entry is the lane's best, plus, for a device
+/// lane, the ready-index key that best is posted under. Lanes hold a few
+/// requests (the deepest measured on the benchmark's workloads is 12), so a
+/// sorted `Vec` with binary-search insert and remove beats a B-tree leaf.
+#[derive(Debug, Clone)]
 struct Lane {
-    requests: BTreeMap<ReqKey, usize>,
+    requests: Vec<(ReqKey, usize)>,
     posted: Option<CrossKey>,
 }
+
+impl Lane {
+    fn best(&self) -> Option<&(ReqKey, usize)> {
+        self.requests.first()
+    }
+}
+
+/// Slots a tenant's first lane list and a lane's first buffer start at:
+/// `Vec`'s default of four would be paid by every one of 10⁴ tenants.
+const FIRST_LANES: usize = 2;
+const FIRST_REQUESTS: usize = 1;
+
+/// Emptied lane buffers the spare list keeps. A lane reopens soon after
+/// another empties, so a short list serves nearly every reopening; an
+/// unbounded one held buffers no lane took back, and raised the engine's
+/// peak heap.
+const MAX_SPARE: usize = 64;
 
 #[derive(Debug, Clone)]
 struct UserState {
@@ -394,6 +414,9 @@ pub struct FairShareQueue {
     /// Set by a decaying `decay_usage`; cleared by the next device pop's
     /// amortized index rebuild.
     stale: bool,
+    /// Buffers of lanes dropped empty (at most [`MAX_SPARE`]), taken by the
+    /// next new lane, so that reopening a lane allocates nothing.
+    spare: Vec<Vec<(ReqKey, usize)>>,
     stats: QueueOpStats,
     /// Refreshed inside `&self` projections, hence the cell.
     drain: RefCell<DrainIndex>,
@@ -472,8 +495,9 @@ impl FairShareQueue {
 
     /// Reposts every device lane of a tenant — needed whenever the tenant's
     /// usage terms change, since those shift all of its lanes' posted
-    /// scores — and drops the lanes of either tag that emptied. Hold lanes
-    /// are never posted: no pop reads them in score order.
+    /// scores — and drops the lanes of either tag that emptied, keeping
+    /// their buffers on the spare list. Hold lanes are never posted: no pop
+    /// reads them in score order.
     fn repost_user(&mut self, uid: usize) {
         let usage = self.states[uid].usage;
         let mut lanes = std::mem::take(&mut self.states[uid].lanes);
@@ -483,15 +507,21 @@ impl FairShareQueue {
                 if let Some(old) = lane.posted.take() {
                     ready.remove(&old);
                 }
-                lane.posted = lane.requests.first_key_value().map(|(&rk, id)| {
-                    let seconds = self.entries[id].request.requested_seconds;
+                lane.posted = lane.best().map(|&(rk, id)| {
+                    let seconds = self.entries[&id].request.requested_seconds;
                     WEIGHTS.cross_key(usage, seconds, rk)
                 });
                 if let Some(key) = lane.posted {
                     ready.insert(key, uid);
                 }
             }
-            !lane.requests.is_empty()
+            if !lane.requests.is_empty() {
+                return true;
+            }
+            if self.spare.len() < MAX_SPARE {
+                self.spare.push(std::mem::take(&mut lane.requests));
+            }
+            false
         });
         self.states[uid].lanes = lanes;
     }
@@ -547,11 +577,24 @@ impl FairShareQueue {
         let at = match lanes.iter().position(|(t, _)| *t == tag) {
             Some(at) => at,
             None => {
-                lanes.push((tag, Lane::default()));
+                if lanes.capacity() == 0 {
+                    lanes.reserve_exact(FIRST_LANES);
+                }
+                let requests = self
+                    .spare
+                    .pop()
+                    .unwrap_or_else(|| Vec::with_capacity(FIRST_REQUESTS));
+                let lane = Lane {
+                    requests,
+                    posted: None,
+                };
+                lanes.push((tag, lane));
                 lanes.len() - 1
             }
         };
-        lanes[at].1.requests.insert(key, request.id);
+        let requests = &mut lanes[at].1.requests;
+        let slot = requests.partition_point(|&(k, _)| k < key);
+        requests.insert(slot, (key, request.id));
         self.entries.insert(
             request.id,
             StoredRequest {
@@ -576,7 +619,9 @@ impl FairShareQueue {
         } = self.entries.remove(&id)?;
         let key = self.req_key(&request, seq);
         if let Some((_, lane)) = self.states[uid].lanes.iter_mut().find(|(t, _)| *t == tag) {
-            lane.requests.remove(&key);
+            if let Ok(slot) = lane.requests.binary_search_by_key(&key, |&(k, _)| k) {
+                lane.requests.remove(slot);
+            }
         }
         if let Some(total) = self.backlog.get_mut(&tag.device()) {
             *total -= request.requested_seconds;
@@ -730,11 +775,7 @@ impl FairShareQueue {
             .iter()
             .find(|(t, _)| *t == tag)
             .expect("a posted lane exists");
-        let id = *lane
-            .requests
-            .first_key_value()
-            .expect("posted lane is non-empty")
-            .1;
+        let id = lane.best().expect("posted lane is non-empty").1;
         self.stats.pops += 1;
         self.remove_request(id)
     }
@@ -805,7 +846,7 @@ impl FairShareQueue {
         buf.clear();
         buf.extend(self.states[uid].lanes.iter().flat_map(|(tag, lane)| {
             let device = Some(tag.device());
-            lane.requests.iter().map(move |(&key, &id)| {
+            lane.requests.iter().map(move |&(key, id)| {
                 (key, id, self.entries[&id].request.requested_seconds, device)
             })
         }));
@@ -1121,14 +1162,14 @@ impl FairShareQueue {
             let head = state
                 .lanes
                 .iter()
-                .filter_map(|(_, lane)| lane.requests.first_key_value())
-                .min_by_key(|(&rk, _)| rk);
-            let Some((&rk, id)) = head else { continue };
+                .filter_map(|(_, lane)| lane.best())
+                .min_by_key(|&&(rk, _)| rk);
+            let Some(&(rk, id)) = head else { continue };
             let usage = UserUsage {
                 consumed_seconds: state.usage.consumed_seconds * decay_factor,
                 ..state.usage
             };
-            let seconds = self.entries[id].request.requested_seconds;
+            let seconds = self.entries[&id].request.requested_seconds;
             if WEIGHTS.cross_key(usage, seconds, rk) >= t {
                 continue;
             }

@@ -193,17 +193,16 @@ impl Runner {
         if ladder.is_empty() {
             return Err(rejected);
         }
-        let lanes: Vec<Lane> = ladder
-            .into_iter()
-            .enumerate()
-            .map(|(tier, lane)| {
-                let device = selected
-                    .iter()
-                    .find(|s| s.calibration.name() == lane.calibration.name())
-                    .expect("every ladder lane was built from a selected device");
-                Lane::bind(lane, tier, 0, device.fleet_index, device.speed)
-            })
-            .collect();
+        // Exact capacity: an in-place `collect` would keep `ladder`'s
+        // larger buffer alive for the job's whole life.
+        let mut lanes = Vec::with_capacity(ladder.len());
+        lanes.extend(ladder.into_iter().enumerate().map(|(tier, lane)| {
+            let device = selected
+                .iter()
+                .find(|s| s.calibration.name() == lane.calibration.name())
+                .expect("every ladder lane was built from a selected device");
+            Lane::bind(lane, tier, 0, device.fleet_index, device.speed)
+        }));
         assert!(
             lanes.len() == 1 || cfg.finetune_max_iterations > 0,
             "fine-tuning budget must be positive on a multi-device ladder"
@@ -220,7 +219,7 @@ impl Runner {
                 active: None,
             }],
             tier: 0,
-            explored: Vec::with_capacity(n_restarts),
+            explored: Vec::new(),
             reports: Vec::new(),
             rejected,
         };
@@ -424,6 +423,11 @@ impl Runner {
             if lane.tier == 0 {
                 let exploration_expectation =
                     phase.trace.final_expectation().unwrap_or(f64::INFINITY);
+                // Sized at the first result, not at admission: a queued job
+                // holds no slots.
+                if self.explored.is_empty() {
+                    self.explored.reserve_exact(self.initials.len());
+                }
                 self.explored.push((
                     restart,
                     RestartReport {

@@ -279,8 +279,9 @@ struct QueuedBatch {
     seconds: f64,
     /// For a batch requeued by eviction: the shard's checkpoint taken at
     /// eviction. The grant path verifies (in debug builds) that the shard
-    /// resumes from exactly this state.
-    resume: Option<ShardCheckpoint>,
+    /// resumes from exactly this state. Boxed: only evicted batches carry
+    /// one, and every `Pending` slot would otherwise pay for it.
+    resume: Option<Box<ShardCheckpoint>>,
     /// Its key in `Sim::urgent[device]` while it is queued there.
     urgent_order: Option<u64>,
 }
@@ -393,7 +394,7 @@ impl<'a> Sim<'a> {
             events.push(job.arrival, Event::Arrival(j));
         }
         let device_tier = device_tiers(fleet);
-        let mut tracer = Tracer::new(config.trace.clone());
+        let mut tracer = Tracer::new(config.trace.clone(), jobs.len());
         // Run preamble: the fleet's identity, so every trace consumer can
         // resolve device indices (and price device-seconds) from the
         // stream alone.
@@ -1003,7 +1004,7 @@ impl<'a> Sim<'a> {
                 .expect("granted job is active")
                 .shard_checkpoint(shard);
             debug_assert!(
-                expected == checkpoint,
+                *expected == checkpoint,
                 "evicted shard resumed from a different state than its lease checkpoint"
             );
         }
@@ -1116,7 +1117,7 @@ impl<'a> Sim<'a> {
             id,
             device,
             seconds: evicted.lease.seconds,
-            resume: Some(checkpoint),
+            resume: Some(Box::new(checkpoint)),
             urgent_order: None,
         });
         self.queue
@@ -1268,29 +1269,14 @@ impl<'a> Sim<'a> {
         }
     }
 
+    /// The fold and the job statuses. The queue, the drivers and every
+    /// other per-run table drop on return, so report assembly does not
+    /// stack on them.
+    fn into_fold(self) -> (Tracer, Vec<Option<JobStatus>>) {
+        (self.tracer, self.status)
+    }
+
     fn into_report(self) -> OrchestratorReport {
-        let accounted = self.tracer.finish();
-        debug_assert_eq!(
-            accounted.orphaned, 0,
-            "the engine declares every job and device before naming it"
-        );
-        assert_eq!(
-            accounted.jobs.len(),
-            self.jobs.len(),
-            "every job is admitted and resolved"
-        );
-        let jobs = accounted
-            .jobs
-            .into_iter()
-            .zip(self.status)
-            .map(|(job, status)| JobRecord {
-                id: job.id,
-                tenant: job.tenant,
-                priority: job.priority,
-                status: status.expect("every job is admitted and resolved"),
-                telemetry: job.telemetry,
-            })
-            .collect();
         let mut tenant_usage: Vec<TenantUsage> = self
             .queue
             .balances()
@@ -1300,11 +1286,35 @@ impl<'a> Sim<'a> {
             })
             .collect();
         tenant_usage.sort_by(|a, b| a.tenant.cmp(&b.tenant));
+        let queue_ops = self.queue.stats();
+        let (tracer, status) = self.into_fold();
+        let accounted = tracer.finish();
+        debug_assert_eq!(
+            accounted.orphaned, 0,
+            "the engine declares every job and device before naming it"
+        );
+        assert_eq!(
+            accounted.jobs.len(),
+            status.len(),
+            "every job is admitted and resolved"
+        );
+        let jobs = accounted
+            .jobs
+            .into_iter()
+            .zip(status)
+            .map(|(job, status)| JobRecord {
+                id: job.id,
+                tenant: job.tenant,
+                priority: job.priority,
+                status: status.expect("every job is admitted and resolved"),
+                telemetry: job.telemetry,
+            })
+            .collect();
         OrchestratorReport {
             jobs,
             fleet: accounted.fleet,
             tenant_usage,
-            queue_ops: self.queue.stats(),
+            queue_ops,
             calibration: accounted.calibration,
             trace: accounted.trace,
             // Snapshot of whatever profiler the caller installed on this

@@ -9,8 +9,9 @@ use crate::telemetry::{
     DeviceTelemetry, FleetTelemetry, JobRecord, JobStatus, JobTelemetry, OrchestratorReport,
 };
 use qoncord_cloud::policy::FeasibilityEstimate;
-use std::collections::HashMap;
+use std::collections::hash_map::{DefaultHasher, HashMap};
 use std::fmt;
+use std::hash::BuildHasherDefault;
 
 /// How a replayed job ended (the trace does not carry training numerics or
 /// per-device rejection reasons, so the payloads of
@@ -164,13 +165,24 @@ pub(super) struct ReportFold {
     calibration: Vec<MarginSnapshot>,
     summary: TraceSummary,
     /// Queued reservations (batch requests and holds) → (device, seconds).
-    queued: HashMap<usize, (usize, f64)>,
+    /// Fixed hash keys: with random ones, where removals leave tombstones
+    /// (and so when the table grows) varied from run to run, and so did the
+    /// engine's peak heap.
+    queued: HashMap<usize, (usize, f64), BuildHasherDefault<DefaultHasher>>,
     /// Per fleet index: the queued seconds of `queued`.
     backlog: Vec<f64>,
     orphaned: u64,
 }
 
 impl ReportFold {
+    /// A fold whose per-job table is sized once for a run of `n_jobs`.
+    pub(super) fn for_jobs(n_jobs: usize) -> Self {
+        ReportFold {
+            jobs: Vec::with_capacity(n_jobs),
+            ..ReportFold::default()
+        }
+    }
+
     pub(super) fn apply(&mut self, record: &TraceRecord) {
         let _prof = qoncord_prof::span("trace::fold");
         self.summary.events.count(&record.event);
@@ -376,8 +388,11 @@ impl ReportFold {
     }
 
     pub(super) fn finish(self) -> ReconstructedReport {
+        // Exact capacity: a collect through `flatten` grows by doubling.
+        let mut jobs = Vec::with_capacity(self.jobs.iter().flatten().count());
+        jobs.extend(self.jobs.into_iter().flatten());
         ReconstructedReport {
-            jobs: self.jobs.into_iter().flatten().collect(),
+            jobs,
             fleet: FleetTelemetry {
                 devices: self.devices,
                 makespan: self.makespan,

@@ -650,10 +650,11 @@ pub(crate) struct Tracer {
 }
 
 impl Tracer {
-    pub(crate) fn new(handle: TraceHandle) -> Self {
+    /// A tracer for a run of `n_jobs` jobs, forwarding to `handle`.
+    pub(crate) fn new(handle: TraceHandle, n_jobs: usize) -> Self {
         Tracer {
             handle,
-            report: ReportFold::default(),
+            report: ReportFold::for_jobs(n_jobs),
             seq: 0,
         }
     }

@@ -1,16 +1,26 @@
 //! The engine's allocation budget: heap allocations the library makes per
-//! trace event, on small replicas of the `engine_churn` and `admit_burst`
-//! benchmark shapes (`benchmark/src/workloads.rs`).
+//! trace event, and the peak of live heap bytes, on small replicas of the
+//! `engine_churn` and `admit_burst` benchmark shapes
+//! (`benchmark/src/workloads.rs`).
 //!
-//! A counting global allocator tallies allocations on this thread while
-//! `Orchestrator::run` executes. The stub evaluator below pauses the count
-//! inside its own methods, so what is counted is the engine, queue, driver,
-//! optimizer and trace fold — never the surface a real job would simulate.
-//! The count is exact and repeats run to run, so the budget is a plain
-//! `<=`. It is asserted in release builds only: debug builds run the
+//! A counting global allocator keeps two tallies on this thread while
+//! `Orchestrator::run` executes:
+//! - *allocations*: the stub evaluator below pauses this count inside its
+//!   own methods, so what is counted is the engine, queue, driver,
+//!   optimizer and trace fold — never the surface a real job would
+//!   simulate;
+//! - *live bytes*: every block allocated minus every block freed, and its
+//!   high-water mark. The stub's blocks count here too: the stub can
+//!   allocate a block that library code frees, so the two cannot be split.
+//!   Unlike the process's VmHWM, this peak does not depend on the system
+//!   allocator's dynamic mmap threshold, which alone moved `engine_churn`'s
+//!   VmHWM by ~1.5 MiB on a struct layout change.
+//!
+//! Both counts are exact and repeat run to run, so each budget is a plain
+//! `<=`. They are asserted in release builds only: debug builds run the
 //! engine's replay and dispatch oracles, which allocate by design. Run it
 //! with `cargo test --release -p qoncord-orchestrator --test alloc_budget --
-//! --nocapture` to print the per-event counts.
+//! --nocapture` to print the per-event counts and the peaks.
 //!
 //! One `#[test]` runs both shapes, and the counts are thread-local, so
 //! tests running in parallel cannot add to them.
@@ -36,6 +46,10 @@ use std::cell::Cell;
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
     static IN_STUB: Cell<bool> = const { Cell::new(false) };
+    /// Bytes allocated minus bytes freed on this thread.
+    static LIVE: Cell<i64> = const { Cell::new(0) };
+    /// The highest `LIVE` since a run last reset it.
+    static PEAK: Cell<i64> = const { Cell::new(0) };
 }
 
 struct Counting;
@@ -48,6 +62,14 @@ impl Counting {
             let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
         }
     }
+
+    /// Moves the live-byte tally by `delta` and raises its peak.
+    fn resize(delta: i64) {
+        let _ = LIVE.try_with(|live| {
+            live.set(live.get() + delta);
+            let _ = PEAK.try_with(|peak| peak.set(peak.get().max(live.get())));
+        });
+    }
 }
 
 // SAFETY: every call is forwarded unchanged to the system allocator; the
@@ -55,20 +77,24 @@ impl Counting {
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         Self::count();
+        Self::resize(layout.size() as i64);
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         Self::count();
+        Self::resize(layout.size() as i64);
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         Self::count();
+        Self::resize(new_size as i64 - layout.size() as i64);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        Self::resize(-(layout.size() as i64));
         unsafe { System.dealloc(ptr, layout) }
     }
 }
@@ -236,38 +262,82 @@ fn admit_burst() -> (OrchestratorConfig, Vec<TenantJob>) {
     (config, jobs)
 }
 
-/// Library allocations per trace event of one run of `shape`.
-fn allocations_per_event(shape: (OrchestratorConfig, Vec<TenantJob>)) -> (u64, u64) {
+/// What one run of a shape cost the heap.
+struct Reading {
+    /// Library allocations (the stub's excluded).
+    allocations: u64,
+    /// Trace events the run emitted.
+    events: u64,
+    /// Peak live heap bytes above the level at the call, stub blocks
+    /// included.
+    peak_bytes: i64,
+}
+
+/// Runs `shape` once, counting on this thread.
+fn read(shape: (OrchestratorConfig, Vec<TenantJob>)) -> Reading {
     let (config, jobs) = shape;
     let orchestrator = Orchestrator::new(config, fleet());
     let before = ALLOCATIONS.with(Cell::get);
+    let live_before = LIVE.with(Cell::get);
+    PEAK.with(|peak| peak.set(live_before));
     let report = orchestrator.run(&jobs);
-    let allocations = ALLOCATIONS.with(Cell::get) - before;
-    (allocations, report.trace.events.total())
+    Reading {
+        allocations: ALLOCATIONS.with(Cell::get) - before,
+        events: report.trace.events.total(),
+        peak_bytes: PEAK.with(Cell::get) - live_before,
+    }
 }
 
-/// Committed budgets, library allocations per trace event (release), a few
-/// percent above the counts they were set at: `engine_churn` 83 885 over
-/// 45 891 events (1.828) and `admit_burst` 66 247 over 24 991 (2.651). The
-/// engine before dense tables and allocation-free cycles read 3.892 and
-/// 5.610. One more allocation per lease grant (0.24–0.27 per event) breaks
-/// either.
-const CHURN_BUDGET: f64 = 1.9;
-const BURST_BUDGET: f64 = 2.75;
+/// Committed per-event budgets, library allocations per trace event
+/// (release), the same few hundredths above the counts they were set at:
+/// `engine_churn` 74 080 over 45 891 events (1.614) and `admit_burst`
+/// 62 915 over 24 991 (2.518). With a B-tree per fair-share lane they read
+/// 1.824 and 2.651; the engine before dense tables and allocation-free
+/// cycles read 3.892 and 5.610. One more allocation per lease grant
+/// (0.24–0.27 per event) breaks either.
+const CHURN_BUDGET: f64 = 1.69;
+const BURST_BUDGET: f64 = 2.62;
+
+/// Committed peak live heap budgets in bytes (release), about 3 % above the
+/// peaks they were set at: `engine_churn` 2 341 633 and `admit_burst`
+/// 3 143 363. Before the queue's lanes, the runners' lanes and the report
+/// fold's job table were sized to what they hold, they read 2 611 707 and
+/// 4 188 246.
+const CHURN_PEAK_BUDGET: i64 = 2_410_000;
+const BURST_PEAK_BUDGET: i64 = 3_240_000;
 
 #[test]
-fn engine_allocations_per_event_stay_within_budget() {
-    for (name, shape, budget) in [
-        ("engine_churn", engine_churn(), CHURN_BUDGET),
-        ("admit_burst", admit_burst(), BURST_BUDGET),
+fn engine_allocations_and_peak_heap_stay_within_budget() {
+    for (name, shape, budget, peak_budget) in [
+        (
+            "engine_churn",
+            engine_churn(),
+            CHURN_BUDGET,
+            CHURN_PEAK_BUDGET,
+        ),
+        (
+            "admit_burst",
+            admit_burst(),
+            BURST_BUDGET,
+            BURST_PEAK_BUDGET,
+        ),
     ] {
-        let (allocations, events) = allocations_per_event(shape);
+        let Reading {
+            allocations,
+            events,
+            peak_bytes,
+        } = read(shape);
         let per_event = allocations as f64 / events as f64;
         println!("{name}: {allocations} allocations over {events} events = {per_event:.3} per event (budget {budget})");
+        println!("{name}: peak live heap {peak_bytes} B (budget {peak_budget})");
         if !cfg!(debug_assertions) {
             assert!(
                 per_event <= budget,
                 "{name}: {per_event:.3} library allocations per trace event exceed the budget of {budget}"
+            );
+            assert!(
+                peak_bytes <= peak_budget,
+                "{name}: a peak of {peak_bytes} live heap bytes exceeds the budget of {peak_budget}"
             );
         }
     }

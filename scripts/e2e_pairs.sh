@@ -3,8 +3,10 @@
 # (choosing-metrics guide, section 8): run two `e2e` binaries — the parent
 # commit's and the change's, each built into its own --target-dir — on one
 # workload, alternating which side goes first, and report per run `wall_s`,
-# `peak_rss_mib` and `sim_digest`, then each side's median and quartiles and
-# the pairs the change won (lower `wall_s`; ties count for neither). Exits 1
+# `peak_rss_mib` and `sim_digest`, then each side's median and quartiles and,
+# for each of `wall_s` and `peak_rss_mib`, the change/parent median ratio,
+# how far apart the medians lie against the parent's IQR, and the pairs the
+# change won (the lower value; ties count for neither). Exits 1
 # when a run fails or one side disagrees with itself on `sim_digest`: that
 # binary is not deterministic and its times mean nothing. Two self-consistent
 # sides with different digests are reported, not failed — a change in the
@@ -57,6 +59,19 @@ done | awk '
         q3[side, col] = quantile(a, n, 0.75)
         printf "%s %-12s median %.4f (q1 %.4f - q3 %.4f) %s\n", side, unit, median[side, col], q1[side, col], q3[side, col], "N=" n
     }
+    # The section-8 rule on one metric, lower is better: the median ratio,
+    # the medians against the parent IQR, and the pairs won.
+    function verdict(col, name, unit,    i, won, lost) {
+        for (i = 1; i <= pairs; i++) {
+            if (value["change", i, col] < value["parent", i, col]) won++
+            else if (value["change", i, col] > value["parent", i, col]) lost++
+        }
+        printf "change/parent %s median ratio %.3f; medians apart by %.4f %s, parent IQR %.4f %s\n", \
+            name, median["change", col] / median["parent", col], \
+            median["parent", col] - median["change", col], unit, \
+            q3["parent", col] - q1["parent", col], unit
+        printf "%s pairs won by change %d/%d (lost %d)\n", name, won + 0, pairs, lost + 0
+    }
     {
         print
         fflush()
@@ -68,19 +83,12 @@ done | awk '
         if (NF < 5) broken = 1
     }
     END {
-        for (i = 1; i <= pairs; i++) {
-            if (value["change", i, "wall"] < value["parent", i, "wall"]) won++
-            else if (value["change", i, "wall"] > value["parent", i, "wall"]) lost++
-        }
         summary("parent", "wall", "wall_s")
         summary("change", "wall", "wall_s")
         summary("parent", "rss", "peak_rss_mib")
         summary("change", "rss", "peak_rss_mib")
-        iqr = q3["parent", "wall"] - q1["parent", "wall"]
-        printf "change/parent wall_s median ratio %.3f; medians apart by %.4f s, parent IQR %.4f s\n", \
-            median["change", "wall"] / median["parent", "wall"], \
-            median["parent", "wall"] - median["change", "wall"], iqr
-        printf "pairs won by change %d/%d (lost %d)\n", won, pairs, lost
+        verdict("wall", "wall_s", "s")
+        verdict("rss", "peak_rss_mib", "MiB")
         if (broken) { print "FAIL: a run printed no wall_s, peak_rss_mib or sim_digest"; exit 1 }
         if (differ) { print "FAIL: sim_digest differs between runs of one side"; exit 1 }
         if (digest["parent"] == digest["change"]) print "sim_digest " digest["parent"] " on every run"
